@@ -61,11 +61,12 @@ type Config struct {
 // local HTTP surface, routes /query requests to the fingerprint's owning
 // node on the consistent-hash ring, retries remote failures with jittered
 // exponential backoff, trips a per-peer breaker after repeated failure —
-// the per-shard breaker model lifted one level, from engine replica to
-// whole node — and fails the fingerprint over to the next surviving node in
-// ring order. A write-behind replicator ships every convergence record to
-// the peers, so the failover target serves the re-pinned fingerprint from a
-// warm replicated plan instead of re-converging cold.
+// the same server.Breaker the engine shards use, guarding a whole node
+// instead of one replica — and fails the fingerprint over to the next
+// surviving node in ring order. A write-behind replicator ships every
+// convergence record to the peers, so the failover target serves the
+// re-pinned fingerprint from a warm replicated plan instead of re-converging
+// cold.
 type Coordinator struct {
 	self        string
 	local       *server.Server
@@ -100,71 +101,15 @@ type Coordinator struct {
 	resultBytesProxied atomic.Int64
 }
 
+// peerState is one remote node: its client and its health breaker.
+// Consecutive serve-path failures against the peer open the breaker, an open
+// breaker routes the peer's fingerprints to the next ring node without a
+// network hop, and after a jittered cooldown one request at a time is
+// admitted half-open — success (or the background health probe) closes it,
+// returning ownership.
 type peerState struct {
 	rem *Remote
-	brk peerBreaker
-}
-
-// peerBreaker is the per-shard breaker model one level up: consecutive
-// serve-path failures against a peer open it, an open breaker routes the
-// peer's fingerprints to the next ring node without a network hop, and
-// after a jittered cooldown one request (or the background health probe)
-// is admitted half-open — success closes it, returning ownership.
-type peerBreaker struct {
-	mu        sync.Mutex
-	nowFn     func() time.Time
-	randFn    func() float64
-	threshold int
-	cooldown  time.Duration
-	failures  int
-	open      bool
-	openedAt  time.Time
-	scale     float64
-	trips     int64
-}
-
-func (b *peerBreaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	return b.nowFn().Sub(b.openedAt) >= time.Duration(float64(b.cooldown)*b.scale)
-}
-
-func (b *peerBreaker) failure() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.open {
-		// A failure while open (the half-open probe lost) restarts the
-		// cooldown with fresh jitter.
-		b.openedAt = b.nowFn()
-		b.scale = 1 + 0.5*b.randFn()
-		return
-	}
-	b.failures++
-	if b.failures >= b.threshold {
-		b.failures = 0
-		b.open = true
-		b.openedAt = b.nowFn()
-		// Same jitter shape as the shard breaker: nodes that tripped on one
-		// burst must not all probe the peer back in one burst.
-		b.scale = 1 + 0.5*b.randFn()
-		b.trips++
-	}
-}
-
-func (b *peerBreaker) success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.open = false
-	b.failures = 0
-}
-
-func (b *peerBreaker) snapshot() (open bool, failures int, trips int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open, b.failures, b.trips
+	brk server.Breaker
 }
 
 // New builds a coordinator fronting local. The caller owns local's
@@ -281,12 +226,9 @@ func (c *Coordinator) AddPeer(name, url string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: peer %q already joined", name)
 	}
-	p := &peerState{rem: NewRemote(name, url)}
-	p.brk = peerBreaker{
-		nowFn:     c.nowFn,
-		randFn:    c.rand,
-		threshold: c.brkFailures,
-		cooldown:  c.brkCooldown,
+	p := &peerState{
+		rem: NewRemote(name, url),
+		brk: server.Breaker{Threshold: c.brkFailures, Cooldown: c.brkCooldown, NowFn: c.nowFn, RandFn: c.rand},
 	}
 	c.peers[name] = p
 	c.ring.add(name)
@@ -354,7 +296,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		c.serveLocal(w, r, body)
 		return
 	}
-	c.route(w, r, body, &req, fp)
+	c.route(w, r, body, fp)
 }
 
 // serveLocal replays the request into the local daemon's own handler; body
@@ -370,11 +312,12 @@ func (c *Coordinator) serveLocal(w http.ResponseWriter, r *http.Request, body []
 }
 
 // route walks fp's ring sequence: the owner first, then the failover order.
-// A node is skipped while its breaker is open; a remote owner that fails
-// its bounded retries fails the fingerprint over to the next survivor. The
-// local node always terminates the walk — worst case every peer is down
-// and the fingerprint serves here from its replicated warm seed.
-func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte, req *server.QueryRequest, fp string) {
+// A node is skipped while its breaker refuses work (open, or half-open with
+// its one probe already in flight); a remote owner that fails its bounded
+// retries fails the fingerprint over to the next survivor. The local node
+// always terminates the walk — worst case every peer is down and the
+// fingerprint serves here from its replicated warm seed.
+func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte, fp string) {
 	c.mu.RLock()
 	seq := c.ring.sequence(fp)
 	states := make([]*peerState, len(seq))
@@ -382,163 +325,95 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 		states[i] = c.peers[node] // nil for self
 	}
 	c.mu.RUnlock()
-	// A results-negotiated request is proxied raw: the owner's APQRESULT
-	// bytes relay to the client verbatim instead of being re-encoded, so a
-	// forwarded columnar reply is bit-identical to the owner-local one —
-	// the PR 9 twin guarantee extended to result payloads.
-	wantRes := server.WantsResult(r.Header.Get("Accept"), req)
 	for i, node := range seq {
 		if node == c.self {
-			if i > 0 {
-				c.failovers.Add(1)
-			}
-			c.serveLocal(w, r, body)
-			return
+			break
 		}
 		p := states[i]
-		if p == nil || !p.brk.allow() {
+		if p == nil {
 			continue
 		}
-		var (
-			resp  *server.QueryResponse
-			hresp *http.Response
-			err   error
-		)
-		if wantRes {
-			hresp, err = c.invokeResultRetry(r, p, body)
-		} else {
-			resp, err = c.invokeRetry(r, p, req)
+		mode := p.brk.Admit()
+		if mode == server.BreakerFrozen {
+			continue
 		}
-		if err == nil {
+		if c.forward(w, r, body, p, mode) {
 			if i > 0 {
 				c.failovers.Add(1)
 			}
 			c.forwarded.Add(1)
-			if wantRes {
-				w.Header().Set("Content-Type", hresp.Header.Get("Content-Type"))
-				n, _ := io.Copy(w, hresp.Body)
-				hresp.Body.Close()
-				c.resultBytesProxied.Add(n)
-				return
-			}
-			writeJSON(w, http.StatusOK, resp)
 			return
 		}
-		var be *server.BackendError
-		if errors.As(err, &be) && be.Code < 500 {
-			// The owning node answered and the request itself is at fault
-			// (unknown tenant, over quota, bad spec): proxy the reply back
-			// verbatim — failing over a bad request would cascade it across
-			// every node in the ring.
-			if i > 0 {
-				c.failovers.Add(1)
-			}
-			c.forwarded.Add(1)
-			if be.RetryAfter != "" {
-				w.Header().Set("Retry-After", be.RetryAfter)
-			}
-			writeJSON(w, be.Code, map[string]string{"error": be.Msg})
-			return
-		}
-		// 5xx or unreachable: the node is the problem, not the request.
-		// Fall through to the next node in ring order.
 	}
-	// Unreachable while self is a ring member; kept as the defensive
-	// backstop.
-	c.failovers.Add(1)
+	if seq[0] != c.self {
+		c.failovers.Add(1)
+	}
 	c.serveLocal(w, r, body)
 }
 
-// invokeRetry runs one request against one peer with bounded retries. Each
-// attempt gets its own PeerTimeout deadline under the client's context;
-// retry n sleeps base·2^(n-1) scaled by the breaker-style 1+0.5·rand()
-// jitter first. Sub-500 BackendErrors return immediately (the peer
-// answered; retrying a bad request cannot fix it) and do not feed the
-// breaker; everything else counts a breaker failure, and a breaker that
-// opens mid-retry aborts the loop so failover starts without burning the
-// remaining attempts.
-func (c *Coordinator) invokeRetry(r *http.Request, p *peerState, req *server.QueryRequest) (*server.QueryResponse, error) {
-	frozen := r.Header.Get(server.FrozenHeader) == "1"
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
+// forward is the one forward path: it proxies the client's /query to peer p
+// and relays the owner's reply — status, Content-Type, Retry-After and body
+// bytes untouched, JSON and APQRESULT alike — so a forwarded reply is
+// bit-identical to the owner-local one. Any reply below 500 means the owner
+// answered: a 200 counts as a breaker success, and a 4xx (unknown tenant,
+// over quota, bad spec) is the request's own fault — it is relayed, never
+// failed over, or a bad request would cascade across every node in the
+// ring, and it feeds the breaker only to settle a half-open probe. A 5xx or
+// a transport error means the node is the problem: it counts a breaker
+// failure and is retried, and a breaker that opens mid-retry aborts the loop
+// so failover starts without burning the remaining attempts. It reports
+// whether a reply was relayed; false sends the caller to the next ring node.
+func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byte, p *peerState, mode server.BreakerMode) (relayed bool) {
+	c.attempts(r.Context(), func(ctx context.Context, n int) (stop bool) {
+		if n > 0 {
 			c.retried.Add(1)
-			if !c.backoff(r.Context(), attempt) {
-				break
+		}
+		hresp, err := p.rem.forward(ctx, r.Header, body)
+		if err == nil {
+			defer hresp.Body.Close()
+			if hresp.StatusCode < http.StatusInternalServerError {
+				if hresp.StatusCode == http.StatusOK || mode == server.BreakerProbe {
+					p.brk.Record(mode, false)
+				}
+				for _, h := range [...]string{"Content-Type", "Retry-After"} {
+					if v := hresp.Header.Get(h); v != "" {
+						w.Header().Set(h, v)
+					}
+				}
+				w.WriteHeader(hresp.StatusCode)
+				// The attempt's deadline stays armed while the stream relays.
+				sent, _ := io.Copy(w, hresp.Body)
+				if hresp.Header.Get("Content-Type") == server.ResultContentType {
+					c.resultBytesProxied.Add(sent)
+				}
+				relayed = true
+				return true
 			}
 		}
-		actx, cancel := context.WithTimeout(r.Context(), c.peerTimeout)
-		var resp *server.QueryResponse
-		var err error
-		if frozen {
-			resp, err = p.rem.InvokeFrozen(actx, req)
-		} else {
-			resp, err = p.rem.Invoke(actx, req)
+		p.brk.Record(mode, true)
+		st, _, _ := p.brk.Snapshot()
+		return st != server.BreakerClosed
+	})
+	return relayed
+}
+
+// attempts is the one retry loop, shared by request forwarding and plan
+// replication: it calls try up to 1+Retries times, each call under its own
+// PeerTimeout deadline beneath ctx, sleeping base·2^(n-1) scaled by the
+// breaker-style 1+0.5·rand() jitter before retry n, until try reports stop or
+// ctx (or the coordinator) dies mid-backoff.
+func (c *Coordinator) attempts(ctx context.Context, try func(actx context.Context, n int) (stop bool)) {
+	for n := 0; n <= c.retries; n++ {
+		if n > 0 && !c.backoff(ctx, n) {
+			return
 		}
+		actx, cancel := context.WithTimeout(ctx, c.peerTimeout)
+		stop := try(actx, n)
 		cancel()
-		if err == nil {
-			p.brk.success()
-			return resp, nil
-		}
-		var be *server.BackendError
-		if errors.As(err, &be) && be.Code < 500 {
-			return nil, err
-		}
-		lastErr = err
-		p.brk.failure()
-		if !p.brk.allow() {
-			break
+		if stop {
+			return
 		}
 	}
-	return nil, lastErr
-}
-
-// cancelBody ties a streamed response body to its per-attempt context: the
-// deadline must stay armed while the coordinator relays the stream, and
-// Close releases it.
-type cancelBody struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (b cancelBody) Close() error {
-	b.cancel()
-	return b.ReadCloser.Close()
-}
-
-// invokeResultRetry is invokeRetry for results-negotiated requests: the
-// peer's raw APQRESULT response comes back still streaming (the caller
-// relays and closes it), under the same per-attempt deadlines, bounded
-// retries, and breaker bookkeeping.
-func (c *Coordinator) invokeResultRetry(r *http.Request, p *peerState, body []byte) (*http.Response, error) {
-	frozen := r.Header.Get(server.FrozenHeader) == "1"
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if attempt > 0 {
-			c.retried.Add(1)
-			if !c.backoff(r.Context(), attempt) {
-				break
-			}
-		}
-		actx, cancel := context.WithTimeout(r.Context(), c.peerTimeout)
-		hresp, err := p.rem.InvokeResult(actx, body, frozen)
-		if err == nil {
-			p.brk.success()
-			hresp.Body = cancelBody{ReadCloser: hresp.Body, cancel: cancel}
-			return hresp, nil
-		}
-		cancel()
-		var be *server.BackendError
-		if errors.As(err, &be) && be.Code < 500 {
-			return nil, err
-		}
-		lastErr = err
-		p.brk.failure()
-		if !p.brk.allow() {
-			break
-		}
-	}
-	return nil, lastErr
 }
 
 // backoff sleeps retry attempt n's delay (n is 1-based); false means the
@@ -576,15 +451,14 @@ func (c *Coordinator) probeLoop() {
 		case <-t.C:
 		}
 		for _, p := range c.peerList() {
-			open, _, _ := p.brk.snapshot()
-			if !open {
+			if st, _, _ := p.brk.Snapshot(); st == server.BreakerClosed {
 				continue
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), c.peerTimeout)
 			h, err := p.rem.Health(ctx)
 			cancel()
 			if err == nil && h.OK {
-				p.brk.success()
+				p.brk.Reset()
 				c.recovered.Add(1)
 				c.repl.syncTo(p)
 			}
@@ -666,11 +540,13 @@ func (c *Coordinator) Nodes() []string {
 type PeerStatus struct {
 	Name string `json:"name"`
 	URL  string `json:"url"`
-	// Breaker is "closed" (serving) or "open" (failed over away).
+	// Breaker is "closed" (serving), "open" (failed over away) or
+	// "half-open" (one probe request in flight, the rest failed over).
 	Breaker string `json:"breaker"`
 	// Failures is the current consecutive-failure count while closed.
 	Failures int `json:"consecutive_failures,omitempty"`
-	// Trips counts breaker openings since the peer joined.
+	// Trips counts breaker openings since the peer joined (failed half-open
+	// probes included).
 	Trips int64 `json:"trips"`
 }
 
@@ -712,12 +588,8 @@ func (c *Coordinator) Stats() Stats {
 		Replication:        c.repl.stats(),
 	}
 	for _, p := range c.peerList() {
-		open, failures, trips := p.brk.snapshot()
-		st := PeerStatus{Name: p.rem.name, URL: p.rem.base, Breaker: "closed", Failures: failures, Trips: trips}
-		if open {
-			st.Breaker = "open"
-		}
-		s.Peers = append(s.Peers, st)
+		st, trips, failures := p.brk.Snapshot()
+		s.Peers = append(s.Peers, PeerStatus{Name: p.rem.name, URL: p.rem.base, Breaker: st.String(), Failures: failures, Trips: trips})
 	}
 	return s
 }

@@ -1,72 +1,127 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// fakeClock is a hand-advanced nowFn.
-type fakeClock struct{ t time.Time }
+// TestHalfOpenPeerAdmitsOneProbe drives the peer breaker through the
+// coordinator's route loop against a scripted peer: a 5xx trips it (threshold
+// 1) and the request fails over to the next ring node; while open the peer is
+// skipped without a network hop; after the cooldown exactly one request is
+// forwarded as the half-open probe, and a concurrent request for the same
+// peer falls through to the next ring node instead of piling onto a node that
+// may still be dead; the probe's verbatim-relayed 200 closes the breaker.
+func TestHalfOpenPeerAdmitsOneProbe(t *testing.T) {
+	var (
+		hits    atomic.Int64
+		healthy atomic.Bool
+		entered = make(chan struct{})
+		release = make(chan struct{})
+	)
+	const peerReply = `{"query":"scripted-peer","state":"converged"}` + "\n"
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/query" {
+			return
+		}
+		if r.Header.Get("X-APQ-Forwarded") != "1" {
+			t.Error("forwarded request lost its X-APQ-Forwarded marker")
+		}
+		hits.Add(1)
+		if !healthy.Load() {
+			http.Error(w, "scripted failure", http.StatusInternalServerError)
+			return
+		}
+		if hits.Load() == 2 {
+			close(entered)
+			<-release
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, peerReply)
+	}))
+	defer peer.Close()
 
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
+	var nowNs atomic.Int64
+	nowNs.Store(time.Unix(1000, 0).UnixNano())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, Config{
+		Retries:         -1,
+		BreakerFailures: 1,
+		BreakerCooldown: time.Second,
+		ProbeInterval:   -1,
+		NowFn:           func() time.Time { return time.Unix(0, nowNs.Load()) },
+		RandFn:          func() float64 { return 0 },
+	})
+	req := remoteOwnedQuery(t, a.coord, "", "b")
+	client := &http.Client{}
+	peerStatus := func() PeerStatus { return a.coord.Stats().Peers[0] }
+	// servedLocally posts one request and asserts node a answered it itself.
+	servedLocally := func(step string) {
+		t.Helper()
+		before := a.coord.Stats()
+		raw, _ := postRaw(t, client, a.url, req, nil)
+		if bytes.Equal(raw, []byte(peerReply)) {
+			t.Fatalf("%s: reply came from the peer", step)
+		}
+		after := a.coord.Stats()
+		if after.ServedLocal != before.ServedLocal+1 || after.Failovers != before.Failovers+1 || after.Forwarded != before.Forwarded {
+			t.Fatalf("%s: not a local failover serve: %+v -> %+v", step, before, after)
+		}
+	}
 
-// TestPeerBreakerLifecycle pins the clock and the jitter seam and walks the
-// whole cycle: closed under sparse failures, open at the threshold, held
-// through the jittered cooldown, half-open admit, failed probe restarting
-// the cooldown, successful probe closing.
-func TestPeerBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	b := peerBreaker{
-		nowFn:     clk.now,
-		randFn:    func() float64 { return 1 }, // jitter scale pinned to 1.5
-		threshold: 3,
-		cooldown:  2 * time.Second,
+	servedLocally("owner replies 5xx")
+	if st := peerStatus(); st.Breaker != "open" || st.Trips != 1 || hits.Load() != 1 {
+		t.Fatalf("after the 5xx: %+v, peer hits %d", st, hits.Load())
 	}
-	if !b.allow() {
-		t.Fatal("new breaker must be closed")
+	servedLocally("breaker open")
+	if hits.Load() != 1 {
+		t.Fatal("an open breaker still forwarded to the peer")
 	}
-	b.failure()
-	b.failure()
-	if open, failures, trips := b.snapshot(); open || failures != 2 || trips != 0 {
-		t.Fatalf("after 2 failures: open=%v failures=%d trips=%d", open, failures, trips)
+
+	// Cooldown elapses; the peer is healthy again but slow to answer.
+	nowNs.Add(int64(time.Second))
+	healthy.Store(true)
+	probe := make(chan []byte, 1)
+	go func() {
+		body, _ := json.Marshal(req)
+		resp, err := client.Post(a.url+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			probe <- nil
+			return
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		probe <- raw
+	}()
+	<-entered
+	if st := peerStatus(); st.Breaker != "half-open" {
+		t.Fatalf("with the probe in flight: %+v", st)
 	}
-	// A success wipes the streak: only consecutive failures trip.
-	b.success()
-	b.failure()
-	b.failure()
-	if open, _, _ := b.snapshot(); open {
-		t.Fatal("streak should have reset on success")
+	servedLocally("probe in flight")
+	if hits.Load() != 2 {
+		t.Fatalf("peer saw %d requests, want exactly the one in-flight probe after the 5xx", hits.Load())
 	}
-	b.failure()
-	if open, _, trips := b.snapshot(); !open || trips != 1 {
-		t.Fatalf("3rd consecutive failure should trip: open=%v trips=%d", open, trips)
+	close(release)
+	if got := <-probe; string(got) != peerReply {
+		t.Fatalf("probe reply was not the owner's bytes verbatim: %q", got)
 	}
-	// Jittered cooldown = 2s * 1.5 = 3s.
-	clk.advance(2900 * time.Millisecond)
-	if b.allow() {
-		t.Fatal("breaker admitted before the jittered cooldown elapsed")
+	if st := peerStatus(); st.Breaker != "closed" || st.Trips != 1 {
+		t.Fatalf("after the successful probe: %+v", st)
 	}
-	clk.advance(200 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("breaker must admit a half-open attempt after cooldown")
-	}
-	// The half-open attempt fails: cooldown restarts from now.
-	b.failure()
-	if b.allow() {
-		t.Fatal("failed half-open probe must re-arm the cooldown")
-	}
-	if _, _, trips := b.snapshot(); trips != 1 {
-		t.Fatalf("re-armed cooldown is not a new trip: trips=%d", trips)
-	}
-	clk.advance(3100 * time.Millisecond)
-	if !b.allow() {
-		t.Fatal("breaker must admit again after the re-armed cooldown")
-	}
-	b.success()
-	if open, failures, _ := b.snapshot(); open || failures != 0 {
-		t.Fatalf("success must close and reset: open=%v failures=%d", open, failures)
+	if raw, _ := postRaw(t, client, a.url, req, nil); string(raw) != peerReply || hits.Load() != 3 {
+		t.Fatalf("closed breaker did not forward: reply %q, peer hits %d", raw, hits.Load())
 	}
 }
 

@@ -28,16 +28,25 @@ const testIdentity = "tpch:sf=0.2:seed=42"
 
 // newEngineServer builds one single-shard serving core over its own engine.
 // Every call generates the same dataset, so two nodes (or a node and its
-// standalone twin) are deterministically identical.
-func newEngineServer(t *testing.T, onRecord func(store.Record)) *server.Server {
+// standalone twin) are deterministically identical. Each named tenant gets
+// its own (equally deterministic) SF 0.1 dataset.
+func newEngineServer(t *testing.T, onRecord func(store.Record), tenants ...string) *server.Server {
 	t.Helper()
 	cat := tpch.Generate(tpch.Config{SF: 0.2, Seed: 42})
-	s, err := server.New(server.Config{
+	cfg := server.Config{
 		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
 		DBIdentity: testIdentity,
 		Benchmark:  "tpch",
 		OnRecord:   onRecord,
-	})
+	}
+	for _, name := range tenants {
+		cfg.Tenants = append(cfg.Tenants, server.Tenant{
+			Name:       name,
+			Catalog:    tpch.Generate(tpch.Config{SF: 0.1, Seed: 7}),
+			DBIdentity: name + ":tpch:sf=0.1:seed=7",
+		})
+	}
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +65,14 @@ type fedNode struct {
 // startNode brings up one federated node on ln: serving core, coordinator,
 // and a real HTTP listener, with convergence records wired into the
 // replicator the way the apq wiring does it.
-func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Config) *fedNode {
+func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Config, tenants ...string) *fedNode {
 	t.Helper()
 	var ptr atomic.Pointer[Coordinator]
 	srv := newEngineServer(t, func(rec store.Record) {
 		if c := ptr.Load(); c != nil {
 			c.Observe(rec)
 		}
-	})
+	}, tenants...)
 	ccfg.Self = name
 	ccfg.Peers = peers
 	coord, err := New(srv, ccfg)
@@ -86,7 +95,7 @@ func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Co
 
 // twoNodes wires an A/B federation over pre-allocated loopback listeners
 // (each node's config must name the other's URL before either exists).
-func twoNodes(t *testing.T, ccfg Config) (*fedNode, *fedNode) {
+func twoNodes(t *testing.T, ccfg Config, tenants ...string) (*fedNode, *fedNode) {
 	t.Helper()
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -99,8 +108,8 @@ func twoNodes(t *testing.T, ccfg Config) (*fedNode, *fedNode) {
 	}
 	urlA := "http://" + lnA.Addr().String()
 	urlB := "http://" + lnB.Addr().String()
-	a := startNode(t, "a", lnA, []Peer{{Name: "b", URL: urlB}}, ccfg)
-	b := startNode(t, "b", lnB, []Peer{{Name: "a", URL: urlA}}, ccfg)
+	a := startNode(t, "a", lnA, []Peer{{Name: "b", URL: urlB}}, ccfg, tenants...)
+	b := startNode(t, "b", lnB, []Peer{{Name: "a", URL: urlA}}, ccfg, tenants...)
 	return a, b
 }
 
@@ -111,13 +120,14 @@ func selectSumReq(lo int64) server.QueryRequest {
 	}}
 }
 
-// remoteOwnedQuery finds a select_sum whose fingerprint node owner owns on
-// the ring as this coordinator computes it.
-func remoteOwnedQuery(t *testing.T, c *Coordinator, owner string) server.QueryRequest {
+// remoteOwnedQuery finds a select_sum whose fingerprint — resolved for the
+// tenant named by the X-APQ-Tenant header value hdrTenant ("" = default) —
+// node owner owns on the ring as this coordinator computes it.
+func remoteOwnedQuery(t *testing.T, c *Coordinator, hdrTenant, owner string) server.QueryRequest {
 	t.Helper()
 	for lo := int64(1); lo <= 64; lo++ {
 		req := selectSumReq(lo)
-		fp, err := c.local.RouteFingerprint("", &req)
+		fp, err := c.local.RouteFingerprint(hdrTenant, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +173,7 @@ func TestRemoteTwinBitIdentical(t *testing.T) {
 	ts := httptest.NewServer(standalone.Handler())
 	defer ts.Close()
 
-	req := remoteOwnedQuery(t, a.coord, "b")
+	req := remoteOwnedQuery(t, a.coord, "", "b")
 	client := &http.Client{}
 	var session string
 	converged := 0
@@ -331,7 +341,7 @@ func TestFailoverKillNodeMidTraffic(t *testing.T) {
 		BreakerCooldown: 100 * time.Millisecond,
 		ProbeInterval:   -1,
 	})
-	req := remoteOwnedQuery(t, a.coord, "b")
+	req := remoteOwnedQuery(t, a.coord, "", "b")
 	client := &http.Client{}
 	coldRuns := 0
 	for i := 0; i < 4000; i++ {
@@ -441,7 +451,7 @@ func TestAdminPeersJoinLeave(t *testing.T) {
 	}
 
 	// A fingerprint b now owns routes remotely...
-	bReq := remoteOwnedQuery(t, a.coord, "b")
+	bReq := remoteOwnedQuery(t, a.coord, "", "b")
 	before := a.coord.Stats().Forwarded
 	if _, code := postJSON(t, client, a.url, bReq); code != http.StatusOK {
 		t.Fatalf("status %d", code)
@@ -525,5 +535,92 @@ func TestReplicateIntake(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || out.Received != 1 || out.Applied != 0 {
 		t.Fatalf("foreign record intake: status %d, %+v (want 200, received 1, applied 0)", resp.StatusCode, out)
+	}
+}
+
+// postRaw POSTs req to base/query with the given extra headers and returns
+// the reply's body bytes and Content-Type; any non-200 is fatal.
+func postRaw(t *testing.T, client *http.Client, base string, req server.QueryRequest, hdr map[string]string) ([]byte, string) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	hreq, err := http.NewRequest(http.MethodPost, base+"/query", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	for k, v := range hdr {
+		hreq.Header.Set(k, v)
+	}
+	resp, err := client.Do(hreq)
+	if err != nil {
+		t.Fatalf("POST %s/query: %v", base, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST %s/query: status %d: %s", base, resp.StatusCode, raw)
+	}
+	return raw, resp.Header.Get("Content-Type")
+}
+
+// TestForwardedRequestKeepsTenantHeader: a request that names its tenant only
+// by the X-APQ-Tenant header and whose fingerprint a remote node owns must be
+// answered from that tenant's data — the forward hop carries the header. The
+// reply, JSON and APQRESULT alike, is byte-identical to a standalone server's
+// for the same request sequence.
+func TestForwardedRequestKeepsTenantHeader(t *testing.T) {
+	a, _ := twoNodes(t, Config{ProbeInterval: -1}, "acme")
+	standalone := newEngineServer(t, nil, "acme")
+	ts := httptest.NewServer(standalone.Handler())
+	defer ts.Close()
+
+	req := remoteOwnedQuery(t, a.coord, "acme", "b")
+	if req.Tenant != "" {
+		t.Fatal("the request must name its tenant by header only")
+	}
+	wantFP, err := standalone.RouteFingerprint("acme", &req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{}
+
+	hdr := map[string]string{"X-APQ-Tenant": "acme"}
+	viaCluster, ct := postRaw(t, client, a.url, req, hdr)
+	direct, _ := postRaw(t, client, ts.URL, req, hdr)
+	if ct != "application/json" {
+		t.Fatalf("forwarded JSON reply has Content-Type %q", ct)
+	}
+	var got server.QueryResponse
+	if err := json.Unmarshal(viaCluster, &got); err != nil {
+		t.Fatalf("forwarded reply does not decode: %v", err)
+	}
+	if got.Tenant != "acme" || got.Fingerprint != wantFP {
+		t.Fatalf("forwarded reply served tenant %q fingerprint %q, want \"acme\" %q", got.Tenant, got.Fingerprint, wantFP)
+	}
+	if !bytes.Equal(viaCluster, direct) {
+		t.Fatalf("forwarded JSON reply differs from the standalone twin:\ncluster:    %s\nstandalone: %s", viaCluster, direct)
+	}
+
+	hdr["Accept"] = server.ResultContentType
+	viaCluster, ct = postRaw(t, client, a.url, req, hdr)
+	direct, _ = postRaw(t, client, ts.URL, req, hdr)
+	if ct != server.ResultContentType {
+		t.Fatalf("forwarded columnar reply has Content-Type %q", ct)
+	}
+	p, err := server.DecodeResult(viaCluster)
+	if err != nil {
+		t.Fatalf("forwarded columnar reply does not decode: %v", err)
+	}
+	if p.Meta.Tenant != "acme" || p.Meta.Fingerprint != wantFP {
+		t.Fatalf("forwarded columnar reply served tenant %q fingerprint %q, want \"acme\" %q", p.Meta.Tenant, p.Meta.Fingerprint, wantFP)
+	}
+	if !bytes.Equal(viaCluster, direct) {
+		t.Fatalf("forwarded APQRESULT differs from the standalone twin (%d vs %d bytes)", len(viaCluster), len(direct))
+	}
+	if stats := a.coord.Stats(); stats.Forwarded != 2 {
+		t.Fatalf("entry node forwarded %d of the 2 requests", stats.Forwarded)
 	}
 }

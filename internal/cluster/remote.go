@@ -13,13 +13,8 @@ import (
 	"repro/internal/server"
 )
 
-// Remote is the HTTP implementation of server.ShardBackend: a whole peer
-// daemon addressed as one shard. Invoke POSTs the query to the peer's
-// /query with the forwarded marker set, so the peer serves it locally
-// instead of re-routing (no forwarding loops); non-200 replies come back as
-// *server.BackendError carrying the peer's status, body, and Retry-After
-// hint, and transport failures come back raw — the coordinator's cue to
-// retry or fail over.
+// Remote is the HTTP client for one peer daemon. Transport failures come
+// back as errors; what a peer's reply means is the caller's decision.
 type Remote struct {
 	name string
 	base string
@@ -40,140 +35,57 @@ func NewRemote(name, baseURL string) *Remote {
 	}
 }
 
-// Name returns the peer's node name.
-func (r *Remote) Name() string { return r.name }
+// forwardedHeaders are the client headers that change how the owner serves a
+// /query — result negotiation, tenant routing, frozen fidelity — and so must
+// travel with a forwarded request.
+var forwardedHeaders = [...]string{"Accept", "X-APQ-Tenant", server.FrozenHeader}
 
-// URL returns the peer's base URL.
-func (r *Remote) URL() string { return r.base }
-
-func (r *Remote) invoke(ctx context.Context, req *server.QueryRequest, frozen bool) (*server.QueryResponse, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode request for %s: %w", r.name, err)
-	}
+// forward POSTs a client's /query to the peer: the client's body bytes
+// verbatim (the owner decodes exactly what this node decoded), the client's
+// forwardedHeaders, and the forwarded marker, so the peer serves it locally
+// instead of re-routing (no forwarding loops). The peer's response comes back
+// unread whatever its status; the caller relays or discards it and must
+// Close its body.
+func (r *Remote) forward(ctx context.Context, client http.Header, body []byte) (*http.Response, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/query", bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s: %w", r.name, err)
 	}
 	hreq.Header.Set("Content-Type", "application/json")
 	hreq.Header.Set(server.ForwardedHeader, "1")
-	if frozen {
-		hreq.Header.Set(server.FrozenHeader, "1")
+	for _, h := range forwardedHeaders {
+		if v := client.Get(h); v != "" {
+			hreq.Header.Set(h, v)
+		}
 	}
 	hresp, err := r.hc.Do(hreq)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %s unreachable: %w", r.name, err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, r.backendError(hresp)
-	}
-	var resp server.QueryResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		return nil, fmt.Errorf("cluster: %s sent a malformed reply: %w", r.name, err)
-	}
-	return &resp, nil
-}
-
-// InvokeResult executes one query on the peer and returns the raw HTTP
-// response carrying the peer's APQRESULT reply. body is the client's
-// original request bytes, forwarded verbatim so the owner decodes exactly
-// what this node decoded. The caller streams hresp.Body to its own client
-// untouched — one encoder produced the bytes, so a forwarded reply is
-// bit-identical to the owner-local one — and must Close it. A non-200 reply
-// is consumed and returned as *server.BackendError.
-func (r *Remote) InvokeResult(ctx context.Context, body []byte, frozen bool) (*http.Response, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, r.base+"/query", bytes.NewReader(body))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", r.name, err)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("Accept", server.ResultContentType)
-	hreq.Header.Set(server.ForwardedHeader, "1")
-	if frozen {
-		hreq.Header.Set(server.FrozenHeader, "1")
-	}
-	hresp, err := r.hc.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s unreachable: %w", r.name, err)
-	}
-	if hresp.StatusCode != http.StatusOK {
-		defer hresp.Body.Close()
-		return nil, r.backendError(hresp)
 	}
 	return hresp, nil
-}
-
-// backendError converts a peer's non-200 reply into a *server.BackendError,
-// preserving the status, the error body, and the Retry-After hint so the
-// coordinator can proxy the reply to the client byte-compatibly.
-func (r *Remote) backendError(hresp *http.Response) *server.BackendError {
-	msg := fmt.Sprintf("%s replied %s", r.name, hresp.Status)
-	raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 1<<16))
-	var eresp struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &eresp) == nil && eresp.Error != "" {
-		msg = eresp.Error
-	}
-	return &server.BackendError{
-		Code:       hresp.StatusCode,
-		Msg:        msg,
-		RetryAfter: hresp.Header.Get("Retry-After"),
-	}
-}
-
-// Invoke executes one query on the peer at full fidelity.
-func (r *Remote) Invoke(ctx context.Context, req *server.QueryRequest) (*server.QueryResponse, error) {
-	return r.invoke(ctx, req, false)
-}
-
-// InvokeFrozen executes one query on the peer from learned state only.
-func (r *Remote) InvokeFrozen(ctx context.Context, req *server.QueryRequest) (*server.QueryResponse, error) {
-	return r.invoke(ctx, req, true)
-}
-
-// Stats fetches the peer's GET /stats snapshot.
-func (r *Remote) Stats(ctx context.Context) (*server.StatsResponse, error) {
-	var resp server.StatsResponse
-	if err := r.getJSON(ctx, "/stats", &resp, http.StatusOK); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // Health fetches the peer's GET /healthz report. A degraded peer answers
 // 503 with a body — that decodes and returns like a 200 (OK=false tells the
 // story); only an unreachable peer is an error.
 func (r *Remote) Health(ctx context.Context) (*server.HealthResponse, error) {
-	var resp server.HealthResponse
-	if err := r.getJSON(ctx, "/healthz", &resp, http.StatusOK, http.StatusServiceUnavailable); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-func (r *Remote) getJSON(ctx context.Context, path string, out any, okCodes ...int) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+path, nil)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, r.base+"/healthz", nil)
 	if err != nil {
-		return fmt.Errorf("cluster: %s: %w", r.name, err)
+		return nil, fmt.Errorf("cluster: %s: %w", r.name, err)
 	}
 	hresp, err := r.hc.Do(hreq)
 	if err != nil {
-		return fmt.Errorf("cluster: %s unreachable: %w", r.name, err)
+		return nil, fmt.Errorf("cluster: %s unreachable: %w", r.name, err)
 	}
 	defer hresp.Body.Close()
-	ok := false
-	for _, c := range okCodes {
-		ok = ok || hresp.StatusCode == c
+	if hresp.StatusCode != http.StatusOK && hresp.StatusCode != http.StatusServiceUnavailable {
+		return nil, fmt.Errorf("cluster: %s replied %s", r.name, hresp.Status)
 	}
-	if !ok {
-		return r.backendError(hresp)
+	var resp server.HealthResponse
+	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+		return nil, fmt.Errorf("cluster: %s sent a malformed reply: %w", r.name, err)
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(out); err != nil {
-		return fmt.Errorf("cluster: %s sent a malformed reply: %w", r.name, err)
-	}
-	return nil
+	return &resp, nil
 }
 
 // replicate ships an APQXPORT document to the peer's replication intake.
@@ -189,18 +101,14 @@ func (r *Remote) replicate(ctx context.Context, payload []byte) error {
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		return r.backendError(hresp)
+		return fmt.Errorf("cluster: %s replied %s", r.name, hresp.Status)
 	}
 	io.Copy(io.Discard, io.LimitReader(hresp.Body, 1<<16))
 	return nil
 }
 
 // Retire releases the client's pooled connections. The remote daemon keeps
-// running — retiring a remote shard is a local decision.
-func (r *Remote) Retire() error {
+// running — retiring a peer client is a local decision.
+func (r *Remote) Retire() {
 	r.hc.CloseIdleConnections()
-	return nil
 }
-
-// Remote must satisfy the seam it transports.
-var _ server.ShardBackend = (*Remote)(nil)

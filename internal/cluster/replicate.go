@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/server"
 	"repro/internal/store"
 )
 
@@ -108,7 +109,7 @@ func (r *replicator) broadcast(batch []store.Record) {
 		return
 	}
 	for _, p := range r.c.peerList() {
-		if open, _, _ := p.brk.snapshot(); open {
+		if st, _, _ := p.brk.Snapshot(); st != server.BreakerClosed {
 			// The peer is deaf; don't stall the queue proving it. The sync
 			// push on breaker close replays everything it missed.
 			r.failures.Add(1)
@@ -121,19 +122,16 @@ func (r *replicator) broadcast(batch []store.Record) {
 // send delivers one document to one peer with the coordinator's bounded
 // jittered retries.
 func (r *replicator) send(p *peerState, payload []byte, n int) {
-	for attempt := 0; attempt <= r.c.retries; attempt++ {
-		if attempt > 0 && !r.c.backoff(context.Background(), attempt) {
-			break
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), r.c.peerTimeout)
-		err := p.rem.replicate(ctx, payload)
-		cancel()
-		if err == nil {
-			r.sent.Add(int64(n))
-			return
-		}
+	sent := false
+	r.c.attempts(context.Background(), func(ctx context.Context, _ int) bool {
+		sent = p.rem.replicate(ctx, payload) == nil
+		return sent
+	})
+	if sent {
+		r.sent.Add(int64(n))
+	} else {
+		r.failures.Add(1)
 	}
-	r.failures.Add(1)
 }
 
 // syncTo pushes the full replica set to one peer — the join seed and the

@@ -1,8 +1,27 @@
 package core
 
-// Warm re-convergence for mutation events (ROADMAP item 5a/5b): dataset
-// epochs and workload drift reuse the staleness-reopen machinery but differ
-// in what they seed from and what bar the new best must clear.
+import "repro/internal/plan"
+
+// Reopening convergence. Three events reopen a session — staleness (the
+// machine changed under a converged plan, staleness.go), a dataset epoch
+// bump, and workload drift — and all three go through the one reopenInstance
+// body below; they differ only in what they seed from, what bar the new best
+// must clear, and how the fresh instance is sized.
+//
+// A staleness reopen restarts exploration from the session's *serial* plan —
+// the mutator only ever adds parallelism, so regrowing from serial is the
+// only trajectory that can land on a lower-DOP optimum when the machine
+// shrank (a session restored from a snapshot has no serial plan and restarts
+// from its best instead). The previously-best plan stays in s.best and keeps
+// serving via Best() until a run *better than the stale serving level* (the
+// observation that tripped the detector) dethrones it; if bounded
+// re-exploration finds nothing below that bar, the session re-pins the old
+// best with its expectation reset to the stale level — reopening never makes
+// serving worse than the stale plan was, and a re-pin does not re-trip the
+// detector. The reopened instance is sized to the machine as it now is: its
+// Cores is the engine machine's post-fault available core count, so the
+// leaking-debit threshold — and with it the re-convergence bound — shrinks
+// with the machine.
 //
 // A dataset epoch bump invalidates a session's *measurements*, not its plan:
 // plan partitions are binary-rational ranges over their anchor input (see
@@ -21,7 +40,8 @@ package core
 // budgets run far off their converged expectation. ReopenForDrift restarts
 // from the serial plan, sized to the *observed* core budget, so bounded
 // re-exploration can land on a narrower optimum; exactly the machine-shrank
-// trajectory of staleness.reopen, with the budget standing in for lost cores.
+// trajectory of a staleness reopen, with the budget standing in for lost
+// cores.
 
 // foldInstance folds the current convergence instance's trace into the
 // report prefixes and advances runBase, so a fresh instance's run counter
@@ -47,6 +67,58 @@ func (s *Session) DataReopens() int { return s.dataReopens }
 // session's convergence.
 func (s *Session) DriftReopens() int { return s.driftReopens }
 
+// exploreSeed is the plan a re-exploring reopen (staleness, drift) restarts
+// from: the serial plan, or for a restored session — which has none — its
+// best.
+func (s *Session) exploreSeed() *plan.Plan {
+	if s.reopenFrom != nil {
+		return s.reopenFrom
+	}
+	return s.Best()
+}
+
+// reopenExtraRuns is a reopened instance's default post-threshold budget.
+func (s *Session) reopenExtraRuns() int {
+	if s.stale.enabled() {
+		return s.stale.ExtraRuns
+	}
+	return DefaultStalenessConfig().ExtraRuns
+}
+
+// reopenInstance is the one reopen body: the current credit/debit instance
+// is folded into the report prefix and a fresh bounded instance — cores and
+// extraRuns size it (cores < 1 keeps the previous sizing) — takes over,
+// restarting from seed. barNs is the serving level a run must beat to
+// dethrone the incumbent best (0 = no bar: run 0 re-baselines the seed and
+// GME tracking restarts); counter is the per-reason reopen count to bump.
+func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores, extraRuns int, counter *int) {
+	s.foldInstance()
+	ccfg := s.conv.Config()
+	ccfg.ExtraRuns = extraRuns
+	if cores >= 1 {
+		ccfg.Cores = cores
+	}
+	s.conv = NewConvergence(ccfg)
+	// The exploration tail of an interrupted adaptation will never execute
+	// again; only the seed — and a best that keeps serving while the fresh
+	// instance explores — survive. (A converged session retired its tail at
+	// convergence; retiring it again is a no-op.)
+	for _, p := range [...]*plan.Plan{s.parent, s.cur} {
+		if p != nil && p != seed && p != s.best {
+			s.eng.Retire(p)
+		}
+	}
+	s.cur = seed
+	s.parent = nil
+	s.nextMut = Mutation{}
+	s.reopenBar = barNs
+	s.dethroned = false
+	s.expectNs = 0
+	s.staleWin.Reset()
+	*counter++
+	s.done.Store(false)
+}
+
 // ReopenForData marks the session's measurements stale after a dataset epoch
 // bump and reopens convergence warm, seeded from the learned best plan. It
 // works on converged and still-adapting sessions alike (an epoch can bump
@@ -68,47 +140,20 @@ func (s *Session) ReopenForData(extraRuns int) bool {
 		return true
 	}
 	if extraRuns <= 0 {
-		if s.stale.enabled() {
-			extraRuns = s.stale.ExtraRuns
-		} else {
-			extraRuns = DefaultStalenessConfig().ExtraRuns
-		}
+		extraRuns = s.reopenExtraRuns()
 	}
-	s.foldInstance()
-	ccfg := s.conv.Config()
-	ccfg.ExtraRuns = extraRuns
 	// A warm instance re-validates a learned plan rather than re-growing
 	// parallelism from serial, so it does not need the cold lower bound of
 	// cores+1 doubling runs: sizing it to a quarter of the machine starts
 	// the leaking debit almost immediately and shrinks the post-threshold
 	// budget, while leaving enough headroom to chase an optimum the
 	// mutation moved (one or two more doublings).
-	if cores := s.eng.Machine().AvailableCores(); cores >= 1 {
-		ccfg.Cores = cores / 4
-		if ccfg.Cores < 2 {
-			ccfg.Cores = 2
-		}
+	cores := s.eng.Machine().AvailableCores()
+	if cores >= 1 {
+		cores = max(cores/4, 2)
 	}
-	s.conv = NewConvergence(ccfg)
-	// The exploration tail of an interrupted adaptation will never execute
-	// again; only the seed survives.
-	if s.parent != nil && s.parent != seed {
-		s.eng.Retire(s.parent)
-	}
-	if s.cur != nil && s.cur != seed && s.cur != s.parent {
-		s.eng.Retire(s.cur)
-	}
-	s.cur = seed
-	s.parent = nil
-	s.nextMut = Mutation{}
-	// Old-epoch measurements are incomparable with the new data: no bar to
-	// beat — run 0 re-baselines the seed plan and GME tracking restarts.
-	s.reopenBar = 0
-	s.dethroned = false
-	s.expectNs = 0
-	s.staleRun = 0
-	s.dataReopens++
-	s.done.Store(false)
+	// Old-epoch measurements are incomparable with the new data: no bar.
+	s.reopenInstance(seed, 0, cores, extraRuns, &s.dataReopens)
 	return true
 }
 
@@ -124,32 +169,9 @@ func (s *Session) ReopenForDrift(observedNs float64, cores int) bool {
 	if !s.done.Load() {
 		return false
 	}
-	s.foldInstance()
-	ccfg := s.conv.Config()
-	if s.stale.enabled() {
-		ccfg.ExtraRuns = s.stale.ExtraRuns
-	} else {
-		ccfg.ExtraRuns = DefaultStalenessConfig().ExtraRuns
-	}
 	if avail := s.eng.Machine().AvailableCores(); cores <= 0 || (avail >= 1 && cores > avail) {
 		cores = avail
 	}
-	if cores >= 1 {
-		ccfg.Cores = cores
-	}
-	s.conv = NewConvergence(ccfg)
-	if s.reopenFrom != nil {
-		s.cur = s.reopenFrom
-	} else if s.best != nil {
-		s.cur = s.best
-	}
-	s.parent = nil
-	s.nextMut = Mutation{}
-	s.reopenBar = observedNs
-	s.dethroned = false
-	s.expectNs = 0
-	s.staleRun = 0
-	s.driftReopens++
-	s.done.Store(false)
+	s.reopenInstance(s.exploreSeed(), observedNs, cores, s.reopenExtraRuns(), &s.driftReopens)
 	return true
 }

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -206,5 +208,202 @@ func TestReopenForDrift(t *testing.T) {
 	s2 := NewSession(eng, selectPlan(), DefaultMutationConfig(), ConvergenceConfig{})
 	if s2.ReopenForDrift(observed, budget) {
 		t.Fatal("drift reopen accepted an unconverged session")
+	}
+}
+
+// TestReopenReasons pins, per reopen reason, what the one reopen body is
+// handed and what it leaves behind — the seed plan the fresh instance
+// restarts from, the bar a run must beat to dethrone the incumbent, the
+// instance's Cores and ExtraRuns, and which counter moved — to the values the
+// three separate reopen bodies it replaced produced. Whatever the reason, the
+// incumbent best keeps serving from its cached compilation: the guarded
+// exploration-tail retire never touches a plan still serving as best.
+func TestReopenReasons(t *testing.T) {
+	const machineCores = 16 // testMachine: 2 sockets × 4 cores × SMT 2
+	staleCfg := StalenessConfig{Band: 0.35, Window: 1, ExtraRuns: 4}
+	type fixture struct {
+		s      *Session
+		eng    *exec.Engine
+		serial *plan.Plan
+	}
+	converged := func(t *testing.T) fixture {
+		eng := exec.NewEngine(testCatalog(200_000), testMachine(), cost.Default())
+		serial := selectPlan()
+		s := NewSession(eng, serial, DefaultMutationConfig(), ConvergenceConfig{})
+		if _, err := s.Converge(); err != nil {
+			t.Fatal(err)
+		}
+		return fixture{s, eng, serial}
+	}
+	adapting := func(t *testing.T) fixture {
+		eng := exec.NewEngine(testCatalog(200_000), testMachine(), cost.Default())
+		serial := selectPlan()
+		s := NewSession(eng, serial, DefaultMutationConfig(), ConvergenceConfig{})
+		// Interrupt the adaptation where its tail is distinct from its best,
+		// so the guarded tail retire has something to drop and something to
+		// spare.
+		for i := 0; i < 5 || s.parent == s.best || s.cur == s.best; i++ {
+			if cont, err := s.Step(); err != nil || !cont {
+				t.Fatalf("step %d: cont=%v err=%v", i, cont, err)
+			}
+		}
+		// The freshly mutated current plan has not run yet; compile it so its
+		// retirement is observable in the engine's counters.
+		if _, _, err := eng.ExecuteOpts(s.cur, exec.JobOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return fixture{s, eng, serial}
+	}
+	restored := func(t *testing.T) fixture {
+		f := converged(t)
+		snap, err := f.s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := RestoreSession(f.eng, DefaultMutationConfig(), snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fixture{s, f.eng, nil}
+	}
+	halfMachine := func(f fixture) {
+		f.eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 1, Count: 8})
+		if _, _, err := f.eng.ExecuteOpts(f.s.Best(), exec.JobOptions{}); err != nil {
+			panic(err) // the fault lands at the start of the next run
+		}
+	}
+	const obsNs = 9e9 // far out of band for any fixture
+	for _, tc := range []struct {
+		name      string
+		build     func(*testing.T) fixture
+		stale     StalenessConfig
+		prepare   func(fixture)
+		fire      func(*Session) bool
+		seedBest  bool // seed is the pre-reopen Best(); else the serial plan
+		barNs     float64
+		cores     int
+		extraRuns int
+		counter   func(*Session) int
+	}{
+		{name: "staleness", build: converged, stale: staleCfg,
+			fire:  func(s *Session) bool { return s.ObserveServed(obsNs) },
+			barNs: obsNs, cores: machineCores, extraRuns: 4, counter: (*Session).Reconvergences},
+		{name: "staleness/shrunken machine", build: converged, stale: staleCfg, prepare: halfMachine,
+			fire:  func(s *Session) bool { return s.ObserveServed(obsNs) },
+			barNs: obsNs, cores: machineCores / 2, extraRuns: 4, counter: (*Session).Reconvergences},
+		{name: "staleness/restored session", build: restored, stale: staleCfg,
+			fire:     func(s *Session) bool { return s.ObserveServed(obsNs) },
+			seedBest: true, barNs: obsNs, cores: machineCores, extraRuns: 4, counter: (*Session).Reconvergences},
+		{name: "data", build: converged,
+			fire:     func(s *Session) bool { return s.ReopenForData(0) },
+			seedBest: true, cores: machineCores / 4, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DataReopens},
+		{name: "data/staleness-armed budget", build: converged, stale: staleCfg,
+			fire:     func(s *Session) bool { return s.ReopenForData(0) },
+			seedBest: true, cores: machineCores / 4, extraRuns: 4, counter: (*Session).DataReopens},
+		{name: "data/explicit budget", build: converged, stale: staleCfg,
+			fire:     func(s *Session) bool { return s.ReopenForData(3) },
+			seedBest: true, cores: machineCores / 4, extraRuns: 3, counter: (*Session).DataReopens},
+		{name: "data/mid-adaptation", build: adapting,
+			fire:     func(s *Session) bool { return s.ReopenForData(0) },
+			seedBest: true, cores: machineCores / 4, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DataReopens},
+		{name: "data/shrunken machine floors at 2", build: converged,
+			prepare: func(f fixture) {
+				f.eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 1, Count: 8})
+				f.eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 0, Count: 4})
+				if _, _, err := f.eng.ExecuteOpts(f.s.Best(), exec.JobOptions{}); err != nil {
+					panic(err)
+				}
+			},
+			fire:     func(s *Session) bool { return s.ReopenForData(0) },
+			seedBest: true, cores: 2, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DataReopens},
+		{name: "drift", build: converged,
+			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
+			barNs: obsNs, cores: 2, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DriftReopens},
+		{name: "drift/staleness-armed budget", build: converged, stale: staleCfg,
+			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
+			barNs: obsNs, cores: 2, extraRuns: 4, counter: (*Session).DriftReopens},
+		{name: "drift/unbudgeted uses the machine", build: converged,
+			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 0) },
+			barNs: obsNs, cores: machineCores, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DriftReopens},
+		{name: "drift/budget above the machine clamps", build: converged, prepare: halfMachine,
+			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 12) },
+			barNs: obsNs, cores: machineCores / 2, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DriftReopens},
+		{name: "drift/restored session", build: restored,
+			fire:     func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
+			seedBest: true, barNs: obsNs, cores: 2, extraRuns: DefaultStalenessConfig().ExtraRuns, counter: (*Session).DriftReopens},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.build(t)
+			s := f.s
+			s.SetStaleness(tc.stale)
+			if tc.prepare != nil {
+				tc.prepare(f)
+			}
+			best, runs := s.Best(), len(s.Attempts())
+			wantSeed := f.serial
+			if tc.seedBest {
+				wantSeed = best
+			}
+			// The parent retired, of the exploration tail {parent, cur}, the
+			// plans that were neither the seed nor (by its callers'
+			// preconditions) the best; on a converged session the tail is
+			// already retired and a second Retire does not count.
+			wantRetired := 0
+			if !s.Done() {
+				for _, p := range []*plan.Plan{s.parent, s.cur} {
+					if p != nil && p != wantSeed && p != s.best {
+						wantRetired++
+					}
+				}
+			}
+			before := f.eng.CompileStats()
+			counters := func() [3]int { return [3]int{s.Reconvergences(), s.DataReopens(), s.DriftReopens()} }
+			total := func(c [3]int) int { return c[0] + c[1] + c[2] }
+			preCount := total(counters())
+
+			if !tc.fire(s) {
+				t.Fatal("reopen refused")
+			}
+			if s.Done() {
+				t.Fatal("session still done after the reopen")
+			}
+			if s.Current() != wantSeed {
+				t.Fatalf("fresh instance restarts from %p, want seed %p (best %p, serial %p)", s.Current(), wantSeed, best, f.serial)
+			}
+			if s.parent != nil {
+				t.Fatal("reopened session kept a parent plan")
+			}
+			if s.reopenBar != tc.barNs {
+				t.Fatalf("bar to beat = %v, want %v", s.reopenBar, tc.barNs)
+			}
+			if s.ExpectNs() != 0 {
+				t.Fatalf("serving expectation survived the reopen: %v", s.ExpectNs())
+			}
+			cc := s.Convergence().Config()
+			if cc.Cores != tc.cores || cc.ExtraRuns != tc.extraRuns {
+				t.Fatalf("instance sized Cores=%d ExtraRuns=%d, want %d/%d", cc.Cores, cc.ExtraRuns, tc.cores, tc.extraRuns)
+			}
+			if s.Convergence().Run() != 0 || s.runBase != runs {
+				t.Fatalf("fresh instance at run %d with runBase %d, want 0 and %d", s.Convergence().Run(), s.runBase, runs)
+			}
+			if tc.counter(s) != 1 || total(counters()) != preCount+1 {
+				t.Fatalf("counters (staleness, data, drift) = %v: want exactly this reason's bumped", counters())
+			}
+			if got := f.eng.CompileStats().Retired - before.Retired; got != int64(wantRetired) {
+				t.Fatalf("reopen retired %d plans, the parent retired %d", got, wantRetired)
+			}
+			// The incumbent keeps serving, from its cached compilation.
+			if s.Best() != best {
+				t.Fatal("reopen changed the serving plan")
+			}
+			compiled := f.eng.CompileStats()
+			if _, _, err := f.eng.ExecuteOpts(best, exec.JobOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if after := f.eng.CompileStats(); after.Full != compiled.Full || after.Derived != compiled.Derived {
+				t.Fatalf("serving the incumbent recompiled it (%+v -> %+v): the reopen retired a plan still serving as best", compiled, after)
+			}
+		})
 	}
 }

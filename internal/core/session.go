@@ -62,7 +62,7 @@ type Session struct {
 	// runBase maps its runs back to absolute attempt indices, and the
 	// prefixes carry the finished instances' traces for Report.
 	stale         StalenessConfig
-	staleRun      int        // consecutive out-of-band serving runs
+	staleWin      BandWindow // Window-of-Window out-of-band serving runs (consecutive rule)
 	reopenFrom    *plan.Plan // serial plan re-exploration restarts from (nil: restored session)
 	reopens       int
 	runBase       int

@@ -49,6 +49,51 @@ func DefaultStalenessConfig() StalenessConfig {
 // enabled reports whether detection is active.
 func (c StalenessConfig) enabled() bool { return c.Band > 0 }
 
+// BandWindow is the one out-of-band latency detector, shared by staleness
+// detection (here) and workload-drift detection (internal/plancache): it
+// watches the most recent window observations and trips while at least trip
+// of them deviated from their expectation by more than band. trip == window
+// is the "N consecutive" rule — any in-band observation inside the window
+// holds the count below it. The zero value never trips and must not be
+// observed; build one with NewBandWindow.
+type BandWindow struct {
+	band float64
+	trip int
+	ring []bool // was each of the last len(ring) observations out of band
+	next int    // ring slot the next observation overwrites
+	outs int    // out-of-band count within the ring
+}
+
+// NewBandWindow returns a detector over the last window observations that
+// trips at trip out-of-band ones, band being the tolerated relative deviation
+// |observed − expect| / expect.
+func NewBandWindow(band float64, window, trip int) BandWindow {
+	return BandWindow{band: band, trip: trip, ring: make([]bool, window)}
+}
+
+// Observe records one observation against its expectation (both > 0). out
+// reports whether it fell outside the band; tripped whether the window now
+// holds at least trip out-of-band observations. The window keeps sliding
+// after a trip — a caller that acts on one calls Reset.
+func (w *BandWindow) Observe(observed, expect float64) (out, tripped bool) {
+	out = math.Abs(observed-expect)/expect > w.band
+	if w.ring[w.next] {
+		w.outs--
+	}
+	w.ring[w.next] = out
+	w.next = (w.next + 1) % len(w.ring)
+	if out {
+		w.outs++
+	}
+	return out, w.outs >= w.trip
+}
+
+// Reset forgets every recorded observation.
+func (w *BandWindow) Reset() {
+	clear(w.ring)
+	w.next, w.outs = 0, 0
+}
+
 // withDefaults fills the zero fields of an enabled config.
 func (c StalenessConfig) withDefaults() StalenessConfig {
 	if !c.enabled() {
@@ -68,7 +113,7 @@ func (c StalenessConfig) withDefaults() StalenessConfig {
 // to subsequent ObserveServed calls.
 func (s *Session) SetStaleness(cfg StalenessConfig) {
 	s.stale = cfg.withDefaults()
-	s.staleRun = 0
+	s.staleWin = NewBandWindow(s.stale.Band, s.stale.Window, s.stale.Window)
 }
 
 // Staleness returns the session's staleness configuration (zero = disabled).
@@ -105,54 +150,10 @@ func (s *Session) ObserveServed(execNs float64) bool {
 	if expect <= 0 {
 		return false
 	}
-	if math.Abs(execNs-expect)/expect <= s.stale.Band {
-		s.staleRun = 0
+	if _, tripped := s.staleWin.Observe(execNs, expect); !tripped {
 		return false
 	}
-	s.staleRun++
-	if s.staleRun < s.stale.Window {
-		return false
-	}
-	s.reopen(execNs)
+	// Sized to the machine as it now is: the post-fault available cores.
+	s.reopenInstance(s.exploreSeed(), execNs, s.eng.Machine().AvailableCores(), s.reopenExtraRuns(), &s.reopens)
 	return true
-}
-
-// reopen restarts convergence: the finished credit/debit instance is folded
-// into the report prefix and a fresh bounded instance takes over. Exploration
-// restarts from the session's *serial* plan — the mutator only ever adds
-// parallelism, so regrowing from serial is the only trajectory that can land
-// on a lower-DOP optimum when the machine shrank (a session restored from a
-// snapshot has no serial plan and restarts from its best instead). The
-// previously-best plan stays in s.best and keeps serving via Best() until a
-// run *better than the stale serving level* (staleNs, the observation that
-// tripped the detector) dethrones it; if bounded re-exploration finds
-// nothing below that bar, the session re-pins the old best with its
-// expectation reset to the stale level — reopening never makes serving worse
-// than the stale plan was, and a re-pin does not re-trip the detector.
-//
-// The reopened instance is sized to the machine as it now is: its Cores is
-// the engine machine's post-fault available core count, so the leaking-debit
-// threshold — and with it the re-convergence bound — shrinks with the
-// machine.
-func (s *Session) reopen(staleNs float64) {
-	s.staleRun = 0
-	s.reopens++
-	s.foldInstance()
-	ccfg := s.conv.Config()
-	ccfg.ExtraRuns = s.stale.ExtraRuns
-	if cores := s.eng.Machine().AvailableCores(); cores >= 1 {
-		ccfg.Cores = cores
-	}
-	s.conv = NewConvergence(ccfg)
-	if s.reopenFrom != nil {
-		s.cur = s.reopenFrom
-	} else if s.best != nil {
-		s.cur = s.best
-	}
-	s.parent = nil
-	s.nextMut = Mutation{}
-	s.reopenBar = staleNs
-	s.dethroned = false
-	s.expectNs = 0
-	s.done.Store(false)
 }

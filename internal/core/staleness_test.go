@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cost"
@@ -207,4 +209,126 @@ func TestStalenessRepinsWhenNothingBetterExists(t *testing.T) {
 		t.Fatalf("re-pinned plan serves at %.0f ns, old best at %.0f ns", got, oldGME)
 	}
 	_ = oldBest
+}
+
+// TestBandWindowMatchesBothParentDetectors feeds identical latency sequences
+// to the one BandWindow in its two deployed configurations and to reference
+// copies of the two detectors it replaced — the staleness "Window
+// consecutive out-of-band runs" counter and the drift "Trip of the last
+// Window" ring — and asserts every trip lands on the same observation index.
+// Like its callers, the harness resets the detector when a trip is acted on;
+// the drift configuration is also run without resets — a trip the mix-share
+// gate vetoes leaves the window sliding.
+func TestBandWindowMatchesBothParentDetectors(t *testing.T) {
+	const expect, band = 1000.0, 0.35
+	in, out, fast := expect*1.2, expect*1.6, expect*0.5 // fast: out of band below
+	rep := func(n int, vs ...float64) []float64 {
+		var s []float64
+		for i := 0; i < n; i++ {
+			s = append(s, vs...)
+		}
+		return s
+	}
+	cat := func(parts ...[]float64) []float64 {
+		var s []float64
+		for _, p := range parts {
+			s = append(s, p...)
+		}
+		return s
+	}
+	seqs := map[string][]float64{
+		"all in band":           rep(20, in),
+		"all out of band":       rep(20, out),
+		"alternating":           rep(12, out, in),
+		"two out, one in":       rep(8, out, out, in),
+		"three out, one in":     rep(6, out, out, out, in),
+		"admission interleave":  rep(4, out, out, out, in, out, out, out, out),
+		"late burst":            cat(rep(9, in), rep(7, out), rep(3, in), rep(8, fast)),
+		"symmetric band":        cat(rep(2, fast), rep(1, out), rep(5, fast, out)),
+		"on the band edge":      rep(10, expect*(1+band)),
+		"just past the edge":    rep(10, expect*(1+band)+1e-6),
+		"window slides out":     cat(rep(5, out), rep(8, in), rep(5, out), rep(1, in), rep(3, out)),
+		"exactly trip then in":  cat(rep(2, out), rep(1, in), rep(3, out), rep(2, in), rep(3, out)),
+		"boundary of the eight": cat(rep(5, out), rep(3, in), rep(1, out), rep(7, in), rep(6, out)),
+	}
+	// The parent's staleness rule: a counter of consecutive out-of-band runs.
+	consecutive := func(seq []float64, window int) (trips []int) {
+		run := 0
+		for i, ns := range seq {
+			if math.Abs(ns-expect)/expect <= band {
+				run = 0
+				continue
+			}
+			if run++; run >= window {
+				trips = append(trips, i)
+				run = 0
+			}
+		}
+		return trips
+	}
+	// The parent's drift rule: a hand-rolled ring with its own fill count.
+	ring := func(seq []float64, window, trip int, reset bool) (trips []int) {
+		var (
+			outRing        []bool
+			idx, n, outCnt int
+		)
+		for i, ns := range seq {
+			o := math.Abs(ns-expect)/expect > band
+			if outRing == nil {
+				outRing = make([]bool, window)
+			}
+			if n == window {
+				if outRing[idx] {
+					outCnt--
+				}
+			} else {
+				n++
+			}
+			outRing[idx] = o
+			idx = (idx + 1) % window
+			if o {
+				outCnt++
+			}
+			if outCnt >= trip {
+				trips = append(trips, i)
+				if reset {
+					outRing, idx, n, outCnt = nil, 0, 0, 0
+				}
+			}
+		}
+		return trips
+	}
+	shared := func(seq []float64, window, trip int, reset bool) (trips []int) {
+		w := NewBandWindow(band, window, trip)
+		for i, ns := range seq {
+			wantOut := math.Abs(ns-expect)/expect > band
+			o, tripped := w.Observe(ns, expect)
+			if o != wantOut {
+				t.Fatalf("observation %d (%.1f): out=%v, want %v", i, ns, o, wantOut)
+			}
+			if tripped {
+				trips = append(trips, i)
+				if reset {
+					w.Reset()
+				}
+			}
+		}
+		return trips
+	}
+	tripped := 0
+	for name, seq := range seqs {
+		if got, want := shared(seq, 3, 3, true), consecutive(seq, 3); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: 3/3 trips at %v, the parent's consecutive counter at %v", name, got, want)
+		}
+		for _, reset := range []bool{true, false} {
+			got, want := shared(seq, 8, 6, reset), ring(seq, 8, 6, reset)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (reset=%v): 6/8 trips at %v, the parent's ring at %v", name, reset, got, want)
+			}
+			tripped += len(got)
+		}
+	}
+	if tripped == 0 {
+		t.Fatal("no sequence tripped the 6/8 configuration — the table proves nothing")
+	}
 }

@@ -34,9 +34,10 @@ type DriftConfig struct {
 	// Band <= 0 disables drift detection.
 	Band float64
 	// Window is how many recent converged servings of an entry are watched
-	// (default 8). Unlike staleness detection the rule is windowed, not
-	// consecutive: under admission interleaving, unthrottled servings of the
-	// wide plan stay in band and would reset any consecutive counter.
+	// (default 8). The detector is the same core.BandWindow staleness
+	// detection uses, but with Trip below Window: under admission
+	// interleaving, unthrottled servings of the wide plan stay in band and
+	// would hold a Trip == Window (consecutive) rule below its count forever.
 	Window int
 	// Trip is how many of the Window servings must be out of band to trip a
 	// reopen (default 6).
@@ -147,28 +148,15 @@ func (c *Cache) observeDrift(e *Entry, ns float64, maxCores, logical int, share 
 		// judged against the mix as it stood when serving resumed.
 		e.convShare = share
 	}
-	out := math.Abs(ns-expect)/expect > d.Band
-	if e.driftOut == nil {
-		e.driftOut = make([]bool, d.Window)
-	}
-	if e.driftLen == d.Window {
-		if e.driftOut[e.driftIdx] {
-			e.driftOuts--
-		}
-	} else {
-		e.driftLen++
-	}
-	e.driftOut[e.driftIdx] = out
-	e.driftIdx = (e.driftIdx + 1) % d.Window
+	out, tripped := e.drift.Observe(ns, expect)
 	if out {
-		e.driftOuts++
 		b := maxCores
 		if b <= 0 || b > logical {
 			b = logical
 		}
 		e.driftBudget = b
 	}
-	if e.driftOuts < d.Trip {
+	if !tripped {
 		return false
 	}
 	if math.Abs(share-e.convShare) < d.MixDelta {
@@ -184,7 +172,7 @@ func (c *Cache) observeDrift(e *Entry, ns float64, maxCores, logical int, share 
 // resetDrift clears the entry's drift window and convergence-time share; the
 // next done-transition records a fresh share.
 func (e *Entry) resetDrift() {
-	e.driftOut = nil
-	e.driftIdx, e.driftLen, e.driftOuts, e.driftBudget = 0, 0, 0, 0
+	e.drift.Reset()
+	e.driftBudget = 0
 	e.convShare = -1
 }

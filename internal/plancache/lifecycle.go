@@ -1,10 +1,6 @@
 package plancache
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // Dataset-epoch and tenant-lifecycle operations (ROADMAP items 5a and 5d).
 // All three touch engine state through the sessions they reopen or release
@@ -57,34 +53,16 @@ func (c *Cache) RestoreWarm(tenant, fp, query string, sess *core.Session) *Entry
 	if sess == nil || sess.Best() == nil {
 		return nil
 	}
-	sess.SetStaleness(c.cfg.Staleness)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byFP[fp]; ok {
 		return nil
 	}
-	c.seq++
-	e := &Entry{
-		ID:          fmt.Sprintf("%s%d", c.cfg.IDPrefix, c.seq),
-		Fingerprint: fp,
-		Query:       query,
-		Tenant:      tenant,
-		Session:     sess,
-		cache:       c,
-		seq:         c.seq,
-		convShare:   -1,
-	}
-	c.byFP[fp] = e
-	c.byID[e.ID] = e
-	c.warmSeeds++
-	c.tenantCounterLocked(tenant).WarmSeeds++
-	if c.tenantEntries == nil {
-		c.tenantEntries = map[string]int{}
-	}
-	c.tenantEntries[tenant]++
+	e := c.insertLocked(tenant, fp, query, sess)
 	c.tick++
 	e.lastUsed = c.tick
-	c.evictOverflowLocked(e)
+	c.warmSeeds++
+	c.tenantCounterLocked(tenant).WarmSeeds++
 	return e
 }
 

@@ -169,12 +169,9 @@ type Entry struct {
 	// Workload-drift state (drift.go). Touched only by the caller-serialized
 	// invocation stream (and lifecycle operations holding the same shard
 	// lock), like the session itself — not guarded by cache.mu.
-	driftOut    []bool  // ring: was each recent converged serving out of band
-	driftIdx    int     // next ring slot
-	driftLen    int     // filled ring slots
-	driftOuts   int     // out-of-band count within the ring
-	driftBudget int     // core budget of the most recent out-of-band serving
-	convShare   float64 // entry's mix share at convergence (-1 = unrecorded)
+	drift       core.BandWindow // Trip-of-Window out-of-band converged servings
+	driftBudget int             // core budget of the most recent out-of-band serving
+	convShare   float64         // entry's mix share at convergence (-1 = unrecorded)
 }
 
 // Hits returns how many invocations the entry has served.
@@ -319,27 +316,9 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			c.mu.Unlock()
 			return nil, err
 		}
-		c.seq++
-		e = &Entry{
-			ID:          fmt.Sprintf("%s%d", c.cfg.IDPrefix, c.seq),
-			Fingerprint: fp,
-			Query:       query,
-			Tenant:      tenant,
-			Session:     core.NewSession(c.eng, p, c.cfg.Mutation, c.cfg.Convergence),
-			cache:       c,
-			seq:         c.seq,
-			convShare:   -1,
-		}
-		e.Session.SetStaleness(c.cfg.Staleness)
-		c.byFP[fp] = e
-		c.byID[e.ID] = e
+		e = c.insertLocked(tenant, fp, query, core.NewSession(c.eng, p, c.cfg.Mutation, c.cfg.Convergence))
 		c.misses++
 		c.tenantCounterLocked(tenant).Misses++
-		if c.tenantEntries == nil {
-			c.tenantEntries = map[string]int{}
-		}
-		c.tenantEntries[tenant]++
-		c.evictOverflowLocked(e)
 	} else {
 		c.hits++
 		c.tenantCounterLocked(e.Tenant).Hits++
@@ -504,12 +483,24 @@ func (c *Cache) Restore(tenant, fp, query string, sess *core.Session) *Entry {
 	if sess == nil || !sess.Done() {
 		return nil
 	}
-	sess.SetStaleness(c.cfg.Staleness)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byFP[fp]; ok {
 		return nil
 	}
+	e := c.insertLocked(tenant, fp, query, sess)
+	c.tick++
+	e.lastUsed = c.tick
+	c.rehydrated++
+	c.tenantCounterLocked(tenant).Rehydrated++
+	return e
+}
+
+// insertLocked links a new entry for sess under fp — armed with the cache's
+// staleness and drift detectors — and enforces the eviction policy around it.
+// The caller has checked fp is not live and counts the insertion.
+func (c *Cache) insertLocked(tenant, fp, query string, sess *core.Session) *Entry {
+	sess.SetStaleness(c.cfg.Staleness)
 	c.seq++
 	e := &Entry{
 		ID:          fmt.Sprintf("%s%d", c.cfg.IDPrefix, c.seq),
@@ -521,16 +512,15 @@ func (c *Cache) Restore(tenant, fp, query string, sess *core.Session) *Entry {
 		seq:         c.seq,
 		convShare:   -1,
 	}
+	if d := c.cfg.Drift; d.enabled() {
+		e.drift = core.NewBandWindow(d.Band, d.Window, d.Trip)
+	}
 	c.byFP[fp] = e
 	c.byID[e.ID] = e
-	c.rehydrated++
-	c.tenantCounterLocked(tenant).Rehydrated++
 	if c.tenantEntries == nil {
 		c.tenantEntries = map[string]int{}
 	}
 	c.tenantEntries[tenant]++
-	c.tick++
-	e.lastUsed = c.tick
 	c.evictOverflowLocked(e)
 	return e
 }

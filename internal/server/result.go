@@ -93,15 +93,10 @@ var resultBufPool = sync.Pool{New: func() any {
 }}
 
 // wantsResult reports whether a decoded /query request negotiated the
-// columnar APQRESULT reply. Exported as WantsResult for the cluster
-// coordinator, which must make the same decision before routing.
+// columnar APQRESULT reply.
 func wantsResult(accept string, req *QueryRequest) bool {
 	return req.Results || strings.Contains(accept, ResultContentType)
 }
-
-// WantsResult is wantsResult for callers outside the package (the federation
-// coordinator decides raw-proxy vs JSON routing with it).
-func WantsResult(accept string, req *QueryRequest) bool { return wantsResult(accept, req) }
 
 // resultWriter streams an APQRESULT document: writes stage through a pooled
 // buffer, flushing a chunk at a time through the CRC into w.

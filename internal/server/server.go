@@ -173,7 +173,7 @@ type shard struct {
 
 	sem     chan struct{} // 1-slot engine-ownership semaphore
 	waiting atomic.Int32  // requests holding or waiting on sem
-	brk     breaker       // per-shard health breaker
+	brk     Breaker       // per-shard health breaker
 }
 
 // Server is the query-service daemon core: an HTTP handler set over a pool
@@ -211,9 +211,8 @@ type Server struct {
 	closed   bool
 	inflight sync.WaitGroup
 
-	statMu     sync.Mutex
-	queryCount int64
-	errCount   int64
+	queryCount atomic.Int64
+	errCount   atomic.Int64
 
 	// flights is the single-flight table behind /query coalescing: identical
 	// adaptive requests arriving while their shard is busy join one in-flight
@@ -379,6 +378,7 @@ func New(cfg Config) (*Server, error) {
 			eng:   eng,
 			cache: plancache.New(eng, ccfg),
 			sem:   make(chan struct{}, 1),
+			brk:   Breaker{Threshold: cfg.BreakerFailures, Cooldown: cfg.BreakerCooldown},
 		}
 		if len(cfg.Faults) > 0 {
 			eng.Machine().SetFaultPlan(cfg.Faults)
@@ -854,9 +854,7 @@ func (s *Server) writeErr(w http.ResponseWriter, code int, err error) {
 // body buffer for the reply instead of checking out a second one per
 // request.
 func (s *Server) writeErrBuf(b *ioBuf, w http.ResponseWriter, code int, err error) {
-	s.statMu.Lock()
-	s.errCount++
-	s.statMu.Unlock()
+	s.errCount.Add(1)
 	b.reply(w, code, errorResponse{Error: err.Error()})
 }
 
@@ -963,8 +961,28 @@ func (s *Server) resolve(tn *tenantState, req *QueryRequest) (name, fp string, b
 		func() (*plan.Plan, error) { return lookup(n) }, nil
 }
 
-// FrozenHeader forces a request to serve from learned state only (the
-// remote-shard InvokeFrozen transport); ForwardedHeader marks a request
+// RouteFingerprint resolves a request to its routing fingerprint without
+// executing anything — the key the federation coordinator hashes to pick an
+// owning node. hdrTenant is the X-APQ-Tenant header value ("" = none; the
+// body field wins, same precedence as serving). Resolution failures (unknown
+// tenant, malformed spec) are not routing decisions: the caller serves such
+// requests locally so the canonical error reply comes from the full serve
+// path.
+func (s *Server) RouteFingerprint(hdrTenant string, req *QueryRequest) (string, error) {
+	name := req.Tenant
+	if name == "" {
+		name = hdrTenant
+	}
+	tn, err := s.tenantByName(name)
+	if err != nil {
+		return "", err
+	}
+	_, fp, _, err := s.resolve(tn, req)
+	return fp, err
+}
+
+// FrozenHeader forces a request to serve from learned state only (no
+// adaptation, no staleness feedback); ForwardedHeader marks a request
 // already routed by a peer's federation coordinator — the receiving node
 // must serve it locally, never re-route it (no forwarding loops). Both are
 // coordinator-to-node headers, exported for internal/cluster.
@@ -1058,10 +1076,8 @@ type flight struct {
 // dispatch runs one decoded query request through the whole serve path below
 // HTTP framing: tenant routing and admission, fingerprint resolution, shard
 // pinning, single-flight coalescing, breaker fidelity, and engine
-// invocation. It is the local implementation behind the ShardBackend seam —
-// the HTTP handler and the in-process backend both call it, so a remote twin
-// of this node computes bit-identical replies. forceFrozen overrides the
-// breaker decision to serve learned state only (the InvokeFrozen fidelity).
+// invocation. forceFrozen overrides the breaker decision to serve learned
+// state only (the FrozenHeader fidelity).
 // The returned values are the query's published result (shared, immutable;
 // owned per the exec escape contract) — callers stream them as APQRESULT
 // when the request negotiated it.
@@ -1093,9 +1109,7 @@ func (s *Server) dispatch(ctx context.Context, hdrTenant string, req *QueryReque
 		tn.noteErr()
 		return QueryResponse{}, nil, &dispatchErr{code: http.StatusBadRequest, err: err}
 	}
-	s.statMu.Lock()
-	s.queryCount++
-	s.statMu.Unlock()
+	s.queryCount.Add(1)
 
 	// Shard pinning: the fingerprint decides the engine replica, so a
 	// session's adaptive state lives (and converges deterministically) on
@@ -1248,13 +1262,13 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 	// The shard's health breaker decides the invocation's fidelity: a
 	// degraded shard serves frozen (learned plans, no exploration) until
 	// its cooldown admits a half-open probe. A forced-frozen request
-	// (remote InvokeFrozen) is the degraded mode by demand — it never
-	// feeds the breaker, exactly like breaker-frozen servings.
-	mode := brkNormal
+	// (FrozenHeader) is the degraded mode by demand — it never feeds the
+	// breaker, exactly like breaker-frozen servings.
+	mode := BreakerNormal
 	if forceFrozen {
-		mode = brkFrozen
+		mode = BreakerFrozen
 	} else if s.cfg.BreakerFailures > 0 {
-		mode = sh.brk.admit(s.cfg.BreakerCooldown)
+		mode = sh.brk.Admit()
 	}
 	var (
 		res *plancache.Result
@@ -1262,7 +1276,7 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 		err error
 	)
 	doErr := s.doCtx(ctx, sh, func() {
-		if mode == brkFrozen {
+		if mode == BreakerFrozen {
 			res, err = sh.cache.InvokeTenantFrozen(tn.tag(), fp, name, build, opts.JobOptions)
 		} else {
 			res, err = sh.cache.InvokeTenant(tn.tag(), fp, name, build, opts.JobOptions)
@@ -1277,14 +1291,14 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 		if s.cfg.BreakerFailures > 0 {
 			// Shed, deadline-expired, or closed: the shard never answered
 			// at full fidelity — a probe that hit this stays open.
-			sh.brk.record(mode, true, s.cfg.BreakerFailures)
+			sh.brk.Record(mode, true)
 		}
 		tn.noteErr()
 		return QueryResponse{}, nil, &dispatchErr{code: http.StatusServiceUnavailable, err: doErr, retry: sheddable(doErr)}
 	}
 	if err != nil {
 		if s.cfg.BreakerFailures > 0 {
-			sh.brk.record(mode, true, s.cfg.BreakerFailures)
+			sh.brk.Record(mode, true)
 		}
 		tn.noteErr()
 		return QueryResponse{}, nil, &dispatchErr{code: http.StatusInternalServerError, err: err}
@@ -1292,7 +1306,7 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 	if s.cfg.BreakerFailures > 0 {
 		slow := s.cfg.SlowFactor > 0 && sum.SerialNs > 0 &&
 			res.Invocation.LatencyNs > s.cfg.SlowFactor*sum.SerialNs
-		sh.brk.record(mode, slow, s.cfg.BreakerFailures)
+		sh.brk.Record(mode, slow)
 	}
 	resp := QueryResponse{
 		Session:         res.Entry.ID,
@@ -1548,27 +1562,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("GET only"))
 		return
 	}
-	resp, err := s.statsResponse()
-	if err != nil {
-		s.writeErr(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// statsResponse assembles the GET /stats reply — shared by the HTTP handler
-// and the in-process ShardBackend. It errors only when the server is closing
-// mid-snapshot.
-func (s *Server) statsResponse() (StatsResponse, error) {
-	s.statMu.Lock()
-	queries, errs := s.queryCount, s.errCount
-	s.statMu.Unlock()
 	resp := StatsResponse{
 		UptimeSeconds:     time.Since(s.start).Seconds(),
 		Benchmark:         s.cfg.Benchmark,
 		DBIdentity:        s.cfg.DBIdentity,
-		QueryRequests:     queries,
-		Errors:            errs,
+		QueryRequests:     s.queryCount.Load(),
+		Errors:            s.errCount.Load(),
 		CoalescedRequests: s.coalesced.Load(),
 		ResultBytesSent:   s.resultBytes.Load(),
 		Admission:         s.cfg.Admission,
@@ -1603,7 +1602,9 @@ func (s *Server) statsResponse() (StatsResponse, error) {
 			st.Faults = sh.eng.Machine().Faults()
 			tstats = sh.cache.TenantStats()
 		}); err != nil {
-			return StatsResponse{}, err
+			// The server is closing mid-snapshot.
+			s.writeErr(w, http.StatusServiceUnavailable, err)
+			return
 		}
 		for tag, tst := range tstats {
 			if i, ok := tenantIdx[tag]; ok {
@@ -1639,7 +1640,7 @@ func (s *Server) statsResponse() (StatsResponse, error) {
 		}
 		resp.Resilience.FaultsInjected += st.Faults.Injected
 		resp.Resilience.CoresLost += st.Faults.CoresLost
-		brState, brTrips, brFails := sh.brk.snapshot()
+		brState, brTrips, brFails := sh.brk.Snapshot()
 		resp.Resilience.Breakers = append(resp.Resilience.Breakers, BreakerInfo{
 			Shard: sh.id, State: brState.String(), Trips: brTrips, Failures: brFails,
 		})
@@ -1667,30 +1668,17 @@ func (s *Server) statsResponse() (StatsResponse, error) {
 	if s.cfg.ClusterStats != nil {
 		resp.Cluster = s.cfg.ClusterStats()
 	}
-	return resp, nil
+	writeJSON(w, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := s.healthResponse()
-	code := http.StatusOK
-	if !resp.OK {
-		code = http.StatusServiceUnavailable
-	}
-	b := getIOBuf()
-	defer putIOBuf(b)
-	b.reply(w, code, resp)
-}
-
-// healthResponse assembles the GET /healthz reply — shared by the HTTP
-// handler and the in-process ShardBackend.
-func (s *Server) healthResponse() HealthResponse {
 	s.closeMu.RLock()
 	closed := s.closed
 	s.closeMu.RUnlock()
 	resp := HealthResponse{OK: !closed}
 	for _, sh := range s.shards {
-		st, _, _ := sh.brk.snapshot()
-		degraded := st != brkClosed
+		st, _, _ := sh.brk.Snapshot()
+		degraded := st != BreakerClosed
 		if degraded {
 			resp.OK = false
 		}
@@ -1702,5 +1690,11 @@ func (s *Server) healthResponse() HealthResponse {
 		depth := s.sync.QueueDepth()
 		resp.StoreQueueDepth = &depth
 	}
-	return resp
+	code := http.StatusOK
+	if !resp.OK {
+		code = http.StatusServiceUnavailable
+	}
+	b := getIOBuf()
+	defer putIOBuf(b)
+	b.reply(w, code, resp)
 }
