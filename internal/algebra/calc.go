@@ -36,21 +36,12 @@ func (op CalcOp) String() string {
 	return fmt.Sprintf("calc(%d)", int(op))
 }
 
-func (op CalcOp) apply(a, b int64) int64 {
-	switch op {
-	case CalcAdd:
-		return a + b
-	case CalcSub:
-		return a - b
-	case CalcMul:
-		return a * b
-	case CalcDiv:
-		if b == 0 {
-			return 0
-		}
-		return a / b
+// div is CalcDiv's element operation.
+func div(a, b int64) int64 {
+	if b == 0 {
+		return 0
 	}
-	panic("algebra: unknown calc op")
+	return a / b
 }
 
 // CalcVV applies op element-wise over two equally long column views and
@@ -73,8 +64,26 @@ func CalcVVInto(dst []int64, op CalcOp, a, b *storage.Column) Work {
 	if len(av) != len(bv) {
 		panic(fmt.Sprintf("algebra: CalcVV length mismatch %d vs %d (%s %s %s)", len(av), len(bv), a.Name(), op, b.Name()))
 	}
-	for i := range av {
-		dst[i] = op.apply(av[i], bv[i])
+	dst = dst[:len(av)]
+	switch op {
+	case CalcAdd:
+		for i, x := range av {
+			dst[i] = x + bv[i]
+		}
+	case CalcSub:
+		for i, x := range av {
+			dst[i] = x - bv[i]
+		}
+	case CalcMul:
+		for i, x := range av {
+			dst[i] = x * bv[i]
+		}
+	case CalcDiv:
+		for i, x := range av {
+			dst[i] = div(x, bv[i])
+		}
+	default:
+		panic("algebra: unknown calc op")
 	}
 	return Work{
 		BytesSeqRead:  a.Bytes() + b.Bytes(),
@@ -98,14 +107,34 @@ func CalcSV(op CalcOp, scalar int64, v *storage.Column, scalarLeft bool) (*stora
 // v.Len(); see CalcVVInto.
 func CalcSVInto(dst []int64, op CalcOp, scalar int64, v *storage.Column, scalarLeft bool) Work {
 	in := v.Values()
-	if scalarLeft {
+	dst = dst[:len(in)]
+	switch {
+	case op == CalcAdd:
 		for i, x := range in {
-			dst[i] = op.apply(scalar, x)
+			dst[i] = x + scalar
 		}
-	} else {
+	case op == CalcSub && scalarLeft:
 		for i, x := range in {
-			dst[i] = op.apply(x, scalar)
+			dst[i] = scalar - x
 		}
+	case op == CalcSub:
+		for i, x := range in {
+			dst[i] = x - scalar
+		}
+	case op == CalcMul:
+		for i, x := range in {
+			dst[i] = x * scalar
+		}
+	case op == CalcDiv && scalarLeft:
+		for i, x := range in {
+			dst[i] = div(scalar, x)
+		}
+	case op == CalcDiv:
+		for i, x := range in {
+			dst[i] = div(x, scalar)
+		}
+	default:
+		panic("algebra: unknown calc op")
 	}
 	return Work{
 		BytesSeqRead:  v.Bytes(),

@@ -16,7 +16,7 @@ import (
 // fetches cost as much sequential I/O as two full scans. Shuffled ids (join
 // sides) genuinely touch a second region per value and pay random access.
 // Pinned by TestFetchWorkAccounting.
-func fetchWork(oids, aligned []int64, footprint int64) Work {
+func fetchWork(oids, aligned []int64, ascending bool, footprint int64) Work {
 	w := Work{
 		BytesSeqRead:   int64(len(oids)) * 8,
 		BytesWritten:   int64(len(aligned)) * 8,
@@ -25,7 +25,7 @@ func fetchWork(oids, aligned []int64, footprint int64) Work {
 		FootprintBytes: footprint,
 		MemClaimBytes:  int64(len(aligned)) * 8,
 	}
-	if !isAscending(aligned) {
+	if !ascending {
 		w.BytesRandRead += int64(len(aligned)) * 8
 	}
 	return w
@@ -41,16 +41,16 @@ func fetchWork(oids, aligned []int64, footprint int64) Work {
 // The result column's head is a fresh dense oid sequence starting at zero,
 // matching the materialized intermediates of an operator-at-a-time engine.
 func Fetch(oids []int64, target *storage.Column) (*storage.Column, Work, int) {
-	aligned, dropped := storage.AlignOids(oids, target.Seq(), target.EndSeq())
+	aligned, dropped, ascending := storage.AlignOids(oids, target.Seq(), target.EndSeq())
 	out := make([]int64, len(aligned))
-	n, w := fetchAligned(out, oids, aligned, target)
+	gather(out, aligned, target)
 	var data *vec.Vector
 	if d := target.Dict(); d != nil {
-		data = vec.NewDictCoded(out[:n], d)
+		data = vec.NewDictCoded(out, d)
 	} else {
-		data = vec.NewInt64(out[:n])
+		data = vec.NewInt64(out)
 	}
-	return storage.NewColumn(target.Name(), 0, data), w, dropped
+	return storage.NewColumn(target.Name(), 0, data), fetchWork(oids, aligned, ascending, target.Bytes()), dropped
 }
 
 // FetchInto is Fetch writing into a caller-owned destination — the range
@@ -60,20 +60,29 @@ func Fetch(oids []int64, target *storage.Column) (*storage.Column, Work, int) {
 // Fetch does) plus the identical Work record, so shared-buffer and
 // materializing executions cost the same. dst must hold at least the aligned
 // oid count; len(oids) always suffices.
+//
+// The oid list is read twice and nothing is allocated for ascending lists:
+// one storage.AlignOids pass trims the boundary overshoot (a sub-slice) and
+// classifies the access pattern, then the values are gathered by position.
 func FetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, int) {
-	aligned, dropped := storage.AlignOids(oids, target.Seq(), target.EndSeq())
+	aligned, dropped, ascending := storage.AlignOids(oids, target.Seq(), target.EndSeq())
 	if len(dst) < len(aligned) {
 		panic(fmt.Sprintf("algebra: FetchInto dst %d too small for %d aligned oids", len(dst), len(aligned)))
 	}
-	n, w := fetchAligned(dst, oids, aligned, target)
-	return n, w, dropped
+	gather(dst, aligned, target)
+	return len(aligned), fetchWork(oids, aligned, ascending, target.Bytes()), dropped
 }
 
-func fetchAligned(dst []int64, oids, aligned []int64, target *storage.Column) (int, Work) {
+// gather writes target's value at every aligned oid into dst[:len(aligned)],
+// walking the view by position. AlignOids already confined the oids to the
+// view; the slice bounds check is the safety net against a caller that did
+// not.
+func gather(dst, aligned []int64, target *storage.Column) {
+	vals, seq := target.Values(), target.Seq()
+	dst = dst[:len(aligned)]
 	for i, oid := range aligned {
-		dst[i] = target.ValueAtOid(oid)
+		dst[i] = vals[oid-seq]
 	}
-	return len(aligned), fetchWork(oids, aligned, target.Bytes())
 }
 
 // FetchPositions gathers values of col at the given zero-based positions of

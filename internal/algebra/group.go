@@ -110,26 +110,6 @@ func (f AggrFunc) identity() int64 {
 	}
 }
 
-func (f AggrFunc) combine(acc, v int64) int64 {
-	switch f {
-	case AggrSum:
-		return acc + v
-	case AggrCount:
-		return acc + 1
-	case AggrMin:
-		if v < acc {
-			return v
-		}
-		return acc
-	case AggrMax:
-		if v > acc {
-			return v
-		}
-		return acc
-	}
-	panic("algebra: unknown aggregate")
-}
-
 // AggrGrouped computes f over vals per group. vals must be positionally
 // aligned with the rows the Groups were computed from (same view span).
 func AggrGrouped(f AggrFunc, vals *storage.Column, g *Groups) (*storage.Column, Work) {
@@ -141,8 +121,26 @@ func AggrGrouped(f AggrFunc, vals *storage.Column, g *Groups) (*storage.Column, 
 	for i := range out {
 		out[i] = f.identity()
 	}
-	for i, x := range v {
-		out[g.GIDs[i]] = f.combine(out[g.GIDs[i]], x)
+	gids := g.GIDs
+	switch f {
+	case AggrSum:
+		for i, x := range v {
+			out[gids[i]] += x
+		}
+	case AggrCount:
+		for _, gid := range gids {
+			out[gid]++
+		}
+	case AggrMin:
+		for i, x := range v {
+			out[gids[i]] = min(out[gids[i]], x)
+		}
+	case AggrMax:
+		for i, x := range v {
+			out[gids[i]] = max(out[gids[i]], x)
+		}
+	default:
+		panic("algebra: unknown aggregate")
 	}
 	w := Work{
 		BytesSeqRead:   vals.Bytes() + int64(len(g.GIDs))*8,
@@ -161,9 +159,25 @@ func AggrGrouped(f AggrFunc, vals *storage.Column, g *Groups) (*storage.Column, 
 // aggregation composes exactly with the serial result even through empty
 // partitions.
 func Aggr(f AggrFunc, vals *storage.Column) (int64, Work) {
+	v := vals.Values()
 	acc := f.identity()
-	for _, x := range vals.Values() {
-		acc = f.combine(acc, x)
+	switch f {
+	case AggrSum:
+		for _, x := range v {
+			acc += x
+		}
+	case AggrCount:
+		acc = int64(len(v))
+	case AggrMin:
+		for _, x := range v {
+			acc = min(acc, x)
+		}
+	case AggrMax:
+		for _, x := range v {
+			acc = max(acc, x)
+		}
+	default:
+		panic("algebra: unknown aggregate")
 	}
 	w := Work{
 		BytesSeqRead: vals.Bytes(),
@@ -177,13 +191,26 @@ func Aggr(f AggrFunc, vals *storage.Column) (int64, Work) {
 // operators (packed into a small column) into the final scalar, skipping
 // empty-partition sentinels.
 func MergeScalars(f AggrFunc, partials *storage.Column) (int64, Work) {
-	m := f.MergeFunc()
-	acc := m.identity()
-	for _, x := range partials.Values() {
-		if x == f.identity() && (f == AggrMin || f == AggrMax) {
-			continue // empty partition sentinel
+	acc := f.identity()
+	switch f {
+	case AggrSum, AggrCount: // partial counts are summed
+		for _, x := range partials.Values() {
+			acc += x
 		}
-		acc = m.combineMerge(acc, x)
+	case AggrMin:
+		for _, x := range partials.Values() {
+			if x != minEmpty { // empty partition sentinel
+				acc = min(acc, x)
+			}
+		}
+	case AggrMax:
+		for _, x := range partials.Values() {
+			if x != maxEmpty {
+				acc = max(acc, x)
+			}
+		}
+	default:
+		panic("algebra: unknown aggregate")
 	}
 	w := Work{
 		BytesSeqRead: partials.Bytes(),

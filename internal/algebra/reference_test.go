@@ -1,0 +1,481 @@
+package algebra_test
+
+// Work-identity tests for the scan-shaped kernels. The ref* functions below
+// are the kernel bodies as they stood before the branch-free rewrite (per-tuple
+// Range.Matches + append, ValueAtOid per oid, AlignOids and isAscending as
+// separate passes, a per-element switch in aggr and calc), copied here as a
+// test-only reference: the production kernels must return the same values,
+// the same Work record — virtual time is computed from it, so one unit of
+// drift moves every convergence — and the same drop counts, over the TPC-H
+// columns at several partitionings. This file is an external test package
+// because tpch imports algebra.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	. "repro/internal/algebra"
+	"repro/internal/storage"
+	"repro/internal/tpch"
+)
+
+func refSelectInto(dst []int64, col *storage.Column, pred Range) ([]int64, Work) {
+	vals := col.Values()
+	seq := col.Seq()
+	out := dst[:0]
+	if cap(out) == 0 {
+		out = make([]int64, 0, len(vals)/4+1)
+	}
+	for i, v := range vals {
+		if pred.Matches(v) {
+			out = append(out, seq+int64(i))
+		}
+	}
+	return out, Work{
+		BytesSeqRead:  col.Bytes(),
+		BytesWritten:  int64(len(out)) * 8,
+		TuplesIn:      int64(len(vals)),
+		TuplesOut:     int64(len(out)),
+		MemClaimBytes: int64(len(out)) * 8,
+	}
+}
+
+func refAlignOids(oids []int64, tlo, thi int64) (kept []int64, dropped int) {
+	for _, o := range oids {
+		if o < tlo || o >= thi {
+			dropped++
+		}
+	}
+	if dropped == 0 {
+		return oids, 0
+	}
+	kept = make([]int64, 0, len(oids)-dropped)
+	for _, o := range oids {
+		if o >= tlo && o < thi {
+			kept = append(kept, o)
+		}
+	}
+	return kept, dropped
+}
+
+func refIsAscending(oids []int64) bool {
+	for i := 1; i < len(oids); i++ {
+		if oids[i] < oids[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+func refSelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []int64) ([]int64, Work, int) {
+	aligned, dropped := refAlignOids(cands, col.Seq(), col.EndSeq())
+	out := dst[:0]
+	if cap(out) == 0 {
+		out = make([]int64, 0, len(aligned)/2+1)
+	}
+	for _, oid := range aligned {
+		if pred.Matches(col.ValueAtOid(oid)) {
+			out = append(out, oid)
+		}
+	}
+	w := Work{
+		BytesSeqRead:   int64(len(cands)) * 8,
+		BytesWritten:   int64(len(out)) * 8,
+		TuplesIn:       int64(len(cands)),
+		TuplesOut:      int64(len(out)),
+		FootprintBytes: col.Bytes(),
+		MemClaimBytes:  int64(len(out)) * 8,
+	}
+	if refIsAscending(aligned) {
+		w.BytesSeqRead += int64(len(aligned)) * 8
+	} else {
+		w.BytesRandRead += int64(len(aligned)) * 8
+	}
+	return out, w, dropped
+}
+
+func refSelectLike(col *storage.Column, pattern string, kind LikeKind, anti bool) ([]int64, Work) {
+	dict := col.Dict()
+	var member []bool
+	switch kind {
+	case LikePrefix:
+		member = dict.MatchPrefix(pattern)
+	default:
+		member = dict.MatchSubstring(pattern)
+	}
+	vals := col.Values()
+	seq := col.Seq()
+	out := make([]int64, 0, len(vals)/8+1)
+	for i, c := range vals {
+		if member[c] != anti {
+			out = append(out, seq+int64(i))
+		}
+	}
+	return out, Work{
+		BytesSeqRead:   col.Bytes() + int64(dict.Len())*16,
+		BytesWritten:   int64(len(out)) * 8,
+		TuplesIn:       int64(len(vals)),
+		TuplesOut:      int64(len(out)),
+		FootprintBytes: int64(len(member)),
+		MemClaimBytes:  int64(len(out))*8 + int64(len(member)),
+	}
+}
+
+func refFetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, int) {
+	aligned, dropped := refAlignOids(oids, target.Seq(), target.EndSeq())
+	for i, oid := range aligned {
+		dst[i] = target.ValueAtOid(oid)
+	}
+	w := Work{
+		BytesSeqRead:   int64(len(oids)) * 8,
+		BytesWritten:   int64(len(aligned)) * 8,
+		TuplesIn:       int64(len(oids)),
+		TuplesOut:      int64(len(aligned)),
+		FootprintBytes: target.Bytes(),
+		MemClaimBytes:  int64(len(aligned)) * 8,
+	}
+	if !refIsAscending(aligned) {
+		w.BytesRandRead += int64(len(aligned)) * 8
+	}
+	return len(aligned), w, dropped
+}
+
+const (
+	refMinEmpty = NoHigh
+	refMaxEmpty = NoLow
+)
+
+func refIdentity(f AggrFunc) int64 {
+	switch f {
+	case AggrMin:
+		return refMinEmpty
+	case AggrMax:
+		return refMaxEmpty
+	}
+	return 0
+}
+
+func refCombine(f AggrFunc, acc, v int64) int64 {
+	switch f {
+	case AggrSum:
+		return acc + v
+	case AggrCount:
+		return acc + 1
+	case AggrMin:
+		if v < acc {
+			return v
+		}
+		return acc
+	case AggrMax:
+		if v > acc {
+			return v
+		}
+		return acc
+	}
+	panic("unknown aggregate")
+}
+
+func refAggr(f AggrFunc, vals *storage.Column) (int64, Work) {
+	acc := refIdentity(f)
+	for _, x := range vals.Values() {
+		acc = refCombine(f, acc, x)
+	}
+	return acc, Work{BytesSeqRead: vals.Bytes(), TuplesIn: int64(vals.Len()), TuplesOut: 1}
+}
+
+func refAggrGrouped(f AggrFunc, vals *storage.Column, g *Groups) ([]int64, Work) {
+	v := vals.Values()
+	out := make([]int64, g.NGroups())
+	for i := range out {
+		out[i] = refIdentity(f)
+	}
+	for i, x := range v {
+		out[g.GIDs[i]] = refCombine(f, out[g.GIDs[i]], x)
+	}
+	return out, Work{
+		BytesSeqRead:   vals.Bytes() + int64(len(g.GIDs))*8,
+		BytesWritten:   int64(len(out)) * 8,
+		TuplesIn:       int64(len(v)),
+		TuplesOut:      int64(len(out)),
+		FootprintBytes: int64(len(out)) * 8,
+		MemClaimBytes:  int64(len(out)) * 8,
+	}
+}
+
+func refMergeScalars(f AggrFunc, partials *storage.Column) (int64, Work) {
+	m := f.MergeFunc()
+	acc := refIdentity(m)
+	for _, x := range partials.Values() {
+		if x == refIdentity(f) && (f == AggrMin || f == AggrMax) {
+			continue
+		}
+		acc = refCombine(m, acc, x) // m is never AggrCount
+	}
+	return acc, Work{BytesSeqRead: partials.Bytes(), TuplesIn: int64(partials.Len()), TuplesOut: 1}
+}
+
+func refApply(op CalcOp, a, b int64) int64 {
+	switch op {
+	case CalcAdd:
+		return a + b
+	case CalcSub:
+		return a - b
+	case CalcMul:
+		return a * b
+	case CalcDiv:
+		if b == 0 {
+			return 0
+		}
+		return a / b
+	}
+	panic("unknown calc op")
+}
+
+func refCalcVVInto(dst []int64, op CalcOp, a, b *storage.Column) Work {
+	av, bv := a.Values(), b.Values()
+	for i := range av {
+		dst[i] = refApply(op, av[i], bv[i])
+	}
+	return Work{
+		BytesSeqRead:  a.Bytes() + b.Bytes(),
+		BytesWritten:  int64(len(av)) * 8,
+		TuplesIn:      int64(len(av)) * 2,
+		TuplesOut:     int64(len(av)),
+		MemClaimBytes: int64(len(av)) * 8,
+	}
+}
+
+func refCalcSVInto(dst []int64, op CalcOp, scalar int64, v *storage.Column, scalarLeft bool) Work {
+	in := v.Values()
+	for i, x := range in {
+		if scalarLeft {
+			dst[i] = refApply(op, scalar, x)
+		} else {
+			dst[i] = refApply(op, x, scalar)
+		}
+	}
+	return Work{
+		BytesSeqRead:  v.Bytes(),
+		BytesWritten:  int64(len(in)) * 8,
+		TuplesIn:      int64(len(in)),
+		TuplesOut:     int64(len(in)),
+		MemClaimBytes: int64(len(in)) * 8,
+	}
+}
+
+// partitions cuts [0,n) into k contiguous pieces of uneven, seed-chosen sizes
+// (dynamic partitioning, §2.3), some possibly empty.
+func partitions(r *rand.Rand, n, k int) [][2]int {
+	cuts := []int{0}
+	for i := 1; i < k; i++ {
+		cuts = append(cuts, r.Intn(n+1))
+	}
+	cuts = append(cuts, n)
+	sort.Ints(cuts)
+	parts := make([][2]int, 0, k)
+	for i := 0; i+1 < len(cuts); i++ {
+		parts = append(parts, [2]int{cuts[i], cuts[i+1]})
+	}
+	return parts
+}
+
+// rangesOver returns predicates of every Range shape pitched at the column's
+// own value domain, so selectivities span empty to full.
+func rangesOver(col *storage.Column) []Range {
+	lo, hi := col.At(0), col.At(0)
+	for _, v := range col.Values() {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	mid, q1, q3 := lo+(hi-lo)/2, lo+(hi-lo)/4, lo+(hi-lo)/4*3
+	return []Range{
+		FullRange(), Eq(col.At(0)), Between(q1, q3), HalfOpen(q1, q3), HalfOpen(mid, mid),
+		LessThan(mid), AtMost(mid), GreaterThan(mid), AtLeast(mid), Between(q3, q1),
+		{Lo: q1, Hi: q3}, // exclusive both sides
+	}
+}
+
+func TestKernelsMatchReference(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 11})
+	line := cat.MustTable("lineitem")
+	r := rand.New(rand.NewSource(5))
+
+	for _, name := range []string{"l_quantity", "l_shipdate", "l_extendedprice", "l_discount"} {
+		col := line.MustColumn(name)
+		other := line.MustColumn("l_tax")
+		groups := line.MustColumn("l_returnflag")
+		preds := rangesOver(col)
+		// Candidate lists cover the whole column, so against a partition
+		// they overshoot both boundaries; the shuffled copy is a join side.
+		asc, _ := Select(col, preds[2])
+		shuf := append([]int64(nil), asc...)
+		r.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
+
+		for _, k := range []int{1, 2, 7, 32} {
+			var partials [4][]int64
+			for pi, p := range partitions(r, col.Len(), k) {
+				view := col.View(p[0], p[1])
+				at := fmt.Sprintf("%s k=%d part %d [%d,%d)", name, k, pi, p[0], p[1])
+
+				for _, pred := range preds {
+					want, ww := refSelectInto(nil, view, pred)
+					got, gw := SelectInto(nil, view, pred)
+					if !slices.Equal(got, want) || gw != ww || cap(got) != cap(want) {
+						t.Fatalf("%s SelectInto(nil, %+v): %d oids cap %d work %+v, want %d oids cap %d work %+v",
+							at, pred, len(got), cap(got), gw, len(want), cap(want), ww)
+					}
+					// A recycled buffer with stale contents, too small to
+					// hold the result without growing.
+					stale := make([]int64, 3, len(want)/3+3)
+					got, gw = SelectInto(stale, view, pred)
+					wantWarm, _ := refSelectInto(make([]int64, 3, len(want)/3+3), view, pred)
+					if !slices.Equal(got, want) || gw != ww || cap(got) != cap(wantWarm) {
+						t.Fatalf("%s SelectInto(stale, %+v): %d oids cap %d work %+v, want %d oids cap %d work %+v",
+							at, pred, len(got), cap(got), gw, len(want), cap(wantWarm), ww)
+					}
+
+					for _, cands := range [][]int64{asc, shuf} {
+						want, ww, wd := refSelectWithCandsInto(nil, view, pred, cands)
+						got, gw, gd := SelectWithCandsInto(nil, view, pred, cands)
+						if !slices.Equal(got, want) || gw != ww || gd != wd || cap(got) != cap(want) {
+							t.Fatalf("%s SelectWithCandsInto(%+v): %d oids cap %d dropped %d work %+v, want %d oids cap %d dropped %d work %+v",
+								at, pred, len(got), cap(got), gd, gw, len(want), cap(want), wd, ww)
+						}
+					}
+				}
+
+				for _, oids := range [][]int64{asc, shuf} {
+					want, got := make([]int64, len(oids)), make([]int64, len(oids))
+					wn, ww, wd := refFetchInto(want, oids, view)
+					gn, gw, gd := FetchInto(got, oids, view)
+					if gn != wn || gw != ww || gd != wd || !slices.Equal(got[:gn], want[:wn]) {
+						t.Fatalf("%s FetchInto: n %d dropped %d work %+v, want n %d dropped %d work %+v", at, gn, gd, gw, wn, wd, ww)
+					}
+					fc, fw, fd := Fetch(oids, view)
+					if fw != ww || fd != wd || !slices.Equal(fc.Values(), want[:wn]) {
+						t.Fatalf("%s Fetch: n %d dropped %d work %+v, want n %d dropped %d work %+v", at, fc.Len(), fd, fw, wn, wd, ww)
+					}
+				}
+
+				g, _ := GroupBy(groups.View(p[0], p[1]))
+				for fi, f := range []AggrFunc{AggrSum, AggrCount, AggrMin, AggrMax} {
+					want, ww := refAggr(f, view)
+					got, gw := Aggr(f, view)
+					if got != want || gw != ww {
+						t.Fatalf("%s Aggr(%s) = %d %+v, want %d %+v", at, f, got, gw, want, ww)
+					}
+					partials[fi] = append(partials[fi], got)
+
+					wantG, wwG := refAggrGrouped(f, view, g)
+					gotG, gwG := AggrGrouped(f, view, g)
+					if !slices.Equal(gotG.Values(), wantG) || gwG != wwG {
+						t.Fatalf("%s AggrGrouped(%s) = %v %+v, want %v %+v", at, f, gotG.Values(), gwG, wantG, wwG)
+					}
+				}
+
+				ov := other.View(p[0], p[1])
+				want, got := make([]int64, view.Len()), make([]int64, view.Len())
+				for _, op := range []CalcOp{CalcAdd, CalcSub, CalcMul, CalcDiv} {
+					ww, gw := refCalcVVInto(want, op, view, ov), CalcVVInto(got, op, view, ov)
+					if gw != ww || !slices.Equal(got, want) {
+						t.Fatalf("%s CalcVVInto(%s): work %+v, want %+v (values equal: %v)", at, op, gw, ww, slices.Equal(got, want))
+					}
+					for _, left := range []bool{false, true} {
+						for _, scalar := range []int64{0, 7, -3} {
+							ww, gw := refCalcSVInto(want, op, scalar, view, left), CalcSVInto(got, op, scalar, view, left)
+							if gw != ww || !slices.Equal(got, want) {
+								t.Fatalf("%s CalcSVInto(%s, %d, left=%v): work %+v, want %+v (values equal: %v)",
+									at, op, scalar, left, gw, ww, slices.Equal(got, want))
+							}
+						}
+					}
+				}
+			}
+
+			// Partition partials (empty-partition sentinels included) merge
+			// to the serial aggregate, exactly as before.
+			for fi, f := range []AggrFunc{AggrSum, AggrCount, AggrMin, AggrMax} {
+				packed := storage.NewIntColumn("partials", partials[fi])
+				want, ww := refMergeScalars(f, packed)
+				got, gw := MergeScalars(f, packed)
+				serial, _ := Aggr(f, col)
+				if got != want || gw != ww || got != serial {
+					t.Fatalf("%s k=%d MergeScalars(%s) = %d %+v, want %d %+v (serial %d)", name, k, f, got, gw, want, ww, serial)
+				}
+			}
+		}
+	}
+}
+
+func TestSelectLikeMatchesReference(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 11})
+	r := rand.New(rand.NewSource(6))
+	for _, tc := range []struct{ table, column, pattern string }{
+		{"orders", "o_comment", "special"},
+		{"part", "p_type", "PROMO"},
+		{"part", "p_name", "green"},
+		{"part", "p_type", "no such value"},
+	} {
+		col := cat.MustTable(tc.table).MustColumn(tc.column)
+		for _, k := range []int{1, 3, 64} {
+			for pi, p := range partitions(r, col.Len(), k) {
+				view := col.View(p[0], p[1])
+				for _, kind := range []LikeKind{LikeContains, LikePrefix} {
+					for _, anti := range []bool{false, true} {
+						want, ww := refSelectLike(view, tc.pattern, kind, anti)
+						got, gw := SelectLike(view, tc.pattern, kind, anti)
+						stale := make([]int64, 2, len(want)/2+2)
+						warm, wwarm := SelectLikeInto(stale, view, tc.pattern, kind, anti)
+						if !slices.Equal(got, want) || gw != ww || cap(got) != cap(want) || !slices.Equal(warm, want) || wwarm != ww {
+							t.Fatalf("%s.%s k=%d part %d LIKE %q kind=%d anti=%v: %d oids cap %d work %+v (warm %d, %+v), want %d oids cap %d work %+v",
+								tc.table, tc.column, k, pi, tc.pattern, kind, anti, len(got), cap(got), gw, len(warm), wwarm, len(want), cap(want), ww)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Every …Into kernel runs allocation-free once its destination is warm —
+// the hot-path contract the serve alloc budgets rest on — including an
+// ascending oid list that overshoots the view (the boundary drop used to
+// allocate the trimmed list on every request).
+func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 11})
+	col := cat.MustTable("lineitem").MustColumn("l_quantity")
+	tax := cat.MustTable("lineitem").MustColumn("l_tax")
+	comment := cat.MustTable("orders").MustColumn("o_comment")
+	view := col.View(100, col.Len()-100)
+	pred := Between(1, 24)
+
+	cands, _ := Select(col, AtLeast(10)) // ascending, overshoots view on both sides
+	oids, _ := SelectInto(nil, view, pred)
+	refined, _, dropped := SelectWithCandsInto(nil, view, pred, cands)
+	if dropped == 0 {
+		t.Fatal("candidate list does not overshoot the view; the boundary-drop case is not covered")
+	}
+	likes, _ := SelectLikeInto(nil, comment, "special", LikeContains, false)
+	vals, calc := make([]int64, len(cands)), make([]int64, view.Len())
+	a, b := view, tax.View(100, tax.Len()-100)
+
+	for name, run := range map[string]func(){
+		"SelectInto":          func() { oids, _ = SelectInto(oids, view, pred) },
+		"SelectWithCandsInto": func() { refined, _, _ = SelectWithCandsInto(refined, view, pred, cands) },
+		"SelectLikeInto":      func() { likes, _ = SelectLikeInto(likes, comment, "special", LikeContains, false) },
+		"FetchInto":           func() { FetchInto(vals, oids, view) },
+		"FetchInto boundary":  func() { FetchInto(vals, cands, view) },
+		"CalcVVInto":          func() { CalcVVInto(calc, CalcMul, a, b) },
+		"CalcSVInto":          func() { CalcSVInto(calc, CalcSub, 100, a, true) },
+	} {
+		if n := testing.AllocsPerRun(20, run); n != 0 {
+			t.Errorf("%s allocates %v times per run with a warm destination, want 0", name, n)
+		}
+	}
+	// The drop itself is still reported.
+	if _, _, d := FetchInto(vals, cands, view); d != dropped {
+		t.Fatalf("FetchInto dropped %d, SelectWithCandsInto dropped %d over the same candidates", d, dropped)
+	}
+}

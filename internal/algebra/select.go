@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"math"
+
 	"repro/internal/storage"
 )
 
@@ -64,6 +66,90 @@ func (r Range) Matches(v int64) bool {
 	return true
 }
 
+// closed normalizes the predicate, once per kernel call, to the closed int64
+// interval [lo, lo+span]: a sentinel opens its side to the int64 edge, an
+// exclusive bound steps inward. The scan then tests uint64(v-lo) <= span, one
+// unsigned compare that is exact over the whole int64 domain. ok is false
+// when nothing can match (lo > hi, or an exclusive bound at the int64 edge).
+// Matches stays the scalar definition the kernels are fuzzed against.
+func (r Range) closed() (lo int64, span uint64, ok bool) {
+	lo, hi, ok := int64(math.MinInt64), int64(math.MaxInt64), true
+	if r.Lo != NoLow {
+		lo = r.Lo
+		if !r.LoIncl {
+			ok = lo != math.MaxInt64
+			lo++
+		}
+	}
+	if r.Hi != NoHigh {
+		hi = r.Hi
+		if !r.HiIncl {
+			ok = ok && hi != math.MinInt64
+			hi--
+		}
+	}
+	return lo, uint64(hi - lo), ok && lo <= hi
+}
+
+// b2i is the bool-to-int conversion the compiler lowers to a flag set, not a
+// jump.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// The compact* functions are the inner loops of the select kernels: every
+// tuple's oid is written to w[m] and m advances only on a match, so there is
+// no data-dependent jump to mispredict — a 50 %-selective predicate costs
+// what a 1 % one does. They return how many leading slots of w hold matches
+// (the rest is scratch); w must be as long as the input, and the bounds check
+// on w[m] stays. They are kept out of line so that m, the loop-carried index,
+// lives in a register whatever the caller's register pressure: inlined into
+// SelectInto it was spilled and the jump came back.
+
+// compactRange matches vals, whose oids are oid, oid+1, …, against the closed
+// interval [lo, lo+span].
+//
+//go:noinline
+func compactRange(w, vals []int64, oid, lo int64, span uint64) int {
+	m := 0
+	for _, v := range vals {
+		w[m] = oid
+		oid++
+		m += b2i(uint64(v-lo) <= span)
+	}
+	return m
+}
+
+// compactCands matches the values the candidate oids address, read by
+// position from the view (vals, head oid seq).
+//
+//go:noinline
+func compactCands(w, cands, vals []int64, seq, lo int64, span uint64) int {
+	m := 0
+	for _, oid := range cands {
+		w[m] = oid
+		m += b2i(uint64(vals[oid-seq]-lo) <= span)
+	}
+	return m
+}
+
+// compactMembers matches dictionary codes, whose oids are oid, oid+1, …,
+// against a membership bitmap (inverted by anti).
+//
+//go:noinline
+func compactMembers(w, codes []int64, oid int64, member []bool, anti bool) int {
+	m := 0
+	for _, c := range codes {
+		w[m] = oid
+		oid++
+		m += b2i(member[c] != anti)
+	}
+	return m
+}
+
 // Select scans the column view and returns the absolute head oids of
 // matching tuples in ascending order (MonetDB's algebra.uselect /
 // algebra.subselect). The oids are absolute so that partitioned selects over
@@ -75,7 +161,16 @@ func Select(col *storage.Column, pred Range) ([]int64, Work) {
 // SelectInto is Select appending into dst's storage (dst[:0]): the executor
 // passes the previous invocation's output buffer of the same cached
 // instruction, so steady-state serving allocates nothing here. A nil dst
-// reproduces Select's allocation exactly.
+// reproduces Select's allocation exactly. As with append, dst's storage up to
+// its capacity is the kernel's to overwrite.
+//
+// The predicate is normalized once (Range.closed) and the view is compacted
+// branch-free (compactRange) straight into out's spare capacity, a chunk of
+// as many tuples as that capacity has slots at a time — a chunk emits at most
+// one oid per tuple, so it cannot outrun the buffer. A full buffer grows
+// through append on its next match, so the emitted slice and its capacity are
+// exactly what a per-tuple append would have produced: no buffer is ever
+// sized to its partition.
 func SelectInto(dst []int64, col *storage.Column, pred Range) ([]int64, Work) {
 	vals := col.Values()
 	seq := col.Seq()
@@ -83,10 +178,19 @@ func SelectInto(dst []int64, col *storage.Column, pred Range) ([]int64, Work) {
 	if cap(out) == 0 {
 		out = make([]int64, 0, len(vals)/4+1)
 	}
-	for i, v := range vals {
-		if pred.Matches(v) {
-			out = append(out, seq+int64(i))
+	lo, span, ok := pred.closed()
+	for i := 0; ok && i < len(vals); {
+		n := min(len(vals)-i, cap(out)-len(out))
+		if n == 0 {
+			if uint64(vals[i]-lo) <= span {
+				out = append(out, seq+int64(i))
+			}
+			i++
+			continue
 		}
+		k := len(out)
+		out = out[:k+compactRange(out[k:k+n], vals[i:i+n], seq+int64(i), lo, span)]
+		i += n
 	}
 	w := Work{
 		BytesSeqRead: col.Bytes(),
@@ -111,17 +215,30 @@ func SelectWithCands(col *storage.Column, pred Range, cands []int64) ([]int64, W
 }
 
 // SelectWithCandsInto is SelectWithCands appending into dst's storage; see
-// SelectInto for the buffer-reuse contract.
+// SelectInto for the buffer-reuse contract and the branch-free compaction.
+// Candidates are aligned and classified in one pass (storage.AlignOids), then
+// read by position, vals[oid-seq].
 func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []int64) ([]int64, Work, int) {
-	aligned, dropped := storage.AlignOids(cands, col.Seq(), col.EndSeq())
+	aligned, dropped, ascending := storage.AlignOids(cands, col.Seq(), col.EndSeq())
+	vals := col.Values()
+	seq := col.Seq()
 	out := dst[:0]
 	if cap(out) == 0 {
 		out = make([]int64, 0, len(aligned)/2+1)
 	}
-	for _, oid := range aligned {
-		if pred.Matches(col.ValueAtOid(oid)) {
-			out = append(out, oid)
+	lo, span, ok := pred.closed()
+	for i := 0; ok && i < len(aligned); {
+		n := min(len(aligned)-i, cap(out)-len(out))
+		if n == 0 {
+			if uint64(vals[aligned[i]-seq]-lo) <= span {
+				out = append(out, aligned[i])
+			}
+			i++
+			continue
 		}
+		k := len(out)
+		out = out[:k+compactCands(out[k:k+n], aligned[i:i+n], vals, seq, lo, span)]
+		i += n
 	}
 	w := Work{
 		BytesSeqRead:   int64(len(cands)) * 8,
@@ -134,23 +251,12 @@ func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []i
 	// Candidate lists from selects are ascending, so the driven accesses are
 	// a forward skip-scan — effectively sequential for the prefetcher.
 	// Unsorted candidates pay random-access cost instead.
-	if isAscending(aligned) {
+	if ascending {
 		w.BytesSeqRead += int64(len(aligned)) * 8
 	} else {
 		w.BytesRandRead += int64(len(aligned)) * 8
 	}
 	return out, w, dropped
-}
-
-// isAscending reports whether oids are in non-decreasing order, the access
-// pattern distinction the cost model uses (serial vs random access, §4.1).
-func isAscending(oids []int64) bool {
-	for i := 1; i < len(oids); i++ {
-		if oids[i] < oids[i-1] {
-			return false
-		}
-	}
-	return true
 }
 
 // LikeKind selects the string-match flavour of SelectLike.
@@ -168,6 +274,15 @@ const (
 // dictionary is matched once and the column scan tests code membership — the
 // standard columnar batstr.like evaluation.
 func SelectLike(col *storage.Column, pattern string, kind LikeKind, anti bool) ([]int64, Work) {
+	return SelectLikeInto(nil, col, pattern, kind, anti)
+}
+
+// SelectLikeInto is SelectLike appending into dst's storage; see SelectInto
+// for the buffer-reuse contract and the branch-free compaction. The
+// membership bitmap is the dictionary's memo (vec.Dict.MatchSubstring), so
+// the clones of a partitioned LIKE share one dictionary pass; Work charges
+// the pass regardless, as the cost model always has.
+func SelectLikeInto(dst []int64, col *storage.Column, pattern string, kind LikeKind, anti bool) ([]int64, Work) {
 	dict := col.Dict()
 	if dict == nil {
 		panic("algebra: SelectLike over a non-string column " + col.Name())
@@ -181,11 +296,22 @@ func SelectLike(col *storage.Column, pattern string, kind LikeKind, anti bool) (
 	}
 	vals := col.Values()
 	seq := col.Seq()
-	out := make([]int64, 0, len(vals)/8+1)
-	for i, c := range vals {
-		if member[c] != anti {
-			out = append(out, seq+int64(i))
+	out := dst[:0]
+	if cap(out) == 0 {
+		out = make([]int64, 0, len(vals)/8+1)
+	}
+	for i := 0; i < len(vals); {
+		n := min(len(vals)-i, cap(out)-len(out))
+		if n == 0 {
+			if member[vals[i]] != anti {
+				out = append(out, seq+int64(i))
+			}
+			i++
+			continue
 		}
+		k := len(out)
+		out = out[:k+compactMembers(out[k:k+n], vals[i:i+n], seq+int64(i), member, anti)]
+		i += n
 	}
 	w := Work{
 		BytesSeqRead:   col.Bytes() + int64(dict.Len())*16, // codes + dictionary pass

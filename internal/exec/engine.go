@@ -50,7 +50,7 @@ func NewEngine(cat *storage.Catalog, machineCfg sim.Config, params cost.Params) 
 // pack group's shared buffer, or have no recyclable Into kernel.
 const (
 	bufNone uint8 = iota
-	bufOids       // ret 0 is an oid vector (select / selectcand / oid pack)
+	bufOids       // ret 0 is an oid vector (select / selectcand / likeselect / oid pack)
 	bufCol        // ret 0 is a column payload (fetch / calc / scalar pack)
 )
 
@@ -403,7 +403,7 @@ func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, retIndex []in
 			continue
 		}
 		switch in.Op {
-		case plan.OpSelect, plan.OpSelectCand:
+		case plan.OpSelect, plan.OpSelectCand, plan.OpLikeSelect:
 			s.outBuf[i] = bufOids
 		case plan.OpFetch, plan.OpFetchPos, plan.OpCalcVV, plan.OpCalcSV, plan.OpCalcSSV:
 			s.outBuf[i] = bufCol

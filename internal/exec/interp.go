@@ -317,7 +317,8 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 
 	case plan.OpLikeSelect:
 		aux := in.Aux.(plan.LikeAux)
-		oids, w := algebra.SelectLike(args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
+		oids, w := algebra.SelectLikeInto(j.oidBufIn(idx, args[0].Col.Len()/8+1), args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
+		j.oidBufOut(idx, oids)
 		return append(dst, OidsValue(oids)), w, nil
 
 	case plan.OpFetch:

@@ -1,7 +1,9 @@
 package vec
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +187,51 @@ func TestDictMatch(t *testing.T) {
 	if !pre[promo] || !pre[promo2] || pre[std] {
 		t.Fatalf("MatchPrefix = %v", pre)
 	}
+}
+
+// The LIKE memo: a repeated question is answered from the same bitmap, the two
+// match kinds of one pattern do not collide, growing the dictionary
+// invalidates (a bitmap must cover every assigned code), the memo stays
+// bounded, and concurrent askers (partition clones, shards) are safe.
+func TestDictMatchMemo(t *testing.T) {
+	d := NewDict()
+	ab, ba := d.Code("ab"), d.Code("ba")
+	sub := d.MatchSubstring("a")
+	if again := d.MatchSubstring("a"); &again[0] != &sub[0] {
+		t.Fatal("repeated MatchSubstring recomputed the bitmap")
+	}
+	pre := d.MatchPrefix("a")
+	if !sub[ab] || !sub[ba] || !pre[ab] || pre[ba] {
+		t.Fatalf("substring %v / prefix %v bitmaps collided", sub, pre)
+	}
+
+	ca := d.Code("ca")
+	grown := d.MatchSubstring("a")
+	if len(grown) != d.Len() || !grown[ca] || len(sub) != 2 {
+		t.Fatalf("bitmap after growth = %v (old %v), want one covering %d codes", grown, sub, d.Len())
+	}
+
+	for i := 0; i < 4*maxMatchMemo; i++ {
+		d.MatchSubstring(fmt.Sprint(i))
+	}
+	if len(d.matches) > maxMatchMemo {
+		t.Fatalf("memo holds %d bitmaps, bound is %d", len(d.matches), maxMatchMemo)
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if m := d.MatchPrefix("b"); m[ab] || !m[ba] || m[ca] {
+					t.Errorf("concurrent MatchPrefix = %v", m)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDictCodedVectorStrings(t *testing.T) {
