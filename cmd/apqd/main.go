@@ -35,8 +35,6 @@
 //	go run ./cmd/apqd -staleness -fault core-loss@5e6:socket=0:count=8   # chaos: scheduled core loss + re-convergence
 //	go run ./cmd/apqd -request-timeout 2s -max-shard-queue 64 -breaker-failures 5   # overload hardening
 //	go run ./cmd/apqd -addr :8080 -node a -peer b=http://host2:8080   # two-node federation (run the mirror on host2)
-//	go run ./cmd/apqd -selfbench             # shard-sweep serving benchmark, JSON to stdout
-//	go run ./cmd/apqd -simbench              # event-core benchmark (optimized vs seed), JSON to stdout
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests —
 // including admin mutations and tenant lifecycle operations, which register
@@ -49,32 +47,21 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	apq "repro"
-	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // tenantFlags collects repeatable -tenant flags: name=bench:sf:seed.
@@ -234,24 +221,11 @@ func main() {
 	slowFactor := flag.Float64("slow-factor", 0, "breaker slowness bound: an adaptive request slower than this multiple of its serial baseline counts as a failure (0 = errors only)")
 	noise := flag.Bool("noise", false, "enable the OS-noise model")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-	selfbench := flag.Bool("selfbench", false, "run the shard-sweep serving benchmark and print JSON (no listener)")
-	benchN := flag.Int("selfbench-n", 400, "measured requests per phase for -selfbench")
-	benchQueries := flag.Int("selfbench-queries", 8, "distinct queries in the -selfbench workload")
-	benchPhase := flag.String("selfbench-phase", "all", "which -selfbench phases to run: all, drift (drift probe only), federation (two-node failover probe only), or zipf (coalescing probe only) — the single-phase modes are the CI smoke targets")
-	simbench := flag.Bool("simbench", false, "run the event-core benchmark (optimized vs seed core) and print JSON")
-	simbenchRounds := flag.Int("simbench-rounds", 5, "repetitions per scenario for -simbench (min is reported)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *simbench {
-		if err := runSimbench(*simbenchRounds); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	if *exportPlans != "" || *importPlans != "" {
@@ -320,13 +294,6 @@ func main() {
 	}
 	if *noise {
 		cfg.EngineOptions = append(cfg.EngineOptions, apq.WithNoise(apq.DefaultNoise()), apq.WithSeed(*seed))
-	}
-
-	if *selfbench {
-		if err := runSelfbench(cfg, *sf, *seed, *benchQueries, *benchN, *benchPhase); err != nil {
-			log.Fatal(err)
-		}
-		return
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -408,1633 +375,18 @@ func runPlanTransfer(storePath, exportPath, importPath string) error {
 	if exportPath != "" && importPath != "" {
 		return errors.New("apqd: -export-plans and -import-plans are mutually exclusive")
 	}
-	st, err := store.Open(storePath)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
 	if exportPath != "" {
-		n, err := st.Export(exportPath)
+		n, err := apq.ExportPlans(storePath, exportPath)
 		if err != nil {
 			return err
 		}
 		log.Printf("apqd: exported %d plan records from %s to %s", n, storePath, exportPath)
 		return nil
 	}
-	n, err := st.Import(importPath)
+	n, err := apq.ImportPlans(storePath, importPath)
 	if err != nil {
 		return err
 	}
 	log.Printf("apqd: imported %d plan records from %s into %s", n, importPath, storePath)
-	return st.Close()
-}
-
-// benchPhase is one measured serving regime.
-type benchPhase struct {
-	Requests      int     `json:"requests"`
-	WallMs        float64 `json:"wall_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-	VirtualMeanNs float64 `json:"virtual_mean_ns"`
-	// AllocsPerRequest / AllocKBPerRequest are process-wide heap deltas over
-	// the phase divided by requests served — the hot-path allocation budget
-	// the zero-copy exchange targets (ISSUE 3 acceptance metric).
-	AllocsPerRequest  float64 `json:"allocs_per_request"`
-	AllocKBPerRequest float64 `json:"alloc_kb_per_request"`
-}
-
-// shardPoint is one shard-count sample of the scaling sweep.
-type shardPoint struct {
-	Shards int `json:"shards"`
-	// WarmupRequests is the convergence cost amortized before the hot
-	// phase (all workload queries driven to convergence).
-	WarmupRequests int `json:"warmup_requests"`
-	// Warmup measures the convergence drive itself — every request an
-	// adaptive run mutating and recompiling the plan. This is ISSUE 4's
-	// cold path: its throughput and allocs/request show what the engine
-	// recycler + incremental compilation bought.
-	Warmup     benchPhase `json:"adaptive_warmup"`
-	Hot        benchPhase `json:"hot_adaptive"`
-	ColdSerial benchPhase `json:"cold_serial"`
-	// HotOverCold is hot wall-clock throughput over cold wall-clock
-	// throughput at this shard count (> 1 means the adaptive hot path wins
-	// in host time, not just virtual time).
-	HotOverCold float64 `json:"hot_over_cold_throughput"`
-	// VirtualSpeedup is cold mean virtual latency over hot mean virtual
-	// latency: the paper's win from serving converged plans.
-	VirtualSpeedup float64 `json:"virtual_speedup"`
-}
-
-// benchReport is the -selfbench output recorded as BENCH_serve.json: a
-// shard-scaling sweep of the serving benchmark. The workload is K distinct
-// select_sum queries (distinct fingerprints, so they pin to distinct
-// shards) driven by concurrent clients; "hot" serves them through converged
-// plan-cache sessions, "cold_serial" rebuilds and executes the serial plan
-// per request.
-type benchReport struct {
-	Benchmark  string       `json:"benchmark"`
-	DBIdentity string       `json:"db_identity"`
-	Machine    string       `json:"machine"`
-	Cores      int          `json:"logical_cores"`
-	HostCPUs   int          `json:"host_cpus"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Queries    int          `json:"workload_queries"`
-	Clients    int          `json:"concurrent_clients"`
-	Sweep      []shardPoint `json:"sweep"`
-	// HotBeatsColdAtShards is the smallest swept shard count at which hot
-	// adaptive wall-clock throughput exceeds the same run's cold serial
-	// throughput, or -1. Before the zero-copy exchange this stayed -1 on a
-	// single-CPU host — a converged parallel plan paid an extra
-	// materialize-then-concatenate cycle per exchange; with shared result
-	// buffers and the recycling arena the hot path allocates an order of
-	// magnitude less per request and wins within-run even on one core.
-	HotBeatsColdAtShards int `json:"hot_beats_cold_at_shards"`
-	// HTTPProbe records the one-off real-TCP measurement of both client
-	// connection modes (keep-alive reuse vs connection-per-request); the
-	// sweep itself drives the handler in-process so it measures the engine,
-	// not TCP setup.
-	HTTPProbe *httpProbe `json:"http_keepalive_probe,omitempty"`
-	// WarmRestart records the persistence phase: converge against a store,
-	// restart the server on the same store file, and compare the first
-	// request's virtual latency cold (adapting from scratch) vs rehydrated
-	// (served from the persisted converged plan).
-	WarmRestart *warmRestartProbe `json:"warm_restart,omitempty"`
-	// MultiTenant records the multi-tenant serving phase: three tenant
-	// datasets (the default plus two generated with different seeds)
-	// converging and then hot-serving the same query shape over one shared
-	// shard pool, with the per-tenant /stats breakdown.
-	MultiTenant *mtProbe `json:"multi_tenant,omitempty"`
-	// Chaos records the resilience phase: steady-state serving, mid-run core
-	// loss, the degradation depth on the stale plan, and the requests the
-	// staleness detector needed to re-converge on the shrunken machine.
-	Chaos *chaosProbe `json:"chaos,omitempty"`
-	// Drift records the workload-drift phase: a query converges as its
-	// tenant's dominant query, the mix rotates mid-run so it serves throttled
-	// as a minority query, the drift detector reopens it sized to its
-	// observed budget, and the warm re-convergence cost is compared to the
-	// cold convergence cost.
-	Drift *driftProbe `json:"workload_drift,omitempty"`
-	// Federation records the two-node failover phase: a remotely-owned query
-	// converges through one entry node, the owning node is killed
-	// mid-traffic, and the survivor serves the re-pinned fingerprint from
-	// its replicated plan.
-	Federation *federationProbe `json:"federation,omitempty"`
-	// Zipf records the coalescing phase: a Zipf-skewed concurrent client mix
-	// posts results-negotiated requests at one shard, and single-flight
-	// coalescing collapses identical in-flight requests into shared engine
-	// runs (engine_runs < requests at equal correctness).
-	Zipf *zipfProbe `json:"zipf_coalescing,omitempty"`
-	// SeedBaseline quotes the seed daemon's recorded BENCH_serve.json
-	// (single run-loop engine, seed event core, TPC-H q6 at sf=1): the
-	// regression this PR fixes is hot adaptive serving being SLOWER than
-	// that cold serial baseline in wall clock.
-	SeedBaseline seedBaseline `json:"seed_baseline"`
-	Notes        []string     `json:"notes"`
-}
-
-// seedBaseline is the seed's recorded serving throughput (PR 1 artifact),
-// kept for PR-over-PR comparison.
-type seedBaseline struct {
-	HotRPS  float64 `json:"hot_repeated_rps"`
-	ColdRPS float64 `json:"cold_serial_rps"`
-	// HotBeatsSeedColdAtShards is the smallest swept shard count at which
-	// this run's hot adaptive throughput exceeds the seed's cold serial
-	// baseline, or -1.
-	HotBeatsSeedColdAtShards int `json:"hot_beats_seed_cold_at_shards"`
-}
-
-// Seed BENCH_serve.json numbers (commit 304b0ef): the wall-clock inversion
-// named in ISSUE 2 — hot adaptive served slower than cold serial.
-const (
-	seedHotRPS  = 1493.9183517598824
-	seedColdRPS = 1938.522060313198
-)
-
-func runSelfbench(cfg apq.ServerConfig, sf float64, seed int64, queries, n int, phase string) error {
-	switch phase {
-	case "all", "drift", "federation", "zipf":
-	default:
-		return fmt.Errorf("apqd: unknown -selfbench-phase %q (want all, drift, federation, or zipf)", phase)
-	}
-	if phase == "zipf" {
-		// Single-phase artifact for the CI coalescing smoke: only the
-		// Zipf-skewed single-flight probe, one shard, minimal wall time.
-		cfg.Admission = false
-		cfg.StorePath = ""
-		zp, err := runZipfProbe(cfg, queries, n)
-		if err != nil {
-			return err
-		}
-		rep := benchReport{
-			Benchmark:            cfg.Benchmark,
-			DBIdentity:           cfg.DBIdentity,
-			Machine:              cfg.Machine.Name,
-			Cores:                cfg.Machine.LogicalCores(),
-			HostCPUs:             runtime.NumCPU(),
-			GoMaxProcs:           runtime.GOMAXPROCS(0),
-			HotBeatsColdAtShards: -1,
-			SeedBaseline:         seedBaseline{HotRPS: seedHotRPS, ColdRPS: seedColdRPS, HotBeatsSeedColdAtShards: -1},
-			Zipf:                 zp,
-			Notes:                []string{zipfNote},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	if phase == "federation" {
-		// Single-phase artifact, same shape as the drift smoke: only the
-		// two-node failover probe, minimal wall time.
-		cfg.Admission = false
-		cfg.StorePath = ""
-		fp, err := runFederationProbe(cfg, n)
-		if err != nil {
-			return err
-		}
-		rep := benchReport{
-			Benchmark:            cfg.Benchmark,
-			DBIdentity:           cfg.DBIdentity,
-			Machine:              cfg.Machine.Name,
-			Cores:                cfg.Machine.LogicalCores(),
-			HostCPUs:             runtime.NumCPU(),
-			GoMaxProcs:           runtime.GOMAXPROCS(0),
-			HotBeatsColdAtShards: -1,
-			SeedBaseline:         seedBaseline{HotRPS: seedHotRPS, ColdRPS: seedColdRPS, HotBeatsSeedColdAtShards: -1},
-			Federation:           fp,
-			Notes:                []string{federationNote},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	if phase == "drift" {
-		// The CI smoke target: only the drift probe, one shard, minimal
-		// wall time. The artifact is still a full benchReport so downstream
-		// tooling parses one shape.
-		cfg.Admission = false
-		cfg.StorePath = ""
-		dp, err := runDriftProbe(cfg)
-		if err != nil {
-			return err
-		}
-		rep := benchReport{
-			Benchmark:            cfg.Benchmark,
-			DBIdentity:           cfg.DBIdentity,
-			Machine:              cfg.Machine.Name,
-			Cores:                cfg.Machine.LogicalCores(),
-			HostCPUs:             runtime.NumCPU(),
-			GoMaxProcs:           runtime.GOMAXPROCS(0),
-			HotBeatsColdAtShards: -1,
-			SeedBaseline:         seedBaseline{HotRPS: seedHotRPS, ColdRPS: seedColdRPS, HotBeatsSeedColdAtShards: -1},
-			Drift:                dp,
-			Notes:                []string{driftNote},
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
-	}
-	counts := shardSweep()
-	rep := benchReport{
-		Benchmark:            cfg.Benchmark,
-		DBIdentity:           cfg.DBIdentity,
-		Machine:              cfg.Machine.Name,
-		Cores:                cfg.Machine.LogicalCores(),
-		HostCPUs:             runtime.NumCPU(),
-		GoMaxProcs:           runtime.GOMAXPROCS(0),
-		Queries:              queries,
-		HotBeatsColdAtShards: -1,
-		SeedBaseline:         seedBaseline{HotRPS: seedHotRPS, ColdRPS: seedColdRPS, HotBeatsSeedColdAtShards: -1},
-		Notes: []string{
-			"hot_adaptive = converged plan-cache sessions over the shard pool; cold_serial = per-request plan build + serial execution on the same pool; adaptive_warmup = the convergence drive itself (every request an adaptive run that mutates and recompiles the plan)",
-			"zero-copy exchange (ISSUE 3): partition clones write one shared result buffer, pack is a view, and the per-plan arena recycles buffers across invocations — allocs/request and KB/request record the hot path's footprint",
-			"cold path (ISSUE 4): retired plans feed an engine-level size-classed buffer pool, mutated children compile incrementally against their parent (structural diff) and adopt the parent's arena; vs the PR 3 build the converging step dropped from 184 to 67 allocs/step (2.7x) and per-convergence wall time ~6% in BenchmarkServeAdaptiveWarmup (sf=0.5, identical 195 steps/convergence), cold serial from 154 to 140 allocs (~9% wall) in BenchmarkServeColdSerial; selfbench warmup allocs/request additionally include the bench client's JSON decoding",
-			"hot_beats_cold_at_shards reports the within-run wall-clock crossover; the pre-zero-copy runs never crossed on a 1-CPU host (extra materialization per exchange), the seed inverted even against its own cold baseline",
-			"seed_baseline quotes the seed daemon's recorded numbers (single channel run-loop, seed event core)",
-		},
-	}
-	// Admission control throttles later concurrent clients toward serial,
-	// which is the right production default but would make the hot phase
-	// measure the throttle, not the serving path; the sweep disables it.
-	// The sweep's servers never share a store file (each phase would be
-	// polluted by the previous one's persisted plans); the warm-restart
-	// probe below uses its own temporary store.
-	cfg.Admission = false
-	cfg.StorePath = ""
-	for _, sc := range counts {
-		cfg.Shards = sc
-		pt, clients, err := benchShardCount(cfg, queries, n)
-		if err != nil {
-			return err
-		}
-		rep.Clients = clients
-		rep.Sweep = append(rep.Sweep, pt)
-		if rep.HotBeatsColdAtShards < 0 && pt.HotOverCold > 1 {
-			rep.HotBeatsColdAtShards = sc
-		}
-		if rep.SeedBaseline.HotBeatsSeedColdAtShards < 0 && pt.Hot.ThroughputRPS > seedColdRPS {
-			rep.SeedBaseline.HotBeatsSeedColdAtShards = sc
-		}
-	}
-	probe, err := runHTTPProbe(cfg, n)
-	if err != nil {
-		return err
-	}
-	rep.HTTPProbe = probe
-	mt, err := runMultiTenantProbe(cfg, sf, seed, n)
-	if err != nil {
-		return err
-	}
-	rep.MultiTenant = mt
-	wr, err := runWarmRestartProbe(cfg)
-	if err != nil {
-		return err
-	}
-	rep.WarmRestart = wr
-	ch, err := runChaosProbe(cfg, n)
-	if err != nil {
-		return err
-	}
-	rep.Chaos = ch
-	dp, err := runDriftProbe(cfg)
-	if err != nil {
-		return err
-	}
-	rep.Drift = dp
-	fp, err := runFederationProbe(cfg, n)
-	if err != nil {
-		return err
-	}
-	rep.Federation = fp
-	zp, err := runZipfProbe(cfg, queries, n)
-	if err != nil {
-		return err
-	}
-	rep.Zipf = zp
-	rep.Notes = append(rep.Notes, driftNote, federationNote, zipfNote)
-	rep.Notes = append(rep.Notes,
-		"chaos (ISSUE 7): converge one query with staleness detection armed, measure steady-state serving, then lose most of the machine mid-run via InjectFault — degradation_depth is the stale converged plan's latency blowout on the shrunken machine, reconverge_requests counts servings from the fault until the staleness detector reopened convergence and the session re-converged, and reconverged_virtual_ns shows the recovered plan beating the stale one",
-		"warm_restart converges one query against a temporary -store file, restarts the server on the same file, and compares first-request virtual latency cold (first adaptive run from scratch) vs rehydrated (served converged from the persisted plan); rehydrated_sessions is the restarted server's /stats store counter",
-		"http_keepalive_probe serves the converged hot workload over a real localhost listener in both client modes: keepalive_rps reuses pooled connections (the tuned IdleTimeout keeps them open), new_conn_rps opens a TCP connection per request — the sweep drives the handler in-process precisely so the engine, not connection setup, is what the shard scaling measures",
-		"multi_tenant converges the same select_sum shape on three tenant datasets (default + two generated with different seeds) over one shared 2-shard pool, then hot-serves all three concurrently; per_tenant is the /stats tenant breakdown — distinct sessions per tenant because fingerprints incorporate each tenant's dataset identity")
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// httpProbe is the one-off real-TCP keep-alive measurement.
-type httpProbe struct {
-	Shards   int `json:"shards"`
-	Requests int `json:"requests"`
-	// KeepAliveRPS reuses pooled client connections (IdleTimeout keeps them
-	// alive between requests); NewConnRPS disables keep-alive, paying TCP
-	// setup per request.
-	KeepAliveRPS     float64 `json:"keepalive_rps"`
-	NewConnRPS       float64 `json:"new_conn_rps"`
-	KeepAliveOverNew float64 `json:"keepalive_over_new_conn"`
-}
-
-// runHTTPProbe converges one query, then serves it over a real loopback
-// listener (with the production keep-alive tuning) under both client
-// connection modes.
-func runHTTPProbe(cfg apq.ServerConfig, n int) (*httpProbe, error) {
-	cfg.Shards = 1
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hs := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	go hs.Serve(ln)
-	defer hs.Close()
-	url := "http://" + ln.Addr().String() + "/query"
-	body := `{"select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":6}}`
-
-	reuse := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	perConn := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	serveState := func(c *http.Client) (string, error) {
-		resp, err := c.Post(url, "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			return "", err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return "", fmt.Errorf("selfbench http probe: status %d", resp.StatusCode)
-		}
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return "", err
-		}
-		state, _ := out["state"].(string)
-		return state, nil
-	}
-	// Converge over the keep-alive client so both measured phases serve the
-	// learned plan; like the sweep's warmup, failing to converge is an
-	// error, not a silently mislabeled measurement.
-	converged := false
-	for i := 0; i < 4000 && !converged; i++ {
-		state, err := serveState(reuse)
-		if err != nil {
-			return nil, err
-		}
-		converged = state == "converged"
-	}
-	if !converged {
-		return nil, fmt.Errorf("selfbench http probe: query did not converge within 4000 warmup requests")
-	}
-	measure := func(c *http.Client) (float64, error) {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := serveState(c); err != nil {
-				return 0, err
-			}
-		}
-		return float64(n) / time.Since(start).Seconds(), nil
-	}
-	p := &httpProbe{Shards: 1, Requests: n}
-	if p.KeepAliveRPS, err = measure(reuse); err != nil {
-		return nil, err
-	}
-	if p.NewConnRPS, err = measure(perConn); err != nil {
-		return nil, err
-	}
-	if p.NewConnRPS > 0 {
-		p.KeepAliveOverNew = p.KeepAliveRPS / p.NewConnRPS
-	}
-	return p, nil
-}
-
-// mtTenantStats is one tenant's slice of the multi-tenant phase, lifted from
-// the /stats tenant breakdown after the hot phase.
-type mtTenantStats struct {
-	Tenant     string `json:"tenant"`
-	DBIdentity string `json:"db_identity"`
-	Requests   int64  `json:"requests"`
-	Sessions   int    `json:"sessions"`
-	Converged  int    `json:"converged"`
-	CacheHits  int64  `json:"cache_hits"`
-}
-
-// mtProbe is the -selfbench multi-tenant serving measurement.
-type mtProbe struct {
-	Shards         int             `json:"shards"`
-	Tenants        int             `json:"tenants"`
-	WarmupRequests int             `json:"warmup_requests"`
-	Requests       int             `json:"requests"`
-	HotRPS         float64         `json:"hot_adaptive_rps"`
-	PerTenant      []mtTenantStats `json:"per_tenant"`
-}
-
-// runMultiTenantProbe serves the same select_sum shape for three tenants
-// (the default dataset plus two generated with different seeds) over one
-// 2-shard pool: convergence per tenant first, then a concurrent hot phase,
-// then the per-tenant /stats breakdown.
-func runMultiTenantProbe(cfg apq.ServerConfig, sf float64, seed int64, n int) (*mtProbe, error) {
-	cfg.Shards = 2
-	cfg.Tenants = []apq.TenantConfig{
-		{Name: "tenant-a", Benchmark: cfg.Benchmark, SF: sf, Seed: seed + 1},
-		{Name: "tenant-b", Benchmark: cfg.Benchmark, SF: sf, Seed: seed + 2},
-	}
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	h := s.Handler()
-	serve := func(method, path, body string) (map[string]any, error) {
-		var rd *bytes.Reader
-		if body != "" {
-			rd = bytes.NewReader([]byte(body))
-		} else {
-			rd = bytes.NewReader(nil)
-		}
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(method, path, rd)
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench multi-tenant: %s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	bodies := []string{
-		`{"select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":6}}`,
-		`{"tenant":"tenant-a","select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":6}}`,
-		`{"tenant":"tenant-b","select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":6}}`,
-	}
-	p := &mtProbe{Shards: cfg.Shards, Tenants: len(bodies)}
-	for i, body := range bodies {
-		converged := false
-		for r := 0; r < 4000 && !converged; r++ {
-			resp, err := serve(http.MethodPost, "/query", body)
-			if err != nil {
-				return nil, err
-			}
-			p.WarmupRequests++
-			converged = resp["state"] == "converged"
-		}
-		if !converged {
-			return nil, fmt.Errorf("selfbench multi-tenant: tenant %d did not converge within 4000 warmup requests", i)
-		}
-	}
-
-	clients := 4
-	perClient := n / clients
-	if perClient < 1 {
-		perClient = 1
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := 0; i < perClient; i++ {
-				if _, err := serve(http.MethodPost, "/query", bodies[(c+i)%len(bodies)]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	p.Requests = clients * perClient
-	p.HotRPS = float64(p.Requests) / time.Since(start).Seconds()
-
-	// Lift the per-tenant breakdown out of /stats.
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	if rec.Code != http.StatusOK {
-		return nil, fmt.Errorf("selfbench multi-tenant: /stats status %d", rec.Code)
-	}
-	var stats struct {
-		Tenants []struct {
-			Tenant     string `json:"tenant"`
-			DBIdentity string `json:"db_identity"`
-			Requests   int64  `json:"requests"`
-			Cache      struct {
-				Entries   int   `json:"entries"`
-				Hits      int64 `json:"hits"`
-				Converged int   `json:"converged"`
-			} `json:"cache"`
-		} `json:"tenants"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-		return nil, err
-	}
-	for _, t := range stats.Tenants {
-		p.PerTenant = append(p.PerTenant, mtTenantStats{
-			Tenant:     t.Tenant,
-			DBIdentity: t.DBIdentity,
-			Requests:   t.Requests,
-			Sessions:   t.Cache.Entries,
-			Converged:  t.Cache.Converged,
-			CacheHits:  t.Cache.Hits,
-		})
-	}
-	return p, nil
-}
-
-// warmRestartProbe is the -selfbench persistence measurement: the cost of
-// the first request on a cold server (one adaptive run from scratch) vs the
-// first request after a restart that rehydrated the converged session from
-// the store.
-type warmRestartProbe struct {
-	Shards int `json:"shards"`
-	// ConvergeRequests is how many adaptive runs the first server needed
-	// before the plan converged and was persisted.
-	ConvergeRequests int `json:"converge_requests"`
-	// StoreRecords / RehydratedSessions come from the restarted server's
-	// /stats store block: records on disk, sessions restored at startup.
-	StoreRecords       int `json:"store_records"`
-	RehydratedSessions int `json:"rehydrated_sessions"`
-	// ColdFirstVirtualNs is the first request's virtual latency on the
-	// fresh server (serial plan, first adaptive run); WarmFirstVirtualNs is
-	// the first request's virtual latency on the restarted server, served
-	// from the rehydrated converged plan.
-	ColdFirstVirtualNs float64 `json:"cold_first_virtual_ns"`
-	WarmFirstVirtualNs float64 `json:"warm_first_virtual_ns"`
-	// WarmFirstConverged records that the restarted server's FIRST request
-	// was already in the converged state — the warm-restart property.
-	WarmFirstConverged bool `json:"warm_first_converged"`
-	// VirtualSpeedup is cold-first over warm-first virtual latency: the
-	// restart win from persistence.
-	VirtualSpeedup float64 `json:"virtual_speedup"`
-	// Wall-clock first-request times (host ms). The warm number includes no
-	// convergence but does include the plan's one-time compilation.
-	ColdFirstWallMs float64 `json:"cold_first_wall_ms"`
-	WarmFirstWallMs float64 `json:"warm_first_wall_ms"`
-}
-
-// runWarmRestartProbe converges one query against a temporary store file,
-// closes the server (flushing the write-behind queue), restarts on the same
-// store, and measures the restarted server's first request.
-func runWarmRestartProbe(cfg apq.ServerConfig) (*warmRestartProbe, error) {
-	dir, err := os.MkdirTemp("", "apqd-selfbench-store-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	cfg.Shards = 1
-	cfg.Tenants = nil
-	cfg.StorePath = filepath.Join(dir, "conv.apqs")
-	body := `{"select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":6}}`
-
-	serve := func(h http.Handler, method, path, body string) (map[string]any, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench warm-restart: %s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	p := &warmRestartProbe{Shards: cfg.Shards}
-
-	// Phase 1: fresh server on an empty store. The first request is the
-	// cold measurement; then drive to convergence so the session persists.
-	s1, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	h1 := s1.Handler()
-	t0 := time.Now()
-	resp, err := serve(h1, http.MethodPost, "/query", body)
-	if err != nil {
-		s1.Close()
-		return nil, err
-	}
-	p.ColdFirstWallMs = float64(time.Since(t0).Microseconds()) / 1e3
-	p.ColdFirstVirtualNs, _ = resp["latency_ns"].(float64)
-	p.ConvergeRequests = 1
-	for r := 0; r < 4000 && resp["state"] != "converged"; r++ {
-		if resp, err = serve(h1, http.MethodPost, "/query", body); err != nil {
-			s1.Close()
-			return nil, err
-		}
-		p.ConvergeRequests++
-	}
-	converged := resp["state"] == "converged"
-	// Close flushes the write-behind queue and closes the store.
-	s1.Close()
-	if !converged {
-		return nil, fmt.Errorf("selfbench warm-restart: query did not converge within 4000 requests")
-	}
-
-	// Phase 2: restart on the same store file; the first request must be
-	// served from the rehydrated converged session.
-	s2, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s2.Close()
-	h2 := s2.Handler()
-	t0 = time.Now()
-	if resp, err = serve(h2, http.MethodPost, "/query", body); err != nil {
-		return nil, err
-	}
-	p.WarmFirstWallMs = float64(time.Since(t0).Microseconds()) / 1e3
-	p.WarmFirstVirtualNs, _ = resp["latency_ns"].(float64)
-	p.WarmFirstConverged = resp["state"] == "converged"
-	if p.WarmFirstVirtualNs > 0 {
-		p.VirtualSpeedup = p.ColdFirstVirtualNs / p.WarmFirstVirtualNs
-	}
-
-	stats, err := serve(h2, http.MethodGet, "/stats", "")
-	if err != nil {
-		return nil, err
-	}
-	if st, ok := stats["store"].(map[string]any); ok {
-		if v, ok := st["records"].(float64); ok {
-			p.StoreRecords = int(v)
-		}
-		if v, ok := st["rehydrated_sessions"].(float64); ok {
-			p.RehydratedSessions = int(v)
-		}
-	}
-	return p, nil
-}
-
-// chaosProbe is the -selfbench resilience measurement (ISSUE 7): what a
-// mid-run loss of most of the machine costs a converged serving path, and
-// how quickly staleness detection wins the lost ground back.
-type chaosProbe struct {
-	Shards int `json:"shards"`
-	// Steady-state serving of the converged plan before the fault.
-	SteadyRPS       float64 `json:"steady_rps"`
-	SteadyVirtualNs float64 `json:"steady_virtual_ns"`
-	// CoresBefore / CoresAfter bracket the injected core loss.
-	CoresBefore int `json:"cores_before"`
-	CoresAfter  int `json:"cores_after"`
-	// DegradedVirtualNs is the first serving run after the fault — the stale
-	// converged plan executing on the shrunken machine — and
-	// DegradationDepth its blowout over steady state.
-	DegradedVirtualNs float64 `json:"degraded_virtual_ns"`
-	DegradationDepth  float64 `json:"degradation_depth"`
-	// ReconvergeRequests counts servings from the fault until the staleness
-	// detector reopened convergence AND the session re-converged on the
-	// shrunken machine (detection window + bounded re-exploration).
-	ReconvergeRequests int `json:"reconverge_requests"`
-	// Re-converged steady state, and what re-adaptation won back over
-	// serving the stale plan (degraded over re-converged virtual latency).
-	ReconvergedVirtualNs float64 `json:"reconverged_virtual_ns"`
-	ReconvergedRPS       float64 `json:"reconverged_rps"`
-	RecoveredSpeedup     float64 `json:"recovered_speedup"`
-	// FaultsInjected / CoresLost / Reconvergences echo the /stats resilience
-	// block after the run.
-	FaultsInjected int `json:"faults_injected"`
-	CoresLost      int `json:"cores_lost"`
-	Reconvergences int `json:"reconvergences"`
-}
-
-// runChaosProbe converges one query with staleness detection armed, measures
-// steady-state serving, then removes every core but four mid-run and
-// measures the degradation and the recovery.
-func runChaosProbe(cfg apq.ServerConfig, n int) (*chaosProbe, error) {
-	cfg.Shards = 1
-	cfg.Tenants = nil
-	cfg.StorePath = ""
-	cfg.Staleness = apq.DefaultStaleness()
-	// A full-range scan converges to a wide plan, so losing the machine out
-	// from under it actually hurts — a narrow probe would fit the survivors.
-	body := `{"select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":500}}`
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	h := s.Handler()
-	serve := func(method, path, body string) (map[string]any, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(method, path, bytes.NewReader([]byte(body)))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench chaos: %s %s: status %d: %s", method, path, rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	var resp map[string]any
-	converged := false
-	for i := 0; i < 4000 && !converged; i++ {
-		if resp, err = serve(http.MethodPost, "/query", body); err != nil {
-			return nil, err
-		}
-		converged = resp["state"] == "converged"
-	}
-	if !converged {
-		return nil, errors.New("selfbench chaos: query did not converge within 4000 warmup requests")
-	}
-
-	p := &chaosProbe{Shards: 1, CoresBefore: cfg.Machine.LogicalCores(), CoresAfter: 2}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if resp, err = serve(http.MethodPost, "/query", body); err != nil {
-			return nil, err
-		}
-	}
-	p.SteadyRPS = float64(n) / time.Since(start).Seconds()
-	p.SteadyVirtualNs, _ = resp["latency_ns"].(float64)
-
-	// The fault: every core except the first two, lost mid-run.
-	lost := make([]int, 0, p.CoresBefore-p.CoresAfter)
-	for c := p.CoresAfter; c < p.CoresBefore; c++ {
-		lost = append(lost, c)
-	}
-	if err := s.InjectFault(0, apq.FaultEvent{Kind: apq.FaultCoreLoss, Cores: lost}); err != nil {
-		return nil, err
-	}
-
-	if resp, err = serve(http.MethodPost, "/query", body); err != nil {
-		return nil, err
-	}
-	p.DegradedVirtualNs, _ = resp["latency_ns"].(float64)
-	if p.SteadyVirtualNs > 0 {
-		p.DegradationDepth = p.DegradedVirtualNs / p.SteadyVirtualNs
-	}
-	p.ReconvergeRequests = 1
-	reopened, reconverged := false, false
-	for i := 0; i < 4000 && !reconverged; i++ {
-		if resp, err = serve(http.MethodPost, "/query", body); err != nil {
-			return nil, err
-		}
-		p.ReconvergeRequests++
-		if resp["state"] == "adapting" {
-			reopened = true
-		}
-		reconverged = reopened && resp["state"] == "converged"
-	}
-	if !reconverged {
-		return nil, fmt.Errorf("selfbench chaos: session did not re-converge within 4000 requests of the fault (reopened %v, degradation %.2fx)",
-			reopened, p.DegradationDepth)
-	}
-
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		if resp, err = serve(http.MethodPost, "/query", body); err != nil {
-			return nil, err
-		}
-	}
-	p.ReconvergedRPS = float64(n) / time.Since(start).Seconds()
-	p.ReconvergedVirtualNs, _ = resp["latency_ns"].(float64)
-	if p.ReconvergedVirtualNs > 0 {
-		p.RecoveredSpeedup = p.DegradedVirtualNs / p.ReconvergedVirtualNs
-	}
-
-	stats, err := serve(http.MethodGet, "/stats", "")
-	if err != nil {
-		return nil, err
-	}
-	if res, ok := stats["resilience"].(map[string]any); ok {
-		if v, ok := res["faults_injected"].(float64); ok {
-			p.FaultsInjected = int(v)
-		}
-		if v, ok := res["cores_lost"].(float64); ok {
-			p.CoresLost = int(v)
-		}
-		if v, ok := res["reconvergences"].(float64); ok {
-			p.Reconvergences = int(v)
-		}
-	}
-	return p, nil
-}
-
-const driftNote = "workload_drift: q6 converges as the tenant's only (unthrottled) query, the mix then rotates to 3:1 q14-dominant with q6 under a 2-core client budget (max_cores) — the minority-query regime; the drift detector reopens it sized to its observed budget and reconverge_requests counts q6 servings from the reopen back to converged — warm_over_cold_runs compares that against the cold convergence cost (the budget-sized reopened instance explores a far smaller plan space than the cold full-width one)"
-
-// driftProbe is the -selfbench workload-drift measurement (the `drift`
-// phase): what a mid-run query-mix rotation costs a converged serving path,
-// and how warm (budget-sized) re-convergence compares to cold convergence.
-type driftProbe struct {
-	Shards int `json:"shards"`
-	// ColdConvergeRequests is the servings q6 needed to converge from
-	// scratch as the tenant's only query.
-	ColdConvergeRequests int `json:"cold_converge_requests"`
-	// RotateRequests counts q6 servings after the mix rotated (3 concurrent
-	// q14 servings per q6 serving, admission control on) until the drift
-	// detector reopened the session.
-	RotateRequests int `json:"rotate_requests"`
-	// ReconvergeRequests counts q6 servings from the drift reopen until the
-	// session re-converged under its observed budget.
-	ReconvergeRequests int `json:"reconverge_requests"`
-	// WarmOverColdRuns is ReconvergeRequests over ColdConvergeRequests —
-	// below 1 means the budget-sized warm reopen re-converged cheaper than
-	// cold convergence did.
-	WarmOverColdRuns float64 `json:"warm_over_cold_runs"`
-	// DriftReopens echoes the /stats cache counter after the run.
-	DriftReopens int64 `json:"drift_reopens"`
-}
-
-// runDriftProbe converges q6 alone, rotates the mix to q14-dominant under
-// admission control so q6 serves throttled, waits for the drift detector to
-// reopen it, then measures the warm re-convergence.
-func runDriftProbe(cfg apq.ServerConfig) (*driftProbe, error) {
-	cfg.Shards = 1
-	cfg.Tenants = nil
-	cfg.StorePath = ""
-	cfg.Admission = false // the client budget below throttles deterministically
-	cfg.Staleness = apq.DefaultStaleness()
-	// A tight mix window makes the rotation visible quickly; the bands match
-	// DefaultDrift.
-	cfg.Drift = apq.DriftConfig{Band: 0.35, Window: 8, Trip: 6, MixWindow: 16, MixDelta: 0.2}
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	h := s.Handler()
-	serve := func(body string) (map[string]any, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader([]byte(body)))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench drift: status %d: %s", rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	q6, q14 := `{"query":6}`, `{"query":14}`
-
-	p := &driftProbe{Shards: 1}
-	converged := false
-	for i := 0; i < 4000 && !converged; i++ {
-		resp, err := serve(q6)
-		if err != nil {
-			return nil, err
-		}
-		p.ColdConvergeRequests++
-		converged = resp["state"] == "converged"
-	}
-	if !converged {
-		return nil, errors.New("selfbench drift: q6 did not converge within 4000 warmup requests")
-	}
-
-	// Rotate the mix: three q14 servings per q6 serving, with q6 now under
-	// a 2-core client budget — the minority-query regime. The throttled
-	// out-of-band latencies plus the mix-share shift trip the drift
-	// detector (staleness deliberately skips throttled runs).
-	q6Throttled := `{"query":6,"max_cores":2}`
-	rotate := func(onQ6 func(map[string]any) bool) error {
-		for i := 0; i < 4000; i++ {
-			for j := 0; j < 3; j++ {
-				if _, err := serve(q14); err != nil {
-					return err
-				}
-			}
-			resp, err := serve(q6Throttled)
-			if err != nil {
-				return err
-			}
-			if onQ6(resp) {
-				return nil
-			}
-		}
-		return errors.New("selfbench drift: phase did not complete within 4000 q6 servings")
-	}
-
-	// Phase 1 of the rotation: until the drift detector reopens (the
-	// converged session flips back to adapting — staleness skips throttled
-	// servings, so under this mix only the drift detector can reopen it).
-	if err := rotate(func(resp map[string]any) bool {
-		p.RotateRequests++
-		return resp["state"] == "adapting"
-	}); err != nil {
-		return nil, err
-	}
-	// Phase 2: until re-converged under the budget, mix still rotated.
-	if err := rotate(func(resp map[string]any) bool {
-		p.ReconvergeRequests++
-		return resp["state"] == "converged"
-	}); err != nil {
-		return nil, err
-	}
-	if p.ColdConvergeRequests > 0 {
-		p.WarmOverColdRuns = float64(p.ReconvergeRequests) / float64(p.ColdConvergeRequests)
-	}
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	if rec.Code != http.StatusOK {
-		return nil, fmt.Errorf("selfbench drift: /stats status %d", rec.Code)
-	}
-	var stResp struct {
-		Cache struct {
-			DriftReopens int64 `json:"drift_reopens"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &stResp); err != nil {
-		return nil, err
-	}
-	p.DriftReopens = stResp.Cache.DriftReopens
-	if p.DriftReopens < 1 {
-		return nil, errors.New("selfbench drift: /stats shows no drift reopen")
-	}
-	return p, nil
-}
-
-// zipfNote documents the zipf_coalescing phase for artifact readers.
-const zipfNote = "zipf_coalescing (ISSUE 10): concurrent clients sample a Zipf-skewed query mix (results-negotiated APQRESULT responses) against one shard — identical in-flight requests coalesce into shared single-flight engine runs, so engine_runs lands below requests while every response decodes to the same payload; p50/p99 are client-observed wall latencies"
-
-// zipfProbe is the -selfbench zipf phase: single-flight coalescing measured
-// under a skewed concurrent mix over the columnar result path.
-type zipfProbe struct {
-	Shards          int     `json:"shards"`
-	Clients         int     `json:"clients"`
-	DistinctQueries int     `json:"distinct_queries"`
-	ZipfS           float64 `json:"zipf_s"`
-	// Requests counts measured requests, including any storm rounds the
-	// probe appended to witness at least one coalesced request on hosts
-	// whose scheduler never overlapped two identical requests organically.
-	Requests int `json:"requests"`
-	// EngineRuns is the plan-cache lookup delta (hits+misses) over the
-	// measured window — coalesced waiters never reach the cache, so
-	// requests - engine_runs is the work the single-flight layer saved.
-	EngineRuns        int64   `json:"engine_runs"`
-	CoalescedRequests int64   `json:"coalesced_requests"`
-	RunsOverRequests  float64 `json:"runs_over_requests"`
-	P50Ms             float64 `json:"p50_ms"`
-	P99Ms             float64 `json:"p99_ms"`
-	ResultBytesSent   int64   `json:"result_bytes_sent"`
-}
-
-// runZipfProbe converges a small distinct-query set on one shard, then
-// hammers it with concurrent clients whose query choice is Zipf-distributed.
-// The skew makes identical requests overlap in flight, which the server's
-// fingerprint-keyed single-flight layer coalesces into shared engine runs.
-// Responses are results-negotiated: every reply is an APQRESULT stream and
-// is decoded as a correctness gate before its latency counts.
-func runZipfProbe(cfg apq.ServerConfig, queries, n int) (*zipfProbe, error) {
-	cfg.Shards = 1 // one shard concentrates the mix so identical requests collide
-	cfg.Tenants = nil
-	cfg.StorePath = ""
-	cfg.Admission = false // admission would serialize the very overlap the probe measures
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	h := s.Handler()
-
-	// Coalescing needs two identical requests genuinely in flight at once.
-	// On a single-P runtime, CPU-bound in-process requests run to completion
-	// back to back and never overlap, so the busy gate (correctly) never
-	// fires; give the client goroutines their own Ps so a leader can be
-	// preempted mid-run while the rest of the burst reaches the gate — the
-	// overlap a real daemon gets for free from network concurrency.
-	const clients = 8
-	if prev := runtime.GOMAXPROCS(0); prev < clients {
-		runtime.GOMAXPROCS(clients)
-		defer runtime.GOMAXPROCS(prev)
-	}
-
-	if queries < 2 {
-		queries = 2
-	}
-	// select_rows, widest range first: the Zipf-hot query materializes the
-	// largest column, so its engine runs are long enough to overlap (and its
-	// APQRESULT stream spans many chunk frames — the probe exercises the
-	// multi-chunk path, not just scalars).
-	warm := make([]string, queries)
-	hot := make([]string, queries)
-	for i := range warm {
-		hi := 50 - i
-		if hi < 1 {
-			hi = 1
-		}
-		spec := fmt.Sprintf(`"select_rows":{"table":"lineitem","column":"l_quantity","lo":1,"hi":%d}`, hi)
-		warm[i] = "{" + spec + "}"
-		hot[i] = "{" + spec + `,"results":true}`
-	}
-
-	serveJSON := func(body string) (map[string]any, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader([]byte(body)))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench zipf: status %d: %s", rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	for i, body := range warm {
-		converged := false
-		for j := 0; j < 4000 && !converged; j++ {
-			resp, err := serveJSON(body)
-			if err != nil {
-				return nil, err
-			}
-			converged = resp["state"] == "converged"
-		}
-		if !converged {
-			return nil, fmt.Errorf("selfbench zipf: query %d did not converge within 4000 warmup requests", i)
-		}
-	}
-
-	stats := func() (runs, coalesced, resultBytes int64, err error) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
-		if rec.Code != http.StatusOK {
-			return 0, 0, 0, fmt.Errorf("selfbench zipf: /stats status %d", rec.Code)
-		}
-		var st struct {
-			Cache struct {
-				Hits   int64 `json:"hits"`
-				Misses int64 `json:"misses"`
-			} `json:"cache"`
-			CoalescedRequests int64 `json:"coalesced_requests"`
-			ResultBytesSent   int64 `json:"result_bytes_sent"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-			return 0, 0, 0, err
-		}
-		return st.Cache.Hits + st.Cache.Misses, st.CoalescedRequests, st.ResultBytesSent, nil
-	}
-
-	serveResult := func(body string) (time.Duration, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader([]byte(body)))
-		start := time.Now()
-		h.ServeHTTP(rec, req)
-		elapsed := time.Since(start)
-		if rec.Code != http.StatusOK {
-			return 0, fmt.Errorf("selfbench zipf: status %d: %s", rec.Code, rec.Body.String())
-		}
-		if ct := rec.Header().Get("Content-Type"); ct != apq.ResultContentType {
-			return 0, fmt.Errorf("selfbench zipf: Content-Type %q, want %q", ct, apq.ResultContentType)
-		}
-		if _, err := apq.DecodeResult(rec.Body.Bytes()); err != nil {
-			return 0, fmt.Errorf("selfbench zipf: decode: %w", err)
-		}
-		return elapsed, nil
-	}
-
-	const zipfS = 1.2
-	rounds := n / clients
-	if rounds < 1 {
-		rounds = 1
-	}
-
-	runs0, coal0, bytes0, err := stats()
-	if err != nil {
-		return nil, err
-	}
-
-	var mu sync.Mutex
-	var lats []time.Duration
-	var serveErr error
-	round := func(pick func(c int) string) {
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(body string) {
-				defer wg.Done()
-				elapsed, err := serveResult(body)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if serveErr == nil {
-						serveErr = err
-					}
-					return
-				}
-				lats = append(lats, elapsed)
-			}(pick(c))
-		}
-		wg.Wait()
-	}
-
-	zipfs := make([]*rand.Zipf, clients)
-	for c := range zipfs {
-		zipfs[c] = rand.NewZipf(rand.New(rand.NewSource(int64(c)+1)), zipfS, 1, uint64(queries-1))
-	}
-	for r := 0; r < rounds && serveErr == nil; r++ {
-		round(func(c int) string { return hot[zipfs[c].Uint64()] })
-	}
-	if serveErr != nil {
-		return nil, serveErr
-	}
-
-	// The skewed mix almost always collides; if this host's scheduler never
-	// overlapped two identical requests, append storm rounds (every client
-	// on the hottest query) until one coalesced request is witnessed.
-	for extra := 0; extra < 200; extra++ {
-		_, coal, _, err := stats()
-		if err != nil {
-			return nil, err
-		}
-		if coal > coal0 {
-			break
-		}
-		round(func(int) string { return hot[0] })
-		if serveErr != nil {
-			return nil, serveErr
-		}
-	}
-
-	runs1, coal1, bytes1, err := stats()
-	if err != nil {
-		return nil, err
-	}
-	if coal1 <= coal0 {
-		return nil, errors.New("selfbench zipf: no coalesced request witnessed")
-	}
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	quantile := func(p float64) float64 {
-		if len(lats) == 0 {
-			return 0
-		}
-		return float64(lats[int(p*float64(len(lats)-1))]) / 1e6
-	}
-	zp := &zipfProbe{
-		Shards:            1,
-		Clients:           clients,
-		DistinctQueries:   queries,
-		ZipfS:             zipfS,
-		Requests:          len(lats),
-		EngineRuns:        runs1 - runs0,
-		CoalescedRequests: coal1 - coal0,
-		P50Ms:             quantile(0.50),
-		P99Ms:             quantile(0.99),
-		ResultBytesSent:   bytes1 - bytes0,
-	}
-	if zp.Requests > 0 {
-		zp.RunsOverRequests = float64(zp.EngineRuns) / float64(zp.Requests)
-	}
-	if zp.EngineRuns >= int64(zp.Requests) {
-		return nil, fmt.Errorf("selfbench zipf: engine runs (%d) not below requests (%d)", zp.EngineRuns, zp.Requests)
-	}
-	return zp, nil
-}
-
-// federationProbe is the -selfbench federation phase: a two-node cluster
-// over real loopback listeners converges a remotely-owned query through one
-// entry node, the owning node is killed mid-traffic, and the probe measures
-// the failover — the error budget the client saw and how warm the
-// survivor's replicated seed was.
-type federationProbe struct {
-	Nodes int `json:"nodes"`
-	// OwnerQueryLo identifies the probed query (its select_sum lo bound);
-	// chosen so the remote node owns its fingerprint on the ring.
-	OwnerQueryLo int64 `json:"owner_query_lo"`
-	// ColdConvergeRequests is what first convergence cost on the owner.
-	ColdConvergeRequests int `json:"cold_converge_requests"`
-	// ForwardedByEntry counts the entry node's remote routings during the
-	// converge drive (every request of the drive, if routing worked).
-	ForwardedByEntry int64 `json:"forwarded_by_entry"`
-	// ReplicaApplied is how many replicated records the entry node accepted
-	// before the kill — the warm seeds failover draws on.
-	ReplicaApplied int64 `json:"replica_applied"`
-	// FailoverRequests / FailoverErrors: requests driven after the owner
-	// was killed, and how many of them the client saw fail (the acceptance
-	// bar is zero — the survivor absorbs the re-pin).
-	FailoverRequests int `json:"failover_requests"`
-	FailoverErrors   int `json:"failover_errors"`
-	// WarmReconvergeRequests counts post-kill requests until the re-pinned
-	// fingerprint served "converged" on the survivor (0 = the very first
-	// failover request served converged from the replicated plan).
-	WarmReconvergeRequests int `json:"warm_reconverge_requests"`
-	// Failovers is the entry node's failover counter after the drive.
-	Failovers int64 `json:"failovers"`
-	// PeerBreakerTrips is how often the entry node's breaker for the dead
-	// peer opened during the failover drive.
-	PeerBreakerTrips int64 `json:"peer_breaker_trips"`
-}
-
-const federationNote = "federation (PR 9): two single-shard nodes federate over real loopback listeners; a query whose fingerprint the remote node owns converges through the entry node (every request forwarded), the owner is killed mid-traffic, and the drive continues through the entry node — failover_errors is the client-visible error count (bar: zero; bounded retries absorb the kill), warm_reconverge_requests counts requests until the re-pinned fingerprint served converged on the survivor from its replicated plan (bar: fewer than cold_converge_requests)"
-
-func runFederationProbe(cfg apq.ServerConfig, n int) (*federationProbe, error) {
-	cfg.Shards = 1
-	cfg.Admission = false
-	cfg.StorePath = ""
-	// Listeners first: each node's config names its peer's URL, so both
-	// addresses must exist before either server does.
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		lnA.Close()
-		return nil, err
-	}
-	urlA := "http://" + lnA.Addr().String()
-	urlB := "http://" + lnB.Addr().String()
-	mkNode := func(self, peerName, peerURL string) (*apq.Server, error) {
-		c := cfg
-		c.Cluster = &apq.ClusterConfig{
-			Self:            self,
-			Peers:           []apq.ClusterPeer{{Name: peerName, URL: peerURL}},
-			RetryBase:       5 * time.Millisecond,
-			BreakerFailures: 1,
-			BreakerCooldown: 250 * time.Millisecond,
-		}
-		return apq.NewServer(c)
-	}
-	sA, err := mkNode("a", "b", urlB)
-	if err != nil {
-		lnA.Close()
-		lnB.Close()
-		return nil, err
-	}
-	defer sA.Close()
-	sB, err := mkNode("b", "a", urlA)
-	if err != nil {
-		lnA.Close()
-		lnB.Close()
-		return nil, err
-	}
-	defer sB.Close()
-	hsA := &http.Server{Handler: sA.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	hsB := &http.Server{Handler: sB.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go hsA.Serve(lnA)
-	go hsB.Serve(lnB)
-	defer hsA.Close()
-	defer hsB.Close()
-
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}}
-	post := func(lo int64) (state string, failed bool, err error) {
-		body := fmt.Sprintf(`{"select_sum":{"table":"lineitem","column":"l_quantity","lo":%d,"hi":%d}}`, lo, lo+7)
-		resp, err := client.Post(urlA+"/query", "application/json", strings.NewReader(body))
-		if err != nil {
-			return "", true, nil
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return "", true, nil
-		}
-		var out struct {
-			State string `json:"state"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			return "", false, err
-		}
-		return out.State, false, nil
-	}
-
-	p := &federationProbe{Nodes: 2, OwnerQueryLo: -1}
-	// Find a query B owns: drive candidates through A and watch A's
-	// forwarded counter move.
-	for lo := int64(1); lo <= 64; lo++ {
-		before, _ := sA.ClusterStats()
-		if _, failed, err := post(lo); err != nil || failed {
-			return nil, fmt.Errorf("selfbench federation: probe request failed (lo=%d, err=%v)", lo, err)
-		}
-		after, _ := sA.ClusterStats()
-		if after.Forwarded > before.Forwarded {
-			p.OwnerQueryLo = lo
-			break
-		}
-	}
-	if p.OwnerQueryLo < 0 {
-		return nil, errors.New("selfbench federation: no candidate fingerprint hashed to the remote node")
-	}
-	// Converge it through A; every request forwards to its owner B.
-	converged := false
-	for i := 0; i < 4000 && !converged; i++ {
-		state, failed, err := post(p.OwnerQueryLo)
-		if err != nil || failed {
-			return nil, fmt.Errorf("selfbench federation: converge request failed (err=%v)", err)
-		}
-		p.ColdConvergeRequests++
-		converged = state == "converged"
-	}
-	if !converged {
-		return nil, errors.New("selfbench federation: query did not converge within 4000 requests")
-	}
-	stA, _ := sA.ClusterStats()
-	p.ForwardedByEntry = stA.Forwarded
-	// Wait for B's write-behind replicator to land the converged record on
-	// A — that replica is what failover below serves from.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		stA, _ = sA.ClusterStats()
-		if stA.Replication.RecordsApplied > 0 {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	p.ReplicaApplied = stA.Replication.RecordsApplied
-	if p.ReplicaApplied == 0 {
-		return nil, errors.New("selfbench federation: owner's converged plan never replicated to the entry node")
-	}
-	// Kill the owner mid-traffic and keep driving through A.
-	hsB.Close()
-	sB.Close()
-	if n < 20 {
-		n = 20
-	}
-	sawConverged := false
-	for i := 0; i < n; i++ {
-		state, failed, err := post(p.OwnerQueryLo)
-		if err != nil {
-			return nil, err
-		}
-		p.FailoverRequests++
-		if failed {
-			p.FailoverErrors++
-			continue
-		}
-		if !sawConverged {
-			if state == "converged" {
-				sawConverged = true
-			} else {
-				p.WarmReconvergeRequests++
-			}
-		}
-	}
-	if !sawConverged {
-		return nil, errors.New("selfbench federation: re-pinned fingerprint never served converged on the survivor")
-	}
-	stA, _ = sA.ClusterStats()
-	p.Failovers = stA.Failovers
-	for _, peer := range stA.Peers {
-		p.PeerBreakerTrips += peer.Trips
-	}
-	return p, nil
-}
-
-// shardSweep returns the shard counts to measure: 1, 2, 4, and the
-// GOMAXPROCS-derived default, deduplicated and ascending.
-func shardSweep() []int {
-	counts := []int{1, 2, 4}
-	auto := runtime.GOMAXPROCS(0)
-	seen := map[int]bool{}
-	out := []int{}
-	for _, c := range append(counts, auto) {
-		if c >= 1 && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func benchShardCount(cfg apq.ServerConfig, queries, n int) (shardPoint, int, error) {
-	pt := shardPoint{Shards: cfg.Shards}
-	s, err := apq.NewServer(cfg)
-	if err != nil {
-		return pt, 0, err
-	}
-	defer s.Close()
-	h := s.Handler()
-
-	serve := func(body string) (map[string]any, error) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader([]byte(body)))
-		h.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			return nil, fmt.Errorf("selfbench: status %d: %s", rec.Code, rec.Body.String())
-		}
-		var out map[string]any
-		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// The workload: distinct select_sum predicates over lineitem — distinct
-	// fingerprints, so the pool spreads them across shards (§4.1's
-	// micro-benchmark shape). l_quantity is uniform on [1,50], so hi=2+i
-	// gives the paper-typical few-percent selectivities (4%—~20%): the
-	// scan dominates, result materialization stays small.
-	adaptive := make([]string, queries)
-	serial := make([]string, queries)
-	for i := range adaptive {
-		hi := 2 + i
-		spec := fmt.Sprintf(`{"select_sum":{"table":"lineitem","column":"l_quantity","lo":1,"hi":%d}`, hi)
-		adaptive[i] = spec + `}`
-		serial[i] = spec + `,"mode":"serial"}`
-	}
-
-	// Warm every query's session to convergence; the request count is the
-	// amortization cost of the adaptive phase — and the drive itself is the
-	// measured cold path (every request mutates and recompiles).
-	var mWarm0, mWarm1 runtime.MemStats
-	runtime.ReadMemStats(&mWarm0)
-	warmStart := time.Now()
-	var warmVirt float64
-	for i, body := range adaptive {
-		converged := false
-		for r := 0; r < 4000 && !converged; r++ {
-			resp, err := serve(body)
-			if err != nil {
-				return pt, 0, err
-			}
-			pt.WarmupRequests++
-			lat, _ := resp["latency_ns"].(float64)
-			warmVirt += lat
-			converged = resp["state"] == "converged"
-		}
-		if !converged {
-			return pt, 0, fmt.Errorf("selfbench: query %d did not converge within 4000 warmup requests", i)
-		}
-	}
-	warmWall := time.Since(warmStart)
-	runtime.ReadMemStats(&mWarm1)
-	pt.Warmup = benchPhase{
-		Requests:          pt.WarmupRequests,
-		WallMs:            float64(warmWall.Microseconds()) / 1e3,
-		ThroughputRPS:     float64(pt.WarmupRequests) / warmWall.Seconds(),
-		VirtualMeanNs:     warmVirt / float64(pt.WarmupRequests),
-		AllocsPerRequest:  float64(mWarm1.Mallocs-mWarm0.Mallocs) / float64(pt.WarmupRequests),
-		AllocKBPerRequest: float64(mWarm1.TotalAlloc-mWarm0.TotalAlloc) / float64(pt.WarmupRequests) / 1024,
-	}
-
-	clients := 2 * cfg.Shards
-	if clients < 4 {
-		clients = 4
-	}
-	measure := func(bodies []string) (benchPhase, error) {
-		var (
-			wg       sync.WaitGroup
-			mu       sync.Mutex
-			virt     float64
-			served   int
-			firstErr error
-		)
-		perClient := n / clients
-		if perClient < 1 {
-			perClient = 1 // never a zero-request phase (NaN means and 0/0 rps)
-		}
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				localVirt := 0.0
-				for i := 0; i < perClient; i++ {
-					r, err := serve(bodies[(c+i*clients)%len(bodies)])
-					if err != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						mu.Unlock()
-						return
-					}
-					lat, _ := r["latency_ns"].(float64)
-					localVirt += lat
-				}
-				mu.Lock()
-				virt += localVirt
-				served += perClient
-				mu.Unlock()
-			}(c)
-		}
-		wg.Wait()
-		wall := time.Since(start)
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		if firstErr != nil {
-			return benchPhase{}, firstErr
-		}
-		return benchPhase{
-			Requests:          served,
-			WallMs:            float64(wall.Microseconds()) / 1e3,
-			ThroughputRPS:     float64(served) / wall.Seconds(),
-			VirtualMeanNs:     virt / float64(served),
-			AllocsPerRequest:  float64(m1.Mallocs-m0.Mallocs) / float64(served),
-			AllocKBPerRequest: float64(m1.TotalAlloc-m0.TotalAlloc) / float64(served) / 1024,
-		}, nil
-	}
-
-	// Best-of-2 per phase: wall-clock on a shared host is noisy, and the
-	// fastest observed run is the least-disturbed estimate.
-	best := func(bodies []string) (benchPhase, error) {
-		a, err := measure(bodies)
-		if err != nil {
-			return a, err
-		}
-		b, err := measure(bodies)
-		if err != nil {
-			return b, err
-		}
-		if b.ThroughputRPS > a.ThroughputRPS {
-			return b, nil
-		}
-		return a, nil
-	}
-	if pt.Hot, err = best(adaptive); err != nil {
-		return pt, clients, err
-	}
-	if pt.ColdSerial, err = best(serial); err != nil {
-		return pt, clients, err
-	}
-	if pt.ColdSerial.ThroughputRPS > 0 {
-		pt.HotOverCold = pt.Hot.ThroughputRPS / pt.ColdSerial.ThroughputRPS
-	}
-	if pt.Hot.VirtualMeanNs > 0 {
-		pt.VirtualSpeedup = pt.ColdSerial.VirtualMeanNs / pt.Hot.VirtualMeanNs
-	}
-	return pt, clients, nil
-}
-
-// simScenario is one -simbench measurement: the same recorded scenario
-// played on the optimized event core and on the preserved seed core.
-type simScenario struct {
-	Name        string  `json:"name"`
-	Machine     string  `json:"machine"`
-	Tasks       int     `json:"tasks"`
-	OptimizedMs float64 `json:"optimized_ms"`
-	ReferenceMs float64 `json:"reference_ms"`
-	// Speedup is reference over optimized wall time (same bit-identical
-	// virtual timeline on both, by the golden test).
-	Speedup float64 `json:"speedup"`
-}
-
-type simbenchReport struct {
-	HostCPUs  int           `json:"host_cpus"`
-	Rounds    int           `json:"rounds"`
-	Scenarios []simScenario `json:"scenarios"`
-}
-
-// runSimbench plays pinned-seed scenarios on both event cores and reports
-// the minimum wall time over rounds (the least-noise estimate). Recorded as
-// BENCH_sim.json so the event core's perf trajectory is tracked PR-over-PR.
-func runSimbench(rounds int) error {
-	if rounds < 1 {
-		rounds = 1
-	}
-	cases := []struct {
-		name string
-		mach sim.Config
-		scen sim.ScenarioConfig
-	}{
-		{"two-socket-32t", sim.TwoSocket(),
-			sim.ScenarioConfig{Seed: 1, Jobs: 4, Roots: 400, MaxChain: 3, MaxFanout: 2, MemHeavy: 0.6, Budgets: true}},
-		{"four-socket-96t", sim.FourSocket(),
-			sim.ScenarioConfig{Seed: 1, Jobs: 4, Roots: 400, MaxChain: 3, MaxFanout: 2, MemHeavy: 0.6, Budgets: true}},
-		{"four-socket-96t-singlequery", sim.FourSocket(),
-			sim.ScenarioConfig{Seed: 2, Jobs: 1, Roots: 96, MaxChain: 4, MaxFanout: 2, MemHeavy: 0.5}},
-	}
-	rep := simbenchReport{HostCPUs: runtime.NumCPU(), Rounds: rounds}
-	for _, tc := range cases {
-		sc := sim.GenScenario(tc.name, tc.scen, tc.mach)
-		optNs, refNs := int64(1<<62), int64(1<<62)
-		for r := 0; r < rounds; r++ {
-			t0 := time.Now()
-			sc.Play(sim.NewMachine(tc.mach))
-			if d := time.Since(t0).Nanoseconds(); d < optNs {
-				optNs = d
-			}
-			t0 = time.Now()
-			sc.Play(sim.NewReference(tc.mach))
-			if d := time.Since(t0).Nanoseconds(); d < refNs {
-				refNs = d
-			}
-		}
-		rep.Scenarios = append(rep.Scenarios, simScenario{
-			Name:        tc.name,
-			Machine:     tc.mach.Name,
-			Tasks:       sc.NumTasks(),
-			OptimizedMs: float64(optNs) / 1e6,
-			ReferenceMs: float64(refNs) / 1e6,
-			Speedup:     float64(refNs) / float64(optNs),
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return nil
 }

@@ -2,8 +2,12 @@ package main_test
 
 import (
 	"encoding/json"
+	"net"
+	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cmdtest"
 )
@@ -11,49 +15,71 @@ import (
 func TestApqdSmoke(t *testing.T) {
 	bin := cmdtest.Build(t, "repro/cmd/apqd")
 
-	// -selfbench exercises the full serve path (shard sweep) without
-	// binding a port. Keep the workload tiny: 2 queries, 20 requests.
-	out, code := cmdtest.Run(t, bin, "-selfbench", "-sf", "0.2", "-selfbench-n", "20", "-selfbench-queries", "2")
-	if code != 0 {
-		t.Fatalf("-selfbench exited %d:\n%s", code, out)
+	// Boot the daemon for real: listen -> serve -> SIGTERM -> drain ->
+	// "apqd: shut down", with the convergence store flushed on the way out.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{`"sweep"`, `"hot_adaptive"`, `"cold_serial"`, `"virtual_speedup"`, `"hot_beats_cold_at_shards"`, `"multi_tenant"`, `"tenant-a"`, `"tenant-b"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("selfbench output missing %s:\n%s", want, out)
+	addr := ln.Addr().String()
+	ln.Close()
+	storePath := filepath.Join(t.TempDir(), "plans.apqs")
+	d := cmdtest.Start(t, bin, "-addr", addr, "-sf", "0.2", "-shards", "1", "-store", storePath)
+	base := "http://" + addr
+	healthy := false
+	for i := 0; i < 600 && !healthy; i++ {
+		time.Sleep(50 * time.Millisecond)
+		if resp, err := http.Get(base + "/healthz"); err == nil {
+			resp.Body.Close()
+			healthy = resp.StatusCode == http.StatusOK
 		}
 	}
-	var rep struct {
-		Sweep []struct {
-			Shards int `json:"shards"`
-			Hot    struct {
-				Requests int `json:"requests"`
-			} `json:"hot_adaptive"`
-		} `json:"sweep"`
+	if !healthy {
+		out, code := d.Stop(t)
+		t.Fatalf("apqd never answered /healthz on %s (exit %d):\n%s", addr, code, out)
 	}
-	if err := json.Unmarshal([]byte(out), &rep); err != nil {
-		t.Fatalf("selfbench output is not JSON: %v\n%s", err, out)
-	}
-	if len(rep.Sweep) < 2 || rep.Sweep[0].Shards != 1 || rep.Sweep[1].Shards != 2 {
-		t.Fatalf("sweep must cover shard counts starting 1,2: %s", out)
-	}
-
-	// -simbench compares the optimized event core against the preserved
-	// seed core on pinned scenarios.
-	out, code = cmdtest.Run(t, bin, "-simbench", "-simbench-rounds", "1")
-	if code != 0 {
-		t.Fatalf("-simbench exited %d:\n%s", code, out)
-	}
-	for _, want := range []string{`"scenarios"`, `"optimized_ms"`, `"reference_ms"`, `"four-socket-96t"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("simbench output missing %s:\n%s", want, out)
+	var runs [2]int
+	for i := range runs {
+		resp, err := http.Post(base+"/query", "application/json", strings.NewReader(`{"query":6}`))
+		if err != nil {
+			t.Fatal(err)
 		}
+		var reply struct {
+			Run int `json:"run"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("POST /query #%d: status %d, decode error %v", i+1, resp.StatusCode, err)
+		}
+		runs[i] = reply.Run
+	}
+	if runs[1] != runs[0]+1 {
+		t.Fatalf("repeated query did not step its session: run %d then %d", runs[0], runs[1])
+	}
+	resp, err := http.Get(base + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /stats: status %d", resp.StatusCode)
+	}
+	out, code := d.Stop(t)
+	if code != 0 || !strings.Contains(out, "apqd: shut down") {
+		t.Fatalf("SIGTERM: exit %d, want 0 and the shutdown log line:\n%s", code, out)
+	}
+	if out, code := cmdtest.Run(t, bin, "-store", storePath, "-export-plans", filepath.Join(t.TempDir(), "plans.apqx")); code != 0 {
+		t.Fatalf("-export-plans of the store the daemon left behind exited %d:\n%s", code, out)
 	}
 
 	for _, args := range [][]string{
 		{"-bench", "nosuchbench"},
 		{"-machine", "9s"},
 		{"-definitely-not-a-flag"},
-		{"-selfbench", "unexpected-positional"},
+		{"-selfbench"}, // deleted with the in-daemon benchmark: must stay unknown
+		{"-simbench"},
+		{"unexpected-positional"},
 	} {
 		if out, code := cmdtest.Run(t, bin, args...); code == 0 {
 			t.Fatalf("%v exited 0, want non-zero:\n%s", args, out)

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/plancache"
 	"repro/internal/sim"
 )
 
@@ -424,5 +426,78 @@ func TestServerChaosReconvergence(t *testing.T) {
 	var health HealthResponse
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || !health.OK {
 		t.Fatalf("healthz after re-convergence: %d %+v", code, health)
+	}
+}
+
+// TestServerDriftReopenOverHTTP pins the drift loop's HTTP wiring:
+// Config.Drift reaching the shard caches, the client's max_cores reaching the
+// run, and /stats reporting the reopen. One shard, admission off (the client
+// budget throttles deterministically). q6 converges alone; the mix then
+// rotates to three q14 servings per q6 serving with q6 under a 2-core client
+// budget. Staleness skips throttled servings, so only the drift detector can
+// reopen the session; it re-converges under the budget and still returns the
+// values it returned before the rotation.
+func TestServerDriftReopenOverHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Benchmark: "tpch",
+		Staleness: core.DefaultStalenessConfig(),
+		// A tight mix window makes the rotation visible quickly.
+		Drift: plancache.DriftConfig{Band: 0.35, Window: 8, Trip: 6, MixWindow: 16, MixDelta: 0.2},
+	})
+	post := func(req QueryRequest) QueryResponse {
+		t.Helper()
+		qr, code := postQuery(t, ts.URL, req)
+		if code != http.StatusOK {
+			t.Fatalf("%+v: status %d", req, code)
+		}
+		return qr
+	}
+	q6, q14 := QueryRequest{Query: 6}, QueryRequest{Query: 14}
+	q6Throttled := QueryRequest{Query: 6, MaxCores: 2}
+
+	state := ""
+	for i := 0; i < 4000 && state != "converged"; i++ {
+		state = post(q6).State
+	}
+	if state != "converged" {
+		t.Fatal("q6 never converged")
+	}
+	before, err := DecodeResult(postResultRaw(t, ts.URL, QueryRequest{Query: 6, Results: true}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rotateUntil := func(want string) int {
+		t.Helper()
+		for n := 1; n <= 4000; n++ {
+			for j := 0; j < 3; j++ {
+				post(q14)
+			}
+			if post(q6Throttled).State == want {
+				return n
+			}
+		}
+		t.Fatalf("q6 never turned %s under the rotated mix", want)
+		return 0
+	}
+	rotated := rotateUntil("adapting")
+	reconverged := rotateUntil("converged")
+	t.Logf("drift reopen after %d throttled q6 servings, re-converged after %d more", rotated, reconverged)
+
+	var stats StatsResponse
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.Cache.DriftReopens != 1 {
+		t.Fatalf("/stats cache.drift_reopens = %d, want 1", stats.Cache.DriftReopens)
+	}
+	if len(stats.Tenants) != 1 || stats.Tenants[0].Cache.DriftReopens != 1 {
+		t.Fatalf("/stats per-tenant drift_reopens disagrees with the cache block: %+v", stats.Tenants)
+	}
+	q6Throttled.Results = true
+	after, err := DecodeResult(postResultRaw(t, ts.URL, q6Throttled, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !exec.ResultsEqual(after.Values, before.Values) {
+		t.Fatal("q6 re-converged under the client budget decodes to different values than before the rotation")
 	}
 }

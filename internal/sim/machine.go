@@ -14,7 +14,7 @@
 // for a fixed seed and submission order.
 //
 // Event-core performance. The seed implementation (preserved verbatim as
-// Reference in reference.go) paid O(cores) several times per event: a fresh
+// Reference in reference_test.go) paid O(cores) several times per event: a fresh
 // per-socket demand array and a full two-pass rate recomputation, an
 // O(cores) idle-core scan per ready task, and full-array scans for the
 // minimum completion and progress accounting. Machine keeps the same model

@@ -1,10 +1,11 @@
-// reference.go preserves the original (seed) event core verbatim as the
+// reference_test.go preserves the original (seed) event core verbatim as the
 // equivalence oracle for the optimized Machine. The optimized core in
 // machine.go restructures every hot loop but is required to perform the
 // exact same floating-point operations on the exact same values in the same
 // order, so the two cores must produce bit-identical virtual timelines; the
 // golden test (golden_test.go) asserts that on generated scenarios, and
-// BENCH_sim.json tracks the wall-clock gap between them.
+// BenchmarkEventCoreOptimized / BenchmarkEventCoreReference (bench_test.go)
+// measure the wall-clock gap between them.
 //
 // Do not "improve" this file: its value is that it stays frozen.
 package sim

@@ -1,11 +1,11 @@
-// scenario.go is the record/replay harness for event-core equivalence: a
+// scenario_test.go is the record/replay harness for event-core equivalence: a
 // Scenario is a deterministic task-submission program (including tasks
 // spawned from completion callbacks, the shape plan executions produce) that
 // can be played on any event core, yielding a Timeline of every task's
 // observed placement and start/end times. The golden test plays the same
 // scenario on Machine and Reference and requires bit-identical timelines;
-// the simulator benchmark plays large scenarios on both to measure the
-// event-core speedup (BENCH_sim.json).
+// the event-core benchmarks (bench_test.go) play a large scenario on both to
+// measure the event-core speedup.
 package sim
 
 import "math/rand"
