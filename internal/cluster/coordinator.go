@@ -68,18 +68,10 @@ type Config struct {
 // re-pinned fingerprint from a warm replicated plan instead of re-converging
 // cold.
 type Coordinator struct {
-	self        string
-	local       *server.Server
-	peerTimeout time.Duration
-	retries     int
-	retryBase   time.Duration
-	brkFailures int
-	brkCooldown time.Duration
-	probeEvery  time.Duration
-	nowFn       func() time.Time
+	cfg   Config // defaulted by New; Peers is only the initial membership
+	local *server.Server
 
-	randMu sync.Mutex
-	randFn func() float64
+	randMu sync.Mutex // guards cfg.RandFn (see rand)
 
 	mu    sync.RWMutex
 	ring  *ring
@@ -118,52 +110,44 @@ func New(local *server.Server, cfg Config) (*Coordinator, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self node name is required")
 	}
-	c := &Coordinator{
-		self:        cfg.Self,
-		local:       local,
-		peerTimeout: cfg.PeerTimeout,
-		retries:     cfg.Retries,
-		retryBase:   cfg.RetryBase,
-		brkFailures: cfg.BreakerFailures,
-		brkCooldown: cfg.BreakerCooldown,
-		probeEvery:  cfg.ProbeInterval,
-		nowFn:       cfg.NowFn,
-		randFn:      cfg.RandFn,
-		ring:        newRing(),
-		peers:       make(map[string]*peerState),
-		stop:        make(chan struct{}),
+	if cfg.PeerTimeout <= 0 {
+		cfg.PeerTimeout = 2 * time.Second
 	}
-	if c.peerTimeout <= 0 {
-		c.peerTimeout = 2 * time.Second
-	}
-	if c.retries < 0 {
-		c.retries = 0
+	if cfg.Retries < 0 {
+		cfg.Retries = 0
 	} else if cfg.Retries == 0 {
-		c.retries = 2
+		cfg.Retries = 2
 	}
-	if c.retryBase <= 0 {
-		c.retryBase = 25 * time.Millisecond
+	if cfg.RetryBase <= 0 {
+		cfg.RetryBase = 25 * time.Millisecond
 	}
-	if c.brkFailures <= 0 {
-		c.brkFailures = 3
+	if cfg.BreakerFailures <= 0 {
+		cfg.BreakerFailures = 3
 	}
-	if c.brkCooldown <= 0 {
-		c.brkCooldown = 2 * time.Second
+	if cfg.BreakerCooldown <= 0 {
+		cfg.BreakerCooldown = 2 * time.Second
 	}
-	if c.probeEvery == 0 {
-		c.probeEvery = 500 * time.Millisecond
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.nowFn == nil {
-		c.nowFn = time.Now
+	if cfg.NowFn == nil {
+		cfg.NowFn = time.Now
 	}
-	if c.randFn == nil {
-		c.randFn = rand.Float64
+	if cfg.RandFn == nil {
+		cfg.RandFn = rand.Float64
 	}
-	c.ring.add(c.self)
+	c := &Coordinator{
+		cfg:   cfg,
+		local: local,
+		ring:  newRing(),
+		peers: make(map[string]*peerState),
+		stop:  make(chan struct{}),
+	}
+	c.ring.add(c.cfg.Self)
 	c.repl = newReplicator(c)
 	for _, p := range cfg.Peers {
 		if err := c.AddPeer(p.Name, p.URL); err != nil {
-			c.repl.close()
+			c.repl.q.Close()
 			return nil, err
 		}
 	}
@@ -173,7 +157,7 @@ func New(local *server.Server, cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("/admin/peers", c.handlePeers)
 	mux.Handle("/", local.Handler())
 	c.handler = mux
-	if c.probeEvery > 0 {
+	if c.cfg.ProbeInterval > 0 {
 		c.wg.Add(1)
 		go c.probeLoop()
 	}
@@ -195,7 +179,9 @@ func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stop)
 		c.wg.Wait()
-		c.repl.close()
+		// The queue's only error is an unencodable batch, already counted
+		// in send_failures.
+		c.repl.q.Close()
 		for _, p := range c.peerList() {
 			p.rem.Retire()
 		}
@@ -207,7 +193,7 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) rand() float64 {
 	c.randMu.Lock()
 	defer c.randMu.Unlock()
-	return c.randFn()
+	return c.cfg.RandFn()
 }
 
 // AddPeer joins a node to the ring and pushes it the full replica set, so a
@@ -218,7 +204,7 @@ func (c *Coordinator) AddPeer(name, url string) error {
 	if name == "" || url == "" {
 		return errors.New("cluster: peer needs both a name and a url")
 	}
-	if name == c.self {
+	if name == c.cfg.Self {
 		return fmt.Errorf("cluster: peer %q collides with this node's own name", name)
 	}
 	c.mu.Lock()
@@ -228,7 +214,7 @@ func (c *Coordinator) AddPeer(name, url string) error {
 	}
 	p := &peerState{
 		rem: NewRemote(name, url),
-		brk: server.Breaker{Threshold: c.brkFailures, Cooldown: c.brkCooldown, NowFn: c.nowFn, RandFn: c.rand},
+		brk: server.Breaker{Threshold: c.cfg.BreakerFailures, Cooldown: c.cfg.BreakerCooldown, NowFn: c.cfg.NowFn, RandFn: c.rand},
 	}
 	c.peers[name] = p
 	c.ring.add(name)
@@ -326,7 +312,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 	}
 	c.mu.RUnlock()
 	for i, node := range seq {
-		if node == c.self {
+		if node == c.cfg.Self {
 			break
 		}
 		p := states[i]
@@ -345,7 +331,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 			return
 		}
 	}
-	if seq[0] != c.self {
+	if seq[0] != c.cfg.Self {
 		c.failovers.Add(1)
 	}
 	c.serveLocal(w, r, body)
@@ -403,11 +389,11 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byt
 // breaker-style 1+0.5·rand() jitter before retry n, until try reports stop or
 // ctx (or the coordinator) dies mid-backoff.
 func (c *Coordinator) attempts(ctx context.Context, try func(actx context.Context, n int) (stop bool)) {
-	for n := 0; n <= c.retries; n++ {
+	for n := 0; n <= c.cfg.Retries; n++ {
 		if n > 0 && !c.backoff(ctx, n) {
 			return
 		}
-		actx, cancel := context.WithTimeout(ctx, c.peerTimeout)
+		actx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
 		stop := try(actx, n)
 		cancel()
 		if stop {
@@ -419,7 +405,7 @@ func (c *Coordinator) attempts(ctx context.Context, try func(actx context.Contex
 // backoff sleeps retry attempt n's delay (n is 1-based); false means the
 // request's context or the coordinator died first.
 func (c *Coordinator) backoff(ctx context.Context, n int) bool {
-	d := c.retryBase << (n - 1)
+	d := c.cfg.RetryBase << (n - 1)
 	if d > time.Second {
 		d = time.Second
 	}
@@ -442,7 +428,7 @@ func (c *Coordinator) backoff(ctx context.Context, n int) bool {
 // deaf to while down.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.probeEvery)
+	t := time.NewTicker(c.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -454,7 +440,7 @@ func (c *Coordinator) probeLoop() {
 			if st, _, _ := p.brk.Snapshot(); st == server.BreakerClosed {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), c.peerTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PeerTimeout)
 			h, err := p.rem.Health(ctx)
 			cancel()
 			if err == nil && h.OK {
@@ -577,7 +563,7 @@ type Stats struct {
 // as the "cluster" block.
 func (c *Coordinator) Stats() Stats {
 	s := Stats{
-		Self:               c.self,
+		Self:               c.cfg.Self,
 		Nodes:              c.Nodes(),
 		ServedLocal:        c.servedLocal.Load(),
 		Forwarded:          c.forwarded.Load(),

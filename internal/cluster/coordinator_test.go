@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // TestHalfOpenPeerAdmitsOneProbe drives the peer breaker through the
@@ -129,9 +131,11 @@ func TestHalfOpenPeerAdmitsOneProbe(t *testing.T) {
 // from RetryBase and honours context cancellation.
 func TestBackoffDelays(t *testing.T) {
 	c := &Coordinator{
-		retryBase: 10 * time.Millisecond,
-		randFn:    func() float64 { return 0 }, // jitter scale pinned to 1.0
-		stop:      make(chan struct{}),
+		cfg: Config{
+			RetryBase: 10 * time.Millisecond,
+			RandFn:    func() float64 { return 0 }, // jitter scale pinned to 1.0
+		},
+		stop: make(chan struct{}),
 	}
 	for n, want := range map[int]time.Duration{1: 10 * time.Millisecond, 2: 20 * time.Millisecond, 3: 40 * time.Millisecond} {
 		start := time.Now()
@@ -174,5 +178,58 @@ func TestConfigValidation(t *testing.T) {
 			c.Close()
 			t.Fatalf("peers %v must be rejected", peers)
 		}
+	}
+}
+
+// TestReplicationQueueDepthCountsInFlightBatch: a record the replicator has
+// taken off its queue but not yet delivered is still replication lag. The
+// scripted peer blocks inside /cluster/replicate; while it does, node a's
+// queue_depth must read ≥ 1, and once the peer answers it drains to 0 with
+// the record counted as sent.
+func TestReplicationQueueDepthCountsInFlightBatch(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/cluster/replicate" {
+			return
+		}
+		io.Copy(io.Discard, r.Body)
+		close(entered)
+		<-release
+		io.WriteString(w, `{"received":1,"applied":1}`)
+	}))
+	defer peer.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, Config{
+		Retries:       -1,
+		PeerTimeout:   30 * time.Second,
+		ProbeInterval: -1,
+	})
+	a.coord.Observe(store.Record{
+		Fingerprint: "fp-lag", DBIdentity: testIdentity, Query: "tpch:q6",
+		PlanBytes: []byte{1, 2, 3}, History: []float64{10, 5}, Cores: 4,
+	})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("peer never received the replication batch")
+	}
+	if d := a.coord.Stats().Replication.QueueDepth; d < 1 {
+		t.Errorf("queue_depth %d while a batch is in flight to a blocked peer, want ≥ 1", d)
+	}
+	close(release)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st := a.coord.Stats().Replication
+		if st.QueueDepth == 0 && st.RecordsSent == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replication never drained: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

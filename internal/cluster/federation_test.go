@@ -34,7 +34,7 @@ func newEngineServer(t *testing.T, onRecord func(store.Record), tenants ...strin
 	t.Helper()
 	cat := tpch.Generate(tpch.Config{SF: 0.2, Seed: 42})
 	cfg := server.Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: testIdentity,
 		Benchmark:  "tpch",
 		OnRecord:   onRecord,

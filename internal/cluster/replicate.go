@@ -12,7 +12,8 @@ import (
 
 // ReplicationStats is the replicator's slice of the cluster stats block.
 type ReplicationStats struct {
-	// QueueDepth is the write-behind backlog not yet shipped.
+	// QueueDepth is the write-behind backlog not yet shipped, the batch in
+	// flight to the peers included — replication lag against a slow peer.
 	QueueDepth int `json:"queue_depth"`
 	// ReplicaSet is how many distinct sessions (tenant+fingerprint) this
 	// node can seed a joining or recovering peer with.
@@ -31,24 +32,20 @@ type ReplicationStats struct {
 }
 
 // replicator ships convergence records to every peer, write-behind: the
-// serve path enqueues and returns, a single background goroutine drains the
-// queue in batches, encodes each batch once as an APQXPORT document (the
-// same bytes the plan-export surface writes to disk) and POSTs it to each
-// live peer's /cluster/replicate. It also keeps the replica set — the
-// latest record per session — to push whole to a peer that joins or
-// recovers, covering everything the peer missed. The shape deliberately
-// mirrors the store.Synchronizer: convergence is rare and replication must
-// never sit on the serve path.
+// serve path enqueues and returns, the shared store.Synchronizer queue
+// drains in batches on its one background goroutine, and broadcast — the
+// queue's sink — encodes each batch once as an APQXPORT document (the same
+// bytes the plan-export surface writes to disk) and POSTs it to each live
+// peer's /cluster/replicate. The replicator itself keeps only the replica
+// set — the latest record per session — to push whole to a peer that joins
+// or recovers, covering everything the peer missed.
 type replicator struct {
-	c    *Coordinator
-	mu   sync.Mutex
-	cond *sync.Cond
-	// queue is the unshipped backlog; set maps tenant+fingerprint to the
-	// newest record for that session.
-	queue  []store.Record
-	set    map[string]store.Record
-	closed bool
-	done   chan struct{}
+	c *Coordinator
+	q *store.Synchronizer
+
+	// set maps tenant+fingerprint to the newest record for that session.
+	mu  sync.Mutex
+	set map[string]store.Record
 
 	sent     atomic.Int64
 	applied  atomic.Int64
@@ -57,9 +54,8 @@ type replicator struct {
 }
 
 func newReplicator(c *Coordinator) *replicator {
-	r := &replicator{c: c, set: make(map[string]store.Record), done: make(chan struct{})}
-	r.cond = sync.NewCond(&r.mu)
-	go r.run()
+	r := &replicator{c: c, set: make(map[string]store.Record)}
+	r.q = store.NewSynchronizer(r.broadcast)
 	return r
 }
 
@@ -70,43 +66,24 @@ func replicaKey(rec *store.Record) string {
 	return rec.Tenant + "\x00" + rec.Fingerprint
 }
 
-// enqueue hands one record to the write-behind goroutine; never blocks on
-// the network.
+// enqueue hands one record to the write-behind queue; never blocks on the
+// network.
 func (r *replicator) enqueue(rec store.Record) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.queue = append(r.queue, rec)
 	r.set[replicaKey(&rec)] = rec
-	r.cond.Signal()
+	r.mu.Unlock()
+	r.q.Enqueue(rec)
 }
 
-func (r *replicator) run() {
-	defer close(r.done)
-	for {
-		r.mu.Lock()
-		for len(r.queue) == 0 && !r.closed {
-			r.cond.Wait()
-		}
-		if len(r.queue) == 0 && r.closed {
-			r.mu.Unlock()
-			return
-		}
-		batch := r.queue
-		r.queue = nil
-		r.mu.Unlock()
-		// A burst of convergences coalesces into one document per peer.
-		r.broadcast(batch)
-	}
-}
-
-func (r *replicator) broadcast(batch []store.Record) {
+// broadcast is the queue's sink: a burst of convergences coalesces into one
+// document per peer. Delivery is per peer and best-effort (counted in sent /
+// failures; the sync push on breaker close replays what a peer missed), so
+// the only batch-level error is a document that cannot be encoded.
+func (r *replicator) broadcast(batch []store.Record) (int, error) {
 	payload, err := store.EncodeRecords(batch)
 	if err != nil {
 		r.failures.Add(1)
-		return
+		return 0, err
 	}
 	for _, p := range r.c.peerList() {
 		if st, _, _ := p.brk.Snapshot(); st != server.BreakerClosed {
@@ -117,6 +94,7 @@ func (r *replicator) broadcast(batch []store.Record) {
 		}
 		r.send(p, payload, len(batch))
 	}
+	return len(batch), nil
 }
 
 // send delivers one document to one peer with the coordinator's bounded
@@ -164,24 +142,14 @@ func (r *replicator) syncTo(p *peerState) {
 
 func (r *replicator) stats() ReplicationStats {
 	r.mu.Lock()
-	depth, set := len(r.queue), len(r.set)
+	set := len(r.set)
 	r.mu.Unlock()
 	return ReplicationStats{
-		QueueDepth:     depth,
+		QueueDepth:     r.q.QueueDepth(),
 		ReplicaSet:     set,
 		RecordsSent:    r.sent.Load(),
 		RecordsApplied: r.applied.Load(),
 		SendFailures:   r.failures.Load(),
 		SyncPushes:     r.syncs.Load(),
 	}
-}
-
-// close drains the queue (one final best-effort broadcast) and stops the
-// goroutine.
-func (r *replicator) close() {
-	r.mu.Lock()
-	r.closed = true
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	<-r.done
 }

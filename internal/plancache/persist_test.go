@@ -98,7 +98,7 @@ func TestPersistRehydrateServeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sy := store.NewSynchronizer(st)
+	sy := store.NewSynchronizer(st.PutBatch)
 
 	engA := newEngine(t)
 	cacheA := New(engA, Config{})

@@ -213,6 +213,22 @@ type Stats struct {
 	WarmSeeds int64 `json:"warm_seeds,omitempty"`
 }
 
+// Add accumulates o into s — how /stats sums shard caches into the pool
+// view and a tenant's slices across shards. Every field participates
+// (TestStatsAddCoversEveryField).
+func (s *Stats) Add(o Stats) {
+	s.Entries += o.Entries
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.Converged += o.Converged
+	s.Rehydrated += o.Rehydrated
+	s.Reconvergences += o.Reconvergences
+	s.DataReopens += o.DataReopens
+	s.DriftReopens += o.DriftReopens
+	s.WarmSeeds += o.WarmSeeds
+}
+
 // Cache maps query fingerprints to live adaptive sessions.
 type Cache struct {
 	mu   sync.Mutex

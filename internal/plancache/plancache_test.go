@@ -1,6 +1,7 @@
 package plancache
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/algebra"
@@ -335,5 +336,24 @@ func TestEvictAndList(t *testing.T) {
 	c.Evict(fp)
 	if c.Get("s1") != nil || c.GetFingerprint(fp) != nil {
 		t.Fatal("entry survived Evict")
+	}
+}
+
+// TestStatsAddCoversEveryField: Add is written out field by field, so a
+// counter added to Stats later must be added there too — every field of the
+// sum of two all-distinct Stats values must be twice the operand's.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var o, sum Stats
+	v := reflect.ValueOf(&o).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	sum.Add(o)
+	sum.Add(o)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		if want := int64(2 * (i + 1)); got.Field(i).Int() != want {
+			t.Errorf("Stats.Add drops %s: got %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
+		}
 	}
 }

@@ -2,7 +2,8 @@
 //
 // Mutation model: catalogs are immutable. An append or tail-delete builds a
 // copy-on-write catalog (storage.Catalog.AppendRows / DeleteTail), then the
-// swap happens under EVERY shard's engine-ownership semaphore at once: the
+// swap happens under EVERY shard's engine-ownership semaphore at once
+// (withAllShards): the
 // tenant's live catalog pointer and epoch advance together, and each shard
 // cache reopens the tenant's sessions warm (plancache.ReopenTenantForData) —
 // seeded from their learned plans, so re-convergence costs a bounded handful
@@ -27,6 +28,7 @@ import (
 	"net/http"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/storage"
@@ -49,18 +51,12 @@ type TenantSpec struct {
 	MaxInFlight int `json:"max_in_flight,omitempty"`
 }
 
-// ColumnAppendSpec is one column's slice of a POST /admin/append body:
-// exactly one of ints or strs, matching the column's type.
-type ColumnAppendSpec struct {
-	Ints []int64  `json:"ints,omitempty"`
-	Strs []string `json:"strs,omitempty"`
-}
-
-// appendRequest is the POST /admin/append body.
+// appendRequest is the POST /admin/append body; each column carries exactly
+// one of "ints" or "strs", matching the column's type.
 type appendRequest struct {
-	Tenant  string                      `json:"tenant,omitempty"`
-	Table   string                      `json:"table"`
-	Columns map[string]ColumnAppendSpec `json:"columns"`
+	Tenant  string                          `json:"tenant,omitempty"`
+	Table   string                          `json:"table"`
+	Columns map[string]storage.ColumnAppend `json:"columns"`
 }
 
 // truncateRequest is the POST /admin/truncate body: delete the last Rows
@@ -117,59 +113,42 @@ func (s *Server) beginAdmin() (func(), error) {
 	return s.inflight.Done, nil
 }
 
-// lookupTenant resolves an admin request's tenant by display name.
-func (s *Server) lookupTenant(name string) (*tenantState, error) {
-	if name == "" || name == "default" {
-		return s.defTenant, nil
-	}
-	s.tenantMu.RLock()
-	tn, ok := s.tenants[name]
-	s.tenantMu.RUnlock()
-	if !ok || tn.draining.Load() {
-		return nil, fmt.Errorf("unknown tenant %q", name)
-	}
-	return tn, nil
-}
-
 // mutateTenant runs one data mutation end to end: build the new catalog
-// copy-on-write, then — holding every shard's engine-ownership semaphore at
-// once — swap the tenant's catalog, bump its epoch, and reopen its cached
-// sessions warm. Mutations of one tenant serialize on its mutMu; the build
-// step runs outside the engine locks so serving stalls only for the swap.
-func (s *Server) mutateTenant(name string, build func(*storage.Catalog) (*storage.Catalog, error)) (tn *tenantState, epoch int64, reopened, dropped int, err error) {
+// copy-on-write with op, then — holding every shard's engine-ownership
+// semaphore at once — swap the tenant's catalog, bump its epoch, and reopen
+// its cached sessions warm. Mutations of one tenant serialize on its mutMu;
+// op runs outside the engine locks so serving stalls only for the swap.
+// counter is the lifecycle counter the mutation kind bumps on success.
+func (s *Server) mutateTenant(tenant, table string, counter *atomic.Int64, op func(*storage.Catalog) (*storage.Catalog, error)) (MutationResponse, error) {
 	done, err := s.beginAdmin()
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return MutationResponse{}, err
 	}
 	defer done()
-	if tn, err = s.lookupTenant(name); err != nil {
-		return nil, 0, 0, 0, err
+	tn, err := s.tenantByName(tenant)
+	if err != nil {
+		return MutationResponse{}, err
 	}
 	tn.mutMu.Lock()
 	defer tn.mutMu.Unlock()
-	ncat, err := build(tn.curCatalog())
+	ncat, err := op(tn.curCatalog())
 	if err != nil {
-		return nil, 0, 0, 0, err
+		return MutationResponse{}, err
 	}
-	// Acquire shard semaphores in index order (every other path holds at
-	// most one, so a fixed total order cannot deadlock). While held, no
-	// request is executing anywhere: the catalog pointer, the epoch, and
-	// the session reopens move as one atomic step from serving's view.
-	for _, sh := range s.shards {
-		sh.sem <- struct{}{}
-	}
-	tn.catalog.Store(ncat)
-	tn.mutated.Store(true)
-	epoch = tn.epoch.Add(1)
-	for _, sh := range s.shards {
-		r, d := sh.cache.ReopenTenantForData(tn.tag(), 0)
-		reopened += r
-		dropped += d
-	}
-	for _, sh := range s.shards {
-		<-sh.sem
-	}
-	return tn, epoch, reopened, dropped, nil
+	resp := MutationResponse{Tenant: tn.displayName(), Table: table, Rows: int64(ncat.MustTable(table).Rows())}
+	// The catalog pointer, the epoch, and the session reopens move as one
+	// atomic step from serving's view.
+	s.withAllShards(func() {
+		tn.catalog.Store(ncat)
+		resp.Epoch = tn.epoch.Add(1)
+		for _, sh := range s.shards {
+			r, d := sh.cache.ReopenTenantForData(tn.tag(), 0)
+			resp.SessionsReopened += r
+			resp.SessionsDropped += d
+		}
+	})
+	counter.Add(1)
+	return resp, nil
 }
 
 // AppendRows appends rows to one table of a tenant's dataset ("" or
@@ -177,45 +156,17 @@ func (s *Server) mutateTenant(name string, build func(*storage.Catalog) (*storag
 // cached sessions warm. cols must cover every column of the table with
 // equal, positive lengths (storage.Catalog.AppendRows semantics).
 func (s *Server) AppendRows(tenant, table string, cols map[string]storage.ColumnAppend) (MutationResponse, error) {
-	var rows int64
-	tn, epoch, reopened, dropped, err := s.mutateTenant(tenant, func(cat *storage.Catalog) (*storage.Catalog, error) {
-		ncat, err := cat.AppendRows(table, cols)
-		if err != nil {
-			return nil, err
-		}
-		rows = int64(ncat.MustTable(table).Rows())
-		return ncat, nil
+	return s.mutateTenant(tenant, table, &s.life.appends, func(cat *storage.Catalog) (*storage.Catalog, error) {
+		return cat.AppendRows(table, cols)
 	})
-	if err != nil {
-		return MutationResponse{}, err
-	}
-	s.life.appends.Add(1)
-	return MutationResponse{
-		Tenant: tn.displayName(), Table: table, Epoch: epoch, Rows: rows,
-		SessionsReopened: reopened, SessionsDropped: dropped,
-	}, nil
 }
 
 // DeleteTail deletes the last n rows of one table of a tenant's dataset,
 // bumping its epoch and reopening its cached sessions warm.
 func (s *Server) DeleteTail(tenant, table string, n int) (MutationResponse, error) {
-	var rows int64
-	tn, epoch, reopened, dropped, err := s.mutateTenant(tenant, func(cat *storage.Catalog) (*storage.Catalog, error) {
-		ncat, err := cat.DeleteTail(table, n)
-		if err != nil {
-			return nil, err
-		}
-		rows = int64(ncat.MustTable(table).Rows())
-		return ncat, nil
+	return s.mutateTenant(tenant, table, &s.life.deletes, func(cat *storage.Catalog) (*storage.Catalog, error) {
+		return cat.DeleteTail(table, n)
 	})
-	if err != nil {
-		return MutationResponse{}, err
-	}
-	s.life.deletes.Add(1)
-	return MutationResponse{
-		Tenant: tn.displayName(), Table: table, Epoch: epoch, Rows: rows,
-		SessionsReopened: reopened, SessionsDropped: dropped,
-	}, nil
 }
 
 // AddTenant links a factory-built tenant into the live server. The dataset
@@ -232,6 +183,8 @@ func (s *Server) AddTenant(spec TenantSpec) (TenantLifecycleResponse, error) {
 	if s.cfg.TenantFactory == nil {
 		return TenantLifecycleResponse{}, errNoFactory
 	}
+	// linkTenant checks the name again; checking it here first means a bad
+	// name never pays dataset generation.
 	if spec.Name == "" || spec.Name == "default" {
 		return TenantLifecycleResponse{}, fmt.Errorf("server: tenant name %q reserved", spec.Name)
 	}
@@ -239,48 +192,20 @@ func (s *Server) AddTenant(spec TenantSpec) (TenantLifecycleResponse, error) {
 	if err != nil {
 		return TenantLifecycleResponse{}, err
 	}
-	switch {
-	case t.Name != spec.Name:
+	if t.Name != spec.Name {
 		return TenantLifecycleResponse{}, fmt.Errorf("server: tenant factory renamed %q to %q", spec.Name, t.Name)
-	case t.Catalog == nil:
-		return TenantLifecycleResponse{}, fmt.Errorf("server: tenant %q has no catalog", t.Name)
 	}
-	switch t.Benchmark {
-	case "":
-		t.Benchmark = "tpch"
-	case "tpch", "tpcds":
-	default:
-		return TenantLifecycleResponse{}, fmt.Errorf("server: tenant %q: unknown benchmark %q (want tpch or tpcds)", t.Name, t.Benchmark)
+	tn, err := s.linkTenant(t)
+	if err != nil {
+		return TenantLifecycleResponse{}, err
 	}
-	if t.DBIdentity == "" {
-		t.DBIdentity = t.Name
-	}
-	tn := newTenantState(t, false)
-	s.tenantMu.Lock()
-	if _, dup := s.tenants[t.Name]; dup {
-		s.tenantMu.Unlock()
-		return TenantLifecycleResponse{}, fmt.Errorf("server: duplicate tenant %q", t.Name)
-	}
-	if t.DBIdentity == s.defTenant.DBIdentity {
-		s.tenantMu.Unlock()
-		return TenantLifecycleResponse{}, fmt.Errorf("server: tenant %q shares DBIdentity %q with tenant \"default\"", t.Name, t.DBIdentity)
-	}
-	for _, other := range s.tenantList {
-		if !other.def && other.DBIdentity == t.DBIdentity {
-			s.tenantMu.Unlock()
-			return TenantLifecycleResponse{}, fmt.Errorf("server: tenant %q shares DBIdentity %q with tenant %q", t.Name, t.DBIdentity, other.Name)
-		}
-	}
-	s.tenants[t.Name] = tn
-	s.tenantList = append(s.tenantList, tn)
-	s.tenantMu.Unlock()
-	if t.MaxSessions > 0 {
+	if tn.MaxSessions > 0 {
 		for _, sh := range s.shards {
 			shard := sh
-			s.do(shard, func() { shard.cache.SetTenantQuota(tn.tag(), t.MaxSessions) })
+			s.do(shard, func() { shard.cache.SetTenantQuota(tn.tag(), tn.MaxSessions) })
 		}
 	}
-	resp := TenantLifecycleResponse{Tenant: t.Name, Epoch: tn.epoch.Load()}
+	resp := TenantLifecycleResponse{Tenant: tn.Name, Epoch: tn.epoch.Load()}
 	if s.cfg.Store != nil {
 		before, warmBefore := s.rehydrated.Load(), s.warmSeeded.Load()
 		s.rehydrate(s.cfg.Store, tn)
@@ -309,9 +234,9 @@ func (s *Server) RemoveTenant(name string) (TenantLifecycleResponse, error) {
 	tn, ok := s.tenants[name]
 	if !ok || tn.draining.Load() {
 		s.tenantMu.Unlock()
-		return TenantLifecycleResponse{}, fmt.Errorf("unknown tenant %q", name)
+		return TenantLifecycleResponse{}, fmt.Errorf("%w %q", errUnknownTenant, name)
 	}
-	// Draining flips under the write lock: every later tenantFor (which
+	// Draining flips under the write lock: every later tenantByName (which
 	// reads under the same lock) sees it, so no new request is admitted
 	// from here on. The state stays linked until the flush is done —
 	// the persistence hook still needs to resolve the tenant's identity.
@@ -365,90 +290,71 @@ func (s *Server) RemoveTenant(name string) (TenantLifecycleResponse, error) {
 // decodeAdminBody decodes one admin request's JSON body.
 func decodeAdminBody(w http.ResponseWriter, r *http.Request, v any) error {
 	defer r.Body.Close()
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	return dec.Decode(v)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
+		return fmt.Errorf("bad request body: %w", err)
+	}
+	return nil
 }
 
-// adminErrCode maps an admin-operation error to its HTTP status.
-func adminErrCode(err error) int {
-	msg := err.Error()
+// adminReply writes one admin operation's outcome: the response, or the
+// error under its status (anything the request itself got wrong is a 400).
+func (s *Server) adminReply(b *ioBuf, w http.ResponseWriter, resp any, err error) {
 	switch {
+	case err == nil:
+		b.reply(w, http.StatusOK, resp)
 	case errors.Is(err, ErrClosed), errors.Is(err, errNoFactory):
-		return http.StatusServiceUnavailable
-	case strings.HasPrefix(msg, "unknown tenant"):
-		return http.StatusNotFound
+		s.writeErr(b, w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, errUnknownTenant):
+		s.writeErr(b, w, http.StatusNotFound, err)
 	default:
-		return http.StatusBadRequest
+		s.writeErr(b, w, http.StatusBadRequest, err)
 	}
 }
 
-func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
+func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) {
+	var (
+		req  appendRequest
+		resp MutationResponse
+	)
+	err := decodeAdminBody(w, r, &req)
+	if err == nil {
+		resp, err = s.AppendRows(req.Tenant, req.Table, req.Columns)
 	}
-	var req appendRequest
-	if err := decodeAdminBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	cols := make(map[string]storage.ColumnAppend, len(req.Columns))
-	for name, c := range req.Columns {
-		cols[name] = storage.ColumnAppend{Ints: c.Ints, Strs: c.Strs}
-	}
-	resp, err := s.AppendRows(req.Tenant, req.Table, cols)
-	if err != nil {
-		s.writeErr(w, adminErrCode(err), err)
-		return
-	}
-	writeJSON(w, resp)
+	s.adminReply(b, w, resp, err)
 }
 
-func (s *Server) handleTruncate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
-		return
+func (s *Server) handleTruncate(b *ioBuf, w http.ResponseWriter, r *http.Request) {
+	var (
+		req  truncateRequest
+		resp MutationResponse
+	)
+	err := decodeAdminBody(w, r, &req)
+	if err == nil {
+		resp, err = s.DeleteTail(req.Tenant, req.Table, req.Rows)
 	}
-	var req truncateRequest
-	if err := decodeAdminBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	resp, err := s.DeleteTail(req.Tenant, req.Table, req.Rows)
-	if err != nil {
-		s.writeErr(w, adminErrCode(err), err)
-		return
-	}
-	writeJSON(w, resp)
+	s.adminReply(b, w, resp, err)
 }
 
-func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTenants(b *ioBuf, w http.ResponseWriter, r *http.Request) {
+	var (
+		resp TenantLifecycleResponse
+		err  error
+	)
 	switch r.Method {
 	case http.MethodPost:
 		var spec TenantSpec
-		if err := decodeAdminBody(w, r, &spec); err != nil {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
+		if err = decodeAdminBody(w, r, &spec); err == nil {
+			resp, err = s.AddTenant(spec)
 		}
-		resp, err := s.AddTenant(spec)
-		if err != nil {
-			s.writeErr(w, adminErrCode(err), err)
-			return
-		}
-		writeJSON(w, resp)
 	case http.MethodDelete:
-		name := r.URL.Query().Get("name")
-		if name == "" {
-			s.writeErr(w, http.StatusBadRequest, errors.New("missing ?name="))
-			return
+		if name := r.URL.Query().Get("name"); name == "" {
+			err = errors.New("missing ?name=")
+		} else {
+			resp, err = s.RemoveTenant(name)
 		}
-		resp, err := s.RemoveTenant(name)
-		if err != nil {
-			s.writeErr(w, adminErrCode(err), err)
-			return
-		}
-		writeJSON(w, resp)
 	default:
-		s.writeErr(w, http.StatusMethodNotAllowed, errors.New("POST or DELETE only"))
+		s.writeErr(b, w, http.StatusMethodNotAllowed, errors.New("POST or DELETE only"))
+		return
 	}
+	s.adminReply(b, w, resp, err)
 }

@@ -25,7 +25,7 @@ import (
 func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n int) []byte {
 	t.Helper()
 	tab := cat.MustTable(table)
-	cols := map[string]ColumnAppendSpec{}
+	cols := map[string]storage.ColumnAppend{}
 	for _, name := range tab.ColumnNames() {
 		col := tab.MustColumn(name)
 		if col.Data().IsString() {
@@ -33,13 +33,13 @@ func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n i
 			for i := range vals {
 				vals[i] = col.Data().StringAt((i * 13) % col.Len())
 			}
-			cols[name] = ColumnAppendSpec{Strs: vals}
+			cols[name] = storage.ColumnAppend{Strs: vals}
 		} else {
 			vals := make([]int64, n)
 			for i := range vals {
 				vals[i] = col.At((i * 13) % col.Len())
 			}
-			cols[name] = ColumnAppendSpec{Ints: vals}
+			cols[name] = storage.ColumnAppend{Ints: vals}
 		}
 	}
 	body, err := json.Marshal(appendRequest{Tenant: tenant, Table: table, Columns: cols})
@@ -89,7 +89,7 @@ func bestPlanResults(t *testing.T, s *Server, fp string) []exec.Value {
 			return
 		}
 		var err error
-		vals, _, err = sh.eng.ExecuteOpts(e.Session.Best(), exec.JobOptions{Catalog: s.defTenant.jobCatalog()})
+		vals, _, err = sh.eng.ExecuteOpts(e.Session.Best(), exec.JobOptions{Catalog: s.defTenant.curCatalog()})
 		if err != nil {
 			t.Errorf("best-plan execution: %v", err)
 		}
@@ -211,7 +211,7 @@ func TestTenantLifecycleOverLiveTraffic(t *testing.T) {
 	}
 	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42})
 	srv, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.1:seed=42",
 		TenantFactory: func(spec TenantSpec) (Tenant, error) {
 			return Tenant{
@@ -308,7 +308,7 @@ func TestTenantRemovalFlushesAndRehydrates(t *testing.T) {
 	defer st.Close()
 	epoch := int64(0)
 	srv, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.1:seed=42",
 		Store:      st,
 		TenantFactory: func(spec TenantSpec) (Tenant, error) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/cost"
@@ -30,7 +31,7 @@ func newBudgetServer(t *testing.T) *Server {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.5:seed=42",
 		Benchmark:  "tpch",
 		Store:      st,
@@ -65,6 +66,21 @@ type allocBaseline struct {
 
 func loadAllocBaseline(t *testing.T) allocBaseline {
 	t.Helper()
+	// The budgets are measured + ~10 %, and what they measure is what the
+	// pools (ioBuf, encoding/json, net/http) save. Under the race detector
+	// sync.Pool drops a quarter of its Puts on purpose, so the counts there
+	// measure the detector. Detected by behaviour — a Get/Put round trip on
+	// a warm pool allocates only when the pool is lossy.
+	pool := sync.Pool{New: func() any { return new(int) }}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 1000; i++ {
+		pool.Put(pool.Get())
+	}
+	runtime.ReadMemStats(&m1)
+	if m1.Mallocs-m0.Mallocs > 100 {
+		t.Skip("sync.Pool is lossy in this build (race detector): allocation budgets are exact only without it")
+	}
 	raw, err := os.ReadFile("testdata/alloc_baseline.json")
 	if err != nil {
 		t.Fatal(err)
@@ -155,10 +171,10 @@ func TestServeResultAllocBudget(t *testing.T) {
 // TestServeColdAllocBudget is the cold-step gate (ISSUE 4): it serves a
 // query through its entire CONVERGENCE — every request an adaptive run that
 // mutates, recompiles and executes a fresh plan object — and fails when the
-// per-step allocation count regresses past the recorded budget. The budget
-// (98/step) encodes the ISSUE 4 acceptance: at least 2x below the PR 3
-// baseline of 197/step, where each converging step paid full plan cloning,
-// whole-plan compilation and fresh buffer allocation. Malloc counts are
+// per-step allocation count regresses past the recorded budget (measured
+// + ~10 %; the PR 3 baseline of 197/step is where each converging step paid
+// full plan cloning, whole-plan compilation and fresh buffer allocation —
+// ISSUE 4's acceptance was 2x below that). Malloc counts are
 // exact (not GC-dependent), so the measurement is stable.
 func TestServeColdAllocBudget(t *testing.T) {
 	if testing.Short() {

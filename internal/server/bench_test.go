@@ -18,7 +18,7 @@ func newBenchServer(tb testing.TB) *Server {
 	tb.Helper()
 	cat := tpch.Generate(tpch.Config{SF: 0.5, Seed: 42})
 	s, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.5:seed=42",
 		Benchmark:  "tpch",
 	})
@@ -109,7 +109,7 @@ func BenchmarkServeAdaptiveWarmup(b *testing.B) {
 	// eviction guarantees every iteration converges from scratch (and
 	// exercises the production eviction→Release→recycle path for free).
 	s, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.5:seed=42",
 		Benchmark:  "tpch",
 		CacheSize:  2,

@@ -1,0 +1,656 @@
+// The /query path, in the order a request crosses it:
+//
+//	decode → route + quota → resolve → shard pin + deadline →
+//	coalesce → serveAdaptive | serveSerial → encode
+//
+// handleQuery is the spine above HTTP framing, dispatch the spine below it;
+// each stage is one function taking the previous stage's outputs.
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
+	"slices"
+	"strconv"
+
+	"repro/internal/algebra"
+	"repro/internal/core"
+	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/plancache"
+	"repro/internal/tpcds"
+	"repro/internal/tpch"
+	"repro/internal/vectorwise"
+)
+
+// QueryRequest is the POST /query body. Exactly one of Query (a named
+// benchmark query) or SelectSum (an ad-hoc builder spec) must be set.
+type QueryRequest struct {
+	// Tenant routes the request to a named dataset (the X-APQ-Tenant header
+	// is the equivalent; the body field wins). Empty or "default" queries
+	// the server's primary database.
+	Tenant string `json:"tenant,omitempty"`
+	// Benchmark is "tpch" or "tpcds"; empty means the tenant's benchmark.
+	Benchmark string `json:"benchmark,omitempty"`
+	// Query is the named benchmark query number (e.g. 6 for TPC-H Q6).
+	Query int `json:"query,omitempty"`
+	// SelectSum builds the paper's §4.1 micro-benchmark shape ad hoc:
+	// sum(column) over rows of table where lo ≤ column ≤ hi.
+	SelectSum *SelectSumSpec `json:"select_sum,omitempty"`
+	// Mode is "adaptive" (default: serve through the plan-session cache) or
+	// "serial" (execute the serial plan cold, bypassing the cache — the
+	// baseline the serving benchmark compares against).
+	Mode string `json:"mode,omitempty"`
+	// MaxCores is a client-declared core budget for this request (0 = no
+	// limit): the execution runs as if admitted under that many cores. When
+	// server-side admission control is on too, the smaller budget wins. A
+	// converged session served persistently under a small client budget is
+	// exactly the regime the workload-drift detector watches.
+	MaxCores int `json:"max_cores,omitempty"`
+	// SelectRows is SelectSum without the aggregation: fetch the matching
+	// column values themselves. Its result is one column of every selected
+	// row — the shape that exercises chunked APQRESULT streaming.
+	SelectRows *SelectSumSpec `json:"select_rows,omitempty"`
+	// Results asks for the columnar APQRESULT reply body (an Accept header
+	// carrying ResultContentType is the equivalent). Off, the reply is the
+	// JSON metadata only — existing clients are untouched.
+	Results bool `json:"results,omitempty"`
+}
+
+// SelectSumSpec is the ad-hoc builder spec the service accepts over JSON.
+type SelectSumSpec struct {
+	Table  string `json:"table"`
+	Column string `json:"column"`
+	Lo     *int64 `json:"lo,omitempty"`
+	Hi     *int64 `json:"hi,omitempty"`
+}
+
+func (sp *SelectSumSpec) pred() algebra.Range {
+	switch {
+	case sp.Lo != nil && sp.Hi != nil:
+		return algebra.Between(*sp.Lo, *sp.Hi)
+	case sp.Lo != nil:
+		return algebra.AtLeast(*sp.Lo)
+	case sp.Hi != nil:
+		return algebra.AtMost(*sp.Hi)
+	default:
+		return algebra.Between(algebra.NoLow, algebra.NoHigh)
+	}
+}
+
+// key renders the spec's canonical identity for fingerprinting — the spec
+// fields already determine the plan, so there is no need to build and
+// render a plan per request just to compute the cache key. Built with
+// append, not Sprintf: this runs on every select_sum/select_rows request.
+// prefix namespaces the two query shapes sharing this spec type.
+func (sp *SelectSumSpec) key(prefix string) string {
+	buf := make([]byte, 0, 48+len(prefix)+len(sp.Table)+len(sp.Column))
+	buf = append(buf, prefix...)
+	buf = append(buf, sp.Table...)
+	buf = append(buf, ':')
+	buf = append(buf, sp.Column...)
+	buf = append(buf, ':')
+	buf = appendBound(buf, sp.Lo)
+	buf = append(buf, ':')
+	buf = appendBound(buf, sp.Hi)
+	return string(buf)
+}
+
+func appendBound(buf []byte, p *int64) []byte {
+	if p == nil {
+		return append(buf, '-')
+	}
+	return strconv.AppendInt(buf, *p, 10)
+}
+
+// build is the select_sum / select_rows plan: the same scan and fetch, and
+// for rows the fetched values are the result — no aggregation folds them
+// down, so a wide selection yields a result column spanning many wire chunks.
+func (sp *SelectSumSpec) build(rows bool) *plan.Plan {
+	b := plan.NewBuilder()
+	col := b.Bind(sp.Table, sp.Column)
+	vals := b.Fetch(b.Select(col, sp.pred()), col)
+	if !rows {
+		vals = b.Aggr(algebra.AggrSum, vals)
+	}
+	b.Result(vals)
+	return b.Plan()
+}
+
+// QueryResponse is the POST /query reply.
+type QueryResponse struct {
+	Session     string `json:"session,omitempty"`
+	Fingerprint string `json:"fingerprint,omitempty"`
+	Query       string `json:"query"`
+	// Tenant names the dataset served (omitted for the default tenant).
+	Tenant string `json:"tenant,omitempty"`
+	// Shard is the engine shard this query's fingerprint pins to.
+	Shard int `json:"shard"`
+	// State is "adapting", "converged", or "serial".
+	State string `json:"state"`
+	// Run is the adaptive run number this invocation executed. It is -1
+	// for serial-mode requests, and for adapting requests served under a
+	// throttled admission budget before the session's first adaptive run
+	// (throttled invocations execute the current plan without counting as
+	// adaptive runs).
+	Run      int  `json:"run"`
+	CacheHit bool `json:"cache_hit"`
+	// LatencyNs is this invocation's virtual execution time.
+	LatencyNs float64 `json:"latency_ns"`
+	// BestLatencyNs is the session's global-minimum execution time so far.
+	BestLatencyNs float64 `json:"best_latency_ns,omitempty"`
+	// SerialLatencyNs is the session's run-0 baseline.
+	SerialLatencyNs float64 `json:"serial_latency_ns,omitempty"`
+	// Speedup is SerialLatencyNs / BestLatencyNs.
+	Speedup float64 `json:"speedup,omitempty"`
+	// DOP is the executed plan's degree of parallelism.
+	DOP int `json:"dop"`
+	// MaxCores is the admission-control budget applied (0 = unlimited).
+	MaxCores  int `json:"max_cores"`
+	NumValues int `json:"num_values"`
+	// Degraded marks an invocation served frozen by an open shard breaker:
+	// the learned plan executed, but no adaptation or staleness feedback
+	// happened.
+	Degraded bool `json:"degraded,omitempty"`
+}
+
+// FrozenHeader forces a request to serve from learned state only (no
+// adaptation, no staleness feedback); ForwardedHeader marks a request
+// already routed by a peer's federation coordinator — the receiving node
+// must serve it locally, never re-route it (no forwarding loops). Both are
+// coordinator-to-node headers, exported for internal/cluster.
+const (
+	FrozenHeader    = "X-APQ-Frozen"
+	ForwardedHeader = "X-APQ-Forwarded"
+)
+
+// dispatchErr is a serve-path failure with its HTTP mapping: the status code
+// and whether the reply should carry a Retry-After backoff hint.
+type dispatchErr struct {
+	code  int
+	err   error
+	retry bool
+}
+
+// handleQuery is POST /query: decode → dispatch → encode over one pooled
+// buffer, which holds the request body first and the reply after.
+func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
+	var (
+		req  QueryRequest
+		resp QueryResponse
+		vals []exec.Value
+	)
+	derr := decode(b, w, r, &req)
+	if derr == nil {
+		resp, vals, derr = s.dispatch(r.Context(), r.Header.Get("X-APQ-Tenant"), &req, r.Header.Get(FrozenHeader) == "1")
+	}
+	if derr != nil {
+		if derr.retry {
+			// Shed and over-quota rejections both carry the jittered backoff
+			// hint: clients bounced in one burst should not return in one.
+			w.Header().Set("Retry-After", s.retryAfter())
+		}
+		s.writeErr(b, w, derr.code, derr.err)
+		return
+	}
+	s.encode(b, w, wantsResult(r.Header.Get("Accept"), &req), resp, vals)
+}
+
+// decode drains the bounded request body into the pooled buffer and
+// unmarshals it.
+func decode(b *ioBuf, w http.ResponseWriter, r *http.Request, req *QueryRequest) *dispatchErr {
+	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err == nil {
+		err = json.Unmarshal(b.buf.Bytes(), req)
+	}
+	if err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		return &dispatchErr{code: code, err: fmt.Errorf("bad request body: %w", err)}
+	}
+	return nil
+}
+
+// dispatch runs one decoded query request through the whole serve path below
+// HTTP framing, stage by stage. forceFrozen overrides the breaker decision to
+// serve learned state only (the FrozenHeader fidelity). The returned values
+// are the query's published result (shared, immutable; owned per the exec
+// escape contract) — encode streams them when the request negotiated it.
+func (s *Server) dispatch(ctx context.Context, hdrTenant string, req *QueryRequest, forceFrozen bool) (resp QueryResponse, vals []exec.Value, derr *dispatchErr) {
+	tn, err := s.route(hdrTenant, req)
+	if err != nil {
+		return QueryResponse{}, nil, &dispatchErr{code: http.StatusNotFound, err: err}
+	}
+	// From here on every failure, in whichever stage, counts against the
+	// tenant — once, here.
+	defer func() {
+		if derr != nil {
+			tn.noteErr()
+		}
+	}()
+	// The in-flight quota rejects before any engine work queues: a tenant
+	// over its concurrency budget fails fast with 429 instead of stacking
+	// requests on shard locks other tenants are waiting for. A tenant that
+	// started draining between routing and admission is 404 — to the client
+	// it no longer exists.
+	if err := tn.acquire(); err != nil {
+		code, retry := http.StatusTooManyRequests, true
+		if errors.Is(err, errTenantDraining) {
+			code, retry = http.StatusNotFound, false
+		}
+		return QueryResponse{}, nil, &dispatchErr{code: code, err: err, retry: retry}
+	}
+	defer tn.release()
+	name, fp, build, err := s.resolve(tn, req)
+	if err != nil {
+		return QueryResponse{}, nil, &dispatchErr{code: http.StatusBadRequest, err: err}
+	}
+	s.queryCount.Add(1)
+
+	// Shard pinning: the fingerprint decides the engine replica, so a
+	// session's adaptive state lives (and converges deterministically) on
+	// exactly one simulated machine. Tenants share the pool — the
+	// fingerprint already incorporates the tenant's dataset identity.
+	sh := s.shardFor(fp)
+
+	// The request context carries the per-request deadline into shard
+	// dispatch: a request that cannot reach its engine in time 503s instead
+	// of queueing forever (the client's own cancellation flows through too).
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+
+	switch req.Mode {
+	case "", "adaptive":
+		return s.coalesce(ctx, tn, sh, req, fp, name, build, forceFrozen)
+	case "serial":
+		// Serial mode is the cold baseline the serving benchmark compares
+		// against — coalescing it would fabricate the very sharing the
+		// baseline exists to exclude, so it always runs.
+		return s.serveSerial(ctx, tn, sh, req, name, build)
+	default:
+		return QueryResponse{}, nil, &dispatchErr{code: http.StatusBadRequest, err: fmt.Errorf("unknown mode %q", req.Mode)}
+	}
+}
+
+// route picks the request's tenant: the body's "tenant" field first, then
+// the X-APQ-Tenant header value hdrTenant ("" = none).
+func (s *Server) route(hdrTenant string, req *QueryRequest) (*tenantState, error) {
+	name := req.Tenant
+	if name == "" {
+		name = hdrTenant
+	}
+	return s.tenantByName(name)
+}
+
+// fpEntry is one cached (display name, fingerprint) resolution.
+type fpEntry struct {
+	name, fp string
+}
+
+// maxFPCache bounds the fingerprint cache; ad-hoc specs are unbounded in
+// principle, so the cache resets rather than grow without limit.
+const maxFPCache = 4096
+
+// fingerprintFor memoizes the query-identity hash for a resolution key.
+func (s *Server) fingerprintFor(key string, derive func() fpEntry) fpEntry {
+	s.fpMu.Lock()
+	e, ok := s.fpCache[key]
+	s.fpMu.Unlock()
+	if ok {
+		return e
+	}
+	e = derive()
+	s.fpMu.Lock()
+	if len(s.fpCache) >= maxFPCache {
+		s.fpCache = make(map[string]fpEntry)
+	}
+	s.fpCache[key] = e
+	s.fpMu.Unlock()
+	return e
+}
+
+// fpCacheKey namespaces a fingerprint-cache key by tenant. The default
+// tenant keeps the bare key (no per-request concatenation on the
+// single-tenant hot path); named tenants prefix their name.
+func (s *Server) fpCacheKey(tn *tenantState, key string) string {
+	if tn.def {
+		return key
+	}
+	return tn.Name + "\x00" + key
+}
+
+// resolve maps a request to (query name, fingerprint, plan builder) against
+// its tenant's dataset. The builder is deferred: plancache only calls it on
+// a fingerprint miss, so the hot cached path never constructs a plan.
+func (s *Server) resolve(tn *tenantState, req *QueryRequest) (name, fp string, build func() (*plan.Plan, error), err error) {
+	bench := req.Benchmark
+	if bench == "" {
+		bench = tn.Benchmark
+	}
+	if bench != tn.Benchmark {
+		return "", "", nil, fmt.Errorf("tenant %q serves %q, not %q", tn.displayName(), tn.Benchmark, bench)
+	}
+	if req.SelectSum != nil || req.SelectRows != nil {
+		if req.Query != 0 || (req.SelectSum != nil && req.SelectRows != nil) {
+			return "", "", nil, errors.New("set exactly one of query, select_sum, or select_rows")
+		}
+		shape, sel := "select_sum", req.SelectSum
+		if req.SelectRows != nil {
+			shape, sel = "select_rows", req.SelectRows
+		}
+		if sel.Table == "" || sel.Column == "" {
+			return "", "", nil, fmt.Errorf("%s needs table and column", shape)
+		}
+		// Validate against the tenant's live catalog before the plan can
+		// reach the cache: a bad spec must be a 400, not a cache insertion
+		// (and possible eviction of a healthy session) followed by an
+		// execution failure. Catalogs are immutable once published, so the
+		// loaded pointer needs no lock.
+		tbl, err := tn.curCatalog().Table(sel.Table)
+		if err != nil {
+			return "", "", nil, err
+		}
+		if _, err := tbl.Column(sel.Column); err != nil {
+			return "", "", nil, err
+		}
+		spec, rows := *sel, req.SelectRows != nil
+		e := s.fingerprintFor(s.fpCacheKey(tn, spec.key(shape+":")), func() fpEntry {
+			return fpEntry{
+				name: fmt.Sprintf("%s(%s.%s)", shape, spec.Table, spec.Column),
+				fp:   plancache.Fingerprint(tn.DBIdentity, spec.key(shape+":")),
+			}
+		})
+		return e.name, e.fp,
+			func() (*plan.Plan, error) { return spec.build(rows), nil }, nil
+	}
+	var (
+		lookup  func(int) (*plan.Plan, error)
+		numbers []int
+	)
+	switch bench {
+	case "tpch":
+		lookup, numbers = tpch.Query, tpch.QueryNumbers()
+	case "tpcds":
+		lookup, numbers = tpcds.Query, tpcds.QueryNumbers()
+	}
+	n := req.Query
+	if n == 0 {
+		return "", "", nil, errors.New("missing query number")
+	}
+	// Validate by number only — building the plan here would put full plan
+	// construction on every cached request's path.
+	if !slices.Contains(numbers, n) {
+		return "", "", nil, fmt.Errorf("%s: query %d not implemented", bench, n)
+	}
+	e := s.fingerprintFor(s.fpCacheKey(tn, bench+":q"+strconv.Itoa(n)), func() fpEntry {
+		name := fmt.Sprintf("%s:q%d", bench, n)
+		return fpEntry{name: name, fp: plancache.Fingerprint(tn.DBIdentity, name)}
+	})
+	return e.name, e.fp,
+		func() (*plan.Plan, error) { return lookup(n) }, nil
+}
+
+// RouteFingerprint resolves a request to its routing fingerprint without
+// executing anything — the key the federation coordinator hashes to pick an
+// owning node; tenant precedence is route's, same as serving. Resolution
+// failures (unknown tenant, malformed spec) are not routing decisions: the
+// caller serves such requests locally so the canonical error reply comes
+// from the full serve path.
+func (s *Server) RouteFingerprint(hdrTenant string, req *QueryRequest) (string, error) {
+	tn, err := s.route(hdrTenant, req)
+	if err != nil {
+		return "", err
+	}
+	_, fp, _, err := s.resolve(tn, req)
+	return fp, err
+}
+
+// flightKey identifies requests that may share one engine run: the
+// fingerprint (which already encodes tenant, dataset identity, and the full
+// query spec), the frozen-fidelity demand, and the client core budget —
+// requests differing in any of these must not share a result.
+type flightKey struct {
+	fp     string
+	frozen bool
+	cores  int
+}
+
+// flight is one in-flight adaptive engine run. Waiters block on done, then
+// share the leader's published result. The sharing is safe by the exec
+// ownership contract: values reachable from a result instruction are
+// allocated fresh per run and never pooled or rewritten, so a concurrent
+// Evict/Retire on the session recycles only arenas and schedules, never the
+// buffers waiters hold.
+type flight struct {
+	done chan struct{}
+	resp QueryResponse
+	vals []exec.Value
+	derr *dispatchErr
+}
+
+// coalesce is the single-flight stage: when the shard is already busy (a
+// request holds or waits on its engine lock), an identical adaptive request
+// joins the in-flight run instead of queueing behind it — N concurrent
+// clients on one fingerprint cost one engine run, and every waiter shares the
+// leader's published immutable result. The busy gate keeps the sequential
+// hot path at one atomic load and zero allocations, and means the first
+// overlapping pair still runs twice (runs per burst ≈ contenders at the
+// instant of arrival, far below total requests).
+func (s *Server) coalesce(ctx context.Context, tn *tenantState, sh *shard, req *QueryRequest, fp, name string, build func() (*plan.Plan, error), forceFrozen bool) (QueryResponse, []exec.Value, *dispatchErr) {
+	if sh.waiting.Load() == 0 {
+		return s.serveAdaptive(ctx, tn, sh, req, fp, name, build, forceFrozen)
+	}
+	k := flightKey{fp: fp, frozen: forceFrozen, cores: req.MaxCores}
+	s.flightMu.Lock()
+	if f, ok := s.flights[k]; ok {
+		s.flightMu.Unlock()
+		s.coalesced.Add(1)
+		select {
+		case <-f.done:
+			return f.resp, f.vals, f.derr
+		case <-ctx.Done():
+			// The waiter's own deadline expired before the leader
+			// finished — same surface as a doCtx deadline expiry.
+			s.res.deadlineExpiries.Add(1)
+			return QueryResponse{}, nil, &dispatchErr{code: http.StatusServiceUnavailable, err: fmt.Errorf("server: %w", ctx.Err())}
+		}
+	}
+	f := &flight{
+		done: make(chan struct{}),
+		// Pre-arm the failure outcome: if the leader panics out of
+		// serveAdaptive, waiters must see an error, not a zero reply.
+		derr: &dispatchErr{code: http.StatusInternalServerError, err: errors.New("server: coalesced engine run failed")},
+	}
+	s.flights[k] = f
+	s.flightMu.Unlock()
+	defer func() {
+		s.flightMu.Lock()
+		delete(s.flights, k)
+		s.flightMu.Unlock()
+		close(f.done)
+	}()
+	f.resp, f.vals, f.derr = s.serveAdaptive(ctx, tn, sh, req, fp, name, build, forceFrozen)
+	return f.resp, f.vals, f.derr
+}
+
+// jobOpts binds a request's execution options: the tenant's catalog, the
+// admission-control core budget, and the client's own core cap — the smaller
+// budget wins. With Config.Admission on it acquires the admission slot that
+// produced the budget; the caller releases slot after the engine run.
+func (s *Server) jobOpts(tn *tenantState, sh *shard, req *QueryRequest) (opts exec.JobOptions, slot int) {
+	opts.Catalog = tn.curCatalog()
+	if s.cfg.Admission {
+		var active int
+		slot, active = sh.adm.acquire()
+		cores := sh.eng.Machine().Config().LogicalCores()
+		opts.MaxCores = vectorwise.AdmissionMaxCores(slot, active, cores)
+		if s.admitHook != nil {
+			s.admitHook()
+		}
+	}
+	if req.MaxCores > 0 && (opts.MaxCores == 0 || req.MaxCores < opts.MaxCores) {
+		opts.MaxCores = req.MaxCores
+	}
+	return opts, slot
+}
+
+// engineErr maps an engine run's two failure channels to their replies — the
+// one thing the adaptive and serial bodies share. doErr means the shard was
+// never reached (shed, deadline, closed): a 503, and a shed request also
+// carries Retry-After — the client should back off and come again, unlike a
+// closed server. err means the run itself failed: a 500.
+func engineErr(doErr, err error) *dispatchErr {
+	switch {
+	case doErr != nil:
+		return &dispatchErr{code: http.StatusServiceUnavailable, err: doErr, retry: errors.Is(doErr, ErrOverloaded)}
+	case err != nil:
+		return &dispatchErr{code: http.StatusInternalServerError, err: err}
+	}
+	return nil
+}
+
+// serveAdaptive runs one adaptive invocation on its shard: admission,
+// breaker fidelity, engine run, response assembly. Exactly one goroutine
+// runs this per coalesced flight — waiters never reach it.
+func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, req *QueryRequest, fp, name string, build func() (*plan.Plan, error), forceFrozen bool) (QueryResponse, []exec.Value, *dispatchErr) {
+	opts, slot := s.jobOpts(tn, sh, req)
+	if s.cfg.Admission {
+		defer sh.adm.release(slot)
+	}
+	// The shard's health breaker decides the invocation's fidelity: a
+	// degraded shard serves frozen (learned plans, no exploration) until
+	// its cooldown admits a half-open probe. A forced-frozen request
+	// (FrozenHeader) is the degraded mode by demand — it never feeds the
+	// breaker, exactly like breaker-frozen servings.
+	mode := BreakerNormal
+	if forceFrozen {
+		mode = BreakerFrozen
+	} else if s.cfg.BreakerFailures > 0 {
+		mode = sh.brk.Admit()
+	}
+	var (
+		res *plancache.Result
+		sum core.Summary
+		err error
+	)
+	doErr := s.doCtx(ctx, sh, func() {
+		if mode == BreakerFrozen {
+			res, err = sh.cache.InvokeTenantFrozen(tn.tag(), fp, name, build, opts)
+		} else {
+			res, err = sh.cache.InvokeTenant(tn.tag(), fp, name, build, opts)
+		}
+		if err == nil {
+			// Snapshot under the shard lock: another request may step
+			// this session the moment we release it.
+			sum = res.Entry.Session.Summary()
+		}
+	})
+	if derr := engineErr(doErr, err); derr != nil {
+		if s.cfg.BreakerFailures > 0 {
+			// Errored — or shed, deadline-expired, closed: the shard never
+			// answered at full fidelity, and a probe that hit this stays
+			// open.
+			sh.brk.Record(mode, true)
+		}
+		return QueryResponse{}, nil, derr
+	}
+	if s.cfg.BreakerFailures > 0 {
+		slow := s.cfg.SlowFactor > 0 && sum.SerialNs > 0 &&
+			res.Invocation.LatencyNs > s.cfg.SlowFactor*sum.SerialNs
+		sh.brk.Record(mode, slow)
+	}
+	resp := QueryResponse{
+		Session:         res.Entry.ID,
+		Fingerprint:     fp,
+		Query:           name,
+		Tenant:          tn.tag(),
+		Shard:           sh.id,
+		State:           "adapting",
+		Run:             res.Invocation.Run,
+		CacheHit:        !res.Created,
+		LatencyNs:       res.Invocation.LatencyNs,
+		BestLatencyNs:   sum.GMENs,
+		SerialLatencyNs: sum.SerialNs,
+		Speedup:         sum.Speedup(),
+		DOP:             res.Invocation.DOP,
+		MaxCores:        opts.MaxCores,
+		NumValues:       len(res.Values),
+	}
+	if res.Invocation.Converged {
+		resp.State = "converged"
+	}
+	resp.Degraded = res.Invocation.Frozen
+	return resp, res.Values, nil
+}
+
+// serveSerial executes the serial plan cold, bypassing the plan cache, the
+// breaker and coalescing — a separate body from serveAdaptive on purpose: a
+// merged one would branch on the mode at the engine call, the breaker
+// feedback and the response assembly.
+func (s *Server) serveSerial(ctx context.Context, tn *tenantState, sh *shard, req *QueryRequest, name string, build func() (*plan.Plan, error)) (QueryResponse, []exec.Value, *dispatchErr) {
+	opts, slot := s.jobOpts(tn, sh, req)
+	if s.cfg.Admission {
+		defer sh.adm.release(slot)
+	}
+	var (
+		vals []exec.Value
+		prof *exec.Profile
+		err  error
+	)
+	doErr := s.doCtx(ctx, sh, func() {
+		var p *plan.Plan
+		if p, err = build(); err == nil {
+			vals, prof, err = sh.eng.ExecuteOpts(p, opts)
+			// One-shot plan: retire it immediately so its compiled
+			// schedule doesn't churn the engine cache and its buffers
+			// feed the next cold request through the recycler. Result
+			// values stay valid: they escape per the exec contract.
+			sh.eng.Retire(p)
+		}
+	})
+	if derr := engineErr(doErr, err); derr != nil {
+		return QueryResponse{}, nil, derr
+	}
+	return QueryResponse{
+		Query:     name,
+		Tenant:    tn.tag(),
+		Shard:     sh.id,
+		State:     "serial",
+		Run:       -1,
+		LatencyNs: prof.Makespan(),
+		DOP:       1,
+		MaxCores:  opts.MaxCores,
+		NumValues: len(vals),
+	}, vals, nil
+}
+
+// encode writes the success reply: the JSON metadata, or — when the request
+// negotiated results — the same metadata framed inside APQRESULT followed by
+// every result value streamed chunk-by-chunk straight from the published
+// immutable buffers (result.go). Errors always go out as JSON; only success
+// bodies change representation.
+func (s *Server) encode(b *ioBuf, w http.ResponseWriter, results bool, resp QueryResponse, vals []exec.Value) {
+	if !results {
+		b.reply(w, http.StatusOK, resp)
+		return
+	}
+	meta, err := json.Marshal(&resp)
+	if err != nil {
+		s.writeErr(b, w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", ResultContentType)
+	n, _ := writeResult(w, meta, vals)
+	// A mid-stream write error means the client hung up; the bytes that
+	// made it out still count.
+	s.resultBytes.Add(n)
+}

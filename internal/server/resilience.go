@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sync"
 	"time"
 
@@ -76,10 +75,22 @@ func (s *Server) doCtx(ctx context.Context, sh *shard, f func()) error {
 	return nil
 }
 
-// sheddable classifies a dispatch error for the HTTP reply: everything is a
-// 503, but shed requests additionally carry Retry-After — the client should
-// back off and come again, unlike a closed server.
-func sheddable(err error) bool { return errors.Is(err, ErrOverloaded) }
+// withAllShards runs f holding EVERY shard's engine-ownership semaphore — the
+// epoch-publication barrier: while f runs no request is executing anywhere.
+// Semaphores are taken in index order (every other path holds at most one,
+// so a fixed total order cannot deadlock) and released by defer, so a panic
+// in f recovered further up (handle) leaves every shard serving.
+func (s *Server) withAllShards(f func()) {
+	for _, sh := range s.shards {
+		sh.sem <- struct{}{}
+	}
+	defer func() {
+		for _, sh := range s.shards {
+			<-sh.sem
+		}
+	}()
+	f()
+}
 
 // BreakerState is a breaker's position in the closed → open → half-open
 // cycle.
@@ -248,25 +259,6 @@ func (s *Server) InjectFault(shard int, ev sim.FaultEvent) error {
 	}
 	sh := s.shards[shard]
 	return s.do(sh, func() { sh.eng.Machine().InjectFault(ev) })
-}
-
-// withRecovery is the outermost middleware: a panic anywhere in a handler
-// becomes a 500 and a counter increment instead of a dead daemon. The
-// engine-ownership semaphore and in-flight counters release on the way up
-// (doCtx defers), so a recovered shard keeps serving.
-func (s *Server) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.res.panics.Add(1)
-				s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("internal error: %v", rec))
-			}
-		}()
-		if s.panicHook != nil {
-			s.panicHook(r)
-		}
-		next.ServeHTTP(w, r)
-	})
 }
 
 // BreakerInfo is one shard breaker's slice of the /stats resilience block.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,9 +12,11 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/plancache"
 	"repro/internal/sim"
+	"repro/internal/tpch"
 )
 
 // TestRequestBodyTooLarge413: the /query body cap rejects oversized posts
@@ -306,6 +309,36 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	getJSON(t, ts.URL+"/stats", &stats)
 	if stats.Resilience.PanicsRecovered != 1 {
 		t.Fatalf("panics_recovered = %d, want 1", stats.Resilience.PanicsRecovered)
+	}
+}
+
+// TestWithAllShardsReleasesOnPanic: the epoch-publication barrier takes every
+// shard's engine semaphore; a panic inside it (which withRecovery turns into
+// a 500 on /admin/append) must not leave the pool locked behind a /healthz
+// that still says 200.
+func TestWithAllShardsReleasesOnPanic(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.05, Seed: 42})
+	s, _ := newTestServer(t, Config{Engines: []*exec.Engine{
+		exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+	}})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the panic did not propagate out of withAllShards")
+			}
+		}()
+		s.withAllShards(func() { panic("deliberate test panic") })
+	}()
+	for _, sh := range s.shards {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ran := false
+		err := s.doCtx(ctx, sh, func() { ran = true })
+		cancel()
+		if err != nil || !ran {
+			t.Fatalf("shard %d still locked after a panic under withAllShards: %v", sh.id, err)
+		}
 	}
 }
 

@@ -18,9 +18,9 @@ import (
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.Engine == nil {
+	if len(cfg.Engines) == 0 {
 		cat := tpch.Generate(tpch.Config{SF: 0.5, Seed: 42})
-		cfg.Engine = exec.NewEngine(cat, sim.TwoSocket(), cost.Default())
+		cfg.Engines = []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())}
 	}
 	if cfg.DBIdentity == "" {
 		cfg.DBIdentity = "tpch:sf=0.5:seed=42"
@@ -318,7 +318,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42})
 	eng := exec.NewEngine(cat, sim.TwoSocket(), cost.Default())
-	if _, err := New(Config{Engine: eng, Benchmark: "TPCH"}); err == nil {
+	if _, err := New(Config{Engines: []*exec.Engine{eng}, Benchmark: "TPCH"}); err == nil {
 		t.Fatal("New must reject an unknown benchmark at startup, not per request")
 	}
 }

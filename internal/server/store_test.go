@@ -21,7 +21,7 @@ import (
 func newStoreServer(t *testing.T, cat *storage.Catalog, st *store.Store, tenants []Tenant) *Server {
 	t.Helper()
 	s, err := New(Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.5:seed=42",
 		Benchmark:  "tpch",
 		Tenants:    tenants,

@@ -3,18 +3,22 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/plancache"
 	"repro/internal/storage"
 )
 
 // errTenantDraining reports a request routed to a tenant mid-removal. The
 // HTTP layer maps it to 404 — from the client's view a draining tenant has
 // already ceased to exist; only requests admitted before the drain started
-// still complete.
-var errTenantDraining = errors.New("tenant draining")
+// still complete. errUnknownTenant is the routing miss (an unlinked or
+// draining name): 404 on /query and on the admin surface alike.
+var (
+	errTenantDraining = errors.New("tenant draining")
+	errUnknownTenant  = errors.New("unknown tenant")
+)
 
 // Tenant configures one named dataset served by the daemon alongside its
 // default database. Tenants multiplex over the same engine shard pool: the
@@ -55,11 +59,10 @@ type Tenant struct {
 
 // tenantState is one tenant's runtime: its immutable config plus the
 // in-flight gate and request counters. def marks the server's primary
-// database, whose requests keep a nil JobOptions.Catalog (the engine's own
-// catalog) — the single-tenant serve path is byte-for-byte the pre-tenancy
-// one. Counters are atomics, not a mutex: every request of every shard
-// touches its tenant's state, and a lock here would be a pool-wide
-// serialization point on exactly the path the shard pool exists to spread.
+// database (tag "", display name "default"). Counters are atomics, not a
+// mutex: every request of every shard touches its tenant's state, and a lock
+// here would be a pool-wide serialization point on exactly the path the
+// shard pool exists to spread.
 type tenantState struct {
 	Tenant
 	def bool
@@ -67,14 +70,10 @@ type tenantState struct {
 	// epoch is the dataset's live mutation epoch; catalog is the live
 	// catalog pointer (mutations swap in a new copy-on-write catalog, so
 	// every loaded pointer stays valid and immutable for the request that
-	// loaded it). mutated flips once the default tenant's data diverges
-	// from the engines' built-in catalog — until then its requests keep a
-	// nil JobOptions.Catalog, the byte-for-byte pre-tenancy hot path.
-	// draining marks a tenant mid-removal: new requests 404, in-flight
-	// ones finish. mutMu serializes data mutations per tenant.
+	// loaded it). draining marks a tenant mid-removal: new requests 404,
+	// in-flight ones finish. mutMu serializes data mutations per tenant.
 	epoch    atomic.Int64
 	catalog  atomic.Pointer[storage.Catalog]
-	mutated  atomic.Bool
 	draining atomic.Bool
 	mutMu    sync.Mutex
 
@@ -96,7 +95,7 @@ func newTenantState(t Tenant, def bool) *tenantState {
 // acquire takes one in-flight slot, or reports the over-quota rejection.
 // The draining check sits AFTER the in-flight increment: the remover sets
 // draining and then waits for inFlight to reach zero, so a request that
-// slipped past tenantFor either bounces here or is visible to that wait —
+// slipped past tenantByName either bounces here or is visible to that wait —
 // never silently executing against a tenant being torn down.
 func (tn *tenantState) acquire() error {
 	tn.requests.Add(1)
@@ -139,34 +138,56 @@ func (tn *tenantState) displayName() string {
 	return tn.Name
 }
 
-// curCatalog is the tenant's live catalog (post-mutation copies included).
+// curCatalog is the tenant's live catalog (post-mutation copies included) —
+// what every request's binds resolve against (exec.JobOptions.Catalog).
 func (tn *tenantState) curCatalog() *storage.Catalog {
 	return tn.catalog.Load()
 }
 
-// jobCatalog is the per-job bind-resolution override: nil for the default
-// tenant on unmutated data (the engine's own catalog — the single-tenant
-// hot path), the tenant's live catalog otherwise.
-func (tn *tenantState) jobCatalog() *storage.Catalog {
-	if tn.def && !tn.mutated.Load() {
-		return nil
+// linkTenant validates a named tenant and links it into routing — the one
+// path for startup configuration and runtime addition alike.
+func (s *Server) linkTenant(t Tenant) (*tenantState, error) {
+	switch {
+	case t.Name == "" || t.Name == "default":
+		return nil, fmt.Errorf("server: tenant name %q reserved (the primary database is tenant \"default\")", t.Name)
+	case t.Catalog == nil:
+		return nil, fmt.Errorf("server: tenant %q has no catalog", t.Name)
 	}
-	return tn.catalog.Load()
+	switch t.Benchmark {
+	case "":
+		t.Benchmark = "tpch"
+	case "tpch", "tpcds":
+	default:
+		return nil, fmt.Errorf("server: tenant %q: unknown benchmark %q (want tpch or tpcds)", t.Name, t.Benchmark)
+	}
+	if t.DBIdentity == "" {
+		t.DBIdentity = t.Name
+	}
+	s.tenantMu.Lock()
+	defer s.tenantMu.Unlock()
+	if _, dup := s.tenants[t.Name]; dup {
+		return nil, fmt.Errorf("server: duplicate tenant %q", t.Name)
+	}
+	// Identity uniqueness is load-bearing, not cosmetic: fingerprints
+	// incorporate DBIdentity, so two tenants sharing one identity would
+	// silently share cache sessions — merging their quotas, stats, and
+	// (with different catalogs) their adaptive state. The scan includes the
+	// default tenant (tenantList[0]).
+	for _, other := range s.tenantList {
+		if other.DBIdentity == t.DBIdentity {
+			return nil, fmt.Errorf("server: tenant %q shares DBIdentity %q with tenant %q — identities must be unique or fingerprints collide across tenants", t.Name, t.DBIdentity, other.displayName())
+		}
+	}
+	tn := newTenantState(t, false)
+	s.tenants[t.Name] = tn
+	s.tenantList = append(s.tenantList, tn)
+	return tn, nil
 }
 
-// tenantFor routes a request to its tenant: the body's "tenant" field first,
-// then the X-APQ-Tenant header. Empty and "default" name the server's
+// tenantByName routes a display name (request body field, X-APQ-Tenant
+// header, admin request) to its tenant. Empty and "default" name the server's
 // primary database. A draining tenant is already gone from the client's
 // perspective — same "unknown tenant" reply removal leaves behind.
-func (s *Server) tenantFor(r *http.Request, name string) (*tenantState, error) {
-	if name == "" {
-		name = r.Header.Get("X-APQ-Tenant")
-	}
-	return s.tenantByName(name)
-}
-
-// tenantByName is tenantFor below the HTTP layer: the name is already
-// resolved (header fallback applied by the caller, if any).
 func (s *Server) tenantByName(name string) (*tenantState, error) {
 	if name == "" || name == "default" {
 		return s.defTenant, nil
@@ -175,9 +196,21 @@ func (s *Server) tenantByName(name string) (*tenantState, error) {
 	tn, ok := s.tenants[name]
 	s.tenantMu.RUnlock()
 	if !ok || tn.draining.Load() {
-		return nil, fmt.Errorf("unknown tenant %q", name)
+		return nil, fmt.Errorf("%w %q", errUnknownTenant, name)
 	}
 	return tn, nil
+}
+
+// tenantByTag resolves a cache tenant tag ("" = default) to its state.
+// Draining tenants still resolve: their evicted sessions persist with the
+// right identity while the removal is in progress.
+func (s *Server) tenantByTag(tag string) *tenantState {
+	if tag == "" {
+		return s.defTenant
+	}
+	s.tenantMu.RLock()
+	defer s.tenantMu.RUnlock()
+	return s.tenants[tag]
 }
 
 // TenantStatsInfo is one tenant's slice of the GET /stats reply. Cache
@@ -201,22 +234,8 @@ type TenantStatsInfo struct {
 	Epoch    int64 `json:"epoch"`
 	Draining bool  `json:"draining,omitempty"`
 	// Cache aggregates the tenant's plan-session cache counters across
-	// shards: live sessions, hits, misses, evictions, converged.
-	Cache struct {
-		Entries        int   `json:"entries"`
-		Hits           int64 `json:"hits"`
-		Misses         int64 `json:"misses"`
-		Evictions      int64 `json:"evictions"`
-		Converged      int   `json:"converged"`
-		Rehydrated     int64 `json:"rehydrated,omitempty"`
-		Reconvergences int64 `json:"reconvergences,omitempty"`
-		// DataReopens counts epoch-bump warm reopens, DriftReopens
-		// workload-drift reopens, WarmSeeds epoch-mismatched store records
-		// rehydrated as warm seeds.
-		DataReopens  int64 `json:"data_reopens,omitempty"`
-		DriftReopens int64 `json:"drift_reopens,omitempty"`
-		WarmSeeds    int64 `json:"warm_seeds,omitempty"`
-	} `json:"cache"`
+	// shards.
+	Cache plancache.Stats `json:"cache"`
 }
 
 // statsInfo snapshots the tenant's request counters (cache counters are

@@ -51,7 +51,7 @@ func postTenant(t *testing.T, url, tenant string, req QueryRequest, viaHeader bo
 func convergeBaseline(t *testing.T, cat *storage.Catalog, dbIdentity string, q int) *plancache.Entry {
 	t.Helper()
 	s, ts := newTestServer(t, Config{
-		Engine:     exec.NewEngine(cat, sim.TwoSocket(), cost.Default()),
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: dbIdentity,
 		Benchmark:  "tpch",
 	})
@@ -388,7 +388,7 @@ func TestNewRejectsBadTenants(t *testing.T) {
 		{"identity collides with default", []Tenant{{Name: "tpch", Catalog: cat}}},
 	}
 	for _, tc := range cases {
-		if _, err := New(Config{Engine: eng(), Benchmark: "tpch", Tenants: tc.tenants}); err == nil {
+		if _, err := New(Config{Engines: []*exec.Engine{eng()}, Benchmark: "tpch", Tenants: tc.tenants}); err == nil {
 			t.Errorf("%s: New accepted bad tenant config", tc.name)
 		}
 	}

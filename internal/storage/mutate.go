@@ -9,8 +9,8 @@ import (
 // ColumnAppend carries the values appended to one column of a table. Exactly
 // one of Ints or Strs must be set, matching the column's payload type.
 type ColumnAppend struct {
-	Ints []int64
-	Strs []string
+	Ints []int64  `json:"ints,omitempty"`
+	Strs []string `json:"strs,omitempty"`
 }
 
 func (a ColumnAppend) rows() int {

@@ -105,7 +105,7 @@ func TestCompactionRacesSynchronizer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
 	s.NoAutoCompact = true // compaction timing is driven explicitly below
-	sy := NewSynchronizer(s)
+	sy := NewSynchronizer(s.PutBatch)
 
 	const fps = 16
 	const rounds = 40

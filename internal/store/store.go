@@ -192,6 +192,18 @@ func (s *Store) Put(rec Record) error {
 	return nil
 }
 
+// PutBatch writes recs in order and fsyncs once — the write-behind
+// Synchronizer's sink. It reports how many records were appended before the
+// first error.
+func (s *Store) PutBatch(recs []Record) (wrote int, err error) {
+	for i := range recs {
+		if err := s.Put(recs[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(recs), s.Sync()
+}
+
 func (s *Store) appendLocked(rec *Record) error {
 	payload, err := encodeRecord(rec, CurrentFormat)
 	if err != nil {

@@ -467,7 +467,7 @@ func TestSynchronizerWriteBehind(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
 	defer s.Close()
-	sy := NewSynchronizer(s)
+	sy := NewSynchronizer(s.PutBatch)
 	for i := 0; i < 50; i++ {
 		sy.Enqueue(testRecord(i))
 	}
@@ -496,7 +496,7 @@ func TestSynchronizerWriteBehind(t *testing.T) {
 func TestSynchronizerCloseDrains(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
-	sy := NewSynchronizer(s)
+	sy := NewSynchronizer(s.PutBatch)
 	for i := 0; i < 200; i++ {
 		sy.Enqueue(testRecord(i))
 	}

@@ -2,36 +2,39 @@ package store
 
 import "sync"
 
-// Synchronizer is the write-behind path between the plan-session caches and
-// the store. Persistence hooks run on the serving goroutines at convergence
-// and eviction time — both cold events — so all they may do is enqueue;
-// the synchronizer's single background goroutine drains the queue in
-// batches and fsyncs once per batch. Enqueue allocates at most the queue
-// append and never blocks on the disk.
+// Synchronizer is the one write-behind queue: persistence hooks run on the
+// serving goroutines at convergence and eviction time — both cold events —
+// so all they may do is enqueue; a single background goroutine drains the
+// queue in batches into a sink. Two sinks use it: (*Store).PutBatch (append
+// each record, fsync once per batch) and the federation replicator (one
+// APQXPORT document per batch per peer). Enqueue allocates at most the queue
+// append and never blocks on the disk or the network.
 type Synchronizer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	st     *Store
+	write  func(batch []Record) (wrote int, err error)
 	queue  []Record
-	busy   int // records handed to the worker, not yet written
+	busy   int // records handed to the sink, not yet acknowledged by it
 	closed bool
 	done   chan struct{}
 
 	written int
-	err     error // first async write error, surfaced by Close
+	err     error // first sink error, surfaced by Close
 }
 
-// NewSynchronizer starts the background writer over st.
-func NewSynchronizer(st *Store) *Synchronizer {
-	sy := &Synchronizer{st: st, done: make(chan struct{})}
+// NewSynchronizer starts the background writer over the sink write, which
+// is called with one drained batch at a time, never concurrently, and
+// reports how many of the batch's records it delivered.
+func NewSynchronizer(write func(batch []Record) (wrote int, err error)) *Synchronizer {
+	sy := &Synchronizer{write: write, done: make(chan struct{})}
 	sy.cond = sync.NewCond(&sy.mu)
 	go sy.run()
 	return sy
 }
 
-// Enqueue schedules rec for persistence. After Close it is a no-op: a
-// record raced with shutdown is lost from the store (it will simply
-// re-converge after the next restart), never a panic.
+// Enqueue schedules rec for the sink. After Close it is a no-op: a record
+// raced with shutdown is lost (its query simply re-converges after the next
+// restart), never a panic.
 func (sy *Synchronizer) Enqueue(rec Record) {
 	sy.mu.Lock()
 	if !sy.closed {
@@ -41,22 +44,24 @@ func (sy *Synchronizer) Enqueue(rec Record) {
 	sy.mu.Unlock()
 }
 
-// QueueDepth reports records accepted but not yet durably written.
+// QueueDepth reports records accepted but not yet acknowledged by the sink:
+// the backlog plus the batch in flight.
 func (sy *Synchronizer) QueueDepth() int {
 	sy.mu.Lock()
 	defer sy.mu.Unlock()
 	return len(sy.queue) + sy.busy
 }
 
-// Written reports records durably written since start.
+// Written reports records the sink delivered since start.
 func (sy *Synchronizer) Written() int {
 	sy.mu.Lock()
 	defer sy.mu.Unlock()
 	return sy.written
 }
 
-// Flush blocks until every record enqueued before the call is written and
-// synced (or the synchronizer is closed).
+// Flush blocks until the sink has acknowledged every record enqueued before
+// the call (for the store: written and synced), or the synchronizer is
+// closed.
 func (sy *Synchronizer) Flush() {
 	sy.mu.Lock()
 	for (len(sy.queue) > 0 || sy.busy > 0) && !sy.closed {
@@ -66,26 +71,17 @@ func (sy *Synchronizer) Flush() {
 }
 
 // Close drains the queue, stops the background writer, and returns the
-// first write error encountered over the synchronizer's lifetime.
+// first sink error encountered over the synchronizer's lifetime.
 // Idempotent. Close does not close the store itself.
 func (sy *Synchronizer) Close() error {
 	sy.mu.Lock()
-	if sy.closed {
-		sy.mu.Unlock()
-		<-sy.done
-		sy.mu.Lock()
-		err := sy.err
-		sy.mu.Unlock()
-		return err
-	}
 	sy.closed = true
 	sy.cond.Broadcast()
 	sy.mu.Unlock()
 	<-sy.done
 	sy.mu.Lock()
-	err := sy.err
-	sy.mu.Unlock()
-	return err
+	defer sy.mu.Unlock()
+	return sy.err
 }
 
 func (sy *Synchronizer) run() {
@@ -104,18 +100,7 @@ func (sy *Synchronizer) run() {
 		sy.busy = len(batch)
 		sy.mu.Unlock()
 
-		var batchErr error
-		wrote := 0
-		for i := range batch {
-			if err := sy.st.Put(batch[i]); err != nil {
-				batchErr = err
-				break
-			}
-			wrote++
-		}
-		if batchErr == nil {
-			batchErr = sy.st.Sync()
-		}
+		wrote, batchErr := sy.write(batch)
 
 		sy.mu.Lock()
 		sy.written += wrote

@@ -191,30 +191,15 @@ type ClusterStats = cluster.Stats
 // ClusterConfig federates a daemon with its peers. All nodes must agree on
 // the set of node names (ring ownership is computed independently on each
 // node) and should run identically configured tenants — replicated records
-// are identity-checked on arrival, so a mismatched peer skips them.
+// are identity-checked on arrival, so a mismatched peer skips them. Peer
+// timeout, retry, breaker and probe cadence are the coordinator's fixed
+// defaults (2s; 2 retries from 25ms; 3 failures, 2s cooldown; 500ms).
 type ClusterConfig struct {
 	// Self is this node's ring name (required; must differ from every peer).
 	Self string
 	// Peers is the initial remote membership; POST/DELETE /admin/peers
 	// mutates it live.
 	Peers []ClusterPeer
-	// PeerTimeout bounds each remote attempt (0 = 2s).
-	PeerTimeout time.Duration
-	// Retries is how many times a failed remote attempt retries on the same
-	// peer, with jittered exponential backoff, before failing over
-	// (0 = 2, negative = never retry).
-	Retries int
-	// RetryBase is the first retry's backoff delay (0 = 25ms).
-	RetryBase time.Duration
-	// BreakerFailures opens a peer's breaker after that many consecutive
-	// failures (0 = 3).
-	BreakerFailures int
-	// BreakerCooldown holds an open peer breaker before a half-open probe
-	// is admitted, pre-jitter (0 = 2s).
-	BreakerCooldown time.Duration
-	// ProbeInterval is the background health-probe cadence that recovers
-	// breaker-open peers (0 = 500ms, negative = disabled).
-	ProbeInterval time.Duration
 }
 
 // TenantConfig declares one named tenant dataset for the query service.
@@ -377,16 +362,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	var coord *cluster.Coordinator
 	if cfg.Cluster != nil {
-		coord, err = cluster.New(inner, cluster.Config{
-			Self:            cfg.Cluster.Self,
-			Peers:           cfg.Cluster.Peers,
-			PeerTimeout:     cfg.Cluster.PeerTimeout,
-			Retries:         cfg.Cluster.Retries,
-			RetryBase:       cfg.Cluster.RetryBase,
-			BreakerFailures: cfg.Cluster.BreakerFailures,
-			BreakerCooldown: cfg.Cluster.BreakerCooldown,
-			ProbeInterval:   cfg.Cluster.ProbeInterval,
-		})
+		coord, err = cluster.New(inner, cluster.Config{Self: cfg.Cluster.Self, Peers: cfg.Cluster.Peers})
 		if err != nil {
 			inner.Close()
 			if st != nil {
