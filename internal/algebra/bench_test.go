@@ -54,7 +54,7 @@ func BenchmarkSelectInto(b *testing.B) {
 
 func BenchmarkSelectWithCandsInto(b *testing.B) {
 	col := benchView()
-	cands, _ := Select(col, AtLeast(25))
+	cands, _ := SelectInto(nil, col, AtLeast(25))
 	pred := LessThan(73) // refines 75 % of the view to 48 %
 	dst, _, _ := SelectWithCandsInto(nil, col, pred, cands)
 	b.ResetTimer()
@@ -67,7 +67,7 @@ func BenchmarkSelectWithCandsInto(b *testing.B) {
 
 func BenchmarkFetchInto(b *testing.B) {
 	col := benchView()
-	ascending, _ := Select(col, LessThan(48))
+	ascending, _ := SelectInto(nil, col, LessThan(48))
 	shuffled := append([]int64(nil), ascending...)
 	rand.New(rand.NewSource(2)).Shuffle(len(shuffled), func(i, j int) {
 		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/storage"
-	"repro/internal/vec"
 )
 
 // CalcOp enumerates vectorized arithmetic operators (MonetDB's batcalc.*).
@@ -44,21 +43,11 @@ func div(a, b int64) int64 {
 	return a / b
 }
 
-// CalcVV applies op element-wise over two equally long column views and
-// materializes the result with a fresh zero-based head.
-func CalcVV(op CalcOp, a, b *storage.Column) (*storage.Column, Work) {
-	out := make([]int64, a.Len())
-	w := CalcVVInto(out, op, a, b)
-	// The result is positionally aligned with its inputs, so it inherits
-	// the view's head sequence: a partitioned calc over a column slice
-	// stays aligned on the base column (§2.3).
-	return storage.NewColumn(fmt.Sprintf("(%s%s%s)", a.Name(), op, b.Name()), a.Seq(), vec.NewInt64(out)), w
-}
-
-// CalcVVInto is CalcVV writing into a caller-owned destination of length
-// a.Len() — the range variant the zero-copy exchange uses to let sibling
-// calc clones fill disjoint slices of one shared result buffer. The Work
-// record is identical to CalcVV's.
+// CalcVVInto applies op element-wise over two equally long column views,
+// writing into a caller-owned destination of length a.Len() — sibling calc
+// clones fill disjoint slices of one shared result buffer this way. The
+// result is positionally aligned with its inputs; the caller gives it the
+// view's head sequence.
 func CalcVVInto(dst []int64, op CalcOp, a, b *storage.Column) Work {
 	av, bv := a.Values(), b.Values()
 	if len(av) != len(bv) {
@@ -94,17 +83,9 @@ func CalcVVInto(dst []int64, op CalcOp, a, b *storage.Column) Work {
 	}
 }
 
-// CalcSV applies op with a scalar operand: scalar op v[i] when scalarLeft,
-// v[i] op scalar otherwise.
-func CalcSV(op CalcOp, scalar int64, v *storage.Column, scalarLeft bool) (*storage.Column, Work) {
-	out := make([]int64, v.Len())
-	w := CalcSVInto(out, op, scalar, v, scalarLeft)
-	// Positionally aligned with the input view; see CalcVV.
-	return storage.NewColumn(fmt.Sprintf("(calc%s%s)", op, v.Name()), v.Seq(), vec.NewInt64(out)), w
-}
-
-// CalcSVInto is CalcSV writing into a caller-owned destination of length
-// v.Len(); see CalcVVInto.
+// CalcSVInto applies op with a scalar operand — scalar op v[i] when
+// scalarLeft, v[i] op scalar otherwise — writing into a caller-owned
+// destination of length v.Len(); see CalcVVInto.
 func CalcSVInto(dst []int64, op CalcOp, scalar int64, v *storage.Column, scalarLeft bool) Work {
 	in := v.Values()
 	dst = dst[:len(in)]

@@ -11,26 +11,26 @@ import (
 func TestCalcVV(t *testing.T) {
 	a := col(10, 20, 30)
 	b := col(1, 2, 3)
-	sum, w := CalcVV(CalcAdd, a, b)
+	sum, w := calcVV(CalcAdd, a, b)
 	if sum.At(0) != 11 || sum.At(2) != 33 {
 		t.Fatalf("add = %v", sum.Values())
 	}
 	if w.TuplesOut != 3 {
 		t.Fatalf("work = %+v", w)
 	}
-	if d, _ := CalcVV(CalcSub, a, b); d.At(1) != 18 {
+	if d, _ := calcVV(CalcSub, a, b); d.At(1) != 18 {
 		t.Fatalf("sub wrong")
 	}
-	if p, _ := CalcVV(CalcMul, a, b); p.At(2) != 90 {
+	if p, _ := calcVV(CalcMul, a, b); p.At(2) != 90 {
 		t.Fatalf("mul wrong")
 	}
-	if q, _ := CalcVV(CalcDiv, a, b); q.At(1) != 10 {
+	if q, _ := calcVV(CalcDiv, a, b); q.At(1) != 10 {
 		t.Fatalf("div wrong")
 	}
 }
 
 func TestCalcDivByZeroYieldsZero(t *testing.T) {
-	q, _ := CalcVV(CalcDiv, col(5), col(0))
+	q, _ := calcVV(CalcDiv, col(5), col(0))
 	if q.At(0) != 0 {
 		t.Fatalf("5/0 = %d, want 0 (nil convention)", q.At(0))
 	}
@@ -42,18 +42,18 @@ func TestCalcVVMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	CalcVV(CalcAdd, col(1), col(1, 2))
+	calcVV(CalcAdd, col(1), col(1, 2))
 }
 
 func TestCalcSV(t *testing.T) {
 	v := col(10, 20)
 	// scalar - v
-	l, _ := CalcSV(CalcSub, 100, v, true)
+	l, _ := calcSV(CalcSub, 100, v, true)
 	if l.At(0) != 90 || l.At(1) != 80 {
 		t.Fatalf("scalar-left = %v", l.Values())
 	}
 	// v - scalar
-	r, _ := CalcSV(CalcSub, 100, v, false)
+	r, _ := calcSV(CalcSub, 100, v, false)
 	if r.At(0) != -90 || r.At(1) != -80 {
 		t.Fatalf("scalar-right = %v", r.Values())
 	}
@@ -69,13 +69,13 @@ func TestCalcPartitionEquivalence(t *testing.T) {
 			bVals[i] = int64(i) + 1
 		}
 		b := storage.NewIntColumn("b", bVals)
-		serial, _ := CalcVV(CalcMul, a, b)
+		serial, _ := calcVV(CalcMul, a, b)
 		cut := 0
 		if n > 0 {
 			cut = int(cutRaw) % (n + 1)
 		}
-		p1, _ := CalcVV(CalcMul, a.View(0, cut), b.View(0, cut))
-		p2, _ := CalcVV(CalcMul, a.View(cut, n), b.View(cut, n))
+		p1, _ := calcVV(CalcMul, a.View(0, cut), b.View(0, cut))
+		p2, _ := calcVV(CalcMul, a.View(cut, n), b.View(cut, n))
 		packed, _ := PackColumns([]*storage.Column{p1, p2})
 		return vec.Equal(packed.Data(), serial.Data())
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/storage"
-	"repro/internal/vec"
 )
 
 // fetchWork is the shared cost accounting for tuple reconstruction. The oid
@@ -31,35 +30,16 @@ func fetchWork(oids, aligned []int64, ascending bool, footprint int64) Work {
 	return w
 }
 
-// Fetch performs tuple reconstruction (MonetDB's algebra.leftfetchjoin, §2.3
-// Figure 10): for every row id in oids it fetches the value at that head oid
-// of the target column view. Row ids that fall outside the view are aligned
-// away per the paper's dynamic-partition boundary correction; the number of
-// such drops is reported so callers (and tests) can assert when strict
-// containment is expected.
-//
-// The result column's head is a fresh dense oid sequence starting at zero,
-// matching the materialized intermediates of an operator-at-a-time engine.
-func Fetch(oids []int64, target *storage.Column) (*storage.Column, Work, int) {
-	aligned, dropped, ascending := storage.AlignOids(oids, target.Seq(), target.EndSeq())
-	out := make([]int64, len(aligned))
-	gather(out, aligned, target)
-	var data *vec.Vector
-	if d := target.Dict(); d != nil {
-		data = vec.NewDictCoded(out, d)
-	} else {
-		data = vec.NewInt64(out)
-	}
-	return storage.NewColumn(target.Name(), 0, data), fetchWork(oids, aligned, ascending, target.Bytes()), dropped
-}
-
-// FetchInto is Fetch writing into a caller-owned destination — the range
-// variant the zero-copy exchange uses: each partition clone fetches into its
-// disjoint slice of one shared result buffer. It returns the number of
-// values written (≤ len(oids); boundary-misaligned row ids are dropped like
-// Fetch does) plus the identical Work record, so shared-buffer and
-// materializing executions cost the same. dst must hold at least the aligned
-// oid count; len(oids) always suffices.
+// FetchInto performs tuple reconstruction (MonetDB's algebra.leftfetchjoin,
+// §2.3 Figure 10): for every row id in oids it fetches the value at that head
+// oid of the target column view into dst — a caller-owned destination, e.g. a
+// partition clone's disjoint slice of one shared result buffer. Row ids that
+// fall outside the view are aligned away per the paper's dynamic-partition
+// boundary correction. It returns the number of values written (≤ len(oids)),
+// the Work record — the same whoever owns dst, so shared-buffer and
+// materializing executions cost the same — and the number of row ids dropped,
+// so callers (and tests) can assert when strict containment is expected. dst
+// must hold at least the aligned oid count; len(oids) always suffices.
 //
 // The oid list is read twice and nothing is allocated for ascending lists:
 // one storage.AlignOids pass trims the boundary overshoot (a sub-slice) and
@@ -85,23 +65,10 @@ func gather(dst, aligned []int64, target *storage.Column) {
 	}
 }
 
-// FetchPositions gathers values of col at the given zero-based positions of
-// the view (not absolute oids); used when an upstream operator emits
-// positions into its own output space, e.g. join result sides.
-func FetchPositions(pos []int64, col *storage.Column) (*storage.Column, Work) {
-	out := make([]int64, len(pos))
-	w := FetchPositionsInto(out, pos, col)
-	var data *vec.Vector
-	if d := col.Dict(); d != nil {
-		data = vec.NewDictCoded(out, d)
-	} else {
-		data = vec.NewInt64(out)
-	}
-	return storage.NewColumn(col.Name(), 0, data), w
-}
-
-// FetchPositionsInto is FetchPositions writing into a caller-owned
-// destination of length len(pos) (the zero-copy exchange range variant).
+// FetchPositionsInto gathers the values of col at the given zero-based
+// positions of the view (not absolute oids) into a caller-owned destination
+// of length len(pos); used when an upstream operator emits positions into its
+// own output space, e.g. join result sides.
 func FetchPositionsInto(dst []int64, pos []int64, col *storage.Column) Work {
 	vals := col.Values()
 	for i, p := range pos {

@@ -13,7 +13,7 @@ func TestFetchTupleReconstruction(t *testing.T) {
 	// The Figure 10 example: row ids 2,4,5,7 probed into a column whose
 	// values at those oids are 12, 11, 20, 13.
 	target := storage.NewIntColumn("rt", []int64{0, 0, 12, 0, 11, 20, 0, 13})
-	out, w, dropped := Fetch([]int64{2, 4, 5, 7}, target)
+	out, w, dropped := fetch([]int64{2, 4, 5, 7}, target)
 	if dropped != 0 {
 		t.Fatalf("dropped = %d", dropped)
 	}
@@ -34,7 +34,7 @@ func TestFetchTupleReconstruction(t *testing.T) {
 func TestFetchAlignsMisalignedBoundaries(t *testing.T) {
 	// Figure 10's misalignment: LT holds row id 8 but RH covers [1,8).
 	target := storage.NewIntColumn("rt", make([]int64, 9)).View(1, 8)
-	_, _, dropped := Fetch([]int64{2, 4, 5, 7, 8}, target)
+	_, _, dropped := fetch([]int64{2, 4, 5, 7, 8}, target)
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1 (row id 8 outside [1,8))", dropped)
 	}
@@ -44,7 +44,7 @@ func TestFetchDictColumn(t *testing.T) {
 	d := vec.NewDict()
 	codes := []int64{d.Code("x"), d.Code("y"), d.Code("z")}
 	target := storage.NewColumn("s", 0, vec.NewDictCoded(codes, d))
-	out, _, _ := Fetch([]int64{2, 0}, target)
+	out, _, _ := fetch([]int64{2, 0}, target)
 	if out.Data().StringAt(0) != "z" || out.Data().StringAt(1) != "x" {
 		t.Fatalf("fetched strings: %q %q", out.Data().StringAt(0), out.Data().StringAt(1))
 	}
@@ -52,7 +52,7 @@ func TestFetchDictColumn(t *testing.T) {
 
 func TestFetchPositions(t *testing.T) {
 	c := storage.NewIntColumn("v", []int64{10, 20, 30})
-	out, _ := FetchPositions([]int64{2, 2, 0}, c)
+	out, _ := fetchPositions([]int64{2, 2, 0}, c)
 	if out.Data().At(0) != 30 || out.Data().At(1) != 30 || out.Data().At(2) != 10 {
 		t.Fatalf("FetchPositions = %v", out.Values())
 	}
@@ -67,13 +67,13 @@ func TestFetchPartitionEquivalence(t *testing.T) {
 		for i, r := range raw {
 			oids[i] = int64(r % 8)
 		}
-		serial, _, _ := Fetch(oids, target)
+		serial, _, _ := fetch(oids, target)
 		cut := 0
 		if len(oids) > 0 {
 			cut = int(cutRaw) % (len(oids) + 1)
 		}
-		p1, _, _ := Fetch(oids[:cut], target)
-		p2, _, _ := Fetch(oids[cut:], target)
+		p1, _, _ := fetch(oids[:cut], target)
+		p2, _, _ := fetch(oids[cut:], target)
 		packed, _ := PackColumns([]*storage.Column{p1, p2})
 		return vec.Equal(packed.Data(), serial.Data())
 	}
@@ -158,11 +158,12 @@ func TestPackColumnsOrderAndWork(t *testing.T) {
 }
 
 func TestPackScalars(t *testing.T) {
-	src := []int64{4, 5}
-	out, _ := PackScalars("partials", src)
-	src[0] = 99 // PackScalars must copy; partials may be reused by the caller
-	if out.Data().At(0) != 4 || out.Data().At(1) != 5 {
-		t.Fatalf("packed scalars = %v", out.Values())
+	out, w := PackScalarsOwned("partials", []int64{4, 5})
+	if out.Name() != "partials" || out.Seq() != 0 || out.Data().At(0) != 4 || out.Data().At(1) != 5 {
+		t.Fatalf("packed scalars = %q seq %d %v", out.Name(), out.Seq(), out.Values())
+	}
+	if w.TuplesIn != 2 || w.TuplesOut != 2 || w.BytesWritten != 16 {
+		t.Fatalf("work = %+v", w)
 	}
 }
 

@@ -83,20 +83,20 @@ func TestScalarAggr(t *testing.T) {
 
 func TestMergeScalarsIgnoresEmptySentinels(t *testing.T) {
 	// Partition 2 was empty: its min partial is the identity sentinel.
-	p, _ := PackScalars("mins", []int64{7, minEmpty, 3})
+	p, _ := PackScalarsOwned("mins", []int64{7, minEmpty, 3})
 	got, _ := MergeScalars(AggrMin, p)
 	if got != 3 {
 		t.Fatalf("merged min = %d, want 3", got)
 	}
-	allEmpty, _ := PackScalars("mins", []int64{minEmpty})
+	allEmpty, _ := PackScalarsOwned("mins", []int64{minEmpty})
 	if got, _ := MergeScalars(AggrMin, allEmpty); got != minEmpty {
 		t.Fatalf("merge of all-empty = %d, want the empty sentinel", got)
 	}
-	sums, _ := PackScalars("sums", []int64{5, 0, 7})
+	sums, _ := PackScalarsOwned("sums", []int64{5, 0, 7})
 	if got, _ := MergeScalars(AggrSum, sums); got != 12 {
 		t.Fatalf("merged sum = %d", got)
 	}
-	counts, _ := PackScalars("counts", []int64{2, 3})
+	counts, _ := PackScalarsOwned("counts", []int64{2, 3})
 	if got, _ := MergeScalars(AggrCount, counts); got != 5 {
 		t.Fatalf("merged count = %d", got)
 	}
@@ -115,7 +115,7 @@ func TestScalarAggrPartitionEquivalence(t *testing.T) {
 			serial, _ := Aggr(fn, c)
 			p1, _ := Aggr(fn, c.View(0, cut))
 			p2, _ := Aggr(fn, c.View(cut, len(vals)))
-			packed, _ := PackScalars("p", []int64{p1, p2})
+			packed, _ := PackScalarsOwned("p", []int64{p1, p2})
 			merged, _ := MergeScalars(fn, packed)
 			if merged != serial {
 				return false
@@ -180,18 +180,18 @@ func TestGroupedAggrPartitionEquivalence(t *testing.T) {
 }
 
 func TestGroupMergeMinMaxAndCount(t *testing.T) {
-	keys, _ := PackScalars("k", []int64{1, 2, 1, 2})
-	minP, _ := PackScalars("m", []int64{5, 9, 3, 11})
+	keys, _ := PackScalarsOwned("k", []int64{1, 2, 1, 2})
+	minP, _ := PackScalarsOwned("m", []int64{5, 9, 3, 11})
 	k, m, _ := GroupMerge(AggrMin, keys, minP)
 	if k.Len() != 2 || m.Data().At(0) != 3 || m.Data().At(1) != 9 {
 		t.Fatalf("min merge: keys=%v vals=%v", k.Values(), m.Values())
 	}
-	cntP, _ := PackScalars("c", []int64{2, 3, 4, 5})
+	cntP, _ := PackScalarsOwned("c", []int64{2, 3, 4, 5})
 	_, c, _ := GroupMerge(AggrCount, keys, cntP)
 	if c.Data().At(0) != 6 || c.Data().At(1) != 8 {
 		t.Fatalf("count merge = %v", c.Values())
 	}
-	maxP, _ := PackScalars("x", []int64{5, 9, 3, 11})
+	maxP, _ := PackScalarsOwned("x", []int64{5, 9, 3, 11})
 	_, x, _ := GroupMerge(AggrMax, keys, maxP)
 	if x.Data().At(0) != 5 || x.Data().At(1) != 11 {
 		t.Fatalf("max merge = %v", x.Values())
@@ -199,8 +199,8 @@ func TestGroupMergeMinMaxAndCount(t *testing.T) {
 }
 
 func TestGroupMergeMisalignedPanics(t *testing.T) {
-	keys, _ := PackScalars("k", []int64{1})
-	vals, _ := PackScalars("v", []int64{1, 2})
+	keys, _ := PackScalarsOwned("k", []int64{1})
+	vals, _ := PackScalarsOwned("v", []int64{1, 2})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("misaligned GroupMerge did not panic")

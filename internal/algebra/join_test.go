@@ -79,8 +79,8 @@ func TestHashJoinOuterPartitionEquivalence(t *testing.T) {
 		}
 		l1, r1, _ := HashJoin(outer.View(0, cut), inner)
 		l2, r2, _ := HashJoin(outer.View(cut, len(outerVals)), inner)
-		plo, _ := PackOids([][]int64{l1, l2})
-		pro, _ := PackOids([][]int64{r1, r2})
+		plo, _ := PackOidsInto(nil, [][]int64{l1, l2})
+		pro, _ := PackOidsInto(nil, [][]int64{r1, r2})
 		if len(plo) != len(slo) {
 			return false
 		}

@@ -51,14 +51,10 @@ func PackColumnsView(name string, data *vec.Vector, tuplesIn int64) (*storage.Co
 	return storage.NewColumn(name, 0, data), w
 }
 
-// PackOids concatenates partition oid vectors in partition order.
-func PackOids(parts [][]int64) ([]int64, Work) {
-	return PackOidsInto(nil, parts)
-}
-
-// PackOidsInto is PackOids appending into dst's storage (dst[:0]); the
-// executor passes the previous invocation's output buffer of the same cached
-// instruction. A nil dst reproduces PackOids' allocation exactly.
+// PackOidsInto concatenates partition oid vectors in partition order,
+// appending into dst's storage (dst[:0]); the executor passes the previous
+// invocation's output buffer of the same cached instruction. A nil or short
+// dst allocates exactly the packed length.
 func PackOidsInto(dst []int64, parts [][]int64) ([]int64, Work) {
 	var tuplesIn int64
 	for _, p := range parts {
@@ -81,19 +77,12 @@ func PackOidsInto(dst []int64, parts [][]int64) ([]int64, Work) {
 	return out, w
 }
 
-// PackScalars packs partial scalar aggregates into a small column, the shape
-// MonetDB's Q14 plan uses (mat.pack of partial aggr.sum results, Figure 7).
-// It copies partials defensively: callers may reuse the slice afterwards.
-func PackScalars(name string, partials []int64) (*storage.Column, Work) {
-	out := make([]int64, len(partials))
-	copy(out, partials)
-	return PackScalarsOwned(name, out)
-}
-
-// PackScalarsOwned is PackScalars taking ownership of partials: the caller
-// transfers the slice and must not write it afterwards (the column aliases
-// it). The executor uses this for its freshly gathered partials so the hot
-// aggregate-merge path copies the values once, not twice.
+// PackScalarsOwned packs partial scalar aggregates into a small column, the
+// shape MonetDB's Q14 plan uses (mat.pack of partial aggr.sum results,
+// Figure 7). It takes ownership of partials: the caller transfers the slice
+// and must not write it afterwards (the column aliases it). The executor
+// gathers the partials into a slice it owns, so the hot aggregate-merge path
+// copies the values once.
 func PackScalarsOwned(name string, partials []int64) (*storage.Column, Work) {
 	w := Work{
 		BytesSeqRead:  int64(len(partials)) * 8,

@@ -309,7 +309,7 @@ func TestKernelsMatchReference(t *testing.T) {
 		preds := rangesOver(col)
 		// Candidate lists cover the whole column, so against a partition
 		// they overshoot both boundaries; the shuffled copy is a join side.
-		asc, _ := Select(col, preds[2])
+		asc, _ := SelectInto(nil, col, preds[2])
 		shuf := append([]int64(nil), asc...)
 		r.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
 
@@ -353,9 +353,11 @@ func TestKernelsMatchReference(t *testing.T) {
 					if gn != wn || gw != ww || gd != wd || !slices.Equal(got[:gn], want[:wn]) {
 						t.Fatalf("%s FetchInto: n %d dropped %d work %+v, want n %d dropped %d work %+v", at, gn, gd, gw, wn, wd, ww)
 					}
-					fc, fw, fd := Fetch(oids, view)
-					if fw != ww || fd != wd || !slices.Equal(fc.Values(), want[:wn]) {
-						t.Fatalf("%s Fetch: n %d dropped %d work %+v, want n %d dropped %d work %+v", at, fc.Len(), fd, fw, wn, wd, ww)
+					// A recycled destination: longer than needed.
+					long := make([]int64, len(oids)+3)
+					fn, fw, fd := FetchInto(long, oids, view)
+					if fw != ww || fd != wd || !slices.Equal(long[:fn], want[:wn]) {
+						t.Fatalf("%s FetchInto(long): n %d dropped %d work %+v, want n %d dropped %d work %+v", at, fn, fd, fw, wn, wd, ww)
 					}
 				}
 
@@ -425,7 +427,7 @@ func TestSelectLikeMatchesReference(t *testing.T) {
 				for _, kind := range []LikeKind{LikeContains, LikePrefix} {
 					for _, anti := range []bool{false, true} {
 						want, ww := refSelectLike(view, tc.pattern, kind, anti)
-						got, gw := SelectLike(view, tc.pattern, kind, anti)
+						got, gw := SelectLikeInto(nil, view, tc.pattern, kind, anti)
 						stale := make([]int64, 2, len(want)/2+2)
 						warm, wwarm := SelectLikeInto(stale, view, tc.pattern, kind, anti)
 						if !slices.Equal(got, want) || gw != ww || cap(got) != cap(want) || !slices.Equal(warm, want) || wwarm != ww {
@@ -451,7 +453,7 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 	view := col.View(100, col.Len()-100)
 	pred := Between(1, 24)
 
-	cands, _ := Select(col, AtLeast(10)) // ascending, overshoots view on both sides
+	cands, _ := SelectInto(nil, col, AtLeast(10)) // ascending, overshoots view on both sides
 	oids, _ := SelectInto(nil, view, pred)
 	refined, _, dropped := SelectWithCandsInto(nil, view, pred, cands)
 	if dropped == 0 {

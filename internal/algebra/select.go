@@ -150,19 +150,16 @@ func compactMembers(w, codes []int64, oid int64, member []bool, anti bool) int {
 	return m
 }
 
-// Select scans the column view and returns the absolute head oids of
+// SelectInto scans the column view and returns the absolute head oids of
 // matching tuples in ascending order (MonetDB's algebra.uselect /
 // algebra.subselect). The oids are absolute so that partitioned selects over
 // sibling views concatenate into exactly the serial result.
-func Select(col *storage.Column, pred Range) ([]int64, Work) {
-	return SelectInto(nil, col, pred)
-}
-
-// SelectInto is Select appending into dst's storage (dst[:0]): the executor
-// passes the previous invocation's output buffer of the same cached
-// instruction, so steady-state serving allocates nothing here. A nil dst
-// reproduces Select's allocation exactly. As with append, dst's storage up to
-// its capacity is the kernel's to overwrite.
+//
+// The oids are appended into dst's storage (dst[:0]): the executor passes the
+// previous invocation's output buffer of the same cached instruction, so
+// steady-state serving allocates nothing here. A nil dst allocates at the
+// kernel's own estimate. As with append, dst's storage up to its capacity is
+// the kernel's to overwrite.
 //
 // The predicate is normalized once (Range.closed) and the view is compacted
 // branch-free (compactRange) straight into out's spare capacity, a chunk of
@@ -205,19 +202,15 @@ func SelectInto(dst []int64, col *storage.Column, pred Range) ([]int64, Work) {
 	return out, w
 }
 
-// SelectWithCands refines an existing candidate oid list against the view:
-// the two-input filter-operator semantics the paper discusses in §2.2
+// SelectWithCandsInto refines an existing candidate oid list against the
+// view: the two-input filter-operator semantics the paper discusses in §2.2
 // ("accepts column and also a bit vector from another selection operator's
 // output"). Candidates outside the view's oid span are aligned away first
-// (§2.3) so partitioned refinement stays a valid access.
-func SelectWithCands(col *storage.Column, pred Range, cands []int64) ([]int64, Work, int) {
-	return SelectWithCandsInto(nil, col, pred, cands)
-}
-
-// SelectWithCandsInto is SelectWithCands appending into dst's storage; see
-// SelectInto for the buffer-reuse contract and the branch-free compaction.
-// Candidates are aligned and classified in one pass (storage.AlignOids), then
-// read by position, vals[oid-seq].
+// (§2.3) so partitioned refinement stays a valid access; the number dropped
+// is returned. Matches are appended into dst's storage; see SelectInto for
+// the buffer-reuse contract and the branch-free compaction. Candidates are
+// aligned and classified in one pass (storage.AlignOids), then read by
+// position, vals[oid-seq].
 func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []int64) ([]int64, Work, int) {
 	aligned, dropped, ascending := storage.AlignOids(cands, col.Seq(), col.EndSeq())
 	vals := col.Values()
@@ -259,7 +252,7 @@ func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []i
 	return out, w, dropped
 }
 
-// LikeKind selects the string-match flavour of SelectLike.
+// LikeKind selects the string-match flavour of SelectLikeInto.
 type LikeKind int
 
 const (
@@ -269,19 +262,15 @@ const (
 	LikePrefix
 )
 
-// SelectLike scans a dictionary-coded column view and returns absolute head
-// oids whose string matches (or, with anti, does not match) the pattern. The
-// dictionary is matched once and the column scan tests code membership — the
-// standard columnar batstr.like evaluation.
-func SelectLike(col *storage.Column, pattern string, kind LikeKind, anti bool) ([]int64, Work) {
-	return SelectLikeInto(nil, col, pattern, kind, anti)
-}
-
-// SelectLikeInto is SelectLike appending into dst's storage; see SelectInto
-// for the buffer-reuse contract and the branch-free compaction. The
-// membership bitmap is the dictionary's memo (vec.Dict.MatchSubstring), so
-// the clones of a partitioned LIKE share one dictionary pass; Work charges
-// the pass regardless, as the cost model always has.
+// SelectLikeInto scans a dictionary-coded column view and returns absolute
+// head oids whose string matches (or, with anti, does not match) the pattern.
+// The dictionary is matched once and the column scan tests code membership —
+// the standard columnar batstr.like evaluation. Matches are appended into
+// dst's storage; see SelectInto for the buffer-reuse contract and the
+// branch-free compaction. The membership bitmap is the dictionary's memo
+// (vec.Dict.MatchSubstring), so the clones of a partitioned LIKE share one
+// dictionary pass; Work charges the pass regardless, as the cost model always
+// has.
 func SelectLikeInto(dst []int64, col *storage.Column, pattern string, kind LikeKind, anti bool) ([]int64, Work) {
 	dict := col.Dict()
 	if dict == nil {

@@ -41,7 +41,7 @@ func TestRangeMatches(t *testing.T) {
 func TestSelectReturnsAbsoluteOids(t *testing.T) {
 	c := col(10, 20, 30, 40, 50)
 	v := c.View(1, 5)
-	oids, w := Select(v, AtLeast(30))
+	oids, w := SelectInto(nil, v, AtLeast(30))
 	if len(oids) != 3 || oids[0] != 2 || oids[1] != 3 || oids[2] != 4 {
 		t.Fatalf("oids = %v", oids)
 	}
@@ -51,7 +51,7 @@ func TestSelectReturnsAbsoluteOids(t *testing.T) {
 }
 
 func TestSelectEmptyResult(t *testing.T) {
-	oids, w := Select(col(1, 2, 3), GreaterThan(100))
+	oids, w := SelectInto(nil, col(1, 2, 3), GreaterThan(100))
 	if len(oids) != 0 || w.TuplesOut != 0 {
 		t.Fatalf("oids=%v work=%+v", oids, w)
 	}
@@ -69,11 +69,11 @@ func TestSelectPartitionEquivalence(t *testing.T) {
 		}
 		c := storage.NewIntColumn("x", vals)
 		pred := Between(lo%100, hi%100)
-		serial, _ := Select(c, pred)
+		serial, _ := SelectInto(nil, c, pred)
 		cut := int(cutRaw) % (len(vals) + 1)
-		p1, _ := Select(c.View(0, cut), pred)
-		p2, _ := Select(c.View(cut, len(vals)), pred)
-		packed, _ := PackOids([][]int64{p1, p2})
+		p1, _ := SelectInto(nil, c.View(0, cut), pred)
+		p2, _ := SelectInto(nil, c.View(cut, len(vals)), pred)
+		packed, _ := PackOidsInto(nil, [][]int64{p1, p2})
 		if len(packed) != len(serial) {
 			return false
 		}
@@ -92,8 +92,8 @@ func TestSelectPartitionEquivalence(t *testing.T) {
 
 func TestSelectWithCandsRefines(t *testing.T) {
 	c := col(5, 15, 25, 35, 45)
-	first, _ := Select(c, AtLeast(15)) // oids 1..4
-	refined, w, dropped := SelectWithCands(c, AtMost(35), first)
+	first, _ := SelectInto(nil, c, AtLeast(15)) // oids 1..4
+	refined, w, dropped := SelectWithCandsInto(nil, c, AtMost(35), first)
 	if dropped != 0 {
 		t.Fatalf("dropped = %d", dropped)
 	}
@@ -109,7 +109,7 @@ func TestSelectWithCandsAlignsOutsideView(t *testing.T) {
 	c := col(5, 15, 25, 35, 45)
 	view := c.View(1, 3) // oids 1,2
 	cands := []int64{0, 1, 2, 3}
-	refined, _, dropped := SelectWithCands(view, FullRange(), cands)
+	refined, _, dropped := SelectWithCandsInto(nil, view, FullRange(), cands)
 	if dropped != 2 {
 		t.Fatalf("dropped = %d, want 2", dropped)
 	}
@@ -124,8 +124,8 @@ func TestSelectWithCandsConjunction(t *testing.T) {
 		c := storage.NewIntColumn("x", vals)
 		p1 := AtLeast(a % 50)
 		p2 := AtMost(b%50 + 25)
-		cands, _ := Select(c, p1)
-		got, _, _ := SelectWithCands(c, p2, cands)
+		cands, _ := SelectInto(nil, c, p1)
+		got, _, _ := SelectWithCandsInto(nil, c, p2, cands)
 		var want []int64
 		for i, v := range vals {
 			if p1.Matches(v) && p2.Matches(v) {
@@ -159,18 +159,18 @@ func strCol(t *testing.T, vals ...string) *storage.Column {
 
 func TestSelectLike(t *testing.T) {
 	c := strCol(t, "PROMO STEEL", "STANDARD TIN", "PROMO COPPER", "ECONOMY STEEL")
-	oids, w := SelectLike(c, "PROMO", LikePrefix, false)
+	oids, w := SelectLikeInto(nil, c, "PROMO", LikePrefix, false)
 	if len(oids) != 2 || oids[0] != 0 || oids[1] != 2 {
 		t.Fatalf("prefix oids = %v", oids)
 	}
 	if w.TuplesOut != 2 {
 		t.Fatalf("work = %+v", w)
 	}
-	anti, _ := SelectLike(c, "PROMO", LikePrefix, true)
+	anti, _ := SelectLikeInto(nil, c, "PROMO", LikePrefix, true)
 	if len(anti) != 2 || anti[0] != 1 || anti[1] != 3 {
 		t.Fatalf("anti oids = %v", anti)
 	}
-	sub, _ := SelectLike(c, "STEEL", LikeContains, false)
+	sub, _ := SelectLikeInto(nil, c, "STEEL", LikeContains, false)
 	if len(sub) != 2 || sub[0] != 0 || sub[1] != 3 {
 		t.Fatalf("contains oids = %v", sub)
 	}
@@ -179,7 +179,7 @@ func TestSelectLike(t *testing.T) {
 func TestSelectLikeOnViewUsesAbsoluteOids(t *testing.T) {
 	c := strCol(t, "a PROMO", "b", "c PROMO", "d PROMO")
 	v := c.View(2, 4)
-	oids, _ := SelectLike(v, "PROMO", LikeContains, false)
+	oids, _ := SelectLikeInto(nil, v, "PROMO", LikeContains, false)
 	if len(oids) != 2 || oids[0] != 2 || oids[1] != 3 {
 		t.Fatalf("oids = %v", oids)
 	}
@@ -191,5 +191,5 @@ func TestSelectLikePanicsOnIntColumn(t *testing.T) {
 			t.Fatal("SelectLike over int column did not panic")
 		}
 	}()
-	SelectLike(col(1, 2), "x", LikeContains, false)
+	SelectLikeInto(nil, col(1, 2), "x", LikeContains, false)
 }

@@ -9,6 +9,13 @@
 // (internal/cost) converts Work into virtual time on the simulated machine;
 // this is what lets the engine execute "a 32-core server" faithfully on a
 // single-core host while keeping results bit-exact.
+//
+// Each operator has one kernel body and one Work formula. The kernels that
+// produce a column payload or an oid list are …Into-only: they fill a
+// destination the caller sized (FetchInto, CalcVVInto, …) or append into the
+// caller's storage (SelectInto, PackOidsInto, …) and never allocate their
+// output except on a nil or short append destination. Who owns the
+// destination is the executor's decision (exec's dest/done seam).
 package algebra
 
 // Work describes the physical effort of one operator execution.

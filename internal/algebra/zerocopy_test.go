@@ -14,7 +14,8 @@ import (
 func TestFetchWorkAccounting(t *testing.T) {
 	target := storage.NewIntColumn("rt", []int64{10, 11, 12, 13, 14, 15, 16, 17})
 
-	_, asc, _ := Fetch([]int64{1, 3, 4, 7}, target)
+	dst := make([]int64, 4)
+	_, asc, _ := FetchInto(dst, []int64{1, 3, 4, 7}, target)
 	if asc.BytesSeqRead != 4*8 {
 		t.Fatalf("ascending fetch BytesSeqRead = %d, want %d (oid scan counted once)", asc.BytesSeqRead, 4*8)
 	}
@@ -22,61 +23,12 @@ func TestFetchWorkAccounting(t *testing.T) {
 		t.Fatalf("ascending fetch BytesRandRead = %d, want 0", asc.BytesRandRead)
 	}
 
-	_, shuf, _ := Fetch([]int64{7, 1, 4, 3}, target)
+	_, shuf, _ := FetchInto(dst, []int64{7, 1, 4, 3}, target)
 	if shuf.BytesSeqRead != 4*8 {
 		t.Fatalf("shuffled fetch BytesSeqRead = %d, want %d", shuf.BytesSeqRead, 4*8)
 	}
 	if shuf.BytesRandRead != 4*8 {
 		t.Fatalf("shuffled fetch BytesRandRead = %d, want %d", shuf.BytesRandRead, 4*8)
-	}
-}
-
-// FetchInto must write the same values and report the same Work as Fetch, so
-// shared-buffer and materializing executions have identical virtual
-// timelines.
-func TestFetchIntoMatchesFetch(t *testing.T) {
-	target := storage.NewIntColumn("rt", []int64{0, 0, 12, 0, 11, 20, 0, 13}).View(1, 8)
-	oids := []int64{2, 4, 5, 7, 8} // 8 is outside the view and must drop
-	col, w, dropped := Fetch(oids, target)
-
-	dst := make([]int64, len(oids))
-	n, wi, di := FetchInto(dst, oids, target)
-	if n != col.Len() || di != dropped || wi != w {
-		t.Fatalf("FetchInto (n=%d w=%+v dropped=%d) != Fetch (n=%d w=%+v dropped=%d)",
-			n, wi, di, col.Len(), w, dropped)
-	}
-	for i := 0; i < n; i++ {
-		if dst[i] != col.At(i) {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], col.At(i))
-		}
-	}
-}
-
-func TestCalcIntoMatchesCalc(t *testing.T) {
-	a := storage.NewIntColumn("a", []int64{1, 2, 3, 4}).View(1, 4)
-	b := storage.NewIntColumn("b", []int64{10, 20, 30, 40}).View(1, 4)
-
-	col, w := CalcVV(CalcMul, a, b)
-	dst := make([]int64, a.Len())
-	wi := CalcVVInto(dst, CalcMul, a, b)
-	if wi != w {
-		t.Fatalf("CalcVVInto work %+v != CalcVV work %+v", wi, w)
-	}
-	for i := range dst {
-		if dst[i] != col.At(i) {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], col.At(i))
-		}
-	}
-
-	col, w = CalcSV(CalcSub, 100, a, true)
-	wi = CalcSVInto(dst, CalcSub, 100, a, true)
-	if wi != w {
-		t.Fatalf("CalcSVInto work %+v != CalcSV work %+v", wi, w)
-	}
-	for i := range dst {
-		if dst[i] != col.At(i) {
-			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], col.At(i))
-		}
 	}
 }
 
@@ -122,10 +74,10 @@ func TestPackColumnsViewMatchesCopy(t *testing.T) {
 }
 
 // Exercises buffer reuse: SelectInto and PackOidsInto over recycled buffers
-// must produce the same outputs and Work as their allocating forms.
+// must produce the same outputs and Work as over a nil destination.
 func TestIntoVariantsReuseBuffers(t *testing.T) {
 	col := storage.NewIntColumn("v", []int64{3, 1, 4, 1, 5, 9, 2, 6})
-	want, wWant := Select(col, AtLeast(4))
+	want, wWant := SelectInto(nil, col, AtLeast(4))
 
 	buf := make([]int64, 0, 1) // too small: must grow, not truncate
 	got, wGot := SelectInto(buf, col, AtLeast(4))
@@ -139,7 +91,7 @@ func TestIntoVariantsReuseBuffers(t *testing.T) {
 	}
 
 	parts := [][]int64{{1, 2}, {3}, {4, 5, 6}}
-	wantP, _ := PackOids(parts)
+	wantP, _ := PackOidsInto(nil, parts)
 	gotP, _ := PackOidsInto(make([]int64, 0, 16), parts)
 	if len(gotP) != len(wantP) {
 		t.Fatalf("PackOidsInto = %v, want %v", gotP, wantP)
@@ -151,20 +103,17 @@ func TestIntoVariantsReuseBuffers(t *testing.T) {
 	}
 }
 
-// PackScalarsOwned must alias the caller's slice (ownership transfer);
-// PackScalars must keep copying.
+// PackScalarsOwned must alias the caller's slice (ownership transfer): the
+// executor gathers partials into the slice the seam handed it and nothing
+// copies them again.
 func TestPackScalarsOwnership(t *testing.T) {
 	src := []int64{4, 5}
 	owned, _ := PackScalarsOwned("partials", src)
-	src[0] = 99
-	if owned.At(0) != 99 {
+	if &owned.Values()[0] != &src[0] {
 		t.Fatal("PackScalarsOwned must take ownership, not copy")
 	}
-
-	src2 := []int64{4, 5}
-	copied, _ := PackScalars("partials", src2)
-	src2[0] = 99
-	if copied.At(0) != 4 {
-		t.Fatal("PackScalars must copy; caller may reuse partials")
+	src[0] = 99
+	if owned.At(0) != 99 {
+		t.Fatal("PackScalarsOwned column does not alias the transferred slice")
 	}
 }

@@ -58,23 +58,12 @@ func resolveArgs(j *PlanJob, idx int, in *plan.Instr, env []Value) []Value {
 	return args
 }
 
-// reseqPartitioned aligns a partitioned tuple-reconstruction output with its
-// position space: a fetch clone over oid-list positions [lo,hi) produces the
+// reseqBase is the head-sequence rule for a partitioned tuple
+// reconstruction: a fetch clone over oid-list positions [lo,hi) produces the
 // values for those positions, so its head sequence starts at lo. This keeps
 // dynamically partitioned intermediates aligned on their conceptual full
 // column (§2.3) — selects over them emit global row ids, and packs of
 // sibling partitions reassemble the full intermediate exactly.
-func reseqPartitioned(col *storage.Column, in *plan.Instr, anchor Value) *storage.Column {
-	if in.Part.IsFull() {
-		return col
-	}
-	lo, _ := in.Part.Resolve(anchor.Len())
-	return storage.NewColumn(col.Name(), int64(lo), col.Data())
-}
-
-// reseqBase returns the head sequence reseqPartitioned would assign, without
-// building an intermediate column — the shared-buffer clone path constructs
-// its view column directly.
 func reseqBase(in *plan.Instr, anchor Value) int64 {
 	if in.Part.IsFull() {
 		return 0
@@ -83,30 +72,30 @@ func reseqBase(in *plan.Instr, anchor Value) int64 {
 	return int64(lo)
 }
 
-// cloneShared resolves the shared write window for instruction idx when it
-// is a clone member of an active pack group. On first use per run it sizes
-// the group's shared buffer: sliced groups resolve their Parts against the
-// common anchor, propagated groups take prefix sums of the sibling anchors'
-// lengths (possible only once every anchor's producer has evaluated —
-// otherwise the group is disabled for this run and every member
-// materializes privately, which the pack then concatenates as before).
-func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m, lo, hi int, ok bool) {
+// cloneShared resolves the run state of the pack group instruction idx is a
+// clone member of (position m), or nil when it writes no shared buffer. On
+// first use per run it sizes the group's shared buffer: sliced groups
+// resolve their Parts against the common anchor, propagated groups take
+// prefix sums of the sibling anchors' lengths (possible only once every
+// anchor's producer has evaluated — otherwise the group is disabled for this
+// run and every member materializes privately, which the pack then
+// concatenates as before).
+func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
 	if j.copyExchange {
-		return nil, 0, 0, 0, false
+		return nil, 0
 	}
 	gi := j.sched.cloneOf[idx]
 	if gi < 0 {
-		return nil, 0, 0, 0, false
+		return nil, 0
 	}
 	gr = &j.arena.groupRuns[gi]
 	if gr.bld == nil && !gr.disabled {
 		j.initGroup(gi, gr)
 	}
 	if gr.disabled {
-		return nil, 0, 0, 0, false
+		return nil, 0
 	}
-	m = int(j.sched.memberOf[idx])
-	return gr, m, gr.offs[m], gr.offs[m+1], true
+	return gr, int(j.sched.memberOf[idx])
 }
 
 func (j *PlanJob) initGroup(gi int32, gr *groupRun) {
@@ -146,25 +135,16 @@ func (j *PlanJob) initGroup(gi int32, gr *groupRun) {
 	for m := range gr.written {
 		gr.written[m] = -1
 	}
+	// Non-recycle (result-reachable) groups start from nil every run and may
+	// also DRAW from the pool — the checkout permanently transfers ownership
+	// out (their buffer is never filed back), so published results cannot
+	// alias pooled memory.
 	var buf []int64
 	if sg.recycle {
 		buf = j.arena.groupBufs[gi]
 	}
-	if cap(buf) < gr.total {
-		// The outgrown buffer backs only dead intermediates of a previous
-		// invocation; file it for another plan before drawing a larger one
-		// from the engine pool. Non-recycle (result-reachable) groups may
-		// also DRAW from the pool — the checkout permanently transfers
-		// ownership out (their buffer is never filed back), so published
-		// results cannot alias pooled memory.
-		if buf != nil {
-			j.eng.recycler.putBuf(buf)
-		}
-		if got := j.eng.recycler.getBuf(gr.total); got != nil {
-			buf = got
-		} else {
-			buf = make([]int64, gr.total)
-		}
+	if buf = j.eng.recycler.grown(buf, gr.total); buf == nil {
+		buf = make([]int64, gr.total)
 	}
 	buf = buf[:gr.total]
 	if sg.recycle {
@@ -197,31 +177,58 @@ func (j *PlanJob) packView(idx int, args []Value) (*storage.Column, algebra.Work
 	return col, w, true
 }
 
-// colBuf returns the arena-recycled output buffer for instruction idx sized
-// to n values, or nil when the instruction's output must be freshly
-// allocated (it escapes as a query result, or no buffer was planned). Growth
-// goes through the engine's size-classed recycler: the outgrown buffer
-// (backing only dead intermediates of a previous invocation) is filed for
-// other plans, the replacement is drawn from the pool when one fits. The
-// pool hands buffers back zero-length; the kernel overwrites [0,n) fully, so
-// no stale values from a previous query can surface.
-func (j *PlanJob) colBuf(idx, n int) []int64 {
+// outDest is where one materializing instruction writes its output: buf is
+// the destination, exactly as long as the instruction's anchor input. gr is
+// set when buf is clone m's window of its pack group's shared buffer.
+type outDest struct {
+	buf []int64
+	gr  *groupRun
+	m   int
+}
+
+// dest is the one place that decides who owns instruction idx's n-value
+// output: its pack group's shared buffer when the group resolved for this
+// run; else the instruction's arena slot when planBuffers classed it bufCol
+// (a dead intermediate, rewritten in place by the next invocation, grown
+// through the engine recycler); else a fresh allocation — a result-reachable
+// output, a clone of a disabled group, and every clone under CopyExchange.
+// The kernel fully overwrites what it reports written, so stale values in a
+// recycled buffer can never surface. Values and Work are the same whichever
+// owner is chosen.
+func (j *PlanJob) dest(idx, n int) outDest {
+	if gr, m := j.cloneShared(idx); gr != nil {
+		return outDest{buf: gr.bld.WriteRange(gr.offs[m], gr.offs[m+1]), gr: gr, m: m}
+	}
 	if j.sched.outBuf[idx] != bufCol {
-		return nil
+		return outDest{buf: make([]int64, n)}
 	}
-	buf := j.arena.bufs[idx]
-	if cap(buf) < n {
-		if buf != nil {
-			j.eng.recycler.putBuf(buf)
-		}
-		if got := j.eng.recycler.getBuf(n); got != nil {
-			buf = got[:n]
-		} else {
-			buf = make([]int64, n)
-		}
-		j.arena.bufs[idx] = buf
+	buf := j.eng.recycler.grown(j.arena.bufs[idx], n)
+	if buf == nil {
+		buf = make([]int64, n)
 	}
-	return buf[:n]
+	j.arena.bufs[idx] = buf
+	return outDest{buf: buf[:n]}
+}
+
+// done publishes the first n values the kernel wrote into d as instruction
+// idx's output column: a view of the group's builder (recording how much of
+// the window was written, so the pack knows whether it may be a view), the
+// arena slot's memoized wrapper, or a plain column over the fresh buffer
+// capped at n — a boundary drop must leave no spare capacity reachable from
+// an escaping result. name is called only when a wrapper is built.
+func (j *PlanJob) done(idx int, d outDest, n int, seq int64, dict *vec.Dict, name func() string) *storage.Column {
+	switch {
+	case d.gr != nil:
+		if dict != nil {
+			d.gr.bld.BindDict(dict)
+		}
+		d.gr.written[d.m] = n
+		lo := d.gr.offs[d.m]
+		return storage.NewBuilderColumn(name(), seq, d.gr.bld, lo, lo+n)
+	case j.sched.outBuf[idx] == bufCol:
+		return j.cachedCol(idx, seq, d.buf[:n], dict, name)
+	}
+	return wrapCol(name(), seq, d.buf[:n:n], dict)
 }
 
 // oidBufIn / oidBufOut thread the arena's oid buffer through appending
@@ -238,10 +245,8 @@ func (j *PlanJob) oidBufIn(idx, hint int) []int64 {
 	}
 	buf := j.arena.bufs[idx]
 	if buf == nil && hint > 0 {
-		if got := j.eng.recycler.getBuf(hint); got != nil {
-			buf = got
-			j.arena.bufs[idx] = buf
-		}
+		buf = j.eng.recycler.grown(nil, hint)
+		j.arena.bufs[idx] = buf
 	}
 	return buf
 }
@@ -280,10 +285,9 @@ func (j *PlanJob) cachedCol(idx int, seq int64, vals []int64, d *vec.Dict, name 
 // evalInstr executes one instruction: it resolves arguments (applying the
 // partition range), dispatches to the algebra kernel, and returns the result
 // values (appended to dst, which aliases the instruction's task slab) plus
-// the Work performed. Materializing instructions write into shared exchange
-// buffers (pack-group clones), arena-recycled buffers (cached hot path), or
-// fresh allocations (results and unplanned shapes) — the values and Work
-// are identical in all three cases; only buffer ownership differs.
+// the Work performed. A materializing instruction asks dest where to write,
+// runs its one kernel, and hands the written length to done; who owns the
+// buffer is decided there and nowhere else.
 func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) ([]Value, algebra.Work, error) {
 	cat, env := j.cat, j.env
 	args := resolveArgs(j, idx, in, env)
@@ -322,43 +326,17 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		return append(dst, OidsValue(oids)), w, nil
 
 	case plan.OpFetch:
-		target := args[1].Col
-		if gr, m, lo, hi, ok := j.cloneShared(idx); ok {
-			n, w, _ := algebra.FetchInto(gr.bld.WriteRange(lo, hi), args[0].Oids, target)
-			if d := target.Dict(); d != nil {
-				gr.bld.BindDict(d)
-			}
-			gr.written[m] = n
-			col := storage.NewBuilderColumn(target.Name(), reseqBase(in, env[in.Args[0]]), gr.bld, lo, lo+n)
-			return append(dst, ColValue(col)), w, nil
-		}
-		if buf := j.colBuf(idx, len(args[0].Oids)); buf != nil {
-			n, w, _ := algebra.FetchInto(buf, args[0].Oids, target)
-			col := j.cachedCol(idx, reseqBase(in, env[in.Args[0]]), buf[:n], target.Dict(), target.Name)
-			return append(dst, ColValue(col)), w, nil
-		}
-		col, w, _ := algebra.Fetch(args[0].Oids, target)
-		col = reseqPartitioned(col, in, env[in.Args[0]])
+		oids, target := args[0].Oids, args[1].Col
+		d := j.dest(idx, len(oids))
+		n, w, _ := algebra.FetchInto(d.buf, oids, target)
+		col := j.done(idx, d, n, reseqBase(in, env[in.Args[0]]), target.Dict(), target.Name)
 		return append(dst, ColValue(col)), w, nil
 
 	case plan.OpFetchPos:
-		src := args[1].Col
-		if gr, m, lo, hi, ok := j.cloneShared(idx); ok {
-			w := algebra.FetchPositionsInto(gr.bld.WriteRange(lo, hi), args[0].Oids, src)
-			if d := src.Dict(); d != nil {
-				gr.bld.BindDict(d)
-			}
-			gr.written[m] = hi - lo
-			col := storage.NewBuilderColumn(src.Name(), reseqBase(in, env[in.Args[0]]), gr.bld, lo, hi)
-			return append(dst, ColValue(col)), w, nil
-		}
-		if buf := j.colBuf(idx, len(args[0].Oids)); buf != nil {
-			w := algebra.FetchPositionsInto(buf, args[0].Oids, src)
-			col := j.cachedCol(idx, reseqBase(in, env[in.Args[0]]), buf, src.Dict(), src.Name)
-			return append(dst, ColValue(col)), w, nil
-		}
-		col, w := algebra.FetchPositions(args[0].Oids, src)
-		col = reseqPartitioned(col, in, env[in.Args[0]])
+		pos, src := args[0].Oids, args[1].Col
+		d := j.dest(idx, len(pos))
+		w := algebra.FetchPositionsInto(d.buf, pos, src)
+		col := j.done(idx, d, len(pos), reseqBase(in, env[in.Args[0]]), src.Dict(), src.Name)
 		return append(dst, ColValue(col)), w, nil
 
 	case plan.OpJoin:
@@ -366,32 +344,30 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		return append(dst, OidsValue(lo), OidsValue(ro)), w, nil
 
 	case plan.OpCalcVV:
-		aux := in.Aux.(plan.CalcAux)
+		// A calc is positionally aligned with its inputs, so its output
+		// inherits the view's head sequence: a partitioned calc over a column
+		// slice stays aligned on the base column (§2.3).
+		op := in.Aux.(plan.CalcAux).Op
 		a, b := args[0].Col, args[1].Col
-		if gr, m, lo, hi, ok := j.cloneShared(idx); ok {
-			w := algebra.CalcVVInto(gr.bld.WriteRange(lo, hi), aux.Op, a, b)
-			gr.written[m] = hi - lo
-			col := storage.NewBuilderColumn(fmt.Sprintf("(%s%s%s)", a.Name(), aux.Op, b.Name()), a.Seq(), gr.bld, lo, hi)
-			return append(dst, ColValue(col)), w, nil
-		}
-		if buf := j.colBuf(idx, a.Len()); buf != nil {
-			w := algebra.CalcVVInto(buf, aux.Op, a, b)
-			col := j.cachedCol(idx, a.Seq(), buf, nil, func() string {
-				return fmt.Sprintf("(%s%s%s)", a.Name(), aux.Op, b.Name())
-			})
-			return append(dst, ColValue(col)), w, nil
-		}
-		col, w := algebra.CalcVV(aux.Op, a, b)
+		d := j.dest(idx, a.Len())
+		w := algebra.CalcVVInto(d.buf, op, a, b)
+		col := j.done(idx, d, a.Len(), a.Seq(), nil, func() string {
+			return fmt.Sprintf("(%s%s%s)", a.Name(), op, b.Name())
+		})
 		return append(dst, ColValue(col)), w, nil
 
-	case plan.OpCalcSV:
+	case plan.OpCalcSV, plan.OpCalcSSV:
+		// The scalar operand is a plan constant (SV) or a runtime value (SSV).
 		aux := in.Aux.(plan.CalcAux)
-		col, w := j.evalCalcScalar(idx, in, aux.Op, aux.Scalar, args[0].Col, aux.ScalarLeft)
-		return append(dst, ColValue(col)), w, nil
-
-	case plan.OpCalcSSV:
-		aux := in.Aux.(plan.CalcAux)
-		col, w := j.evalCalcScalar(idx, in, aux.Op, args[0].Scalar, args[1].Col, aux.ScalarLeft)
+		scalar, v := aux.Scalar, args[0].Col
+		if in.Op == plan.OpCalcSSV {
+			scalar, v = args[0].Scalar, args[1].Col
+		}
+		d := j.dest(idx, v.Len())
+		w := algebra.CalcSVInto(d.buf, aux.Op, scalar, v, aux.ScalarLeft)
+		col := j.done(idx, d, v.Len(), v.Seq(), nil, func() string {
+			return fmt.Sprintf("(calc%s%s)", aux.Op, v.Name())
+		})
 		return append(dst, ColValue(col)), w, nil
 
 	case plan.OpCalcSS:
@@ -459,24 +435,6 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 	return nil, algebra.Work{}, fmt.Errorf("exec: unknown opcode %s", in.Op)
 }
 
-// evalCalcScalar dispatches the scalar-operand calcs (OpCalcSV / OpCalcSSV)
-// through the three buffer-ownership paths.
-func (j *PlanJob) evalCalcScalar(idx int, in *plan.Instr, op algebra.CalcOp, scalar int64, v *storage.Column, scalarLeft bool) (*storage.Column, algebra.Work) {
-	if gr, m, lo, hi, ok := j.cloneShared(idx); ok {
-		w := algebra.CalcSVInto(gr.bld.WriteRange(lo, hi), op, scalar, v, scalarLeft)
-		gr.written[m] = hi - lo
-		return storage.NewBuilderColumn(fmt.Sprintf("(calc%s%s)", op, v.Name()), v.Seq(), gr.bld, lo, hi), w
-	}
-	if buf := j.colBuf(idx, v.Len()); buf != nil {
-		w := algebra.CalcSVInto(buf, op, scalar, v, scalarLeft)
-		col := j.cachedCol(idx, v.Seq(), buf, nil, func() string {
-			return fmt.Sprintf("(calc%s%s)", op, v.Name())
-		})
-		return col, w
-	}
-	return algebra.CalcSV(op, scalar, v, scalarLeft)
-}
-
 // colPartsScratch / oidPartsScratch return the arena's variadic-argument
 // gather buffers (kernels never retain them).
 func (j *PlanJob) colPartsScratch(n int) []*storage.Column {
@@ -518,15 +476,12 @@ func evalPack(j *PlanJob, idx int, in *plan.Instr, args []Value, dst []Value) ([
 		out, w := algebra.PackColumns(cols)
 		return append(dst, ColValue(out)), w, nil
 	case plan.KindScalar:
-		partials := j.colBuf(idx, len(args))
-		if partials == nil {
-			partials = make([]int64, len(args))
-		}
+		// The gathered slice is owned by this instruction (arena slot or
+		// fresh; a pack is never a group clone), so the pack aliases it.
+		partials := j.dest(idx, len(args)).buf
 		for i, a := range args {
 			partials[i] = a.Scalar
 		}
-		// The gathered slice is owned by this instruction (arena or fresh),
-		// so the pack may alias it instead of copying again.
 		out, w := algebra.PackScalarsOwned("partials", partials)
 		return append(dst, ColValue(out)), w, nil
 	}

@@ -146,6 +146,23 @@ func (r *bufRecycler) putBuf(buf []int64) {
 	r.puts.Add(1)
 }
 
+// grown is the one way an arena buffer is replaced. old is returned as is
+// when it already holds n values. Otherwise old — which backs only dead
+// intermediates of a previous invocation — is filed for other plans and a
+// replacement of capacity >= n is drawn from the pool, zero-length; nil on a
+// miss: column destinations then allocate exactly n, appending oid kernels
+// allocate at their own estimate. Either way the consumer overwrites or
+// appends over everything it exposes, so stale values cannot surface.
+func (r *bufRecycler) grown(old []int64, n int) []int64 {
+	if cap(old) >= n {
+		return old
+	}
+	if old != nil {
+		r.putBuf(old)
+	}
+	return r.getBuf(n)
+}
+
 // getShell returns a retired arena shell — slabs (env, pending, task slab,
 // evald flags, scratch) keep their capacity and are re-sized by prepare —
 // or a fresh empty arena.

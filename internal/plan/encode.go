@@ -354,20 +354,32 @@ func (d *decoder) bool() (bool, error) {
 
 func (d *decoder) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", d.off)
+	if err := d.varintLen(n); err != nil {
+		return 0, err
 	}
-	d.off += n
 	return v, nil
 }
 
 func (d *decoder) varint() (int64, error) {
 	v, n := binary.Varint(d.buf[d.off:])
+	if err := d.varintLen(n); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
+
+// varintLen consumes an n-byte varint. A padded encoding (a zero final byte
+// after the first) decodes to a value Encode writes shorter, so accepting it
+// would give one plan two byte strings.
+func (d *decoder) varintLen(n int) error {
 	if n <= 0 {
-		return 0, fmt.Errorf("bad varint at offset %d", d.off)
+		return fmt.Errorf("bad varint at offset %d", d.off)
+	}
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		return fmt.Errorf("non-canonical varint at offset %d", d.off)
 	}
 	d.off += n
-	return v, nil
+	return nil
 }
 
 func (d *decoder) string() (string, error) {

@@ -22,7 +22,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -287,15 +286,6 @@ func (s *Server) RemoveTenant(name string) (TenantLifecycleResponse, error) {
 	return TenantLifecycleResponse{Tenant: name, SessionsFlushed: flushed}, nil
 }
 
-// decodeAdminBody decodes one admin request's JSON body.
-func decodeAdminBody(w http.ResponseWriter, r *http.Request, v any) error {
-	defer r.Body.Close()
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
-	}
-	return nil
-}
-
 // adminReply writes one admin operation's outcome: the response, or the
 // error under its status (anything the request itself got wrong is a 400).
 func (s *Server) adminReply(b *ioBuf, w http.ResponseWriter, resp any, err error) {
@@ -312,26 +302,22 @@ func (s *Server) adminReply(b *ioBuf, w http.ResponseWriter, resp any, err error
 }
 
 func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) {
-	var (
-		req  appendRequest
-		resp MutationResponse
-	)
-	err := decodeAdminBody(w, r, &req)
-	if err == nil {
-		resp, err = s.AppendRows(req.Tenant, req.Table, req.Columns)
+	var req appendRequest
+	if derr := decode(b, w, r, &req); derr != nil {
+		s.writeErr(b, w, derr.code, derr.err)
+		return
 	}
+	resp, err := s.AppendRows(req.Tenant, req.Table, req.Columns)
 	s.adminReply(b, w, resp, err)
 }
 
 func (s *Server) handleTruncate(b *ioBuf, w http.ResponseWriter, r *http.Request) {
-	var (
-		req  truncateRequest
-		resp MutationResponse
-	)
-	err := decodeAdminBody(w, r, &req)
-	if err == nil {
-		resp, err = s.DeleteTail(req.Tenant, req.Table, req.Rows)
+	var req truncateRequest
+	if derr := decode(b, w, r, &req); derr != nil {
+		s.writeErr(b, w, derr.code, derr.err)
+		return
 	}
+	resp, err := s.DeleteTail(req.Tenant, req.Table, req.Rows)
 	s.adminReply(b, w, resp, err)
 }
 
@@ -343,9 +329,11 @@ func (s *Server) handleTenants(b *ioBuf, w http.ResponseWriter, r *http.Request)
 	switch r.Method {
 	case http.MethodPost:
 		var spec TenantSpec
-		if err = decodeAdminBody(w, r, &spec); err == nil {
-			resp, err = s.AddTenant(spec)
+		if derr := decode(b, w, r, &spec); derr != nil {
+			s.writeErr(b, w, derr.code, derr.err)
+			return
 		}
+		resp, err = s.AddTenant(spec)
 	case http.MethodDelete:
 		if name := r.URL.Query().Get("name"); name == "" {
 			err = errors.New("missing ?name=")

@@ -201,6 +201,35 @@ func TestAdminAppendValidation(t *testing.T) {
 	}
 }
 
+// TestAdminBodiesDecodeLikeQuery: every POST route reads its body the way
+// /query does — over the limit is 413 (not a 400 from a truncated stream),
+// and bytes after the first JSON value are rejected, not ignored.
+func TestAdminBodiesDecodeLikeQuery(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42})
+	srv := newStoreServer(t, cat, nil, nil)
+	defer srv.Close()
+	huge := append([]byte(`{"table":"`), bytes.Repeat([]byte("x"), maxRequestBody)...)
+	huge = append(huge, `"}`...)
+	// Each body is valid for its route up to the trailing bytes, so only
+	// the decoder can be what rejects it.
+	for path, valid := range map[string][]byte{
+		"/query":          []byte(`{"query":6}`),
+		"/admin/append":   appendBodyFor(t, cat, "", "lineitem", 1),
+		"/admin/truncate": []byte(`{"table":"lineitem","rows":1}`),
+		"/admin/tenants":  []byte(`{"name":"t2","sf":0.01}`),
+	} {
+		if code := postJSON(t, srv, http.MethodPost, path, huge, nil); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s over-limit body: status %d, want 413", path, code)
+		}
+		if code := postJSON(t, srv, http.MethodPost, path, append(valid, "garbage"...), nil); code != http.StatusBadRequest {
+			t.Errorf("%s trailing bytes: status %d, want 400", path, code)
+		}
+	}
+	if st := statsOf(t, srv); st.Tenants[0].Epoch != 0 || len(st.Tenants) != 1 {
+		t.Fatalf("rejected bodies moved state: %+v", st.Tenants)
+	}
+}
+
 // TestTenantLifecycleOverLiveTraffic is the zero-downtime acceptance test:
 // tenants are added and removed while request traffic hammers both the
 // default tenant and the churned one. No request may ever see a 5xx — valid

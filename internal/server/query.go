@@ -200,11 +200,13 @@ func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 }
 
 // decode drains the bounded request body into the pooled buffer and
-// unmarshals it.
-func decode(b *ioBuf, w http.ResponseWriter, r *http.Request, req *QueryRequest) *dispatchErr {
+// unmarshals it into v — every POST body, /query's and the admin routes',
+// comes through here: over the limit is a 413, and anything but exactly one
+// JSON value a 400.
+func decode(b *ioBuf, w http.ResponseWriter, r *http.Request, v any) *dispatchErr {
 	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err == nil {
-		err = json.Unmarshal(b.buf.Bytes(), req)
+		err = json.Unmarshal(b.buf.Bytes(), v)
 	}
 	if err != nil {
 		code := http.StatusBadRequest

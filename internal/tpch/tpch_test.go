@@ -60,7 +60,7 @@ func TestGenerateShapes(t *testing.T) {
 	}
 	// PROMO parts ~1/6 of part types.
 	ptype := cat.MustTable("part").MustColumn("p_type")
-	oids, _ := algebra.SelectLike(ptype, "PROMO", algebra.LikePrefix, false)
+	oids, _ := algebra.SelectLikeInto(nil, ptype, "PROMO", algebra.LikePrefix, false)
 	frac := float64(len(oids)) / float64(nPart)
 	if frac < 0.08 || frac > 0.25 {
 		t.Fatalf("PROMO fraction = %f", frac)
