@@ -41,9 +41,9 @@ import (
 	"repro/internal/vec"
 )
 
-// Machine describes the simulated multi-core hardware (see DESIGN.md §6 for
-// calibration). Use TwoSocketMachine / FourSocketMachine for the paper's
-// Table 1 configurations, or build a custom Machine directly.
+// Machine describes the simulated multi-core hardware (see docs/ARCHITECTURE.md
+// §scale for calibration). Use TwoSocketMachine / FourSocketMachine for the
+// paper's Table 1 configurations, or build a custom Machine directly.
 type Machine = sim.Config
 
 // NoiseConfig models OS interference (§3.3.3 of the paper).

@@ -77,7 +77,7 @@ func main() {
 	}
 	if *converge {
 		did = true
-		sess := eng.NewAdaptiveSession(q)
+		sess := eng.NewAdaptiveSession(q, apq.WithResultVerification())
 		rep, err := sess.Converge()
 		if err != nil {
 			log.Fatal(err)

@@ -103,7 +103,7 @@ func TestMergeScalarsIgnoresEmptySentinels(t *testing.T) {
 }
 
 // Property: scalar aggregation over partitions + merge equals single-pass
-// aggregation (invariant 6 of DESIGN.md).
+// aggregation (invariant 6 of docs/ARCHITECTURE.md).
 func TestScalarAggrPartitionEquivalence(t *testing.T) {
 	f := func(vals []int64, cutRaw uint8) bool {
 		c := storage.NewIntColumn("v", vals)

@@ -7,21 +7,20 @@ import (
 
 // PackColumns is the exchange-union operator (MonetDB's mat.pack) over
 // materialized columns: it concatenates the partition outputs in argument
-// order into one column with a fresh dense head. Argument order must be
-// partition order; §2.3 shows why — the pack must "maintain the correct
-// ordering to avoid the incorrect results". Its cost is pure data movement,
-// which is why low-selectivity inputs make packs expensive and trigger the
-// medium mutation.
+// order into one column with a dense head that starts where the first
+// input's does: the union of the slices [lo,mid) and [mid,hi) of a value is
+// its slice [lo,hi), so re-splitting a sliced clone leaves the row ids
+// derived from its output unchanged. Argument order must be partition order;
+// §2.3 shows why — the pack must "maintain the correct ordering to avoid the
+// incorrect results". Its cost is pure data movement, which is why
+// low-selectivity inputs make packs expensive and trigger the medium
+// mutation.
 func PackColumns(parts []*storage.Column) (*storage.Column, Work) {
 	vecs := make([]*vec.Vector, len(parts))
 	var tuplesIn int64
-	name := "pack"
 	for i, p := range parts {
 		vecs[i] = p.Data()
 		tuplesIn += int64(p.Len())
-		if i == 0 {
-			name = p.Name()
-		}
 	}
 	data := vec.Concat(vecs...)
 	w := Work{
@@ -31,24 +30,24 @@ func PackColumns(parts []*storage.Column) (*storage.Column, Work) {
 		TuplesOut:     int64(data.Len()),
 		MemClaimBytes: data.Bytes(),
 	}
-	return storage.NewColumn(name, 0, data), w
+	return storage.NewColumn(parts[0].Name(), parts[0].Seq(), data), w
 }
 
 // PackColumnsView is the zero-copy exchange fast path: when the executor had
 // the pack's sibling partition clones write their disjoint ranges of one
-// shared result buffer, the pack is an O(1) view over that buffer with a
-// fresh dense head — "read only slices ... no data copying involved" (§2.3)
-// applied to the union side of the exchange. data must be the fully written
-// shared buffer, in partition order. The Work record reflects that no data
-// moves: the cost model charges only dispatch (plus per-tuple exchange
-// overhead on comparator calibrations), so adaptation sees the exchange for
-// what it now costs.
-func PackColumnsView(name string, data *vec.Vector, tuplesIn int64) (*storage.Column, Work) {
+// shared result buffer, the pack is an O(1) view over that buffer under the
+// first clone's name and head — "read only slices ... no data copying
+// involved" (§2.3) applied to the union side of the exchange. data must be
+// the fully written shared buffer, in partition order. The Work record
+// reflects that no data moves: the cost model charges only dispatch (plus
+// per-tuple exchange overhead on comparator calibrations), so adaptation sees
+// the exchange for what it now costs.
+func PackColumnsView(first *storage.Column, data *vec.Vector, tuplesIn int64) (*storage.Column, Work) {
 	w := Work{
 		TuplesIn:  tuplesIn,
 		TuplesOut: int64(data.Len()),
 	}
-	return storage.NewColumn(name, 0, data), w
+	return storage.NewColumn(first.Name(), first.Seq(), data), w
 }
 
 // PackOidsInto concatenates partition oid vectors in partition order,

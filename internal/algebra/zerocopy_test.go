@@ -54,7 +54,7 @@ func TestPackColumnsViewMatchesCopy(t *testing.T) {
 	}
 
 	want, copyWork := PackColumns(parts)
-	got, viewWork := PackColumnsView(parts[0].Name(), bld.Publish(), tuplesIn)
+	got, viewWork := PackColumnsView(parts[0], bld.Publish(), tuplesIn)
 	if !vec.Equal(got.Data(), want.Data()) {
 		t.Fatalf("view pack %v != copy pack %v", got.Values(), want.Values())
 	}

@@ -27,6 +27,115 @@ func calcPlan() *plan.Plan {
 	return b.Plan()
 }
 
+// rowSpacePlan is the minimal shape on which propagating a row-id consumer
+// is unsound: the second select's oids are row ids of the packed disc′ and
+// index the SIBLING column price′.
+func rowSpacePlan() *plan.Plan {
+	b := plan.NewBuilder()
+	ship := b.Bind("lineitem", "l_shipdate")
+	disc := b.Bind("lineitem", "l_discount")
+	price := b.Bind("lineitem", "l_extendedprice")
+	s := b.Select(ship, algebra.Between(50, 250))
+	pr := b.Fetch(s, price)
+	d := b.Fetch(s, disc)
+	s2 := b.Select(d, algebra.Between(2, 8))
+	sum := b.Aggr(algebra.AggrSum, b.Fetch(s2, pr))
+	b.Result(sum)
+	return b.Plan()
+}
+
+// louterPlan is the TPC-H Q9 tail: a join's louter drives a fetchpos into a
+// column that is a sibling of the join's outer.
+func louterPlan() *plan.Plan {
+	b := plan.NewBuilder()
+	ship := b.Bind("lineitem", "l_shipdate")
+	key := b.Bind("lineitem", "l_key")
+	price := b.Bind("lineitem", "l_extendedprice")
+	pkey := b.Bind("part", "p_partkey")
+	pval := b.Bind("part", "p_value")
+	s := b.Select(ship, algebra.Between(50, 250))
+	k := b.Fetch(s, key)
+	pr := b.Fetch(s, price)
+	lo, ro := b.Join(k, pkey)
+	rev := b.CalcVV(algebra.CalcMul, b.FetchPos(lo, pr), b.Fetch(ro, pval))
+	b.Result(b.Aggr(algebra.AggrSum, rev))
+	return b.Plan()
+}
+
+// packFeeding returns the index of the pack whose result op consumes.
+func packFeeding(p *plan.Plan, op plan.OpCode) int {
+	for i, in := range p.Instrs {
+		if in.Op != plan.OpPack {
+			continue
+		}
+		for _, ci := range p.Consumers(in.Rets[0]) {
+			if p.Instrs[ci].Op == op {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// The row-space rule: split the first select, remove the oid pack (the two
+// fetches become propagated full-range clones, each in its own zero-based
+// row space), then ask to remove the pack of propagated disc fetches. The
+// select over it emits row ids that a fetch resolves against the sibling
+// price pack, so the removal must be refused — before PR 19 it was applied
+// and the plan summed the wrong rows.
+func TestRemovePackRefusesRowIdsOverPropagatedClones(t *testing.T) {
+	cat := testCatalog(10_000)
+	p := rowSpacePlan()
+	want := executePlan(t, cat, p)
+	np := mustParallelize(t, p, findOp(p, plan.OpSelect), 2)
+	np, err := RemovePack(np, packFeeding(np, plan.OpFetch), 33)
+	if err != nil {
+		t.Fatalf("remove oid pack: %v", err)
+	}
+	if got := executePlan(t, cat, np); !exec.ResultsEqual(want, got) {
+		t.Fatal("propagating the fetches changed results")
+	}
+	if _, err := RemovePack(np, packFeeding(np, plan.OpSelect), 33); !errors.Is(err, errNotApplicable) {
+		t.Fatalf("remove pack of propagated fetches under a select: err = %v, want errNotApplicable", err)
+	}
+
+	// The same pack shape is fine to remove while its inputs are a sliced
+	// tiling of one anchor: clone i's head sequence is its offset.
+	np = mustParallelize(t, p, findOp(p, plan.OpFetch)+1, 2) // the disc fetch
+	np, err = RemovePack(np, packFeeding(np, plan.OpSelect), 33)
+	if err != nil {
+		t.Fatalf("remove pack of sliced fetches under a select: %v", err)
+	}
+	if got := executePlan(t, cat, np); !exec.ResultsEqual(want, got) {
+		t.Fatal("propagating a select over sliced fetches changed results")
+	}
+}
+
+// Re-splitting a sliced clone whose consumer derives row ids from it: the
+// new exchange union stands in for the slice [1/2,1), so its head must start
+// where that slice's did (algebra.PackColumns). With a fresh zero-based head
+// the propagated select emitted ids half a column off.
+func TestResplitSlicedCloneKeepsRowIds(t *testing.T) {
+	cat := testCatalog(10_000)
+	p := rowSpacePlan()
+	want := executePlan(t, cat, p)
+	np := mustParallelize(t, p, findOp(p, plan.OpFetch)+1, 2) // the disc fetch
+	np, err := RemovePack(np, packFeeding(np, plan.OpSelect), 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := -1
+	for i, in := range np.Instrs {
+		if in.Op == plan.OpFetch && in.Part.LoNum != 0 {
+			upper = i
+		}
+	}
+	np = mustParallelize(t, np, upper, 2)
+	if got := executePlan(t, cat, np); !exec.ResultsEqual(want, got) {
+		t.Fatalf("re-split of the upper fetch clone changed results\n%s", np)
+	}
+}
+
 func mustParallelize(t *testing.T, p *plan.Plan, idx, n int) *plan.Plan {
 	t.Helper()
 	np, _, err := Parallelize(p, idx, n)
@@ -195,6 +304,7 @@ func TestDeepSessionsPreserveResults(t *testing.T) {
 	cat := testCatalog(60_000)
 	for name, mk := range map[string]func() *plan.Plan{
 		"select": selectPlan, "join": joinPlan, "group": groupPlan, "calc": calcPlan,
+		"rowspace": rowSpacePlan, "louter": louterPlan,
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := exec.NewEngine(cat, testMachine(), cost.Default())

@@ -56,16 +56,10 @@ var ErrSuppressed = errors.New("core: exchange union removal suppressed (input t
 // the mutator then tries the next most expensive operator.
 var errNotApplicable = errors.New("core: mutation not applicable")
 
-// kindOfPack returns the result kind a pack over args of kind k produces.
-func kindOfPack(k plan.Kind) plan.Kind {
-	if k == plan.KindOids {
-		return plan.KindOids
-	}
-	return plan.KindColumn
-}
-
 // rewriteCtx accumulates one mutation's edits over a cloned plan and commits
-// them in a single pass.
+// them in a single pass. Its methods are the whole edit vocabulary of the
+// three mutations: remove / emit / clone / rewire build the new subgraph,
+// users / splice / dropDead re-attach it to what survives.
 type rewriteCtx struct {
 	p       *plan.Plan
 	removed map[*plan.Instr]bool
@@ -77,14 +71,87 @@ func newRewrite(p *plan.Plan) *rewriteCtx {
 	return &rewriteCtx{p: p, removed: map[*plan.Instr]bool{}, rewires: map[plan.VarID]plan.VarID{}}
 }
 
-func (rw *rewriteCtx) remove(in *plan.Instr)         { rw.removed[in] = true }
-func (rw *rewriteCtx) add(in *plan.Instr)            { rw.addend = append(rw.addend, in) }
-func (rw *rewriteCtx) rewire(from, to plan.VarID)    { rw.rewires[from] = to }
-func (rw *rewriteCtx) newVar(k plan.Kind) plan.VarID { return rw.p.NewVar(k, "") }
+func (rw *rewriteCtx) remove(in *plan.Instr)      { rw.removed[in] = true }
+func (rw *rewriteCtx) rewire(from, to plan.VarID) { rw.rewires[from] = to }
+
+// emit adds a new full-range instruction with fresh results of the given
+// kinds and returns them.
+func (rw *rewriteCtx) emit(op plan.OpCode, args []plan.VarID, aux any, comment string, kinds ...plan.Kind) []plan.VarID {
+	rets := make([]plan.VarID, len(kinds))
+	for i, k := range kinds {
+		rets[i] = rw.p.NewVar(k, "")
+	}
+	rw.addend = append(rw.addend, &plan.Instr{Op: op, Args: args, Rets: rets, Aux: aux, Part: plan.FullPart(), Comment: comment})
+	return rets
+}
+
+// clone adds a copy of t (opcode, aux, result kinds) over args and part, with
+// fresh result variables.
+func (rw *rewriteCtx) clone(t *plan.Instr, args []plan.VarID, part plan.Part, comment string) *plan.Instr {
+	rets := make([]plan.VarID, len(t.Rets))
+	for j, r := range t.Rets {
+		rets[j] = rw.p.NewVar(rw.p.KindOf(r), "")
+	}
+	c := &plan.Instr{Op: t.Op, Args: args, Rets: rets, Aux: t.Aux, Part: part, Comment: comment}
+	rw.addend = append(rw.addend, c)
+	return c
+}
+
+// cloneOver creates one clone of t per sub-range of t's current partition.
+// The clones inherit t's arguments (so join clones share the inner build,
+// §2.1).
+func (rw *rewriteCtx) cloneOver(t *plan.Instr, parts []plan.Part, comment string) []*plan.Instr {
+	clones := make([]*plan.Instr, len(parts))
+	for i, part := range parts {
+		clones[i] = rw.clone(t, slices.Clone(t.Args), part, comment)
+	}
+	return clones
+}
+
+// users returns the surviving instructions of the plan that consume any of
+// vars, in plan order.
+func (rw *rewriteCtx) users(vars ...plan.VarID) []*plan.Instr {
+	var out []*plan.Instr
+	for _, in := range rw.p.Instrs {
+		if !rw.removed[in] && slices.ContainsFunc(in.Args, func(a plan.VarID) bool { return slices.Contains(vars, a) }) {
+			out = append(out, in)
+		}
+	}
+	return out
+}
+
+// splice substitutes repl for the variables old in pk's argument list: the
+// first argument found in old (and any repeat of that same variable) becomes
+// repl, the other members of old are dropped. Everything else keeps its
+// place, which preserves partition order (the ordering invariant of §2.3).
+func splice(pk *plan.Instr, old, repl []plan.VarID) {
+	args := make([]plan.VarID, 0, len(pk.Args)+len(repl))
+	first := plan.VarID(-1)
+	for _, a := range pk.Args {
+		switch {
+		case !slices.Contains(old, a):
+			args = append(args, a)
+		case first < 0 || a == first:
+			first = a
+			args = append(args, repl...)
+		}
+	}
+	pk.Args = args
+}
+
+// dropDead removes the packs among ws that are left without a consumer, so
+// they stop costing execution time.
+func (rw *rewriteCtx) dropDead(ws []*plan.Instr) {
+	for _, w := range ws {
+		if len(rw.users(w.Rets[0])) == 0 {
+			rw.remove(w)
+		}
+	}
+}
 
 // commit assembles the final instruction list, applies variable rewires to
 // surviving and added instructions, and restores topological order.
-func (rw *rewriteCtx) commit() error {
+func (rw *rewriteCtx) commit() (*plan.Plan, error) {
 	out := make([]*plan.Instr, 0, len(rw.p.Instrs)+len(rw.addend))
 	for _, in := range rw.p.Instrs {
 		if !rw.removed[in] {
@@ -102,82 +169,41 @@ func (rw *rewriteCtx) commit() error {
 		}
 	}
 	rw.p.Instrs = out
-	return rw.p.TopoSort()
+	if err := rw.p.TopoSort(); err != nil {
+		return nil, err
+	}
+	return rw.p, nil
 }
 
-// cloneOver creates nParts clones of t, each restricted to one sub-range of
-// t's current partition, with fresh result variables. The clones inherit
-// t's arguments (so join clones share the inner build, §2.1).
-func (rw *rewriteCtx) cloneOver(t *plan.Instr, parts []plan.Part, comment string) []*plan.Instr {
-	clones := make([]*plan.Instr, len(parts))
-	for i, part := range parts {
-		rets := make([]plan.VarID, len(t.Rets))
-		for j, r := range t.Rets {
-			rets[j] = rw.newVar(rw.p.KindOf(r))
-		}
-		clones[i] = &plan.Instr{
-			Op:      t.Op,
-			Args:    append([]plan.VarID(nil), t.Args...),
-			Rets:    rets,
-			Aux:     t.Aux,
-			Part:    part,
-			Comment: comment,
-		}
-		rw.add(clones[i])
+// retsAt collects the ri-th result of every instruction.
+func retsAt(instrs []*plan.Instr, ri int) []plan.VarID {
+	out := make([]plan.VarID, len(instrs))
+	for i, in := range instrs {
+		out[i] = in.Rets[ri]
 	}
-	return clones
+	return out
 }
 
 // combineRet wires the ri-th results of the clones into every consumer of
 // the original result variable r:
 //
-//   - consumers that are packs get the clone results spliced in place of r,
-//     preserving partition order (the ordering invariant of §2.3);
+//   - consumers that are packs get the clone results spliced in place of r;
 //   - other consumers are rewired to a new pack over the clone results —
 //     and, for scalar aggregates, to a merge over the packed partials
 //     (aggr → pack → mergeaggr, the Figure 7 shape), or to a sorted-run
 //     merge for sorts.
 //
-// origin is the instruction being replaced (its aux provides merge
-// semantics).
+// origin is the (already removed) instruction being replaced; its aux
+// provides merge semantics.
 func (rw *rewriteCtx) combineRet(origin *plan.Instr, r plan.VarID, ri int, clones []*plan.Instr) error {
-	cloneRets := make([]plan.VarID, len(clones))
-	for i, c := range clones {
-		cloneRets[i] = c.Rets[ri]
-	}
-	var packConsumers []*plan.Instr
+	cloneRets := retsAt(clones, ri)
 	needCombined := false
-	for _, in := range rw.p.Instrs {
-		if rw.removed[in] || in == origin {
-			continue
-		}
-		uses := false
-		for _, a := range in.Args {
-			if a == r {
-				uses = true
-				break
-			}
-		}
-		if !uses {
-			continue
-		}
+	for _, in := range rw.users(r) {
 		if in.Op == plan.OpPack || in.Op == plan.OpMergeSorted {
-			packConsumers = append(packConsumers, in)
+			splice(in, []plan.VarID{r}, cloneRets)
 		} else {
 			needCombined = true
 		}
-	}
-	// Splice into existing packs in place (partition order preserved).
-	for _, pk := range packConsumers {
-		newArgs := make([]plan.VarID, 0, len(pk.Args)+len(cloneRets)-1)
-		for _, a := range pk.Args {
-			if a == r {
-				newArgs = append(newArgs, cloneRets...)
-			} else {
-				newArgs = append(newArgs, a)
-			}
-		}
-		pk.Args = newArgs
 	}
 	if !needCombined {
 		return nil
@@ -187,10 +213,7 @@ func (rw *rewriteCtx) combineRet(origin *plan.Instr, r plan.VarID, ri int, clone
 	switch {
 	case origin.Op == plan.OpSort && ri == 0:
 		// Sorted runs must merge, not concatenate.
-		mv := rw.newVar(plan.KindColumn)
-		rw.add(&plan.Instr{Op: plan.OpMergeSorted, Args: cloneRets, Rets: []plan.VarID{mv},
-			Aux: origin.Aux, Part: plan.FullPart(), Comment: "merge of sorted runs"})
-		rw.rewire(r, mv)
+		rw.rewire(r, rw.emit(plan.OpMergeSorted, cloneRets, origin.Aux, "merge of sorted runs", plan.KindColumn)[0])
 	case retKind == plan.KindScalar:
 		// Scalar aggregate partials: pack then merge (Figure 7's
 		// mat.pack + aggr.sum over partials).
@@ -198,18 +221,10 @@ func (rw *rewriteCtx) combineRet(origin *plan.Instr, r plan.VarID, ri int, clone
 		if !ok {
 			return errNotApplicable
 		}
-		pv := rw.newVar(plan.KindColumn)
-		rw.add(&plan.Instr{Op: plan.OpPack, Args: cloneRets, Rets: []plan.VarID{pv},
-			Part: plan.FullPart(), Comment: "pack of partial aggregates"})
-		mv := rw.newVar(plan.KindScalar)
-		rw.add(&plan.Instr{Op: plan.OpMergeAggr, Args: []plan.VarID{pv}, Rets: []plan.VarID{mv},
-			Aux: aux, Part: plan.FullPart(), Comment: "merge of partial aggregates"})
-		rw.rewire(r, mv)
+		pv := rw.emit(plan.OpPack, cloneRets, nil, "pack of partial aggregates", plan.KindColumn)[0]
+		rw.rewire(r, rw.emit(plan.OpMergeAggr, []plan.VarID{pv}, aux, "merge of partial aggregates", plan.KindScalar)[0])
 	default:
-		pv := rw.newVar(kindOfPack(retKind))
-		rw.add(&plan.Instr{Op: plan.OpPack, Args: cloneRets, Rets: []plan.VarID{pv},
-			Part: plan.FullPart(), Comment: "exchange union"})
-		rw.rewire(r, pv)
+		rw.rewire(r, rw.emit(plan.OpPack, cloneRets, nil, "exchange union", plan.PackKind(retKind))[0])
 	}
 	return nil
 }
@@ -223,46 +238,34 @@ func Parallelize(p *plan.Plan, idx, nParts int) (*plan.Plan, MutationKind, error
 	if idx < 0 || idx >= len(p.Instrs) {
 		return nil, MutationNone, fmt.Errorf("core: instruction %d out of range", idx)
 	}
-	op := p.Instrs[idx].Op
-	switch {
+	kind, mutate := MutationBasic, parallelizeBasic
+	switch op := p.Instrs[idx].Op; {
 	case op == plan.OpGroupBy:
-		np, err := parallelizeGroupBy(p, idx, nParts)
-		if err != nil {
-			return nil, MutationNone, err
-		}
-		return np, MutationAdvanced, nil
-	case op == plan.OpAggr || op == plan.OpSort:
-		np, err := parallelizeBasic(p, idx, nParts)
-		if err != nil {
-			return nil, MutationNone, err
-		}
-		return np, MutationAdvanced, nil
-	case plan.BasicPartitionable(op):
-		np, err := parallelizeBasic(p, idx, nParts)
-		if err != nil {
-			return nil, MutationNone, err
-		}
-		return np, MutationBasic, nil
+		kind, mutate = MutationAdvanced, parallelizeGroupBy
+	case plan.AdvancedPartitionable(op):
+		kind = MutationAdvanced
+	case !plan.BasicPartitionable(op):
+		return nil, MutationNone, errNotApplicable
 	}
-	return nil, MutationNone, errNotApplicable
+	np, err := mutate(p.Clone(), idx, nParts)
+	if err != nil {
+		return nil, MutationNone, err
+	}
+	return np, kind, nil
 }
 
 // parallelizeBasic is the basic mutation (Figure 3/4), also used for scalar
 // aggregates and sorts whose combining stage differs only in the combiner
 // operator emitted by combineRet.
-func parallelizeBasic(p *plan.Plan, idx, nParts int) (*plan.Plan, error) {
-	cp := p.Clone()
+func parallelizeBasic(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	t := cp.Instrs[idx]
-	if t.Op == plan.OpSort {
-		// The permutation result of a parallelized sort is not
-		// reconstructible by concatenation; refuse if it is consumed.
-		if len(cp.Consumers(t.Rets[1])) > 0 {
-			return nil, errNotApplicable
-		}
+	// The permutation result of a parallelized sort is not reconstructible
+	// by concatenation; refuse if it is consumed.
+	if t.Op == plan.OpSort && len(cp.Consumers(t.Rets[1])) > 0 {
+		return nil, errNotApplicable
 	}
 	rw := newRewrite(cp)
-	parts := t.Part.SplitN(nParts)
-	clones := rw.cloneOver(t, parts, fmt.Sprintf("clone of %s", t.Op))
+	clones := rw.cloneOver(t, t.Part.SplitN(nParts), fmt.Sprintf("clone of %s", t.Op))
 	rw.remove(t)
 	for ri, r := range t.Rets {
 		if t.Op == plan.OpSort && ri == 1 {
@@ -272,10 +275,25 @@ func parallelizeBasic(p *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 			return nil, err
 		}
 	}
-	if err := rw.commit(); err != nil {
-		return nil, err
+	return rw.commit()
+}
+
+// groupPattern classifies the consumers of group-by g into its grouped
+// aggregates and key extractions — the subgraph the advanced mutation
+// (Figure 6) clones as a unit. ok is false when anything else consumes the
+// groups.
+func groupPattern(p *plan.Plan, g *plan.Instr) (aggrs, keys []*plan.Instr, ok bool) {
+	for _, ci := range p.Consumers(g.Rets[0]) {
+		switch c := p.Instrs[ci]; c.Op {
+		case plan.OpAggrGrouped:
+			aggrs = append(aggrs, c)
+		case plan.OpGroupKeys:
+			keys = append(keys, c)
+		default:
+			return nil, nil, false
+		}
 	}
-	return cp, nil
+	return aggrs, keys, true
 }
 
 // parallelizeGroupBy is the advanced mutation for group-by (Figure 6): the
@@ -284,26 +302,10 @@ func parallelizeBasic(p *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 // group-merge combines them. On re-application to an already-cloned
 // group-by the clone results are spliced into the existing packs and the
 // existing merge is reused.
-func parallelizeGroupBy(p *plan.Plan, idx, nParts int) (*plan.Plan, error) {
-	cp := p.Clone()
+func parallelizeGroupBy(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	g := cp.Instrs[idx]
-	gOut := g.Rets[0]
-
-	// Collect and classify the group-by's dataflow-dependent operators.
-	var aggrs []*plan.Instr
-	var keyOps []*plan.Instr
-	for _, ci := range cp.Consumers(gOut) {
-		c := cp.Instrs[ci]
-		switch c.Op {
-		case plan.OpAggrGrouped:
-			aggrs = append(aggrs, c)
-		case plan.OpGroupKeys:
-			keyOps = append(keyOps, c)
-		default:
-			return nil, errNotApplicable
-		}
-	}
-	if len(aggrs) == 0 {
+	aggrs, keyOps, ok := groupPattern(cp, g)
+	if !ok || len(aggrs) == 0 {
 		return nil, errNotApplicable
 	}
 	// The vals inputs of the dependent aggregates must be positionally
@@ -316,135 +318,92 @@ func parallelizeGroupBy(p *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	rw.remove(g)
 
 	// Clone each dependent aggregate per partition, co-partitioning its
-	// values input.
-	type aggrCombo struct {
-		origin *plan.Instr
-		clones []*plan.Instr
-	}
-	var combos []aggrCombo
-	for _, a := range aggrs {
-		clones := make([]*plan.Instr, len(parts))
-		for i := range parts {
-			rets := []plan.VarID{rw.newVar(plan.KindColumn)}
-			args := append([]plan.VarID(nil), a.Args...)
+	// values input, then the per-partition distinct keys.
+	aggClones := make([][]*plan.Instr, len(aggrs))
+	for ai, a := range aggrs {
+		for i, part := range parts {
+			args := slices.Clone(a.Args)
 			args[1] = gClones[i].Rets[0]
-			clones[i] = &plan.Instr{Op: plan.OpAggrGrouped, Args: args, Rets: rets,
-				Aux: a.Aux, Part: parts[i], Comment: "clone of aggrgrouped"}
-			rw.add(clones[i])
+			aggClones[ai] = append(aggClones[ai], rw.clone(a, args, part, "clone of aggrgrouped"))
 		}
 		rw.remove(a)
-		combos = append(combos, aggrCombo{origin: a, clones: clones})
 	}
-	// Per-partition distinct keys.
-	kClones := make([]*plan.Instr, len(parts))
+	keyRets := make([]plan.VarID, len(parts))
 	for i := range parts {
-		kClones[i] = &plan.Instr{Op: plan.OpGroupKeys,
-			Args: []plan.VarID{gClones[i].Rets[0]},
-			Rets: []plan.VarID{rw.newVar(plan.KindColumn)},
-			Part: plan.FullPart(), Comment: "clone of groupkeys"}
-		rw.add(kClones[i])
+		keyRets[i] = rw.emit(plan.OpGroupKeys, []plan.VarID{gClones[i].Rets[0]}, nil, "clone of groupkeys", plan.KindColumn)[0]
 	}
 	for _, k := range keyOps {
 		rw.remove(k)
 	}
 
-	// Existing downstream combiners? If the original aggregates fed packs
-	// (a previous advanced mutation), splice; otherwise build the pack +
+	// Existing downstream combiners? If the original results fed packs (a
+	// previous advanced mutation), splice; otherwise build the pack +
 	// group-merge tail.
-	spliceIntoExistingPacks := func(r plan.VarID, cloneRets []plan.VarID) bool {
+	spliceIntoPacks := func(r plan.VarID, repl []plan.VarID) bool {
 		spliced := false
-		for _, in := range cp.Instrs {
-			if rw.removed[in] || in.Op != plan.OpPack {
-				continue
-			}
-			for _, a := range in.Args {
-				if a == r {
-					newArgs := make([]plan.VarID, 0, len(in.Args)+len(cloneRets)-1)
-					for _, a2 := range in.Args {
-						if a2 == r {
-							newArgs = append(newArgs, cloneRets...)
-						} else {
-							newArgs = append(newArgs, a2)
-						}
-					}
-					in.Args = newArgs
-					spliced = true
-					break
-				}
+		for _, in := range rw.users(r) {
+			if in.Op == plan.OpPack {
+				splice(in, []plan.VarID{r}, repl)
+				spliced = true
 			}
 		}
 		return spliced
 	}
 
-	retsOf := func(instrs []*plan.Instr) []plan.VarID {
-		out := make([]plan.VarID, len(instrs))
-		for i, in := range instrs {
-			out[i] = in.Rets[0]
-		}
-		return out
-	}
-
-	// Keys side.
-	var keysPackVar plan.VarID
-	keysPackNeeded := true
-	if len(keyOps) > 0 {
-		if spliceIntoExistingPacks(keyOps[0].Rets[0], retsOf(kClones)) {
-			keysPackNeeded = false
-		}
-	}
-	var firstMergeKeys plan.VarID = -1
+	keysPackNeeded := len(keyOps) == 0 || !spliceIntoPacks(keyOps[0].Rets[0], keyRets)
+	var keysPack []plan.VarID
 	if keysPackNeeded {
-		keysPackVar = rw.newVar(plan.KindColumn)
-		rw.add(&plan.Instr{Op: plan.OpPack, Args: retsOf(kClones), Rets: []plan.VarID{keysPackVar},
-			Part: plan.FullPart(), Comment: "pack of partial group keys"})
+		keysPack = rw.emit(plan.OpPack, keyRets, nil, "pack of partial group keys", plan.KindColumn)
 	}
-
-	// Aggregate sides.
-	for _, combo := range combos {
-		r := combo.origin.Rets[0]
-		if spliceIntoExistingPacks(r, retsOf(combo.clones)) {
+	firstMergeKeys := plan.VarID(-1)
+	for ai, a := range aggrs {
+		r, partials := a.Rets[0], retsAt(aggClones[ai], 0)
+		if spliceIntoPacks(r, partials) {
 			continue // existing merge downstream still applies
 		}
-		if !keysPackNeeded {
-			// Mixed state: keys already packed upstream but this aggregate
-			// was not — cannot happen with builder-produced plans.
+		aux, ok := a.Aux.(plan.AggrAux)
+		// !keysPackNeeded is a mixed state: keys already packed upstream but
+		// this aggregate was not — cannot happen with builder-produced plans.
+		if !keysPackNeeded || !ok {
 			return nil, errNotApplicable
 		}
-		aux, ok := combo.origin.Aux.(plan.AggrAux)
-		if !ok {
-			return nil, errNotApplicable
-		}
-		aggPack := rw.newVar(plan.KindColumn)
-		rw.add(&plan.Instr{Op: plan.OpPack, Args: retsOf(combo.clones), Rets: []plan.VarID{aggPack},
-			Part: plan.FullPart(), Comment: "pack of partial aggregates"})
-		mk := rw.newVar(plan.KindColumn)
-		ma := rw.newVar(plan.KindColumn)
-		rw.add(&plan.Instr{Op: plan.OpGroupMerge, Args: []plan.VarID{keysPackVar, aggPack},
-			Rets: []plan.VarID{mk, ma}, Aux: aux, Part: plan.FullPart(), Comment: "group merge"})
-		rw.rewire(r, ma)
+		aggPack := rw.emit(plan.OpPack, partials, nil, "pack of partial aggregates", plan.KindColumn)
+		merged := rw.emit(plan.OpGroupMerge, []plan.VarID{keysPack[0], aggPack[0]}, aux, "group merge", plan.KindColumn, plan.KindColumn)
+		rw.rewire(r, merged[1])
 		if firstMergeKeys < 0 {
-			firstMergeKeys = mk
+			firstMergeKeys = merged[0]
 		}
 	}
-	// Rewire key consumers to the merged keys.
+	// Rewire key consumers to the merged keys. (When the keys were spliced
+	// into an existing pack, that pack's merge already serves them.)
 	for _, k := range keyOps {
-		if len(cp.Consumers(k.Rets[0])) == 0 {
+		if !keysPackNeeded || len(cp.Consumers(k.Rets[0])) == 0 {
 			continue
 		}
-		if keysPackNeeded {
-			if firstMergeKeys < 0 {
-				return nil, errNotApplicable
-			}
-			rw.rewire(k.Rets[0], firstMergeKeys)
+		if firstMergeKeys < 0 {
+			return nil, errNotApplicable
 		}
-		// else: already spliced into the existing keys pack; the existing
-		// merge's output serves downstream consumers.
+		rw.rewire(k.Rets[0], firstMergeKeys)
 	}
+	return rw.commit()
+}
 
-	if err := rw.commit(); err != nil {
-		return nil, err
+// famKey identifies sibling clones: same opcode, aux and argument list.
+type famKey struct {
+	op   plan.OpCode
+	aux  any
+	args string
+}
+
+// keyOf renders in's family key; the argument list becomes a string without
+// fmt's boxing (RemovePack keys every consumer on it).
+func keyOf(in *plan.Instr) famKey {
+	buf := make([]byte, 0, 4*len(in.Args))
+	for _, a := range in.Args {
+		buf = strconv.AppendInt(buf, int64(a), 10)
+		buf = append(buf, ',')
 	}
-	return cp, nil
+	return famKey{op: in.Op, aux: in.Aux, args: string(buf)}
 }
 
 // RemovePack is the medium mutation (Figure 5): the expensive exchange
@@ -497,14 +456,29 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		}
 	}
 
+	// The row-space rule. Propagation runs each consumer over one pack
+	// input instead of the packed value, so a result that holds row ids of
+	// the packed value (plan.RowIDRet) stays meaningful only if every
+	// input's head sequence is its position in the packed value — true
+	// exactly when the inputs are a sliced tiling of one anchor. Propagated
+	// full-range clones each start at 0, and a pack flattened from several
+	// tilings restarts per family: their row ids would index a sibling pack
+	// at the wrong rows. Oid packs are exempt (their values are global ids),
+	// as is a row-id result nobody consumes.
+	if cp.KindOf(out) == plan.KindColumn && !slicedTiling(cp, inputs) {
+		for _, ci := range consumers {
+			c := cp.Instrs[ci]
+			for ri, r := range c.Rets {
+				if plan.RowIDRet(c.Op, ri) && len(cp.Consumers(r)) > 0 {
+					return nil, errNotApplicable
+				}
+			}
+		}
+	}
+
 	// Group the consumers into families: sibling clones sharing opcode,
 	// aux and arguments whose partitions together cover the full packed
 	// range. An unpartitioned consumer is a family of one.
-	type famKey struct {
-		op   plan.OpCode
-		aux  any
-		args string
-	}
 	fams := map[famKey][]*plan.Instr{}
 	var famOrder []famKey
 	for _, ci := range consumers {
@@ -512,8 +486,7 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		if c.Op == plan.OpPack {
 			continue // handled by flattening below
 		}
-		ok := c.Op == plan.OpAggr || plan.BasicPartitionable(c.Op)
-		if !ok {
+		if c.Op != plan.OpAggr && !plan.BasicPartitionable(c.Op) {
 			return nil, errNotApplicable
 		}
 		// Propagation substitutes pack inputs for the packed variable, so
@@ -523,21 +496,16 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		// anchor fed by a *sibling* pack — one whose inputs are
 		// co-partitioned with ours, the multi-column dependency of §2.2 —
 		// is resolved pairwise: clone i receives input i of both packs.
-		anchors := map[int]bool{}
-		for _, ai := range plan.SliceArgs(c.Op) {
-			anchors[ai] = true
-		}
+		anchors := plan.SliceArgs(c.Op)
 		for ai, a := range c.Args {
-			switch {
-			case a == out && !anchors[ai]:
+			switch anchor := slices.Contains(anchors, ai); {
+			case a == out && !anchor:
 				return nil, errNotApplicable
-			case a != out && anchors[ai]:
-				if findSiblingPack(cp, a, inputs) == nil {
-					return nil, errNotApplicable
-				}
+			case a != out && anchor && findSiblingPack(cp, a, inputs) == nil:
+				return nil, errNotApplicable
 			}
 		}
-		k := famKey{op: c.Op, aux: c.Aux, args: argsKey(c.Args)}
+		k := keyOf(c)
 		if _, seen := fams[k]; !seen {
 			famOrder = append(famOrder, k)
 		}
@@ -553,19 +521,9 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 	rw.remove(u)
 	// Flatten into consuming packs: splice the removed pack's inputs.
 	for _, ci := range consumers {
-		c := cp.Instrs[ci]
-		if c.Op != plan.OpPack {
-			continue
+		if c := cp.Instrs[ci]; c.Op == plan.OpPack {
+			splice(c, []plan.VarID{out}, inputs)
 		}
-		newArgs := make([]plan.VarID, 0, len(c.Args)+len(inputs)-1)
-		for _, a := range c.Args {
-			if a == out {
-				newArgs = append(newArgs, inputs...)
-			} else {
-				newArgs = append(newArgs, a)
-			}
-		}
-		c.Args = newArgs
 	}
 
 	var siblingPacks []*plan.Instr
@@ -576,12 +534,8 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		siblings := map[plan.VarID]*plan.Instr{}
 		for _, ai := range plan.SliceArgs(proto.Op) {
 			if a := proto.Args[ai]; a != out {
-				w := findSiblingPack(cp, a, inputs)
-				if w == nil {
-					return nil, errNotApplicable
-				}
-				siblings[a] = w
-				siblingPacks = append(siblingPacks, w)
+				siblings[a] = findSiblingPack(cp, a, inputs) // non-nil: checked above
+				siblingPacks = append(siblingPacks, siblings[a])
 			}
 		}
 		// Clone the consumer once per pack input, substituting the input
@@ -589,78 +543,55 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		// input for its variable) — this is where plans can explode (§2.3).
 		clones := make([]*plan.Instr, len(inputs))
 		for i, inVar := range inputs {
-			rets := make([]plan.VarID, len(proto.Rets))
-			for j, r := range proto.Rets {
-				rets[j] = rw.newVar(cp.KindOf(r))
-			}
-			args := append([]plan.VarID(nil), proto.Args...)
+			args := slices.Clone(proto.Args)
 			for ai, a := range args {
-				switch {
-				case a == out:
+				if a == out {
 					args[ai] = inVar
-				default:
-					if w, ok := siblings[a]; ok {
-						args[ai] = w.Args[i]
-					}
+				} else if w, ok := siblings[a]; ok {
+					args[ai] = w.Args[i]
 				}
 			}
-			clones[i] = &plan.Instr{Op: proto.Op, Args: args, Rets: rets, Aux: proto.Aux,
-				Part: plan.FullPart(), Comment: fmt.Sprintf("propagated %s", proto.Op)}
-			rw.add(clones[i])
+			clones[i] = rw.clone(proto, args, plan.FullPart(), fmt.Sprintf("propagated %s", proto.Op))
 		}
 		for _, m := range members {
 			rw.remove(m)
 		}
-		if len(members) == 1 {
-			for ri, r := range proto.Rets {
-				if err := rw.combineRet(proto, r, ri, clones); err != nil {
-					return nil, err
-				}
+		for ri, r := range proto.Rets {
+			var err error
+			if len(members) == 1 {
+				err = rw.combineRet(proto, r, ri, clones)
+			} else {
+				err = rw.replaceFamilyRet(members, clones, ri)
 			}
-			continue
-		}
-		// Partitioned family: every member result must feed exactly one
-		// downstream pack, shared across the family for a given result
-		// index; the family's entries there are replaced, in order, by the
-		// new clone results.
-		if err := rw.replaceFamilyInPacks(members, clones); err != nil {
-			return nil, err
-		}
-	}
-	// Sibling packs whose only consumers were the propagated operators are
-	// now dead; drop them so they stop costing execution time.
-	for _, w := range siblingPacks {
-		alive := false
-		for _, in := range cp.Instrs {
-			if rw.removed[in] || in == w {
-				continue
-			}
-			for _, a := range in.Args {
-				if a == w.Rets[0] {
-					alive = true
-					break
-				}
+			if err != nil {
+				return nil, err
 			}
 		}
-		if !alive {
-			rw.remove(w)
-		}
 	}
-	if err := rw.commit(); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	rw.dropDead(siblingPacks)
+	return rw.commit()
 }
 
-// argsKey renders an argument list as a comparable map key without fmt's
-// boxing (RemovePack keys consumer families on it once per consumer).
-func argsKey(args []plan.VarID) string {
-	buf := make([]byte, 0, 4*len(args))
-	for _, a := range args {
-		buf = strconv.AppendInt(buf, int64(a), 10)
-		buf = append(buf, ',')
+// slicedTiling reports whether the pack inputs are the sibling clones of one
+// sliced instruction — same opcode, aux and arguments — whose Parts tile
+// [0,1) in argument order (the shape plan.PackGroup calls Sliced). Only then
+// does exec's head-sequence rule place input i at its offset in the packed
+// value.
+func slicedTiling(p *plan.Plan, inputs []plan.VarID) bool {
+	producer := p.Producers()
+	var first *plan.Instr
+	for _, v := range inputs {
+		if producer[v] < 0 {
+			return false
+		}
+		c := p.Instrs[producer[v]]
+		if first == nil {
+			first = c
+		} else if c.Op != first.Op || c.Aux != first.Aux || !slices.Equal(c.Args, first.Args) {
+			return false
+		}
 	}
-	return string(buf)
+	return plan.PartsTile(len(inputs), func(i int) plan.Part { return p.Instrs[producer[inputs[i]]].Part })
 }
 
 // findSiblingPack returns the pack producing v when that pack's inputs are
@@ -702,10 +633,7 @@ func findSiblingPack(p *plan.Plan, v plan.VarID, inputs []plan.VarID) *plan.Inst
 // partition order, which can differ from plan order once clones of clones
 // have been appended.
 func partsCoverFull(members []*plan.Instr) bool {
-	if len(members) == 1 {
-		return members[0].Part.IsFull()
-	}
-	ordered := append([]*plan.Instr(nil), members...)
+	ordered := slices.Clone(members)
 	slices.SortStableFunc(ordered, func(a, b *plan.Instr) int {
 		switch {
 		case a.Part.Before(b.Part):
@@ -715,74 +643,23 @@ func partsCoverFull(members []*plan.Instr) bool {
 		}
 		return 0
 	})
-	prev := ordered[0].Part
-	if prev.LoNum != 0 {
-		return false
-	}
-	for _, m := range ordered[1:] {
-		cur := m.Part
-		// prev.Hi == cur.Lo under cross-multiplication.
-		if prev.HiNum*cur.Den != cur.LoNum*prev.Den {
-			return false
-		}
-		prev = cur
-	}
-	return prev.HiNum == prev.Den
+	return plan.PartsTile(len(ordered), func(i int) plan.Part { return ordered[i].Part })
 }
 
-// replaceFamilyInPacks rewires the downstream packs of a partitioned
-// consumer family: for each result index, the members' results (which must
-// all feed one shared pack and nothing else) are replaced by the new clone
-// results in partition order.
-func (rw *rewriteCtx) replaceFamilyInPacks(members, clones []*plan.Instr) error {
-	for ri := range members[0].Rets {
-		memberRets := map[plan.VarID]bool{}
-		for _, m := range members {
-			memberRets[m.Rets[ri]] = true
-		}
-		cloneRets := make([]plan.VarID, len(clones))
-		for i, c := range clones {
-			cloneRets[i] = c.Rets[ri]
-		}
-		var target *plan.Instr
-		consumed := false
-		for _, in := range rw.p.Instrs {
-			if rw.removed[in] {
-				continue
-			}
-			uses := false
-			for _, a := range in.Args {
-				if memberRets[a] {
-					uses = true
-					break
-				}
-			}
-			if !uses {
-				continue
-			}
-			consumed = true
-			if in.Op != plan.OpPack || (target != nil && target != in) {
-				return errNotApplicable
-			}
-			target = in
-		}
-		if !consumed {
-			continue // dead result (e.g. unused join side)
-		}
-		newArgs := make([]plan.VarID, 0, len(target.Args)+len(cloneRets))
-		spliced := false
-		for _, a := range target.Args {
-			if memberRets[a] {
-				if !spliced {
-					newArgs = append(newArgs, cloneRets...)
-					spliced = true
-				}
-				continue
-			}
-			newArgs = append(newArgs, a)
-		}
-		target.Args = newArgs
+// replaceFamilyRet rewires the downstream pack of a partitioned consumer
+// family for result index ri: the members' results (which must all feed one
+// shared pack and nothing else) are replaced by the new clone results in
+// partition order.
+func (rw *rewriteCtx) replaceFamilyRet(members, clones []*plan.Instr, ri int) error {
+	memberRets := retsAt(members, ri)
+	us := rw.users(memberRets...)
+	if len(us) == 0 {
+		return nil // dead result (e.g. unused join side)
 	}
+	if len(us) != 1 || us[0].Op != plan.OpPack {
+		return errNotApplicable
+	}
+	splice(us[0], memberRets, retsAt(clones, ri))
 	return nil
 }
 
@@ -800,199 +677,113 @@ func removePackIntoGroupBy(cp *plan.Plan, u *plan.Instr) (*plan.Plan, error) {
 	out := u.Rets[0]
 
 	// Classify consumers: group-by members and aggregates consuming the
-	// packed value directly as their values input.
+	// packed value directly as their values input (handled through their
+	// group-by member below).
 	var gMembers []*plan.Instr
 	for _, ci := range cp.Consumers(out) {
 		c := cp.Instrs[ci]
-		switch c.Op {
-		case plan.OpGroupBy:
-			if c.Args[0] != out {
-				return nil, errNotApplicable
-			}
-			gMembers = append(gMembers, c)
-		case plan.OpAggrGrouped:
-			// Handled through its group-by member below; it must consume
-			// the pack as its values input.
-			if c.Args[0] != out {
-				return nil, errNotApplicable
-			}
-		default:
+		if (c.Op != plan.OpGroupBy && c.Op != plan.OpAggrGrouped) || c.Args[0] != out {
 			return nil, errNotApplicable
+		}
+		if c.Op == plan.OpGroupBy {
+			gMembers = append(gMembers, c)
 		}
 	}
 	if len(gMembers) == 0 || !partsCoverFull(gMembers) {
 		return nil, errNotApplicable
 	}
 
-	// Per member: collect its aggregates and key extractions; aggregates
-	// must align across members (same order, aux and values source).
+	// One slot per aggregate of a member; members must align slot by slot
+	// (same order, aux and values source), and each result feeds exactly one
+	// partial pack.
 	type aggSlot struct {
-		aux  plan.AggrAux
-		vals plan.VarID // source values var: `out` or a sibling pack output
-		pack *plan.Instr
+		aux     plan.AggrAux
+		vals    plan.VarID  // source values var: `out` or a sibling pack output
+		sibling *plan.Instr // the co-partitioned pack producing vals, if not `out`
+		pack    *plan.Instr // the partial pack the members' results feed
+		old     []plan.VarID
 	}
 	var slots []aggSlot
 	var keysPack *plan.Instr
-	memberAggRets := make([][]plan.VarID, 0, len(gMembers)) // per member, per slot
-	var memberKeyRets []plan.VarID
-
-	solePack := func(r plan.VarID) (*plan.Instr, error) {
+	var oldKeys []plan.VarID
+	solePack := func(r plan.VarID) *plan.Instr {
 		cons := cp.Consumers(r)
 		if len(cons) != 1 || cp.Instrs[cons[0]].Op != plan.OpPack {
-			return nil, errNotApplicable
+			return nil
 		}
-		return cp.Instrs[cons[0]], nil
-	}
-
-	var removedMembers []*plan.Instr
-	for mi, g := range gMembers {
-		gRet := g.Rets[0]
-		var aggRets []plan.VarID
-		slot := 0
-		var keyRet plan.VarID = -1
-		for _, ci := range cp.Consumers(gRet) {
-			c := cp.Instrs[ci]
-			switch c.Op {
-			case plan.OpAggrGrouped:
-				aux, _ := c.Aux.(plan.AggrAux)
-				vals := c.Args[0]
-				if vals != out {
-					// values must come from a sibling pack, co-partitioned
-					// with ours.
-					if findSiblingPack(cp, vals, inputs) == nil {
-						return nil, errNotApplicable
-					}
-				}
-				if mi == 0 {
-					pk, err := solePack(c.Rets[0])
-					if err != nil {
-						return nil, err
-					}
-					slots = append(slots, aggSlot{aux: aux, vals: vals, pack: pk})
-				} else {
-					if slot >= len(slots) || slots[slot].aux != aux || slots[slot].vals != vals {
-						return nil, errNotApplicable
-					}
-				}
-				slot++
-				aggRets = append(aggRets, c.Rets[0])
-				removedMembers = append(removedMembers, c)
-			case plan.OpGroupKeys:
-				if keyRet >= 0 {
-					return nil, errNotApplicable
-				}
-				keyRet = c.Rets[0]
-				if mi == 0 {
-					pk, err := solePack(keyRet)
-					if err != nil {
-						return nil, err
-					}
-					keysPack = pk
-				}
-				removedMembers = append(removedMembers, c)
-			default:
-				return nil, errNotApplicable
-			}
-		}
-		if slot != len(slots) && mi > 0 {
-			return nil, errNotApplicable
-		}
-		if (keyRet >= 0) != (keysPack != nil) {
-			return nil, errNotApplicable
-		}
-		memberAggRets = append(memberAggRets, aggRets)
-		if keyRet >= 0 {
-			memberKeyRets = append(memberKeyRets, keyRet)
-		}
-		removedMembers = append(removedMembers, g)
+		return cp.Instrs[cons[0]]
 	}
 
 	rw := newRewrite(cp)
 	rw.remove(u)
-	for _, m := range removedMembers {
-		rw.remove(m)
+	for mi, g := range gMembers {
+		aggrs, keys, ok := groupPattern(cp, g)
+		if !ok || len(keys) > 1 {
+			return nil, errNotApplicable
+		}
+		if mi == 0 {
+			for _, a := range aggrs {
+				aux, _ := a.Aux.(plan.AggrAux)
+				s := aggSlot{aux: aux, vals: a.Args[0], pack: solePack(a.Rets[0])}
+				if s.vals != out {
+					s.sibling = findSiblingPack(cp, s.vals, inputs)
+				}
+				if s.pack == nil || (s.vals != out && s.sibling == nil) {
+					return nil, errNotApplicable
+				}
+				slots = append(slots, s)
+			}
+			if len(keys) == 1 {
+				if keysPack = solePack(keys[0].Rets[0]); keysPack == nil {
+					return nil, errNotApplicable
+				}
+			}
+		}
+		if len(aggrs) != len(slots) || (len(keys) == 1) != (keysPack != nil) {
+			return nil, errNotApplicable
+		}
+		for si, a := range aggrs {
+			if aux, _ := a.Aux.(plan.AggrAux); slots[si].aux != aux || slots[si].vals != a.Args[0] {
+				return nil, errNotApplicable
+			}
+			slots[si].old = append(slots[si].old, a.Rets[0])
+			rw.remove(a)
+		}
+		for _, k := range keys {
+			oldKeys = append(oldKeys, k.Rets[0])
+			rw.remove(k)
+		}
+		rw.remove(g)
 	}
-	// Build the per-input clones.
+
+	// Build the per-input clones and rewire the partial packs to them.
 	newAggRets := make([][]plan.VarID, len(slots)) // per slot, per input
 	var newKeyRets []plan.VarID
 	var siblings []*plan.Instr
 	for i, inVar := range inputs {
-		gv := rw.newVar(plan.KindGroups)
-		rw.add(&plan.Instr{Op: plan.OpGroupBy, Args: []plan.VarID{inVar},
-			Rets: []plan.VarID{gv}, Part: plan.FullPart(), Comment: "propagated groupby"})
+		gv := rw.emit(plan.OpGroupBy, []plan.VarID{inVar}, nil, "propagated groupby", plan.KindGroups)[0]
 		for si, s := range slots {
 			valsArg := inVar
-			if s.vals != out {
-				w := findSiblingPack(cp, s.vals, inputs)
-				if w == nil {
-					return nil, errNotApplicable
-				}
-				valsArg = w.Args[i]
-				siblings = append(siblings, w)
+			if s.sibling != nil {
+				valsArg = s.sibling.Args[i]
 			}
-			av := rw.newVar(plan.KindColumn)
-			rw.add(&plan.Instr{Op: plan.OpAggrGrouped, Args: []plan.VarID{valsArg, gv},
-				Rets: []plan.VarID{av}, Aux: s.aux, Part: plan.FullPart(),
-				Comment: "propagated aggrgrouped"})
-			newAggRets[si] = append(newAggRets[si], av)
+			av := rw.emit(plan.OpAggrGrouped, []plan.VarID{valsArg, gv}, s.aux, "propagated aggrgrouped", plan.KindColumn)
+			newAggRets[si] = append(newAggRets[si], av[0])
 		}
 		if keysPack != nil {
-			kv := rw.newVar(plan.KindColumn)
-			rw.add(&plan.Instr{Op: plan.OpGroupKeys, Args: []plan.VarID{gv},
-				Rets: []plan.VarID{kv}, Part: plan.FullPart(), Comment: "propagated groupkeys"})
-			newKeyRets = append(newKeyRets, kv)
+			kv := rw.emit(plan.OpGroupKeys, []plan.VarID{gv}, nil, "propagated groupkeys", plan.KindColumn)
+			newKeyRets = append(newKeyRets, kv[0])
 		}
-	}
-	// Rewire the partial packs: replace the member rets with the clone rets.
-	replace := func(pk *plan.Instr, oldRets map[plan.VarID]bool, newRets []plan.VarID) {
-		newArgs := make([]plan.VarID, 0, len(pk.Args)+len(newRets))
-		spliced := false
-		for _, a := range pk.Args {
-			if oldRets[a] {
-				if !spliced {
-					newArgs = append(newArgs, newRets...)
-					spliced = true
-				}
-				continue
-			}
-			newArgs = append(newArgs, a)
-		}
-		pk.Args = newArgs
 	}
 	for si, s := range slots {
-		old := map[plan.VarID]bool{}
-		for _, mrets := range memberAggRets {
-			old[mrets[si]] = true
+		splice(s.pack, s.old, newAggRets[si])
+		if s.sibling != nil {
+			siblings = append(siblings, s.sibling)
 		}
-		replace(s.pack, old, newAggRets[si])
 	}
 	if keysPack != nil {
-		old := map[plan.VarID]bool{}
-		for _, r := range memberKeyRets {
-			old[r] = true
-		}
-		replace(keysPack, old, newKeyRets)
+		splice(keysPack, oldKeys, newKeyRets)
 	}
-	// Drop sibling packs that became dead.
-	for _, w := range siblings {
-		alive := false
-		for _, in := range cp.Instrs {
-			if rw.removed[in] || in == w {
-				continue
-			}
-			for _, a := range in.Args {
-				if a == w.Rets[0] {
-					alive = true
-					break
-				}
-			}
-		}
-		if !alive {
-			rw.remove(w)
-		}
-	}
-	if err := rw.commit(); err != nil {
-		return nil, err
-	}
-	return cp, nil
+	rw.dropDead(siblings)
+	return rw.commit()
 }

@@ -472,22 +472,24 @@ func TestRemovePackFlattensIntoConsumerPack(t *testing.T) {
 
 // The central correctness property: ANY random sequence of applicable
 // mutations leaves query results identical to the serial plan (invariant 1
-// of DESIGN.md).
+// of docs/ARCHITECTURE.md).
 func TestRandomMutationSequencesPreserveResults(t *testing.T) {
 	cat := testCatalog(8_000)
 	plans := map[string]func() *plan.Plan{
-		"select": selectPlan,
-		"join":   joinPlan,
-		"group":  groupPlan,
+		"select":   selectPlan,
+		"join":     joinPlan,
+		"group":    groupPlan,
+		"rowspace": rowSpacePlan,
+		"louter":   louterPlan,
 	}
 	for name, mk := range plans {
 		t.Run(name, func(t *testing.T) {
 			base := mk()
 			want := executePlan(t, cat, base)
-			for seed := int64(0); seed < 6; seed++ {
+			for seed := int64(0); seed < 40; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				p := base
-				for step := 0; step < 7; step++ {
+				for step := 0; step < 10; step++ {
 					// Pick a random mutatable instruction.
 					var cands []int
 					for i, in := range p.Instrs {
@@ -512,11 +514,12 @@ func TestRandomMutationSequencesPreserveResults(t *testing.T) {
 					if verr := np.Validate(); verr != nil {
 						t.Fatalf("seed %d step %d: invalid plan: %v\n%s", seed, step, verr, np)
 					}
+					// Every intermediate plan is one the adaptation could
+					// serve, so every one is compared, not only the last.
+					if got := executePlan(t, cat, np); !exec.ResultsEqual(want, got) {
+						t.Fatalf("seed %d step %d: mutated plan diverged\n%s", seed, step, np)
+					}
 					p = np
-				}
-				got := executePlan(t, cat, p)
-				if !exec.ResultsEqual(want, got) {
-					t.Fatalf("seed %d: mutated plan diverged\n%s", seed, p)
 				}
 			}
 		})

@@ -1,0 +1,56 @@
+//go:build sweep
+
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/sim"
+	"repro/internal/storage"
+	"repro/internal/tpcds"
+	"repro/internal/tpch"
+)
+
+// TestConvergenceSweep is the wide form of the tpch / tpcds
+// TestFullConvergencePreservesResults: every plan of every full convergence
+// over scale factors × data seeds × machines returns the serial result
+// (216 TPC-H and 30 TPC-DS convergences, ~1 min). Which mutation fires when
+// depends on all three, so the tier-1 tests' single point cannot stand in
+// for it; CI runs it as its own step (go test -tags sweep).
+func TestConvergenceSweep(t *testing.T) {
+	machines := []sim.Config{sim.TwoSocket(), sim.FourSocket(), {
+		Name: "test", Sockets: 2, PhysCoresPerSocket: 4, SMT: 2, SpeedFactor: 1,
+		L3PerSocket: 64 << 10, BWPerSocket: 1e9, SMTFactor: 0.55, NUMAFactor: 1.2,
+	}}
+	runs, diverged := 0, 0
+	sweep := func(name string, cat *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
+		for _, m := range machines {
+			for _, n := range numbers {
+				s := core.NewSession(exec.NewEngine(cat, m, cost.Default()), query(n),
+					core.DefaultMutationConfig(), core.ConvergenceConfig{})
+				s.VerifyResults = true
+				runs++
+				if _, err := s.Converge(); err != nil {
+					diverged++
+					t.Errorf("%s q%d on %s: %v", name, n, m.Name, err)
+				}
+			}
+		}
+	}
+	for _, sf := range []float64{0.2, 0.5, 1, 2} {
+		for _, seed := range []int64{11, 42} {
+			sweep(fmt.Sprintf("tpch sf=%g seed=%d", sf, seed),
+				tpch.Generate(tpch.Config{SF: sf, Seed: seed}), tpch.QueryNumbers(), tpch.MustQuery)
+		}
+	}
+	for _, sf := range []float64{0.5, 1} {
+		sweep(fmt.Sprintf("tpcds sf=%g seed=42", sf),
+			tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}), tpcds.QueryNumbers(), tpcds.MustQuery)
+	}
+	t.Logf("%d convergences, %d diverging", runs, diverged)
+}

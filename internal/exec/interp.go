@@ -173,7 +173,7 @@ func (j *PlanJob) packView(idx int, args []Value) (*storage.Column, algebra.Work
 			return nil, algebra.Work{}, false // boundary drop: fall back to copy
 		}
 	}
-	col, w := algebra.PackColumnsView(args[0].Col.Name(), gr.bld.Publish(), int64(gr.total))
+	col, w := algebra.PackColumnsView(args[0].Col, gr.bld.Publish(), int64(gr.total))
 	return col, w, true
 }
 

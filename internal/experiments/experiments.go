@@ -5,8 +5,8 @@
 // bench_test.go measures them, sharing one implementation.
 //
 // Absolute numbers are virtual-time milliseconds on the simulated machines
-// of Table 1 (scaled 1/100, DESIGN.md §2); the quantities to compare with
-// the paper are the *shapes*: who wins, by what factor, where crossovers
+// of Table 1 (scaled 1/100, docs/ARCHITECTURE.md §scale); the quantities to
+// compare with the paper are the *shapes*: who wins, by what factor, where crossovers
 // fall. EXPERIMENTS.md records paper-vs-measured for every experiment.
 package experiments
 
@@ -70,9 +70,12 @@ func newEngine(cat *storage.Catalog, cfg sim.Config) *exec.Engine {
 	return exec.NewEngine(cat, cfg, cost.Default())
 }
 
-// converge runs a full adaptive session and returns its report.
+// converge runs a full adaptive session and returns its report. Every run's
+// result is checked against the serial plan's: a figure must not print a
+// speedup for a plan that computes the wrong answer.
 func converge(eng *exec.Engine, p *plan.Plan, cc core.ConvergenceConfig) (*core.Report, error) {
 	s := core.NewSession(eng, p, core.DefaultMutationConfig(), cc)
+	s.VerifyResults = true
 	return s.Converge()
 }
 

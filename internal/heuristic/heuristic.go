@@ -123,11 +123,7 @@ func (r *rewriter) getSingle(v plan.VarID) plan.VarID {
 	if r.localSpace[v] && r.src.KindOf(v) == plan.KindOids {
 		panic(fmt.Sprintf("heuristic: var %d carries partition-local row ids and cannot be packed", int(v)))
 	}
-	kind := plan.KindColumn
-	if r.src.KindOf(v) == plan.KindOids {
-		kind = plan.KindOids
-	}
-	pv := r.newVar(kind)
+	pv := r.newVar(plan.PackKind(r.src.KindOf(v)))
 	r.out.Append(&plan.Instr{Op: plan.OpPack, Args: parts, Rets: []plan.VarID{pv},
 		Part: plan.FullPart(), Comment: "heuristic exchange union"})
 	r.packed[v] = pv
@@ -282,9 +278,10 @@ func (r *rewriter) basicPartitioned(in *plan.Instr) error {
 		// Slice-partitioned clones keep globally aligned heads (the
 		// interpreter re-seqs their outputs onto the base column, §2.3);
 		// clones built from pre-partitioned inputs live in partition-local
-		// row spaces, except a join's inner match list, whose values are
-		// global oids into the shared inner.
-		if !sliced && !(in.Op == plan.OpJoin && ri == 1) {
+		// row spaces — their columns, and the oid results the opcode table
+		// marks as row ids (not a join's inner match list, whose values are
+		// global oids into the shared inner).
+		if !sliced && (r.src.KindOf(ret) != plan.KindOids || plan.RowIDRet(in.Op, ri)) {
 			r.localSpace[ret] = true
 		}
 	}

@@ -20,13 +20,14 @@ func NewBuilder() *Builder { return &Builder{p: New()} }
 // Plan finalizes and returns the built plan.
 func (b *Builder) Plan() *Plan { return b.p }
 
-func (b *Builder) want(v VarID, k Kind, ctx string) {
-	if b.p.KindOf(v) != k {
-		panic(fmt.Sprintf("plan: %s expects %s, got %s (%s)", ctx, k, b.p.KindOf(v), b.p.NameOf(v)))
+// emit appends one instruction, allocating its results from op's row of the
+// opcode table and holding it against that row (the check Validate runs), so
+// a query definition with a wrong kind or arity fails at construction.
+func (b *Builder) emit(op OpCode, aux any, args []VarID, names ...string) []VarID {
+	retKinds := op.spec().rets
+	if op == OpPack && len(args) > 0 {
+		retKinds = []Kind{PackKind(b.p.KindOf(args[0]))}
 	}
-}
-
-func (b *Builder) emit(op OpCode, aux any, args []VarID, retKinds []Kind, names ...string) []VarID {
 	rets := make([]VarID, len(retKinds))
 	for i, k := range retKinds {
 		name := ""
@@ -35,122 +36,102 @@ func (b *Builder) emit(op OpCode, aux any, args []VarID, retKinds []Kind, names 
 		}
 		rets[i] = b.p.NewVar(k, name)
 	}
-	b.p.Append(&Instr{Op: op, Args: args, Rets: rets, Aux: aux, Part: FullPart()})
+	in := &Instr{Op: op, Args: args, Rets: rets, Aux: aux, Part: FullPart()}
+	if err := b.p.checkInstr(len(b.p.Instrs), in); err != nil {
+		panic(err)
+	}
+	b.p.Append(in)
 	return rets
 }
 
 // Bind binds table.column as a column variable.
 func (b *Builder) Bind(table, column string) VarID {
-	return b.emit(OpBind, BindAux{Table: table, Column: column}, nil,
-		[]Kind{KindColumn}, table+"."+column)[0]
+	return b.emit(OpBind, BindAux{Table: table, Column: column}, nil, table+"."+column)[0]
 }
 
 // Const produces a scalar constant.
 func (b *Builder) Const(v int64) VarID {
-	return b.emit(OpConst, ConstAux{Value: v}, nil, []Kind{KindScalar}, fmt.Sprintf("c%d", v))[0]
+	return b.emit(OpConst, ConstAux{Value: v}, nil, fmt.Sprintf("c%d", v))[0]
 }
 
 // Select scans col with pred, producing candidates.
 func (b *Builder) Select(col VarID, pred algebra.Range) VarID {
-	b.want(col, KindColumn, "select")
-	return b.emit(OpSelect, SelectAux{Pred: pred}, []VarID{col}, []Kind{KindOids})[0]
+	return b.emit(OpSelect, SelectAux{Pred: pred}, []VarID{col})[0]
 }
 
 // SelectCand refines cands against col with pred.
 func (b *Builder) SelectCand(col, cands VarID, pred algebra.Range) VarID {
-	b.want(col, KindColumn, "selectcand col")
-	b.want(cands, KindOids, "selectcand cands")
-	return b.emit(OpSelectCand, SelectAux{Pred: pred}, []VarID{col, cands}, []Kind{KindOids})[0]
+	return b.emit(OpSelectCand, SelectAux{Pred: pred}, []VarID{col, cands})[0]
 }
 
 // LikeSelect scans a string column with a LIKE pattern.
 func (b *Builder) LikeSelect(col VarID, pattern string, kind algebra.LikeKind, anti bool) VarID {
-	b.want(col, KindColumn, "likeselect")
 	return b.emit(OpLikeSelect, LikeAux{Pattern: pattern, Kind: kind, Anti: anti},
-		[]VarID{col}, []Kind{KindOids})[0]
+		[]VarID{col})[0]
 }
 
 // Fetch reconstructs tuples: values of col at oids.
 func (b *Builder) Fetch(oids, col VarID) VarID {
-	b.want(oids, KindOids, "fetch oids")
-	b.want(col, KindColumn, "fetch col")
-	return b.emit(OpFetch, nil, []VarID{oids, col}, []Kind{KindColumn})[0]
+	return b.emit(OpFetch, nil, []VarID{oids, col})[0]
 }
 
 // FetchPos gathers col values at zero-based positions.
 func (b *Builder) FetchPos(pos, col VarID) VarID {
-	b.want(pos, KindOids, "fetchpos pos")
-	b.want(col, KindColumn, "fetchpos col")
-	return b.emit(OpFetchPos, nil, []VarID{pos, col}, []Kind{KindColumn})[0]
+	return b.emit(OpFetchPos, nil, []VarID{pos, col})[0]
 }
 
 // Join hash-joins outer against inner, returning (louter, rinner) oids.
 func (b *Builder) Join(outer, inner VarID) (VarID, VarID) {
-	b.want(outer, KindColumn, "join outer")
-	b.want(inner, KindColumn, "join inner")
-	rets := b.emit(OpJoin, nil, []VarID{outer, inner}, []Kind{KindOids, KindOids})
+	rets := b.emit(OpJoin, nil, []VarID{outer, inner})
 	return rets[0], rets[1]
 }
 
 // CalcVV computes a op b element-wise.
 func (b *Builder) CalcVV(op algebra.CalcOp, a, c VarID) VarID {
-	b.want(a, KindColumn, "calcvv a")
-	b.want(c, KindColumn, "calcvv b")
-	return b.emit(OpCalcVV, CalcAux{Op: op}, []VarID{a, c}, []Kind{KindColumn})[0]
+	return b.emit(OpCalcVV, CalcAux{Op: op}, []VarID{a, c})[0]
 }
 
 // CalcSV computes (scalar op v) when scalarLeft, else (v op scalar).
 func (b *Builder) CalcSV(op algebra.CalcOp, scalar int64, v VarID, scalarLeft bool) VarID {
-	b.want(v, KindColumn, "calcsv v")
 	return b.emit(OpCalcSV, CalcAux{Op: op, Scalar: scalar, ScalarLeft: scalarLeft},
-		[]VarID{v}, []Kind{KindColumn})[0]
+		[]VarID{v})[0]
 }
 
 // CalcSSV computes (s op v) when scalarLeft, else (v op s), with s a scalar
 // variable.
 func (b *Builder) CalcSSV(op algebra.CalcOp, s, v VarID, scalarLeft bool) VarID {
-	b.want(s, KindScalar, "calcssv s")
-	b.want(v, KindColumn, "calcssv v")
 	return b.emit(OpCalcSSV, CalcAux{Op: op, ScalarLeft: scalarLeft},
-		[]VarID{s, v}, []Kind{KindColumn})[0]
+		[]VarID{s, v})[0]
 }
 
 // CalcSS computes a op b over scalars.
 func (b *Builder) CalcSS(op algebra.CalcOp, a, c VarID) VarID {
-	b.want(a, KindScalar, "calcss a")
-	b.want(c, KindScalar, "calcss b")
-	return b.emit(OpCalcSS, CalcAux{Op: op}, []VarID{a, c}, []Kind{KindScalar})[0]
+	return b.emit(OpCalcSS, CalcAux{Op: op}, []VarID{a, c})[0]
 }
 
 // GroupBy groups keys.
 func (b *Builder) GroupBy(keys VarID) VarID {
-	b.want(keys, KindColumn, "groupby")
-	return b.emit(OpGroupBy, nil, []VarID{keys}, []Kind{KindGroups})[0]
+	return b.emit(OpGroupBy, nil, []VarID{keys})[0]
 }
 
 // GroupKeys extracts distinct keys from a groups value.
 func (b *Builder) GroupKeys(groups VarID) VarID {
-	b.want(groups, KindGroups, "groupkeys")
-	return b.emit(OpGroupKeys, nil, []VarID{groups}, []Kind{KindColumn})[0]
+	return b.emit(OpGroupKeys, nil, []VarID{groups})[0]
 }
 
 // AggrGrouped aggregates vals per group.
 func (b *Builder) AggrGrouped(f algebra.AggrFunc, vals, groups VarID) VarID {
-	b.want(vals, KindColumn, "aggrgrouped vals")
-	b.want(groups, KindGroups, "aggrgrouped groups")
-	return b.emit(OpAggrGrouped, AggrAux{Func: f}, []VarID{vals, groups}, []Kind{KindColumn})[0]
+	return b.emit(OpAggrGrouped, AggrAux{Func: f}, []VarID{vals, groups})[0]
 }
 
 // Aggr computes a scalar aggregate.
 func (b *Builder) Aggr(f algebra.AggrFunc, vals VarID) VarID {
-	b.want(vals, KindColumn, "aggr")
-	return b.emit(OpAggr, AggrAux{Func: f}, []VarID{vals}, []Kind{KindScalar})[0]
+	return b.emit(OpAggr, AggrAux{Func: f}, []VarID{vals})[0]
 }
 
 // Sort sorts col, returning (sorted, permutation oids).
 func (b *Builder) Sort(col VarID, desc bool) (VarID, VarID) {
-	b.want(col, KindColumn, "sort")
-	rets := b.emit(OpSort, SortAux{Desc: desc}, []VarID{col}, []Kind{KindColumn, KindOids})
+	rets := b.emit(OpSort, SortAux{Desc: desc}, []VarID{col})
 	return rets[0], rets[1]
 }
 
@@ -158,18 +139,10 @@ func (b *Builder) Sort(col VarID, desc bool) (VarID, VarID) {
 // share a kind; oids pack to oids, columns and scalars pack to a column.
 // Serial plans use it for union-style queries (e.g. TPC-H Q19's OR arms).
 func (b *Builder) Pack(vars ...VarID) VarID {
-	if len(vars) == 0 {
-		panic("plan: Pack with no inputs")
-	}
-	k := b.p.KindOf(vars[0])
-	out := KindColumn
-	if k == KindOids {
-		out = KindOids
-	}
-	return b.emit(OpPack, nil, vars, []Kind{out})[0]
+	return b.emit(OpPack, nil, vars)[0]
 }
 
 // Result marks the query outputs.
 func (b *Builder) Result(vars ...VarID) {
-	b.emit(OpResult, nil, vars, nil)
+	b.emit(OpResult, nil, vars)
 }

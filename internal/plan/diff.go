@@ -122,44 +122,3 @@ func ComputeDiff(parent, child *Plan) *Diff {
 	}
 	return d
 }
-
-// ValidateIncremental validates the child plan reusing d against its
-// validated parent: the global structural scan (def-before-use ordering, SSA
-// single assignment, partition sanity via checkInstr) still covers every
-// instruction, but the per-operator kind/aux checks run only for unmatched
-// instructions — a matched instruction is byte-identical to one the parent
-// validated over the same variable kinds.
-func (p *Plan) ValidateIncremental(d *Diff) error {
-	if d == nil || len(d.ParentOf) != len(p.Instrs) {
-		return p.Validate()
-	}
-	defined := make([]bool, p.NVars())
-	assigned := make([]bool, p.NVars())
-	for i, in := range p.Instrs {
-		for _, a := range in.Args {
-			if int(a) >= p.NVars() {
-				return errUnknownVar(i, in, int(a))
-			}
-			if !defined[a] {
-				return errUseBeforeDef(p, i, in, a)
-			}
-		}
-		for _, r := range in.Rets {
-			if int(r) >= p.NVars() {
-				return errUnknownRet(i, in, int(r))
-			}
-			if assigned[r] {
-				return errReassigned(p, i, in, r)
-			}
-			assigned[r] = true
-			defined[r] = true
-		}
-		if d.ParentOf[i] >= 0 {
-			continue // matched: parent ran checkInstr on the identical instr
-		}
-		if err := p.checkInstr(i, in); err != nil {
-			return err
-		}
-	}
-	return nil
-}

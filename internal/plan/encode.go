@@ -16,12 +16,17 @@ import (
 // dedupe by content.
 //
 // The format is versioned independently of the store's record format:
-// encodeVersion only changes when the plan representation itself grows (a
-// new opcode aux, say), and Decode rejects versions it does not know with an
-// error, never a guess.
+// encodeVersion changes when the plan representation itself grows (a new
+// opcode aux, say) — or when plans written by older builds must not be
+// trusted — and Decode rejects versions it does not know with an error,
+// never a guess.
 
-// encodeVersion is the current canonical-form version.
-const encodeVersion = 1
+// encodeVersion is the current canonical-form version. Version 2 has
+// version 1's layout; the bump attests the engine that produced the plan:
+// builds before the row-space rule (core.RemovePack) could converge onto, and
+// persist or replicate, plans that return wrong results, so their records
+// must fail to decode and the query re-adapt.
+const encodeVersion = 2
 
 // encodeMagic guards against feeding arbitrary bytes to Decode.
 var encodeMagic = [4]byte{'A', 'P', 'Q', 'P'}
@@ -73,39 +78,66 @@ func Encode(p *Plan) []byte {
 	return buf
 }
 
-func appendAux(buf []byte, aux any) []byte {
-	switch a := aux.(type) {
+// auxNames names the discriminators in error messages.
+var auxNames = [...]string{"no aux", "BindAux", "ConstAux", "SelectAux", "LikeAux", "CalcAux", "AggrAux", "SortAux"}
+
+// auxKindOf returns the discriminator of an aux value — the one place that
+// knows which aux types exist; ok is false for a type the format cannot
+// carry.
+func auxKindOf(aux any) (kind uint8, ok bool) {
+	switch aux.(type) {
 	case nil:
-		return append(buf, auxNone)
+		return auxNone, true
 	case BindAux:
-		buf = append(buf, auxBind)
-		buf = appendString(buf, a.Table)
-		return appendString(buf, a.Column)
+		return auxBind, true
 	case ConstAux:
-		buf = append(buf, auxConst)
-		return appendVarint(buf, a.Value)
+		return auxConst, true
 	case SelectAux:
-		buf = append(buf, auxSelect)
+		return auxSelect, true
+	case LikeAux:
+		return auxLike, true
+	case CalcAux:
+		return auxCalc, true
+	case AggrAux:
+		return auxAggr, true
+	case SortAux:
+		return auxSort, true
+	}
+	return 0, false
+}
+
+func appendAux(buf []byte, aux any) []byte {
+	kind, ok := auxKindOf(aux)
+	if !ok {
+		// Unknown aux types cannot round-trip; dropping one here would let a
+		// future operator silently corrupt the store, so fail loudly at
+		// encode time.
+		panic(fmt.Sprintf("plan: Encode: unknown aux type %T", aux))
+	}
+	buf = append(buf, kind)
+	switch a := aux.(type) {
+	case BindAux:
+		buf = appendString(buf, a.Table)
+		buf = appendString(buf, a.Column)
+	case ConstAux:
+		buf = appendVarint(buf, a.Value)
+	case SelectAux:
 		buf = appendVarint(buf, a.Pred.Lo)
 		buf = appendVarint(buf, a.Pred.Hi)
-		return append(buf, boolByte(a.Pred.LoIncl), boolByte(a.Pred.HiIncl))
+		buf = append(buf, boolByte(a.Pred.LoIncl), boolByte(a.Pred.HiIncl))
 	case LikeAux:
-		buf = append(buf, auxLike)
 		buf = appendString(buf, a.Pattern)
-		return append(buf, uint8(a.Kind), boolByte(a.Anti))
+		buf = append(buf, uint8(a.Kind), boolByte(a.Anti))
 	case CalcAux:
-		buf = append(buf, auxCalc)
 		buf = append(buf, uint8(a.Op))
 		buf = appendVarint(buf, a.Scalar)
-		return append(buf, boolByte(a.ScalarLeft))
+		buf = append(buf, boolByte(a.ScalarLeft))
 	case AggrAux:
-		return append(buf, auxAggr, uint8(a.Func))
+		buf = append(buf, uint8(a.Func))
 	case SortAux:
-		return append(buf, auxSort, boolByte(a.Desc))
+		buf = append(buf, boolByte(a.Desc))
 	}
-	// Unknown aux types cannot round-trip; panicking here would let a future
-	// operator silently corrupt the store, so fail loudly at encode time.
-	panic(fmt.Sprintf("plan: Encode: unknown aux type %T", aux))
+	return buf
 }
 
 // Decode parses the canonical form back into a plan. The result is

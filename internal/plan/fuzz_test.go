@@ -41,7 +41,7 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add(plan.Encode(sess.Best()))
 	// An empty plan whose variable count is a padded varint: decodes to the
 	// same plan as "\x00", so it must be rejected.
-	f.Add([]byte("APQP\x01\x80\x00\x00"))
+	f.Add([]byte("APQP\x02\x80\x00\x00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := plan.Decode(data)

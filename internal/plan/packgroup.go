@@ -13,16 +13,6 @@ package plan
 // data-dependent, so oid packs keep copying (and keep their §2.3 cost, which
 // is what drives the medium mutation).
 
-// PackGroupMaterializing reports whether op is a materializing operator
-// whose clones may share one exchange result buffer.
-func PackGroupMaterializing(op OpCode) bool {
-	switch op {
-	case OpFetch, OpFetchPos, OpCalcVV, OpCalcSV, OpCalcSSV:
-		return true
-	}
-	return false
-}
-
 // PackGroup describes one safe-to-share exchange union.
 type PackGroup struct {
 	// Pack is the instruction index of the exchange union.
@@ -107,7 +97,7 @@ func (p *Plan) packGroupAt(k int, pk *Instr, producer []int32, claimed []bool) (
 			return PackGroup{}, false
 		}
 		c := p.Instrs[ci]
-		if len(c.Rets) != 1 || !PackGroupMaterializing(c.Op) {
+		if len(c.Rets) != 1 || !c.Op.spec().shares {
 			return PackGroup{}, false
 		}
 		if proto == nil {
@@ -121,20 +111,7 @@ func (p *Plan) packGroupAt(k int, pk *Instr, producer []int32, claimed []bool) (
 	// Sliced shape: identical argument lists, Parts tiling the full range in
 	// pack-argument order.
 	if sameArgs(p.Instrs[clones[0]], p.Instrs, clones) {
-		prev := p.Instrs[clones[0]].Part
-		if prev.LoNum != 0 {
-			return PackGroup{}, false
-		}
-		for _, ci := range clones[1:] {
-			cur := p.Instrs[ci].Part
-			// prev.Hi == cur.Lo under cross-multiplication: contiguous, in
-			// partition order.
-			if prev.HiNum*cur.Den != cur.LoNum*prev.Den {
-				return PackGroup{}, false
-			}
-			prev = cur
-		}
-		if prev.HiNum != prev.Den {
+		if !PartsTile(len(clones), func(i int) Part { return p.Instrs[clones[i]].Part }) {
 			return PackGroup{}, false
 		}
 		return PackGroup{Pack: k, Clones: clones, Sliced: true}, true

@@ -22,6 +22,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VarID names an SSA variable within one plan.
@@ -128,33 +129,89 @@ const (
 	OpResult
 )
 
-var opNames = map[OpCode]string{
-	OpBind:        "bind",
-	OpConst:       "const",
-	OpSelect:      "select",
-	OpSelectCand:  "selectcand",
-	OpLikeSelect:  "likeselect",
-	OpFetch:       "fetch",
-	OpJoin:        "join",
-	OpFetchPos:    "fetchpos",
-	OpCalcVV:      "calcvv",
-	OpCalcSV:      "calcsv",
-	OpCalcSSV:     "calcssv",
-	OpCalcSS:      "calcss",
-	OpGroupBy:     "groupby",
-	OpGroupKeys:   "groupkeys",
-	OpAggrGrouped: "aggrgrouped",
-	OpAggr:        "aggr",
-	OpMergeAggr:   "mergeaggr",
-	OpGroupMerge:  "groupmerge",
-	OpPack:        "pack",
-	OpSort:        "sort",
-	OpMergeSorted: "mergesorted",
-	OpResult:      "result",
+// mutClass is the mutation scheme of §2.1 that parallelizes an operator.
+type mutClass uint8
+
+const (
+	mutNone     mutClass = iota
+	mutBasic             // Figure 3: clone over a split range, exchange union
+	mutAdvanced          // Figure 6: no filtering property — partials + merge
+)
+
+// Arity rules of an opSpec.
+const (
+	fixedArgs uint8 = iota // exactly the kinds in args
+	oneKindOf              // one or more inputs, all of ONE kind out of args
+	anyArgs                // any inputs (result)
+)
+
+// opSpec is everything the package knows about one operator. Validate, the
+// partitioning lookups below, the pack-group analysis and the mutations in
+// core and heuristic all read this one table.
+type opSpec struct {
+	name  string
+	arity uint8
+	args  []Kind // argument kinds (oneKindOf: the kinds an input may have)
+	rets  []Kind // result kinds; a pack's single result is PackKind of its inputs
+	aux   uint8  // aux discriminator the operator carries (auxNone: no aux)
+	slice []int  // argument indices a Part slices; nil: not partitionable
+	class mutClass
+	// rowIDs lists the results that are row ids in the row space of the
+	// sliced argument: positions/head oids that are only meaningful against
+	// the value the operator scanned, not global ids (a join's rinner holds
+	// oids of the shared inner and is not one).
+	rowIDs []int
+	// shares marks a materializing operator whose output range is fixed by
+	// its (sliced) anchor length, so its clones may write one exchange buffer.
+	shares bool
+}
+
+var (
+	kCol    = []Kind{KindColumn}
+	kOids   = []Kind{KindOids}
+	kScalar = []Kind{KindScalar}
+	arg0    = []int{0}
+	arg1    = []int{1}
+)
+
+var opSpecs = [...]opSpec{
+	OpBind:        {name: "bind", rets: kCol, aux: auxBind},
+	OpConst:       {name: "const", rets: kScalar, aux: auxConst},
+	OpSelect:      {name: "select", args: kCol, rets: kOids, aux: auxSelect, slice: arg0, class: mutBasic, rowIDs: arg0},
+	OpSelectCand:  {name: "selectcand", args: []Kind{KindColumn, KindOids}, rets: kOids, aux: auxSelect, slice: arg1, class: mutBasic, rowIDs: arg0},
+	OpLikeSelect:  {name: "likeselect", args: kCol, rets: kOids, aux: auxLike, slice: arg0, class: mutBasic, rowIDs: arg0},
+	OpFetch:       {name: "fetch", args: []Kind{KindOids, KindColumn}, rets: kCol, slice: arg0, class: mutBasic, shares: true},
+	OpJoin:        {name: "join", args: []Kind{KindColumn, KindColumn}, rets: []Kind{KindOids, KindOids}, slice: arg0, class: mutBasic, rowIDs: arg0},
+	OpFetchPos:    {name: "fetchpos", args: []Kind{KindOids, KindColumn}, rets: kCol, slice: arg0, class: mutBasic, shares: true},
+	OpCalcVV:      {name: "calcvv", args: []Kind{KindColumn, KindColumn}, rets: kCol, aux: auxCalc, slice: []int{0, 1}, class: mutBasic, shares: true},
+	OpCalcSV:      {name: "calcsv", args: kCol, rets: kCol, aux: auxCalc, slice: arg0, class: mutBasic, shares: true},
+	OpCalcSSV:     {name: "calcssv", args: []Kind{KindScalar, KindColumn}, rets: kCol, aux: auxCalc, slice: arg1, class: mutBasic, shares: true},
+	OpCalcSS:      {name: "calcss", args: []Kind{KindScalar, KindScalar}, rets: kScalar, aux: auxCalc},
+	OpGroupBy:     {name: "groupby", args: kCol, rets: []Kind{KindGroups}, slice: arg0, class: mutAdvanced},
+	OpGroupKeys:   {name: "groupkeys", args: []Kind{KindGroups}, rets: kCol},
+	OpAggrGrouped: {name: "aggrgrouped", args: []Kind{KindColumn, KindGroups}, rets: kCol, aux: auxAggr, slice: arg0},
+	OpAggr:        {name: "aggr", args: kCol, rets: kScalar, aux: auxAggr, slice: arg0, class: mutAdvanced},
+	OpMergeAggr:   {name: "mergeaggr", args: kCol, rets: kScalar, aux: auxAggr},
+	OpGroupMerge:  {name: "groupmerge", args: []Kind{KindColumn, KindColumn}, rets: []Kind{KindColumn, KindColumn}, aux: auxAggr},
+	OpPack:        {name: "pack", arity: oneKindOf, args: []Kind{KindOids, KindColumn, KindScalar}},
+	OpSort:        {name: "sort", args: kCol, rets: []Kind{KindColumn, KindOids}, aux: auxSort, slice: arg0, class: mutAdvanced, rowIDs: arg1},
+	OpMergeSorted: {name: "mergesorted", arity: oneKindOf, args: kCol, rets: kCol, aux: auxSort},
+	OpResult:      {name: "result", arity: anyArgs},
+}
+
+var noSpec opSpec
+
+// spec returns op's table row; an unknown opcode gets the zero row (no name,
+// not partitionable), which Validate rejects.
+func (op OpCode) spec() *opSpec {
+	if op < 0 || int(op) >= len(opSpecs) {
+		return &noSpec
+	}
+	return &opSpecs[op]
 }
 
 func (op OpCode) String() string {
-	if n, ok := opNames[op]; ok {
+	if n := op.spec().name; n != "" {
 		return n
 	}
 	return fmt.Sprintf("op(%d)", int(op))
@@ -164,35 +221,26 @@ func (op OpCode) String() string {
 // when the operator is not range-partitionable by the basic mutation.
 // GroupBy, Aggr and Sort are handled by the advanced mutation instead and
 // report their anchor here too (the advanced mutation slices the same way).
-func SliceArgs(op OpCode) []int {
-	switch op {
-	case OpSelect, OpLikeSelect, OpFetch, OpJoin, OpFetchPos, OpCalcSV, OpSort, OpAggr, OpGroupBy, OpAggrGrouped:
-		return []int{0}
-	case OpSelectCand, OpCalcSSV:
-		return []int{1}
-	case OpCalcVV:
-		return []int{0, 1}
-	}
-	return nil
-}
+func SliceArgs(op OpCode) []int { return op.spec().slice }
 
 // BasicPartitionable reports whether the basic mutation (Figure 3) applies.
-func BasicPartitionable(op OpCode) bool {
-	switch op {
-	case OpSelect, OpSelectCand, OpLikeSelect, OpFetch, OpJoin, OpFetchPos, OpCalcVV, OpCalcSV, OpCalcSSV:
-		return true
-	}
-	return false
-}
+func BasicPartitionable(op OpCode) bool { return op.spec().class == mutBasic }
 
 // AdvancedPartitionable reports whether the advanced mutation (Figure 6 —
 // operators without the filtering property) applies.
-func AdvancedPartitionable(op OpCode) bool {
-	switch op {
-	case OpGroupBy, OpAggr, OpSort:
-		return true
+func AdvancedPartitionable(op OpCode) bool { return op.spec().class == mutAdvanced }
+
+// RowIDRet reports whether result ri of op holds row ids in the row space of
+// op's sliced argument (see opSpec.rowIDs).
+func RowIDRet(op OpCode, ri int) bool { return slices.Contains(op.spec().rowIDs, ri) }
+
+// PackKind returns the result kind of an exchange union over inputs of kind
+// k: oids pack to oids, columns and scalars to a column.
+func PackKind(k Kind) Kind {
+	if k == KindOids {
+		return KindOids
 	}
-	return false
+	return KindColumn
 }
 
 // Part is a dyadic-rational sub-range [LoNum/Den, HiNum/Den) over an
@@ -255,6 +303,27 @@ func (p Part) Resolve(n int) (lo, hi int) {
 func (p Part) Before(q Part) bool {
 	// Compare LoNum/Den cross-multiplied.
 	return p.LoNum*q.Den < q.LoNum*p.Den
+}
+
+// PartsTile reports whether the n partitions at(0) … at(n-1), taken in that
+// order, tile [0,1) exactly: contiguous under cross-multiplication, no
+// overlap, no gap.
+func PartsTile(n int, at func(i int) Part) bool {
+	if n == 0 {
+		return false
+	}
+	prev := at(0)
+	if prev.LoNum != 0 {
+		return false
+	}
+	for i := 1; i < n; i++ {
+		cur := at(i)
+		if prev.HiNum*cur.Den != cur.LoNum*prev.Den {
+			return false
+		}
+		prev = cur
+	}
+	return prev.HiNum == prev.Den
 }
 
 func (p Part) String() string {

@@ -2,34 +2,60 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Validate checks structural invariants: def-before-use ordering (the
 // instruction list must be a topological order of the dataflow graph), SSA
-// single assignment, kind agreement for every operator, pack homogeneity,
-// and partition sanity. Mutations call Validate on their output in tests;
-// the engine calls it once per plan before execution.
-func (p *Plan) Validate() error {
+// single assignment, at most one result marker, and per instruction the
+// arity, kinds, aux and partition sanity its opSpecs row demands. Mutations
+// call Validate on their output in tests; the engine calls it once per plan
+// before execution.
+func (p *Plan) Validate() error { return p.validate(nil) }
+
+// ValidateIncremental validates the child plan reusing d against its
+// validated parent: the global structural scan (def-before-use ordering, SSA
+// single assignment, one result marker) still covers every instruction, but
+// the per-operator checks run only for unmatched instructions — a matched
+// instruction is byte-identical to one the parent validated over the same
+// variable kinds.
+func (p *Plan) ValidateIncremental(d *Diff) error {
+	if d != nil && len(d.ParentOf) != len(p.Instrs) {
+		d = nil
+	}
+	return p.validate(d)
+}
+
+func (p *Plan) validate(d *Diff) error {
 	defined := make([]bool, p.NVars())
-	assigned := make([]bool, p.NVars())
+	results := 0
 	for i, in := range p.Instrs {
 		for _, a := range in.Args {
 			if int(a) >= p.NVars() {
-				return errUnknownVar(i, in, int(a))
+				return fmt.Errorf("plan: instr %d (%s) references unknown var %d", i, in.Op, int(a))
 			}
 			if !defined[a] {
-				return errUseBeforeDef(p, i, in, a)
+				return fmt.Errorf("plan: instr %d (%s) uses %s before definition", i, in.Op, p.NameOf(a))
 			}
 		}
 		for _, r := range in.Rets {
 			if int(r) >= p.NVars() {
-				return errUnknownRet(i, in, int(r))
+				return fmt.Errorf("plan: instr %d (%s) returns unknown var %d", i, in.Op, int(r))
 			}
-			if assigned[r] {
-				return errReassigned(p, i, in, r)
+			if defined[r] {
+				return fmt.Errorf("plan: instr %d (%s) reassigns %s (SSA violation)", i, in.Op, p.NameOf(r))
 			}
-			assigned[r] = true
 			defined[r] = true
+		}
+		if in.Op == OpResult {
+			// The executor publishes the last marker's values, Results()
+			// reports the first's: a second one has no meaning.
+			if results++; results > 1 {
+				return fmt.Errorf("plan: instr %d (%s): second result marker", i, in.Op)
+			}
+		}
+		if d != nil && d.ParentOf[i] >= 0 {
+			continue // matched: the parent ran checkInstr on the identical instr
 		}
 		if err := p.checkInstr(i, in); err != nil {
 			return err
@@ -38,230 +64,63 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-func errUnknownVar(i int, in *Instr, v int) error {
-	return fmt.Errorf("plan: instr %d (%s) references unknown var %d", i, in.Op, v)
-}
-
-func errUseBeforeDef(p *Plan, i int, in *Instr, v VarID) error {
-	return fmt.Errorf("plan: instr %d (%s) uses %s before definition", i, in.Op, p.NameOf(v))
-}
-
-func errUnknownRet(i int, in *Instr, v int) error {
-	return fmt.Errorf("plan: instr %d (%s) returns unknown var %d", i, in.Op, v)
-}
-
-func errReassigned(p *Plan, i int, in *Instr, v VarID) error {
-	return fmt.Errorf("plan: instr %d (%s) reassigns %s (SSA violation)", i, in.Op, p.NameOf(v))
-}
-
+// checkInstr holds in against its opcode's table row.
 func (p *Plan) checkInstr(i int, in *Instr) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("plan: instr %d (%s): %s", i, in.Op, fmt.Sprintf(format, args...))
 	}
-	argKinds := func(kinds ...Kind) error {
-		if len(in.Args) != len(kinds) {
-			return fail("want %d args, got %d", len(kinds), len(in.Args))
-		}
-		for j, k := range kinds {
-			if p.KindOf(in.Args[j]) != k {
-				return fail("arg %d is %s, want %s", j, p.KindOf(in.Args[j]), k)
-			}
-		}
-		return nil
+	spec := in.Op.spec()
+	if spec.name == "" {
+		return fail("unknown opcode")
 	}
-	retKinds := func(kinds ...Kind) error {
-		if len(in.Rets) != len(kinds) {
-			return fail("want %d rets, got %d", len(kinds), len(in.Rets))
-		}
-		for j, k := range kinds {
-			if p.KindOf(in.Rets[j]) != k {
-				return fail("ret %d is %s, want %s", j, p.KindOf(in.Rets[j]), k)
-			}
-		}
-		return nil
-	}
-
 	if in.Part.Den == 0 {
 		return fail("zero partition denominator")
 	}
 	if in.Part.LoNum > in.Part.HiNum || in.Part.HiNum > in.Part.Den {
 		return fail("malformed partition %s", in.Part)
 	}
-	if !in.Part.IsFull() && SliceArgs(in.Op) == nil {
+	if !in.Part.IsFull() && spec.slice == nil {
 		return fail("partition %s on non-partitionable operator", in.Part)
 	}
+	if k, ok := auxKindOf(in.Aux); !ok || k != spec.aux {
+		return fail("aux is %T, operator carries %s", in.Aux, auxNames[spec.aux])
+	}
 
-	switch in.Op {
-	case OpBind:
-		if _, ok := in.Aux.(BindAux); !ok {
-			return fail("missing BindAux")
+	rets := spec.rets
+	switch spec.arity {
+	case fixedArgs:
+		if len(in.Args) != len(spec.args) {
+			return fail("want %d args, got %d", len(spec.args), len(in.Args))
 		}
-		if err := argKinds(); err != nil {
-			return err
+		for j, k := range spec.args {
+			if p.KindOf(in.Args[j]) != k {
+				return fail("arg %d is %s, want %s", j, p.KindOf(in.Args[j]), k)
+			}
 		}
-		return retKinds(KindColumn)
-	case OpConst:
-		if _, ok := in.Aux.(ConstAux); !ok {
-			return fail("missing ConstAux")
-		}
-		return retKinds(KindScalar)
-	case OpSelect:
-		if _, ok := in.Aux.(SelectAux); !ok {
-			return fail("missing SelectAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindOids)
-	case OpSelectCand:
-		if _, ok := in.Aux.(SelectAux); !ok {
-			return fail("missing SelectAux")
-		}
-		if err := argKinds(KindColumn, KindOids); err != nil {
-			return err
-		}
-		return retKinds(KindOids)
-	case OpLikeSelect:
-		if _, ok := in.Aux.(LikeAux); !ok {
-			return fail("missing LikeAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindOids)
-	case OpFetch:
-		if err := argKinds(KindOids, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpFetchPos:
-		if err := argKinds(KindOids, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpJoin:
-		if err := argKinds(KindColumn, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindOids, KindOids)
-	case OpCalcVV:
-		if _, ok := in.Aux.(CalcAux); !ok {
-			return fail("missing CalcAux")
-		}
-		if err := argKinds(KindColumn, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpCalcSV:
-		if _, ok := in.Aux.(CalcAux); !ok {
-			return fail("missing CalcAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpCalcSSV:
-		if _, ok := in.Aux.(CalcAux); !ok {
-			return fail("missing CalcAux")
-		}
-		if err := argKinds(KindScalar, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpCalcSS:
-		if _, ok := in.Aux.(CalcAux); !ok {
-			return fail("missing CalcAux")
-		}
-		if err := argKinds(KindScalar, KindScalar); err != nil {
-			return err
-		}
-		return retKinds(KindScalar)
-	case OpGroupBy:
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindGroups)
-	case OpGroupKeys:
-		if err := argKinds(KindGroups); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpAggrGrouped:
-		if _, ok := in.Aux.(AggrAux); !ok {
-			return fail("missing AggrAux")
-		}
-		if err := argKinds(KindColumn, KindGroups); err != nil {
-			return err
-		}
-		return retKinds(KindColumn)
-	case OpAggr:
-		if _, ok := in.Aux.(AggrAux); !ok {
-			return fail("missing AggrAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindScalar)
-	case OpMergeAggr:
-		if _, ok := in.Aux.(AggrAux); !ok {
-			return fail("missing AggrAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindScalar)
-	case OpGroupMerge:
-		if _, ok := in.Aux.(AggrAux); !ok {
-			return fail("missing AggrAux")
-		}
-		if err := argKinds(KindColumn, KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn, KindColumn)
-	case OpPack:
+	case oneKindOf:
 		if len(in.Args) == 0 {
-			return fail("pack with no inputs")
+			return fail("%s with no inputs", in.Op)
 		}
 		first := p.KindOf(in.Args[0])
+		if !slices.Contains(spec.args, first) {
+			return fail("%s over %s", in.Op, first)
+		}
 		for _, a := range in.Args {
 			if p.KindOf(a) != first {
-				return fail("pack over mixed kinds %s and %s", first, p.KindOf(a))
+				return fail("%s over mixed kinds %s and %s", in.Op, first, p.KindOf(a))
 			}
 		}
-		switch first {
-		case KindOids:
-			return retKinds(KindOids)
-		case KindColumn, KindScalar:
-			return retKinds(KindColumn)
-		default:
-			return fail("pack over %s", first)
+		if in.Op == OpPack {
+			rets = []Kind{PackKind(first)}
 		}
-	case OpSort:
-		if _, ok := in.Aux.(SortAux); !ok {
-			return fail("missing SortAux")
-		}
-		if err := argKinds(KindColumn); err != nil {
-			return err
-		}
-		return retKinds(KindColumn, KindOids)
-	case OpMergeSorted:
-		if _, ok := in.Aux.(SortAux); !ok {
-			return fail("missing SortAux")
-		}
-		if len(in.Args) == 0 {
-			return fail("mergesorted with no inputs")
-		}
-		for _, a := range in.Args {
-			if p.KindOf(a) != KindColumn {
-				return fail("mergesorted arg is %s", p.KindOf(a))
-			}
-		}
-		return retKinds(KindColumn)
-	case OpResult:
-		if len(in.Rets) != 0 {
-			return fail("result must not return")
-		}
-		return nil
 	}
-	return fail("unknown opcode")
+	if len(in.Rets) != len(rets) {
+		return fail("want %d rets, got %d", len(rets), len(in.Rets))
+	}
+	for j, k := range rets {
+		if p.KindOf(in.Rets[j]) != k {
+			return fail("ret %d is %s, want %s", j, p.KindOf(in.Rets[j]), k)
+		}
+	}
+	return nil
 }

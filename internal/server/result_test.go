@@ -14,8 +14,11 @@ import (
 	"time"
 
 	"repro/internal/algebra"
+	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/sim"
 	"repro/internal/storage"
+	"repro/internal/tpch"
 	"repro/internal/vec"
 )
 
@@ -615,5 +618,42 @@ func TestHandlerErrorContentType(t *testing.T) {
 				t.Fatal("error body has no error field")
 			}
 		})
+	}
+}
+
+// TestAdaptiveRepliesEqualSerialUntilConverged is the serving invariant on
+// the path the daemon runs by default: every adaptive reply of a join query
+// — each mutated plan the convergence tries, then the converged plan —
+// carries the serial plan's values. TPC-H Q9 at SF 1 is where builds before
+// PR 19 served a wrong result from run 22 on, forever.
+func TestAdaptiveRepliesEqualSerialUntilConverged(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping full-convergence serving test in -short mode")
+	}
+	cat := tpch.Generate(tpch.Config{SF: 1, Seed: 42})
+	_, ts := newTestServer(t, Config{
+		Benchmark:  "tpch",
+		DBIdentity: "tpch:sf=1:seed=42",
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+	})
+	serial, err := DecodeResult(postResultRaw(t, ts.URL, QueryRequest{Query: 9, Mode: "serial"}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterConverged := 0
+	for i := 0; i < 2000 && afterConverged < 5; i++ {
+		p, err := DecodeResult(postResultRaw(t, ts.URL, QueryRequest{Query: 9}, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !exec.ResultsEqual(p.Values, serial.Values) {
+			t.Fatalf("request %d (run %d, state %q): adaptive reply differs from the serial reply", i, p.Meta.Run, p.Meta.State)
+		}
+		if p.Meta.State == "converged" {
+			afterConverged++
+		}
+	}
+	if afterConverged == 0 {
+		t.Fatal("Q9 never converged")
 	}
 }

@@ -142,6 +142,54 @@ func TestServerRestartServesRehydratedPlan(t *testing.T) {
 	}
 }
 
+// TestServerRehydrationSkipsOldPlanVersion: a record persisted by a build
+// before the row-space rule (plan format version 1) may hold a converged plan
+// that computes the wrong answer. The store still opens; the record fails to
+// decode, is counted skipped, and the query re-adapts from its serial plan.
+func TestServerRehydrationSkipsOldPlanVersion(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping store rehydration test in -short mode")
+	}
+	cat := tpch.Generate(tpch.Config{SF: 0.5, Seed: 42})
+	path := filepath.Join(t.TempDir(), "conv.apqs")
+	body := []byte(`{"query":6}`)
+
+	st, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvA := newStoreServer(t, cat, st, nil)
+	convergeQuery(t, srvA, body)
+	srvA.Close()
+	// Re-stamp the persisted plan as version 1 (same layout, older engine).
+	recs := st.Records()
+	if len(recs) != 1 || len(recs[0].PlanBytes) < 5 || recs[0].PlanBytes[4] != 2 {
+		t.Fatalf("expected one record holding a version-2 plan, got %d", len(recs))
+	}
+	recs[0].PlanBytes = append([]byte(nil), recs[0].PlanBytes...)
+	recs[0].PlanBytes[4] = 1
+	if err := st.Put(recs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := store.Open(path)
+	if err != nil {
+		t.Fatalf("store with a v1-plan record does not open: %v", err)
+	}
+	defer st2.Close()
+	srvB := newStoreServer(t, cat, st2, nil)
+	defer srvB.Close()
+	if stats := statsOf(t, srvB); stats.Store == nil || stats.Store.RehydratedSessions != 0 || stats.Store.SkippedRecords != 1 {
+		t.Fatalf("store stats after opening a v1-plan record: %+v", stats.Store)
+	}
+	if qr := serveOnce(t, srvB, body); qr.Run != 0 || qr.State == "converged" || qr.CacheHit {
+		t.Fatalf("first request after skipping the record is not run 0 of a fresh session: %+v", qr)
+	}
+}
+
 // TestServerRehydrationSkipsMismatchedRecords: records whose dataset identity
 // or tenant no longer matches are skipped — counted, never merged, never
 // fatal.

@@ -1,7 +1,7 @@
 // Package sim implements the discrete-event multi-core machine on which all
 // query plans execute. It is the substitute for the paper's physical Xeon
-// servers (DESIGN.md §2): cores grouped into sockets with SMT pairs, a
-// processor-sharing model of the shared memory bandwidth per socket, NUMA
+// servers (docs/ARCHITECTURE.md §scale): cores grouped into sockets with SMT
+// pairs, a processor-sharing model of the shared memory bandwidth per socket, NUMA
 // remote-access penalties, and a seeded OS-noise model. Operators compute
 // real results on the host; the simulator only decides how long each
 // operator *takes* and when it runs, in virtual nanoseconds.

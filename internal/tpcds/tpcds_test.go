@@ -184,3 +184,20 @@ func TestQueriesHeuristicAndAdaptiveEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// Every query: every plan a full convergence reaches returns the serial
+// plan's result (see the TPC-H twin; here the unsound shape was a pack
+// flattened from several sliced families, each tiling its own anchor).
+func TestFullConvergencePreservesResults(t *testing.T) {
+	for _, sf := range []float64{0.5, 1} {
+		cat := Generate(Config{SF: sf, Seed: 42})
+		for _, n := range QueryNumbers() {
+			eng := exec.NewEngine(cat, sim.TwoSocket(), cost.Default())
+			s := core.NewSession(eng, MustQuery(n), core.DefaultMutationConfig(), core.ConvergenceConfig{})
+			s.VerifyResults = true
+			if _, err := s.Converge(); err != nil {
+				t.Errorf("SF %g Q%d: %v", sf, n, err)
+			}
+		}
+	}
+}

@@ -1,7 +1,7 @@
 // Package tpch provides a dbgen-like synthetic TPC-H subset — schema,
 // value distributions and foreign-key relationships mirroring the benchmark
-// at 1/100 linear scale (DESIGN.md §2) — plus plan builders for the query
-// subset the paper evaluates (Table 4: simple Q6 and Q14; complex Q4, Q8,
+// at 1/100 linear scale (docs/ARCHITECTURE.md §scale) — plus plan builders for
+// the query subset the paper evaluates (Table 4: simple Q6 and Q14; complex Q4, Q8,
 // Q9, Q19, Q22; and Q13/Q17 for Figure 1).
 //
 // Scaling: TPC-H SF1 has 6,000,000 lineitem rows; here SF1 generates 60,000

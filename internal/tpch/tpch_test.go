@@ -283,6 +283,24 @@ func TestQueriesAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
+// Every query: every plan a full convergence reaches — not only the first
+// few mutations — returns the serial plan's result. The first unsound
+// mutation PR 19 fixed (a row-id consumer propagated over packs whose inputs
+// have no common row space) only fired between runs 10 and 50.
+func TestFullConvergencePreservesResults(t *testing.T) {
+	for _, sf := range []float64{0.5, 1} {
+		cat := Generate(Config{SF: sf, Seed: 42})
+		for _, n := range QueryNumbers() {
+			eng := exec.NewEngine(cat, sim.TwoSocket(), cost.Default())
+			s := core.NewSession(eng, MustQuery(n), core.DefaultMutationConfig(), core.ConvergenceConfig{})
+			s.VerifyResults = true
+			if _, err := s.Converge(); err != nil {
+				t.Errorf("SF %g Q%d: %v", sf, n, err)
+			}
+		}
+	}
+}
+
 func TestQ6SelectivityKnob(t *testing.T) {
 	eng := exec.NewEngine(testCat, testMachine(), cost.Default())
 	loSel := Q6Params{ShipLo: 0, ShipDays: 2556, DiscLo: 0, DiscHi: 10, QtyBelow: 100}

@@ -8,7 +8,8 @@
 // ready partition tasks onto idle cores is exactly list scheduling, which is
 // what a work-stealing runtime converges to for independent equal-priority
 // tasks; the comparison in Figure 12 is about partition granularity versus
-// skew, not steal-queue mechanics (see DESIGN.md §2).
+// skew, not steal-queue mechanics (see docs/ARCHITECTURE.md
+// §scale).
 package worksteal
 
 import (
