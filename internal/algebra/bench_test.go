@@ -157,3 +157,66 @@ func BenchmarkSelectLike(b *testing.B) {
 		})
 	}
 }
+
+// benchKeys returns a foreign-key view of benchTuples values drawn uniformly
+// from nKeys keys spaced stride apart, and a primary-key column holding every
+// keep-th of them: stride 1 is the dense TPC-H shape, a large stride or a
+// filtered inner (keep > 1, where most probes miss) forces the sparse forms.
+func benchKeys(nKeys int, stride int64, keep int) (fk, pk *storage.Column) {
+	r := rand.New(rand.NewSource(2))
+	keys := make([]int64, nKeys)
+	var kept []int64
+	for i := range keys {
+		keys[i] = int64(i) * stride
+		if i%keep == 0 {
+			kept = append(kept, keys[i])
+		}
+	}
+	vals := make([]int64, benchTuples+2000)
+	for i := range vals {
+		vals[i] = keys[r.Intn(nKeys)]
+	}
+	return storage.NewIntColumn("fk", vals).View(1000, 1000+benchTuples), storage.NewIntColumn("pk", kept)
+}
+
+var benchKeyShapes = []struct {
+	name   string
+	nKeys  int
+	stride int64
+	keep   int
+}{
+	{"dense/300k", 300_000, 1, 1},
+	{"sparse/300k", 300_000, 37, 1},
+	{"filtered/30k", 30_000, 1, 25},
+	{"dense/100", 100, 1, 1},
+	{"sparse/100", 100, 1 << 40, 1},
+}
+
+func BenchmarkHashJoinInto(b *testing.B) {
+	for _, s := range benchKeyShapes {
+		b.Run(s.name, func(b *testing.B) {
+			fk, pk := benchKeys(s.nKeys, s.stride, s.keep)
+			lo, ro, _ := HashJoinInto(nil, nil, fk, pk)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo, ro, _ = HashJoinInto(lo, ro, fk, pk)
+			}
+			benchOids = ro
+			reportPerTuple(b, fk.Len())
+		})
+	}
+}
+
+func BenchmarkGroupBy(b *testing.B) {
+	for _, s := range benchKeyShapes {
+		b.Run(s.name, func(b *testing.B) {
+			fk, _ := benchKeys(s.nKeys, s.stride, s.keep)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g, _ := GroupBy(fk)
+				benchOids = g.GIDs
+			}
+			reportPerTuple(b, fk.Len())
+		})
+	}
+}

@@ -2,6 +2,8 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/storage"
 	"repro/internal/vec"
@@ -21,36 +23,46 @@ type Groups struct {
 // NGroups returns the number of distinct keys.
 func (g *Groups) NGroups() int { return g.Keys.Len() }
 
+// groupScratch is the per-call working state of GroupBy and GroupMerge: the
+// key → group-id table and the id vector GroupMerge folds partials through.
+// Pooled, because a converged plan runs one group-by per clone per request.
+type groupScratch struct {
+	table storage.KeyTable
+	ids   []int64
+}
+
+var groupScratchPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// groupIDs writes the dense first-appearance group id of every value into
+// ids and returns the distinct keys, in id order, as a vector of their own.
+func (s *groupScratch) groupIDs(ids, vals []int64, d *vec.Dict) *vec.Vector {
+	lo, hi := storage.KeyBounds(vals)
+	s.table.Reset(lo, hi, len(vals))
+	s.table.Assign(ids, vals)
+	uniq := slices.Clone(s.table.Keys())
+	if d != nil {
+		return vec.NewDictCoded(uniq, d)
+	}
+	return vec.NewInt64(uniq)
+}
+
 // GroupBy groups the key column view by value.
 func GroupBy(keys *storage.Column) (*Groups, Work) {
 	vals := keys.Values()
 	gids := make([]int64, len(vals))
-	index := make(map[int64]int64, 64)
-	var uniq []int64
-	for i, v := range vals {
-		gid, ok := index[v]
-		if !ok {
-			gid = int64(len(uniq))
-			index[v] = gid
-			uniq = append(uniq, v)
-		}
-		gids[i] = gid
-	}
-	var data *vec.Vector
-	if d := keys.Dict(); d != nil {
-		data = vec.NewDictCoded(uniq, d)
-	} else {
-		data = vec.NewInt64(uniq)
-	}
+	s := groupScratchPool.Get().(*groupScratch)
+	data := s.groupIDs(gids, vals, keys.Dict())
+	groupScratchPool.Put(s)
+	uniq := data.Len()
 	w := Work{
 		BytesSeqRead:   keys.Bytes(),
-		BytesWritten:   int64(len(gids)+len(uniq)) * 8,
+		BytesWritten:   int64(len(gids)+uniq) * 8,
 		TuplesIn:       int64(len(vals)),
-		TuplesOut:      int64(len(uniq)),
+		TuplesOut:      int64(uniq),
 		HashProbes:     int64(len(vals)),
 		CompareOps:     int64(len(vals)),
-		FootprintBytes: int64(len(uniq)) * 24,
-		MemClaimBytes:  int64(len(gids)+len(uniq))*8 + int64(len(uniq))*24,
+		FootprintBytes: int64(uniq) * 24,
+		MemClaimBytes:  int64(len(gids)+uniq)*8 + int64(uniq)*24,
 	}
 	return &Groups{Keys: storage.NewColumn(keys.Name(), 0, data), GIDs: gids}, w
 }
@@ -251,25 +263,21 @@ func GroupMerge(f AggrFunc, keys, partials *storage.Column) (*storage.Column, *s
 		panic(fmt.Sprintf("algebra: GroupMerge misaligned: %d keys vs %d partials", len(kv), len(pv)))
 	}
 	m := f.MergeFunc()
-	index := make(map[int64]int, 64)
-	var uniq []int64
-	var aggs []int64
-	for i, k := range kv {
-		j, ok := index[k]
-		if !ok {
-			j = len(uniq)
-			index[k] = j
-			uniq = append(uniq, k)
-			aggs = append(aggs, m.identity())
-		}
+	s := groupScratchPool.Get().(*groupScratch)
+	if cap(s.ids) < len(kv) {
+		s.ids = make([]int64, len(kv))
+	}
+	ids := s.ids[:len(kv)]
+	keyData := s.groupIDs(ids, kv, keys.Dict())
+	uniq := keyData.Values()
+	aggs := make([]int64, len(uniq))
+	for j := range aggs {
+		aggs[j] = m.identity()
+	}
+	for i, j := range ids {
 		aggs[j] = m.combineMerge(aggs[j], pv[i])
 	}
-	var keyData *vec.Vector
-	if d := keys.Dict(); d != nil {
-		keyData = vec.NewDictCoded(uniq, d)
-	} else {
-		keyData = vec.NewInt64(uniq)
-	}
+	groupScratchPool.Put(s)
 	w := Work{
 		BytesSeqRead:   keys.Bytes() + partials.Bytes(),
 		BytesWritten:   int64(len(uniq)+len(aggs)) * 8,

@@ -4,29 +4,35 @@ import (
 	"repro/internal/storage"
 )
 
-// HashJoin computes the equi-join between the outer column view (the larger,
-// partitioned input — §2.1 Figure 4) and the inner column (on which the hash
-// table is built). It returns two parallel oid vectors: louter holds
+// HashJoinInto computes the equi-join between the outer column view (the
+// larger, partitioned input — §2.1 Figure 4) and the inner column (on which
+// the hash table is built). It returns two parallel oid vectors: louter holds
 // absolute head oids of matching outer tuples in scan order, rinner the
-// corresponding absolute head oids of inner matches.
+// corresponding absolute head oids of inner matches, ascending per outer
+// tuple. Both are appended from length 0 into the destinations' capacity, so
+// a recycled buffer's contents never surface; a full destination is at least
+// doubled, and one without capacity is allocated at len(outer), the size of a
+// key–foreign-key join's result.
 //
 // The hash build is served from the column's cached index when one already
 // covers the inner range, so cloned join operators probing the same inner
 // pay the build once — the behaviour that makes outer-only partitioning
 // profitable in the paper. Work reports whether this execution built the
-// table (HashBuilds > 0) or reused it.
-func HashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
+// table (HashBuilds > 0) or reused it. MemClaimBytes is defined from lengths,
+// not from the capacity of whichever buffers the caller happened to own: two
+// output vectors of max(len(outer), matches) values each — what a
+// key–foreign-key join claims — plus the index when this call built it.
+func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (louter, rinner []int64, w Work) {
 	idx, built := inner.Hash()
 	ovals := outer.Values()
-	oseq := outer.Seq()
-	louter = make([]int64, 0, len(ovals))
-	rinner = make([]int64, 0, len(ovals))
-	for i, v := range ovals {
-		for _, roid := range idx.Lookup(v) {
-			louter = append(louter, oseq+int64(i))
-			rinner = append(rinner, roid)
-		}
+	louter, rinner = louterDst[:0], rinnerDst[:0]
+	if cap(louter) == 0 {
+		louter = make([]int64, 0, len(ovals))
 	}
+	if cap(rinner) == 0 {
+		rinner = make([]int64, 0, len(ovals))
+	}
+	louter, rinner = idx.Probe(louter, rinner, ovals, outer.Seq())
 	w = Work{
 		BytesSeqRead:   outer.Bytes(),
 		BytesRandRead:  int64(len(louter)) * 8,
@@ -35,7 +41,7 @@ func HashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
 		TuplesOut:      int64(len(louter)),
 		HashProbes:     int64(len(ovals)),
 		FootprintBytes: hashFootprint(inner),
-		MemClaimBytes:  int64(cap(louter)+cap(rinner)) * 8,
+		MemClaimBytes:  int64(max(len(ovals), len(louter))) * 16,
 	}
 	if built {
 		w.HashBuilds = int64(inner.Len())
@@ -43,6 +49,11 @@ func HashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
 		w.MemClaimBytes += hashFootprint(inner)
 	}
 	return louter, rinner, w
+}
+
+// HashJoin is HashJoinInto into fresh vectors.
+func HashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
+	return HashJoinInto(nil, nil, outer, inner)
 }
 
 // hashFootprint estimates the in-memory size of a hash index over col:

@@ -462,6 +462,8 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 	likes, _ := SelectLikeInto(nil, comment, "special", LikeContains, false)
 	vals, calc := make([]int64, len(cands)), make([]int64, view.Len())
 	a, b := view, tax.View(100, tax.Len()-100)
+	lkeys, okeys := cat.MustTable("lineitem").MustColumn("l_orderkey"), cat.MustTable("orders").MustColumn("o_orderkey")
+	lo, ro, _ := HashJoinInto(nil, nil, lkeys, okeys)
 
 	for name, run := range map[string]func(){
 		"SelectInto":          func() { oids, _ = SelectInto(oids, view, pred) },
@@ -471,6 +473,7 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 		"FetchInto boundary":  func() { FetchInto(vals, cands, view) },
 		"CalcVVInto":          func() { CalcVVInto(calc, CalcMul, a, b) },
 		"CalcSVInto":          func() { CalcSVInto(calc, CalcSub, 100, a, true) },
+		"HashJoinInto":        func() { lo, ro, _ = HashJoinInto(lo, ro, lkeys, okeys) },
 	} {
 		if n := testing.AllocsPerRun(20, run); n != 0 {
 			t.Errorf("%s allocates %v times per run with a warm destination, want 0", name, n)
@@ -479,5 +482,221 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 	// The drop itself is still reported.
 	if _, _, d := FetchInto(vals, cands, view); d != dropped {
 		t.Fatalf("FetchInto dropped %d, SelectWithCandsInto dropped %d over the same candidates", d, dropped)
+	}
+}
+
+// Work-identity tests for the hash kernels. refHashJoin, refGroupBy and
+// refGroupMerge are the kernel bodies as they stood on Go maps (a
+// map[int64][]int64 index cached per inner range, a map[int64]int64 of group
+// ids per call), copied here as the test-only reference: the CSR index and
+// the key table must return the same oid vectors, the same first-appearance
+// groups and the same Work. The one field defined anew is HashJoin's
+// MemClaimBytes — the map version read it off cap() of buffers append may
+// have regrown; it is now 16·max(len(outer), matches) plus the build — which
+// equals the reference whenever the reference's buffers never regrew.
+
+// refIndexes stands in for the index cache on the base column.
+type refIndexes map[[3]any]map[int64][]int64
+
+func (r refIndexes) hash(c *storage.Column) (map[int64][]int64, bool) {
+	key := [3]any{c.Base(), c.Seq(), c.EndSeq()}
+	if idx, ok := r[key]; ok {
+		return idx, false
+	}
+	idx := make(map[int64][]int64, c.Len())
+	for i, v := range c.Values() {
+		idx[v] = append(idx[v], c.Seq()+int64(i))
+	}
+	r[key] = idx
+	return idx, true
+}
+
+func (r refIndexes) hashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
+	idx, built := r.hash(inner)
+	ovals := outer.Values()
+	oseq := outer.Seq()
+	louter = make([]int64, 0, len(ovals))
+	rinner = make([]int64, 0, len(ovals))
+	for i, v := range ovals {
+		for _, roid := range idx[v] {
+			louter = append(louter, oseq+int64(i))
+			rinner = append(rinner, roid)
+		}
+	}
+	footprint := int64(inner.Len()) * 24
+	w = Work{
+		BytesSeqRead:   outer.Bytes(),
+		BytesRandRead:  int64(len(louter)) * 8,
+		BytesWritten:   int64(len(louter)+len(rinner)) * 8,
+		TuplesIn:       int64(len(ovals)) + int64(inner.Len()),
+		TuplesOut:      int64(len(louter)),
+		HashProbes:     int64(len(ovals)),
+		FootprintBytes: footprint,
+		MemClaimBytes:  int64(cap(louter)+cap(rinner)) * 8,
+	}
+	if built {
+		w.HashBuilds = int64(inner.Len())
+		w.BytesSeqRead += inner.Bytes()
+		w.MemClaimBytes += footprint
+	}
+	return louter, rinner, w
+}
+
+func refGroupBy(keys *storage.Column) (uniq, gids []int64, w Work) {
+	vals := keys.Values()
+	gids = make([]int64, len(vals))
+	index := make(map[int64]int64, 64)
+	for i, v := range vals {
+		gid, ok := index[v]
+		if !ok {
+			gid = int64(len(uniq))
+			index[v] = gid
+			uniq = append(uniq, v)
+		}
+		gids[i] = gid
+	}
+	return uniq, gids, Work{
+		BytesSeqRead:   keys.Bytes(),
+		BytesWritten:   int64(len(gids)+len(uniq)) * 8,
+		TuplesIn:       int64(len(vals)),
+		TuplesOut:      int64(len(uniq)),
+		HashProbes:     int64(len(vals)),
+		CompareOps:     int64(len(vals)),
+		FootprintBytes: int64(len(uniq)) * 24,
+		MemClaimBytes:  int64(len(gids)+len(uniq))*8 + int64(len(uniq))*24,
+	}
+}
+
+func refGroupMerge(f AggrFunc, keys, partials *storage.Column) (uniq, aggs []int64, w Work) {
+	kv, pv := keys.Values(), partials.Values()
+	m := f.MergeFunc()
+	index := make(map[int64]int, 64)
+	for i, k := range kv {
+		j, ok := index[k]
+		if !ok {
+			j = len(uniq)
+			index[k] = j
+			uniq = append(uniq, k)
+			aggs = append(aggs, refIdentity(m))
+		}
+		aggs[j] = refCombine(m, aggs[j], pv[i])
+	}
+	return uniq, aggs, Work{
+		BytesSeqRead:   keys.Bytes() + partials.Bytes(),
+		BytesWritten:   int64(len(uniq)+len(aggs)) * 8,
+		TuplesIn:       int64(len(kv)),
+		TuplesOut:      int64(len(uniq)),
+		HashProbes:     int64(len(kv)),
+		FootprintBytes: int64(len(uniq)) * 24,
+		MemClaimBytes:  int64(len(uniq)+len(aggs)) * 8,
+	}
+}
+
+// checkJoin runs one join through both implementations, twice (build, then
+// cached), into the destination dst() hands out.
+func checkJoin(t *testing.T, at string, ref refIndexes, dst func() []int64, outer, inner *storage.Column) {
+	t.Helper()
+	for call := 0; call < 2; call++ {
+		wl, wr, ww := ref.hashJoin(outer, inner)
+		gl, gr, gw := HashJoinInto(dst(), dst(), outer, inner)
+		if built := gw.HashBuilds > 0; built != (ww.HashBuilds > 0) || (built && call == 1) {
+			t.Fatalf("%s call %d: built = %v, reference built = %v", at, call, built, ww.HashBuilds > 0)
+		}
+		if !slices.Equal(gl, wl) || !slices.Equal(gr, wr) {
+			t.Fatalf("%s call %d: %d/%d oid pairs, want %d", at, call, len(gl), len(gr), len(wl))
+		}
+		claim := int64(max(outer.Len(), len(wl))) * 16
+		if ww.HashBuilds > 0 {
+			claim += int64(inner.Len()) * 24
+		}
+		if len(wl) <= outer.Len() && claim != ww.MemClaimBytes {
+			t.Fatalf("%s call %d: the MemClaimBytes rule gives %d where the reference, never regrown, claims %d", at, call, claim, ww.MemClaimBytes)
+		}
+		ww.MemClaimBytes = claim
+		if gw != ww {
+			t.Fatalf("%s call %d: work %+v, want %+v", at, call, gw, ww)
+		}
+	}
+}
+
+func TestHashKernelsMatchReference(t *testing.T) {
+	for _, sf := range []float64{0.5, 2} {
+		cat := tpch.Generate(tpch.Config{SF: sf, Seed: 11})
+		line, orders := cat.MustTable("lineitem"), cat.MustTable("orders")
+		r := rand.New(rand.NewSource(9))
+		// A recycled destination: stale contents, too small for most results.
+		dirty := func() []int64 {
+			buf := make([]int64, 5+r.Intn(40))
+			for i := range buf {
+				buf[i] = -7
+			}
+			return buf[:r.Intn(5)]
+		}
+
+		// Intermediates as the inner side: the order keys of a date range
+		// (a sparse subset of a dense domain), once as a column of its own
+		// and once as a view into the middle of it.
+		picked, _ := SelectInto(nil, orders.MustColumn("o_orderdate"), HalfOpen(700, 790))
+		subset := make([]int64, len(picked))
+		n, _, _ := FetchInto(subset, picked, orders.MustColumn("o_orderkey"))
+		fetched := storage.NewIntColumn("o_orderkey", subset[:n])
+
+		joins := []struct {
+			name         string
+			outer, inner *storage.Column
+		}{
+			{"l_orderkey-o_orderkey", line.MustColumn("l_orderkey"), orders.MustColumn("o_orderkey")},
+			{"l_partkey-p_partkey", line.MustColumn("l_partkey"), cat.MustTable("part").MustColumn("p_partkey")},
+			{"l_suppkey-s_suppkey", line.MustColumn("l_suppkey"), cat.MustTable("supplier").MustColumn("s_suppkey")},
+			{"o_custkey-c_custkey", orders.MustColumn("o_custkey"), cat.MustTable("customer").MustColumn("c_custkey")},
+			{"l_orderkey-fetched", line.MustColumn("l_orderkey"), fetched},
+			{"l_orderkey-fetched-view", line.MustColumn("l_orderkey"), fetched.View(n/4, n/2)},
+			// Every outer key matches several inner tuples: the result
+			// outgrows any destination sized for the outer.
+			{"o_orderkey-l_orderkey", orders.MustColumn("o_orderkey"), line.MustColumn("l_orderkey")},
+			{"o_custkey-o_custkey", orders.MustColumn("o_custkey").View(0, 2000), orders.MustColumn("o_custkey")},
+		}
+		for _, j := range joins {
+			for _, k := range []int{1, 7, 32} {
+				j.inner.DropHashes()
+				ref := refIndexes{}
+				for pi, p := range partitions(r, j.outer.Len(), k) {
+					at := fmt.Sprintf("sf=%g %s k=%d part %d", sf, j.name, k, pi)
+					// Only the first clone builds; the rest share its index.
+					checkJoin(t, at, ref, dirty, j.outer.View(p[0], p[1]), j.inner)
+				}
+			}
+			j.inner.DropHashes()
+			checkJoin(t, fmt.Sprintf("sf=%g %s nil dst", sf, j.name), refIndexes{}, func() []int64 { return nil }, j.outer, j.inner)
+		}
+
+		qty := line.MustColumn("l_quantity")
+		for _, name := range []string{"l_returnflag", "l_orderkey", "l_suppkey", "l_shipdate"} {
+			keys := line.MustColumn(name)
+			for _, k := range []int{1, 7, 32} {
+				var packedKeys, packedSums []*storage.Column
+				for pi, p := range partitions(r, keys.Len(), k) {
+					view := keys.View(p[0], p[1])
+					wantKeys, wantGIDs, ww := refGroupBy(view)
+					g, gw := GroupBy(view)
+					if !slices.Equal(g.Keys.Values(), wantKeys) || !slices.Equal(g.GIDs, wantGIDs) || gw != ww || g.Keys.Dict() != keys.Dict() {
+						t.Fatalf("sf=%g GroupBy(%s) k=%d part %d: %d groups work %+v, want %d groups work %+v",
+							sf, name, k, pi, g.NGroups(), gw, len(wantKeys), ww)
+					}
+					sums, _ := AggrGrouped(AggrSum, qty.View(p[0], p[1]), g)
+					packedKeys, packedSums = append(packedKeys, g.Keys), append(packedSums, sums)
+				}
+				pk, _ := PackColumns(packedKeys)
+				ps, _ := PackColumns(packedSums)
+				for _, f := range []AggrFunc{AggrSum, AggrCount, AggrMin, AggrMax} {
+					wantKeys, wantAggs, ww := refGroupMerge(f, pk, ps)
+					gk, ga, gw := GroupMerge(f, pk, ps)
+					if !slices.Equal(gk.Values(), wantKeys) || !slices.Equal(ga.Values(), wantAggs) || gw != ww || gk.Dict() != keys.Dict() {
+						t.Fatalf("sf=%g GroupMerge(%s, %s) k=%d: %d groups work %+v, want %d groups work %+v",
+							sf, f, name, k, gk.Len(), gw, len(wantKeys), ww)
+					}
+				}
+			}
+		}
 	}
 }

@@ -45,13 +45,14 @@ func NewEngine(cat *storage.Catalog, machineCfg sim.Config, params cost.Params) 
 	}
 }
 
-// Per-instruction output-buffer classes the arena recycles. bufNone marks
-// instructions whose outputs either escape (query results), are owned by a
-// pack group's shared buffer, or have no recyclable Into kernel.
+// Output-buffer classes the arena recycles, one per instruction result (an
+// instruction has at most two; only a join's second is ever classed). bufNone
+// marks results that either escape (query results), are owned by a pack
+// group's shared buffer, or have no recyclable Into kernel.
 const (
 	bufNone uint8 = iota
-	bufOids       // ret 0 is an oid vector (select / selectcand / likeselect / oid pack)
-	bufCol        // ret 0 is a column payload (fetch / calc / scalar pack)
+	bufOids       // an oid vector (select / selectcand / likeselect / oid pack / either join side)
+	bufCol        // a column payload (fetch / calc / scalar pack)
 )
 
 // schedGroup is one planned pack group (plan.PackGroup resolved against the
@@ -93,10 +94,10 @@ type planSchedule struct {
 	roots   []int32   // instructions with no unresolved producers
 
 	groups    []schedGroup
-	cloneOf   []int32 // instr -> pack-group index it is a clone of, or -1
-	memberOf  []int32 // instr -> clone position within its group
-	packGroup []int32 // instr -> pack-group index it is the pack of, or -1
-	outBuf    []uint8 // instr -> recyclable output-buffer class
+	cloneOf   []int32    // instr -> pack-group index it is a clone of, or -1
+	memberOf  []int32    // instr -> clone position within its group
+	packGroup []int32    // instr -> pack-group index it is the pack of, or -1
+	outBuf    [][2]uint8 // instr × result -> recyclable output-buffer class
 
 	arenaMu sync.Mutex
 	arena   *jobArena // idle arena of the last completed invocation
@@ -232,7 +233,7 @@ func newPlanSchedule(n int) *planSchedule {
 		cloneOf:   make([]int32, n),
 		memberOf:  make([]int32, n),
 		packGroup: make([]int32, n),
-		outBuf:    make([]uint8, n),
+		outBuf:    make([][2]uint8, n),
 	}
 }
 
@@ -399,28 +400,36 @@ func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, retIndex []in
 		if s.cloneOf[i] >= 0 {
 			continue // group clones write the shared buffer instead
 		}
-		if len(in.Rets) == 0 || resultArg[in.Rets[0]] {
-			continue
-		}
-		switch in.Op {
-		case plan.OpSelect, plan.OpSelectCand, plan.OpLikeSelect:
-			s.outBuf[i] = bufOids
-		case plan.OpFetch, plan.OpFetchPos, plan.OpCalcVV, plan.OpCalcSV, plan.OpCalcSSV:
-			s.outBuf[i] = bufCol
-		case plan.OpPack:
-			switch p.KindOf(in.Rets[0]) {
-			case plan.KindOids:
-				s.outBuf[i] = bufOids
-			case plan.KindColumn:
-				if p.KindOf(in.Args[0]) == plan.KindScalar {
-					// Scalar partial packs own their gathered slice
-					// (PackScalarsOwned); column packs either become views
-					// (group) or concatenate into a fresh vector.
-					s.outBuf[i] = bufCol
-				}
+		for r, ret := range in.Rets {
+			if !resultArg[ret] {
+				s.outBuf[i][r] = outClass(p, in, r)
 			}
 		}
 	}
+}
+
+// outClass is the buffer class of in's r-th result when nothing keeps it
+// alive past the run.
+func outClass(p *plan.Plan, in *plan.Instr, r int) uint8 {
+	switch in.Op {
+	case plan.OpSelect, plan.OpSelectCand, plan.OpLikeSelect, plan.OpJoin:
+		return bufOids
+	case plan.OpFetch, plan.OpFetchPos, plan.OpCalcVV, plan.OpCalcSV, plan.OpCalcSSV:
+		return bufCol
+	case plan.OpPack:
+		switch p.KindOf(in.Rets[r]) {
+		case plan.KindOids:
+			return bufOids
+		case plan.KindColumn:
+			if p.KindOf(in.Args[0]) == plan.KindScalar {
+				// Scalar partial packs own their gathered slice
+				// (PackScalarsOwned); column packs either become views
+				// (group) or concatenate into a fresh vector.
+				return bufCol
+			}
+		}
+	}
+	return bufNone
 }
 
 // buildGroup resolves a plan.PackGroup against the dependency indexes into
@@ -513,11 +522,11 @@ type jobArena struct {
 	pending   []int32
 	evald     []bool // instruction evaluated (results exist in its task slab)
 	tasks     []instrTask
-	args      []Value    // resolveArgs scratch
-	bufs      [][]int64  // per-instruction recycled output buffers
-	groupBufs [][]int64  // per-group shared exchange buffers
-	groupRuns []groupRun // per-group run state
-	oidParts  [][]int64  // evalPack scratch
+	args      []Value      // resolveArgs scratch
+	bufs      [][2][]int64 // per-instruction, per-result recycled output buffers
+	groupBufs [][]int64    // per-group shared exchange buffers
+	groupRuns []groupRun   // per-group run state
+	oidParts  [][]int64    // evalPack scratch
 	colParts  []*storage.Column
 
 	// outCols / argViews memoize the per-instruction column wrappers:
@@ -528,8 +537,23 @@ type jobArena struct {
 	// (plus seq and dict), so a recycled or regrown buffer can never produce
 	// a false hit. The cached wrappers alias only arena-owned or immutable
 	// base storage, never result values.
+	//
+	// Buffer identity says nothing about buffer contents: a memoized wrapper,
+	// and anything cached on it (Column.Hash keeps an intermediate's index on
+	// the wrapper), is valid for one (plan object, catalog) pair. catID names
+	// the catalog the wrappers were built against (0: none yet; an ID, so an
+	// idle arena does not pin a whole data epoch); Submit forgets them when a
+	// job binds another one — a tenant's, or the next epoch's.
 	outCols  []outColCache
 	argViews [][2]argViewCache
+	catID    uint64
+}
+
+// forgetWrappers drops every memoized column wrapper.
+func (a *jobArena) forgetWrappers() {
+	clear(a.outCols)
+	clear(a.argViews)
+	a.catID = 0
 }
 
 // outColCache memoizes one instruction's wrapped output column.
@@ -578,7 +602,7 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	}
 	a.tasks = a.tasks[:n]
 	if cap(a.bufs) < n {
-		a.bufs = make([][]int64, n)
+		a.bufs = make([][2][]int64, n)
 	}
 	a.bufs = a.bufs[:n]
 	if cap(a.outCols) < n {
@@ -613,13 +637,13 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 // engine recycler. Only dead intermediate state moves — result-reachable
 // values were never arena-backed in the first place (escape analysis).
 func (a *jobArena) remapTo(child *planSchedule, rec *bufRecycler, d *plan.Diff) {
-	bufs := make([][]int64, len(d.ParentOf))
+	bufs := make([][2][]int64, len(d.ParentOf))
 	outCols := make([]outColCache, len(d.ParentOf))
 	argViews := make([][2]argViewCache, len(d.ParentOf))
 	for ci, pi := range d.ParentOf {
 		if pi >= 0 && int(pi) < len(a.bufs) {
 			bufs[ci] = a.bufs[pi]
-			a.bufs[pi] = nil
+			a.bufs[pi] = [2][]int64{}
 		}
 		// Matched instructions keep their memoized column wrappers too: a
 		// match means identical op/args/part over identical inputs, so the
@@ -629,10 +653,8 @@ func (a *jobArena) remapTo(child *planSchedule, rec *bufRecycler, d *plan.Diff) 
 			argViews[ci] = a.argViews[pi]
 		}
 	}
-	for _, buf := range a.bufs {
-		if buf != nil {
-			rec.putBuf(buf)
-		}
+	for i := range a.bufs {
+		rec.putSlots(&a.bufs[i])
 	}
 	a.bufs = bufs
 	a.outCols = outCols
@@ -768,6 +790,10 @@ func (e *Engine) Submit(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	cat := e.cat
 	if opts.Catalog != nil {
 		cat = opts.Catalog
+	}
+	if a.catID != cat.ID() {
+		a.forgetWrappers()
+		a.catID = cat.ID()
 	}
 	j := &PlanJob{
 		Plan:         p,

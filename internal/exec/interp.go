@@ -199,14 +199,14 @@ func (j *PlanJob) dest(idx, n int) outDest {
 	if gr, m := j.cloneShared(idx); gr != nil {
 		return outDest{buf: gr.bld.WriteRange(gr.offs[m], gr.offs[m+1]), gr: gr, m: m}
 	}
-	if j.sched.outBuf[idx] != bufCol {
+	if j.sched.outBuf[idx][0] != bufCol {
 		return outDest{buf: make([]int64, n)}
 	}
-	buf := j.eng.recycler.grown(j.arena.bufs[idx], n)
+	buf := j.eng.recycler.grown(j.arena.bufs[idx][0], n)
 	if buf == nil {
 		buf = make([]int64, n)
 	}
-	j.arena.bufs[idx] = buf
+	j.arena.bufs[idx][0] = buf
 	return outDest{buf: buf[:n]}
 }
 
@@ -225,36 +225,42 @@ func (j *PlanJob) done(idx int, d outDest, n int, seq int64, dict *vec.Dict, nam
 		d.gr.written[d.m] = n
 		lo := d.gr.offs[d.m]
 		return storage.NewBuilderColumn(name(), seq, d.gr.bld, lo, lo+n)
-	case j.sched.outBuf[idx] == bufCol:
+	case j.sched.outBuf[idx][0] == bufCol:
 		return j.cachedCol(idx, seq, d.buf[:n], dict, name)
 	}
 	return wrapCol(name(), seq, d.buf[:n:n], dict)
 }
 
-// oidBufIn / oidBufOut thread the arena's oid buffer through appending
-// kernels (SelectInto and friends), which may grow it; the grown slice is
-// stored back so the next invocation reuses the final capacity. hint is the
-// kernel's own initial-capacity estimate: on an arena cold start (no buffer
-// yet — the mutated-plan path) a buffer of that class is drawn from the
-// engine recycler, zero-length — the kernels all append from length 0, so
-// residual contents of a pooled buffer are never read. A warm arena keeps
-// its settled buffer and never touches the pool again.
-func (j *PlanJob) oidBufIn(idx, hint int) []int64 {
-	if j.sched.outBuf[idx] != bufOids {
+// oidBufIn / oidBufOut thread the arena's oid buffer for result ret of
+// instruction idx through appending kernels (SelectInto and friends), which
+// may grow it; the grown slice is stored back so the next invocation reuses
+// the final capacity, and oidBufOut returns the vector to publish. hint is
+// the slot's initial capacity: on an arena cold start (no buffer yet — the
+// mutated-plan path) a buffer of that class is drawn from the engine
+// recycler, zero-length — the kernels all append from length 0, so residual
+// contents of a pooled buffer are never read — or allocated when the pool has
+// none. A warm arena keeps its settled buffer and never touches the pool
+// again.
+func (j *PlanJob) oidBufIn(idx, ret, hint int) []int64 {
+	if j.sched.outBuf[idx][ret] != bufOids {
 		return nil
 	}
-	buf := j.arena.bufs[idx]
+	buf := j.arena.bufs[idx][ret]
 	if buf == nil && hint > 0 {
-		buf = j.eng.recycler.grown(nil, hint)
-		j.arena.bufs[idx] = buf
+		if buf = j.eng.recycler.grown(nil, hint); buf == nil {
+			buf = make([]int64, 0, hint)
+		}
+		j.arena.bufs[idx][ret] = buf
 	}
 	return buf
 }
 
-func (j *PlanJob) oidBufOut(idx int, out []int64) {
-	if j.sched.outBuf[idx] == bufOids {
-		j.arena.bufs[idx] = out
+func (j *PlanJob) oidBufOut(idx, ret int, out []int64) []int64 {
+	if j.sched.outBuf[idx][ret] == bufOids {
+		j.arena.bufs[idx][ret] = out
+		return out
 	}
+	return out[:len(out):len(out)] // escaping: no spare capacity, as in done
 }
 
 // wrapCol builds the output column of a materializing kernel over vals.
@@ -310,19 +316,19 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 	case plan.OpSelect:
 		// Hints mirror the kernels' initial-capacity estimates, so a pooled
 		// buffer lands in the same size class a fresh allocation would.
-		oids, w := algebra.SelectInto(j.oidBufIn(idx, args[0].Col.Len()/4+1), args[0].Col, in.Aux.(plan.SelectAux).Pred)
-		j.oidBufOut(idx, oids)
+		oids, w := algebra.SelectInto(j.oidBufIn(idx, 0, args[0].Col.Len()/4+1), args[0].Col, in.Aux.(plan.SelectAux).Pred)
+		oids = j.oidBufOut(idx, 0, oids)
 		return append(dst, OidsValue(oids)), w, nil
 
 	case plan.OpSelectCand:
-		oids, w, _ := algebra.SelectWithCandsInto(j.oidBufIn(idx, len(args[1].Oids)/2+1), args[0].Col, in.Aux.(plan.SelectAux).Pred, args[1].Oids)
-		j.oidBufOut(idx, oids)
+		oids, w, _ := algebra.SelectWithCandsInto(j.oidBufIn(idx, 0, len(args[1].Oids)/2+1), args[0].Col, in.Aux.(plan.SelectAux).Pred, args[1].Oids)
+		oids = j.oidBufOut(idx, 0, oids)
 		return append(dst, OidsValue(oids)), w, nil
 
 	case plan.OpLikeSelect:
 		aux := in.Aux.(plan.LikeAux)
-		oids, w := algebra.SelectLikeInto(j.oidBufIn(idx, args[0].Col.Len()/8+1), args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
-		j.oidBufOut(idx, oids)
+		oids, w := algebra.SelectLikeInto(j.oidBufIn(idx, 0, args[0].Col.Len()/8+1), args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
+		oids = j.oidBufOut(idx, 0, oids)
 		return append(dst, OidsValue(oids)), w, nil
 
 	case plan.OpFetch:
@@ -340,7 +346,16 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		return append(dst, ColValue(col)), w, nil
 
 	case plan.OpJoin:
-		lo, ro, w := algebra.HashJoin(args[0].Col, args[1].Col)
+		// Each side is owned on its own: one may reach the result (fresh every
+		// run, sized by the kernel) while the other is a dead intermediate in
+		// its arena slot. A slot starts well below the kernel's len(outer): the
+		// filter usually sits on the inner side, and every clone's slot would
+		// retain a buffer sized for its outer nearly empty. The first run's
+		// doubling settles it within twice the matches.
+		outer, inner := args[0].Col, args[1].Col
+		hint := outer.Len()/16 + 1
+		lo, ro, w := algebra.HashJoinInto(j.oidBufIn(idx, 0, hint), j.oidBufIn(idx, 1, hint), outer, inner)
+		lo, ro = j.oidBufOut(idx, 0, lo), j.oidBufOut(idx, 1, ro)
 		return append(dst, OidsValue(lo), OidsValue(ro)), w, nil
 
 	case plan.OpCalcVV:
@@ -462,8 +477,8 @@ func evalPack(j *PlanJob, idx int, in *plan.Instr, args []Value, dst []Value) ([
 			parts[i] = a.Oids
 			total += len(a.Oids)
 		}
-		out, w := algebra.PackOidsInto(j.oidBufIn(idx, total), parts)
-		j.oidBufOut(idx, out)
+		out, w := algebra.PackOidsInto(j.oidBufIn(idx, 0, total), parts)
+		out = j.oidBufOut(idx, 0, out)
 		return append(dst, OidsValue(out)), w, nil
 	case plan.KindColumn:
 		if col, w, ok := j.packView(idx, args); ok {

@@ -211,8 +211,8 @@ func TestOwnershipPathsAgree(t *testing.T) {
 	}
 	noArenaSlot := func(t *testing.T, j *PlanJob, ci [2]int) {
 		for _, idx := range ci {
-			if j.sched.outBuf[idx] != bufNone || j.arena.bufs[idx] != nil {
-				t.Errorf("clone %d has an arena slot (class %d, buf %v)", idx, j.sched.outBuf[idx], j.arena.bufs[idx] != nil)
+			if j.sched.outBuf[idx][0] != bufNone || j.arena.bufs[idx][0] != nil {
+				t.Errorf("clone %d has an arena slot (class %d, buf %v)", idx, j.sched.outBuf[idx][0], j.arena.bufs[idx][0] != nil)
 			}
 		}
 	}
@@ -259,11 +259,11 @@ func TestOwnershipPathsAgree(t *testing.T) {
 			}},
 		{name: "arena", suffix: "aggr", runs: 2, check: func(t *testing.T, _ ownShape, j *PlanJob, r, prev *ownRun, ci [2]int, _ int) {
 			for m, idx := range ci {
-				if j.sched.cloneOf[idx] >= 0 || j.sched.outBuf[idx] != bufCol || !aliases(r.cols[m], j.arena.bufs[idx], 0) {
+				if j.sched.cloneOf[idx] >= 0 || j.sched.outBuf[idx][0] != bufCol || !aliases(r.cols[m], j.arena.bufs[idx][0], 0) {
 					t.Errorf("clone %d does not write its arena slot", m)
 				}
 				// The hot run rewrites the same buffer under the same wrapper.
-				if prev != nil && (prev.cols[m] != r.cols[m] || !aliases(prev.cols[m], j.arena.bufs[idx], 0)) {
+				if prev != nil && (prev.cols[m] != r.cols[m] || !aliases(prev.cols[m], j.arena.bufs[idx][0], 0)) {
 					t.Errorf("clone %d: second run did not reuse the slot and its memoized column", m)
 				}
 			}
@@ -343,6 +343,132 @@ func TestOwnershipPathsAgree(t *testing.T) {
 						}
 					}
 				})
+			}
+		})
+	}
+	t.Run("join", func(t *testing.T) { ownJoinPaths(t, cat) })
+}
+
+// ownJoinPaths is the same agreement for the one operator with two oid
+// results, each owned on its own: a join whose results are (i) both dead
+// intermediates — two arena slots, rewritten in place by the second run with
+// whatever spare capacity the first left, (ii) one of them result-reachable —
+// fresh every run, capped at its length, never an arena buffer — and (iii)
+// both dead under CopyExchange. Values and every instruction's Work agree.
+func ownJoinPaths(t *testing.T, cat *storage.Catalog) {
+	build := func(exportInner bool) (p *plan.Plan, lo, ro plan.VarID) {
+		b := plan.NewBuilder()
+		price := b.Bind("lineitem", "l_extendedprice")
+		ship := b.Bind("lineitem", "l_shipdate")
+		// The inner is an intermediate whose prices repeat, so an outer
+		// tuple finds several matches, ascending.
+		inner := b.Fetch(b.Select(ship, algebra.AtMost(2)), price)
+		lo, ro = b.Join(price, inner)
+		sums := []plan.VarID{b.Aggr(algebra.AggrSum, b.Fetch(lo, price)), b.Aggr(algebra.AggrSum, b.FetchPos(ro, inner))}
+		if exportInner {
+			sums = append(sums, ro)
+		}
+		b.Result(sums...)
+		return b.Plan(), lo, ro
+	}
+	type joinRun struct {
+		results []Value
+		work    map[int]algebra.Work
+		oids    [2][]int64 // the join's two vectors as the run left them
+		copies  [2][]int64
+	}
+	execute := func(eng *Engine, p *plan.Plan, opts JobOptions, vars [2]plan.VarID, inspect func(j *PlanJob, r *joinRun)) *joinRun {
+		t.Helper()
+		job, err := eng.Submit(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &joinRun{}
+		job.OnDone = func(j *PlanJob) {
+			if j.Err != nil {
+				return
+			}
+			for i, v := range vars {
+				r.oids[i] = j.env[v].Oids
+				r.copies[i] = slices.Clone(r.oids[i])
+			}
+			inspect(j, r)
+		}
+		eng.Run()
+		if job.Err != nil || !job.Done {
+			t.Fatalf("job done=%v err=%v", job.Done, job.Err)
+		}
+		r.results, r.work = job.Results(), workByInstr(job.Profile)
+		return r
+	}
+	sameArray := func(a, b []int64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+	var base *joinRun
+	for _, v := range []struct {
+		name        string
+		exportInner bool
+		opts        JobOptions
+	}{
+		{name: "both dead"},
+		{name: "inner side exported", exportInner: true},
+		{name: "copy", opts: JobOptions{CopyExchange: true}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			p, lo, ro := build(v.exportInner)
+			if err := p.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			ji := int(p.Producers()[lo])
+			eng := NewEngine(cat, testMachine(), cost.Default())
+			var got, prev *joinRun
+			for run := 0; run < 2; run++ {
+				prev = got
+				got = execute(eng, p, v.opts, [2]plan.VarID{lo, ro}, func(j *PlanJob, r *joinRun) {
+					for ret, exported := range [2]bool{false, v.exportInner} {
+						slot, out := j.arena.bufs[ji][ret], r.oids[ret]
+						if exported {
+							if j.sched.outBuf[ji][ret] != bufNone || slot != nil {
+								t.Errorf("exported result %d has an arena slot", ret)
+							}
+							if cap(out) != len(out) {
+								t.Errorf("exported result %d escapes with len %d cap %d", ret, len(out), cap(out))
+							}
+							if prev != nil && sameArray(prev.oids[ret], out) {
+								t.Errorf("exported result %d reuses the previous run's buffer", ret)
+							}
+							continue
+						}
+						if j.sched.outBuf[ji][ret] != bufOids || !sameArray(slot, out) {
+							t.Errorf("dead result %d is not written into its arena slot", ret)
+						}
+						if prev != nil && !sameArray(prev.oids[ret], out) {
+							t.Errorf("dead result %d: second run did not rewrite the slot in place", ret)
+						}
+					}
+				})
+			}
+			if len(got.copies[0]) == 0 || len(got.copies[0]) <= cat.MustTable("lineitem").Rows()/16+1 {
+				t.Fatalf("%d matches: the join never outgrows its slot's initial capacity", len(got.copies[0]))
+			}
+			if v.exportInner && !slices.Equal(got.results[2].Oids, got.copies[1]) {
+				t.Fatal("the exported vector is not the join's inner result")
+			}
+			if base == nil {
+				base = got
+				return
+			}
+			if !ResultsEqual(got.results[:2], base.results[:2]) {
+				t.Fatalf("results %v != %v", got.results[:2], base.results[:2])
+			}
+			for ret := range got.copies {
+				if !slices.Equal(got.copies[ret], base.copies[ret]) {
+					t.Fatalf("join result %d differs from the first variant's", ret)
+				}
+			}
+			for i := 0; i < len(p.Instrs)-1; i++ {
+				if got.work[i] != base.work[i] {
+					t.Fatalf("instr %d (%s) Work %+v != %+v", i, p.Instrs[i].Op, got.work[i], base.work[i])
+				}
 			}
 		})
 	}

@@ -146,6 +146,17 @@ func (r *bufRecycler) putBuf(buf []int64) {
 	r.puts.Add(1)
 }
 
+// putSlots files whatever buffers one instruction's result slots still hold
+// and empties them.
+func (r *bufRecycler) putSlots(slots *[2][]int64) {
+	for i, buf := range slots {
+		if buf != nil {
+			r.putBuf(buf)
+			slots[i] = nil
+		}
+	}
+}
+
 // grown is the one way an arena buffer is replaced. old is returned as is
 // when it already holds n values. Otherwise old — which backs only dead
 // intermediates of a previous invocation — is filed for other plans and a
@@ -186,11 +197,8 @@ func (r *bufRecycler) getShell() *jobArena {
 // into a retired schedule: their values are dead and their release() pass
 // already dropped env/task references.
 func (r *bufRecycler) putShell(a *jobArena) {
-	for i, buf := range a.bufs {
-		if buf != nil {
-			a.bufs[i] = nil
-			r.putBuf(buf)
-		}
+	for i := range a.bufs {
+		r.putSlots(&a.bufs[i])
 	}
 	for i, buf := range a.groupBufs {
 		if buf != nil {
@@ -203,12 +211,7 @@ func (r *bufRecycler) putShell(a *jobArena) {
 	}
 	// Wrapper caches are positional: a different plan checking out this
 	// shell must never positionally collide with the old plan's columns.
-	for i := range a.outCols {
-		a.outCols[i] = outColCache{}
-	}
-	for i := range a.argViews {
-		a.argViews[i] = [2]argViewCache{}
-	}
+	a.forgetWrappers()
 	r.mu.Lock()
 	if len(r.shells) < recyclerMaxShells {
 		r.shells = append(r.shells, a)

@@ -172,6 +172,75 @@ func TestAppendChurnWarmReconvergence(t *testing.T) {
 	}
 }
 
+// TestJoinRepliesFollowTheEpoch: a data mutation that leaves every length as
+// it was must still change what a join answers. The session keeps serving its
+// best plan object — same schedule, same arena — across the epoch, and Q4's
+// join inner is an intermediate (the order keys of a date range) whose
+// memoized wrapper carries its hash index; the last 2000 orders are replaced
+// by rows that differ only in o_orderkey, so the intermediate keeps its
+// length and only its keys move. Builds before PR 20 probed the old index.
+func TestJoinRepliesFollowTheEpoch(t *testing.T) {
+	const rows = 2000
+	cat := tpch.Generate(tpch.Config{SF: 0.5, Seed: 42})
+	srv, ts := newTestServer(t, Config{
+		Benchmark: "tpch",
+		Engines:   []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+	})
+	reply := func(mode string) []exec.Value {
+		t.Helper()
+		p, err := DecodeResult(postResultRaw(t, ts.URL, QueryRequest{Query: 4, Mode: mode}, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Values
+	}
+	before := reply("serial")
+	for i := 0; i < 3; i++ {
+		if !exec.ResultsEqual(reply(""), before) {
+			t.Fatalf("request %d before the mutation differs from the serial reply", i)
+		}
+	}
+
+	orders := cat.MustTable("orders")
+	tail := orders.Rows() - rows
+	cols := map[string]storage.ColumnAppend{}
+	for _, name := range orders.ColumnNames() {
+		col, from := orders.MustColumn(name), tail
+		if name == "o_orderkey" {
+			from = 0 // the first orders' keys under the last orders' dates
+		}
+		if col.Data().IsString() {
+			vals := make([]string, rows)
+			for i := range vals {
+				vals[i] = col.Data().StringAt(from + i)
+			}
+			cols[name] = storage.ColumnAppend{Strs: vals}
+		} else {
+			cols[name] = storage.ColumnAppend{Ints: col.Values()[from : from+rows]}
+		}
+	}
+	trunc, _ := json.Marshal(truncateRequest{Table: "orders", Rows: rows})
+	app, _ := json.Marshal(appendRequest{Table: "orders", Columns: cols})
+	for _, m := range []struct {
+		path string
+		body []byte
+	}{{"/admin/truncate", trunc}, {"/admin/append", app}} {
+		if code := postJSON(t, srv, http.MethodPost, m.path, m.body, nil); code != http.StatusOK {
+			t.Fatalf("%s status %d", m.path, code)
+		}
+	}
+
+	after := reply("serial")
+	if exec.ResultsEqual(after, before) {
+		t.Fatal("the mutation did not change Q4's serial reply; the test no longer exercises a stale index")
+	}
+	for i := 0; i < 3; i++ {
+		if got := reply(""); !exec.ResultsEqual(got, after) {
+			t.Fatalf("adaptive request %d after the mutation counts %v, serial counts %v", i, got[1].Col.Values(), after[1].Col.Values())
+		}
+	}
+}
+
 // TestAdminAppendValidation: malformed mutations are 400s (or 404 for an
 // unknown tenant) and never bump an epoch.
 func TestAdminAppendValidation(t *testing.T) {

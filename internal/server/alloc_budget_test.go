@@ -62,6 +62,15 @@ type allocBaseline struct {
 	// marshal and the single-flight gate (one atomic load, zero allocs).
 	ResultsMaxAllocsPerOp float64 `json:"results_max_allocs_per_op"`
 	ResultsMeasuredAllocs float64 `json:"results_measured_allocs_per_op"`
+	// Join budget: converged TPC-H Q9 (the BenchmarkServeHotJoin shape), in
+	// allocations and in bytes — the join's two oid vectors and the group
+	// table are what used to be made per clone per request.
+	JoinMaxAllocsPerOp  float64 `json:"join_max_allocs_per_op"`
+	JoinMeasuredAllocs  float64 `json:"join_measured_allocs_per_op"`
+	JoinPR19AllocsPerOp float64 `json:"join_pr19_allocs_per_op"`
+	JoinMaxBytesPerOp   float64 `json:"join_max_bytes_per_op"`
+	JoinMeasuredBytes   float64 `json:"join_measured_bytes_per_op"`
+	JoinPR19BytesPerOp  float64 `json:"join_pr19_bytes_per_op"`
 }
 
 func loadAllocBaseline(t *testing.T) allocBaseline {
@@ -124,6 +133,40 @@ func TestServeHotAllocBudget(t *testing.T) {
 		t.Fatalf("hot serve loop allocates %.0f/op, budget is %.0f/op (seed was %.0f/op) — "+
 			"either a hot-path allocation regressed or testdata/alloc_baseline.json needs a deliberate bump",
 			got, base.MaxAllocsPerOp, base.SeedAllocsPerOp)
+	}
+}
+
+// TestServeHotJoinAllocBudget is the same gate for a join/group plan: the
+// converged TPC-H Q9 serve loop (the BenchmarkServeHotJoin shape) must stay
+// within its recorded allocations AND bytes per request. Bytes are the point:
+// before PR 20 every join clone made two len(outer) vectors and every group
+// clone a Go map per request (566 KB/op); arena-fed join outputs and the
+// pooled key table leave the group ids and the result columns.
+func TestServeHotJoinAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget measured in full (non -short) runs")
+	}
+	base := loadAllocBaseline(t)
+	if base.JoinMaxAllocsPerOp <= 0 || base.JoinMaxBytesPerOp <= 0 {
+		t.Fatal("baseline missing join_max_allocs_per_op / join_max_bytes_per_op")
+	}
+	s := newBudgetServer(t)
+	body := []byte(`{"query":9}`)
+	convergeQuery(t, s, body)
+	s.sync.Flush()
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serveOnce(b, s, body)
+		}
+	})
+	allocs, bytes := float64(res.AllocsPerOp()), float64(res.AllocedBytesPerOp())
+	t.Logf("hot join serve loop: %.0f allocs/op, %.0f B/op (budget %.0f / %.0f, PR 19 %.0f / %.0f)",
+		allocs, bytes, base.JoinMaxAllocsPerOp, base.JoinMaxBytesPerOp, base.JoinPR19AllocsPerOp, base.JoinPR19BytesPerOp)
+	if allocs > base.JoinMaxAllocsPerOp || bytes > base.JoinMaxBytesPerOp {
+		t.Fatalf("hot join serve loop allocates %.0f/op and %.0f B/op, budget is %.0f/op and %.0f B/op — "+
+			"either a join/group allocation came back or testdata/alloc_baseline.json needs a deliberate bump",
+			allocs, bytes, base.JoinMaxAllocsPerOp, base.JoinMaxBytesPerOp)
 	}
 }
 

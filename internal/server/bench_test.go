@@ -94,6 +94,26 @@ func BenchmarkServeHot(b *testing.B) {
 	b.ReportMetric(virt/float64(b.N), "virtual-ns/query")
 }
 
+// BenchmarkServeHotJoin is the join/group counterpart of BenchmarkServeHot:
+// TPC-H Q9 (lineitem joined to a LIKE-filtered part intermediate and then to
+// supplier, profit grouped per nation) served through a converged session.
+// B/op is what the join and group kernels leave to the garbage collector per
+// request once their outputs live in arena slots; TestServeHotJoinAllocBudget
+// pins it beside allocs/op.
+func BenchmarkServeHotJoin(b *testing.B) {
+	s := newBenchServer(b)
+	body := []byte(`{"query":9}`)
+	convergeQuery(b, s, body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var virt float64
+	for i := 0; i < b.N; i++ {
+		qr := serveOnce(b, s, body)
+		virt += qr.LatencyNs
+	}
+	b.ReportMetric(virt/float64(b.N), "virtual-ns/query")
+}
+
 // BenchmarkServeAdaptiveWarmup is the ISSUE 4 cold path: each iteration
 // drives a FRESH query fingerprint through its entire adaptive convergence,
 // so every measured request is a converging step — plan mutation,

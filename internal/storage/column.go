@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/vec"
@@ -130,18 +131,118 @@ func (c *Column) ValueAtOid(oid int64) int64 {
 // are cached on the base column keyed by the covered oid range, so two cloned
 // join operators probing the same inner share one build — the behaviour the
 // paper relies on when only the outer join input is partitioned (§2.1).
+//
+// The index is a CSR multimap: oids holds every head oid grouped by key, in
+// ascending oid order within a key, and bucket b's matches are
+// oids[starts[b]:starts[b+1]]. When the keys' range is small against the
+// tuple count (directSpan — TPC-H/DS keys) a key's bucket is v − min; sparse
+// keys go through a KeyTable and the bucket is the key's id.
 type HashIndex struct {
-	index map[int64][]int64
-	// tuples counts entries, exposed for cost accounting.
-	tuples int64
+	oids   []int64
+	starts []int32
+	min    int64     // direct form
+	span   uint64    // direct form: largest valid v − min
+	table  *KeyTable // sparse form; nil in the direct form
 }
 
-// Lookup returns the head oids whose value equals v. The returned slice must
-// be treated as read-only.
-func (h *HashIndex) Lookup(v int64) []int64 { return h.index[v] }
+// Lookup returns the head oids whose value equals v, ascending. The returned
+// slice must be treated as read-only.
+func (h *HashIndex) Lookup(v int64) []int64 {
+	b := uint64(v) - uint64(h.min)
+	if h.table != nil {
+		id, ok := h.table.Find(v)
+		if !ok {
+			return nil
+		}
+		b = uint64(id)
+	} else if b > h.span {
+		return nil
+	}
+	return h.oids[h.starts[b]:h.starts[b+1]]
+}
+
+// Probe looks up every value of vals, whose head oids start at seq, and
+// appends one (outer oid, matching oid) pair per match to the two vectors:
+// outer oids in scan order, each one's matches ascending. The vectors must be
+// equally long; when their capacity runs out it is at least doubled.
+func (h *HashIndex) Probe(louter, rinner, vals []int64, seq int64) ([]int64, []int64) {
+	n := len(louter)
+	l, r := louter[:cap(louter)], rinner[:cap(rinner)]
+	emit := func(oid int64, matches []int64) {
+		if need := n + len(matches); need > len(l) || need > len(r) {
+			l = slices.Grow(l[:n], max(n, len(matches)))
+			r = slices.Grow(r[:n], max(n, len(matches)))
+			l, r = l[:cap(l)], r[:cap(r)]
+		}
+		for _, m := range matches {
+			l[n], r[n] = oid, m
+			n++
+		}
+	}
+	if t := h.table; t != nil {
+		// KeyTable.Find, spelled out: most probes of a filtered inner miss,
+		// and a miss should cost one slot load, not a call.
+		slots, keys, shift := t.slots, t.keys, t.shift
+		mask := uint64(len(slots) - 1)
+		for i, v := range vals {
+			for p := slotOf(v, shift); slots[p] != 0; p = (p + 1) & mask {
+				if id := slots[p] - 1; keys[id] == v {
+					emit(seq+int64(i), h.oids[h.starts[id]:h.starts[id+1]])
+					break
+				}
+			}
+		}
+		return l[:n], r[:n]
+	}
+	lo, span := uint64(h.min), h.span
+	for i, v := range vals {
+		if b := uint64(v) - lo; b <= span {
+			emit(seq+int64(i), h.oids[h.starts[b]:h.starts[b+1]])
+		}
+	}
+	return l[:n], r[:n]
+}
 
 // Tuples reports how many tuples the index covers.
-func (h *HashIndex) Tuples() int64 { return h.tuples }
+func (h *HashIndex) Tuples() int64 { return int64(len(h.oids)) }
+
+// newHashIndex builds the index over vals, whose head oids start at seq: one
+// pass numbers every tuple's bucket, a counting sort by bucket does the rest.
+func newHashIndex(vals []int64, seq int64) *HashIndex {
+	offsets32(len(vals))
+	h := &HashIndex{oids: make([]int64, len(vals))}
+	buckets := make([]int64, len(vals))
+	nb := 0
+	lo, hi := KeyBounds(vals)
+	if span, ok := directSpan(lo, hi, len(vals)); ok {
+		h.min, h.span = lo, span
+		for i, v := range vals {
+			buckets[i] = v - lo
+		}
+		nb = int(span) + 1
+	} else {
+		h.table = new(KeyTable)
+		h.table.Reset(lo, hi, len(vals))
+		h.table.Assign(buckets, vals)
+		nb = len(h.table.Keys())
+	}
+	// Count into starts[b+2] and prefix-sum, so starts[b+1] is bucket b's
+	// write cursor; once every oid is placed it has advanced to bucket b's
+	// end — bucket b+1's start — and starts[:nb+1] is the offset array.
+	starts := make([]int32, nb+2)
+	for _, b := range buckets {
+		starts[b+2]++
+	}
+	for b := 2; b < len(starts); b++ {
+		starts[b] += starts[b-1]
+	}
+	for i, b := range buckets {
+		h.oids[starts[b+1]] = seq + int64(i)
+		starts[b+1]++
+	}
+	h.starts = starts[:nb+1]
+	return h
+}
 
 // Hash returns the hash index over the receiver's full range, building it on
 // first use. The second return value reports whether this call performed the
@@ -159,11 +260,7 @@ func (c *Column) Hash() (*HashIndex, bool) {
 	if h, ok := base.hashes[key]; ok {
 		return h, false
 	}
-	h := &HashIndex{index: make(map[int64][]int64, c.Len()), tuples: int64(c.Len())}
-	vals := c.data.Values()
-	for i, v := range vals {
-		h.index[v] = append(h.index[v], c.seq+int64(i))
-	}
+	h := newHashIndex(c.data.Values(), c.seq)
 	base.hashes[key] = h
 	return h, true
 }

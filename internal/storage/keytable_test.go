@@ -1,0 +1,142 @@
+package storage
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// keyShapes are key columns that force each form of the hash structures and
+// sit on their edges. The int64 sentinels the algebra uses for open ranges
+// are math.MinInt64 / math.MaxInt64 themselves.
+func keyShapes() map[string][]int64 {
+	r := rand.New(rand.NewSource(3))
+	dense := make([]int64, 500)
+	for i := range dense {
+		dense[i] = 1000 + int64(r.Intn(120)) // span 120 < 4·500: direct
+	}
+	sparse := make([]int64, 500)
+	for i := range sparse {
+		sparse[i] = int64(r.Intn(90)) * 1_000_003 // ~90 keys over a huge span: probing, grows past 64 slots
+	}
+	unique := make([]int64, 3000) // every key once: the probing table doubles many times
+	for i := range unique {
+		unique[i] = int64(i) * 7919
+	}
+	return map[string][]int64{
+		"empty":     {},
+		"one":       {42},
+		"all-equal": {7, 7, 7, 7, 7},
+		"dense":     dense,
+		"sparse":    sparse,
+		"unique":    unique,
+		"edges":     {math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1, math.MinInt64 + 1, math.MaxInt64 - 1},
+		"min-only":  {math.MinInt64, math.MinInt64 + 2, math.MinInt64 + 1, math.MinInt64},
+		"max-only":  {math.MaxInt64, math.MaxInt64 - 2, math.MaxInt64},
+	}
+}
+
+// refLookup is the map-backed index build the CSR form replaced.
+func refLookup(vals []int64, seq int64) map[int64][]int64 {
+	m := make(map[int64][]int64, len(vals))
+	for i, v := range vals {
+		m[v] = append(m[v], seq+int64(i))
+	}
+	return m
+}
+
+func TestHashIndexMatchesMapIndex(t *testing.T) {
+	for name, vals := range keyShapes() {
+		base := NewIntColumn(name, append([]int64{-5, -5, -5}, vals...))
+		col := base.View(3, base.Len()) // Seq() != 0, like every partition
+		idx, built := col.Hash()
+		if !built || idx.Tuples() != int64(len(vals)) {
+			t.Fatalf("%s: built=%v tuples=%d, want a fresh index over %d", name, built, idx.Tuples(), len(vals))
+		}
+		if again, rebuilt := col.Hash(); rebuilt || again != idx {
+			t.Fatalf("%s: second Hash() rebuilt", name)
+		}
+		want := refLookup(vals, col.Seq())
+		probes := append([]int64{math.MinInt64, math.MaxInt64, 0, -1, 1, 999, 1120, 1121}, vals...)
+		for _, v := range vals {
+			probes = append(probes, v-1, v+1)
+		}
+		for _, v := range probes {
+			if got := idx.Lookup(v); !slices.Equal(got, want[v]) {
+				t.Fatalf("%s: Lookup(%d) = %v, want %v", name, v, got, want[v])
+			}
+		}
+		// Probe is Lookup over a whole vector, appended past a dirty,
+		// too-small destination.
+		var wantL, wantR []int64
+		for i, v := range probes {
+			for _, oid := range want[v] {
+				wantL, wantR = append(wantL, 100+int64(i)), append(wantR, oid)
+			}
+		}
+		l, r := idx.Probe([]int64{-9, -9}[:0], []int64{-9}[:0], probes, 100)
+		if !slices.Equal(l, wantL) || !slices.Equal(r, wantR) {
+			t.Fatalf("%s: Probe returned %d/%d pairs, want %d", name, len(l), len(r), len(wantL))
+		}
+	}
+}
+
+func TestHashIndexFormFollowsKeyRange(t *testing.T) {
+	shapes := keyShapes()
+	for name, direct := range map[string]bool{
+		"dense": true, "all-equal": true, "one": true, "min-only": true, "max-only": true,
+		"sparse": false, "unique": false, "edges": false, "empty": false,
+	} {
+		if idx := newHashIndex(shapes[name], 0); (idx.table == nil) != direct {
+			t.Errorf("%s: direct form = %v, want %v", name, idx.table == nil, direct)
+		}
+	}
+}
+
+func TestKeyTableAssignsFirstAppearanceIDs(t *testing.T) {
+	for name, vals := range keyShapes() {
+		var tab KeyTable
+		for round := 0; round < 2; round++ { // the second round reuses the arrays
+			lo, hi := KeyBounds(vals)
+			tab.Reset(lo, hi, len(vals))
+			ids := make([]int64, len(vals))
+			half := len(vals) / 2
+			tab.Assign(ids[:half], vals[:half]) // ids continue across calls
+			tab.Assign(ids[half:], vals[half:])
+
+			var uniq []int64
+			seen := map[int64]int64{}
+			for i, v := range vals {
+				id, ok := seen[v]
+				if !ok {
+					id = int64(len(uniq))
+					seen[v] = id
+					uniq = append(uniq, v)
+				}
+				if ids[i] != id {
+					t.Fatalf("%s round %d: id of vals[%d]=%d is %d, want %d", name, round, i, v, ids[i], id)
+				}
+			}
+			if !slices.Equal(tab.Keys(), uniq) {
+				t.Fatalf("%s round %d: %d keys, want %d in first-appearance order", name, round, len(tab.Keys()), len(uniq))
+			}
+			for _, v := range append([]int64{math.MinInt64, math.MaxInt64, 5}, vals...) {
+				id, ok := tab.Find(v)
+				if want, has := seen[v]; ok != has || (ok && int64(id) != want) {
+					t.Fatalf("%s round %d: Find(%d) = %d, %v, want %d, %v", name, round, v, id, ok, want, has)
+				}
+			}
+		}
+	}
+}
+
+func TestHashStructuresRefuseColumnsBeyondInt32(t *testing.T) {
+	offsets32(math.MaxInt32 - 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("offsets32 accepted a tuple count its int32 offsets cannot address")
+		}
+	}()
+	offsets32(math.MaxInt32)
+}
