@@ -7,8 +7,6 @@ import (
 	"repro/internal/heuristic"
 	"repro/internal/plan"
 	"repro/internal/plancache"
-	"repro/internal/vectorwise"
-	"repro/internal/worksteal"
 )
 
 // MutationConfig tunes adaptive plan mutation (§2 of the paper).
@@ -119,20 +117,36 @@ func (e *Engine) HeuristicPlan(q *Query, k int) (*Query, error) {
 	return &Query{p: p}, nil
 }
 
-// WorkStealingPlan statically over-partitions q (128 partitions by default)
-// for work-stealing-style execution (Figure 12's second configuration).
+// WorkStealingPlan statically over-partitions q (the paper's 128 partitions
+// on 8 threads when partitions is 0) for work-stealing-style execution, Figure
+// 12's second configuration: threads that finish early pick up the remaining
+// small partitions while threads on skewed ones stay busy [5]. On the
+// discrete-event machine the dataflow scheduler's greedy dispatch of ready
+// partition tasks onto idle cores is list scheduling, which is what a
+// work-stealing runtime converges to for independent equal-priority tasks, so
+// the comparison is about partition granularity versus skew, not steal-queue
+// mechanics (docs/ARCHITECTURE.md §scale) — the plan is the heuristic's, only
+// finer.
 func (e *Engine) WorkStealingPlan(q *Query, partitions int) (*Query, error) {
-	p, err := worksteal.Plan(q.p, e.inner.Catalog(), partitions)
+	if partitions <= 0 {
+		partitions = 128
+	}
+	p, err := heuristic.Parallelize(q.p, e.inner.Catalog(), heuristic.Config{Partitions: partitions})
 	if err != nil {
 		return nil, err
 	}
 	return &Query{p: p}, nil
 }
 
-// VectorwisePlan builds the simulated comparator's static exchange plan;
-// execute it with ExecuteVectorwise so its cost calibration applies.
+// VectorwisePlan builds the static exchange plan of the simulated comparator
+// of §4.2.4 (Vectorwise 3.5.1, a pipelined vectorized column store with
+// cost-model-based exchange-operator plans): the heuristic plan at the
+// machine's logical core count. What makes it the comparator is how it is
+// run — ExecuteVectorwise's cost calibration (cost.Vectorwise: higher
+// dispatch and a per-tuple exchange cost on packs, which §4.1.2 cites [30]
+// for) and, under concurrency, the admission-control core budgets.
 func (e *Engine) VectorwisePlan(q *Query) (*Query, error) {
-	p, err := vectorwise.Plan(q.p, e.inner.Catalog(), e.Machine().LogicalCores())
+	p, err := heuristic.Parallelize(q.p, e.inner.Catalog(), heuristic.Config{Partitions: e.Machine().LogicalCores()})
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +156,7 @@ func (e *Engine) VectorwisePlan(q *Query) (*Query, error) {
 // ExecuteVectorwise runs q under the Vectorwise cost calibration with an
 // optional core budget (0 = unlimited) from the admission-control scheme.
 func (e *Engine) ExecuteVectorwise(q *Query, maxCores int) (*Result, error) {
-	params := vectorwise.Params()
+	params := cost.Vectorwise()
 	job, err := e.inner.Submit(q.p, execJobOptions(maxCores, &params))
 	if err != nil {
 		return nil, err
@@ -157,7 +171,7 @@ func (e *Engine) ExecuteVectorwise(q *Query, maxCores int) (*Result, error) {
 // VectorwiseAdmissionMaxCores exposes the comparator's admission-control
 // policy (§4.2.4).
 func VectorwiseAdmissionMaxCores(clientIndex, activeClients, cores int) int {
-	return vectorwise.AdmissionMaxCores(clientIndex, activeClients, cores)
+	return exec.AdmissionMaxCores(clientIndex, activeClients, cores)
 }
 
 // AdaptiveCache is the plan-administration component of the paper's §2

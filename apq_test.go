@@ -117,6 +117,11 @@ func TestHeuristicWorkStealVectorwisePlans(t *testing.T) {
 	if !ResultsEqual(serialRes, wsRes) {
 		t.Fatal("WS diverges")
 	}
+	if def, err := eng.WorkStealingPlan(q, 0); err != nil {
+		t.Fatal(err)
+	} else if def.MaxDOP() != 128 {
+		t.Fatalf("default WS DOP = %d, want the paper's 128 partitions", def.MaxDOP())
+	}
 
 	vw, err := eng.VectorwisePlan(q)
 	if err != nil {

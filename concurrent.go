@@ -2,7 +2,7 @@ package apq
 
 import (
 	"repro/internal/cost"
-	"repro/internal/vectorwise"
+	"repro/internal/exec"
 	"repro/internal/workload"
 )
 
@@ -32,11 +32,11 @@ func (e *Engine) RunConcurrent(clients int, mix []*Query, opts ConcurrentOptions
 		cfg.Plans = append(cfg.Plans, q.p)
 	}
 	if opts.Vectorwise {
-		params := vectorwise.Params()
+		params := cost.Vectorwise()
 		cfg.CostParams = &params
 		cores := e.Machine().LogicalCores()
 		cfg.MaxCores = func(client, active int) int {
-			return vectorwise.AdmissionMaxCores(client, active, cores)
+			return exec.AdmissionMaxCores(client, active, cores)
 		}
 	}
 	return workload.RunConcurrent(e.inner, clients, cfg)

@@ -156,6 +156,65 @@ func TestReopenForDataMidAdaptation(t *testing.T) {
 	}
 }
 
+// TestReopenDropsFoldedProfiles: a session reopened every epoch must not pin
+// one profile and one result set per request it ever served. After k data
+// reopens only the serial run and the current instance's runs still hold
+// theirs; the trace itself (Attempts, Report.History) keeps every run, and
+// VerifyResults still holds each new run against the serial run's results.
+func TestReopenDropsFoldedProfiles(t *testing.T) {
+	eng := exec.NewEngine(testCatalog(200_000), testMachine(), cost.Default())
+	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), ConvergenceConfig{})
+	s.VerifyResults = true
+	if _, err := s.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 4; cycle++ {
+		before := len(s.Attempts())
+		if !s.ReopenForData(0) {
+			t.Fatal("ReopenForData refused a converged session")
+		}
+		if len(s.Attempts()) != before {
+			t.Fatalf("cycle %d: the fold changed the attempt count %d -> %d", cycle, before, len(s.Attempts()))
+		}
+		for !s.Done() {
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err) // includes a VerifyResults mismatch with the serial run
+			}
+			if len(s.Attempts())-before > 60 {
+				t.Fatal("warm re-convergence did not halt within 60 runs")
+			}
+		}
+		att := s.Attempts()
+		held := 0
+		for i, a := range att {
+			if a.Plan == nil || a.ExecNs <= 0 {
+				t.Fatalf("cycle %d: attempt %d lost its plan or time", cycle, i)
+			}
+			if (a.Profile != nil) != (a.Results != nil) {
+				t.Fatalf("cycle %d: attempt %d holds a profile xor results", cycle, i)
+			}
+			if a.Profile != nil {
+				held++
+			}
+		}
+		if att[0].Profile == nil || att[len(att)-1].Profile == nil {
+			t.Fatalf("cycle %d: the serial or the latest attempt lost its profile", cycle)
+		}
+		if instance := len(att) - before; held > instance+1 {
+			t.Fatalf("cycle %d: %d of %d attempts hold a profile, the current instance ran %d", cycle, held, len(att), instance)
+		}
+		rep := s.Report()
+		if len(rep.Attempts) != len(att) || len(rep.History) != len(att) {
+			t.Fatalf("cycle %d: report lists %d attempts / %d history entries of %d runs", cycle, len(rep.Attempts), len(rep.History), len(att))
+		}
+		for i, ns := range rep.History {
+			if ns != att[i].ExecNs {
+				t.Fatalf("cycle %d: history[%d] = %v, attempt ran %v", cycle, i, ns, att[i].ExecNs)
+			}
+		}
+	}
+}
+
 // TestReopenForDrift: a session converged unthrottled serves under a small
 // admission budget; the drift reopen restarts exploration from serial, sized
 // to the observed budget, and lands on a plan that serves the budget at least

@@ -10,7 +10,9 @@ import (
 
 // Attempt records one adaptive run: the plan executed, its measured
 // execution time, the full profile, and the mutation that produced the plan
-// (MutationNone for the serial 0th run).
+// (MutationNone for the serial 0th run). Profile and Results are dropped
+// when a reopen folds the attempt's convergence instance (the serial 0th run
+// keeps both); Plan, ExecNs and Mutation stay for the whole trace.
 type Attempt struct {
 	Plan     *plan.Plan
 	ExecNs   float64

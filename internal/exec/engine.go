@@ -59,10 +59,9 @@ const (
 // dependency graph): the exchange union whose clones write disjoint ranges
 // of one shared result buffer so the pack becomes a view.
 type schedGroup struct {
-	pack      int32
-	clones    []int32
-	sliced    bool
-	anchorArg int8
+	pack   int32
+	clones []int32
+	sliced bool
 	// parentGroup is the parent schedule's group this one was remapped from
 	// during incremental derivation (-1 otherwise); arena adoption uses it
 	// to hand the parent's shared exchange buffer to the child group.
@@ -72,12 +71,10 @@ type schedGroup struct {
 	// rewritten by the next invocation.
 	recycle bool
 	parts   []plan.Part // per clone, for sliced-shape offsets
-	// anchorVar / anchorProducer / anchorRet locate each clone's anchor
-	// value for propagated-shape offsets (prefix sums of anchor lengths,
-	// resolvable once every anchor's producer has evaluated).
-	anchorVar      []plan.VarID
-	anchorProducer []int32
-	anchorRet      []int8
+	// anchorVar names each clone's anchor value for propagated-shape offsets
+	// (prefix sums of anchor lengths, resolvable once every anchor has been
+	// evaluated into env).
+	anchorVar []plan.VarID
 }
 
 // planSchedule is the per-plan execution scaffolding that is identical
@@ -237,18 +234,6 @@ func newPlanSchedule(n int) *planSchedule {
 	}
 }
 
-// retIndexOf builds the per-variable result-position table (companion to
-// plan.Producers).
-func retIndexOf(p *plan.Plan) []int8 {
-	retIndex := make([]int8, p.NVars())
-	for _, in := range p.Instrs {
-		for ri, r := range in.Rets {
-			retIndex[r] = int8(ri)
-		}
-	}
-	return retIndex
-}
-
 // buildSchedule compiles p from scratch: the argument-dependency graph
 // (pending counts, waiter lists, roots) and the buffer plan.
 func buildSchedule(p *plan.Plan) *planSchedule {
@@ -260,7 +245,7 @@ func buildSchedule(p *plan.Plan) *planSchedule {
 			s.roots = append(s.roots, int32(i))
 		}
 	}
-	s.planBuffers(p, producer, retIndexOf(p), nil, nil)
+	s.planBuffers(p, producer, nil, nil)
 	return s
 }
 
@@ -331,7 +316,7 @@ func deriveSchedule(child *plan.Plan, parent *planSchedule, d *plan.Diff) (*plan
 			s.roots = append(s.roots, int32(i))
 		}
 	}
-	s.planBuffers(child, producer, retIndexOf(child), parent, d)
+	s.planBuffers(child, producer, parent, d)
 	return s, nil
 }
 
@@ -350,7 +335,7 @@ func deriveSchedule(child *plan.Plan, parent *planSchedule, d *plan.Diff) (*plan
 // for (claim state may differ), are evaluated from scratch in the same
 // greedy plan order PackGroups uses, so the derived grouping is identical to
 // a full recompilation's.
-func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, retIndex []int8, parent *planSchedule, d *plan.Diff) {
+func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, parent *planSchedule, d *plan.Diff) {
 	for i := range s.cloneOf {
 		s.cloneOf[i], s.memberOf[i], s.packGroup[i] = -1, -1, -1
 	}
@@ -394,7 +379,7 @@ func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, retIndex []in
 		if !ok {
 			continue
 		}
-		addGroup(buildGroup(p, g, producer, retIndex, resultArg))
+		addGroup(buildGroup(p, g, resultArg))
 	}
 	for i, in := range p.Instrs {
 		if s.cloneOf[i] >= 0 {
@@ -432,9 +417,8 @@ func outClass(p *plan.Plan, in *plan.Instr, r int) uint8 {
 	return bufNone
 }
 
-// buildGroup resolves a plan.PackGroup against the dependency indexes into
-// the executor's schedGroup form.
-func buildGroup(p *plan.Plan, g plan.PackGroup, producer []int32, retIndex []int8, resultArg []bool) schedGroup {
+// buildGroup resolves a plan.PackGroup into the executor's schedGroup form.
+func buildGroup(p *plan.Plan, g plan.PackGroup, resultArg []bool) schedGroup {
 	pk := p.Instrs[g.Pack]
 	sg := schedGroup{
 		pack:        int32(g.Pack),
@@ -442,19 +426,15 @@ func buildGroup(p *plan.Plan, g plan.PackGroup, producer []int32, retIndex []int
 		recycle:     !resultArg[pk.Rets[0]],
 		parentGroup: -1,
 	}
-	proto := p.Instrs[g.Clones[0]]
-	sg.anchorArg = int8(plan.SliceArgs(proto.Op)[0])
+	anchorArg := plan.SliceArgs(p.Instrs[g.Clones[0]].Op)[0]
 	for _, ci := range g.Clones {
 		c := p.Instrs[ci]
 		if resultArg[c.Rets[0]] {
 			sg.recycle = false
 		}
-		av := c.Args[sg.anchorArg]
 		sg.clones = append(sg.clones, int32(ci))
 		sg.parts = append(sg.parts, c.Part)
-		sg.anchorVar = append(sg.anchorVar, av)
-		sg.anchorProducer = append(sg.anchorProducer, producer[av])
-		sg.anchorRet = append(sg.anchorRet, retIndex[av])
+		sg.anchorVar = append(sg.anchorVar, c.Args[anchorArg])
 	}
 	return sg
 }
@@ -470,15 +450,12 @@ func remapGroup(pg *schedGroup, pgi, pack int32, d *plan.Diff, claimed []bool, p
 	sg := schedGroup{
 		pack:        pack,
 		sliced:      pg.sliced,
-		anchorArg:   pg.anchorArg,
 		recycle:     !resultArg[p.Instrs[pack].Rets[0]],
 		parentGroup: pgi,
 		parts:       pg.parts,
 		anchorVar:   pg.anchorVar,
-		anchorRet:   pg.anchorRet,
 	}
 	sg.clones = make([]int32, len(pg.clones))
-	sg.anchorProducer = make([]int32, len(pg.clones))
 	for m, pci := range pg.clones {
 		ci := d.ChildOf[pci]
 		if ci < 0 || claimed[ci] {
@@ -488,11 +465,6 @@ func remapGroup(pg *schedGroup, pgi, pack int32, d *plan.Diff, claimed []bool, p
 		if resultArg[p.Instrs[ci].Rets[0]] {
 			sg.recycle = false
 		}
-		prod := pg.anchorProducer[m]
-		if prod >= 0 {
-			prod = d.ChildOf[prod]
-		}
-		sg.anchorProducer[m] = prod
 	}
 	return sg, true
 }
@@ -513,14 +485,14 @@ type groupRun struct {
 // jobArena holds every run-state buffer of one plan invocation. It is
 // checked out of the plan's schedule at submit and returned at completion,
 // so repeated invocations of a cached plan (the converged serving path)
-// allocate almost nothing: dependency counters, the task slab, kernel
-// output buffers and shared exchange buffers are all rewritten in place.
+// allocate almost nothing: the value store (env, the one home of every
+// result), dependency counters, the sim-task slab, kernel output buffers and
+// shared exchange buffers are all rewritten in place.
 // Failed jobs never return their arena (their simulated tasks may still
 // drain), so a fresh one is built on the next invocation.
 type jobArena struct {
-	env       []Value
+	env       []Value // zero at submit (release clears it): a zero entry is a variable not evaluated yet
 	pending   []int32
-	evald     []bool // instruction evaluated (results exist in its task slab)
 	tasks     []instrTask
 	args      []Value      // resolveArgs scratch
 	bufs      [][2][]int64 // per-instruction, per-result recycled output buffers
@@ -578,48 +550,30 @@ func sameInt64s(a, b []int64) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
+// sized returns slab with length n, reallocated only when its capacity is
+// short (a slab that fits keeps its contents: settled buffers, memoized
+// wrappers).
+func sized[T any](slab []T, n int) []T {
+	if cap(slab) < n {
+		return make([]T, n)
+	}
+	return slab[:n]
+}
+
 // prepare sizes the arena for the plan and resets per-run state.
 func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	n := len(p.Instrs)
-	if cap(a.env) < p.NVars() {
-		a.env = make([]Value, p.NVars())
-	}
-	a.env = a.env[:p.NVars()]
-	if cap(a.pending) < n {
-		a.pending = make([]int32, n)
-	}
-	a.pending = a.pending[:n]
+	a.env = sized(a.env, p.NVars())
+	a.pending = sized(a.pending, n)
 	copy(a.pending, s.pending)
-	if cap(a.evald) < n {
-		a.evald = make([]bool, n)
-	}
-	a.evald = a.evald[:n]
-	for i := range a.evald {
-		a.evald[i] = false
-	}
-	if cap(a.tasks) < n {
-		a.tasks = make([]instrTask, n)
-	}
-	a.tasks = a.tasks[:n]
-	if cap(a.bufs) < n {
-		a.bufs = make([][2][]int64, n)
-	}
-	a.bufs = a.bufs[:n]
-	if cap(a.outCols) < n {
-		a.outCols = make([]outColCache, n)
-	}
-	a.outCols = a.outCols[:n]
-	if cap(a.argViews) < n {
-		a.argViews = make([][2]argViewCache, n)
-	}
-	a.argViews = a.argViews[:n]
+	a.tasks = sized(a.tasks, n)
+	a.bufs = sized(a.bufs, n)
+	a.outCols = sized(a.outCols, n)
+	a.argViews = sized(a.argViews, n)
 	if len(a.groupBufs) < len(s.groups) {
 		a.groupBufs = make([][]int64, len(s.groups))
 	}
-	if cap(a.groupRuns) < len(s.groups) {
-		a.groupRuns = make([]groupRun, len(s.groups))
-	}
-	a.groupRuns = a.groupRuns[:len(s.groups)]
+	a.groupRuns = sized(a.groupRuns, len(s.groups))
 	for i := range a.groupRuns {
 		gr := &a.groupRuns[i]
 		gr.bld = nil
@@ -684,9 +638,8 @@ func (a *jobArena) release(s *planSchedule) {
 		a.env[i] = Value{}
 	}
 	for i := range a.tasks {
-		// The whole slab entry: retv holds result values and j keeps the
-		// dead PlanJob (and through it the run's results and profile)
-		// reachable for as long as the schedule stays cached.
+		// j keeps the dead PlanJob (and through it the run's results and
+		// profile) reachable for as long as the schedule stays cached.
 		a.tasks[i] = instrTask{}
 	}
 	for i := range a.args {
@@ -769,6 +722,21 @@ type JobOptions struct {
 	Catalog *storage.Catalog
 }
 
+// AdmissionMaxCores is the admission-control scheme the paper describes for
+// its comparator system (§4.2.4: "resources are allocated based on the number
+// of connected clients and the system load. During a heavy concurrent
+// workload the first client's query gets all the resources, while the queries
+// from the remaining clients get less resources") and the serving daemon
+// applies per shard. It computes JobOptions.MaxCores: the first active client
+// keeps the full machine; later clients share what remains, degrading toward
+// serial execution as the client count grows.
+func AdmissionMaxCores(clientIndex, activeClients, cores int) int {
+	if clientIndex == 0 || activeClients <= 1 {
+		return cores
+	}
+	return max(cores/activeClients, 1)
+}
+
 // Submit schedules p for execution starting at the machine's current virtual
 // time. Call Engine.Run (or Machine().Run()) to drive the simulation. The
 // plan's validation, dependency graph and buffer plan are cached per plan
@@ -776,6 +744,24 @@ type JobOptions struct {
 // path) pay only a counter-slice copy and reuse the previous invocation's
 // arena buffers.
 func (e *Engine) Submit(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
+	j, err := e.newJob(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range j.sched.roots {
+		j.run(int(i))
+	}
+	if j.Err != nil {
+		// A root (a bind) failed before the caller could set OnDone.
+		return nil, j.Err
+	}
+	return j, nil
+}
+
+// newJob compiles p (or finds its cached compilation), checks an arena out
+// and binds the job's catalog and cost model; nothing is evaluated or
+// submitted yet.
+func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	sched, err := e.scheduleFor(p, opts)
 	if err != nil {
 		return nil, err
@@ -813,9 +799,6 @@ func (e *Engine) Submit(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 		params = *opts.CostParams
 	}
 	j.costParams = params
-	for _, i := range sched.roots {
-		j.submitInstr(int(i))
-	}
 	return j, nil
 }
 
@@ -830,13 +813,10 @@ func (j *PlanJob) fail(err error) {
 	}
 }
 
-// instrTask carries one scheduled instruction through the simulator: the
-// sim task, its evaluated results, and the profiling state, in a single
-// slab entry of the job's arena (it implements sim.TaskHooks, so no
-// per-task closures, and results live inline, so no per-task ret slices).
-// retv's capacity bounds an opcode's result count; submitInstr enforces it
-// so an overflow can never silently re-allocate the slice away from the
-// slab.
+// instrTask carries one accounted instruction through the simulator: the sim
+// task and the profiling state, in a single slab entry of the job's arena (it
+// implements sim.TaskHooks, so no per-task closures). It holds no values:
+// evaluate has already published the instruction's results into env.
 type instrTask struct {
 	sim.Task
 	j       *PlanJob
@@ -844,7 +824,6 @@ type instrTask struct {
 	core    int32
 	startNs float64
 	work    algebra.Work
-	retv    [2]Value
 }
 
 // TaskStarted implements sim.TaskHooks.
@@ -853,8 +832,12 @@ func (it *instrTask) TaskStarted(now float64, core int) {
 	it.core = int32(core)
 }
 
-// TaskCompleted implements sim.TaskHooks: results become visible, waiting
-// instructions are released, and the op is profiled.
+// TaskCompleted implements sim.TaskHooks: the op is profiled and the
+// instructions waiting on it are released. The dependency bookkeeping
+// (pending / waiters) lives here, with virtual completion, and nowhere else:
+// an instruction runs only after every producer of its arguments has
+// virtually completed, so that evaluate published those arguments into env
+// earlier than that is invisible to it.
 func (it *instrTask) TaskCompleted(now float64, core int) {
 	j := it.j
 	idx := int(it.idx)
@@ -862,9 +845,6 @@ func (it *instrTask) TaskCompleted(now float64, core int) {
 	j.Profile.Ops = append(j.Profile.Ops, OpExec{
 		Instr: idx, Op: in.Op, StartNs: it.startNs, EndNs: now, Core: int(it.core), Work: it.work,
 	})
-	for k, r := range in.Rets {
-		j.env[r] = it.retv[k]
-	}
 	if in.Op == plan.OpResult {
 		j.results = make([]Value, len(in.Args))
 		for k, a := range in.Args {
@@ -874,7 +854,7 @@ func (it *instrTask) TaskCompleted(now float64, core int) {
 	for _, dep := range j.waiters[idx] {
 		j.pending[dep]--
 		if j.pending[dep] == 0 {
-			j.submitInstr(int(dep))
+			j.run(int(dep))
 		}
 	}
 	j.completed++
@@ -893,28 +873,27 @@ func (it *instrTask) TaskCompleted(now float64, core int) {
 	}
 }
 
-// submitInstr evaluates instruction idx immediately (results become visible
-// only at virtual completion) and schedules its virtual duration.
-func (j *PlanJob) submitInstr(idx int) {
+// run is the whole run loop for one released instruction: compute its
+// results, then charge the machine for them. The two halves share nothing but
+// the Work record.
+func (j *PlanJob) run(idx int) {
 	if j.Err != nil {
 		return
 	}
+	w, err := j.evaluate(idx)
+	if err != nil {
+		j.fail(err)
+		return
+	}
+	j.account(idx, w)
+}
+
+// account advances virtual time for instruction idx: it prices the Work its
+// evaluation reported, picks the home socket and submits the sim task whose
+// completion releases the instruction's waiters. It never sees a value or a
+// kernel.
+func (j *PlanJob) account(idx int, w algebra.Work) {
 	in := j.Plan.Instrs[idx]
-	it := &j.arena.tasks[idx]
-	*it = instrTask{j: j, idx: int32(idx)}
-	rets, w, everr := evalInstr(j, j.Plan, idx, in, it.retv[:0])
-	if everr != nil {
-		j.fail(everr)
-		return
-	}
-	if len(rets) > len(it.retv) {
-		// Appending past retv's capacity would have silently moved the
-		// results off the slab; no current opcode returns more than two.
-		j.fail(fmt.Errorf("exec: %s returned %d values, slab holds %d", in.Op, len(rets), len(it.retv)))
-		return
-	}
-	it.work = w
-	j.arena.evald[idx] = true
 	est := j.costParams.ForWork(in.Op, w, j.eng.mach.L3SharePerSocket())
 	home := 0
 	if sockets := j.eng.mach.Config().Sockets; sockets > 1 {
@@ -932,6 +911,8 @@ func (j *PlanJob) submitInstr(idx int) {
 			home = idx % sockets
 		}
 	}
+	it := &j.arena.tasks[idx]
+	*it = instrTask{j: j, idx: int32(idx), work: w}
 	it.Task = sim.Task{
 		Label:      in.Op.String(),
 		Job:        j.simJob,

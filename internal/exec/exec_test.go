@@ -336,3 +336,21 @@ func TestValueEqualAndString(t *testing.T) {
 		t.Fatal("ResultsEqual wrong")
 	}
 }
+
+func TestAdmissionControlPolicy(t *testing.T) {
+	if AdmissionMaxCores(0, 32, 32) != 32 {
+		t.Fatal("first client must get all cores")
+	}
+	if got := AdmissionMaxCores(5, 32, 32); got != 1 {
+		t.Fatalf("late client under heavy load got %d cores, want 1", got)
+	}
+	if got := AdmissionMaxCores(1, 4, 32); got != 8 {
+		t.Fatalf("client share = %d, want 8", got)
+	}
+	if got := AdmissionMaxCores(3, 1, 32); got != 32 {
+		t.Fatal("single active client must get all cores")
+	}
+	if got := AdmissionMaxCores(9, 64, 32); got != 1 {
+		t.Fatalf("more clients than cores: got %d, want the serial floor of 1", got)
+	}
+}

@@ -25,7 +25,7 @@ func sliceValue(v Value, lo, hi int) Value {
 // applied to the slice-able anchors. All sliced anchors of one instruction
 // share the Part (they are positionally co-aligned by construction). The
 // returned slice aliases the job's arena scratch: it is valid only until
-// the next evalInstr call, which is fine because kernels never retain it.
+// the next evaluate call, which is fine because kernels never retain it.
 // Column views are memoized per (instruction, slice-arg position) in the
 // arena: repeated runs of a cached plan slice the same source columns at the
 // same bounds, so the view objects are reused instead of re-allocated.
@@ -77,9 +77,9 @@ func reseqBase(in *plan.Instr, anchor Value) int64 {
 // first use per run it sizes the group's shared buffer: sliced groups
 // resolve their Parts against the common anchor, propagated groups take
 // prefix sums of the sibling anchors' lengths (possible only once every
-// anchor's producer has evaluated — otherwise the group is disabled for this
-// run and every member materializes privately, which the pack then
-// concatenates as before).
+// anchor has been evaluated — otherwise the group is disabled for this run
+// and every member materializes privately, which the pack then concatenates
+// as before).
 func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
 	if j.copyExchange {
 		return nil, 0
@@ -114,15 +114,16 @@ func (j *PlanJob) initGroup(gi int32, gr *groupRun) {
 	} else {
 		total := 0
 		for m := 0; m < members; m++ {
-			pr := sg.anchorProducer[m]
-			if pr < 0 || !j.arena.evald[pr] {
+			// A sibling's anchor need not have virtually completed, only
+			// been evaluated: this is the one read of env ahead of the
+			// dependency order.
+			anchor := j.env[sg.anchorVar[m]]
+			if anchor.unset() {
 				gr.disabled = true
 				return
 			}
 			offs = append(offs, total)
-			// The anchor may be evaluated but not yet virtually complete;
-			// its value then lives in the producer's task slab, not env.
-			total += j.arena.tasks[pr].retv[sg.anchorRet[m]].Len()
+			total += anchor.Len()
 		}
 		offs = append(offs, total)
 	}
@@ -288,13 +289,16 @@ func (j *PlanJob) cachedCol(idx int, seq int64, vals []int64, d *vec.Dict, name 
 	return col
 }
 
-// evalInstr executes one instruction: it resolves arguments (applying the
-// partition range), dispatches to the algebra kernel, and returns the result
-// values (appended to dst, which aliases the instruction's task slab) plus
-// the Work performed. A materializing instruction asks dest where to write,
-// runs its one kernel, and hands the written length to done; who owns the
-// buffer is decided there and nowhere else.
-func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) ([]Value, algebra.Work, error) {
+// evaluate computes instruction idx: it resolves arguments (applying the
+// partition range), dispatches to the algebra kernel, publishes the result
+// values into env — the one place values live — and returns the Work
+// performed. A materializing instruction asks dest where to write, runs its
+// one kernel, and hands the written length to done; who owns the buffer is
+// decided there and nowhere else. evaluate knows nothing of virtual time: it
+// reads the job's catalog, env and arena only, so who calls it, and when
+// relative to the machine, is the caller's choice (run, today).
+func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
+	in := j.Plan.Instrs[idx]
 	cat, env := j.cat, j.env
 	args := resolveArgs(j, idx, in, env)
 	switch in.Op {
@@ -302,48 +306,48 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		aux := in.Aux.(plan.BindAux)
 		t, err := cat.Table(aux.Table)
 		if err != nil {
-			return nil, algebra.Work{}, err
+			return algebra.Work{}, err
 		}
 		c, err := t.Column(aux.Column)
 		if err != nil {
-			return nil, algebra.Work{}, err
+			return algebra.Work{}, err
 		}
-		return append(dst, ColValue(c)), algebra.Work{}, nil
+		return j.publish(in, algebra.Work{}, ColValue(c))
 
 	case plan.OpConst:
-		return append(dst, ScalarValue(in.Aux.(plan.ConstAux).Value)), algebra.Work{}, nil
+		return j.publish(in, algebra.Work{}, ScalarValue(in.Aux.(plan.ConstAux).Value))
 
 	case plan.OpSelect:
 		// Hints mirror the kernels' initial-capacity estimates, so a pooled
 		// buffer lands in the same size class a fresh allocation would.
 		oids, w := algebra.SelectInto(j.oidBufIn(idx, 0, args[0].Col.Len()/4+1), args[0].Col, in.Aux.(plan.SelectAux).Pred)
 		oids = j.oidBufOut(idx, 0, oids)
-		return append(dst, OidsValue(oids)), w, nil
+		return j.publish(in, w, OidsValue(oids))
 
 	case plan.OpSelectCand:
 		oids, w, _ := algebra.SelectWithCandsInto(j.oidBufIn(idx, 0, len(args[1].Oids)/2+1), args[0].Col, in.Aux.(plan.SelectAux).Pred, args[1].Oids)
 		oids = j.oidBufOut(idx, 0, oids)
-		return append(dst, OidsValue(oids)), w, nil
+		return j.publish(in, w, OidsValue(oids))
 
 	case plan.OpLikeSelect:
 		aux := in.Aux.(plan.LikeAux)
 		oids, w := algebra.SelectLikeInto(j.oidBufIn(idx, 0, args[0].Col.Len()/8+1), args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
 		oids = j.oidBufOut(idx, 0, oids)
-		return append(dst, OidsValue(oids)), w, nil
+		return j.publish(in, w, OidsValue(oids))
 
 	case plan.OpFetch:
 		oids, target := args[0].Oids, args[1].Col
 		d := j.dest(idx, len(oids))
 		n, w, _ := algebra.FetchInto(d.buf, oids, target)
 		col := j.done(idx, d, n, reseqBase(in, env[in.Args[0]]), target.Dict(), target.Name)
-		return append(dst, ColValue(col)), w, nil
+		return j.publish(in, w, ColValue(col))
 
 	case plan.OpFetchPos:
 		pos, src := args[0].Oids, args[1].Col
 		d := j.dest(idx, len(pos))
 		w := algebra.FetchPositionsInto(d.buf, pos, src)
 		col := j.done(idx, d, len(pos), reseqBase(in, env[in.Args[0]]), src.Dict(), src.Name)
-		return append(dst, ColValue(col)), w, nil
+		return j.publish(in, w, ColValue(col))
 
 	case plan.OpJoin:
 		// Each side is owned on its own: one may reach the result (fresh every
@@ -356,7 +360,7 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		hint := outer.Len()/16 + 1
 		lo, ro, w := algebra.HashJoinInto(j.oidBufIn(idx, 0, hint), j.oidBufIn(idx, 1, hint), outer, inner)
 		lo, ro = j.oidBufOut(idx, 0, lo), j.oidBufOut(idx, 1, ro)
-		return append(dst, OidsValue(lo), OidsValue(ro)), w, nil
+		return j.publish(in, w, OidsValue(lo), OidsValue(ro))
 
 	case plan.OpCalcVV:
 		// A calc is positionally aligned with its inputs, so its output
@@ -369,7 +373,7 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		col := j.done(idx, d, a.Len(), a.Seq(), nil, func() string {
 			return fmt.Sprintf("(%s%s%s)", a.Name(), op, b.Name())
 		})
-		return append(dst, ColValue(col)), w, nil
+		return j.publish(in, w, ColValue(col))
 
 	case plan.OpCalcSV, plan.OpCalcSSV:
 		// The scalar operand is a plan constant (SV) or a runtime value (SSV).
@@ -383,7 +387,7 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 		col := j.done(idx, d, v.Len(), v.Seq(), nil, func() string {
 			return fmt.Sprintf("(calc%s%s)", aux.Op, v.Name())
 		})
-		return append(dst, ColValue(col)), w, nil
+		return j.publish(in, w, ColValue(col))
 
 	case plan.OpCalcSS:
 		aux := in.Aux.(plan.CalcAux)
@@ -402,39 +406,39 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 				out = args[0].Scalar / args[1].Scalar
 			}
 		}
-		return append(dst, ScalarValue(out)), algebra.Work{TuplesIn: 2, TuplesOut: 1}, nil
+		return j.publish(in, algebra.Work{TuplesIn: 2, TuplesOut: 1}, ScalarValue(out))
 
 	case plan.OpGroupBy:
 		g, w := algebra.GroupBy(args[0].Col)
-		return append(dst, GroupsValue(g)), w, nil
+		return j.publish(in, w, GroupsValue(g))
 
 	case plan.OpGroupKeys:
 		g := args[0].Groups
 		w := algebra.Work{BytesSeqRead: g.Keys.Bytes(), TuplesIn: int64(g.NGroups()), TuplesOut: int64(g.NGroups())}
-		return append(dst, ColValue(g.Keys)), w, nil
+		return j.publish(in, w, ColValue(g.Keys))
 
 	case plan.OpAggrGrouped:
 		col, w := algebra.AggrGrouped(in.Aux.(plan.AggrAux).Func, args[0].Col, args[1].Groups)
-		return append(dst, ColValue(col)), w, nil
+		return j.publish(in, w, ColValue(col))
 
 	case plan.OpAggr:
 		s, w := algebra.Aggr(in.Aux.(plan.AggrAux).Func, args[0].Col)
-		return append(dst, ScalarValue(s)), w, nil
+		return j.publish(in, w, ScalarValue(s))
 
 	case plan.OpMergeAggr:
 		s, w := algebra.MergeScalars(in.Aux.(plan.AggrAux).Func, args[0].Col)
-		return append(dst, ScalarValue(s)), w, nil
+		return j.publish(in, w, ScalarValue(s))
 
 	case plan.OpGroupMerge:
 		keys, aggs, w := algebra.GroupMerge(in.Aux.(plan.AggrAux).Func, args[0].Col, args[1].Col)
-		return append(dst, ColValue(keys), ColValue(aggs)), w, nil
+		return j.publish(in, w, ColValue(keys), ColValue(aggs))
 
 	case plan.OpPack:
-		return evalPack(j, idx, in, args, dst)
+		return j.evalPack(idx, in, args)
 
 	case plan.OpSort:
 		sorted, perm, w := algebra.Sort(args[0].Col, in.Aux.(plan.SortAux).Desc)
-		return append(dst, ColValue(sorted), OidsValue(perm)), w, nil
+		return j.publish(in, w, ColValue(sorted), OidsValue(perm))
 
 	case plan.OpMergeSorted:
 		cols := j.colPartsScratch(len(args))
@@ -442,12 +446,21 @@ func evalInstr(j *PlanJob, p *plan.Plan, idx int, in *plan.Instr, dst []Value) (
 			cols[i] = a.Col
 		}
 		merged, w := algebra.MergeSortedRuns(cols, in.Aux.(plan.SortAux).Desc)
-		return append(dst, ColValue(merged)), w, nil
+		return j.publish(in, w, ColValue(merged))
 
 	case plan.OpResult:
-		return dst, algebra.Work{}, nil
+		return algebra.Work{}, nil
 	}
-	return nil, algebra.Work{}, fmt.Errorf("exec: unknown opcode %s", in.Op)
+	return algebra.Work{}, fmt.Errorf("exec: unknown opcode %s", in.Op)
+}
+
+// publish stores an evaluated instruction's result values into env — the
+// only writer of the job's value store — and passes its Work through.
+func (j *PlanJob) publish(in *plan.Instr, w algebra.Work, vals ...Value) (algebra.Work, error) {
+	for k, r := range in.Rets {
+		j.env[r] = vals[k]
+	}
+	return w, nil
 }
 
 // colPartsScratch / oidPartsScratch return the arena's variadic-argument
@@ -468,7 +481,7 @@ func (j *PlanJob) oidPartsScratch(n int) [][]int64 {
 	return a.oidParts[:n]
 }
 
-func evalPack(j *PlanJob, idx int, in *plan.Instr, args []Value, dst []Value) ([]Value, algebra.Work, error) {
+func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work, error) {
 	switch args[0].Kind {
 	case plan.KindOids:
 		parts := j.oidPartsScratch(len(args))
@@ -479,17 +492,17 @@ func evalPack(j *PlanJob, idx int, in *plan.Instr, args []Value, dst []Value) ([
 		}
 		out, w := algebra.PackOidsInto(j.oidBufIn(idx, 0, total), parts)
 		out = j.oidBufOut(idx, 0, out)
-		return append(dst, OidsValue(out)), w, nil
+		return j.publish(in, w, OidsValue(out))
 	case plan.KindColumn:
 		if col, w, ok := j.packView(idx, args); ok {
-			return append(dst, ColValue(col)), w, nil
+			return j.publish(in, w, ColValue(col))
 		}
 		cols := j.colPartsScratch(len(args))
 		for i, a := range args {
 			cols[i] = a.Col
 		}
 		out, w := algebra.PackColumns(cols)
-		return append(dst, ColValue(out)), w, nil
+		return j.publish(in, w, ColValue(out))
 	case plan.KindScalar:
 		// The gathered slice is owned by this instruction (arena slot or
 		// fresh; a pack is never a group clone), so the pack aliases it.
@@ -498,7 +511,7 @@ func evalPack(j *PlanJob, idx int, in *plan.Instr, args []Value, dst []Value) ([
 			partials[i] = a.Scalar
 		}
 		out, w := algebra.PackScalarsOwned("partials", partials)
-		return append(dst, ColValue(out)), w, nil
+		return j.publish(in, w, ColValue(out))
 	}
-	return nil, algebra.Work{}, fmt.Errorf("exec: pack over %s", args[0].Kind)
+	return algebra.Work{}, fmt.Errorf("exec: pack over %s", args[0].Kind)
 }

@@ -174,8 +174,8 @@ func (r *bufRecycler) grown(old []int64, n int) []int64 {
 	return r.getBuf(n)
 }
 
-// getShell returns a retired arena shell — slabs (env, pending, task slab,
-// evald flags, scratch) keep their capacity and are re-sized by prepare —
+// getShell returns a retired arena shell — slabs (env, pending, sim-task
+// slab, scratch) keep their capacity and are re-sized by prepare —
 // or a fresh empty arena.
 func (r *bufRecycler) getShell() *jobArena {
 	r.mu.Lock()

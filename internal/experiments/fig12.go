@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/heuristic"
 	"repro/internal/sim"
-	"repro/internal/worksteal"
 )
 
 // Figure12 reproduces the skewed-select comparison: static 8 partitions on
@@ -41,7 +40,9 @@ func Figure12(s Scale) (*Table, error) {
 			return nil, err
 		}
 
-		ws, err := worksteal.Plan(q, cat, 128)
+		// The work-stealing configuration is the same static plan at a finer
+		// granularity: 128 small partitions on the 8 threads.
+		ws, err := heuristic.Parallelize(q, cat, heuristic.Config{Partitions: 128})
 		if err != nil {
 			return nil, err
 		}

@@ -23,7 +23,6 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/tpcds"
 	"repro/internal/tpch"
-	"repro/internal/vectorwise"
 )
 
 // QueryRequest is the POST /query body. Exactly one of Query (a named
@@ -494,7 +493,7 @@ func (s *Server) jobOpts(tn *tenantState, sh *shard, req *QueryRequest) (opts ex
 		var active int
 		slot, active = sh.adm.acquire()
 		cores := sh.eng.Machine().Config().LogicalCores()
-		opts.MaxCores = vectorwise.AdmissionMaxCores(slot, active, cores)
+		opts.MaxCores = exec.AdmissionMaxCores(slot, active, cores)
 		if s.admitHook != nil {
 			s.admitHook()
 		}

@@ -19,7 +19,7 @@
 //
 // Admission control is layered per shard: concurrently arriving clients of
 // the same shard take numbered slots and execute under a Vectorwise-style
-// per-client core budget (vectorwise.AdmissionMaxCores, §4.2.4) — the first
+// per-client core budget (exec.AdmissionMaxCores, §4.2.4) — the first
 // client keeps that shard's whole machine, later ones degrade toward
 // serial.
 //

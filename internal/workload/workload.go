@@ -148,12 +148,20 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 	start := eng.Machine().Now()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xc11e27))
 	active := clients
-
-	var submitNext func(client, remaining int) error
-	submitNext = func(client, remaining int) error {
+	// A failed query ends its client's chain; the other clients drain and
+	// the first failure is what RunConcurrent returns.
+	var firstErr error
+	failed := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+		active--
+	}
+	var submitNext func(client, remaining int)
+	submitNext = func(client, remaining int) {
 		if remaining == 0 {
 			active--
-			return nil
+			return
 		}
 		pi := rng.Intn(len(cfg.Plans))
 		opts := exec.JobOptions{CostParams: cfg.CostParams}
@@ -162,13 +170,12 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 		}
 		job, err := eng.Submit(cfg.Plans[pi], opts)
 		if err != nil {
-			return err
+			failed(err)
+			return
 		}
-		var subErr error
 		job.OnDone = func(j *exec.PlanJob) {
 			if j.Err != nil {
-				subErr = j.Err
-				active--
+				failed(j.Err)
 				return
 			}
 			lat := j.Profile.Makespan()
@@ -180,19 +187,16 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 			}
 			res.PerPlan[pi].Add(lat)
 			res.Overall.Add(lat)
-			if err := submitNext(client, remaining-1); err != nil && subErr == nil {
-				subErr = err
-			}
+			submitNext(client, remaining-1)
 		}
-		_ = subErr
-		return nil
 	}
 	for c := 0; c < clients; c++ {
-		if err := submitNext(c, cfg.Repeats); err != nil {
-			return nil, err
-		}
+		submitNext(c, cfg.Repeats)
 	}
 	eng.Machine().RunUntil(func() bool { return active == 0 })
+	if firstErr != nil {
+		return nil, fmt.Errorf("workload: %w", firstErr)
+	}
 	res.MakespanNs = eng.Machine().Now() - start
 	want := clients * cfg.Repeats
 	if res.Overall.N() != want {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/algebra"
@@ -125,6 +126,34 @@ func TestRunConcurrentCompletesAllQueries(t *testing.T) {
 	}
 	if len(res.Outcomes) != 40 {
 		t.Fatalf("outcomes = %d", len(res.Outcomes))
+	}
+}
+
+// TestRunConcurrentReturnsTheQueryError: a query that fails during the replay
+// — whether it is a client's first submission or a re-submission from inside
+// another query's completion — must surface as the error itself, not as a
+// short completion count, and must not leave its client counted active.
+func TestRunConcurrentReturnsTheQueryError(t *testing.T) {
+	b := plan.NewBuilder()
+	b.Result(b.Aggr(algebra.AggrSum, b.Bind("data", "no_such_column")))
+	broken := b.Plan()
+	first, later := 0, 0
+	for seed := int64(0); seed < 8; seed++ {
+		eng := exec.NewEngine(testCat(10_000), testMachine(), cost.Default())
+		res, err := RunConcurrent(eng, 2, ClientConfig{
+			Plans: []*plan.Plan{scanPlan(0, 300), broken}, Repeats: 6, Seed: seed,
+		})
+		if err == nil || !strings.Contains(err.Error(), "no_such_column") {
+			t.Fatalf("seed %d: err = %v (res %v), want the missing column named", seed, err, res)
+		}
+		if eng.Machine().Now() == 0 {
+			first++ // both clients drew the broken plan first: nothing ever ran
+		} else {
+			later++
+		}
+	}
+	if later == 0 {
+		t.Fatalf("no seed failed mid-replay (%d failed at the first submission)", first)
 	}
 }
 
