@@ -1,0 +1,92 @@
+package core_test
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/exec"
+	"repro/internal/plan"
+	"repro/internal/sim"
+	"repro/internal/storage"
+	"repro/internal/tpcds"
+	"repro/internal/tpch"
+)
+
+// convergeTwinned converges s and replays every attempt's plan object on
+// twin, an engine that is never told a parent and so compiles every plan into
+// a pool-fed arena. It returns the first attempt the two engines disagree on:
+// results, virtual time, op order or per-op Work. A plan leaves the twin the
+// moment the session moves off it, so — as in the session — a plan object's
+// first run is its only first run.
+//
+// The twin needs its own copy of the data: a catalog column keeps its hash
+// index, and sharing one would hand the replay the base-column builds the
+// session paid for.
+func convergeTwinned(s *core.Session, twin *exec.Engine) error {
+	for run := 0; !s.Done(); run++ {
+		if _, err := s.Step(); err != nil {
+			return err
+		}
+		a := s.Attempts()[run]
+		res, prof, err := twin.Execute(a.Plan)
+		if err != nil {
+			return fmt.Errorf("run %d: replay: %w", run, err)
+		}
+		if s.Done() || s.Current() != a.Plan {
+			twin.Retire(a.Plan)
+		}
+		if !exec.ResultsEqual(a.Results, res) {
+			return fmt.Errorf("run %d: results diverge", run)
+		}
+		if got := prof.Makespan(); got != a.ExecNs {
+			return fmt.Errorf("run %d: virtual time %v adopted, %v replayed", run, a.ExecNs, got)
+		}
+		if len(prof.Ops) != len(a.Profile.Ops) {
+			return fmt.Errorf("run %d: %d ops adopted, %d replayed", run, len(a.Profile.Ops), len(prof.Ops))
+		}
+		for k, want := range a.Profile.Ops {
+			if got := prof.Ops[k]; got != want {
+				return fmt.Errorf("run %d op %d:\n  adopted:  %+v\n  replayed: %+v", run, k, want, got)
+			}
+		}
+	}
+	return nil
+}
+
+// A mutated plan that starts from its parent's arena must be measured exactly
+// as if it had been compiled with no parent in sight: the convergence
+// algorithm's only input is the plan's execution time (§3.3), so that time is
+// a function of the plan and the data. Every TPC-H / TPC-DS convergence is
+// checked attempt by attempt; the joins over an intermediate inner (TPC-H
+// Q4 / Q8 / Q9 / Q17, TPC-DS Q3 / Q5) are where an adopted wrapper's cached
+// hash index used to hide the build.
+func TestAdoptionIsInvisible(t *testing.T) {
+	type suite struct {
+		name     string
+		generate func() *storage.Catalog
+		numbers  []int
+		query    func(int) *plan.Plan
+	}
+	suites := []suite{
+		{"tpch", func() *storage.Catalog { return tpch.Generate(tpch.Config{SF: 0.5, Seed: 42}) }, tpch.QueryNumbers(), tpch.MustQuery},
+		{"tpcds", func() *storage.Catalog { return tpcds.Generate(tpcds.Config{SF: 0.5, Seed: 42}) }, tpcds.QueryNumbers(), tpcds.MustQuery},
+	}
+	adopted := int64(0)
+	for _, su := range suites {
+		catA, catB := su.generate(), su.generate()
+		for _, n := range su.numbers {
+			a := exec.NewEngine(catA, sim.TwoSocket(), cost.Default())
+			b := exec.NewEngine(catB, sim.TwoSocket(), cost.Default())
+			s := core.NewSession(a, su.query(n), core.DefaultMutationConfig(), core.ConvergenceConfig{})
+			if err := convergeTwinned(s, b); err != nil {
+				t.Errorf("%s q%d: %v", su.name, n, err)
+			}
+			adopted += a.CompileStats().Derived
+		}
+	}
+	if adopted == 0 {
+		t.Fatal("no plan adopted its parent's arena: the path under test never ran")
+	}
+}

@@ -50,7 +50,7 @@ type Session struct {
 	conv *Convergence
 
 	cur      *plan.Plan
-	parent   *plan.Plan // plan cur was mutated from; seeds incremental compilation
+	parent   *plan.Plan // plan cur was mutated from; cur's first run adopts its arena
 	nextMut  Mutation
 	attempts []Attempt
 	best     *plan.Plan
@@ -122,9 +122,8 @@ func (s *Session) StepWith(opts exec.JobOptions) (bool, error) {
 	if s.done.Load() {
 		return false, nil
 	}
-	// Hand the parent compilation to the child: s.cur was produced by
-	// mutating s.parent, so the engine derives its schedule incrementally
-	// from the parent's cached one instead of recompiling the whole plan.
+	// s.cur was produced by mutating s.parent, so its first run can start
+	// from the parent's settled arena instead of the pool's buffers.
 	opts.DerivedFrom = s.parent
 	results, prof, err := s.eng.ExecuteOpts(s.cur, opts)
 	if err != nil {

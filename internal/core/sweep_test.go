@@ -19,7 +19,9 @@ import (
 // TestConvergenceSweep is the wide form of the tpch / tpcds
 // TestFullConvergencePreservesResults: every plan of every full convergence
 // over scale factors × data seeds × machines returns the serial result
-// (216 TPC-H and 30 TPC-DS convergences, ~1 min). Which mutation fires when
+// (216 TPC-H and 30 TPC-DS convergences) and, replayed on a twin engine that
+// adopts nothing, is measured exactly as the session measured it
+// (TestAdoptionIsInvisible's check, through the same helper). Which mutation fires when
 // depends on all three, so the tier-1 tests' single point cannot stand in
 // for it; CI runs it as its own step (go test -tags sweep).
 func TestConvergenceSweep(t *testing.T) {
@@ -28,14 +30,15 @@ func TestConvergenceSweep(t *testing.T) {
 		L3PerSocket: 64 << 10, BWPerSocket: 1e9, SMTFactor: 0.55, NUMAFactor: 1.2,
 	}}
 	runs, diverged := 0, 0
-	sweep := func(name string, cat *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
+	sweep := func(name string, generate func() *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
+		cat, twinCat := generate(), generate()
 		for _, m := range machines {
 			for _, n := range numbers {
 				s := core.NewSession(exec.NewEngine(cat, m, cost.Default()), query(n),
 					core.DefaultMutationConfig(), core.ConvergenceConfig{})
 				s.VerifyResults = true
 				runs++
-				if _, err := s.Converge(); err != nil {
+				if err := convergeTwinned(s, exec.NewEngine(twinCat, m, cost.Default())); err != nil {
 					diverged++
 					t.Errorf("%s q%d on %s: %v", name, n, m.Name, err)
 				}
@@ -45,12 +48,14 @@ func TestConvergenceSweep(t *testing.T) {
 	for _, sf := range []float64{0.2, 0.5, 1, 2} {
 		for _, seed := range []int64{11, 42} {
 			sweep(fmt.Sprintf("tpch sf=%g seed=%d", sf, seed),
-				tpch.Generate(tpch.Config{SF: sf, Seed: seed}), tpch.QueryNumbers(), tpch.MustQuery)
+				func() *storage.Catalog { return tpch.Generate(tpch.Config{SF: sf, Seed: seed}) },
+				tpch.QueryNumbers(), tpch.MustQuery)
 		}
 	}
 	for _, sf := range []float64{0.5, 1} {
 		sweep(fmt.Sprintf("tpcds sf=%g seed=42", sf),
-			tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}), tpcds.QueryNumbers(), tpcds.MustQuery)
+			func() *storage.Catalog { return tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}) },
+			tpcds.QueryNumbers(), tpcds.MustQuery)
 	}
 	t.Logf("%d convergences, %d diverging", runs, diverged)
 }

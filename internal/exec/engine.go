@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -62,10 +61,6 @@ type schedGroup struct {
 	pack   int32
 	clones []int32
 	sliced bool
-	// parentGroup is the parent schedule's group this one was remapped from
-	// during incremental derivation (-1 otherwise); arena adoption uses it
-	// to hand the parent's shared exchange buffer to the child group.
-	parentGroup int32
 	// recycle reports that neither the pack's nor any clone's result is a
 	// query result, so the shared buffer may return to the arena and be
 	// rewritten by the next invocation.
@@ -120,56 +115,38 @@ const maxCachedSchedules = 256
 
 // scheduleFor returns the cached schedule for p, validating and building it
 // on first sight of the plan object. Plans must not be mutated in place
-// after submission (mutation always clones).
-//
-// When opts names a DerivedFrom parent whose compilation is cached, the
-// schedule is derived incrementally: a structural diff against the parent
-// identifies the instructions the mutation left untouched, and their
-// validation, dependency edges and pack-group analysis are reused — only the
-// mutated subtree is recompiled. The derived schedule is bit-identical to a
-// full recompilation (pinned by core's A/B equivalence test against
-// JobOptions.FullRecompile).
+// after submission (mutation always clones). A schedule is a function of the
+// plan alone; opts.DerivedFrom only decides where its first arena comes from.
 func (e *Engine) scheduleFor(p *plan.Plan, opts JobOptions) (*planSchedule, error) {
 	e.schedMu.Lock()
 	if s, ok := e.sched[p]; ok {
 		e.schedMu.Unlock()
 		return s, nil
 	}
-	var parentPlan *plan.Plan
-	var parentSched *planSchedule
-	if opts.DerivedFrom != nil && opts.DerivedFrom != p && !opts.FullRecompile {
-		if ps, ok := e.sched[opts.DerivedFrom]; ok {
-			parentPlan, parentSched = opts.DerivedFrom, ps
-		}
+	var parent *planSchedule
+	if opts.DerivedFrom != nil {
+		parent = e.sched[opts.DerivedFrom]
 	}
 	e.schedMu.Unlock()
 
-	var s *planSchedule
-	if parentSched != nil {
-		if d := plan.ComputeDiff(parentPlan, p); d.Matched > 0 {
-			ds, err := deriveSchedule(p, parentSched, d)
-			if err != nil {
-				return nil, err
-			}
-			s = ds
-			e.derivedCompiles.Add(1)
-			// Adopt the parent's idle arena: matched instructions inherit
-			// their settled kernel buffers index-for-index (no pool round
-			// trip, no append-regrowth on the child's first run); buffers
-			// the mutation orphaned go to the pool. The parent plan will
-			// typically be retired within a step or two; if it does run
-			// again it simply rebuilds an arena.
-			if a := parentSched.takeArena(); a != nil {
-				a.remapTo(s, &e.recycler, d)
-				s.putArena(a)
-			}
-		}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
-	if s == nil {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		s = buildSchedule(p)
+	s := buildSchedule(p)
+	// Adopt the parent's idle arena: matched instructions inherit their
+	// settled kernel buffers (no pool round trip, no append-regrowth on the
+	// child's first run); buffers the mutation orphaned go to the pool. The
+	// parent plan will typically be retired within a step or two; if it does
+	// run again it simply rebuilds an arena.
+	var a *jobArena
+	if parent != nil {
+		a = parent.takeArena()
+	}
+	if a != nil {
+		a.remapTo(s, parent, &e.recycler, plan.ComputeDiff(opts.DerivedFrom, p))
+		s.putArena(a)
+		e.derivedCompiles.Add(1)
+	} else {
 		e.fullCompiles.Add(1)
 	}
 
@@ -223,8 +200,11 @@ func (e *Engine) Retire(p *plan.Plan) {
 	}
 }
 
-func newPlanSchedule(n int) *planSchedule {
-	return &planSchedule{
+// buildSchedule compiles p: the argument-dependency graph (pending counts,
+// waiter lists, roots) and the buffer plan.
+func buildSchedule(p *plan.Plan) *planSchedule {
+	n := len(p.Instrs)
+	s := &planSchedule{
 		pending:   make([]int32, n),
 		waiters:   make([][]int32, n),
 		cloneOf:   make([]int32, n),
@@ -232,12 +212,6 @@ func newPlanSchedule(n int) *planSchedule {
 		packGroup: make([]int32, n),
 		outBuf:    make([][2]uint8, n),
 	}
-}
-
-// buildSchedule compiles p from scratch: the argument-dependency graph
-// (pending counts, waiter lists, roots) and the buffer plan.
-func buildSchedule(p *plan.Plan) *planSchedule {
-	s := newPlanSchedule(len(p.Instrs))
 	producer := p.Producers()
 	for i, in := range p.Instrs {
 		s.addDeps(int32(i), in, producer)
@@ -245,7 +219,7 @@ func buildSchedule(p *plan.Plan) *planSchedule {
 			s.roots = append(s.roots, int32(i))
 		}
 	}
-	s.planBuffers(p, producer, nil, nil)
+	s.planBuffers(p, producer)
 	return s
 }
 
@@ -273,69 +247,12 @@ func (s *planSchedule) addDeps(i int32, in *plan.Instr, producer []int32) {
 	}
 }
 
-// deriveSchedule compiles child incrementally against its parent's cached
-// compilation. Matched instructions (structurally identical, matched
-// producing subtree — see plan.ComputeDiff) reuse the parent's validation,
-// pending counts and dependency edges; only the mutated subtree is validated
-// and wired from scratch. The result is identical to buildSchedule's, edge
-// for edge: waiter lists are re-sorted into the consumer order the full
-// build emits, so the simulated timeline cannot diverge between the paths.
-func deriveSchedule(child *plan.Plan, parent *planSchedule, d *plan.Diff) (*planSchedule, error) {
-	if err := child.ValidateIncremental(d); err != nil {
-		return nil, err
-	}
-	n := len(child.Instrs)
-	s := newPlanSchedule(n)
-	producer := child.Producers()
-	// Surviving edges: a matched consumer keeps its pending count, a matched
-	// producer keeps its edges to consumers that also survived.
-	for ci := 0; ci < n; ci++ {
-		pi := d.ParentOf[ci]
-		if pi < 0 {
-			continue
-		}
-		s.pending[ci] = parent.pending[pi]
-		for _, w := range parent.waiters[pi] {
-			if cw := d.ChildOf[w]; cw >= 0 {
-				s.waiters[ci] = append(s.waiters[ci], cw)
-			}
-		}
-	}
-	// Mutated subtree: full dependency wiring (its edges may target matched
-	// producers — e.g. fresh clones fanning out of a surviving select).
-	for i, in := range child.Instrs {
-		if d.ParentOf[i] < 0 {
-			s.addDeps(int32(i), in, producer)
-		}
-	}
-	for i := range s.waiters {
-		slices.Sort(s.waiters[i])
-	}
-	for i := 0; i < n; i++ {
-		if s.pending[i] == 0 {
-			s.roots = append(s.roots, int32(i))
-		}
-	}
-	s.planBuffers(child, producer, parent, d)
-	return s, nil
-}
-
 // planBuffers computes the zero-copy exchange plan: the plan's pack groups
 // (shared clone buffers, view packs) and the per-instruction output buffers
 // the arena may recycle across invocations. Anything whose output reaches
 // the query result is excluded — result values escape to callers, so their
 // buffers must stay immutable forever and are allocated fresh each run.
-//
-// With a parent compilation and diff, pack groups whose pack AND clones all
-// survived the mutation are remapped from the parent instead of re-derived;
-// the remap is exact because a matched pack's arguments — and hence its
-// clone set, their partitions and anchors — are structurally identical (only
-// the recycle flag is recomputed: result reachability may have changed).
-// Packs the mutation touched, and matched packs the parent found no group
-// for (claim state may differ), are evaluated from scratch in the same
-// greedy plan order PackGroups uses, so the derived grouping is identical to
-// a full recompilation's.
-func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, parent *planSchedule, d *plan.Diff) {
+func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32) {
 	for i := range s.cloneOf {
 		s.cloneOf[i], s.memberOf[i], s.packGroup[i] = -1, -1, -1
 	}
@@ -348,38 +265,22 @@ func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32, parent *planS
 		}
 	}
 	claimed := make([]bool, len(p.Instrs))
-	addGroup := func(sg schedGroup) {
-		gi := int32(len(s.groups))
-		s.groups = append(s.groups, sg)
-		s.packGroup[sg.pack] = gi
-		for m, ci := range sg.clones {
-			claimed[ci] = true
-			s.cloneOf[ci] = gi
-			s.memberOf[ci] = int32(m)
-		}
-	}
 	for k, in := range p.Instrs {
 		if in.Op != plan.OpPack {
 			continue
-		}
-		if parent != nil {
-			if pi := d.ParentOf[k]; pi >= 0 {
-				if pgi := parent.packGroup[pi]; pgi >= 0 {
-					if sg, ok := remapGroup(&parent.groups[pgi], pgi, int32(k), d, claimed, p, resultArg); ok {
-						addGroup(sg)
-						continue
-					}
-					// Blocked remap (a clone claimed earlier): fall through
-					// to fresh evaluation, which reaches the same verdict the
-					// full build would.
-				}
-			}
 		}
 		g, ok := p.PackGroupAt(k, producer, claimed)
 		if !ok {
 			continue
 		}
-		addGroup(buildGroup(p, g, resultArg))
+		gi := int32(len(s.groups))
+		s.groups = append(s.groups, buildGroup(p, g, resultArg))
+		s.packGroup[k] = gi
+		for m, ci := range g.Clones {
+			claimed[ci] = true
+			s.cloneOf[ci] = gi
+			s.memberOf[ci] = int32(m)
+		}
 	}
 	for i, in := range p.Instrs {
 		if s.cloneOf[i] >= 0 {
@@ -421,10 +322,9 @@ func outClass(p *plan.Plan, in *plan.Instr, r int) uint8 {
 func buildGroup(p *plan.Plan, g plan.PackGroup, resultArg []bool) schedGroup {
 	pk := p.Instrs[g.Pack]
 	sg := schedGroup{
-		pack:        int32(g.Pack),
-		sliced:      g.Sliced,
-		recycle:     !resultArg[pk.Rets[0]],
-		parentGroup: -1,
+		pack:    int32(g.Pack),
+		sliced:  g.Sliced,
+		recycle: !resultArg[pk.Rets[0]],
 	}
 	anchorArg := plan.SliceArgs(p.Instrs[g.Clones[0]].Op)[0]
 	for _, ci := range g.Clones {
@@ -437,36 +337,6 @@ func buildGroup(p *plan.Plan, g plan.PackGroup, resultArg []bool) schedGroup {
 		sg.anchorVar = append(sg.anchorVar, c.Args[anchorArg])
 	}
 	return sg
-}
-
-// remapGroup translates a parent pack group onto the child's instruction
-// indexes. All of the pack's clones are matched by construction (a matched
-// pack's argument producers are matched — ComputeDiff's subtree rule); the
-// remap fails only when a clone was already claimed by an earlier child
-// group, which is exactly when a fresh evaluation would refuse the group
-// too. recycle is recomputed: the mutation may have changed which values
-// reach the result.
-func remapGroup(pg *schedGroup, pgi, pack int32, d *plan.Diff, claimed []bool, p *plan.Plan, resultArg []bool) (schedGroup, bool) {
-	sg := schedGroup{
-		pack:        pack,
-		sliced:      pg.sliced,
-		recycle:     !resultArg[p.Instrs[pack].Rets[0]],
-		parentGroup: pgi,
-		parts:       pg.parts,
-		anchorVar:   pg.anchorVar,
-	}
-	sg.clones = make([]int32, len(pg.clones))
-	for m, pci := range pg.clones {
-		ci := d.ChildOf[pci]
-		if ci < 0 || claimed[ci] {
-			return schedGroup{}, false
-		}
-		sg.clones[m] = ci
-		if resultArg[p.Instrs[ci].Rets[0]] {
-			sg.recycle = false
-		}
-	}
-	return sg, true
 }
 
 // groupRun is the per-invocation state of one pack group: the shared buffer
@@ -584,51 +454,55 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	}
 }
 
-// remapTo rewires an idle parent arena onto a derived child schedule:
-// matched instructions keep their settled kernel output buffers (moved
-// index-for-index through the diff), remapped pack groups keep their shared
-// exchange buffers, and whatever the mutation orphaned is filed into the
-// engine recycler. Only dead intermediate state moves — result-reachable
-// values were never arena-backed in the first place (escape analysis).
-func (a *jobArena) remapTo(child *planSchedule, rec *bufRecycler, d *plan.Diff) {
+// remapTo moves an idle parent arena under the child schedule built for a
+// mutation of the parent's plan: matched instructions keep their settled
+// kernel output buffers (moved index-for-index through the diff), a child
+// group takes the shared exchange buffer of the parent group whose pack it
+// matched, and whatever the mutation orphaned is filed into the engine
+// recycler. Only dead intermediate state moves — result-reachable values were
+// never arena-backed in the first place (escape analysis) — and nothing the
+// child is measured by: which buffer a kernel writes into changes no Work.
+func (a *jobArena) remapTo(child, parent *planSchedule, rec *bufRecycler, d *plan.Diff) {
 	bufs := make([][2][]int64, len(d.ParentOf))
 	outCols := make([]outColCache, len(d.ParentOf))
 	argViews := make([][2]argViewCache, len(d.ParentOf))
+	groupBufs := make([][]int64, len(child.groups))
 	for ci, pi := range d.ParentOf {
-		if pi >= 0 && int(pi) < len(a.bufs) {
-			bufs[ci] = a.bufs[pi]
-			a.bufs[pi] = [2][]int64{}
+		if pi < 0 {
+			continue
 		}
+		bufs[ci] = a.bufs[pi]
+		a.bufs[pi] = [2][]int64{}
 		// Matched instructions keep their memoized column wrappers too: a
 		// match means identical op/args/part over identical inputs, so the
-		// wrappers hit on the child's first run.
-		if pi >= 0 && int(pi) < len(a.outCols) {
-			outCols[ci] = a.outCols[pi]
-			argViews[ci] = a.argViews[pi]
+		// wrappers hit on the child's first run. The hash index a parent's
+		// join cached on an intermediate does not come along: a plan object's
+		// first run pays its intermediate-inner builds, adopted arena or not.
+		// (outCols wrappers are their own base; an argView's base may be a
+		// catalog column, whose index is not the arena's to drop.)
+		outCols[ci] = a.outCols[pi]
+		argViews[ci] = a.argViews[pi]
+		if col := outCols[ci].col; col != nil {
+			col.DropHashes()
+		}
+		// A group that became result-reachable must allocate fresh; its
+		// inherited buffer is better off in the pool.
+		if gi := child.packGroup[ci]; gi >= 0 && child.groups[gi].recycle {
+			if pgi := parent.packGroup[pi]; pgi >= 0 {
+				groupBufs[gi] = a.groupBufs[pgi]
+				a.groupBufs[pgi] = nil
+			}
 		}
 	}
 	for i := range a.bufs {
 		rec.putSlots(&a.bufs[i])
-	}
-	a.bufs = bufs
-	a.outCols = outCols
-	a.argViews = argViews
-	groupBufs := make([][]int64, len(child.groups))
-	for gi := range child.groups {
-		sg := &child.groups[gi]
-		// A group that became result-reachable must allocate fresh; its
-		// inherited buffer is better off in the pool.
-		if sg.recycle && sg.parentGroup >= 0 && int(sg.parentGroup) < len(a.groupBufs) {
-			groupBufs[gi] = a.groupBufs[sg.parentGroup]
-			a.groupBufs[sg.parentGroup] = nil
-		}
 	}
 	for _, buf := range a.groupBufs {
 		if buf != nil {
 			rec.putBuf(buf)
 		}
 	}
-	a.groupBufs = groupBufs
+	a.bufs, a.outCols, a.argViews, a.groupBufs = bufs, outCols, argViews, groupBufs
 }
 
 // release drops the run's value references (so an idle arena does not pin
@@ -700,16 +574,13 @@ type JobOptions struct {
 	// planned. Equivalence tests and A/B benchmarks use it; production
 	// paths leave it false and get the shared-buffer exchange.
 	CopyExchange bool
-	// DerivedFrom names the plan this submission's plan was mutated from.
-	// When the parent's compilation is cached, the plan compiles
-	// incrementally: only the mutated subtree is re-validated and re-wired
-	// (adaptive sessions set this on every exploration step). Ignored when
-	// the plan's own compilation is already cached.
+	// DerivedFrom names the plan this submission's plan was mutated from
+	// (adaptive sessions set it on every exploration step). When that plan's
+	// compilation is cached with an idle arena, this plan's first run starts
+	// from the parent's settled buffers instead of the pool's; its
+	// compilation and everything it is measured by are the same either way.
+	// Ignored when the plan's own compilation is already cached.
 	DerivedFrom *plan.Plan
-	// FullRecompile disables incremental derivation even when DerivedFrom
-	// is usable — the A/B switch the cold-path equivalence tests flip to
-	// prove derived and fully recompiled schedules behave identically.
-	FullRecompile bool
 	// Catalog, when non-nil, resolves this job's binds against a different
 	// dataset than the engine's own — the multi-tenant serving path: one
 	// engine (one simulated machine, one schedule cache, one buffer

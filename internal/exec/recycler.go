@@ -264,10 +264,13 @@ func (e *Engine) RecyclerStats() RecyclerStats {
 	return st
 }
 
-// CompileStats counts plan compilations by kind for /stats.
+// CompileStats counts plan compilations for /stats by where the compiled
+// plan's first arena came from.
 type CompileStats struct {
-	// Full counts from-scratch schedule builds; Derived counts incremental
-	// parent→child derivations; Retired counts schedules dropped via Retire.
+	// Every compilation builds the schedule from the plan alone. Derived
+	// counts those that then adopted the idle arena of the plan they were
+	// mutated from (JobOptions.DerivedFrom), Full those that did not and
+	// start from the pool; Retired counts schedules dropped via Retire.
 	Full    int64 `json:"full"`
 	Derived int64 `json:"derived"`
 	Retired int64 `json:"retired"`

@@ -15,7 +15,7 @@
 // exactly one layer at a time — the running job (arena checked out at
 // Submit), the plan's schedule (idle arena between runs), or the
 // engine-level size-classed recycler (after Engine.Retire) — with handoffs
-// only at submit, completion, incremental derivation, and retirement.
+// only at submit, completion, adoption, and retirement.
 // Recycled buffers are zero-length-reset, never zeroed: consumers append
 // from :0 or fully overwrite, so they carry no data ownership and may serve
 // any plan — including plans of other tenants (JobOptions.Catalog swaps

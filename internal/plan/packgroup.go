@@ -30,8 +30,8 @@ type PackGroup struct {
 }
 
 // Producers returns the producing instruction index per variable (-1 for
-// unproduced variables). It is the slice-based lookup the compilation paths
-// share — a map would re-hash every variable on every (re)compile.
+// unproduced variables). It is the slice-based lookup compilation and the
+// pack-group scan share — a map would re-hash every variable on every compile.
 func (p *Plan) Producers() []int32 {
 	producer := make([]int32, p.NVars())
 	for i := range producer {
@@ -70,8 +70,8 @@ func (p *Plan) PackGroups() []PackGroup {
 // group, given the plan's producer index (see Producers) and the claim state
 // of earlier groups. It mirrors one step of PackGroups' greedy plan-order
 // scan: on success the CALLER must mark the returned clones claimed before
-// evaluating later packs. The incremental compiler uses it to re-evaluate
-// only the packs a mutation touched.
+// evaluating later packs. exec's buildSchedule runs the same scan with the
+// producer index it already holds.
 func (p *Plan) PackGroupAt(k int, producer []int32, claimed []bool) (PackGroup, bool) {
 	pk := p.Instrs[k]
 	if pk.Op != OpPack || len(pk.Args) < 2 {

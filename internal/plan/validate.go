@@ -11,22 +11,7 @@ import (
 // arity, kinds, aux and partition sanity its opSpecs row demands. Mutations
 // call Validate on their output in tests; the engine calls it once per plan
 // before execution.
-func (p *Plan) Validate() error { return p.validate(nil) }
-
-// ValidateIncremental validates the child plan reusing d against its
-// validated parent: the global structural scan (def-before-use ordering, SSA
-// single assignment, one result marker) still covers every instruction, but
-// the per-operator checks run only for unmatched instructions — a matched
-// instruction is byte-identical to one the parent validated over the same
-// variable kinds.
-func (p *Plan) ValidateIncremental(d *Diff) error {
-	if d != nil && len(d.ParentOf) != len(p.Instrs) {
-		d = nil
-	}
-	return p.validate(d)
-}
-
-func (p *Plan) validate(d *Diff) error {
+func (p *Plan) Validate() error {
 	defined := make([]bool, p.NVars())
 	results := 0
 	for i, in := range p.Instrs {
@@ -53,9 +38,6 @@ func (p *Plan) validate(d *Diff) error {
 			if results++; results > 1 {
 				return fmt.Errorf("plan: instr %d (%s): second result marker", i, in.Op)
 			}
-		}
-		if d != nil && d.ParentOf[i] >= 0 {
-			continue // matched: the parent ran checkInstr on the identical instr
 		}
 		if err := p.checkInstr(i, in); err != nil {
 			return err

@@ -154,7 +154,4 @@ func TestValidateRejectsSecondResult(t *testing.T) {
 	if _, err := Decode(Encode(p)); err != nil {
 		t.Fatalf("two results are a Validate matter, not a Decode one: %v", err)
 	}
-	if err := p.ValidateIncremental(ComputeDiff(p, p.Clone())); err == nil {
-		t.Fatal("incremental validation lets a matched second result marker through")
-	}
 }

@@ -117,8 +117,8 @@ func BenchmarkServeHotJoin(b *testing.B) {
 // BenchmarkServeAdaptiveWarmup is the ISSUE 4 cold path: each iteration
 // drives a FRESH query fingerprint through its entire adaptive convergence,
 // so every measured request is a converging step — plan mutation,
-// (incremental) compilation, and a first-run execution drawing buffers from
-// the engine recycler. steps/convergence reports how many requests one
+// compilation, and a first-run execution drawing buffers from the parent's
+// arena and the engine recycler. steps/convergence reports how many requests one
 // warmup costs; allocs/op is per CONVERGENCE (divide by steps for the
 // per-step cold budget TestServeColdAllocBudget enforces).
 func BenchmarkServeAdaptiveWarmup(b *testing.B) {

@@ -157,8 +157,9 @@ type ShardStats struct {
 	PeakClients  int             `json:"peak_concurrent_clients"`
 	Cache        plancache.Stats `json:"cache"`
 	// Recycler reports the shard engine's size-classed buffer pool (hit and
-	// miss counters per size class); Compile counts full vs incremental
-	// plan compilations. Both are atomic-counter snapshots.
+	// miss counters per size class); Compile counts plan compilations that
+	// started from the pool (full) vs from the parent plan's adopted arena
+	// (derived). Both are atomic-counter snapshots.
 	Recycler exec.RecyclerStats `json:"recycler"`
 	Compile  exec.CompileStats  `json:"compile"`
 	// Faults reports the shard machine's fault-injection counters.

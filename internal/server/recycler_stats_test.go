@@ -6,7 +6,7 @@ import (
 
 // TestStatsExposesRecycler drives a query through a full adaptive
 // convergence (the workload that exercises the engine-level buffer pool and
-// incremental compilation) and asserts /stats reports the per-shard
+// arena adoption) and asserts /stats reports the per-shard
 // recycler hit/miss counters by size class, plus the compile-kind split.
 func TestStatsExposesRecycler(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
@@ -30,13 +30,13 @@ func TestStatsExposesRecycler(t *testing.T) {
 	}
 	ps := stats.PerShard[0]
 
-	// Incremental compilation: a converging session derives almost every
-	// mutated plan from its parent; only the serial plan compiles fully.
+	// Arena adoption: a converging session's mutated plans start from
+	// their parents' arenas; the serial plan has no parent to adopt from.
 	if ps.Compile.Derived == 0 {
-		t.Fatalf("no incremental compilations recorded: %+v", ps.Compile)
+		t.Fatalf("no adopting compilations recorded: %+v", ps.Compile)
 	}
 	if ps.Compile.Full == 0 {
-		t.Fatalf("no full compilations recorded (the serial plan is one): %+v", ps.Compile)
+		t.Fatalf("no pool-fed compilations recorded (the serial plan is one): %+v", ps.Compile)
 	}
 	if ps.Compile.Retired == 0 {
 		t.Fatalf("no retired plans recorded (every superseded mutation is one): %+v", ps.Compile)
