@@ -137,10 +137,14 @@ func (b *TableBuilder) Done() error {
 type ColumnAppend = storage.ColumnAppend
 
 // AppendRows returns a new DB in which table has the given rows appended.
-// The mutation is copy-on-write: the receiver is unchanged, untouched tables
-// are shared, and readers of the old DB keep seeing an immutable snapshot.
-// cols must name every column of the table exactly once, all with the same
-// strictly positive number of appended rows.
+// The receiver is unchanged, untouched tables are shared, and readers of the
+// old DB keep seeing an immutable snapshot. The cost is amortized O(rows
+// appended): a chain db → db.AppendRows → … grows one table in its spare
+// capacity (behind every older DB's length), and only the first append to a
+// built table, an append after a DeleteTail, a second append to the same DB,
+// or one that outgrows the capacity copies the table. cols must name every
+// column of the table exactly once, all with the same strictly positive
+// number of appended rows.
 func (db *DB) AppendRows(table string, cols map[string]ColumnAppend) (*DB, error) {
 	ncat, err := db.cat.AppendRows(table, cols)
 	if err != nil {
@@ -149,8 +153,8 @@ func (db *DB) AppendRows(table string, cols map[string]ColumnAppend) (*DB, error
 	return &DB{cat: ncat}, nil
 }
 
-// DeleteTail returns a new DB in which table has its last n rows removed,
-// copy-on-write like AppendRows.
+// DeleteTail returns a new DB in which table has its last n rows removed: a
+// shorter view of the same columns, O(columns). The receiver is unchanged.
 func (db *DB) DeleteTail(table string, n int) (*DB, error) {
 	ncat, err := db.cat.DeleteTail(table, n)
 	if err != nil {

@@ -40,10 +40,7 @@ func (s *groupScratch) groupIDs(ids, vals []int64, d *vec.Dict) *vec.Vector {
 	s.table.Reset(lo, hi, len(vals))
 	s.table.Assign(ids, vals)
 	uniq := slices.Clone(s.table.Keys())
-	if d != nil {
-		return vec.NewDictCoded(uniq, d)
-	}
-	return vec.NewInt64(uniq)
+	return vec.New(uniq, d)
 }
 
 // GroupBy groups the key column view by value.

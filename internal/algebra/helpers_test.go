@@ -12,10 +12,7 @@ import (
 // wraps one. The kernels themselves never allocate their output.
 
 func wrap(name string, seq int64, vals []int64, d *vec.Dict) *storage.Column {
-	if d != nil {
-		return storage.NewColumn(name, seq, vec.NewDictCoded(vals, d))
-	}
-	return storage.NewColumn(name, seq, vec.NewInt64(vals))
+	return storage.NewColumn(name, seq, vec.New(vals, d))
 }
 
 func fetch(oids []int64, target *storage.Column) (*storage.Column, Work, int) {

@@ -30,12 +30,7 @@ func Sort(col *storage.Column, desc bool) (*storage.Column, []int64, Work) {
 		sorted[i] = vals[p]
 		oids[i] = col.Seq() + int64(p)
 	}
-	var data *vec.Vector
-	if d := col.Dict(); d != nil {
-		data = vec.NewDictCoded(sorted, d)
-	} else {
-		data = vec.NewInt64(sorted)
-	}
+	data := vec.New(sorted, col.Dict())
 	logN := int64(1)
 	for x := n; x > 1; x >>= 1 {
 		logN++
@@ -91,12 +86,7 @@ func MergeSortedRuns(runs []*storage.Column, desc bool) (*storage.Column, Work) 
 	if len(runs) > 0 {
 		dict = runs[0].Dict()
 	}
-	var data *vec.Vector
-	if dict != nil {
-		data = vec.NewDictCoded(out, dict)
-	} else {
-		data = vec.NewInt64(out)
-	}
+	data := vec.New(out, dict)
 	name := "merge"
 	if len(runs) > 0 {
 		name = runs[0].Name()

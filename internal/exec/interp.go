@@ -266,10 +266,7 @@ func (j *PlanJob) oidBufOut(idx, ret int, out []int64) []int64 {
 
 // wrapCol builds the output column of a materializing kernel over vals.
 func wrapCol(name string, seq int64, vals []int64, d *vec.Dict) *storage.Column {
-	if d != nil {
-		return storage.NewColumn(name, seq, vec.NewDictCoded(vals, d))
-	}
-	return storage.NewColumn(name, seq, vec.NewInt64(vals))
+	return storage.NewColumn(name, seq, vec.New(vals, d))
 }
 
 // cachedCol is wrapCol memoized in the arena per instruction: a cached

@@ -1,15 +1,15 @@
 // Dataset mutation and zero-downtime tenant lifecycle — the /admin surface.
 //
 // Mutation model: catalogs are immutable. An append or tail-delete builds a
-// copy-on-write catalog (storage.Catalog.AppendRows / DeleteTail), then the
-// swap happens under EVERY shard's engine-ownership semaphore at once
-// (withAllShards): the
-// tenant's live catalog pointer and epoch advance together, and each shard
-// cache reopens the tenant's sessions warm (plancache.ReopenTenantForData) —
-// seeded from their learned plans, so re-convergence costs a bounded handful
-// of runs instead of a cold restart. Requests already holding the old
-// catalog pointer finish against the old (still-valid, immutable) snapshot;
-// everything admitted after the swap sees the new data.
+// new catalog (storage.Catalog.AppendRows / DeleteTail: the rows land behind
+// every reader's length, or in a copy), then the swap happens under EVERY
+// shard's engine-ownership semaphore at once (withAllShards): the tenant's
+// live catalog pointer and epoch advance together, the mutated table's tail
+// is reclaimed (storage.Catalog.ReclaimTail — no request is running, and
+// every later one loads its catalog inside its shard), and each shard cache
+// reopens the tenant's sessions warm (plancache.ReopenTenantForData) — seeded
+// from their learned plans, so re-convergence costs a bounded handful of runs
+// instead of a cold restart.
 //
 // Lifecycle model: tenants come and go without a restart. Addition builds
 // the dataset outside every lock (Config.TenantFactory), links the tenant,
@@ -113,7 +113,7 @@ func (s *Server) beginAdmin() (func(), error) {
 }
 
 // mutateTenant runs one data mutation end to end: build the new catalog
-// copy-on-write with op, then — holding every shard's engine-ownership
+// with op, then — holding every shard's engine-ownership
 // semaphore at once — swap the tenant's catalog, bump its epoch, and reopen
 // its cached sessions warm. Mutations of one tenant serialize on its mutMu;
 // op runs outside the engine locks so serving stalls only for the swap.
@@ -139,6 +139,10 @@ func (s *Server) mutateTenant(tenant, table string, counter *atomic.Int64, op fu
 	// atomic step from serving's view.
 	s.withAllShards(func() {
 		tn.catalog.Store(ncat)
+		// Every request that runs from here on loads ncat inside its shard
+		// (query.go), none is mid-run, and nothing reads base storage outside
+		// a run — so of this table's lineage only ncat's version is read.
+		ncat.ReclaimTail(table)
 		resp.Epoch = tn.epoch.Add(1)
 		for _, sh := range s.shards {
 			r, d := sh.cache.ReopenTenantForData(tn.tag(), 0)

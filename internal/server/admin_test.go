@@ -20,10 +20,9 @@ import (
 	"repro/internal/tpch"
 )
 
-// appendBodyFor builds a POST /admin/append body growing table by n rows,
-// recycling the table's own values so the append is schema-correct.
-func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n int) []byte {
-	t.Helper()
+// appendColsFor is an append of n rows to table, recycling the table's own
+// values so it is schema-correct.
+func appendColsFor(cat *storage.Catalog, table string, n int) map[string]storage.ColumnAppend {
 	tab := cat.MustTable(table)
 	cols := map[string]storage.ColumnAppend{}
 	for _, name := range tab.ColumnNames() {
@@ -42,7 +41,13 @@ func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n i
 			cols[name] = storage.ColumnAppend{Ints: vals}
 		}
 	}
-	body, err := json.Marshal(appendRequest{Tenant: tenant, Table: table, Columns: cols})
+	return cols
+}
+
+// appendBodyFor is appendColsFor as a POST /admin/append body.
+func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n int) []byte {
+	t.Helper()
+	body, err := json.Marshal(appendRequest{Tenant: tenant, Table: table, Columns: appendColsFor(cat, table, n)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,9 +137,13 @@ func TestAppendChurnWarmReconvergence(t *testing.T) {
 	}
 
 	// Warm re-convergence on the request stream vs a cold server on the
-	// same mutated catalog.
+	// same mutated data — built by the same append, not borrowed from srv:
+	// a server owns its catalog's lineage and srv goes on mutating.
 	warmRuns := convergeCounting(t, srv, q6)
-	ncat := srv.defTenant.curCatalog()
+	ncat, err := cat.AppendRows("lineitem", appendColsFor(cat, "lineitem", grow))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cold := newStoreServer(t, ncat, nil, nil)
 	defer cold.Close()
 	coldRuns := convergeCounting(t, cold, q6)
@@ -203,41 +212,56 @@ func TestJoinRepliesFollowTheEpoch(t *testing.T) {
 
 	orders := cat.MustTable("orders")
 	tail := orders.Rows() - rows
-	cols := map[string]storage.ColumnAppend{}
-	for _, name := range orders.ColumnNames() {
-		col, from := orders.MustColumn(name), tail
-		if name == "o_orderkey" {
-			from = 0 // the first orders' keys under the last orders' dates
-		}
-		if col.Data().IsString() {
-			vals := make([]string, rows)
-			for i := range vals {
-				vals[i] = col.Data().StringAt(from + i)
-			}
-			cols[name] = storage.ColumnAppend{Strs: vals}
-		} else {
-			cols[name] = storage.ColumnAppend{Ints: col.Values()[from : from+rows]}
-		}
-	}
 	trunc, _ := json.Marshal(truncateRequest{Table: "orders", Rows: rows})
-	app, _ := json.Marshal(appendRequest{Table: "orders", Columns: cols})
-	for _, m := range []struct {
-		path string
-		body []byte
-	}{{"/admin/truncate", trunc}, {"/admin/append", app}} {
-		if code := postJSON(t, srv, http.MethodPost, m.path, m.body, nil); code != http.StatusOK {
-			t.Fatalf("%s status %d", m.path, code)
+	// Three replacements under different keys each: the first append copies
+	// (no mutation made the generator's table, it has no heap), the second and
+	// third land at the address and length of the rows they replace — two
+	// epochs' columns equal in everything a pointer can say, different in
+	// content.
+	var heapAt *int64
+	for cycle := 0; cycle < 3; cycle++ {
+		cols := map[string]storage.ColumnAppend{}
+		for _, name := range orders.ColumnNames() {
+			col, from := orders.MustColumn(name), tail
+			if name == "o_orderkey" {
+				from = cycle * rows // earlier orders' keys under the last orders' dates
+			}
+			if col.Data().IsString() {
+				vals := make([]string, rows)
+				for i := range vals {
+					vals[i] = col.Data().StringAt(from + i)
+				}
+				cols[name] = storage.ColumnAppend{Strs: vals}
+			} else {
+				cols[name] = storage.ColumnAppend{Ints: col.Values()[from : from+rows]}
+			}
 		}
-	}
+		app, _ := json.Marshal(appendRequest{Table: "orders", Columns: cols})
+		for _, m := range []struct {
+			path string
+			body []byte
+		}{{"/admin/truncate", trunc}, {"/admin/append", app}} {
+			if code := postJSON(t, srv, http.MethodPost, m.path, m.body, nil); code != http.StatusOK {
+				t.Fatalf("%s status %d", m.path, code)
+			}
+		}
 
-	after := reply("serial")
-	if exec.ResultsEqual(after, before) {
-		t.Fatal("the mutation did not change Q4's serial reply; the test no longer exercises a stale index")
-	}
-	for i := 0; i < 3; i++ {
-		if got := reply(""); !exec.ResultsEqual(got, after) {
-			t.Fatalf("adaptive request %d after the mutation counts %v, serial counts %v", i, got[1].Col.Values(), after[1].Col.Values())
+		at := &srv.defTenant.curCatalog().MustTable("orders").MustColumn("o_orderkey").Values()[0]
+		if cycle > 0 && at != heapAt {
+			t.Fatalf("cycle %d: the append copied; the test no longer reuses an address", cycle)
 		}
+		heapAt = at
+
+		after := reply("serial")
+		if exec.ResultsEqual(after, before) {
+			t.Fatalf("cycle %d: the mutation did not change Q4's serial reply; the test no longer exercises a stale index", cycle)
+		}
+		for i := 0; i < 3; i++ {
+			if got := reply(""); !exec.ResultsEqual(got, after) {
+				t.Fatalf("cycle %d: adaptive request %d after the mutation counts %v, serial counts %v", cycle, i, got[1].Col.Values(), after[1].Col.Values())
+			}
+		}
+		before = after
 	}
 }
 

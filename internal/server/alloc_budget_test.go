@@ -73,13 +73,14 @@ type allocBaseline struct {
 	JoinPR19BytesPerOp  float64 `json:"join_pr19_bytes_per_op"`
 }
 
-func loadAllocBaseline(t *testing.T) allocBaseline {
+// skipIfPoolsAreLossy skips allocation measurements under the race detector.
+// The budgets are measured + ~10 %, and what they measure is what the pools
+// (ioBuf, encoding/json, net/http) save; under the detector sync.Pool drops a
+// quarter of its Puts on purpose, so the counts there measure the detector.
+// Detected by behaviour — a Get/Put round trip on a warm pool allocates only
+// when the pool is lossy.
+func skipIfPoolsAreLossy(t *testing.T) {
 	t.Helper()
-	// The budgets are measured + ~10 %, and what they measure is what the
-	// pools (ioBuf, encoding/json, net/http) save. Under the race detector
-	// sync.Pool drops a quarter of its Puts on purpose, so the counts there
-	// measure the detector. Detected by behaviour — a Get/Put round trip on
-	// a warm pool allocates only when the pool is lossy.
 	pool := sync.Pool{New: func() any { return new(int) }}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -90,6 +91,11 @@ func loadAllocBaseline(t *testing.T) allocBaseline {
 	if m1.Mallocs-m0.Mallocs > 100 {
 		t.Skip("sync.Pool is lossy in this build (race detector): allocation budgets are exact only without it")
 	}
+}
+
+func loadAllocBaseline(t *testing.T) allocBaseline {
+	t.Helper()
+	skipIfPoolsAreLossy(t)
 	raw, err := os.ReadFile("testdata/alloc_baseline.json")
 	if err != nil {
 		t.Fatal(err)

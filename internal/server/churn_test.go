@@ -1,0 +1,229 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"repro/internal/cost"
+	"repro/internal/exec"
+	"repro/internal/sim"
+	"repro/internal/storage"
+	"repro/internal/tpcds"
+	"repro/internal/tpch"
+)
+
+// resultSum serves one results:true request through the handler and sums its
+// first result column; a failed request is reported and sums to -1 (callable
+// from reader goroutines, so it never stops the test itself).
+func resultSum(t *testing.T, s *Server, body []byte) int64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	p, err := DecodeResult(rec.Body.Bytes())
+	if rec.Code != http.StatusOK || err != nil {
+		t.Errorf("status %d, decode %v: %.200s", rec.Code, err, rec.Body.String())
+		return -1
+	}
+	var sum int64
+	for _, v := range p.Values[0].Col.Values() {
+		sum += v
+	}
+	return sum
+}
+
+// TestChurnUnderReaders runs the steady state of a write-beside-reads
+// deployment: 150 cycles of append (values shifted by cycle mod 3, so the
+// reclaimed tail is rewritten with other contents) and truncate, beside two
+// adaptive readers and a serial one on the same fingerprint. Every reply is
+// one of the four states that ever existed, and a request sent after a
+// mutation was acknowledged sees exactly that mutation's state — it may
+// neither join a flight that ran before the swap nor run a reopened session
+// against a catalog loaded before it. Run under -race: from the second cycle
+// on every append is an in-place write the previous epoch's readers must be
+// done with.
+func TestChurnUnderReaders(t *testing.T) {
+	const rows, cycles = 600, 150
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42})
+	srv, err := New(Config{
+		Engines:   []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+		Benchmark: "tpch",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	adaptive := []byte(`{"select_rows":{"table":"lineitem","column":"l_quantity"},"results":true}`)
+	serial := []byte(`{"select_rows":{"table":"lineitem","column":"l_quantity"},"results":true,"mode":"serial"}`)
+	var sums [4]int64 // [3] is the truncated table, [k] the append shifted by k
+	for _, v := range cat.MustTable("lineitem").MustColumn("l_quantity").Values() {
+		sums[3] += v
+	}
+	var appends [3][]byte
+	for k := range appends {
+		cols := appendColsFor(cat, "lineitem", rows)
+		qty := slices.Clone(cols["l_quantity"].Ints)
+		sums[k] = sums[3]
+		for i := range qty {
+			qty[i] += int64(k)
+			sums[k] += qty[i]
+		}
+		cols["l_quantity"] = storage.ColumnAppend{Ints: qty}
+		appends[k], _ = json.Marshal(appendRequest{Table: "lineitem", Columns: cols})
+	}
+	trunc, _ := json.Marshal(truncateRequest{Table: "lineitem", Rows: rows})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, body := range [][]byte{adaptive, adaptive, serial} {
+		wg.Add(1)
+		go func(body []byte) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if sum := resultSum(t, srv, body); !slices.Contains(sums[:], sum) {
+					t.Errorf("a reader saw sum %d, none of the states %v", sum, sums)
+					return
+				}
+			}
+		}(body)
+	}
+	for i := 0; i < cycles && !t.Failed(); i++ {
+		if code := postJSON(t, srv, http.MethodPost, "/admin/append", appends[i%3], nil); code != http.StatusOK {
+			t.Fatalf("cycle %d: append status %d", i, code)
+		}
+		if got := resultSum(t, srv, adaptive); got != sums[i%3] {
+			t.Errorf("cycle %d after append: %d want %d", i, got, sums[i%3])
+		}
+		if code := postJSON(t, srv, http.MethodPost, "/admin/truncate", trunc, nil); code != http.StatusOK {
+			t.Fatalf("cycle %d: truncate status %d", i, code)
+		}
+		if got := resultSum(t, srv, adaptive); got != sums[3] {
+			t.Errorf("cycle %d after truncate: %d want %d", i, got, sums[3])
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestServedPlansNeverReturnCatalogStorage pins the premise ReclaimTail's one
+// caller relies on: a reply is streamed after its request released the shard,
+// so nothing in it may be — or alias — a column of the catalog the job ran
+// on. If this fails, publish must copy the result-reachable bind; the test
+// must not be weakened.
+func TestServedPlansNeverReturnCatalogStorage(t *testing.T) {
+	h, ds := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42}), tpcds.Generate(tpcds.Config{SF: 0.1, Seed: 42})
+	srv, err := New(Config{
+		Engines:   []*exec.Engine{exec.NewEngine(h, sim.TwoSocket(), cost.Default())},
+		Benchmark: "tpch",
+		Tenants:   []Tenant{{Name: "ds", Catalog: ds, Benchmark: "tpcds"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	reqs := []QueryRequest{
+		{SelectSum: &SelectSumSpec{Table: "lineitem", Column: "l_quantity"}},
+		{SelectRows: &SelectSumSpec{Table: "lineitem", Column: "l_quantity"}},
+	}
+	for _, n := range tpch.QueryNumbers() {
+		reqs = append(reqs, QueryRequest{Query: n})
+	}
+	for _, n := range tpcds.QueryNumbers() {
+		reqs = append(reqs, QueryRequest{Tenant: "ds", Query: n})
+	}
+	for _, req := range reqs {
+		tn, err := srv.tenantByName(req.Tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := tn.curCatalog()
+		base := map[*storage.Column]bool{}
+		var spans [][2]uintptr
+		for _, tab := range live.Tables() {
+			for _, name := range live.MustTable(tab).ColumnNames() {
+				col := live.MustTable(tab).MustColumn(name)
+				base[col] = true
+				lo := uintptr(unsafe.Pointer(unsafe.SliceData(col.Values())))
+				spans = append(spans, [2]uintptr{lo, lo + uintptr(col.Bytes())})
+			}
+		}
+		check := func(what string, col *storage.Column) {
+			if col == nil || col.Len() == 0 {
+				return
+			}
+			at := uintptr(unsafe.Pointer(unsafe.SliceData(col.Values())))
+			aliased := slices.ContainsFunc(spans, func(s [2]uintptr) bool { return s[0] <= at && at < s[1] })
+			if base[col.Base()] || aliased {
+				t.Errorf("%+v: result %s is catalog storage", req, what)
+			}
+		}
+		// Serial, then enough adaptive runs to serve partitioned plans too.
+		for i, mode := range []string{"serial", "", "", "", "", "", "", "", ""} {
+			req.Mode = mode
+			_, vals, derr := srv.dispatch(context.Background(), "", &req, false)
+			if derr != nil {
+				t.Fatalf("%+v run %d: %v", req, i, derr.err)
+			}
+			for _, v := range vals {
+				check("column", v.Col)
+				if v.Groups != nil {
+					check("group keys", v.Groups.Keys)
+				}
+			}
+		}
+	}
+}
+
+// TestSteadyStateMutationIsInPlace is the deterministic guard that the
+// in-place path is taken: after a warm-up cycle, an append + truncate cycle
+// through the server allocates a few KB (the new catalog, tables and column
+// headers), not the table. Before tail-capacity appends a cycle allocated
+// 10.7 MB on this table.
+func TestSteadyStateMutationIsInPlace(t *testing.T) {
+	skipIfPoolsAreLossy(t)
+	const rows, cycles = 600, 50
+	cat := tpch.Generate(tpch.Config{SF: 1, Seed: 42})
+	srv, err := New(Config{
+		Engines:   []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+		Benchmark: "tpch",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cols := appendColsFor(cat, "lineitem", rows)
+	cycle := func() {
+		if _, err := srv.AppendRows("", "lineitem", cols); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := srv.DeleteTail("", "lineitem", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	perCycle := (m1.TotalAlloc - m0.TotalAlloc) / cycles
+	t.Logf("%d bytes allocated per append + truncate cycle", perCycle)
+	if perCycle > 64<<10 {
+		t.Fatalf("%d bytes allocated per append + truncate cycle, want <= 64 KB: the steady state is copying the table", perCycle)
+	}
+}

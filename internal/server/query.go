@@ -417,12 +417,18 @@ func (s *Server) RouteFingerprint(hdrTenant string, req *QueryRequest) (string, 
 
 // flightKey identifies requests that may share one engine run: the
 // fingerprint (which already encodes tenant, dataset identity, and the full
-// query spec), the frozen-fidelity demand, and the client core budget —
-// requests differing in any of these must not share a result.
+// query spec), the frozen-fidelity demand, the client core budget, and the
+// tenant's data epoch at arrival — requests differing in any of these must
+// not share a result. The epoch keeps a request sent after a mutation was
+// acknowledged out of a flight whose leader ran before the swap (the flight
+// is deleted only after the leader released the shard, and the barrier fits
+// in between); a follower that joined before the swap overlapped the write
+// and may get either state.
 type flightKey struct {
 	fp     string
 	frozen bool
 	cores  int
+	epoch  int64
 }
 
 // flight is one in-flight adaptive engine run. Waiters block on done, then
@@ -450,7 +456,7 @@ func (s *Server) coalesce(ctx context.Context, tn *tenantState, sh *shard, req *
 	if sh.waiting.Load() == 0 {
 		return s.serveAdaptive(ctx, tn, sh, req, fp, name, build, forceFrozen)
 	}
-	k := flightKey{fp: fp, frozen: forceFrozen, cores: req.MaxCores}
+	k := flightKey{fp: fp, frozen: forceFrozen, cores: req.MaxCores, epoch: tn.epoch.Load()}
 	s.flightMu.Lock()
 	if f, ok := s.flights[k]; ok {
 		s.flightMu.Unlock()
@@ -483,12 +489,14 @@ func (s *Server) coalesce(ctx context.Context, tn *tenantState, sh *shard, req *
 	return f.resp, f.vals, f.derr
 }
 
-// jobOpts binds a request's execution options: the tenant's catalog, the
-// admission-control core budget, and the client's own core cap — the smaller
+// jobOpts binds a request's execution options but the catalog: the
+// admission-control core budget and the client's own core cap — the smaller
 // budget wins. With Config.Admission on it acquires the admission slot that
-// produced the budget; the caller releases slot after the engine run.
-func (s *Server) jobOpts(tn *tenantState, sh *shard, req *QueryRequest) (opts exec.JobOptions, slot int) {
-	opts.Catalog = tn.curCatalog()
+// produced the budget; the caller releases slot after the engine run. The
+// catalog is read by the serve bodies once they hold the shard: a request
+// parked behind a mutation's barrier must run on the epoch the barrier
+// published, because the one before it may be reclaimed (admin.go).
+func (s *Server) jobOpts(sh *shard, req *QueryRequest) (opts exec.JobOptions, slot int) {
 	if s.cfg.Admission {
 		var active int
 		slot, active = sh.adm.acquire()
@@ -523,7 +531,7 @@ func engineErr(doErr, err error) *dispatchErr {
 // breaker fidelity, engine run, response assembly. Exactly one goroutine
 // runs this per coalesced flight — waiters never reach it.
 func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, req *QueryRequest, fp, name string, build func() (*plan.Plan, error), forceFrozen bool) (QueryResponse, []exec.Value, *dispatchErr) {
-	opts, slot := s.jobOpts(tn, sh, req)
+	opts, slot := s.jobOpts(sh, req)
 	if s.cfg.Admission {
 		defer sh.adm.release(slot)
 	}
@@ -544,6 +552,7 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 		err error
 	)
 	doErr := s.doCtx(ctx, sh, func() {
+		opts.Catalog = tn.curCatalog()
 		if mode == BreakerFrozen {
 			res, err = sh.cache.InvokeTenantFrozen(tn.tag(), fp, name, build, opts)
 		} else {
@@ -598,7 +607,7 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 // merged one would branch on the mode at the engine call, the breaker
 // feedback and the response assembly.
 func (s *Server) serveSerial(ctx context.Context, tn *tenantState, sh *shard, req *QueryRequest, name string, build func() (*plan.Plan, error)) (QueryResponse, []exec.Value, *dispatchErr) {
-	opts, slot := s.jobOpts(tn, sh, req)
+	opts, slot := s.jobOpts(sh, req)
 	if s.cfg.Admission {
 		defer sh.adm.release(slot)
 	}
@@ -608,6 +617,7 @@ func (s *Server) serveSerial(ctx context.Context, tn *tenantState, sh *shard, re
 		err  error
 	)
 	doErr := s.doCtx(ctx, sh, func() {
+		opts.Catalog = tn.curCatalog()
 		var p *plan.Plan
 		if p, err = build(); err == nil {
 			vals, prof, err = sh.eng.ExecuteOpts(p, opts)

@@ -390,9 +390,8 @@ func (r *resultReader) column() (*storage.Column, error) {
 				return nil, fmt.Errorf("server: result: dictionary code %d out of range [0,%d)", c, dict.Len())
 			}
 		}
-		return storage.NewColumn(name, seq, vec.NewDictCoded(vals, dict)), nil
 	}
-	return storage.NewColumn(name, seq, vec.NewInt64(vals)), nil
+	return storage.NewColumn(name, seq, vec.New(vals, dict)), nil
 }
 
 // DecodeResult parses an APQRESULT document. Hostile input — bad magic or

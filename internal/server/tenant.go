@@ -68,10 +68,11 @@ type tenantState struct {
 	def bool
 
 	// epoch is the dataset's live mutation epoch; catalog is the live
-	// catalog pointer (mutations swap in a new copy-on-write catalog, so
-	// every loaded pointer stays valid and immutable for the request that
-	// loaded it). draining marks a tenant mid-removal: new requests 404,
-	// in-flight ones finish. mutMu serializes data mutations per tenant.
+	// catalog pointer (mutations swap in a new catalog under the all-shard
+	// barrier, so a pointer loaded inside a shard stays valid and immutable
+	// for the run that loaded it). draining marks a tenant mid-removal: new
+	// requests 404, in-flight ones finish. mutMu serializes data mutations
+	// per tenant.
 	epoch    atomic.Int64
 	catalog  atomic.Pointer[storage.Catalog]
 	draining atomic.Bool
@@ -84,10 +85,13 @@ type tenantState struct {
 	rejected     atomic.Int64
 }
 
-// newTenantState wires a tenant config into its runtime state.
+// newTenantState wires a tenant config into its runtime state. The live
+// catalog starts detached from whatever lineage the configured one belongs
+// to: every heap this tenant's mutations reclaim was born in them, never
+// shared with the embedding program or with another tenant.
 func newTenantState(t Tenant, def bool) *tenantState {
 	tn := &tenantState{Tenant: t, def: def}
-	tn.catalog.Store(t.Catalog)
+	tn.catalog.Store(t.Catalog.Detached())
 	tn.epoch.Store(t.Epoch)
 	return tn
 }

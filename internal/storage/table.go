@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Table is a named collection of equally long columns.
+// Table is a named collection of equally long columns. heap is the lineage a
+// table made by AppendRows / DeleteTail belongs to (nil for a built one).
 type Table struct {
 	name    string
 	rows    int
 	columns map[string]*Column
 	order   []string
+	heap    *tableHeap
 }
 
 // NewTable creates an empty table.

@@ -1,25 +1,55 @@
 package vec
 
 import (
+	"slices"
 	"strings"
 	"sync"
 )
 
-// Dict is an append-only string dictionary. Codes are assigned densely in
-// insertion order, which keeps dictionary-coded columns cache-friendly and
-// makes LIKE-style predicates a dictionary scan followed by a code-membership
-// scan (the standard column-store trick the paper's batstr.like relies on).
+// Dict is a string dictionary: an immutable view of the first Len() values of
+// an append-only lineage. Codes are assigned densely in insertion order, which
+// keeps dictionary-coded columns cache-friendly and makes LIKE-style
+// predicates a dictionary scan followed by a code-membership scan (the
+// standard column-store trick the paper's batstr.like relies on).
+//
+// A column that grows does not re-code: Extend appends the strings it has not
+// seen behind every existing view's length and returns a longer view, so a
+// code means the same string in every version of the column and a reader of
+// an older, shorter view never notices. Only Code grows its receiver in
+// place, and is therefore for the builder of a dictionary nothing shares yet.
 type Dict struct {
-	values []string
-	index  map[string]int64
+	values []string // lin.values[:Len()]
+	lin    *dictLineage
 
 	// matchMu guards matches, the memo of LIKE membership bitmaps computed
-	// when the dictionary held matchLen values: the clones of a partitioned
-	// LIKE select, and the shards serving one tenant, all ask the same
-	// dictionary the same question.
+	// when the view held matchLen values: the clones of a partitioned LIKE
+	// select, and the shards serving one tenant, all ask the same view the
+	// same question.
 	matchMu  sync.Mutex
 	matches  map[matchKey][]bool
 	matchLen int
+}
+
+// dictLineage is what the views of one dictionary share: the longest view's
+// values and the string → code index over them. Once a dictionary is shared
+// both are touched only under mu, which only Extend and Lookup take — Value
+// and the LIKE scans read their own view's slice, whose elements are never
+// written again.
+type dictLineage struct {
+	mu     sync.Mutex
+	values []string
+	index  map[string]int64
+}
+
+// intern returns s's code, appending s when the lineage does not hold it.
+func (l *dictLineage) intern(s string) int64 {
+	c, ok := l.index[s]
+	if !ok {
+		c = int64(len(l.values))
+		l.values = append(l.values, s)
+		l.index[s] = c
+	}
+	return c
 }
 
 // maxMatchMemo bounds the memo; plans carry a handful of distinct patterns,
@@ -33,24 +63,66 @@ type matchKey struct {
 
 // NewDict returns an empty dictionary.
 func NewDict() *Dict {
-	return &Dict{index: make(map[string]int64)}
+	return &Dict{lin: &dictLineage{index: make(map[string]int64)}}
 }
 
-// Code interns s and returns its code.
+// Code interns s and returns its code, growing the receiver in place: only
+// for a dictionary still being built, before any vector or view shares it —
+// which is why it takes no lock (a generator calls it once per row).
 func (d *Dict) Code(s string) int64 {
-	if c, ok := d.index[s]; ok {
+	l := d.lin
+	if c, ok := l.index[s]; ok && c < int64(len(d.values)) {
 		return c
 	}
-	c := int64(len(d.values))
-	d.values = append(d.values, s)
-	d.index[s] = c
+	if len(d.values) != len(l.values) {
+		panic("vec: Dict.Code on a view its lineage has outgrown")
+	}
+	c := l.intern(s)
+	d.values = l.values
 	return c
 }
 
-// Lookup returns the code for s and whether it is present.
+// Extend writes the code of strs[i] to codes[i] and returns the view those
+// codes are valid under: the receiver when it already holds every string,
+// otherwise a longer view of the same lineage — or, when the receiver is not
+// the lineage's longest view (a second child of one parent), of a fork that
+// starts as a copy of the receiver. The receiver is never modified.
+func (d *Dict) Extend(codes []int64, strs []string) *Dict {
+	l := d.lin
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	i, view := 0, int64(len(d.values))
+	for ; i < len(strs); i++ {
+		c, ok := l.index[strs[i]]
+		if !ok || c >= view {
+			break
+		}
+		codes[i] = c
+	}
+	if i == len(strs) {
+		return d
+	}
+	if len(l.values) != len(d.values) {
+		l = &dictLineage{values: slices.Clone(d.values), index: make(map[string]int64, len(d.values))}
+		for c, s := range l.values {
+			l.index[s] = int64(c)
+		}
+	}
+	for ; i < len(strs); i++ {
+		codes[i] = l.intern(strs[i])
+	}
+	return &Dict{values: l.values, lin: l}
+}
+
+// Lookup returns the code for s and whether this view holds it.
 func (d *Dict) Lookup(s string) (int64, bool) {
-	c, ok := d.index[s]
-	return c, ok
+	d.lin.mu.Lock()
+	c, ok := d.lin.index[s]
+	d.lin.mu.Unlock()
+	if !ok || c >= int64(len(d.values)) {
+		return 0, false
+	}
+	return c, true
 }
 
 // Value returns the string for code c.

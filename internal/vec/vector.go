@@ -28,6 +28,12 @@ type Vector struct {
 	dict *Dict
 }
 
+// New wraps vals in a Vector: dictionary codes when dict is non-nil, int64
+// payloads otherwise. The caller must not modify vals afterwards.
+func New(vals []int64, dict *Dict) *Vector {
+	return &Vector{vals: vals, dict: dict}
+}
+
 // NewInt64 wraps vals in a Vector. The caller must not modify vals afterwards.
 func NewInt64(vals []int64) *Vector {
 	return &Vector{vals: vals}

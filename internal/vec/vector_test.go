@@ -261,3 +261,42 @@ func TestNewDictCodedNilDictPanics(t *testing.T) {
 	}()
 	NewDictCoded([]int64{0}, nil)
 }
+
+// TestDictExtendViews: Extend never modifies its receiver — it returns the
+// receiver when nothing is new, a longer view of the same lineage when the
+// receiver is the longest, and a fork when a sibling got there first; codes a
+// view assigned keep their meaning in every view that descends from it.
+func TestDictExtendViews(t *testing.T) {
+	root := NewDict()
+	a, b := root.Code("a"), root.Code("b")
+	codes := make([]int64, 2)
+	if same := root.Extend(codes, []string{"b", "a"}); same != root || codes[0] != b || codes[1] != a {
+		t.Fatalf("Extend without new strings: view %p (root %p), codes %v", same, root, codes)
+	}
+	long := root.Extend(codes, []string{"a", "c"})
+	if long == root || root.Len() != 2 || long.Len() != 3 || codes[0] != a || long.Value(codes[1]) != "c" {
+		t.Fatalf("Extend with a new string: root %d values, long %d, codes %v", root.Len(), long.Len(), codes)
+	}
+	if _, ok := root.Lookup("c"); ok {
+		t.Fatal("the shorter view finds the longer view's string")
+	}
+	// A second child of root: "c" exists in the lineage, but behind root's
+	// length and under a code the sibling owns — the fork re-assigns it.
+	fork := root.Extend(codes, []string{"d", "c"})
+	if fork.Len() != 4 || fork.Value(codes[0]) != "d" || fork.Value(codes[1]) != "c" || fork.Value(a) != "a" || fork.Value(b) != "b" {
+		t.Fatalf("fork: %d values, codes %v", fork.Len(), codes)
+	}
+	if long.Len() != 3 || long.Value(2) != "c" || root.Len() != 2 {
+		t.Fatal("the fork modified the views it forked from")
+	}
+	// The fork is its own lineage and grows in place from here.
+	if next := fork.Extend(codes[:1], []string{"e"}); next.Len() != 5 || fork.Len() != 4 || long.Len() != 3 {
+		t.Fatal("extending the fork reached another view")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Code on a view its lineage has outgrown did not panic")
+		}
+	}()
+	root.Code("z")
+}

@@ -426,8 +426,8 @@ func (s *Server) ClusterStats() (stats ClusterStats, ok bool) {
 }
 
 // AppendRows appends rows to one of a tenant's tables ("" = the default
-// tenant) while the server keeps serving: the catalog is rebuilt
-// copy-on-write, swapped in atomically across the shard pool, the tenant's
+// tenant) while the server keeps serving: a new catalog (sharing every column
+// with the old one) is swapped in atomically across the shard pool, the tenant's
 // dataset epoch is bumped, and the tenant's converged sessions reopen warm
 // (seeded from their learned plans) instead of being evicted. Equivalent to
 // POST /admin/append.
