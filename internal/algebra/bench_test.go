@@ -160,8 +160,10 @@ func BenchmarkSelectLike(b *testing.B) {
 
 // benchKeys returns a foreign-key view of benchTuples values drawn uniformly
 // from nKeys keys spaced stride apart, and a primary-key column holding every
-// keep-th of them: stride 1 is the dense TPC-H shape, a large stride or a
-// filtered inner (keep > 1, where most probes miss) forces the sparse forms.
+// keep-th of them: stride 1 is the dense TPC-H shape; a filtered inner
+// (keep > 1, where most probes miss — Q4's order keys of a date range, Q9's and
+// Q17's part keys) or stride 37 takes the ranked-bitmap form, stride 2⁴⁰ the
+// probing one.
 func benchKeys(nKeys int, stride int64, keep int) (fk, pk *storage.Column) {
 	r := rand.New(rand.NewSource(2))
 	keys := make([]int64, nKeys)
@@ -188,6 +190,8 @@ var benchKeyShapes = []struct {
 	{"dense/300k", 300_000, 1, 1},
 	{"sparse/300k", 300_000, 37, 1},
 	{"filtered/30k", 30_000, 1, 25},
+	{"filtered/4k", 4000, 1, 20},
+	{"filtered/4k-1pct", 4000, 1, 100},
 	{"dense/100", 100, 1, 1},
 	{"sparse/100", 100, 1 << 40, 1},
 }

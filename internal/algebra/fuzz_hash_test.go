@@ -16,23 +16,26 @@ import (
 // map-backed ref* bodies, over key columns that force each representation
 // and sit on its edges — a narrow range (direct addressing), a few keys
 // scattered over a huge one (probing), every key distinct (the probing table
-// doubles repeatedly), all equal, empty, one tuple, keys at both int64 edges
-// (the NoLow / NoHigh sentinels: max − min must be taken unsigned),
-// duplicate-heavy inners whose matches outgrow any destination sized for the
-// outer, dictionary-coded keys, views with Seq() != 0 — into destinations
-// that are nil, too small, or recycled with stale contents.
+// doubles repeatedly), a filtered key range probed across the whole range
+// (the ranked bitmap, mostly missing), all equal, empty, one tuple, keys at
+// both int64 edges (the NoLow / NoHigh sentinels: max − min must be taken
+// unsigned), duplicate-heavy inners whose matches outgrow any destination
+// sized for the outer, dictionary-coded keys, views with Seq() != 0 — into
+// destinations that are nil, too small, or recycled with stale contents.
 func FuzzHashKernels(f *testing.F) {
-	for shape := uint8(0); shape < 8; shape++ {
+	for shape := uint8(0); shape < 9; shape++ {
 		f.Add(int64(shape)*31+1, shape, uint16(13*int(shape)), uint16(200), uint16(40), shape)
 	}
-	f.Add(int64(99), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0)) // both sides empty
-	f.Add(int64(98), uint8(2), uint16(5), uint16(1), uint16(1), uint8(2)) // one tuple each
+	f.Add(int64(99), uint8(1), uint16(0), uint16(0), uint16(0), uint8(0))      // both sides empty
+	f.Add(int64(98), uint8(2), uint16(5), uint16(1), uint16(1), uint8(2))      // one tuple each
+	f.Add(int64(97), uint8(8), uint16(7), uint16(399), uint16(1199), uint8(3)) // a filtered range dense enough for the direct form
+	f.Add(int64(96), uint8(17), uint16(0), uint16(300), uint16(9), uint8(1))   // a handful of filtered keys: the bitmap
 
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, offset, nOuter, nInner uint16, dstMode uint8) {
 		r := rand.New(rand.NewSource(seed))
 		var dict *vec.Dict
-		var key func() int64
-		switch shape % 8 {
+		var key, outerKey func() int64
+		switch shape % 9 {
 		case 0: // narrow range: direct addressing
 			base := r.Int63n(1 << 40)
 			key = func() int64 { return base + int64(r.Intn(50)) }
@@ -54,6 +57,10 @@ func FuzzHashKernels(f *testing.F) {
 			key = func() int64 { return math.MinInt64 + int64(r.Intn(9)) }
 		case 6: // hugging the other
 			key = func() int64 { return math.MaxInt64 - int64(r.Intn(9)) }
+		case 8: // a filtered key range: the inner holds every k-th key of a few thousand
+			base, span, k := r.Int63()-r.Int63(), 1000+r.Intn(4000), 2+r.Intn(199)
+			key = func() int64 { return base + int64(k*r.Intn(span/k+1)) }
+			outerKey = func() int64 { return base + int64(r.Intn(span+2)) - 1 }
 		default: // dictionary codes
 			dict = vec.NewDict()
 			for _, s := range []string{"AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"} {
@@ -61,7 +68,10 @@ func FuzzHashKernels(f *testing.F) {
 			}
 			key = func() int64 { return int64(r.Intn(dict.Len())) }
 		}
-		column := func(name string, n int) *storage.Column {
+		if outerKey == nil {
+			outerKey = key
+		}
+		column := func(name string, n int, key func() int64) *storage.Column {
 			off := int(offset % 300)
 			vals := make([]int64, off+n+r.Intn(5))
 			for i := range vals {
@@ -77,7 +87,7 @@ func FuzzHashKernels(f *testing.F) {
 		}
 		// A short outer against a longer, duplicate-heavy inner makes
 		// matches exceed len(outer): the append-past-capacity path.
-		outer, inner := column("o", int(nOuter%400)), column("i", int(nInner%1200))
+		outer, inner := column("o", int(nOuter%400), outerKey), column("i", int(nInner%1200), key)
 		dst := func() []int64 {
 			switch dstMode % 4 {
 			case 0:

@@ -56,10 +56,12 @@ func HashJoin(outer, inner *storage.Column) (louter, rinner []int64, w Work) {
 	return HashJoinInto(nil, nil, outer, inner)
 }
 
-// hashFootprint estimates the in-memory size of a hash index over col:
-// roughly 3 words per tuple (bucket slot, oid, chaining overhead). The cost
-// model compares it against the simulated shared L3 to decide probe cost —
-// the mechanism behind the paper's 16 MB-inner vs 64 MB-inner speed-up gap.
+// hashFootprint is the cost model's fixed estimate of a hash index over col,
+// 24 B per tuple (bucket slot, oid, chaining overhead). The cost model
+// compares it against the simulated shared L3 to decide probe cost — the
+// mechanism behind the paper's 16 MB-inner vs 64 MB-inner speed-up gap. It is
+// deliberately not the CSR index's real size, which depends on the form
+// storage picked: it feeds Work, and changing it would move virtual time.
 func hashFootprint(col *storage.Column) int64 {
 	return int64(col.Len()) * 24
 }

@@ -13,6 +13,7 @@ package algebra_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -619,7 +620,24 @@ func checkJoin(t *testing.T, at string, ref refIndexes, dst func() []int64, oute
 	}
 }
 
+// indexForm names the form storage built idx in. Which form a key shape takes
+// is storage's decision and unexported, so this reads the fields that mark
+// it: a renamed field fails here, never passes silently.
+func indexForm(idx *storage.HashIndex) string {
+	h := reflect.ValueOf(idx).Elem()
+	switch {
+	case !h.FieldByName("table").IsNil():
+		return "probing"
+	case !h.FieldByName("bitmap").IsNil():
+		return "bitmap"
+	}
+	return "direct"
+}
+
 func TestHashKernelsMatchReference(t *testing.T) {
+	// Inners per index form: a threshold change that leaves a form without an
+	// inner here fails instead of leaving it untested.
+	forms := map[string]int{}
 	for _, sf := range []float64{0.5, 2} {
 		cat := tpch.Generate(tpch.Config{SF: sf, Seed: 11})
 		line, orders := cat.MustTable("lineitem"), cat.MustTable("orders")
@@ -636,10 +654,21 @@ func TestHashKernelsMatchReference(t *testing.T) {
 		// Intermediates as the inner side: the order keys of a date range
 		// (a sparse subset of a dense domain), once as a column of its own
 		// and once as a view into the middle of it.
+		fetch := func(oids []int64, col *storage.Column) *storage.Column {
+			vals := make([]int64, len(oids))
+			n, _, _ := FetchInto(vals, oids, col)
+			return storage.NewIntColumn(col.Name(), vals[:n])
+		}
 		picked, _ := SelectInto(nil, orders.MustColumn("o_orderdate"), HalfOpen(700, 790))
-		subset := make([]int64, len(picked))
-		n, _, _ := FetchInto(subset, picked, orders.MustColumn("o_orderkey"))
-		fetched := storage.NewIntColumn("o_orderkey", subset[:n])
+		fetched := fetch(picked, orders.MustColumn("o_orderkey"))
+		n := fetched.Len()
+		// The part keys of Q9's LIKE and of Q17's brand and container
+		// predicates: a few per cent, and under one per cent, of the keys.
+		part := cat.MustTable("part")
+		green, _ := SelectLikeInto(nil, part.MustColumn("p_name"), "green", LikeContains, false)
+		brand, _ := SelectLikeInto(nil, part.MustColumn("p_brand"), "Brand#23", LikeContains, false)
+		med, _ := SelectLikeInto(nil, part.MustColumn("p_container"), "MED", LikePrefix, false)
+		brandMed := slices.DeleteFunc(brand, func(oid int64) bool { _, ok := slices.BinarySearch(med, oid); return !ok })
 
 		joins := []struct {
 			name         string
@@ -651,6 +680,11 @@ func TestHashKernelsMatchReference(t *testing.T) {
 			{"o_custkey-c_custkey", orders.MustColumn("o_custkey"), cat.MustTable("customer").MustColumn("c_custkey")},
 			{"l_orderkey-fetched", line.MustColumn("l_orderkey"), fetched},
 			{"l_orderkey-fetched-view", line.MustColumn("l_orderkey"), fetched.View(n/4, n/2)},
+			{"l_partkey-green", line.MustColumn("l_partkey"), fetch(green, part.MustColumn("p_partkey"))},
+			{"l_partkey-brand-med", line.MustColumn("l_partkey"), fetch(brandMed, part.MustColumn("p_partkey"))},
+			// Hundreds to thousands of values over a range of a million:
+			// probing.
+			{"l_extendedprice-c_acctbal", line.MustColumn("l_extendedprice"), cat.MustTable("customer").MustColumn("c_acctbal")},
 			// Every outer key matches several inner tuples: the result
 			// outgrows any destination sized for the outer.
 			{"o_orderkey-l_orderkey", orders.MustColumn("o_orderkey"), line.MustColumn("l_orderkey")},
@@ -668,6 +702,8 @@ func TestHashKernelsMatchReference(t *testing.T) {
 			}
 			j.inner.DropHashes()
 			checkJoin(t, fmt.Sprintf("sf=%g %s nil dst", sf, j.name), refIndexes{}, func() []int64 { return nil }, j.outer, j.inner)
+			idx, _ := j.inner.Hash()
+			forms[indexForm(idx)]++
 		}
 
 		qty := line.MustColumn("l_quantity")
@@ -699,4 +735,10 @@ func TestHashKernelsMatchReference(t *testing.T) {
 			}
 		}
 	}
+	for _, f := range []string{"direct", "bitmap", "probing"} {
+		if forms[f] == 0 {
+			t.Errorf("no inner took the %s form: %v", f, forms)
+		}
+	}
+	t.Logf("inners per index form: %v", forms)
 }

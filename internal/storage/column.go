@@ -9,6 +9,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -134,28 +135,59 @@ func (c *Column) ValueAtOid(oid int64) int64 {
 //
 // The index is a CSR multimap: oids holds every head oid grouped by key, in
 // ascending oid order within a key, and bucket b's matches are
-// oids[starts[b]:starts[b+1]]. When the keys' range is small against the
-// tuple count (directSpan — TPC-H/DS keys) a key's bucket is v − min; sparse
-// keys go through a KeyTable and the bucket is the key's id.
+// oids[starts[b]:starts[b+1]]. newHashIndex picks one of three forms from the
+// keys' minimum, maximum and count alone:
+//   - direct, when the range is small against the tuple count (directSpan —
+//     TPC-H/DS keys): the bucket of v is v − min;
+//   - ranked bitmap, when the range is too wide for that but a presence bitmap
+//     over it takes at most max(tuples, minBitmapWords) words (a filtered
+//     intermediate): the bucket of v is its rank among the keys, so a probe
+//     that misses costs a range test and a bit test, no hash;
+//   - probing otherwise: a KeyTable maps the key to an id, the bucket.
 type HashIndex struct {
 	oids   []int64
 	starts []int32
-	min    int64     // direct form
+	min    int64     // direct and bitmap forms
 	span   uint64    // direct form: largest valid v − min
-	table  *KeyTable // sparse form; nil in the direct form
+	bitmap []uint64  // bitmap form: bit v − min is set when v is a key
+	ranks  []int32   // bitmap form: the number of keys below each word
+	table  *KeyTable // probing form
+}
+
+// minBitmapWords lets the bitmap form take this many words even for a handful
+// of tuples: with an int32 rank per word the form costs at most 12 B per tuple
+// or 12 KB in all, a table that stays in L1.
+const minBitmapWords = 1024
+
+// rankOf is the bitmap form's bucket of the key at offset b = v − min, or
+// false when no key has that offset. The bits past span are never set, so a
+// miss is one word-range test and one bit test; a hit adds the keys below b's
+// word to the set bits below b within it.
+func rankOf(bitmap []uint64, ranks []int32, b uint64) (uint64, bool) {
+	w, bit := b>>6, uint64(1)<<(b&63)
+	if w >= uint64(len(bitmap)) || bitmap[w]&bit == 0 {
+		return 0, false
+	}
+	return uint64(ranks[w]) + uint64(bits.OnesCount64(bitmap[w]&(bit-1))), true
 }
 
 // Lookup returns the head oids whose value equals v, ascending. The returned
 // slice must be treated as read-only.
 func (h *HashIndex) Lookup(v int64) []int64 {
 	b := uint64(v) - uint64(h.min)
-	if h.table != nil {
+	switch {
+	case h.table != nil:
 		id, ok := h.table.Find(v)
 		if !ok {
 			return nil
 		}
 		b = uint64(id)
-	} else if b > h.span {
+	case h.bitmap != nil:
+		var ok bool
+		if b, ok = rankOf(h.bitmap, h.ranks, b); !ok {
+			return nil
+		}
+	case b > h.span:
 		return nil
 	}
 	return h.oids[h.starts[b]:h.starts[b+1]]
@@ -180,8 +212,8 @@ func (h *HashIndex) Probe(louter, rinner, vals []int64, seq int64) ([]int64, []i
 		}
 	}
 	if t := h.table; t != nil {
-		// KeyTable.Find, spelled out: most probes of a filtered inner miss,
-		// and a miss should cost one slot load, not a call.
+		// KeyTable.Find, spelled out: a miss should cost one slot load, not
+		// a call.
 		slots, keys, shift := t.slots, t.keys, t.shift
 		mask := uint64(len(slots) - 1)
 		for i, v := range vals {
@@ -194,6 +226,12 @@ func (h *HashIndex) Probe(louter, rinner, vals []int64, seq int64) ([]int64, []i
 		}
 		return l[:n], r[:n]
 	}
+	if h.bitmap != nil {
+		for i, id := h.nextKey(vals, 0); i < len(vals); i, id = h.nextKey(vals, i+1) {
+			emit(seq+int64(i), h.oids[h.starts[id]:h.starts[id+1]])
+		}
+		return l[:n], r[:n]
+	}
 	lo, span := uint64(h.min), h.span
 	for i, v := range vals {
 		if b := uint64(v) - lo; b <= span {
@@ -201,6 +239,20 @@ func (h *HashIndex) Probe(louter, rinner, vals []int64, seq int64) ([]int64, []i
 		}
 	}
 	return l[:n], r[:n]
+}
+
+// nextKey is the bitmap form's probe loop: the first position from i on whose
+// value is a key, and that key's bucket; len(vals) when there is none. It is
+// a function of its own so that the misses it skips run in registers, free of
+// the spills that emit's growth call forces on a loop around it.
+func (h *HashIndex) nextKey(vals []int64, i int) (int, uint64) {
+	lo, bitmap, ranks := uint64(h.min), h.bitmap, h.ranks
+	for ; i < len(vals); i++ {
+		if id, ok := rankOf(bitmap, ranks, uint64(vals[i])-lo); ok {
+			return i, id
+		}
+	}
+	return i, 0
 }
 
 // Tuples reports how many tuples the index covers.
@@ -214,13 +266,33 @@ func newHashIndex(vals []int64, seq int64) *HashIndex {
 	buckets := make([]int64, len(vals))
 	nb := 0
 	lo, hi := KeyBounds(vals)
-	if span, ok := directSpan(lo, hi, len(vals)); ok {
+	span, direct := directSpan(lo, hi, len(vals))
+	switch {
+	case direct:
 		h.min, h.span = lo, span
 		for i, v := range vals {
 			buckets[i] = v - lo
 		}
 		nb = int(span) + 1
-	} else {
+	case span/64 < uint64(max(len(vals), minBitmapWords)): // span/64 + 1 words
+		// Ranks number the keys in ascending order, so bucket order — and
+		// with it the counting sort below — is the direct form's.
+		h.min = lo
+		h.bitmap = make([]uint64, span/64+1)
+		h.ranks = make([]int32, len(h.bitmap))
+		for _, v := range vals {
+			b := uint64(v) - uint64(lo)
+			h.bitmap[b>>6] |= 1 << (b & 63)
+		}
+		for w, word := range h.bitmap {
+			h.ranks[w] = int32(nb)
+			nb += bits.OnesCount64(word)
+		}
+		for i, v := range vals {
+			id, _ := rankOf(h.bitmap, h.ranks, uint64(v)-uint64(lo))
+			buckets[i] = int64(id)
+		}
+	default:
 		h.table = new(KeyTable)
 		h.table.Reset(lo, hi, len(vals))
 		h.table.Assign(buckets, vals)

@@ -24,16 +24,41 @@ func keyShapes() map[string][]int64 {
 	for i := range unique {
 		unique[i] = int64(i) * 7919
 	}
+	var filtered []int64 // every 25th key of 30 000, the Q4 shape, each twice
+	for k := int64(0); k < 30_000; k += 25 {
+		filtered = append(filtered, k, k)
+	}
+	var part []int64 // 5 % of 4 000 part keys, the Q9 shape
+	for k := int64(0); k < 4000; k++ {
+		if r.Intn(20) == 0 {
+			part = append(part, k)
+		}
+	}
+	// 2 000 tuples whose span fills exactly 2 000 bitmap words, and one more:
+	// the bitmap form's bound where the tuple count, not minBitmapWords, binds.
+	atBound := make([]int64, 2000)
+	for i := range atBound {
+		atBound[i] = int64(i) * 64
+	}
+	atBound[len(atBound)-1] = 2000*64 - 1
+	pastBound := slices.Clone(atBound)
+	pastBound[len(pastBound)-1] = 2000 * 64
 	return map[string][]int64{
-		"empty":     {},
-		"one":       {42},
-		"all-equal": {7, 7, 7, 7, 7},
-		"dense":     dense,
-		"sparse":    sparse,
-		"unique":    unique,
-		"edges":     {math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1, math.MinInt64 + 1, math.MaxInt64 - 1},
-		"min-only":  {math.MinInt64, math.MinInt64 + 2, math.MinInt64 + 1, math.MinInt64},
-		"max-only":  {math.MaxInt64, math.MaxInt64 - 2, math.MaxInt64},
+		"empty":         {},
+		"one":           {42},
+		"all-equal":     {7, 7, 7, 7, 7},
+		"dense":         dense,
+		"sparse":        sparse,
+		"unique":        unique,
+		"edges":         {math.MaxInt64, math.MinInt64, 0, math.MaxInt64, -1, math.MinInt64 + 1, math.MaxInt64 - 1},
+		"min-only":      {math.MinInt64, math.MinInt64 + 2, math.MinInt64 + 1, math.MinInt64},
+		"max-only":      {math.MaxInt64, math.MaxInt64 - 2, math.MaxInt64},
+		"filtered":      filtered,
+		"filtered-part": part,
+		"bitmap-bound":  atBound,
+		"past-bound":    pastBound,
+		// A bitmap whose min is MinInt64: v − min must be taken unsigned.
+		"min-bitmap": {math.MinInt64 + 64*50 + 63, math.MinInt64, math.MinInt64 + 64, math.MinInt64 + 1000},
 	}
 }
 
@@ -62,6 +87,14 @@ func TestHashIndexMatchesMapIndex(t *testing.T) {
 		for _, v := range vals {
 			probes = append(probes, v-1, v+1)
 		}
+		// Just outside the range, and bit 0 and bit 63 of the first, second
+		// and last bitmap word (unsigned offsets, as the index takes them).
+		lo, hi := KeyBounds(vals)
+		probes = append(probes, lo-1, hi+1)
+		last := (uint64(hi) - uint64(lo)) &^ 63
+		for _, w := range []uint64{0, 64, last} {
+			probes = append(probes, int64(uint64(lo)+w), int64(uint64(lo)+w+63))
+		}
 		for _, v := range probes {
 			if got := idx.Lookup(v); !slices.Equal(got, want[v]) {
 				t.Fatalf("%s: Lookup(%d) = %v, want %v", name, v, got, want[v])
@@ -82,14 +115,26 @@ func TestHashIndexMatchesMapIndex(t *testing.T) {
 	}
 }
 
+// form names the form newHashIndex built h in.
+func (h *HashIndex) form() string {
+	switch {
+	case h.table != nil:
+		return "probing"
+	case h.bitmap != nil:
+		return "bitmap"
+	}
+	return "direct"
+}
+
 func TestHashIndexFormFollowsKeyRange(t *testing.T) {
-	shapes := keyShapes()
-	for name, direct := range map[string]bool{
-		"dense": true, "all-equal": true, "one": true, "min-only": true, "max-only": true,
-		"sparse": false, "unique": false, "edges": false, "empty": false,
-	} {
-		if idx := newHashIndex(shapes[name], 0); (idx.table == nil) != direct {
-			t.Errorf("%s: direct form = %v, want %v", name, idx.table == nil, direct)
+	want := map[string]string{
+		"dense": "direct", "all-equal": "direct", "one": "direct", "min-only": "direct", "max-only": "direct",
+		"filtered": "bitmap", "filtered-part": "bitmap", "bitmap-bound": "bitmap", "min-bitmap": "bitmap", "empty": "bitmap",
+		"sparse": "probing", "unique": "probing", "edges": "probing", "past-bound": "probing",
+	}
+	for name, vals := range keyShapes() {
+		if got := newHashIndex(vals, 0).form(); got != want[name] {
+			t.Errorf("%s: %s form, want %q", name, got, want[name])
 		}
 	}
 }
