@@ -22,6 +22,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -50,8 +51,8 @@ type TenantSpec struct {
 	MaxInFlight int `json:"max_in_flight,omitempty"`
 }
 
-// appendRequest is the POST /admin/append body; each column carries exactly
-// one of "ints" or "strs", matching the column's type.
+// appendRequest is the POST /admin/append body, read by decodeAppend; each
+// column carries exactly one of "ints" or "strs", matching the column's type.
 type appendRequest struct {
 	Tenant  string                          `json:"tenant,omitempty"`
 	Table   string                          `json:"table"`
@@ -307,7 +308,7 @@ func (s *Server) adminReply(b *ioBuf, w http.ResponseWriter, resp any, err error
 
 func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
-	if derr := decode(b, w, r, &req); derr != nil {
+	if derr := readBody(b, w, r, func(data []byte) error { return decodeAppend(data, &req) }); derr != nil {
 		s.writeErr(b, w, derr.code, derr.err)
 		return
 	}
@@ -317,7 +318,7 @@ func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) 
 
 func (s *Server) handleTruncate(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var req truncateRequest
-	if derr := decode(b, w, r, &req); derr != nil {
+	if derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &req) }); derr != nil {
 		s.writeErr(b, w, derr.code, derr.err)
 		return
 	}
@@ -333,7 +334,7 @@ func (s *Server) handleTenants(b *ioBuf, w http.ResponseWriter, r *http.Request)
 	switch r.Method {
 	case http.MethodPost:
 		var spec TenantSpec
-		if derr := decode(b, w, r, &spec); derr != nil {
+		if derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &spec) }); derr != nil {
 			s.writeErr(b, w, derr.code, derr.err)
 			return
 		}

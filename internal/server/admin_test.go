@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -48,6 +49,36 @@ func appendColsFor(cat *storage.Catalog, table string, n int) map[string]storage
 func appendBodyFor(t *testing.T, cat *storage.Catalog, tenant, table string, n int) []byte {
 	t.Helper()
 	body, err := json.Marshal(appendRequest{Tenant: tenant, Table: table, Columns: appendColsFor(cat, table, n)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// writerAppendBody is the benchmark writer's append body: rows copies of
+// seed-picked rows of table, as bench/oracle.go builds and marshals it.
+func writerAppendBody(t testing.TB, cat *storage.Catalog, table string, rows int, seed int64) []byte {
+	t.Helper()
+	tab := cat.MustTable(table)
+	rng := rand.New(rand.NewSource(seed))
+	pick := make([]int, rows)
+	for i := range pick {
+		pick[i] = rng.Intn(tab.Rows())
+	}
+	cols := map[string]storage.ColumnAppend{}
+	for _, name := range tab.ColumnNames() {
+		col := tab.MustColumn(name)
+		var a storage.ColumnAppend
+		for _, r := range pick {
+			if d := col.Dict(); d != nil {
+				a.Strs = append(a.Strs, d.Value(col.At(r)))
+			} else {
+				a.Ints = append(a.Ints, col.At(r))
+			}
+		}
+		cols[name] = a
+	}
+	body, err := json.Marshal(map[string]any{"table": table, "columns": cols})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,6 +311,14 @@ func TestAdminAppendValidation(t *testing.T) {
 		{"unknown table", `{"table":"nope","columns":{"x":{"ints":[1]}}}`, http.StatusBadRequest},
 		{"missing columns", `{"table":"lineitem","columns":{"l_shipdate":{"ints":[1]}}}`, http.StatusBadRequest},
 		{"unknown tenant", `{"tenant":"ghost","table":"lineitem","columns":{}}`, http.StatusNotFound},
+		{"fraction", `{"table":"lineitem","columns":{"l_quantity":{"ints":[1.5]}}}`, http.StatusBadRequest},
+		{"exponent", `{"table":"lineitem","columns":{"l_quantity":{"ints":[1e2]}}}`, http.StatusBadRequest},
+		{"int64 overflow", `{"table":"lineitem","columns":{"l_quantity":{"ints":[9223372036854775808]}}}`, http.StatusBadRequest},
+		{"ints as a string", `{"table":"lineitem","columns":{"l_quantity":{"ints":"7"}}}`, http.StatusBadRequest},
+		{"strs of a number", `{"table":"lineitem","columns":{"l_returnflag":{"strs":[1]}}}`, http.StatusBadRequest},
+		{"non-object body", `[]`, http.StatusBadRequest},
+		{"unterminated string", `{"table":"lineitem`, http.StatusBadRequest},
+		{"control byte in a string", "{\"table\":\"line\x01item\"}", http.StatusBadRequest},
 	} {
 		if code := postJSON(t, srv, http.MethodPost, "/admin/append", []byte(tc.body), nil); code != tc.code {
 			t.Errorf("%s: status %d, want %d", tc.name, code, tc.code)

@@ -159,6 +159,37 @@ func BenchmarkServeAdaptiveWarmup(b *testing.B) {
 	b.ReportMetric(float64(steps)/float64(b.N), "steps/convergence")
 }
 
+// BenchmarkAppendBody decodes the benchmark writer's two append bodies —
+// 600 rows of lineitem at SF 1 (ten int columns, one one-byte string) and of
+// part at SF 0.5 (four int columns, four string columns) — with decodeAppend
+// and, beside it, with the encoding/json it replaced.
+func BenchmarkAppendBody(b *testing.B) {
+	for _, body := range []struct {
+		table string
+		sf    float64
+	}{{"lineitem", 1}, {"part", 0.5}} {
+		data := writerAppendBody(b, tpch.Generate(tpch.Config{SF: body.sf, Seed: 42}), body.table, 600, 42)
+		for _, dec := range []struct {
+			name   string
+			decode func([]byte, *appendRequest) error
+		}{
+			{"decodeAppend", decodeAppend},
+			{"json", func(data []byte, req *appendRequest) error { return json.Unmarshal(data, req) }},
+		} {
+			b.Run(body.table+"/"+dec.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					var req appendRequest
+					if err := dec.decode(data, &req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkServeColdSerial is the baseline: every request executes the
 // serial plan with no cached adaptive state.
 func BenchmarkServeColdSerial(b *testing.B) {

@@ -227,3 +227,48 @@ func TestSteadyStateMutationIsInPlace(t *testing.T) {
 		t.Fatalf("%d bytes allocated per append + truncate cycle, want <= 64 KB: the steady state is copying the table", perCycle)
 	}
 }
+
+// TestSteadyStateAppendOverHTTP is the same cycle through Handler() with the
+// benchmark writer's 27 KB body, where decoding the body is most of what the
+// server allocates. It fails above the measured value + ~10 %: a cycle
+// measured 88 680 B / 162 allocations on go1.24 (it read 205 672 B / 282
+// while json.Unmarshal decoded the body).
+func TestSteadyStateAppendOverHTTP(t *testing.T) {
+	skipIfPoolsAreLossy(t)
+	const rows, cycles = 600, 50
+	const maxBytes, maxAllocs = 96 << 10, 178
+	cat := tpch.Generate(tpch.Config{SF: 1, Seed: 42})
+	srv, err := New(Config{
+		Engines:   []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+		Benchmark: "tpch",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	app := writerAppendBody(t, cat, "lineitem", rows, 42)
+	trunc, _ := json.Marshal(truncateRequest{Table: "lineitem", Rows: rows})
+	cycle := func() {
+		for _, m := range []struct {
+			path string
+			body []byte
+		}{{"/admin/append", app}, {"/admin/truncate", trunc}} {
+			if code := postJSON(t, srv, http.MethodPost, m.path, m.body, nil); code != http.StatusOK {
+				t.Fatalf("%s status %d", m.path, code)
+			}
+		}
+	}
+	cycle()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&m1)
+	bytes, allocs := (m1.TotalAlloc-m0.TotalAlloc)/cycles, (m1.Mallocs-m0.Mallocs)/cycles
+	t.Logf("%d bytes, %d allocations per append + truncate cycle over HTTP", bytes, allocs)
+	if bytes > maxBytes || allocs > maxAllocs {
+		t.Fatalf("%d bytes, %d allocations per cycle over HTTP, want <= %d / %d: the append body's decode regressed",
+			bytes, allocs, maxBytes, maxAllocs)
+	}
+}

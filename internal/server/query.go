@@ -182,7 +182,7 @@ func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 		resp QueryResponse
 		vals []exec.Value
 	)
-	derr := decode(b, w, r, &req)
+	derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &req) })
 	if derr == nil {
 		resp, vals, derr = s.dispatch(r.Context(), r.Header.Get("X-APQ-Tenant"), &req, r.Header.Get(FrozenHeader) == "1")
 	}
@@ -198,14 +198,13 @@ func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	s.encode(b, w, wantsResult(r.Header.Get("Accept"), &req), resp, vals)
 }
 
-// decode drains the bounded request body into the pooled buffer and
-// unmarshals it into v — every POST body, /query's and the admin routes',
-// comes through here: over the limit is a 413, and anything but exactly one
-// JSON value a 400.
-func decode(b *ioBuf, w http.ResponseWriter, r *http.Request, v any) *dispatchErr {
+// readBody drains the bounded request body into the pooled buffer and hands
+// it to parse — json.Unmarshal, or decodeAppend for /admin/append. Every POST
+// body comes through here: over the limit is a 413, and a refusal a 400.
+func readBody(b *ioBuf, w http.ResponseWriter, r *http.Request, parse func([]byte) error) *dispatchErr {
 	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	if err == nil {
-		err = json.Unmarshal(b.buf.Bytes(), v)
+		err = parse(b.buf.Bytes())
 	}
 	if err != nil {
 		code := http.StatusBadRequest
