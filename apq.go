@@ -7,16 +7,19 @@
 // join, tuple reconstruction, grouping, aggregation, sort, exchange union),
 // MAL-like SSA dataflow plans, a deterministic discrete-event multi-core
 // machine (sockets, SMT, shared memory bandwidth, NUMA, OS noise), dbgen-like
-// TPC-H and skewed TPC-DS workload generators, and four parallelization
+// TPC-H and skewed TPC-DS workload generators, and two parallelization
 // engines:
 //
 //   - Adaptive parallelization (the paper's contribution): execution
 //     feedback morphs a serial plan by parallelizing its most expensive
 //     operator per invocation, under a credit/debit convergence algorithm.
 //   - Heuristic parallelization (MonetDB-style static mitosis baseline).
-//   - Work-stealing configuration (many small static partitions).
-//   - A simulated Vectorwise comparator (exchange overhead + admission
-//     control).
+//
+// The paper's other two configurations — 128-partition work stealing
+// (Figure 12) and the simulated Vectorwise comparator (Figure 16) — are the
+// heuristic plan at another partition count or cost calibration, built where
+// those figures are regenerated: go run ./cmd/experiments. NewServer and
+// Serve put the adaptive engine behind the apqd HTTP query service.
 //
 // Quickstart:
 //
@@ -38,7 +41,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tpcds"
 	"repro/internal/tpch"
-	"repro/internal/vec"
 )
 
 // Machine describes the simulated multi-core hardware (see docs/ARCHITECTURE.md
@@ -77,9 +79,6 @@ type DB struct {
 // Catalog exposes the underlying catalog for advanced integrations.
 func (db *DB) Catalog() *storage.Catalog { return db.cat }
 
-// NewDB returns an empty database.
-func NewDB() *DB { return &DB{cat: storage.NewCatalog()} }
-
 // LoadTPCH generates the synthetic TPC-H subset at scale factor sf
 // (SF1 ≈ 60k lineitem rows at the library's 1/100 scale).
 func LoadTPCH(sf float64, seed int64) *DB {
@@ -91,85 +90,10 @@ func LoadTPCDS(sf float64, seed int64) *DB {
 	return &DB{cat: tpcds.Generate(tpcds.Config{SF: sf, Seed: seed})}
 }
 
-// TableBuilder adds a custom table to a DB.
-type TableBuilder struct {
-	db  *DB
-	t   *storage.Table
-	err error
-}
-
-// AddTable starts building a table.
-func (db *DB) AddTable(name string) *TableBuilder {
-	return &TableBuilder{db: db, t: storage.NewTable(name)}
-}
-
-// Int64 attaches an int64 column (dates, decimals and keys are all int64).
-func (b *TableBuilder) Int64(name string, vals []int64) *TableBuilder {
-	if b.err == nil {
-		b.err = b.t.AddColumn(storage.NewIntColumn(name, vals))
-	}
-	return b
-}
-
-// String attaches a dictionary-encoded string column.
-func (b *TableBuilder) String(name string, vals []string) *TableBuilder {
-	if b.err == nil {
-		d := vec.NewDict()
-		codes := make([]int64, len(vals))
-		for i, s := range vals {
-			codes[i] = d.Code(s)
-		}
-		b.err = b.t.AddColumn(storage.NewColumn(name, 0, vec.NewDictCoded(codes, d)))
-	}
-	return b
-}
-
-// Done registers the table with the database.
-func (b *TableBuilder) Done() error {
-	if b.err != nil {
-		return b.err
-	}
-	return b.db.cat.Add(b.t)
-}
-
-// ColumnAppend carries the values appended to one column of a table: exactly
-// one of Ints or Strs, matching the column's payload type.
-type ColumnAppend = storage.ColumnAppend
-
-// AppendRows returns a new DB in which table has the given rows appended.
-// The receiver is unchanged, untouched tables are shared, and readers of the
-// old DB keep seeing an immutable snapshot. The cost is amortized O(rows
-// appended): a chain db → db.AppendRows → … grows one table in its spare
-// capacity (behind every older DB's length), and only the first append to a
-// built table, an append after a DeleteTail, a second append to the same DB,
-// or one that outgrows the capacity copies the table. cols must name every
-// column of the table exactly once, all with the same strictly positive
-// number of appended rows.
-func (db *DB) AppendRows(table string, cols map[string]ColumnAppend) (*DB, error) {
-	ncat, err := db.cat.AppendRows(table, cols)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{cat: ncat}, nil
-}
-
-// DeleteTail returns a new DB in which table has its last n rows removed: a
-// shorter view of the same columns, O(columns). The receiver is unchanged.
-func (db *DB) DeleteTail(table string, n int) (*DB, error) {
-	ncat, err := db.cat.DeleteTail(table, n)
-	if err != nil {
-		return nil, err
-	}
-	return &DB{cat: ncat}, nil
-}
-
 // Query wraps an executable plan.
 type Query struct {
 	p *plan.Plan
 }
-
-// Plan exposes the underlying plan (read-only use: printing, stats).
-func (q *Query) Plan() *plan.Plan { return q.p }
 
 // String renders the plan in MAL-flavoured text.
 func (q *Query) String() string { return q.p.String() }
@@ -200,56 +124,37 @@ func TPCHQuery(n int) *Query { return &Query{p: tpch.MustQuery(n)} }
 // TPCHQueryNumbers lists the implemented TPC-H queries.
 func TPCHQueryNumbers() []int { return tpch.QueryNumbers() }
 
-// TPCHClassification returns the paper's Table 4 simple/complex labels.
-func TPCHClassification() map[int]string { return tpch.Classification() }
-
 // TPCDSQuery returns the serial plan for TPC-DS templates 1–5.
 func TPCDSQuery(n int) *Query { return &Query{p: tpcds.MustQuery(n)} }
 
 // TPCDSQueryNumbers lists the implemented TPC-DS templates.
 func TPCDSQueryNumbers() []int { return tpcds.QueryNumbers() }
 
-// Q6Params parameterizes the TPC-H Q6 selectivity/size sweeps.
-type Q6Params = tpch.Q6Params
-
-// TPCHQ6 builds Q6 with explicit parameters (Figure 14 / Table 2 sweeps).
-func TPCHQ6(p Q6Params) *Query { return &Query{p: tpch.Q6(p)} }
-
 // Engine executes queries on one simulated machine.
 type Engine struct {
 	inner *exec.Engine
 }
 
-// Option configures an Engine.
-type Option func(*engineConfig)
-
-type engineConfig struct {
-	machine Machine
-	params  cost.Params
-}
+// Option configures an Engine's machine.
+type Option func(*Machine)
 
 // WithNoise enables the OS-noise model with the given configuration.
 func WithNoise(n NoiseConfig) Option {
-	return func(c *engineConfig) { c.machine.Noise = n }
+	return func(m *Machine) { m.Noise = n }
 }
 
 // WithSeed seeds the machine's noise source.
 func WithSeed(seed int64) Option {
-	return func(c *engineConfig) { c.machine.Seed = seed }
+	return func(m *Machine) { m.Seed = seed }
 }
 
-// WithCostParams overrides the cost calibration.
-func WithCostParams(p cost.Params) Option {
-	return func(c *engineConfig) { c.params = p }
-}
-
-// NewEngine creates an engine for db on the given machine.
+// NewEngine creates an engine for db on the given machine, priced with the
+// MonetDB-style cost calibration.
 func NewEngine(db *DB, m Machine, opts ...Option) *Engine {
-	cfg := engineConfig{machine: m, params: cost.Default()}
 	for _, o := range opts {
-		o(&cfg)
+		o(&m)
 	}
-	return &Engine{inner: exec.NewEngine(db.cat, cfg.machine, cfg.params)}
+	return &Engine{inner: exec.NewEngine(db.cat, m, cost.Default())}
 }
 
 // Internal exposes the internal engine for the workload driver and
@@ -267,32 +172,10 @@ type Result struct {
 
 // Scalar returns result value i as a scalar.
 func (r *Result) Scalar(i int) (int64, error) {
-	if i >= len(r.Values) || r.Values[i].Kind != plan.KindScalar {
+	if i < 0 || i >= len(r.Values) || r.Values[i].Kind != plan.KindScalar {
 		return 0, fmt.Errorf("apq: result %d is not a scalar", i)
 	}
 	return r.Values[i].Scalar, nil
-}
-
-// Column returns result value i as an int64 slice (dictionary codes for
-// string columns; use StringColumn for rendered strings).
-func (r *Result) Column(i int) ([]int64, error) {
-	if i >= len(r.Values) || r.Values[i].Kind != plan.KindColumn {
-		return nil, fmt.Errorf("apq: result %d is not a column", i)
-	}
-	return r.Values[i].Col.Values(), nil
-}
-
-// StringColumn renders result value i as strings.
-func (r *Result) StringColumn(i int) ([]string, error) {
-	if i >= len(r.Values) || r.Values[i].Kind != plan.KindColumn {
-		return nil, fmt.Errorf("apq: result %d is not a column", i)
-	}
-	col := r.Values[i].Col
-	out := make([]string, col.Len())
-	for j := range out {
-		out[j] = col.Data().StringAt(j)
-	}
-	return out, nil
 }
 
 // MakespanNs returns the query's virtual response time in nanoseconds.

@@ -8,7 +8,9 @@ package apq
 //
 // Times are VIRTUAL milliseconds on the simulated Table 1 machines; compare
 // shapes (who wins, ratios, crossovers) with the paper, not absolute values
-// — see EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// — go run ./cmd/experiments prints the tables with the paper's claims in
+// their notes, and ROADMAP item 10 turns those claims into checked
+// inequalities.
 
 import (
 	"strconv"

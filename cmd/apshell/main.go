@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,31 +33,38 @@ func main() {
 	tomograph := flag.Bool("tomograph", false, "execute and print the per-core timeline")
 	flag.Parse()
 
-	var db *apq.DB
-	var q *apq.Query
+	var (
+		prefix string
+		nums   []int
+		load   func(sf float64, seed int64) *apq.DB
+		query  func(n int) *apq.Query
+	)
 	name := strings.ToLower(*qname)
 	switch {
 	case strings.HasPrefix(name, "ds"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "ds"))
-		if err != nil {
-			log.Fatalf("bad query %q", name)
-		}
-		db = apq.LoadTPCDS(*sf, *seed)
-		q = apq.TPCDSQuery(n)
+		prefix, nums, load, query = "ds", apq.TPCDSQueryNumbers(), apq.LoadTPCDS, apq.TPCDSQuery
 	case strings.HasPrefix(name, "q"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "q"))
-		if err != nil {
-			log.Fatalf("bad query %q", name)
-		}
-		db = apq.LoadTPCH(*sf, *seed)
-		q = apq.TPCHQuery(n)
+		prefix, nums, load, query = "q", apq.TPCHQueryNumbers(), apq.LoadTPCH, apq.TPCHQuery
 	default:
 		log.Fatalf("unknown query %q", name)
 	}
+	n, err := strconv.Atoi(strings.TrimPrefix(name, prefix))
+	if err != nil {
+		log.Fatalf("bad query %q", name)
+	}
+	// Check before generating the database: the query constructors panic on
+	// a number they do not implement.
+	if !slices.Contains(nums, n) {
+		impl := make([]string, len(nums))
+		for i, m := range nums {
+			impl[i] = prefix + strconv.Itoa(m)
+		}
+		log.Fatalf("query %q not implemented; implemented: %s", name, strings.Join(impl, ","))
+	}
+	q := query(n)
 
-	eng := apq.NewEngine(db, apq.TwoSocketMachine())
+	eng := apq.NewEngine(load(*sf, *seed), apq.TwoSocketMachine())
 	if *hp {
-		var err error
 		q, err = eng.HeuristicPlan(q, 0)
 		if err != nil {
 			log.Fatal(err)

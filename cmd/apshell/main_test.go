@@ -26,11 +26,16 @@ func TestApshellSmoke(t *testing.T) {
 	for _, args := range [][]string{
 		{"-q", "nosuchquery"},
 		{"-q", "qx"},
-		{"-q", "q999"}, // unimplemented query number
+		{"-q", "q999"}, // unimplemented query numbers
+		{"-q", "ds9"},
 		{"-definitely-not-a-flag"},
 	} {
-		if out, code := cmdtest.Run(t, bin, args...); code == 0 {
+		out, code := cmdtest.Run(t, bin, args...)
+		if code == 0 {
 			t.Fatalf("%v exited 0, want non-zero:\n%s", args, out)
+		}
+		if strings.Contains(out, "panic:") {
+			t.Fatalf("%v panicked instead of reporting the error:\n%s", args, out)
 		}
 	}
 }

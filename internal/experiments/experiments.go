@@ -6,8 +6,10 @@
 //
 // Absolute numbers are virtual-time milliseconds on the simulated machines
 // of Table 1 (scaled 1/100, docs/ARCHITECTURE.md §scale); the quantities to
-// compare with the paper are the *shapes*: who wins, by what factor, where crossovers
-// fall. EXPERIMENTS.md records paper-vs-measured for every experiment.
+// compare with the paper are the *shapes*: who wins, by what factor, where
+// crossovers fall. A table's notes state the paper's claim where it makes
+// one, and go run ./cmd/experiments prints them beside the measured rows
+// (ROADMAP item 10 turns the claims into checked inequalities).
 package experiments
 
 import (

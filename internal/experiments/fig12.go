@@ -41,7 +41,14 @@ func Figure12(s Scale) (*Table, error) {
 		}
 
 		// The work-stealing configuration is the same static plan at a finer
-		// granularity: 128 small partitions on the 8 threads.
+		// granularity: 128 small partitions on the 8 threads, so threads that
+		// finish early pick up the remaining small partitions while threads on
+		// skewed ones stay busy [5]. On the discrete-event machine the
+		// dataflow scheduler's greedy dispatch of ready partition tasks onto
+		// idle cores is list scheduling, which is what a work-stealing runtime
+		// converges to for independent equal-priority tasks, so the comparison
+		// is about partition granularity versus skew, not steal-queue
+		// mechanics (docs/ARCHITECTURE.md §scale).
 		ws, err := heuristic.Parallelize(q, cat, heuristic.Config{Partitions: 128})
 		if err != nil {
 			return nil, err

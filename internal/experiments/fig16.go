@@ -20,10 +20,13 @@ func Figure16(s Scale) (*Table, error) {
 	queries := tpch.QueryNumbers()
 	cores := sim.TwoSocket().LogicalCores()
 
-	// Prepare the plan sets. The Vectorwise comparator of §4.2.4 runs the
-	// heuristic's static exchange plans: what the simulation changes is how
-	// they are priced (cost.Vectorwise: higher dispatch, per-tuple exchange
-	// cost on packs) and, under concurrency, the admission-control budgets.
+	// Prepare the plan sets. The Vectorwise comparator of §4.2.4 (Vectorwise
+	// 3.5.1, a pipelined vectorized column store with cost-model-based
+	// exchange-operator plans) runs the heuristic's static exchange plans at
+	// the machine's logical core count: what the simulation changes is how
+	// they are priced (cost.Vectorwise: higher dispatch, and a per-tuple
+	// exchange cost on packs, which §4.1.2 cites [30] for) and, under
+	// concurrency, the admission-control budgets.
 	hpPlans := map[int]*plan.Plan{}
 	apPlans := map[int]*plan.Plan{}
 	for _, qn := range queries {

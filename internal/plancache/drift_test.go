@@ -55,7 +55,7 @@ func TestDriftDetectorReopensUnderBudget(t *testing.T) {
 
 	var firstVals []exec.Value
 	for i := 0; i < 400; i++ {
-		r, err := c.Invoke(fp6, "tpch:q6", q6(), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp6, "tpch:q6", q6(), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,11 +80,11 @@ func TestDriftDetectorReopensUnderBudget(t *testing.T) {
 	budget := 2
 	for i := 0; i < 200 && !drifted; i++ {
 		for j := 0; j < 3; j++ {
-			if _, err := c.Invoke(fp14, "tpch:q14", q14(), exec.JobOptions{}); err != nil {
+			if _, err := c.InvokeTenant("", fp14, "tpch:q14", q14(), exec.JobOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r, err := c.Invoke(fp6, "tpch:q6", q6(), exec.JobOptions{MaxCores: budget})
+		r, err := c.InvokeTenant("", fp6, "tpch:q6", q6(), exec.JobOptions{MaxCores: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func TestDriftDetectorReopensUnderBudget(t *testing.T) {
 
 	// Re-converge under the budget; results must stay identical.
 	for i := 0; i < 400 && !e6.Session.Done(); i++ {
-		r, err := c.Invoke(fp6, "tpch:q6", q6(), exec.JobOptions{MaxCores: budget})
+		r, err := c.InvokeTenant("", fp6, "tpch:q6", q6(), exec.JobOptions{MaxCores: budget})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestDriftIgnoresStableMix(t *testing.T) {
 	})
 	fp := Fingerprint("test-db", "tpch:q6")
 	for i := 0; i < 400; i++ {
-		r, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestDriftIgnoresStableMix(t *testing.T) {
 	// Throttled servings, far out of band — but the mix is 100% this query
 	// before and after, so the share gate must hold the reopen back.
 	for i := 0; i < 20; i++ {
-		r, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{MaxCores: 2})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{MaxCores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

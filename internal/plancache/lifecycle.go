@@ -5,8 +5,8 @@ import "repro/internal/core"
 // Dataset-epoch and tenant-lifecycle operations (ROADMAP items 5a and 5d).
 // All three touch engine state through the sessions they reopen or release
 // (plan retirement returns arena buffers to the engine pool), so — like
-// Invoke — the caller must hold the engine-ownership lock of the shard this
-// cache belongs to. The internal/server mutation path holds every shard's
+// InvokeTenant — the caller must hold the engine-ownership lock of the shard
+// this cache belongs to. The internal/server mutation path holds every shard's
 // lock while it swaps a tenant's catalog and calls these.
 
 // ReopenTenantForData marks every one of tenant's sessions stale after a

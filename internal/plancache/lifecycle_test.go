@@ -187,7 +187,7 @@ func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 	// The warm seed serves immediately (cache hit) and re-converges on the
 	// request stream in bounded runs.
 	for i := 0; i < 100; i++ {
-		r, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func convergeFP(t *testing.T, c *Cache, fp, query string, qn int) *Result {
 	t.Helper()
 	var last *Result
 	for i := 0; i < 600; i++ {
-		r, err := c.Invoke(fp, query, buildQ(qn), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, query, buildQ(qn), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestPersistHookFiresOnConvergenceAndEvictionOnly(t *testing.T) {
 	}
 	// Hot serving must not re-persist.
 	for i := 0; i < 50; i++ {
-		if _, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{}); err != nil {
+		if _, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestPersistHookFiresOnConvergenceAndEvictionOnly(t *testing.T) {
 	}
 	// An unconverged session's eviction does not persist.
 	fp14 := Fingerprint(testDB, "tpch:q14")
-	if _, err := c.Invoke(fp14, "tpch:q14", buildQ(14), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp14, "tpch:q14", buildQ(14), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	c.Evict(fp14)
@@ -155,14 +155,14 @@ func TestPersistRehydrateServeBitIdentical(t *testing.T) {
 		n := n
 		// First post-restart invocation: a hit on the rehydrated session,
 		// served converged.
-		rB, err := cacheB.Invoke(fp, q, buildQ(n), exec.JobOptions{})
+		rB, err := cacheB.InvokeTenant("", fp, q, buildQ(n), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rB.Created || !rB.Invocation.Converged {
 			t.Fatalf("%s: first post-restart invocation not served from rehydrated session: %+v", q, rB.Invocation)
 		}
-		rA, err := cacheA.Invoke(fp, q, buildQ(n), exec.JobOptions{})
+		rA, err := cacheA.InvokeTenant("", fp, q, buildQ(n), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,11 +178,11 @@ func TestPersistRehydrateServeBitIdentical(t *testing.T) {
 		// which the twin paid during adaptation). The compare carries a
 		// ulp-scale tolerance: the twin engine's virtual clock sits much
 		// further along, so its makespan subtraction rounds differently.
-		rA2, err := cacheA.Invoke(fp, q, buildQ(n), exec.JobOptions{})
+		rA2, err := cacheA.InvokeTenant("", fp, q, buildQ(n), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rB2, err := cacheB.Invoke(fp, q, buildQ(n), exec.JobOptions{})
+		rB2, err := cacheB.InvokeTenant("", fp, q, buildQ(n), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

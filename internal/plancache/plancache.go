@@ -15,7 +15,7 @@
 //
 // Concurrency: the cache's maps and per-entry bookkeeping are guarded by a
 // mutex, but *stepping a session executes on the discrete-event machine*,
-// which is single-threaded. Callers must serialize Invoke calls (the
+// which is single-threaded. Callers must serialize invocations (the
 // internal/server shard owns one cache and serializes through its
 // engine-ownership lock); the cache documents rather than hides this
 // constraint so the engine-ownership boundary stays visible.
@@ -148,7 +148,7 @@ type Entry struct {
 	// the fingerprint incorporates the dataset identity — so the tag exists
 	// for quota accounting and tenant-scoped eviction, not correctness.
 	Tenant string
-	// Session is the live adaptation. Step it only via Cache.Invoke.
+	// Session is the live adaptation. Step it only via Cache.InvokeTenant.
 	Session *core.Session
 
 	cache       *Cache // guards the fields below via cache.mu
@@ -294,21 +294,18 @@ func (c *Cache) SetTenantQuota(tenant string, maxSessions int) {
 	c.quotas[tenant] = maxSessions
 }
 
-// Invoke serves one invocation of the query identified by fp. The builder is
-// called only when the fingerprint is new. While the session is adapting,
-// the invocation IS an adaptive run (executed under opts' core budget); once
-// converged, the global-minimum plan is executed directly.
+// InvokeTenant serves one invocation of the query identified by fp. The
+// builder is called only when the fingerprint is new. While the session is
+// adapting, the invocation IS an adaptive run (executed under opts' core
+// budget); once converged, the global-minimum plan is executed directly.
 //
-// Invoke executes on the single-threaded virtual-time machine — callers
-// must serialize it (see the package comment).
-func (c *Cache) Invoke(fp, query string, build func() (*plan.Plan, error), opts exec.JobOptions) (*Result, error) {
-	return c.InvokeTenant("", fp, query, build, opts)
-}
-
-// InvokeTenant is Invoke with a tenant tag: the session created on a miss is
-// tagged with tenant for quota enforcement and the per-tenant stats
-// breakdown. opts carries the tenant's catalog when the engine's own dataset
-// is not the one being queried.
+// The session created on a miss is tagged with tenant ("" = the default
+// tenant) for quota enforcement and the per-tenant stats breakdown. opts
+// carries the tenant's catalog when the engine's own dataset is not the one
+// being queried.
+//
+// InvokeTenant executes on the single-threaded virtual-time machine —
+// callers must serialize it (see the package comment).
 func (c *Cache) InvokeTenant(tenant, fp, query string, build func() (*plan.Plan, error), opts exec.JobOptions) (*Result, error) {
 	return c.invoke(tenant, fp, query, build, opts, false)
 }
@@ -353,8 +350,8 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 	// Engine execution happens outside the map lock so that Entry's
 	// mutex-guarded accessors (Hits, Trace) and the cache's read methods
 	// stay callable from other goroutines during a run. (Callers that
-	// funnel every read through the same serializer as Invoke — like the
-	// apqd run-loop — still observe them blocked behind the execution.)
+	// funnel every read through the same serializer as InvokeTenant — like
+	// the apqd run-loop — still observe them blocked behind the execution.)
 	var (
 		values  []exec.Value
 		profile *exec.Profile

@@ -58,7 +58,7 @@ func TestInvokeStepsSessionAndServesBestPlan(t *testing.T) {
 	}
 	var first, last *Result
 	for i := 0; i < 400; i++ {
-		r, err := c.Invoke(fp, "tpch:q6", build, exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", build, exec.JobOptions{})
 		if err != nil {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
@@ -90,7 +90,7 @@ func TestInvokeStepsSessionAndServesBestPlan(t *testing.T) {
 		t.Fatalf("GME %.0fns did not improve on serial %.0fns", rep.GMENs, first.Invocation.LatencyNs)
 	}
 	// Converged invocations execute the cached global-minimum plan.
-	r, err := c.Invoke(fp, "tpch:q6", build, exec.JobOptions{})
+	r, err := c.InvokeTenant("", fp, "tpch:q6", build, exec.JobOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMaxEntriesEvictsLRUPreferringConverged(t *testing.T) {
 	// Converge q6 fully so it becomes the preferred victim.
 	fp6 := Fingerprint("db", "q6")
 	for i := 0; i < 400; i++ {
-		r, err := c.Invoke(fp6, "q6", build(6), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp6, "q6", build(6), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,16 +130,16 @@ func TestMaxEntriesEvictsLRUPreferringConverged(t *testing.T) {
 		t.Fatal("q6 did not converge")
 	}
 	fp14 := Fingerprint("db", "q14")
-	if _, err := c.Invoke(fp14, "q14", build(14), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp14, "q14", build(14), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	// Touch q6 so q14 is the LRU entry — but q6 is converged, so inserting a
 	// third entry must still evict q6 (converged preferred over adapting).
-	if _, err := c.Invoke(fp6, "q6", build(6), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp6, "q6", build(6), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	fp4 := Fingerprint("db", "q4")
-	if _, err := c.Invoke(fp4, "q4", build(4), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp4, "q4", build(4), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.GetFingerprint(fp6) != nil {
@@ -227,7 +227,7 @@ func TestThrottledInvocationsDoNotFeedConvergence(t *testing.T) {
 
 	// A throttled first invocation serves results but must not count as an
 	// adaptive run: its latency reflects the 1-core budget, not the plan.
-	r, err := c.Invoke(fp, "q6", q6(), exec.JobOptions{MaxCores: 1})
+	r, err := c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{MaxCores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +241,11 @@ func TestThrottledInvocationsDoNotFeedConvergence(t *testing.T) {
 
 	// Unthrottled invocations adapt; a full budget equal to the machine is
 	// not throttling.
-	if _, err := c.Invoke(fp, "q6", q6(), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cores := eng.Machine().Config().LogicalCores()
-	r, err = c.Invoke(fp, "q6", q6(), exec.JobOptions{MaxCores: cores})
+	r, err = c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{MaxCores: cores})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestThrottledInvocationsDoNotFeedConvergence(t *testing.T) {
 	// A throttled invocation mid-adaptation serves the current plan and
 	// leaves the convergence history untouched.
 	before := len(c.GetFingerprint(fp).Session.Attempts())
-	r, err = c.Invoke(fp, "q6", q6(), exec.JobOptions{MaxCores: 2})
+	r, err = c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{MaxCores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestTraceIsBounded(t *testing.T) {
 	fp := Fingerprint("db", "q6")
 	total := maxTraceInvocations + 50
 	for i := 0; i < total; i++ {
-		if _, err := c.Invoke(fp, "q6", q6(), exec.JobOptions{}); err != nil {
+		if _, err := c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{}); err != nil {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
@@ -304,7 +304,7 @@ func TestFailingSessionIsEvicted(t *testing.T) {
 		b.Result(b.Aggr(algebra.AggrSum, b.Fetch(b.Select(col, algebra.FullRange()), col)))
 		return b.Plan(), nil
 	}
-	if _, err := c.Invoke(fp, "bad", bad, exec.JobOptions{}); err == nil {
+	if _, err := c.InvokeTenant("", fp, "bad", bad, exec.JobOptions{}); err == nil {
 		t.Fatal("expected execution error for missing table")
 	}
 	if c.GetFingerprint(fp) != nil {
@@ -314,7 +314,7 @@ func TestFailingSessionIsEvicted(t *testing.T) {
 		t.Fatalf("unexpected stats after failure: %+v", st)
 	}
 	// The failure must not poison later queries.
-	if _, err := c.Invoke(Fingerprint("db", "q6"), "q6", q6(), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", Fingerprint("db", "q6"), "q6", q6(), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -323,7 +323,7 @@ func TestEvictAndList(t *testing.T) {
 	eng := newEngine(t)
 	c := New(eng, Config{})
 	fp := Fingerprint("db", "q6")
-	if _, err := c.Invoke(fp, "q6", q6(), exec.JobOptions{}); err != nil {
+	if _, err := c.InvokeTenant("", fp, "q6", q6(), exec.JobOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	list := c.List()

@@ -25,7 +25,7 @@ func TestCacheStalenessReopensAndPersistsNewConvergence(t *testing.T) {
 	fp := Fingerprint("test-db", "tpch:q6")
 	invoke := func() *Result {
 		t.Helper()
-		r, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestFrozenInvocationsServeWithoutSteppingOrReopening(t *testing.T) {
 	var r *Result
 	for i := 0; i < 400; i++ {
 		var err error
-		if r, err = c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{}); err != nil {
+		if r, err = c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if r.Invocation.Converged {
@@ -171,7 +171,7 @@ func TestEvictionRacesInFlightReconvergence(t *testing.T) {
 	fp := Fingerprint("test-db", "tpch:q6")
 	invoke := func() *Result {
 		t.Helper()
-		r, err := c.Invoke(fp, "tpch:q6", q6(), exec.JobOptions{})
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,13 +37,6 @@ const (
 	FaultInterference   = sim.FaultInterference
 )
 
-// GenFaultPlan derives a deterministic random fault plan from a seed: n
-// mixed-kind events spread over [0, horizonNs) of virtual time, never losing
-// more than half the machine. Same arguments, same plan.
-func GenFaultPlan(m Machine, seed int64, n int, horizonNs float64) FaultPlan {
-	return sim.GenFaultPlan(m, seed, n, horizonNs)
-}
-
 // StalenessConfig arms re-convergence when a converged query's observed
 // serving latency drifts out of band (e.g. after mid-run core loss).
 type StalenessConfig = core.StalenessConfig
@@ -79,18 +72,6 @@ type ResultPayload = server.ResultPayload
 func DecodeResult(data []byte) (*ResultPayload, error) {
 	return server.DecodeResult(data)
 }
-
-// TenantSpec describes a tenant added at runtime via Server.AddTenant or
-// POST /admin/tenants. The server's tenant factory (built-in for NewServer:
-// the benchmark generators) turns it into a live tenant.
-type TenantSpec = server.TenantSpec
-
-// MutationResponse reports one dataset mutation: the tenant's new epoch and
-// how many of its sessions were reopened warm.
-type MutationResponse = server.MutationResponse
-
-// TenantLifecycleResponse reports one runtime tenant add or removal.
-type TenantLifecycleResponse = server.TenantLifecycleResponse
 
 // ServerConfig configures the apqd query service (see cmd/apqd). The daemon
 // keeps adaptive-parallelization state alive between requests: each request
@@ -139,7 +120,7 @@ type ServerConfig struct {
 	// 0 derives the width from GOMAXPROCS; 1 reproduces the single-engine
 	// daemon.
 	Shards int
-	// EngineOptions tune the engines (noise model, cost calibration, seed).
+	// EngineOptions tune the engines' machines (noise model, seed).
 	EngineOptions []Option
 	// Staleness arms serving-time staleness detection: a converged query
 	// whose observed latency drifts out of band reopens its convergence and
@@ -184,9 +165,6 @@ type ServerConfig struct {
 
 // ClusterPeer names one remote daemon of a federation.
 type ClusterPeer = cluster.Peer
-
-// ClusterStats is the GET /stats "cluster" block a federated daemon reports.
-type ClusterStats = cluster.Stats
 
 // ClusterConfig federates a daemon with its peers. All nodes must agree on
 // the set of node names (ring ownership is computed independently on each
@@ -378,13 +356,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Shards reports the engine-pool width the server is running with.
 func (s *Server) Shards() int { return s.inner.Shards() }
 
-// InjectFault schedules a machine fault on one shard mid-run — the chaos
-// entry point. The event takes effect at its virtual AtNs (past times mean
-// immediately, at the start of the shard's next run).
-func (s *Server) InjectFault(shard int, ev FaultEvent) error {
-	return s.inner.InjectFault(shard, ev)
-}
-
 // Handler returns the HTTP handler tree: POST /query, GET /sessions,
 // GET /sessions/{id}/trace, GET /stats, GET /healthz, plus the admin
 // surface POST /admin/append, POST /admin/truncate, POST|DELETE
@@ -396,66 +367,6 @@ func (s *Server) Handler() http.Handler {
 		return s.coord.Handler()
 	}
 	return s.inner.Handler()
-}
-
-// AddPeer joins a remote daemon to the federation at runtime (equivalent to
-// POST /admin/peers). Errors when the server is not federated.
-func (s *Server) AddPeer(name, url string) error {
-	if s.coord == nil {
-		return errors.New("apq: server is not federated (no ServerConfig.Cluster)")
-	}
-	return s.coord.AddPeer(name, url)
-}
-
-// RemovePeer detaches a peer from the federation at runtime (equivalent to
-// DELETE /admin/peers?name=). Errors when the server is not federated.
-func (s *Server) RemovePeer(name string) error {
-	if s.coord == nil {
-		return errors.New("apq: server is not federated (no ServerConfig.Cluster)")
-	}
-	return s.coord.RemovePeer(name)
-}
-
-// ClusterStats snapshots the federation coordinator; ok is false on a
-// standalone daemon.
-func (s *Server) ClusterStats() (stats ClusterStats, ok bool) {
-	if s.coord == nil {
-		return ClusterStats{}, false
-	}
-	return s.coord.Stats(), true
-}
-
-// AppendRows appends rows to one of a tenant's tables ("" = the default
-// tenant) while the server keeps serving: a new catalog (sharing every column
-// with the old one) is swapped in atomically across the shard pool, the tenant's
-// dataset epoch is bumped, and the tenant's converged sessions reopen warm
-// (seeded from their learned plans) instead of being evicted. Equivalent to
-// POST /admin/append.
-func (s *Server) AppendRows(tenant, table string, cols map[string]ColumnAppend) (MutationResponse, error) {
-	return s.inner.AppendRows(tenant, table, cols)
-}
-
-// DeleteTail removes the last n rows of one of a tenant's tables, with the
-// same epoch-bump and warm-reopen semantics as AppendRows. Equivalent to
-// POST /admin/truncate.
-func (s *Server) DeleteTail(tenant, table string, n int) (MutationResponse, error) {
-	return s.inner.DeleteTail(tenant, table, n)
-}
-
-// AddTenant adds a tenant at runtime without restarting: its dataset is
-// generated from the spec, quotas installed on every shard, and any matching
-// convergence-store records rehydrated (epoch-mismatched ones as warm seeds).
-// Equivalent to POST /admin/tenants.
-func (s *Server) AddTenant(spec TenantSpec) (TenantLifecycleResponse, error) {
-	return s.inner.AddTenant(spec)
-}
-
-// RemoveTenant drains a tenant with zero downtime: new traffic 404s, in-flight
-// requests finish, converged sessions flush to the convergence store, and the
-// tenant's plans and catalog are released. Equivalent to DELETE
-// /admin/tenants?name=.
-func (s *Server) RemoveTenant(name string) (TenantLifecycleResponse, error) {
-	return s.inner.RemoveTenant(name)
 }
 
 // Close drains in-flight requests, retires the engine shards, flushes the
@@ -474,14 +385,6 @@ func (s *Server) Close() {
 			s.st.Close()
 		}
 	})
-}
-
-// StorePath returns the configured convergence-store path ("" = none).
-func (s *Server) StorePath() string {
-	if s.st == nil {
-		return ""
-	}
-	return s.st.Path()
 }
 
 // Serve runs the query service on addr until ctx is cancelled, then shuts
@@ -550,17 +453,4 @@ func ImportPlans(storePath, importPath string) (int, error) {
 // generators: benchmark name, scale factor, and seed.
 func DBIdentity(benchmark string, sf float64, seed int64) string {
 	return fmt.Sprintf("%s:sf=%g:seed=%d", benchmark, sf, seed)
-}
-
-// FingerprintNamed fingerprints a named benchmark query (e.g. "tpch:q6")
-// against a dataset identity — the plan-session cache key the service uses.
-func FingerprintNamed(dbIdentity, name string) string {
-	return plancache.Fingerprint(dbIdentity, name)
-}
-
-// FingerprintQuery fingerprints a builder-spec query by its plan structure
-// against a dataset identity. Structurally identical plans fingerprint
-// equal; any change to the plan (or the dataset) changes the key.
-func FingerprintQuery(dbIdentity string, q *Query) string {
-	return plancache.PlanFingerprint(dbIdentity, q.p)
 }

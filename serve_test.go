@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -100,35 +99,4 @@ func TestServeGracefulShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after cancel")
 	}
-}
-
-func TestFingerprints(t *testing.T) {
-	db := apq.DBIdentity("tpch", 1, 42)
-	if db != "tpch:sf=1:seed=42" {
-		t.Fatalf("unexpected identity %q", db)
-	}
-	if apq.FingerprintNamed(db, "tpch:q6") != apq.FingerprintNamed(db, "tpch:q6") {
-		t.Fatal("named fingerprint unstable")
-	}
-	if apq.FingerprintNamed(db, "tpch:q6") == apq.FingerprintNamed(db, "tpch:q14") {
-		t.Fatal("named fingerprint collision")
-	}
-	q := apq.SelectSumQuery("lineitem", "l_quantity", apq.Between(10, 500))
-	q2 := apq.SelectSumQuery("lineitem", "l_quantity", apq.Between(10, 500))
-	if apq.FingerprintQuery(db, q) != apq.FingerprintQuery(db, q2) {
-		t.Fatal("structurally identical builder queries must fingerprint equal")
-	}
-	q3 := apq.SelectSumQuery("lineitem", "l_quantity", apq.Between(10, 400))
-	if apq.FingerprintQuery(db, q) == apq.FingerprintQuery(db, q3) {
-		t.Fatal("different predicates must fingerprint differently")
-	}
-	if apq.FingerprintQuery(apq.DBIdentity("tpch", 2, 42), q) == apq.FingerprintQuery(db, q) {
-		t.Fatal("different datasets must fingerprint differently")
-	}
-}
-
-// ExampleServe shows the one-call daemon entry point.
-func ExampleDBIdentity() {
-	fmt.Println(apq.DBIdentity("tpch", 1, 42))
-	// Output: tpch:sf=1:seed=42
 }
