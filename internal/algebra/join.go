@@ -17,11 +17,15 @@ import (
 // The hash build is served from the column's cached index when one already
 // covers the inner range, so cloned join operators probing the same inner
 // pay the build once — the behaviour that makes outer-only partitioning
-// profitable in the paper. Work reports whether this execution built the
-// table (HashBuilds > 0) or reused it. MemClaimBytes is defined from lengths,
-// not from the capacity of whichever buffers the caller happened to own: two
-// output vectors of max(len(outer), matches) values each — what a
-// key–foreign-key join claims — plus the index when this call built it.
+// profitable in the paper. A base column's index is cached per catalog and
+// built by the first join that probes it; an intermediate's is built each run
+// by the instruction that produces it (BuildHash, called by the executor), so
+// a join over an intermediate inner always hits. Work reports whether this
+// execution built the table (HashBuilds > 0) or reused it. MemClaimBytes is
+// defined from lengths, not from the capacity of whichever buffers the caller
+// happened to own: two output vectors of max(len(outer), matches) values each
+// — what a key–foreign-key join claims — plus the index when this call built
+// it.
 func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (louter, rinner []int64, w Work) {
 	idx, built := inner.Hash()
 	ovals := outer.Values()
@@ -44,11 +48,20 @@ func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (l
 		MemClaimBytes:  int64(max(len(ovals), len(louter))) * 16,
 	}
 	if built {
-		w.HashBuilds = int64(inner.Len())
-		w.BytesSeqRead += inner.Bytes()
-		w.MemClaimBytes += hashFootprint(inner)
+		w.Add(buildWork(inner))
 	}
 	return louter, rinner, w
+}
+
+// BuildHash builds a fresh hash index over col, replacing any cached one, and
+// returns the Work of that build — what HashJoinInto adds when it builds.
+func BuildHash(col *storage.Column) Work {
+	col.RebuildHash()
+	return buildWork(col)
+}
+
+func buildWork(inner *storage.Column) Work {
+	return Work{HashBuilds: int64(inner.Len()), BytesSeqRead: inner.Bytes(), MemClaimBytes: hashFootprint(inner)}
 }
 
 // HashJoin is HashJoinInto into fresh vectors.

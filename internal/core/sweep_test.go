@@ -20,8 +20,9 @@ import (
 // TestFullConvergencePreservesResults: every plan of every full convergence
 // over scale factors × data seeds × machines returns the serial result
 // (216 TPC-H and 30 TPC-DS convergences) and, replayed on a twin engine that
-// adopts nothing, is measured exactly as the session measured it
-// (TestAdoptionIsInvisible's check, through the same helper). Which mutation fires when
+// adopts nothing, is measured exactly as the session measured it, and run
+// once more reports every instruction's Work unchanged
+// (TestAdoptionIsInvisible's checks, through the same helper). Which mutation fires when
 // depends on all three, so the tier-1 tests' single point cannot stand in
 // for it; CI runs it as its own step (go test -tags sweep).
 func TestConvergenceSweep(t *testing.T) {

@@ -26,12 +26,12 @@ func joinCatalog(outerKeys, innerKeys []int64) *storage.Catalog {
 	return cat
 }
 
-// A cached plan keeps its arena — and the arena's memoized column wrappers,
-// which carry the hash index built on them — across runs. The same plan
-// object is then served against another catalog (a tenant's, or the next
-// epoch's: core.Session keeps its best plan across a reopen). When the join's
-// inner intermediate has the same length there, buffer identity alone would
-// hit the old wrapper and probe the old data's index.
+// A cached plan keeps its arena — and the arena's memoized column wrappers —
+// across runs. The same plan object is then served against another catalog (a
+// tenant's, or the next epoch's: core.Session keeps its best plan across a
+// reopen). When the join's inner intermediate has the same length there,
+// buffer identity hits the old wrapper; its hash index must still be this
+// run's, because the inner's producer rebuilds it on every run.
 func TestMemoizedWrappersAreScopedToACatalog(t *testing.T) {
 	keys := func(from int64) []int64 {
 		out := make([]int64, 200)
@@ -69,7 +69,7 @@ func TestMemoizedWrappersAreScopedToACatalog(t *testing.T) {
 	if got := count(eng, JobOptions{Catalog: catB}); got != want || want != 0 {
 		t.Fatalf("same plan on catalog B: %d matches, a fresh engine answers %d (want 0)", got, want)
 	}
-	// Back on A the wrappers are rebuilt once more, not carried over from B.
+	// Back on A the index is rebuilt once more, not carried over from B.
 	if got := count(eng, JobOptions{Catalog: catA}); got != 200 {
 		t.Fatalf("back on catalog A: %d matches, want 200", got)
 	}

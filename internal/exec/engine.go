@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -90,6 +91,11 @@ type planSchedule struct {
 	memberOf  []int32    // instr -> clone position within its group
 	packGroup []int32    // instr -> pack-group index it is the pack of, or -1
 	outBuf    [][2]uint8 // instr × result -> recyclable output-buffer class
+	// buildsInner has bit r set when instr's r-th result is some join's inner
+	// and instr is not a bind: evaluate builds that intermediate's hash index
+	// as it publishes it (a bind's column is the catalog's, whose index is
+	// cached per catalog by the join that first probes it).
+	buildsInner []uint8
 
 	arenaMu sync.Mutex
 	arena   *jobArena // idle arena of the last completed invocation
@@ -205,18 +211,26 @@ func (e *Engine) Retire(p *plan.Plan) {
 func buildSchedule(p *plan.Plan) *planSchedule {
 	n := len(p.Instrs)
 	s := &planSchedule{
-		pending:   make([]int32, n),
-		waiters:   make([][]int32, n),
-		cloneOf:   make([]int32, n),
-		memberOf:  make([]int32, n),
-		packGroup: make([]int32, n),
-		outBuf:    make([][2]uint8, n),
+		pending:     make([]int32, n),
+		waiters:     make([][]int32, n),
+		cloneOf:     make([]int32, n),
+		memberOf:    make([]int32, n),
+		packGroup:   make([]int32, n),
+		outBuf:      make([][2]uint8, n),
+		buildsInner: make([]uint8, n),
 	}
 	producer := p.Producers()
 	for i, in := range p.Instrs {
 		s.addDeps(int32(i), in, producer)
 		if s.pending[i] == 0 {
 			s.roots = append(s.roots, int32(i))
+		}
+		// Only a join's outer is sliced (opSpecs), so the inner it reads is
+		// exactly the column its producer publishes.
+		if in.Op == plan.OpJoin {
+			if src := producer[in.Args[1]]; src >= 0 && p.Instrs[src].Op != plan.OpBind {
+				s.buildsInner[src] |= 1 << slices.Index(p.Instrs[src].Rets, in.Args[1])
+			}
 		}
 	}
 	s.planBuffers(p, producer)
@@ -378,24 +392,17 @@ type jobArena struct {
 	// requires exact slice identity with the instruction's current buffer
 	// (plus seq and dict), so a recycled or regrown buffer can never produce
 	// a false hit. The cached wrappers alias only arena-owned or immutable
-	// base storage, never result values.
-	//
-	// Buffer identity says nothing about buffer contents: a memoized wrapper,
-	// and anything cached on it (Column.Hash keeps an intermediate's index on
-	// the wrapper), is valid for one (plan object, catalog) pair. catID names
-	// the catalog the wrappers were built against (0: none yet; an ID, so an
-	// idle arena does not pin a whole data epoch); Submit forgets them when a
-	// job binds another one — a tenant's, or the next epoch's.
+	// base storage, never result values. Nothing cached on a wrapper outlives
+	// its run's contents: an intermediate join inner's index is rebuilt by its
+	// producer every run (publish).
 	outCols  []outColCache
 	argViews [][2]argViewCache
-	catID    uint64
 }
 
 // forgetWrappers drops every memoized column wrapper.
 func (a *jobArena) forgetWrappers() {
 	clear(a.outCols)
 	clear(a.argViews)
-	a.catID = 0
 }
 
 // outColCache memoizes one instruction's wrapped output column.
@@ -475,16 +482,9 @@ func (a *jobArena) remapTo(child, parent *planSchedule, rec *bufRecycler, d *pla
 		a.bufs[pi] = [2][]int64{}
 		// Matched instructions keep their memoized column wrappers too: a
 		// match means identical op/args/part over identical inputs, so the
-		// wrappers hit on the child's first run. The hash index a parent's
-		// join cached on an intermediate does not come along: a plan object's
-		// first run pays its intermediate-inner builds, adopted arena or not.
-		// (outCols wrappers are their own base; an argView's base may be a
-		// catalog column, whose index is not the arena's to drop.)
+		// wrappers hit on the child's first run.
 		outCols[ci] = a.outCols[pi]
 		argViews[ci] = a.argViews[pi]
-		if col := outCols[ci].col; col != nil {
-			col.DropHashes()
-		}
 		// A group that became result-reachable must allocate fresh; its
 		// inherited buffer is better off in the pool.
 		if gi := child.packGroup[ci]; gi >= 0 && child.groups[gi].recycle {
@@ -566,8 +566,9 @@ type JobOptions struct {
 	// MaxCores caps the job's simultaneous operator executions (admission
 	// control, §4.2.4); 0 = unlimited.
 	MaxCores int
-	// CostParams overrides the engine's cost model for this job (used by
-	// the Vectorwise comparator). Nil uses the engine default.
+	// CostParams overrides the engine's cost model for this job (fig16's
+	// Vectorwise calibration, directly and through internal/workload's
+	// client driver). Nil uses the engine default.
 	CostParams *cost.Params
 	// CopyExchange forces exchange unions to materialize concatenated
 	// copies (the seed behavior) even where a zero-copy pack group is
@@ -647,10 +648,6 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	cat := e.cat
 	if opts.Catalog != nil {
 		cat = opts.Catalog
-	}
-	if a.catID != cat.ID() {
-		a.forgetWrappers()
-		a.catID = cat.ID()
 	}
 	j := &PlanJob{
 		Plan:         p,

@@ -309,42 +309,42 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		if err != nil {
 			return algebra.Work{}, err
 		}
-		return j.publish(in, algebra.Work{}, ColValue(c))
+		return j.publish(idx, algebra.Work{}, ColValue(c))
 
 	case plan.OpConst:
-		return j.publish(in, algebra.Work{}, ScalarValue(in.Aux.(plan.ConstAux).Value))
+		return j.publish(idx, algebra.Work{}, ScalarValue(in.Aux.(plan.ConstAux).Value))
 
 	case plan.OpSelect:
 		// Hints mirror the kernels' initial-capacity estimates, so a pooled
 		// buffer lands in the same size class a fresh allocation would.
 		oids, w := algebra.SelectInto(j.oidBufIn(idx, 0, args[0].Col.Len()/4+1), args[0].Col, in.Aux.(plan.SelectAux).Pred)
 		oids = j.oidBufOut(idx, 0, oids)
-		return j.publish(in, w, OidsValue(oids))
+		return j.publish(idx, w, OidsValue(oids))
 
 	case plan.OpSelectCand:
 		oids, w, _ := algebra.SelectWithCandsInto(j.oidBufIn(idx, 0, len(args[1].Oids)/2+1), args[0].Col, in.Aux.(plan.SelectAux).Pred, args[1].Oids)
 		oids = j.oidBufOut(idx, 0, oids)
-		return j.publish(in, w, OidsValue(oids))
+		return j.publish(idx, w, OidsValue(oids))
 
 	case plan.OpLikeSelect:
 		aux := in.Aux.(plan.LikeAux)
 		oids, w := algebra.SelectLikeInto(j.oidBufIn(idx, 0, args[0].Col.Len()/8+1), args[0].Col, aux.Pattern, aux.Kind, aux.Anti)
 		oids = j.oidBufOut(idx, 0, oids)
-		return j.publish(in, w, OidsValue(oids))
+		return j.publish(idx, w, OidsValue(oids))
 
 	case plan.OpFetch:
 		oids, target := args[0].Oids, args[1].Col
 		d := j.dest(idx, len(oids))
 		n, w, _ := algebra.FetchInto(d.buf, oids, target)
 		col := j.done(idx, d, n, reseqBase(in, env[in.Args[0]]), target.Dict(), target.Name)
-		return j.publish(in, w, ColValue(col))
+		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpFetchPos:
 		pos, src := args[0].Oids, args[1].Col
 		d := j.dest(idx, len(pos))
 		w := algebra.FetchPositionsInto(d.buf, pos, src)
 		col := j.done(idx, d, len(pos), reseqBase(in, env[in.Args[0]]), src.Dict(), src.Name)
-		return j.publish(in, w, ColValue(col))
+		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpJoin:
 		// Each side is owned on its own: one may reach the result (fresh every
@@ -357,7 +357,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		hint := outer.Len()/16 + 1
 		lo, ro, w := algebra.HashJoinInto(j.oidBufIn(idx, 0, hint), j.oidBufIn(idx, 1, hint), outer, inner)
 		lo, ro = j.oidBufOut(idx, 0, lo), j.oidBufOut(idx, 1, ro)
-		return j.publish(in, w, OidsValue(lo), OidsValue(ro))
+		return j.publish(idx, w, OidsValue(lo), OidsValue(ro))
 
 	case plan.OpCalcVV:
 		// A calc is positionally aligned with its inputs, so its output
@@ -370,7 +370,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		col := j.done(idx, d, a.Len(), a.Seq(), nil, func() string {
 			return fmt.Sprintf("(%s%s%s)", a.Name(), op, b.Name())
 		})
-		return j.publish(in, w, ColValue(col))
+		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpCalcSV, plan.OpCalcSSV:
 		// The scalar operand is a plan constant (SV) or a runtime value (SSV).
@@ -384,7 +384,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		col := j.done(idx, d, v.Len(), v.Seq(), nil, func() string {
 			return fmt.Sprintf("(calc%s%s)", aux.Op, v.Name())
 		})
-		return j.publish(in, w, ColValue(col))
+		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpCalcSS:
 		aux := in.Aux.(plan.CalcAux)
@@ -403,39 +403,39 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 				out = args[0].Scalar / args[1].Scalar
 			}
 		}
-		return j.publish(in, algebra.Work{TuplesIn: 2, TuplesOut: 1}, ScalarValue(out))
+		return j.publish(idx, algebra.Work{TuplesIn: 2, TuplesOut: 1}, ScalarValue(out))
 
 	case plan.OpGroupBy:
 		g, w := algebra.GroupBy(args[0].Col)
-		return j.publish(in, w, GroupsValue(g))
+		return j.publish(idx, w, GroupsValue(g))
 
 	case plan.OpGroupKeys:
 		g := args[0].Groups
 		w := algebra.Work{BytesSeqRead: g.Keys.Bytes(), TuplesIn: int64(g.NGroups()), TuplesOut: int64(g.NGroups())}
-		return j.publish(in, w, ColValue(g.Keys))
+		return j.publish(idx, w, ColValue(g.Keys))
 
 	case plan.OpAggrGrouped:
 		col, w := algebra.AggrGrouped(in.Aux.(plan.AggrAux).Func, args[0].Col, args[1].Groups)
-		return j.publish(in, w, ColValue(col))
+		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpAggr:
 		s, w := algebra.Aggr(in.Aux.(plan.AggrAux).Func, args[0].Col)
-		return j.publish(in, w, ScalarValue(s))
+		return j.publish(idx, w, ScalarValue(s))
 
 	case plan.OpMergeAggr:
 		s, w := algebra.MergeScalars(in.Aux.(plan.AggrAux).Func, args[0].Col)
-		return j.publish(in, w, ScalarValue(s))
+		return j.publish(idx, w, ScalarValue(s))
 
 	case plan.OpGroupMerge:
 		keys, aggs, w := algebra.GroupMerge(in.Aux.(plan.AggrAux).Func, args[0].Col, args[1].Col)
-		return j.publish(in, w, ColValue(keys), ColValue(aggs))
+		return j.publish(idx, w, ColValue(keys), ColValue(aggs))
 
 	case plan.OpPack:
 		return j.evalPack(idx, in, args)
 
 	case plan.OpSort:
 		sorted, perm, w := algebra.Sort(args[0].Col, in.Aux.(plan.SortAux).Desc)
-		return j.publish(in, w, ColValue(sorted), OidsValue(perm))
+		return j.publish(idx, w, ColValue(sorted), OidsValue(perm))
 
 	case plan.OpMergeSorted:
 		cols := j.colPartsScratch(len(args))
@@ -443,7 +443,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 			cols[i] = a.Col
 		}
 		merged, w := algebra.MergeSortedRuns(cols, in.Aux.(plan.SortAux).Desc)
-		return j.publish(in, w, ColValue(merged))
+		return j.publish(idx, w, ColValue(merged))
 
 	case plan.OpResult:
 		return algebra.Work{}, nil
@@ -451,11 +451,18 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 	return algebra.Work{}, fmt.Errorf("exec: unknown opcode %s", in.Op)
 }
 
-// publish stores an evaluated instruction's result values into env — the
-// only writer of the job's value store — and passes its Work through.
-func (j *PlanJob) publish(in *plan.Instr, w algebra.Work, vals ...Value) (algebra.Work, error) {
-	for k, r := range in.Rets {
+// publish stores instruction idx's result values into env — the only writer
+// of the job's value store — and returns its Work. A result some join reads as
+// its inner (schedule.buildsInner) gets a fresh hash index here, every run,
+// and the build is charged to this instruction: an intermediate's index lives
+// for one run, so no join's Work depends on which clone probes first or on
+// how often the plan object ran before.
+func (j *PlanJob) publish(idx int, w algebra.Work, vals ...Value) (algebra.Work, error) {
+	for k, r := range j.Plan.Instrs[idx].Rets {
 		j.env[r] = vals[k]
+		if j.sched.buildsInner[idx]>>k&1 != 0 {
+			w.Add(algebra.BuildHash(vals[k].Col))
+		}
 	}
 	return w, nil
 }
@@ -489,17 +496,17 @@ func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work,
 		}
 		out, w := algebra.PackOidsInto(j.oidBufIn(idx, 0, total), parts)
 		out = j.oidBufOut(idx, 0, out)
-		return j.publish(in, w, OidsValue(out))
+		return j.publish(idx, w, OidsValue(out))
 	case plan.KindColumn:
 		if col, w, ok := j.packView(idx, args); ok {
-			return j.publish(in, w, ColValue(col))
+			return j.publish(idx, w, ColValue(col))
 		}
 		cols := j.colPartsScratch(len(args))
 		for i, a := range args {
 			cols[i] = a.Col
 		}
 		out, w := algebra.PackColumns(cols)
-		return j.publish(in, w, ColValue(out))
+		return j.publish(idx, w, ColValue(out))
 	case plan.KindScalar:
 		// The gathered slice is owned by this instruction (arena slot or
 		// fresh; a pack is never a group clone), so the pack aliases it.
@@ -508,7 +515,7 @@ func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work,
 			partials[i] = a.Scalar
 		}
 		out, w := algebra.PackScalarsOwned("partials", partials)
-		return j.publish(in, w, ColValue(out))
+		return j.publish(idx, w, ColValue(out))
 	}
 	return algebra.Work{}, fmt.Errorf("exec: pack over %s", args[0].Kind)
 }

@@ -73,34 +73,6 @@ func (p *Profile) MostExpensive() (instr int, dur float64) {
 	return instr, dur
 }
 
-// DurationByInstr returns per-instruction durations.
-func (p *Profile) DurationByInstr() map[int]float64 {
-	out := make(map[int]float64, len(p.Ops))
-	for _, o := range p.Ops {
-		out[o.Instr] += o.Duration()
-	}
-	return out
-}
-
-// OpTotals aggregates duration and invocation count per opcode, like the
-// per-operator legends of Figures 19/20.
-func (p *Profile) OpTotals() map[plan.OpCode]struct {
-	Calls int
-	Ns    float64
-} {
-	out := make(map[plan.OpCode]struct {
-		Calls int
-		Ns    float64
-	})
-	for _, o := range p.Ops {
-		e := out[o.Op]
-		e.Calls++
-		e.Ns += o.Duration()
-		out[o.Op] = e
-	}
-	return out
-}
-
 // tomographGlyph maps operators to the colour classes of Figures 19/20:
 // select (green), join (blue), exchange union (brown), other.
 func tomographGlyph(op plan.OpCode) byte {

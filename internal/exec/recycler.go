@@ -209,8 +209,10 @@ func (r *bufRecycler) putShell(a *jobArena) {
 	for i := range a.groupRuns {
 		a.groupRuns[i] = groupRun{}
 	}
-	// Wrapper caches are positional: a different plan checking out this
-	// shell must never positionally collide with the old plan's columns.
+	// For memory, not correctness (a wrapper hits only on exact buffer
+	// identity, and nothing cached on one outlives a run): an idle shell must
+	// not pin the retired plan's hash indexes, nor through argViews its
+	// epoch's catalog columns.
 	a.forgetWrappers()
 	r.mu.Lock()
 	if len(r.shells) < recyclerMaxShells {

@@ -94,30 +94,6 @@ func TestPartitionedIntermediateAlignment(t *testing.T) {
 	}
 }
 
-func TestProfileOpTotals(t *testing.T) {
-	cat := testCatalog(10_000)
-	eng := NewEngine(cat, testMachine(), cost.Default())
-	_, prof, err := eng.Execute(q6Plan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	totals := prof.OpTotals()
-	if totals[plan.OpSelect].Calls != 1 || totals[plan.OpFetch].Calls != 2 {
-		t.Fatalf("op totals wrong: %+v", totals)
-	}
-	var sum float64
-	for _, e := range totals {
-		sum += e.Ns
-	}
-	if sum <= 0 || sum != prof.TotalBusyNs() {
-		t.Fatalf("op totals %f != busy %f", sum, prof.TotalBusyNs())
-	}
-	durs := prof.DurationByInstr()
-	if len(durs) != 10 {
-		t.Fatalf("per-instr durations = %d", len(durs))
-	}
-}
-
 func TestEngineVirtualTimeAdvancesAcrossExecutions(t *testing.T) {
 	cat := testCatalog(5_000)
 	eng := NewEngine(cat, testMachine(), cost.Default())

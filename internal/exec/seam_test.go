@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/algebra"
@@ -14,28 +16,24 @@ import (
 )
 
 // TestEvaluateNeedsNoMachine is the proof that evaluate / account is a seam
-// and not a naming convention: for every TPC-H and TPC-DS query, as the serial
-// plan and as a statically parallelized one, a job is built, the engine's
-// machine is taken away, and evaluate is called once per instruction in plan
-// order (plans are topologically ordered). No task is ever accounted, nothing
-// virtually completes — and the results, and every instruction's Work, equal
-// what Engine.Execute computes through the event core.
+// and not a naming convention, and that an instruction's Work is a function of
+// the plan and the data alone: for every TPC-H and TPC-DS query, as the serial
+// plan and as a statically parallelized one, the plan object is run twice
+// through the event core, then evaluated evalRuns more times on one engine
+// whose machine is taken away — first in plan order (plans are topologically
+// ordered), then in seeded random valid topological orders — each run
+// reusing the previous run's arena. No evaluated task is ever accounted and
+// nothing virtually completes, yet the results, and every instruction's Work,
+// equal the first machine run's on every run.
 //
-// Work is compared on every instruction, with the two exceptions that depend
-// on the order instructions are evaluated in — plan order here,
-// virtual-completion order under the machine. Results never depend on it;
-// a caller that evaluates in another order (ROADMAP items 1b / 1c) changes
-// exactly these:
-//
-//   - packs are skipped: a propagated pack group is enabled only if every
-//     sibling anchor has been evaluated when its first clone is, so whether a
-//     pack reports PackColumnsView's zero movement or the copying fallback's
-//     is a property of the order;
-//   - a join's build charge (HashBuilds and its share of BytesSeqRead and
-//     MemClaimBytes) is compared summed over the plan: the hash index of an
-//     intermediate inner is built by whichever of the join clones sharing it
-//     is evaluated first, once per run either way.
+// Only a pack's Work is compared on HashBuilds alone: a propagated pack group
+// is enabled only if every sibling anchor has been evaluated when its first
+// clone is, so whether a pack reports PackColumnsView's zero movement or the
+// copying fallback's is still a property of the order (ROADMAP 12b). A join
+// over an intermediate inner reports no build at all: the inner's producer
+// builds that index on every run and is charged for it.
 func TestEvaluateNeedsNoMachine(t *testing.T) {
+	const evalRuns = 4 // plan order, then three random orders
 	suites := []struct {
 		name    string
 		cat     *storage.Catalog
@@ -45,63 +43,78 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 		{"tpch", tpch.Generate(tpch.Config{SF: 0.2, Seed: 7}), tpch.QueryNumbers(), tpch.MustQuery},
 		{"tpcds", tpcds.Generate(tpcds.Config{SF: 1, Seed: 7, SkewTheta: 1}), tpcds.QueryNumbers(), tpcds.MustQuery},
 	}
-	for _, su := range suites {
+	for si, su := range suites {
 		for _, qn := range su.numbers {
 			serial := su.query(qn)
 			parallel, err := heuristic.Parallelize(serial, su.cat, heuristic.Config{Partitions: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, sh := range []struct {
+			for pi, sh := range []struct {
 				name string
 				p    *plan.Plan
 			}{{"serial", serial}, {"parallel", parallel}} {
+				seed := int64(1000*si + 10*qn + pi)
 				t.Run(fmt.Sprintf("%s/q%d/%s", su.name, qn, sh.name), func(t *testing.T) {
 					p := sh.p
-					// Both sides start from a cold arena over a catalog whose
-					// base-column hash indexes already exist, so a join's
-					// HashBuilds does not depend on which side ran first.
+					// Base-column indexes are cached per catalog: build them
+					// first, so the runs below all find them.
 					if _, _, err := NewEngine(su.cat, testMachine(), cost.Default()).Execute(p); err != nil {
 						t.Fatal(err)
 					}
-					want, prof, err := NewEngine(su.cat, testMachine(), cost.Default()).Execute(p)
+					eng := NewEngine(su.cat, testMachine(), cost.Default())
+					want, prof, err := eng.Execute(p)
 					if err != nil {
 						t.Fatal(err)
 					}
 					wantWork := workByInstr(prof)
-
-					eng := NewEngine(su.cat, testMachine(), cost.Default())
-					j, err := eng.newJob(p, JobOptions{})
+					_, prof2, err := eng.Execute(p)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng.mach, j.simJob = nil, nil // any use of the event core now panics
-					var got []Value
-					var builds, wantBuilds algebra.Work
-					for idx, in := range p.Instrs {
-						w, err := j.evaluate(idx)
+					for idx, w := range workByInstr(prof2) {
+						if w != wantWork[idx] {
+							t.Errorf("instr %d (%s): second run's Work %+v, first run's %+v", idx, p.Instrs[idx].Op, w, wantWork[idx])
+						}
+					}
+
+					rng := rand.New(rand.NewSource(seed))
+					mach := eng.mach
+					for run := 0; run < evalRuns; run++ {
+						j, err := eng.newJob(p, JobOptions{})
 						if err != nil {
-							t.Fatalf("instr %d (%s): %v", idx, in.Op, err)
+							t.Fatal(err)
 						}
-						ww := wantWork[idx]
-						if in.Op == plan.OpJoin {
-							builds.Add(splitBuild(&w))
-							wantBuilds.Add(splitBuild(&ww))
-						}
-						if in.Op != plan.OpPack && w != ww {
-							t.Errorf("instr %d (%s): Work %+v, through the machine %+v", idx, in.Op, w, ww)
-						}
-						if in.Op == plan.OpResult {
-							for _, a := range in.Args {
-								got = append(got, j.env[a])
+						order := topoOrder(j.sched, rng, run == 0)
+						eng.mach, j.simJob = nil, nil // any use of the event core now panics
+						var got []Value
+						for _, idx := range order {
+							in := p.Instrs[idx]
+							w, err := j.evaluate(idx)
+							if err != nil {
+								t.Fatalf("seed %d run %d: instr %d (%s): %v", seed, run, idx, in.Op, err)
+							}
+							ww := wantWork[idx]
+							if in.Op == plan.OpPack {
+								w, ww = algebra.Work{HashBuilds: w.HashBuilds}, algebra.Work{HashBuilds: ww.HashBuilds}
+							}
+							if w != ww {
+								t.Errorf("seed %d run %d: instr %d (%s): Work %+v, through the machine %+v", seed, run, idx, in.Op, w, ww)
+							}
+							if in.Op == plan.OpResult {
+								for _, a := range in.Args {
+									got = append(got, j.env[a])
+								}
 							}
 						}
-					}
-					if builds != wantBuilds {
-						t.Errorf("join build charges sum to %+v, through the machine %+v", builds, wantBuilds)
-					}
-					if len(got) == 0 || !ResultsEqual(got, want) {
-						t.Fatalf("results %v, through the machine %v", got, want)
+						if len(got) == 0 || !ResultsEqual(got, want) {
+							t.Fatalf("seed %d run %d: results %v, through the machine %v", seed, run, got, want)
+						}
+						if run == 0 {
+							checkInnerBuilds(t, p, j.env, wantWork, su.name == "tpch" && (qn == 4 || qn == 19))
+						}
+						eng.mach = mach
+						j.arena.release(j.sched)
 					}
 				})
 			}
@@ -109,10 +122,59 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 	}
 }
 
-// splitBuild moves the fields of a join's Work that say "this call built the
-// inner's hash index" out of w and returns them.
-func splitBuild(w *algebra.Work) algebra.Work {
-	b := algebra.Work{HashBuilds: w.HashBuilds, BytesSeqRead: w.BytesSeqRead, MemClaimBytes: w.MemClaimBytes}
-	w.HashBuilds, w.BytesSeqRead, w.MemClaimBytes = 0, 0, 0
-	return b
+// checkInnerBuilds checks that no join over an intermediate inner reports a
+// build and that the inner's producer reports one over the inner's length.
+// mustHave is set for the queries whose builds used to depend on the run
+// number — Q4 built its intermediate inners on a plan object's first run
+// only, Q19 its packed inner on every run — so finding no such join there
+// means the test went vacuous.
+func checkInnerBuilds(t *testing.T, p *plan.Plan, env []Value, work map[int]algebra.Work, mustHave bool) {
+	t.Helper()
+	producer := p.Producers()
+	found := false
+	for idx, in := range p.Instrs {
+		if in.Op != plan.OpJoin {
+			continue
+		}
+		src := int(producer[in.Args[1]])
+		if src < 0 || p.Instrs[src].Op == plan.OpBind {
+			continue
+		}
+		found = true
+		if w := work[idx]; w.HashBuilds != 0 {
+			t.Errorf("join %d over an intermediate inner (instr %d) reports HashBuilds %d", idx, src, w.HashBuilds)
+		}
+		if n := int64(env[in.Args[1]].Len()); work[src].HashBuilds < n {
+			t.Errorf("instr %d (%s) produces join %d's %d-tuple inner but reports HashBuilds %d", src, p.Instrs[src].Op, idx, n, work[src].HashBuilds)
+		}
+	}
+	if mustHave && !found {
+		t.Error("no join over an intermediate inner: the build checks are vacuous")
+	}
+}
+
+// topoOrder returns a valid evaluation order of s's instructions: ascending
+// (plan order) when planOrder is set, otherwise each step picks uniformly
+// among the instructions whose producers have all been evaluated.
+func topoOrder(s *planSchedule, rng *rand.Rand, planOrder bool) []int {
+	pending := slices.Clone(s.pending)
+	ready := slices.Clone(s.roots)
+	order := make([]int, 0, len(pending))
+	for len(ready) > 0 {
+		k := 0
+		if planOrder {
+			k = slices.Index(ready, slices.Min(ready))
+		} else {
+			k = rng.Intn(len(ready))
+		}
+		idx := ready[k]
+		ready = slices.Delete(ready, k, k+1)
+		order = append(order, int(idx))
+		for _, w := range s.waiters[idx] {
+			if pending[w]--; pending[w] == 0 {
+				ready = append(ready, w)
+			}
+		}
+	}
+	return order
 }

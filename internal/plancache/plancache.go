@@ -51,12 +51,6 @@ func Fingerprint(db, query string) string {
 	return hex.EncodeToString(h[:16])
 }
 
-// PlanFingerprint fingerprints an ad-hoc builder-spec plan by its rendered
-// text, which is deterministic for a given plan structure.
-func PlanFingerprint(db string, p *plan.Plan) string {
-	return Fingerprint(db, "spec:"+p.String())
-}
-
 // Config tunes the cache.
 type Config struct {
 	// MaxEntries bounds the number of live sessions (0 = unlimited). When

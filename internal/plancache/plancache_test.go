@@ -36,16 +36,6 @@ func TestFingerprintStability(t *testing.T) {
 	}
 }
 
-func TestPlanFingerprintDistinguishesPlans(t *testing.T) {
-	p6, p14 := tpch.MustQuery(6), tpch.MustQuery(14)
-	if PlanFingerprint("db", p6) != PlanFingerprint("db", p6.Clone()) {
-		t.Fatal("structurally identical plans must fingerprint equal")
-	}
-	if PlanFingerprint("db", p6) == PlanFingerprint("db", p14) {
-		t.Fatal("different plans must fingerprint differently")
-	}
-}
-
 func TestInvokeStepsSessionAndServesBestPlan(t *testing.T) {
 	eng := newEngine(t)
 	c := New(eng, Config{})

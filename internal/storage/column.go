@@ -2,9 +2,10 @@
 // columns with virtual consecutive head oids (MonetDB's hseqbase), zero-copy
 // range-partition views over base and intermediate columns, tables and a
 // catalog, a shared hash-index cache (MonetDB caches hash indexes on BATs, so
-// cloned join operators re-use a single build — §2.1), and the boundary
-// alignment rules for dynamically partitioned tuple reconstruction (§2.3,
-// Figures 9 and 10).
+// cloned join operators re-use a single build — §2.1: a base column's index
+// is cached per catalog, an intermediate's is rebuilt by its producer every
+// run), and the boundary alignment rules for dynamically partitioned tuple
+// reconstruction (§2.3, Figures 9 and 10).
 package storage
 
 import (
@@ -258,11 +259,18 @@ func (h *HashIndex) nextKey(vals []int64, i int) (int, uint64) {
 // Tuples reports how many tuples the index covers.
 func (h *HashIndex) Tuples() int64 { return int64(len(h.oids)) }
 
-// newHashIndex builds the index over vals, whose head oids start at seq: one
-// pass numbers every tuple's bucket, a counting sort by bucket does the rest.
-func newHashIndex(vals []int64, seq int64) *HashIndex {
+// newHashIndex builds the index over vals, whose head oids start at seq, into
+// h's storage (nil: a new index): one pass numbers every tuple's bucket, a
+// counting sort by bucket does the rest.
+func newHashIndex(h *HashIndex, vals []int64, seq int64) *HashIndex {
 	offsets32(len(vals))
-	h := &HashIndex{oids: make([]int64, len(vals))}
+	var old HashIndex
+	if h == nil {
+		h = new(HashIndex)
+	} else {
+		old = *h
+	}
+	*h = HashIndex{oids: zeroed(old.oids, len(vals))}
 	buckets := make([]int64, len(vals))
 	nb := 0
 	lo, hi := KeyBounds(vals)
@@ -278,8 +286,8 @@ func newHashIndex(vals []int64, seq int64) *HashIndex {
 		// Ranks number the keys in ascending order, so bucket order — and
 		// with it the counting sort below — is the direct form's.
 		h.min = lo
-		h.bitmap = make([]uint64, span/64+1)
-		h.ranks = make([]int32, len(h.bitmap))
+		h.bitmap = zeroed(old.bitmap, int(span/64)+1)
+		h.ranks = zeroed(old.ranks, len(h.bitmap))
 		for _, v := range vals {
 			b := uint64(v) - uint64(lo)
 			h.bitmap[b>>6] |= 1 << (b & 63)
@@ -293,7 +301,9 @@ func newHashIndex(vals []int64, seq int64) *HashIndex {
 			buckets[i] = int64(id)
 		}
 	default:
-		h.table = new(KeyTable)
+		if h.table = old.table; h.table == nil {
+			h.table = new(KeyTable)
+		}
 		h.table.Reset(lo, hi, len(vals))
 		h.table.Assign(buckets, vals)
 		nb = len(h.table.Keys())
@@ -301,7 +311,7 @@ func newHashIndex(vals []int64, seq int64) *HashIndex {
 	// Count into starts[b+2] and prefix-sum, so starts[b+1] is bucket b's
 	// write cursor; once every oid is placed it has advanced to bucket b's
 	// end — bucket b+1's start — and starts[:nb+1] is the offset array.
-	starts := make([]int32, nb+2)
+	starts := zeroed(old.starts, nb+2)
 	for _, b := range buckets {
 		starts[b+2]++
 	}
@@ -320,7 +330,15 @@ func newHashIndex(vals []int64, seq int64) *HashIndex {
 // first use. The second return value reports whether this call performed the
 // build (true) or hit the cache (false); the cost model charges the build
 // only when it actually happened.
-func (c *Column) Hash() (*HashIndex, bool) {
+func (c *Column) Hash() (*HashIndex, bool) { return c.hash(false) }
+
+// RebuildHash builds the index over the receiver's full range afresh, in the
+// storage of the cached one it replaces: how an intermediate's producer gives
+// the column an index valid for this run's contents. The caller must own the
+// column: no reader of the replaced index may remain.
+func (c *Column) RebuildHash() { c.hash(true) }
+
+func (c *Column) hash(rebuild bool) (*HashIndex, bool) {
 	base := c.Base()
 	key := hashKey{lo: c.seq, hi: c.EndSeq()}
 
@@ -329,16 +347,17 @@ func (c *Column) Hash() (*HashIndex, bool) {
 	if base.hashes == nil {
 		base.hashes = make(map[hashKey]*HashIndex)
 	}
-	if h, ok := base.hashes[key]; ok {
+	h := base.hashes[key]
+	if h != nil && !rebuild {
 		return h, false
 	}
-	h := newHashIndex(c.data.Values(), c.seq)
+	h = newHashIndex(h, c.data.Values(), c.seq)
 	base.hashes[key] = h
 	return h, true
 }
 
-// DropHashes discards every cached hash index on the receiver's base column.
-// Used by tests and by benchmarks that want to charge builds again.
+// DropHashes discards every cached hash index on the receiver's base column,
+// so tests can charge builds again.
 func (c *Column) DropHashes() {
 	base := c.Base()
 	base.mu.Lock()

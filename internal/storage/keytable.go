@@ -76,14 +76,14 @@ func (t *KeyTable) Reset(min, max int64, n int) {
 	t.slots = zeroed(t.slots, size)
 }
 
-// zeroed returns size empty slots, in slots' own array when it is big enough.
-func zeroed(slots []int32, size int) []int32 {
-	if cap(slots) < size {
-		return make([]int32, size)
+// zeroed returns size zero values, in s's own array when it is big enough.
+func zeroed[T int32 | int64 | uint64](s []T, size int) []T {
+	if cap(s) < size {
+		return make([]T, size)
 	}
-	slots = slots[:size]
-	clear(slots)
-	return slots
+	s = s[:size]
+	clear(s)
+	return s
 }
 
 // Keys returns the distinct keys seen so far, indexed by id. The slice is the

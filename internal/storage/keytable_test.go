@@ -133,9 +133,49 @@ func TestHashIndexFormFollowsKeyRange(t *testing.T) {
 		"sparse": "probing", "unique": "probing", "edges": "probing", "past-bound": "probing",
 	}
 	for name, vals := range keyShapes() {
-		if got := newHashIndex(vals, 0).form(); got != want[name] {
+		if got := newHashIndex(nil, vals, 0).form(); got != want[name] {
 			t.Errorf("%s: %s form, want %q", name, got, want[name])
 		}
+	}
+}
+
+// TestRebuildHashFollowsContents: an intermediate's producer rebuilds its
+// index every run in the storage of the one it replaces, so each rebuild must
+// answer from the new keys alone, whatever form the previous keys took.
+func TestRebuildHashFollowsContents(t *testing.T) {
+	shapes := keyShapes()
+	var names []string
+	for name := range shapes {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	rev := slices.Clone(names)
+	slices.Reverse(rev)
+	var h *HashIndex
+	for _, name := range append(names, rev...) {
+		vals := shapes[name]
+		prev := h
+		h = newHashIndex(h, vals, 7)
+		if prev != nil && h != prev {
+			t.Fatalf("%s: rebuild allocated a new index", name)
+		}
+		want := refLookup(vals, 7)
+		for _, v := range vals {
+			for _, p := range []int64{v - 1, v, v + 1} {
+				if got := h.Lookup(p); !slices.Equal(got, want[p]) {
+					t.Fatalf("%s: Lookup(%d) = %v, want %v", name, p, got, want[p])
+				}
+			}
+		}
+	}
+
+	buf := []int64{5, 7, 5, 9}
+	c := NewIntColumn("k", buf)
+	h1, _ := c.Hash()
+	buf[0] = 9 // the producer rewrote its buffer in place
+	c.RebuildHash()
+	if h2, built := c.Hash(); built || h2 != h1 || !slices.Equal(h2.Lookup(9), []int64{0, 3}) {
+		t.Fatalf("after RebuildHash: built=%v same=%v Lookup(9)=%v, want the cached index over the new keys", built, h2 == h1, h2.Lookup(9))
 	}
 }
 

@@ -3,7 +3,6 @@ package storage
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Table is a named collection of equally long columns. heap is the lineage a
@@ -80,23 +79,13 @@ func (t *Table) ColumnNames() []string {
 
 // Catalog maps table names to tables.
 type Catalog struct {
-	id     uint64
 	tables map[string]*Table
 }
 
-// catalogIDs numbers the catalogs of this process in creation order.
-var catalogIDs atomic.Uint64
-
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
-	return &Catalog{id: catalogIDs.Add(1), tables: make(map[string]*Table)}
+	return &Catalog{tables: make(map[string]*Table)}
 }
-
-// ID identifies the catalog among all this process ever created (never 0):
-// what a cache that outlives a data epoch remembers a catalog by. Holding the
-// *Catalog instead would pin every column of its generation, and an address,
-// unlike an ID, can come back as another catalog's.
-func (c *Catalog) ID() uint64 { return c.id }
 
 // Add registers a table.
 func (c *Catalog) Add(t *Table) error {
@@ -140,17 +129,4 @@ func (c *Catalog) Tables() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// LargestTable returns the table with the most rows, the quantity MonetDB's
-// heuristic parallelizer keys its partition count on (§4.2.1).
-func (c *Catalog) LargestTable() *Table {
-	var best *Table
-	for _, name := range c.Tables() {
-		t := c.tables[name]
-		if best == nil || t.Rows() > best.Rows() {
-			best = t
-		}
-	}
-	return best
 }

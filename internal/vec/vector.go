@@ -108,19 +108,6 @@ func Concat(parts ...*Vector) *Vector {
 	return &Vector{vals: out, dict: dict}
 }
 
-// ConcatInt64 concatenates raw int64 slices in order into a new slice.
-func ConcatInt64(parts ...[]int64) []int64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]int64, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
 // Equal reports whether two vectors hold identical values (dictionaries are
 // compared by rendered strings so logically equal string vectors compare
 // equal even across distinct dictionary instances).

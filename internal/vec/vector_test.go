@@ -120,13 +120,6 @@ func TestConcatMixedDictionariesPanics(t *testing.T) {
 	Concat(a, b)
 }
 
-func TestConcatInt64(t *testing.T) {
-	got := ConcatInt64([]int64{1}, nil, []int64{2, 3})
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("ConcatInt64 = %v", got)
-	}
-}
-
 func TestEqual(t *testing.T) {
 	if !Equal(NewInt64([]int64{1, 2}), NewInt64([]int64{1, 2})) {
 		t.Fatal("equal vectors reported unequal")
