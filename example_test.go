@@ -45,8 +45,8 @@ func Example() {
 		best.MaxDOP(), st.Instrs, st.Selects, st.Packs)
 	fmt.Printf("matches serial: %v\n", apq.ResultsEqual(serial, again))
 	// Output:
-	// GME at run 55 of 175, 7.18x faster than serial
-	// best plan: DOP 8, 143 instructions (96 selects, 9 packs)
+	// GME at run 45 of 181, 6.23x faster than serial
+	// best plan: DOP 8, 107 instructions (72 selects, 11 packs)
 	// matches serial: true
 }
 
@@ -119,8 +119,8 @@ func ExampleServer_Handler() {
 	call(h, "GET", "/sessions/"+reply.Session+"/trace", "", &trace)
 	fmt.Printf("trace: %d runs, global minimum at run %d\n", trace.Runs, trace.GMERun)
 	// Output:
-	// converged after 194 requests: DOP 16, 3.42x faster than serial
-	// trace: 194 runs, global minimum at run 15
+	// converged after 192 requests: DOP 16, 3.42x faster than serial
+	// trace: 192 runs, global minimum at run 15
 }
 
 // ExampleTenantConfig serves three tenant datasets — the default TPC-H

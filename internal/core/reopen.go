@@ -52,13 +52,6 @@ func (s *Session) foldInstance() {
 	for _, o := range s.conv.outliers {
 		s.outlierPrefix = append(s.outlierPrefix, o+s.runBase)
 	}
-	// A folded run's profile and result values are never read again — the
-	// serving layer reads the latest attempt's, VerifyResults the serial
-	// run's — and a session reopened every epoch would otherwise pin one of
-	// each per request it ever served.
-	for i := max(s.runBase, 1); i < len(s.attempts); i++ {
-		s.attempts[i].Profile, s.attempts[i].Results = nil, nil
-	}
 	s.runBase += len(hist)
 }
 

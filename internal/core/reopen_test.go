@@ -156,52 +156,33 @@ func TestReopenForDataMidAdaptation(t *testing.T) {
 	}
 }
 
-// TestReopenDropsFoldedProfiles: a session reopened every epoch must not pin
-// one profile and one result set per request it ever served. After k data
-// reopens only the serial run and the current instance's runs still hold
-// theirs; the trace itself (Attempts, Report.History) keeps every run, and
-// VerifyResults still holds each new run against the serial run's results.
-func TestReopenDropsFoldedProfiles(t *testing.T) {
+// TestSessionKeepsSerialAndLatestProfiles: a session must not pin one
+// profile and one result set per run it ever made — converging, or reopened
+// every epoch. After a plain convergence and after each of k data reopens,
+// exactly the serial run and the latest run hold theirs; the trace itself
+// (Attempts, Report.History) keeps every run, and VerifyResults still holds
+// each new run against the serial run's results.
+func TestSessionKeepsSerialAndLatestProfiles(t *testing.T) {
 	eng := exec.NewEngine(testCatalog(200_000), testMachine(), cost.Default())
 	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), ConvergenceConfig{})
 	s.VerifyResults = true
 	if _, err := s.Converge(); err != nil {
 		t.Fatal(err)
 	}
-	for cycle := 0; cycle < 4; cycle++ {
-		before := len(s.Attempts())
-		if !s.ReopenForData(0) {
-			t.Fatal("ReopenForData refused a converged session")
-		}
-		if len(s.Attempts()) != before {
-			t.Fatalf("cycle %d: the fold changed the attempt count %d -> %d", cycle, before, len(s.Attempts()))
-		}
-		for !s.Done() {
-			if _, err := s.Step(); err != nil {
-				t.Fatal(err) // includes a VerifyResults mismatch with the serial run
-			}
-			if len(s.Attempts())-before > 60 {
-				t.Fatal("warm re-convergence did not halt within 60 runs")
-			}
-		}
+	check := func(cycle int) {
+		t.Helper()
 		att := s.Attempts()
-		held := 0
+		if len(att) < 3 {
+			t.Fatalf("cycle %d: %d attempts, too few to tell", cycle, len(att))
+		}
 		for i, a := range att {
 			if a.Plan == nil || a.ExecNs <= 0 {
 				t.Fatalf("cycle %d: attempt %d lost its plan or time", cycle, i)
 			}
-			if (a.Profile != nil) != (a.Results != nil) {
-				t.Fatalf("cycle %d: attempt %d holds a profile xor results", cycle, i)
+			held := i == 0 || i == len(att)-1
+			if (a.Profile != nil) != held || (a.Results != nil) != held {
+				t.Fatalf("cycle %d: attempt %d of %d holds profile %v, results %v", cycle, i, len(att), a.Profile != nil, a.Results != nil)
 			}
-			if a.Profile != nil {
-				held++
-			}
-		}
-		if att[0].Profile == nil || att[len(att)-1].Profile == nil {
-			t.Fatalf("cycle %d: the serial or the latest attempt lost its profile", cycle)
-		}
-		if instance := len(att) - before; held > instance+1 {
-			t.Fatalf("cycle %d: %d of %d attempts hold a profile, the current instance ran %d", cycle, held, len(att), instance)
 		}
 		rep := s.Report()
 		if len(rep.Attempts) != len(att) || len(rep.History) != len(att) {
@@ -212,6 +193,25 @@ func TestReopenDropsFoldedProfiles(t *testing.T) {
 				t.Fatalf("cycle %d: history[%d] = %v, attempt ran %v", cycle, i, ns, att[i].ExecNs)
 			}
 		}
+	}
+	check(0)
+	for cycle := 1; cycle <= 4; cycle++ {
+		before := len(s.Attempts())
+		if !s.ReopenForData(0) {
+			t.Fatal("ReopenForData refused a converged session")
+		}
+		if len(s.Attempts()) != before {
+			t.Fatalf("cycle %d: the reopen changed the attempt count %d -> %d", cycle, before, len(s.Attempts()))
+		}
+		for !s.Done() {
+			if _, err := s.Step(); err != nil {
+				t.Fatal(err) // includes a VerifyResults mismatch with the serial run
+			}
+			if len(s.Attempts())-before > 60 {
+				t.Fatal("warm re-convergence did not halt within 60 runs")
+			}
+		}
+		check(cycle)
 	}
 }
 

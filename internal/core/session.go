@@ -10,9 +10,10 @@ import (
 
 // Attempt records one adaptive run: the plan executed, its measured
 // execution time, the full profile, and the mutation that produced the plan
-// (MutationNone for the serial 0th run). Profile and Results are dropped
-// when a reopen folds the attempt's convergence instance (the serial 0th run
-// keeps both); Plan, ExecNs and Mutation stay for the whole trace.
+// (MutationNone for the serial 0th run). Profile and Results are dropped when
+// the next run is appended — the serving layer reads the latest attempt's,
+// VerifyResults the serial 0th run's, which keeps both; Plan, ExecNs and
+// Mutation stay for the whole trace.
 type Attempt struct {
 	Plan     *plan.Plan
 	ExecNs   float64
@@ -130,6 +131,9 @@ func (s *Session) StepWith(opts exec.JobOptions) (bool, error) {
 		return false, fmt.Errorf("core: run %d: %w", s.conv.Run(), err)
 	}
 	execNs := prof.Makespan()
+	if n := len(s.attempts); n > 1 {
+		s.attempts[n-1].Profile, s.attempts[n-1].Results = nil, nil
+	}
 	s.attempts = append(s.attempts, Attempt{
 		Plan: s.cur, ExecNs: execNs, Profile: prof, Mutation: s.nextMut, Results: results,
 	})

@@ -62,22 +62,12 @@ func TestAdaptationEquivalentAcrossExchangeModes(t *testing.T) {
 	if !shared.Done() || !copying.Done() {
 		t.Fatalf("sessions did not converge (shared=%v copying=%v)", shared.Done(), copying.Done())
 	}
+	// VerifyResults held every run of each session to its own serial run, so
+	// equal serial baselines make every attempt of both sessions answer the
+	// query identically.
 	sr, cr := shared.Report(), copying.Report()
 	if !exec.ResultsEqual(sr.Attempts[0].Results, cr.Attempts[0].Results) {
 		t.Fatal("serial baselines diverge between exchange modes")
-	}
-	// Every attempt of both sessions answers the query identically (the
-	// per-session invariant is enforced by VerifyResults above; this pins
-	// the cross-mode equality).
-	for i := range sr.Attempts {
-		if !exec.ResultsEqual(sr.Attempts[i].Results, cr.Attempts[0].Results) {
-			t.Fatalf("shared run %d diverges from the copying baseline", i)
-		}
-	}
-	for i := range cr.Attempts {
-		if !exec.ResultsEqual(cr.Attempts[i].Results, sr.Attempts[0].Results) {
-			t.Fatalf("copying run %d diverges from the shared baseline", i)
-		}
 	}
 	// Note: the two searches may converge to different plans — pack cost
 	// steers the greedy mutator — so best latencies are not comparable;

@@ -61,15 +61,13 @@ const (
 type schedGroup struct {
 	pack   int32
 	clones []int32
-	sliced bool
 	// recycle reports that neither the pack's nor any clone's result is a
 	// query result, so the shared buffer may return to the arena and be
 	// rewritten by the next invocation.
 	recycle bool
-	parts   []plan.Part // per clone, for sliced-shape offsets
-	// anchorVar names each clone's anchor value for propagated-shape offsets
-	// (prefix sums of anchor lengths, resolvable once every anchor has been
-	// evaluated into env).
+	// anchorVar names each clone's anchor value: clone m's window is its
+	// anchor's length under its own Part, and the windows follow in clone
+	// order (initGroup).
 	anchorVar []plan.VarID
 }
 
@@ -80,10 +78,11 @@ type schedGroup struct {
 // the arena of run-state buffers the next invocation reuses. The
 // plan-session cache executes one plan object per request once a query
 // converges, so caching this removes both the per-run O(instrs × args)
-// graph rebuild and the hot path's result-buffer allocations.
+// graph rebuild and the hot path's result-buffer allocations. The graph's
+// nodes are the instructions, then the pack groups' gates (addGate).
 type planSchedule struct {
-	pending []int32   // unresolved argument-producer count per instruction
-	waiters [][]int32 // waiters[i] = instructions waiting on producer i
+	pending []int32   // unresolved producer count per node
+	waiters [][]int32 // waiters[i] = nodes waiting on node i
 	roots   []int32   // instructions with no unresolved producers
 
 	groups    []schedGroup
@@ -207,7 +206,7 @@ func (e *Engine) Retire(p *plan.Plan) {
 }
 
 // buildSchedule compiles p: the argument-dependency graph (pending counts,
-// waiter lists, roots) and the buffer plan.
+// waiter lists, roots), the buffer plan and its groups' gates.
 func buildSchedule(p *plan.Plan) *planSchedule {
 	n := len(p.Instrs)
 	s := &planSchedule{
@@ -295,6 +294,7 @@ func (s *planSchedule) planBuffers(p *plan.Plan, producer []int32) {
 			s.cloneOf[ci] = gi
 			s.memberOf[ci] = int32(m)
 		}
+		s.addGate(&s.groups[gi], producer)
 	}
 	for i, in := range p.Instrs {
 		if s.cloneOf[i] >= 0 {
@@ -337,7 +337,6 @@ func buildGroup(p *plan.Plan, g plan.PackGroup, resultArg []bool) schedGroup {
 	pk := p.Instrs[g.Pack]
 	sg := schedGroup{
 		pack:    int32(g.Pack),
-		sliced:  g.Sliced,
 		recycle: !resultArg[pk.Rets[0]],
 	}
 	anchorArg := plan.SliceArgs(p.Instrs[g.Clones[0]].Op)[0]
@@ -347,23 +346,42 @@ func buildGroup(p *plan.Plan, g plan.PackGroup, resultArg []bool) schedGroup {
 			sg.recycle = false
 		}
 		sg.clones = append(sg.clones, int32(ci))
-		sg.parts = append(sg.parts, c.Part)
 		sg.anchorVar = append(sg.anchorVar, c.Args[anchorArg])
 	}
 	return sg
 }
 
+// addGate appends a gate node for sg when its anchors come from two or more
+// producers (the propagated shape; a sliced group's clones share one anchor).
+// Each clone already waits on its own anchor's producer; the gate makes it
+// wait on its siblings' too, so the group's windows are a function of the
+// schedule, not of which producers happen to have run.
+func (s *planSchedule) addGate(sg *schedGroup, producer []int32) {
+	first := producer[sg.anchorVar[0]]
+	if !slices.ContainsFunc(sg.anchorVar, func(v plan.VarID) bool { return producer[v] != first }) {
+		return
+	}
+	gate := int32(len(s.pending))
+	s.pending = append(s.pending, 0)
+	for _, v := range sg.anchorVar {
+		if src := producer[v]; !slices.Contains(s.waiters[src], gate) {
+			s.waiters[src] = append(s.waiters[src], gate)
+			s.pending[gate]++
+		}
+	}
+	s.waiters = append(s.waiters, sg.clones)
+	for _, ci := range sg.clones {
+		s.pending[ci]++
+	}
+}
+
 // groupRun is the per-invocation state of one pack group: the shared buffer
-// builder, each clone's write offset, and how much each clone wrote. A group
-// is disabled for the run when its offsets cannot be resolved at first use
-// (an anchor not evaluated yet); its members then materialize privately and
-// the pack falls back to copying — results are identical either way.
+// builder, each clone's write offset, and how much each clone wrote.
 type groupRun struct {
-	bld      *vec.Builder
-	offs     []int // len = clones+1; clone m writes [offs[m], offs[m+1])
-	written  []int // values actually written per clone; -1 = pending
-	total    int
-	disabled bool
+	bld     *vec.Builder
+	offs    []int // len = clones+1; clone m writes [offs[m], offs[m+1])
+	written []int // values actually written per clone; -1 = pending
+	total   int
 }
 
 // jobArena holds every run-state buffer of one plan invocation. It is
@@ -441,7 +459,7 @@ func sized[T any](slab []T, n int) []T {
 func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	n := len(p.Instrs)
 	a.env = sized(a.env, p.NVars())
-	a.pending = sized(a.pending, n)
+	a.pending = sized(a.pending, len(s.pending))
 	copy(a.pending, s.pending)
 	a.tasks = sized(a.tasks, n)
 	a.bufs = sized(a.bufs, n)
@@ -457,7 +475,6 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 		gr.offs = gr.offs[:0]
 		gr.written = gr.written[:0]
 		gr.total = 0
-		gr.disabled = false
 	}
 }
 
@@ -553,7 +570,7 @@ type PlanJob struct {
 	arena        *jobArena
 	simJob       *sim.Job
 	env          []Value
-	pending      []int32 // unresolved argument-producer count per instruction
+	pending      []int32 // unresolved producer count per schedule node
 	waiters      [][]int32
 	results      []Value
 	costParams   cost.Params
@@ -700,12 +717,12 @@ func (it *instrTask) TaskStarted(now float64, core int) {
 	it.core = int32(core)
 }
 
-// TaskCompleted implements sim.TaskHooks: the op is profiled and the
-// instructions waiting on it are released. The dependency bookkeeping
-// (pending / waiters) lives here, with virtual completion, and nowhere else:
-// an instruction runs only after every producer of its arguments has
-// virtually completed, so that evaluate published those arguments into env
-// earlier than that is invisible to it.
+// TaskCompleted implements sim.TaskHooks: the op is profiled and the nodes
+// waiting on it are released. The dependency bookkeeping (pending / waiters)
+// lives here and in release, with virtual completion, and nowhere else: an
+// instruction runs only after every producer it waits on has virtually
+// completed, so that evaluate published those values into env earlier than
+// that is invisible to it.
 func (it *instrTask) TaskCompleted(now float64, core int) {
 	j := it.j
 	idx := int(it.idx)
@@ -720,10 +737,7 @@ func (it *instrTask) TaskCompleted(now float64, core int) {
 		}
 	}
 	for _, dep := range j.waiters[idx] {
-		j.pending[dep]--
-		if j.pending[dep] == 0 {
-			j.run(int(dep))
-		}
+		j.release(dep)
 	}
 	j.completed++
 	if j.completed == len(j.Plan.Instrs) && !j.Done {
@@ -738,6 +752,22 @@ func (it *instrTask) TaskCompleted(now float64, core int) {
 			j.arena = nil
 			a.release(j.sched)
 		}
+	}
+}
+
+// release counts one completed producer off schedule node i. When it was the
+// last, an instruction runs, and a gate opens: it releases its group's clones
+// in turn.
+func (j *PlanJob) release(i int32) {
+	if j.pending[i]--; j.pending[i] != 0 {
+		return
+	}
+	if int(i) < len(j.Plan.Instrs) {
+		j.run(int(i))
+		return
+	}
+	for _, c := range j.waiters[i] {
+		j.release(c)
 	}
 }
 

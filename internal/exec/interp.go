@@ -73,13 +73,8 @@ func reseqBase(in *plan.Instr, anchor Value) int64 {
 }
 
 // cloneShared resolves the run state of the pack group instruction idx is a
-// clone member of (position m), or nil when it writes no shared buffer. On
-// first use per run it sizes the group's shared buffer: sliced groups
-// resolve their Parts against the common anchor, propagated groups take
-// prefix sums of the sibling anchors' lengths (possible only once every
-// anchor has been evaluated — otherwise the group is disabled for this run
-// and every member materializes privately, which the pack then concatenates
-// as before).
+// clone member of (position m), or nil when it writes no shared buffer. The
+// group's first clone to run sizes the shared buffer.
 func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
 	if j.copyExchange {
 		return nil, 0
@@ -89,43 +84,25 @@ func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
 		return nil, 0
 	}
 	gr = &j.arena.groupRuns[gi]
-	if gr.bld == nil && !gr.disabled {
+	if gr.bld == nil {
 		j.initGroup(gi, gr)
-	}
-	if gr.disabled {
-		return nil, 0
 	}
 	return gr, int(j.sched.memberOf[idx])
 }
 
+// initGroup lays out the group's windows: clone m's is its anchor's length
+// under its own Part, and the windows follow in clone order. For a sliced
+// group the Parts tile one shared anchor, so the offsets are exactly the
+// Parts' resolved lows; for a propagated group every Part is full. Every
+// anchor's producer has virtually completed: each clone waits on its own, and
+// on its siblings' through the group's gate (addGate).
 func (j *PlanJob) initGroup(gi int32, gr *groupRun) {
 	sg := &j.sched.groups[gi]
 	members := len(sg.clones)
-	offs := gr.offs[:0]
-	if sg.sliced {
-		// All clones share the anchor variable; it is an argument of every
-		// clone, so its producer has virtually completed and env holds it.
-		n := j.env[sg.anchorVar[0]].Len()
-		for m := 0; m < members; m++ {
-			lo, _ := sg.parts[m].Resolve(n)
-			offs = append(offs, lo)
-		}
-		offs = append(offs, n)
-	} else {
-		total := 0
-		for m := 0; m < members; m++ {
-			// A sibling's anchor need not have virtually completed, only
-			// been evaluated: this is the one read of env ahead of the
-			// dependency order.
-			anchor := j.env[sg.anchorVar[m]]
-			if anchor.unset() {
-				gr.disabled = true
-				return
-			}
-			offs = append(offs, total)
-			total += anchor.Len()
-		}
-		offs = append(offs, total)
+	offs := append(gr.offs[:0], 0)
+	for m, ci := range sg.clones {
+		lo, hi := j.Plan.Instrs[ci].Part.Resolve(j.env[sg.anchorVar[m]].Len())
+		offs = append(offs, offs[m]+hi-lo)
 	}
 	gr.offs = offs
 	gr.total = offs[members]
@@ -166,9 +143,6 @@ func (j *PlanJob) packView(idx int, args []Value) (*storage.Column, algebra.Work
 		return nil, algebra.Work{}, false
 	}
 	gr := &j.arena.groupRuns[gi]
-	if gr.bld == nil || gr.disabled {
-		return nil, algebra.Work{}, false
-	}
 	for m := range gr.written {
 		if gr.written[m] != gr.offs[m+1]-gr.offs[m] {
 			return nil, algebra.Work{}, false // boundary drop: fall back to copy
@@ -188,11 +162,11 @@ type outDest struct {
 }
 
 // dest is the one place that decides who owns instruction idx's n-value
-// output: its pack group's shared buffer when the group resolved for this
-// run; else the instruction's arena slot when planBuffers classed it bufCol
-// (a dead intermediate, rewritten in place by the next invocation, grown
-// through the engine recycler); else a fresh allocation — a result-reachable
-// output, a clone of a disabled group, and every clone under CopyExchange.
+// output: its pack group's shared buffer when it is a group clone; else the
+// instruction's arena slot when planBuffers classed it bufCol (a dead
+// intermediate, rewritten in place by the next invocation, grown through the
+// engine recycler); else a fresh allocation — a result-reachable output, and
+// every clone under CopyExchange.
 // The kernel fully overwrites what it reports written, so stale values in a
 // recycled buffer can never surface. Values and Work are the same whichever
 // owner is chosen.

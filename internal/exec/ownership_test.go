@@ -27,8 +27,8 @@ type ownShape struct {
 	// sliced: both clones slice one shared anchor (the basic mutation; clone 1
 	// gets a non-zero head). Otherwise each clone covers its own anchor (the
 	// medium mutation's residue) and clone 1's anchor is produced one
-	// instruction later than clone 0's, so whether the group's offsets
-	// resolve at first use depends on the schedule.
+	// instruction later than clone 0's, so clone 0 runs only once the group's
+	// gate has seen both anchors' producers complete.
 	sliced bool
 	// boundary (fetch only): the target is a view of the column's first half,
 	// so later row ids are aligned away and clones write less than their
@@ -67,11 +67,9 @@ func ownCatalog(n int) *storage.Catalog {
 	return cat
 }
 
-// ownParts is lopsided so that, with cores to spare, the two anchor chains
-// of the propagated shape (clone 1's is one instruction longer) finish close
-// enough together that every anchor's producer has evaluated before the
-// first clone does — the group resolves. The "shared" variant asserts that
-// it did, so a cost-model change that moves the timeline fails loudly there.
+// ownParts is lopsided, so the sliced clones' windows differ in length and
+// the propagated shape's two anchor chains (clone 1's is one instruction
+// longer) finish at different virtual times.
 var ownParts = [2]plan.Part{{LoNum: 0, HiNum: 5, Den: 8}, {LoNum: 5, HiNum: 8, Den: 8}}
 
 // ownPlan builds shape's plan: a prefix ending in the two clones, identical
@@ -216,6 +214,36 @@ func TestOwnershipPathsAgree(t *testing.T) {
 			}
 		}
 	}
+	// shared: the clones write their windows of the group's one buffer and a
+	// dense group packs as a view. A propagated group is gated, a sliced one
+	// (one anchor, one producer) is not.
+	shared := func(t *testing.T, sh ownShape, j *PlanJob, r, _ *ownRun, ci [2]int, pack int) {
+		gr, gi := group(j, ci)
+		if gr == nil || gr.bld == nil {
+			t.Fatalf("pack group did not resolve: %+v", gr)
+		}
+		wantGates := 1
+		if sh.sliced {
+			wantGates = 0
+		}
+		if gates := len(j.sched.pending) - len(j.Plan.Instrs); gates != wantGates {
+			t.Fatalf("%d gates in the schedule, want %d", gates, wantGates)
+		}
+		for m := range ci {
+			if !aliases(r.cols[m], j.arena.groupBufs[gi], gr.offs[m]) {
+				t.Errorf("clone %d does not write its window of the shared buffer", m)
+			}
+		}
+		short := gr.written[0] < gr.offs[1]-gr.offs[0] || gr.written[1] < gr.offs[2]-gr.offs[1]
+		if short != sh.boundary {
+			t.Fatalf("boundary drop = %v (written %v of windows %v), want %v", short, gr.written, gr.offs, sh.boundary)
+		}
+		// A dense group packs as a view; a boundary drop makes
+		// packView fall back to PackColumns over the builder views.
+		if copied := workByInstr(j.Profile)[pack].BytesWritten > 0; copied != sh.boundary {
+			t.Fatalf("pack copied = %v, want %v", copied, sh.boundary)
+		}
+	}
 	variants := []struct {
 		name, suffix   string
 		opts           JobOptions
@@ -223,36 +251,13 @@ func TestOwnershipPathsAgree(t *testing.T) {
 		propagatedOnly bool
 		check          check
 	}{
-		{name: "shared", suffix: "pack", runs: 1, check: func(t *testing.T, sh ownShape, j *PlanJob, r, _ *ownRun, ci [2]int, pack int) {
-			gr, gi := group(j, ci)
-			if gr == nil || gr.bld == nil || gr.disabled {
-				t.Fatalf("pack group did not resolve: %+v", gr)
-			}
-			for m := range ci {
-				if !aliases(r.cols[m], j.arena.groupBufs[gi], gr.offs[m]) {
-					t.Errorf("clone %d does not write its window of the shared buffer", m)
-				}
-			}
-			short := gr.written[0] < gr.offs[1]-gr.offs[0] || gr.written[1] < gr.offs[2]-gr.offs[1]
-			if short != sh.boundary {
-				t.Fatalf("boundary drop = %v (written %v of windows %v), want %v", short, gr.written, gr.offs, sh.boundary)
-			}
-			// A dense group packs as a view; a boundary drop makes
-			// packView fall back to PackColumns over the builder views.
-			if copied := workByInstr(j.Profile)[pack].BytesWritten > 0; copied != sh.boundary {
-				t.Fatalf("pack copied = %v, want %v", copied, sh.boundary)
-			}
-		}},
-		{name: "disabled", suffix: "pack", opts: JobOptions{MaxCores: 1}, runs: 1, propagatedOnly: true,
-			check: func(t *testing.T, _ ownShape, j *PlanJob, _, _ *ownRun, ci [2]int, pack int) {
-				if gr, _ := group(j, ci); gr == nil || !gr.disabled {
-					t.Fatalf("group was not disabled at first use: %+v", gr)
-				}
-				noArenaSlot(t, j, ci)
-			}},
+		{name: "shared", suffix: "pack", runs: 1, check: shared},
+		// One core runs the propagated shape's anchor chains one after the
+		// other: the gate still holds clone 0 until clone 1's anchor exists.
+		{name: "one-core", suffix: "pack", opts: JobOptions{MaxCores: 1}, runs: 1, propagatedOnly: true, check: shared},
 		{name: "copy", suffix: "pack", opts: JobOptions{CopyExchange: true}, runs: 1,
 			check: func(t *testing.T, _ ownShape, j *PlanJob, _, _ *ownRun, ci [2]int, pack int) {
-				if gr, _ := group(j, ci); gr == nil || gr.bld != nil || gr.disabled {
+				if gr, _ := group(j, ci); gr == nil || gr.bld != nil {
 					t.Fatalf("CopyExchange touched the planned group: %+v", gr)
 				}
 				noArenaSlot(t, j, ci)

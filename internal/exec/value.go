@@ -62,10 +62,6 @@ func ScalarValue(s int64) Value { return Value{Kind: plan.KindScalar, Scalar: s}
 // GroupsValue wraps a group-by result.
 func GroupsValue(g *algebra.Groups) Value { return Value{Kind: plan.KindGroups, Groups: g} }
 
-// unset reports the zero Value — in a job's env, a variable no instruction has
-// evaluated yet (every column value carries its column).
-func (v Value) unset() bool { return v.Kind == plan.KindColumn && v.Col == nil }
-
 // Len reports the cardinality of the value where meaningful.
 func (v Value) Len() int {
 	switch v.Kind {

@@ -18,15 +18,11 @@ type PackGroup struct {
 	// Pack is the instruction index of the exchange union.
 	Pack int
 	// Clones are the instruction indices of the sibling clones, in pack
-	// argument order (= partition order, the §2.3 ordering invariant).
+	// argument order (= partition order, the §2.3 ordering invariant): sliced
+	// clones tile one shared anchor (Figure 3), propagated clones cover an
+	// anchor each (Figure 5). Clone m's output is its anchor's length under
+	// its own Part either way.
 	Clones []int
-	// Sliced distinguishes the two clone shapes. True: the clones share all
-	// arguments and their Parts tile the full anchor range (the basic
-	// mutation, Figure 3) — write offsets follow from Part.Resolve on the
-	// shared anchor. False: every clone covers its own full anchor (the
-	// propagated clones the medium mutation leaves behind, Figure 5) —
-	// write offsets are the runtime prefix sums of the anchor lengths.
-	Sliced bool
 }
 
 // Producers returns the producing instruction index per variable (-1 for
@@ -114,7 +110,7 @@ func (p *Plan) packGroupAt(k int, pk *Instr, producer []int32, claimed []bool) (
 		if !PartsTile(len(clones), func(i int) Part { return p.Instrs[clones[i]].Part }) {
 			return PackGroup{}, false
 		}
-		return PackGroup{Pack: k, Clones: clones, Sliced: true}, true
+		return PackGroup{Pack: k, Clones: clones}, true
 	}
 
 	// Propagated shape: full-range clones whose non-anchor arguments agree
@@ -134,7 +130,7 @@ func (p *Plan) packGroupAt(k int, pk *Instr, producer []int32, claimed []bool) (
 			}
 		}
 	}
-	return PackGroup{Pack: k, Clones: clones, Sliced: false}, true
+	return PackGroup{Pack: k, Clones: clones}, true
 }
 
 // sameArgs reports whether every clone has the prototype's exact argument

@@ -38,7 +38,7 @@ func TestPackGroupsSliced(t *testing.T) {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
 	g := groups[0]
-	if g.Pack != packIdx || !g.Sliced || len(g.Clones) != 4 {
+	if g.Pack != packIdx || len(g.Clones) != 4 {
 		t.Fatalf("group = %+v", g)
 	}
 	for i, ci := range g.Clones {
@@ -73,7 +73,7 @@ func TestPackGroupsPropagated(t *testing.T) {
 	if len(groups) != 1 {
 		t.Fatalf("groups = %d, want 1", len(groups))
 	}
-	if g := groups[0]; g.Pack != packIdx || g.Sliced || len(g.Clones) != 2 {
+	if g := groups[0]; g.Pack != packIdx || len(g.Clones) != 2 {
 		t.Fatalf("group = %+v", g)
 	}
 }

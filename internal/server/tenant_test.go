@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/plancache"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -169,7 +170,14 @@ func TestTenantIsolationConcurrentConvergence(t *testing.T) {
 					finals[i].Tenant, r, got.History[r], want.History[r])
 			}
 		}
-		for r := range want.Attempts {
+		// Every run executed the baseline's plan; a session keeps the result
+		// values of its serial and its latest run only.
+		for r, a := range want.Attempts {
+			if !bytes.Equal(plan.Encode(got.Attempts[r].Plan), plan.Encode(a.Plan)) {
+				t.Fatalf("tenant %s: run %d executed another plan than the single-tenant baseline", finals[i].Tenant, r)
+			}
+		}
+		for _, r := range []int{0, len(want.Attempts) - 1} {
 			if !exec.ResultsEqual(got.Attempts[r].Results, want.Attempts[r].Results) {
 				t.Fatalf("tenant %s: run %d results diverge from single-tenant baseline", finals[i].Tenant, r)
 			}
