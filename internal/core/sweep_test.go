@@ -4,6 +4,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -22,7 +23,9 @@ import (
 // (216 TPC-H and 30 TPC-DS convergences) and, replayed on a twin engine that
 // adopts nothing, is measured exactly as the session measured it, and run
 // once more reports every instruction's Work unchanged
-// (TestAdoptionIsInvisible's checks, through the same helper). Which mutation fires when
+// (TestAdoptionIsInvisible's checks, through the same helper); its best plan,
+// served twice more on its own engine, replays the second time and still
+// returns the serial result at the event core's makespan. Which mutation fires when
 // depends on all three, so the tier-1 tests' single point cannot stand in
 // for it; CI runs it as its own step (go test -tags sweep).
 func TestConvergenceSweep(t *testing.T) {
@@ -35,11 +38,15 @@ func TestConvergenceSweep(t *testing.T) {
 		cat, twinCat := generate(), generate()
 		for _, m := range machines {
 			for _, n := range numbers {
-				s := core.NewSession(exec.NewEngine(cat, m, cost.Default()), query(n),
-					core.DefaultMutationConfig(), core.ConvergenceConfig{})
+				eng := exec.NewEngine(cat, m, cost.Default())
+				s := core.NewSession(eng, query(n), core.DefaultMutationConfig(), core.ConvergenceConfig{})
 				s.VerifyResults = true
 				runs++
-				if err := convergeTwinned(s, exec.NewEngine(twinCat, m, cost.Default())); err != nil {
+				err := convergeTwinned(s, exec.NewEngine(twinCat, m, cost.Default()))
+				if err == nil {
+					err = serveConvergedTwice(s, eng)
+				}
+				if err != nil {
 					diverged++
 					t.Errorf("%s q%d on %s: %v", name, n, m.Name, err)
 				}
@@ -59,4 +66,37 @@ func TestConvergenceSweep(t *testing.T) {
 			tpcds.QueryNumbers(), tpcds.MustQuery)
 	}
 	t.Logf("%d convergences, %d diverging", runs, diverged)
+}
+
+// serveConvergedTwice serves s's best plan twice more on eng, the engine it
+// converged on. Both servings return the serial result; the second replays,
+// at the makespan of the event-core run it repeats — the first serving's when
+// that one took the event core, else the best attempt's own.
+func serveConvergedTwice(s *core.Session, eng *exec.Engine) error {
+	best, want := s.Best(), 0.0
+	for _, a := range s.Attempts() {
+		if a.Plan == best {
+			want = a.ExecNs
+		}
+	}
+	for serving := 0; serving < 2; serving++ {
+		before := eng.RunStats()
+		res, prof, err := eng.Execute(best)
+		if err != nil {
+			return fmt.Errorf("converged serving %d: %w", serving, err)
+		}
+		if !exec.ResultsEqual(res, s.Attempts()[0].Results) {
+			return fmt.Errorf("converged serving %d: results diverge from the serial plan's", serving)
+		}
+		replayed := eng.RunStats().Replayed > before.Replayed
+		switch {
+		case serving == 1 && !replayed:
+			return fmt.Errorf("the best plan's second serving took the event core")
+		case !replayed:
+			want = prof.Makespan()
+		case math.Abs(prof.Makespan()-want) > 1e-12*want:
+			return fmt.Errorf("converged serving %d replayed %v, the event core measured %v", serving, prof.Makespan(), want)
+		}
+	}
+	return nil
 }

@@ -33,6 +33,7 @@ type Engine struct {
 	recycler bufRecycler
 
 	fullCompiles, derivedCompiles, retiredPlans atomic.Int64
+	replayedRuns, simulatedRuns                 atomic.Int64
 }
 
 // NewEngine creates an engine over the catalog with a fresh machine.
@@ -84,6 +85,7 @@ type planSchedule struct {
 	pending []int32   // unresolved producer count per node
 	waiters [][]int32 // waiters[i] = nodes waiting on node i
 	roots   []int32   // instructions with no unresolved producers
+	order   []int32   // the one evaluation order (compileOrder)
 
 	groups    []schedGroup
 	cloneOf   []int32    // instr -> pack-group index it is a clone of, or -1
@@ -98,6 +100,10 @@ type planSchedule struct {
 
 	arenaMu sync.Mutex
 	arena   *jobArena // idle arena of the last completed invocation
+
+	// rec is the plan object's last recorded event-core run (replay.go). Only
+	// ExecuteOpts touches it, on the goroutine that owns the machine.
+	rec runRecord
 }
 
 func (s *planSchedule) takeArena() *jobArena {
@@ -206,7 +212,8 @@ func (e *Engine) Retire(p *plan.Plan) {
 }
 
 // buildSchedule compiles p: the argument-dependency graph (pending counts,
-// waiter lists, roots), the buffer plan and its groups' gates.
+// waiter lists, roots), the buffer plan and its groups' gates, and the order
+// every run evaluates the instructions in.
 func buildSchedule(p *plan.Plan) *planSchedule {
 	n := len(p.Instrs)
 	s := &planSchedule{
@@ -233,7 +240,36 @@ func buildSchedule(p *plan.Plan) *planSchedule {
 		}
 	}
 	s.planBuffers(p, producer)
+	s.order = s.compileOrder(n)
 	return s
+}
+
+// compileOrder is Kahn's algorithm over the graph, first in first out from
+// the roots: an instruction follows every producer it waits on. A gate is
+// passed through as release does — once its producers are all ordered it
+// counts itself off its clones — and is not emitted.
+func (s *planSchedule) compileOrder(n int) []int32 {
+	pending := slices.Clone(s.pending)
+	order := append(make([]int32, 0, n), s.roots...)
+	var resolve func(w int32)
+	resolve = func(w int32) {
+		if pending[w]--; pending[w] != 0 {
+			return
+		}
+		if int(w) < n {
+			order = append(order, w)
+			return
+		}
+		for _, c := range s.waiters[w] {
+			resolve(c)
+		}
+	}
+	for k := 0; k < len(order); k++ {
+		for _, w := range s.waiters[order[k]] {
+			resolve(w)
+		}
+	}
+	return order
 }
 
 // addDeps wires instruction i's argument-producer edges into the graph.
@@ -385,15 +421,15 @@ type groupRun struct {
 }
 
 // jobArena holds every run-state buffer of one plan invocation. It is
-// checked out of the plan's schedule at submit and returned at completion,
-// so repeated invocations of a cached plan (the converged serving path)
-// allocate almost nothing: the value store (env, the one home of every
-// result), dependency counters, the sim-task slab, kernel output buffers and
-// shared exchange buffers are all rewritten in place.
-// Failed jobs never return their arena (their simulated tasks may still
-// drain), so a fresh one is built on the next invocation.
+// checked out of the plan's schedule at submit and returned at completion
+// (at once when the run is replayed or an evaluation fails), so repeated
+// invocations of a cached plan (the converged serving path) allocate almost
+// nothing: the value store (env, the one home of every result), each
+// instruction's Work, dependency counters, the sim-task slab, kernel output
+// buffers and shared exchange buffers are all rewritten in place.
 type jobArena struct {
 	env       []Value // zero at submit (release clears it): a zero entry is a variable not evaluated yet
+	work      []algebra.Work
 	pending   []int32
 	tasks     []instrTask
 	args      []Value      // resolveArgs scratch
@@ -459,8 +495,8 @@ func sized[T any](slab []T, n int) []T {
 func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	n := len(p.Instrs)
 	a.env = sized(a.env, p.NVars())
+	a.work = sized(a.work, n)
 	a.pending = sized(a.pending, len(s.pending))
-	copy(a.pending, s.pending)
 	a.tasks = sized(a.tasks, n)
 	a.bufs = sized(a.bufs, n)
 	a.outCols = sized(a.outCols, n)
@@ -555,11 +591,11 @@ func (e *Engine) Catalog() *storage.Catalog { return e.cat }
 // Params returns the engine's cost parameters.
 func (e *Engine) Params() cost.Params { return e.params }
 
-// PlanJob is one in-flight plan execution.
+// PlanJob is one plan execution: evaluated when it is submitted, in flight on
+// the machine until Done.
 type PlanJob struct {
 	Plan    *plan.Plan
 	Profile *Profile
-	Err     error
 	Done    bool
 	// OnDone, when set, fires at virtual completion time.
 	OnDone func(*PlanJob)
@@ -571,9 +607,9 @@ type PlanJob struct {
 	simJob       *sim.Job
 	env          []Value
 	pending      []int32 // unresolved producer count per schedule node
-	waiters      [][]int32
 	results      []Value
 	costParams   cost.Params
+	maxCores     int
 	completed    int
 	copyExchange bool
 }
@@ -626,23 +662,30 @@ func AdmissionMaxCores(clientIndex, activeClients, cores int) int {
 	return max(cores/activeClients, 1)
 }
 
-// Submit schedules p for execution starting at the machine's current virtual
-// time. Call Engine.Run (or Machine().Run()) to drive the simulation. The
-// plan's validation, dependency graph and buffer plan are cached per plan
-// object, so repeated submissions of a cached plan (the converged serving
-// path) pay only a counter-slice copy and reuse the previous invocation's
-// arena buffers.
+// Submit evaluates p's whole schedule in its compiled order, then submits its
+// accounting to the machine starting at the current virtual time. Call
+// Engine.Run (or Machine().Run()) to drive the simulation. The plan's
+// validation, dependency graph, evaluation order and buffer plan are cached
+// per plan object, so repeated submissions of a cached plan (the converged
+// serving path) reuse the previous invocation's arena buffers. An evaluation
+// error fails the submission before any task reaches the machine.
 func (e *Engine) Submit(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
+	j, err := e.evaluated(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	j.simulate()
+	return j, nil
+}
+
+// evaluated is newJob followed by evaluateAll.
+func (e *Engine) evaluated(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	j, err := e.newJob(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	for _, i := range j.sched.roots {
-		j.run(int(i))
-	}
-	if j.Err != nil {
-		// A root (a bind) failed before the caller could set OnDone.
-		return nil, j.Err
+	if err := j.evaluateAll(); err != nil {
+		return nil, err
 	}
 	return j, nil
 }
@@ -668,15 +711,13 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	}
 	j := &PlanJob{
 		Plan:         p,
-		Profile:      &Profile{StartNs: e.mach.Now(), Machine: e.mach.Config(), Ops: make([]OpExec, 0, len(p.Instrs))},
 		eng:          e,
 		cat:          cat,
 		sched:        sched,
 		arena:        a,
-		simJob:       e.mach.NewJob(opts.MaxCores),
 		env:          a.env,
 		pending:      a.pending,
-		waiters:      sched.waiters,
+		maxCores:     opts.MaxCores,
 		copyExchange: opts.CopyExchange,
 	}
 	params := e.params
@@ -687,28 +728,46 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	return j, nil
 }
 
-func (j *PlanJob) fail(err error) {
-	if j.Err == nil {
-		j.Err = err
+// evaluateAll is the first pass of a run: every instruction, in the
+// schedule's compiled order, computes its results into env and leaves its
+// Work in the arena. On an error the arena goes back to the schedule —
+// nothing has reached the machine.
+func (j *PlanJob) evaluateAll() error {
+	for _, i := range j.sched.order {
+		w, err := j.evaluate(int(i))
+		if err != nil {
+			j.arena.release(j.sched)
+			j.arena = nil
+			return err
+		}
+		j.arena.work[i] = w
 	}
-	j.Done = true
-	if j.OnDone != nil {
-		j.OnDone(j)
-		j.OnDone = nil
+	return nil
+}
+
+// simulate is the second pass: it feeds the recorded Work to the event core,
+// roots first; each task's completion releases the nodes waiting on it.
+func (j *PlanJob) simulate() {
+	m := j.eng.mach
+	j.eng.simulatedRuns.Add(1)
+	j.Profile = &Profile{StartNs: m.Now(), Machine: m.Config(), Ops: make([]OpExec, 0, len(j.Plan.Instrs))}
+	j.simJob = m.NewJob(j.maxCores)
+	copy(j.pending, j.sched.pending)
+	for _, i := range j.sched.roots {
+		j.account(int(i))
 	}
 }
 
 // instrTask carries one accounted instruction through the simulator: the sim
 // task and the profiling state, in a single slab entry of the job's arena (it
 // implements sim.TaskHooks, so no per-task closures). It holds no values:
-// evaluate has already published the instruction's results into env.
+// evaluateAll has already published every result into env.
 type instrTask struct {
 	sim.Task
 	j       *PlanJob
 	idx     int32
 	core    int32
 	startNs float64
-	work    algebra.Work
 }
 
 // TaskStarted implements sim.TaskHooks.
@@ -719,80 +778,54 @@ func (it *instrTask) TaskStarted(now float64, core int) {
 
 // TaskCompleted implements sim.TaskHooks: the op is profiled and the nodes
 // waiting on it are released. The dependency bookkeeping (pending / waiters)
-// lives here and in release, with virtual completion, and nowhere else: an
-// instruction runs only after every producer it waits on has virtually
-// completed, so that evaluate published those values into env earlier than
-// that is invisible to it.
+// lives here and in release, with virtual completion: an instruction is
+// accounted only after every producer it waits on has virtually completed.
 func (it *instrTask) TaskCompleted(now float64, core int) {
 	j := it.j
 	idx := int(it.idx)
-	in := j.Plan.Instrs[idx]
 	j.Profile.Ops = append(j.Profile.Ops, OpExec{
-		Instr: idx, Op: in.Op, StartNs: it.startNs, EndNs: now, Core: int(it.core), Work: it.work,
+		Instr: idx, Op: j.Plan.Instrs[idx].Op, StartNs: it.startNs, EndNs: now, Core: int(it.core), Work: j.arena.work[idx],
 	})
-	if in.Op == plan.OpResult {
-		j.results = make([]Value, len(in.Args))
-		for k, a := range in.Args {
-			j.results[k] = j.env[a]
-		}
-	}
-	for _, dep := range j.waiters[idx] {
+	for _, dep := range j.sched.waiters[idx] {
 		j.release(dep)
 	}
 	j.completed++
-	if j.completed == len(j.Plan.Instrs) && !j.Done {
+	if j.completed == len(j.Plan.Instrs) {
 		j.Profile.EndNs = now
 		j.Done = true
 		if j.OnDone != nil {
 			j.OnDone(j)
 			j.OnDone = nil
 		}
-		if j.arena != nil {
-			a := j.arena
-			j.arena = nil
-			a.release(j.sched)
-		}
+		a := j.arena
+		j.arena = nil
+		a.release(j.sched)
 	}
 }
 
 // release counts one completed producer off schedule node i. When it was the
-// last, an instruction runs, and a gate opens: it releases its group's clones
-// in turn.
+// last, an instruction is accounted, and a gate opens: it releases its
+// group's clones in turn.
 func (j *PlanJob) release(i int32) {
 	if j.pending[i]--; j.pending[i] != 0 {
 		return
 	}
 	if int(i) < len(j.Plan.Instrs) {
-		j.run(int(i))
+		j.account(int(i))
 		return
 	}
-	for _, c := range j.waiters[i] {
+	for _, c := range j.sched.waiters[i] {
 		j.release(c)
 	}
 }
 
-// run is the whole run loop for one released instruction: compute its
-// results, then charge the machine for them. The two halves share nothing but
-// the Work record.
-func (j *PlanJob) run(idx int) {
-	if j.Err != nil {
-		return
-	}
-	w, err := j.evaluate(idx)
-	if err != nil {
-		j.fail(err)
-		return
-	}
-	j.account(idx, w)
-}
-
 // account advances virtual time for instruction idx: it prices the Work its
-// evaluation reported, picks the home socket and submits the sim task whose
+// evaluation recorded, picks the home socket and submits the sim task whose
 // completion releases the instruction's waiters. It never sees a value or a
 // kernel.
-func (j *PlanJob) account(idx int, w algebra.Work) {
+func (j *PlanJob) account(idx int) {
 	in := j.Plan.Instrs[idx]
-	est := j.costParams.ForWork(in.Op, w, j.eng.mach.L3SharePerSocket())
+	est := j.costParams.ForWork(in.Op, j.arena.work[idx], j.eng.mach.L3SharePerSocket())
 	home := 0
 	if sockets := j.eng.mach.Config().Sockets; sockets > 1 {
 		if !in.Part.IsFull() {
@@ -810,7 +843,7 @@ func (j *PlanJob) account(idx int, w algebra.Work) {
 		}
 	}
 	it := &j.arena.tasks[idx]
-	*it = instrTask{j: j, idx: int32(idx), work: w}
+	*it = instrTask{j: j, idx: int32(idx)}
 	it.Task = sim.Task{
 		Label:      in.Op.String(),
 		Job:        j.simJob,
@@ -838,18 +871,27 @@ func (e *Engine) Execute(p *plan.Plan) ([]Value, *Profile, error) {
 }
 
 // ExecuteOpts is Execute with per-job options (core budgets from admission
-// control, comparator cost calibrations).
+// control, comparator cost calibrations). A run that meets the replay
+// conditions (replay.go) skips the event core: it repeats the plan object's
+// recorded timeline from the current virtual time.
 func (e *Engine) ExecuteOpts(p *plan.Plan, opts JobOptions) ([]Value, *Profile, error) {
-	job, err := e.Submit(p, opts)
+	j, err := e.evaluated(p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.mach.RunUntil(func() bool { return job.Done })
-	if job.Err != nil {
-		return nil, nil, job.Err
+	quiet := opts.CostParams == nil && !opts.CopyExchange && e.mach.Quiescent()
+	if quiet && j.sched.rec.matches(j) {
+		j.replay()
+		return j.results, j.Profile, nil
 	}
-	if !job.Done {
+	busy := e.mach.BusyNs
+	j.simulate()
+	e.mach.RunUntil(func() bool { return j.Done })
+	if !j.Done {
 		return nil, nil, fmt.Errorf("exec: plan did not complete")
 	}
-	return job.Results(), job.Profile, nil
+	if quiet {
+		j.sched.rec = runRecord{prof: j.Profile, cat: j.cat, maxCores: j.maxCores, busyNs: e.mach.BusyNs - busy}
+	}
+	return j.results, j.Profile, nil
 }

@@ -267,7 +267,8 @@ func (j *PlanJob) cachedCol(idx int, seq int64, vals []int64, d *vec.Dict, name 
 // one kernel, and hands the written length to done; who owns the buffer is
 // decided there and nowhere else. evaluate knows nothing of virtual time: it
 // reads the job's catalog, env and arena only, so who calls it, and when
-// relative to the machine, is the caller's choice (run, today).
+// relative to the machine, is the caller's choice (evaluateAll, before the
+// machine sees the job).
 func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 	in := j.Plan.Instrs[idx]
 	cat, env := j.cat, j.env
@@ -420,6 +421,8 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		return j.publish(idx, w, ColValue(merged))
 
 	case plan.OpResult:
+		j.results = make([]Value, len(in.Args))
+		copy(j.results, args)
 		return algebra.Work{}, nil
 	}
 	return algebra.Work{}, fmt.Errorf("exec: unknown opcode %s", in.Op)

@@ -24,12 +24,16 @@ type OpExec struct {
 // Duration returns the operator's virtual execution time.
 func (o OpExec) Duration() float64 { return o.EndNs - o.StartNs }
 
-// Profile collects one plan execution's measurements.
+// Profile collects one plan execution's measurements. A replayed run's Ops
+// are its recording's, shared: read them, never write them.
 type Profile struct {
 	Ops     []OpExec
 	StartNs float64
 	EndNs   float64
 	Machine sim.Config
+	// replayOf is the recorded run a replayed run shares Ops with; Ops' times
+	// are on its clock.
+	replayOf *Profile
 }
 
 // Makespan returns the plan's response time in virtual ns.
@@ -97,8 +101,12 @@ func tomographGlyph(op plan.OpCode) byte {
 // the textual analogue of the paper's tomograph visualizations (Figures
 // 19/20): one row per hardware thread that ran anything, one glyph per time
 // bucket (S=select, J=join, U=exchange union, f=fetch, g=grouping, c=calc,
-// space=idle), followed by the parallelism-usage summary line.
+// space=idle), followed by the parallelism-usage summary line. A replayed
+// run renders its recording: the same timeline, on the clock its Ops are on.
 func (p *Profile) Tomograph(width int) string {
+	if p.replayOf != nil {
+		return p.replayOf.Tomograph(width)
+	}
 	if width <= 0 {
 		width = 96
 	}

@@ -1,0 +1,70 @@
+package exec
+
+import (
+	"slices"
+
+	"repro/internal/algebra"
+	"repro/internal/storage"
+)
+
+// runRecord is a plan object's last event-core run through ExecuteOpts that
+// met the machine-side replay conditions: it started on a quiescent machine
+// (sim.Machine.Quiescent), under the engine's own cost model and the
+// shared-buffer exchange. Its timeline is then a function of the plan, the
+// catalog, the core budget and every instruction's Work, so a later run that
+// matches all four repeats it. Recording costs the run nothing but this
+// struct: work, the per-instruction memo, is built from prof on the plan
+// object's next run, so a one-shot plan never pays for it.
+type runRecord struct {
+	prof     *Profile
+	cat      *storage.Catalog
+	maxCores int
+	busyNs   float64        // machine busy time the run added
+	work     []algebra.Work // per instruction, from prof.Ops; nil until a later run compares
+}
+
+// matches reports whether j, evaluated and about to run on a quiescent
+// machine under the engine's cost model, would repeat the recorded timeline:
+// same catalog, same core budget, and every instruction's freshly evaluated
+// Work equal to the recorded run's.
+func (r *runRecord) matches(j *PlanJob) bool {
+	if r.prof == nil || r.cat != j.cat || r.maxCores != j.maxCores {
+		return false
+	}
+	if r.work == nil {
+		r.work = make([]algebra.Work, len(j.Plan.Instrs))
+		for _, op := range r.prof.Ops {
+			r.work[op.Instr] = op.Work
+		}
+	}
+	return slices.Equal(r.work, j.arena.work)
+}
+
+// replay completes j without the event core: the machine advances by the
+// recorded run's makespan and busy time, and j's profile is that run's
+// timeline shifted to now, its Ops shared with the recording (read-only).
+func (j *PlanJob) replay() {
+	r := &j.sched.rec
+	m := j.eng.mach
+	start := m.Now()
+	m.Replay(r.prof.Makespan(), r.busyNs)
+	j.Profile = &Profile{StartNs: start, EndNs: m.Now(), Machine: r.prof.Machine, Ops: r.prof.Ops, replayOf: r.prof}
+	j.Done = true
+	j.eng.replayedRuns.Add(1)
+	a := j.arena
+	j.arena = nil
+	a.release(j.sched)
+}
+
+// RunStats counts plan runs for /stats by how their virtual time was found.
+type RunStats struct {
+	// Simulated runs went through the event core; Replayed runs repeated the
+	// plan object's recorded timeline instead (ExecuteOpts).
+	Replayed  int64 `json:"replayed"`
+	Simulated int64 `json:"simulated"`
+}
+
+// RunStats snapshots the engine's run counters.
+func (e *Engine) RunStats() RunStats {
+	return RunStats{Replayed: e.replayedRuns.Load(), Simulated: e.simulatedRuns.Load()}
+}

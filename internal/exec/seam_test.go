@@ -15,23 +15,21 @@ import (
 	"repro/internal/tpch"
 )
 
-// TestEvaluateNeedsNoMachine is the proof that evaluate / account is a seam
-// and not a naming convention, and that an instruction's Work is a function of
-// the plan and the data alone: for every TPC-H and TPC-DS query, as the serial
-// plan and as a statically parallelized one, the plan object is run twice
-// through the event core, then evaluated evalRuns more times on one engine
-// whose machine is taken away — first in plan order (plans are topologically
-// ordered), then in seeded random valid topological orders — each run
-// reusing the previous run's arena. No evaluated task is ever accounted and
-// nothing virtually completes, yet the results, and every instruction's Work,
-// equal the first machine run's on every run — packs included. A join over an
-// intermediate inner reports no build at all: the inner's producer builds that
-// index on every run and is charged for it. A propagated pack group's clones
-// wait on its gate, so the group resolves in every order and the pack reports
-// PackColumnsView's zero movement in every order. TPC-H Q19 must have a gate,
-// or that half of the test is vacuous.
-func TestEvaluateNeedsNoMachine(t *testing.T) {
-	const evalRuns = 4 // plan order, then three random orders
+// suitePlan is one plan of the whole-suite twin tests: a TPC-H or TPC-DS
+// query, serial or statically parallelized, over its suite's catalog.
+type suitePlan struct {
+	suite string
+	qn    int
+	cat   *storage.Catalog
+	p     *plan.Plan
+	seed  int64 // distinct per plan
+}
+
+// forEachSuitePlan runs f as a subtest on every TPC-H and TPC-DS query, as the
+// serial plan and as heuristic.Parallelize(…, 8). Base-column indexes are
+// cached per catalog, so each plan first runs once on a throwaway engine:
+// every run f makes finds the indexes built.
+func forEachSuitePlan(t *testing.T, f func(t *testing.T, sp suitePlan)) {
 	suites := []struct {
 		name    string
 		cat     *storage.Catalog
@@ -48,76 +46,92 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pi, sh := range []struct {
-				name string
-				p    *plan.Plan
-			}{{"serial", serial}, {"parallel", parallel}} {
-				seed := int64(1000*si + 10*qn + pi)
-				t.Run(fmt.Sprintf("%s/q%d/%s", su.name, qn, sh.name), func(t *testing.T) {
-					p := sh.p
-					// Base-column indexes are cached per catalog: build them
-					// first, so the runs below all find them.
+			for pi, p := range []*plan.Plan{serial, parallel} {
+				shape := [...]string{"serial", "parallel"}[pi]
+				t.Run(fmt.Sprintf("%s/q%d/%s", su.name, qn, shape), func(t *testing.T) {
 					if _, _, err := NewEngine(su.cat, testMachine(), cost.Default()).Execute(p); err != nil {
 						t.Fatal(err)
 					}
-					eng := NewEngine(su.cat, testMachine(), cost.Default())
-					want, prof, err := eng.Execute(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wantWork := workByInstr(prof)
-					_, prof2, err := eng.Execute(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for idx, w := range workByInstr(prof2) {
-						if w != wantWork[idx] {
-							t.Errorf("instr %d (%s): second run's Work %+v, first run's %+v", idx, p.Instrs[idx].Op, w, wantWork[idx])
-						}
-					}
-
-					rng := rand.New(rand.NewSource(seed))
-					mach := eng.mach
-					for run := 0; run < evalRuns; run++ {
-						j, err := eng.newJob(p, JobOptions{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						order := topoOrder(j.sched, rng, run == 0)
-						eng.mach, j.simJob = nil, nil // any use of the event core now panics
-						var got []Value
-						for _, idx := range order {
-							in := p.Instrs[idx]
-							w, err := j.evaluate(idx)
-							if err != nil {
-								t.Fatalf("seed %d run %d: instr %d (%s): %v", seed, run, idx, in.Op, err)
-							}
-							if w != wantWork[idx] {
-								t.Errorf("seed %d run %d: instr %d (%s): Work %+v, through the machine %+v", seed, run, idx, in.Op, w, wantWork[idx])
-							}
-							if in.Op == plan.OpResult {
-								for _, a := range in.Args {
-									got = append(got, j.env[a])
-								}
-							}
-						}
-						if len(got) == 0 || !ResultsEqual(got, want) {
-							t.Fatalf("seed %d run %d: results %v, through the machine %v", seed, run, got, want)
-						}
-						if run == 0 {
-							// Q19's packed inner is a propagated group over three arms.
-							if su.name == "tpch" && qn == 19 && len(j.sched.pending) == len(p.Instrs) {
-								t.Error("Q19's pack group has no gate: the order-free pack checks are vacuous")
-							}
-							checkInnerBuilds(t, p, j.env, wantWork, su.name == "tpch" && (qn == 4 || qn == 19))
-						}
-						eng.mach = mach
-						j.arena.release(j.sched)
-					}
+					f(t, suitePlan{suite: su.name, qn: qn, cat: su.cat, p: p, seed: int64(1000*si + 10*qn + pi)})
 				})
 			}
 		}
 	}
+}
+
+// TestEvaluateNeedsNoMachine is the proof that evaluate / account is a seam
+// and not a naming convention, and that an instruction's Work is a function of
+// the plan and the data alone: for every TPC-H and TPC-DS query, as the serial
+// plan and as a statically parallelized one, the plan object is executed
+// twice, then evaluated evalRuns more times on one engine whose machine is
+// taken away — first in the schedule's compiled order, the one every run
+// evaluates in, then in seeded random valid topological orders — each run
+// reusing the previous run's arena. No evaluated task is ever accounted and
+// nothing virtually completes, yet the results, and every instruction's Work,
+// equal the first machine run's on every run — packs included. A join over an
+// intermediate inner reports no build at all: the inner's producer builds that
+// index on every run and is charged for it. A propagated pack group's clones
+// wait on its gate, so the group resolves in every order and the pack reports
+// PackColumnsView's zero movement in every order. TPC-H Q19 must have a gate,
+// or that half of the test is vacuous.
+func TestEvaluateNeedsNoMachine(t *testing.T) {
+	const evalRuns = 4 // compiled order, then three random orders
+	forEachSuitePlan(t, func(t *testing.T, sp suitePlan) {
+		p := sp.p
+		eng := NewEngine(sp.cat, testMachine(), cost.Default())
+		want, prof, err := eng.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWork := workByInstr(prof)
+		// The second run replays only if every instruction's Work matches;
+		// otherwise the event core reports the Work that differs.
+		_, prof2, err := eng.Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, w := range workByInstr(prof2) {
+			if w != wantWork[idx] {
+				t.Errorf("instr %d (%s): second run's Work %+v, first run's %+v", idx, p.Instrs[idx].Op, w, wantWork[idx])
+			}
+		}
+
+		rng := rand.New(rand.NewSource(sp.seed))
+		mach := eng.mach
+		for run := 0; run < evalRuns; run++ {
+			j, err := eng.newJob(p, JobOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			order := j.sched.order
+			if run > 0 {
+				order = topoOrder(j.sched, rng)
+			}
+			eng.mach = nil // any use of the event core now panics
+			for _, i := range order {
+				idx := int(i)
+				w, err := j.evaluate(idx)
+				if err != nil {
+					t.Fatalf("seed %d run %d: instr %d (%s): %v", sp.seed, run, idx, p.Instrs[idx].Op, err)
+				}
+				if w != wantWork[idx] {
+					t.Errorf("seed %d run %d: instr %d (%s): Work %+v, through the machine %+v", sp.seed, run, idx, p.Instrs[idx].Op, w, wantWork[idx])
+				}
+			}
+			if got := j.Results(); len(got) == 0 || !ResultsEqual(got, want) {
+				t.Fatalf("seed %d run %d: results %v, through the machine %v", sp.seed, run, got, want)
+			}
+			if run == 0 {
+				// Q19's packed inner is a propagated group over three arms.
+				if sp.suite == "tpch" && sp.qn == 19 && len(j.sched.pending) == len(p.Instrs) {
+					t.Error("Q19's pack group has no gate: the order-free pack checks are vacuous")
+				}
+				checkInnerBuilds(t, p, j.env, wantWork, sp.suite == "tpch" && (sp.qn == 4 || sp.qn == 19))
+			}
+			eng.mach = mach
+			j.arena.release(j.sched)
+		}
+	})
 }
 
 // checkInnerBuilds checks that no join over an intermediate inner reports a
@@ -151,16 +165,16 @@ func checkInnerBuilds(t *testing.T, p *plan.Plan, env []Value, work map[int]alge
 	}
 }
 
-// topoOrder returns a valid evaluation order of s's instructions: ascending
-// (plan order) when planOrder is set, otherwise each step picks uniformly
-// among the instructions whose producers have all been evaluated. A gate is
-// passed through, as release does: once its producers are all evaluated it
-// counts itself off its clones and is not emitted.
-func topoOrder(s *planSchedule, rng *rand.Rand, planOrder bool) []int {
+// topoOrder returns a random valid evaluation order of s's instructions: each
+// step picks uniformly among the instructions whose producers have all been
+// evaluated. A gate is passed through, as compileOrder and release do: once
+// its producers are all evaluated it counts itself off its clones and is not
+// emitted.
+func topoOrder(s *planSchedule, rng *rand.Rand) []int32 {
 	n := int32(len(s.cloneOf))
 	pending := slices.Clone(s.pending)
 	ready := slices.Clone(s.roots)
-	order := make([]int, 0, n)
+	order := make([]int32, 0, n)
 	var resolve func(w int32)
 	resolve = func(w int32) {
 		if pending[w]--; pending[w] != 0 {
@@ -175,15 +189,10 @@ func topoOrder(s *planSchedule, rng *rand.Rand, planOrder bool) []int {
 		}
 	}
 	for len(ready) > 0 {
-		k := 0
-		if planOrder {
-			k = slices.Index(ready, slices.Min(ready))
-		} else {
-			k = rng.Intn(len(ready))
-		}
+		k := rng.Intn(len(ready))
 		idx := ready[k]
 		ready = slices.Delete(ready, k, k+1)
-		order = append(order, int(idx))
+		order = append(order, idx)
 		for _, w := range s.waiters[idx] {
 			resolve(w)
 		}

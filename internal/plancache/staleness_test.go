@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -224,7 +225,11 @@ func TestEvictionRacesInFlightReconvergence(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < 150; i++ {
+	// 150 invocations, then more until the churn has evicted at least once
+	// however fast the engine makes each invocation, within a bound that
+	// still fails a churn that never evicts.
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; i < 150 || (c.Stats().Evictions == 0 && i < 5000 && time.Now().Before(deadline)); i++ {
 		invoke()
 	}
 	close(stop)

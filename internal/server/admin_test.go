@@ -296,6 +296,40 @@ func TestJoinRepliesFollowTheEpoch(t *testing.T) {
 	}
 }
 
+// TestConvergedServingsReplay: /stats counts how each run found its virtual
+// time. A converged query's second serving repeats the best plan's recorded
+// timeline (runs.replayed); the first serving after /admin/append reads a new
+// catalog, so the event core simulates it (runs.simulated).
+func TestConvergedServingsReplay(t *testing.T) {
+	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 42})
+	srv, _ := newTestServer(t, Config{
+		Benchmark: "tpch",
+		Engines:   []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+	})
+	q6 := []byte(`{"query":6}`)
+	convergeQuery(t, srv, q6)
+	runs := func() exec.RunStats { return statsOf(t, srv).PerShard[0].Runs }
+	check := func(what string, before exec.RunStats, replayed, simulated int64) {
+		t.Helper()
+		if got := runs(); got.Replayed-before.Replayed != replayed || got.Simulated-before.Simulated != simulated {
+			t.Fatalf("%s: runs %+v, then %+v; want %d replayed, %d simulated", what, before, got, replayed, simulated)
+		}
+	}
+	serveOnce(t, srv, q6)
+	before := runs()
+	if qr := serveOnce(t, srv, q6); qr.State != "converged" {
+		t.Fatalf("second converged serving reports state %q", qr.State)
+	}
+	check("second converged serving", before, 1, 0)
+
+	if code := postJSON(t, srv, http.MethodPost, "/admin/append", appendBodyFor(t, cat, "", "lineitem", 100), nil); code != http.StatusOK {
+		t.Fatalf("/admin/append status %d", code)
+	}
+	before = runs()
+	serveOnce(t, srv, q6)
+	check("first serving after /admin/append", before, 0, 1)
+}
+
 // TestAdminAppendValidation: malformed mutations are 400s (or 404 for an
 // unknown tenant) and never bump an epoch.
 func TestAdminAppendValidation(t *testing.T) {

@@ -159,9 +159,12 @@ type ShardStats struct {
 	// Recycler reports the shard engine's size-classed buffer pool (hit and
 	// miss counters per size class); Compile counts plan compilations that
 	// started from the pool (full) vs from the parent plan's adopted arena
-	// (derived). Both are atomic-counter snapshots.
+	// (derived); Runs counts plan runs whose virtual time the event core
+	// simulated vs that repeated the plan's recorded timeline (replayed). All
+	// three are atomic-counter snapshots.
 	Recycler exec.RecyclerStats `json:"recycler"`
 	Compile  exec.CompileStats  `json:"compile"`
+	Runs     exec.RunStats      `json:"runs"`
 	// Faults reports the shard machine's fault-injection counters.
 	Faults sim.FaultStats `json:"faults"`
 }
@@ -265,6 +268,7 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 			// Atomic counters: readable without the engine-ownership lock.
 			Recycler: sh.eng.RecyclerStats(),
 			Compile:  sh.eng.CompileStats(),
+			Runs:     sh.eng.RunStats(),
 		}
 		var tstats map[string]plancache.Stats
 		// The virtual clock, cache stats, and fault counters read state that

@@ -348,6 +348,35 @@ func (m *Machine) NewJob(maxCores int) *Job {
 	return &Job{ID: m.jobs, MaxCores: maxCores}
 }
 
+// Quiescent reports whether a job submitted now would run alone on an
+// undisturbed machine: nothing queued or running, no fault armed or applied
+// (a lost core, a throttled socket, an open interference window) and noise
+// off. On such a machine a job's timeline, relative to its submission, is a
+// function of its tasks alone.
+func (m *Machine) Quiescent() bool {
+	if len(m.ready) > 0 || m.running > 0 || m.faults != nil || m.lostCount > 0 || m.cfg.Noise.Enabled {
+		return false
+	}
+	if m.burstFactor != 0 && m.now < m.burstUntil {
+		return false
+	}
+	for _, s := range m.sockSpeed {
+		if s != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// Replay advances a quiescent machine past one job whose timeline is already
+// known instead of simulating it: the clock by its makespan, the busy time by
+// busyNs and the job count by one, as if it had run alone.
+func (m *Machine) Replay(makespanNs, busyNs float64) {
+	m.jobs++
+	m.now += makespanNs
+	m.BusyNs += busyNs
+}
+
 // Submit queues a task; it starts when a core (and its job's core budget)
 // becomes available. Submission order is preserved FIFO, which makes the
 // whole simulation deterministic.

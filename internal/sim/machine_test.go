@@ -219,6 +219,57 @@ func TestBusyNsAccounting(t *testing.T) {
 	}
 }
 
+// Quiescent holds exactly while a job would run alone on an undisturbed
+// machine, and Replay advances such a machine as the run it stands for did.
+func TestQuiescentAndReplay(t *testing.T) {
+	m := NewMachine(tinyConfig())
+	if !m.Quiescent() {
+		t.Fatal("a fresh machine is not quiescent")
+	}
+	done := 0
+	submitN(m, m.NewJob(0), 3, 100, &done)
+	if m.Quiescent() {
+		t.Fatal("queued tasks left the machine quiescent")
+	}
+	m.Run()
+	now, busy := m.Now(), m.BusyNs
+	if !m.Quiescent() {
+		t.Fatal("a drained machine is not quiescent")
+	}
+	m.Replay(now, busy)
+	if m.Now() != 2*now || m.BusyNs != 2*busy || m.NewJob(0).ID != 3 {
+		t.Fatalf("replay advanced to %v / %v busy; the run took %v / %v", m.Now(), m.BusyNs, now, busy)
+	}
+
+	m.InjectFault(FaultEvent{AtNs: m.Now() + 10, Kind: FaultSocketThrottle, Factor: 0.5, DurationNs: 100})
+	if m.Quiescent() {
+		t.Fatal("an armed fault left the machine quiescent")
+	}
+	submitN(m, m.NewJob(0), 1, 500, &done)
+	m.Run() // throttled mid-task, restored before it ends
+	if !m.Quiescent() {
+		t.Fatal("a restored throttle still counts as a fault")
+	}
+	for _, ev := range []FaultEvent{
+		{Kind: FaultSocketThrottle, Factor: 0.5},
+		{Kind: FaultCoreLoss, Count: 1},
+		{Kind: FaultInterference, Factor: 2, DurationNs: 1e9},
+	} {
+		m := NewMachine(tinyConfig())
+		m.InjectFault(ev)
+		m.Run() // applies it: nothing is armed any more
+		if m.PendingFaults() != 0 || m.Quiescent() {
+			t.Fatalf("%s applied (%d pending): the machine still reports quiescent", ev.Kind, m.PendingFaults())
+		}
+	}
+
+	noisy := tinyConfig()
+	noisy.Noise = DefaultNoise()
+	if NewMachine(noisy).Quiescent() {
+		t.Fatal("a noisy machine is quiescent")
+	}
+}
+
 func TestSubmitWithoutJobPanics(t *testing.T) {
 	m := NewMachine(tinyConfig())
 	defer func() {

@@ -148,15 +148,9 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 	start := eng.Machine().Now()
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0xc11e27))
 	active := clients
-	// A failed query ends its client's chain; the other clients drain and
-	// the first failure is what RunConcurrent returns.
+	// A query that fails to submit ends its client's chain; the other clients
+	// drain and the first failure is what RunConcurrent returns.
 	var firstErr error
-	failed := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		active--
-	}
 	var submitNext func(client, remaining int)
 	submitNext = func(client, remaining int) {
 		if remaining == 0 {
@@ -170,14 +164,13 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 		}
 		job, err := eng.Submit(cfg.Plans[pi], opts)
 		if err != nil {
-			failed(err)
+			if firstErr == nil {
+				firstErr = err
+			}
+			active--
 			return
 		}
 		job.OnDone = func(j *exec.PlanJob) {
-			if j.Err != nil {
-				failed(j.Err)
-				return
-			}
 			lat := j.Profile.Makespan()
 			res.Outcomes = append(res.Outcomes, QueryOutcome{
 				Client: client, PlanIndex: pi, LatencyNs: lat,
