@@ -119,8 +119,8 @@ func ExampleServer_Handler() {
 	call(h, "GET", "/sessions/"+reply.Session+"/trace", "", &trace)
 	fmt.Printf("trace: %d runs, global minimum at run %d\n", trace.Runs, trace.GMERun)
 	// Output:
-	// converged after 192 requests: DOP 16, 3.42x faster than serial
-	// trace: 192 runs, global minimum at run 15
+	// converged after 192 requests: DOP 16, 3.06x faster than serial
+	// trace: 192 runs, global minimum at run 16
 }
 
 // ExampleTenantConfig serves three tenant datasets — the default TPC-H

@@ -14,20 +14,18 @@ import (
 // doubled, and one without capacity is allocated at len(outer), the size of a
 // key–foreign-key join's result.
 //
-// The hash build is served from the column's cached index when one already
-// covers the inner range, so cloned join operators probing the same inner
-// pay the build once — the behaviour that makes outer-only partitioning
-// profitable in the paper. A base column's index is cached per catalog and
-// built by the first join that probes it; an intermediate's is built each run
-// by the instruction that produces it (BuildHash, called by the executor), so
-// a join over an intermediate inner always hits. Work reports whether this
-// execution built the table (HashBuilds > 0) or reused it. MemClaimBytes is
-// defined from lengths, not from the capacity of whichever buffers the caller
-// happened to own: two output vectors of max(len(outer), matches) values each
-// — what a key–foreign-key join claims — plus the index when this call built
-// it.
+// The join only probes: cloned join operators probing the same inner share
+// one cached index — the behaviour that makes outer-only partitioning
+// profitable in the paper — and a join never reports a build (HashBuilds is
+// 0). A base column's index is the catalog's, like its data: built on first
+// use and charged to no plan. An intermediate's is built each run by the
+// instruction that produces it (BuildHash, called by the executor), which is
+// charged for it. MemClaimBytes is defined from lengths, not from the
+// capacity of whichever buffers the caller happened to own: two output
+// vectors of max(len(outer), matches) values each — what a key–foreign-key
+// join claims.
 func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (louter, rinner []int64, w Work) {
-	idx, built := inner.Hash()
+	idx := inner.Hash()
 	ovals := outer.Values()
 	louter, rinner = louterDst[:0], rinnerDst[:0]
 	if cap(louter) == 0 {
@@ -37,7 +35,7 @@ func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (l
 		rinner = make([]int64, 0, len(ovals))
 	}
 	louter, rinner = idx.Probe(louter, rinner, ovals, outer.Seq())
-	w = Work{
+	return louter, rinner, Work{
 		BytesSeqRead:   outer.Bytes(),
 		BytesRandRead:  int64(len(louter)) * 8,
 		BytesWritten:   int64(len(louter)+len(rinner)) * 8,
@@ -47,21 +45,13 @@ func HashJoinInto(louterDst, rinnerDst []int64, outer, inner *storage.Column) (l
 		FootprintBytes: hashFootprint(inner),
 		MemClaimBytes:  int64(max(len(ovals), len(louter))) * 16,
 	}
-	if built {
-		w.Add(buildWork(inner))
-	}
-	return louter, rinner, w
 }
 
 // BuildHash builds a fresh hash index over col, replacing any cached one, and
-// returns the Work of that build — what HashJoinInto adds when it builds.
+// returns the Work of that build.
 func BuildHash(col *storage.Column) Work {
 	col.RebuildHash()
-	return buildWork(col)
-}
-
-func buildWork(inner *storage.Column) Work {
-	return Work{HashBuilds: int64(inner.Len()), BytesSeqRead: inner.Bytes(), MemClaimBytes: hashFootprint(inner)}
+	return Work{HashBuilds: int64(col.Len()), BytesSeqRead: col.Bytes(), MemClaimBytes: hashFootprint(col)}
 }
 
 // HashJoin is HashJoinInto into fresh vectors.

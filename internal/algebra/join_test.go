@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +8,7 @@ import (
 )
 
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
-	f := func(outerVals, innerVals []int64, seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
+	f := func(outerVals, innerVals []int64) bool {
 		// Shrink the value domain so matches actually occur.
 		for i := range outerVals {
 			outerVals[i] = outerVals[i]%7 + 1
@@ -20,7 +18,6 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 		}
 		outer := storage.NewIntColumn("o", outerVals)
 		inner := storage.NewIntColumn("i", innerVals)
-		inner.DropHashes()
 		lo, ro, _ := HashJoin(outer, inner)
 		nlo, nro := NestedLoopJoin(outer, inner)
 		if len(lo) != len(nlo) {
@@ -33,7 +30,6 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				return false
 			}
 		}
-		_ = rng
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -41,20 +37,24 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildCached: a join never reports a build, not even the one
+// that built the inner's cached index; BuildHash, the intermediate producer's
+// call, reports one per tuple and replaces the cached index.
 func TestHashJoinBuildCached(t *testing.T) {
 	outer := storage.NewIntColumn("o", []int64{1, 2, 3, 2})
 	inner := storage.NewIntColumn("i", []int64{2, 3})
-	inner.DropHashes()
-	_, _, w1 := HashJoin(outer, inner)
-	if w1.HashBuilds != 2 {
-		t.Fatalf("first join HashBuilds = %d, want 2", w1.HashBuilds)
+	for call := 0; call < 2; call++ {
+		_, _, w := HashJoin(outer, inner)
+		if w.HashBuilds != 0 || w.HashProbes != 4 {
+			t.Fatalf("join %d: HashBuilds = %d, HashProbes = %d, want 0 and 4", call, w.HashBuilds, w.HashProbes)
+		}
 	}
-	_, _, w2 := HashJoin(outer, inner)
-	if w2.HashBuilds != 0 {
-		t.Fatalf("second join HashBuilds = %d, want 0 (cached)", w2.HashBuilds)
+	cached := inner.Hash()
+	if w := BuildHash(inner); w.HashBuilds != int64(inner.Len()) {
+		t.Fatalf("BuildHash HashBuilds = %d, want %d", w.HashBuilds, inner.Len())
 	}
-	if w2.HashProbes != 4 {
-		t.Fatalf("HashProbes = %d, want 4", w2.HashProbes)
+	if _, _, w := HashJoin(outer, inner); w.HashBuilds != 0 || inner.Hash() != cached {
+		t.Fatalf("after BuildHash: join HashBuilds = %d, index replaced in place = %v", w.HashBuilds, inner.Hash() == cached)
 	}
 }
 
@@ -71,7 +71,6 @@ func TestHashJoinOuterPartitionEquivalence(t *testing.T) {
 		}
 		outer := storage.NewIntColumn("o", outerVals)
 		inner := storage.NewIntColumn("i", innerVals)
-		inner.DropHashes()
 		slo, sro, _ := HashJoin(outer, inner)
 		cut := 0
 		if len(outerVals) > 0 {
@@ -99,14 +98,12 @@ func TestHashJoinOuterPartitionEquivalence(t *testing.T) {
 func TestHashJoinEmptyInputs(t *testing.T) {
 	outer := storage.NewIntColumn("o", nil)
 	inner := storage.NewIntColumn("i", []int64{1})
-	inner.DropHashes()
 	lo, ro, _ := HashJoin(outer, inner)
 	if len(lo) != 0 || len(ro) != 0 {
 		t.Fatalf("join of empty outer returned %v %v", lo, ro)
 	}
 	outer2 := storage.NewIntColumn("o2", []int64{1})
 	inner2 := storage.NewIntColumn("i2", nil)
-	inner2.DropHashes()
 	lo2, ro2, _ := HashJoin(outer2, inner2)
 	if len(lo2) != 0 || len(ro2) != 0 {
 		t.Fatalf("join with empty inner returned %v %v", lo2, ro2)

@@ -29,8 +29,9 @@ type Work struct {
 	BytesWritten int64
 	// TuplesIn / TuplesOut count logical tuples consumed and produced.
 	TuplesIn, TuplesOut int64
-	// HashBuilds counts tuples inserted into a fresh hash index (zero when
-	// the build was served from the column's hash cache).
+	// HashBuilds counts tuples inserted into a fresh hash index: only
+	// BuildHash, run by an intermediate join inner's producer, reports any.
+	// A join's probe and a base column's cached index report none.
 	HashBuilds int64
 	// HashProbes counts hash table lookups.
 	HashProbes int64

@@ -34,15 +34,14 @@ func TestConvergenceSweep(t *testing.T) {
 		L3PerSocket: 64 << 10, BWPerSocket: 1e9, SMTFactor: 0.55, NUMAFactor: 1.2,
 	}}
 	runs, diverged := 0, 0
-	sweep := func(name string, generate func() *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
-		cat, twinCat := generate(), generate()
+	sweep := func(name string, cat *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
 		for _, m := range machines {
 			for _, n := range numbers {
 				eng := exec.NewEngine(cat, m, cost.Default())
 				s := core.NewSession(eng, query(n), core.DefaultMutationConfig(), core.ConvergenceConfig{})
 				s.VerifyResults = true
 				runs++
-				err := convergeTwinned(s, exec.NewEngine(twinCat, m, cost.Default()))
+				err := convergeTwinned(s, exec.NewEngine(cat, m, cost.Default()))
 				if err == nil {
 					err = serveConvergedTwice(s, eng)
 				}
@@ -56,14 +55,12 @@ func TestConvergenceSweep(t *testing.T) {
 	for _, sf := range []float64{0.2, 0.5, 1, 2} {
 		for _, seed := range []int64{11, 42} {
 			sweep(fmt.Sprintf("tpch sf=%g seed=%d", sf, seed),
-				func() *storage.Catalog { return tpch.Generate(tpch.Config{SF: sf, Seed: seed}) },
-				tpch.QueryNumbers(), tpch.MustQuery)
+				tpch.Generate(tpch.Config{SF: sf, Seed: seed}), tpch.QueryNumbers(), tpch.MustQuery)
 		}
 	}
 	for _, sf := range []float64{0.5, 1} {
 		sweep(fmt.Sprintf("tpcds sf=%g seed=42", sf),
-			func() *storage.Catalog { return tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}) },
-			tpcds.QueryNumbers(), tpcds.MustQuery)
+			tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}), tpcds.QueryNumbers(), tpcds.MustQuery)
 	}
 	t.Logf("%d convergences, %d diverging", runs, diverged)
 }

@@ -94,8 +94,9 @@ type planSchedule struct {
 	outBuf    [][2]uint8 // instr × result -> recyclable output-buffer class
 	// buildsInner has bit r set when instr's r-th result is some join's inner
 	// and instr is not a bind: evaluate builds that intermediate's hash index
-	// as it publishes it (a bind's column is the catalog's, whose index is
-	// cached per catalog by the join that first probes it).
+	// as it publishes it and is charged for it. A bind's column is the
+	// catalog's, and so is its index: built on first probe, charged to no
+	// plan.
 	buildsInner []uint8
 
 	arenaMu sync.Mutex
@@ -608,7 +609,6 @@ type PlanJob struct {
 	env          []Value
 	pending      []int32 // unresolved producer count per schedule node
 	results      []Value
-	costParams   cost.Params
 	maxCores     int
 	completed    int
 	copyExchange bool
@@ -619,10 +619,6 @@ type JobOptions struct {
 	// MaxCores caps the job's simultaneous operator executions (admission
 	// control, §4.2.4); 0 = unlimited.
 	MaxCores int
-	// CostParams overrides the engine's cost model for this job (fig16's
-	// Vectorwise calibration, directly and through internal/workload's
-	// client driver). Nil uses the engine default.
-	CostParams *cost.Params
 	// CopyExchange forces exchange unions to materialize concatenated
 	// copies (the seed behavior) even where a zero-copy pack group is
 	// planned. Equivalence tests and A/B benchmarks use it; production
@@ -691,8 +687,7 @@ func (e *Engine) evaluated(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 }
 
 // newJob compiles p (or finds its cached compilation), checks an arena out
-// and binds the job's catalog and cost model; nothing is evaluated or
-// submitted yet.
+// and binds the job's catalog; nothing is evaluated or submitted yet.
 func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	sched, err := e.scheduleFor(p, opts)
 	if err != nil {
@@ -709,7 +704,7 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	if opts.Catalog != nil {
 		cat = opts.Catalog
 	}
-	j := &PlanJob{
+	return &PlanJob{
 		Plan:         p,
 		eng:          e,
 		cat:          cat,
@@ -719,13 +714,7 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 		pending:      a.pending,
 		maxCores:     opts.MaxCores,
 		copyExchange: opts.CopyExchange,
-	}
-	params := e.params
-	if opts.CostParams != nil {
-		params = *opts.CostParams
-	}
-	j.costParams = params
-	return j, nil
+	}, nil
 }
 
 // evaluateAll is the first pass of a run: every instruction, in the
@@ -825,7 +814,7 @@ func (j *PlanJob) release(i int32) {
 // kernel.
 func (j *PlanJob) account(idx int) {
 	in := j.Plan.Instrs[idx]
-	est := j.costParams.ForWork(in.Op, j.arena.work[idx], j.eng.mach.L3SharePerSocket())
+	est := j.eng.params.ForWork(in.Op, j.arena.work[idx], j.eng.mach.L3SharePerSocket())
 	home := 0
 	if sockets := j.eng.mach.Config().Sockets; sockets > 1 {
 		if !in.Part.IsFull() {
@@ -871,15 +860,15 @@ func (e *Engine) Execute(p *plan.Plan) ([]Value, *Profile, error) {
 }
 
 // ExecuteOpts is Execute with per-job options (core budgets from admission
-// control, comparator cost calibrations). A run that meets the replay
-// conditions (replay.go) skips the event core: it repeats the plan object's
-// recorded timeline from the current virtual time.
+// control, tenant catalogs). A run that meets the replay conditions
+// (replay.go) skips the event core: it repeats the plan object's recorded
+// timeline from the current virtual time.
 func (e *Engine) ExecuteOpts(p *plan.Plan, opts JobOptions) ([]Value, *Profile, error) {
 	j, err := e.evaluated(p, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	quiet := opts.CostParams == nil && !opts.CopyExchange && e.mach.Quiescent()
+	quiet := !opts.CopyExchange && e.mach.Quiescent()
 	if quiet && j.sched.rec.matches(j) {
 		j.replay()
 		return j.results, j.Profile, nil
@@ -891,7 +880,7 @@ func (e *Engine) ExecuteOpts(p *plan.Plan, opts JobOptions) ([]Value, *Profile, 
 		return nil, nil, fmt.Errorf("exec: plan did not complete")
 	}
 	if quiet {
-		j.sched.rec = runRecord{prof: j.Profile, cat: j.cat, maxCores: j.maxCores, busyNs: e.mach.BusyNs - busy}
+		j.sched.rec = runRecord{prof: j.Profile, maxCores: j.maxCores, busyNs: e.mach.BusyNs - busy}
 	}
 	return j.results, j.Profile, nil
 }

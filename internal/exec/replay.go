@@ -4,31 +4,29 @@ import (
 	"slices"
 
 	"repro/internal/algebra"
-	"repro/internal/storage"
 )
 
 // runRecord is a plan object's last event-core run through ExecuteOpts that
 // met the machine-side replay conditions: it started on a quiescent machine
-// (sim.Machine.Quiescent), under the engine's own cost model and the
-// shared-buffer exchange. Its timeline is then a function of the plan, the
-// catalog, the core budget and every instruction's Work, so a later run that
-// matches all four repeats it. Recording costs the run nothing but this
-// struct: work, the per-instruction memo, is built from prof on the plan
-// object's next run, so a one-shot plan never pays for it.
+// (sim.Machine.Quiescent) with the shared-buffer exchange. Its timeline is
+// then a function of the plan, the engine (machine and cost model), the core
+// budget and every instruction's Work, so a later run that matches the last
+// two repeats it. The catalog reaches the timeline only through Work. Recording
+// costs the run nothing but this struct: work, the per-instruction memo, is
+// built from prof on the plan object's next run, so a one-shot plan never
+// pays for it.
 type runRecord struct {
 	prof     *Profile
-	cat      *storage.Catalog
 	maxCores int
 	busyNs   float64        // machine busy time the run added
 	work     []algebra.Work // per instruction, from prof.Ops; nil until a later run compares
 }
 
 // matches reports whether j, evaluated and about to run on a quiescent
-// machine under the engine's cost model, would repeat the recorded timeline:
-// same catalog, same core budget, and every instruction's freshly evaluated
-// Work equal to the recorded run's.
+// machine, would repeat the recorded timeline: same core budget, and every
+// instruction's freshly evaluated Work equal to the recorded run's.
 func (r *runRecord) matches(j *PlanJob) bool {
-	if r.prof == nil || r.cat != j.cat || r.maxCores != j.maxCores {
+	if r.prof == nil || r.maxCores != j.maxCores {
 		return false
 	}
 	if r.work == nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/plan"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // TestReplayMatchesEventCore is the replay's twin test: for every TPC-H and
@@ -15,11 +16,13 @@ import (
 // plan object's second run on a quiescent machine skips the event core, and
 // returns the event core's results with the recorded run's makespan and
 // per-op Work; the machine's clock ends where the replayed profile does, and
-// its busy time doubles. Each
-// replay condition is then broken on its own, on an engine that has just
-// recorded the plan, and the run must take the event core — counted, not
-// inferred from timings — and still return the same results. A run that
-// breaks a condition re-records: the same options once more replay.
+// its busy time doubles. A run over another catalog of the same data
+// evaluates to the same Work, the recording's only key besides the core
+// budget, and replays too. Each replay condition is then broken on its own,
+// on an engine that has just recorded the plan, and the run must take the
+// event core — counted, not inferred from timings — and still return the
+// same results. A run that breaks a condition re-records: the same options
+// once more replay.
 func TestReplayMatchesEventCore(t *testing.T) {
 	forEachSuitePlan(t, func(t *testing.T, sp suitePlan) {
 		p := sp.p
@@ -60,7 +63,15 @@ func TestReplayMatchesEventCore(t *testing.T) {
 			}
 		}
 
-		params := cost.Default()
+		eng, _, _ = recorded(testMachine())
+		got, prof, err = eng.ExecuteOpts(p, JobOptions{Catalog: sp.cat.Detached()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.RunStats(); st != (RunStats{Replayed: 1, Simulated: 1}) || !sameMakespan(prof.Makespan(), rec.Makespan()) || !ResultsEqual(got, want) {
+			t.Errorf("catalog epoch of the same data: %+v, makespan %v; want the recording's %v replayed", st, prof.Makespan(), rec.Makespan())
+		}
+
 		noisy := testMachine()
 		noisy.Noise = sim.DefaultNoise()
 		for _, c := range []struct {
@@ -82,7 +93,6 @@ func TestReplayMatchesEventCore(t *testing.T) {
 			}, false},
 			{"noise", noisy, func(*Engine) JobOptions { return JobOptions{} }, false},
 			{"max cores", testMachine(), func(*Engine) JobOptions { return JobOptions{MaxCores: 2} }, false},
-			{"catalog epoch", testMachine(), func(*Engine) JobOptions { return JobOptions{Catalog: sp.cat.Detached()} }, false},
 			{"job queued", testMachine(), func(e *Engine) JobOptions {
 				if _, err := e.Submit(p, JobOptions{}); err != nil {
 					t.Fatal(err)
@@ -90,7 +100,6 @@ func TestReplayMatchesEventCore(t *testing.T) {
 				return JobOptions{}
 			}, true},
 			{"copy exchange", testMachine(), func(*Engine) JobOptions { return JobOptions{CopyExchange: true} }, true},
-			{"cost override", testMachine(), func(*Engine) JobOptions { return JobOptions{CostParams: &params} }, true},
 		} {
 			eng, _, _ := recorded(c.cfg)
 			opts := c.perturb(eng)
@@ -133,33 +142,46 @@ func TestReplayMatchesEventCore(t *testing.T) {
 }
 
 // A run whose Work differs from the recording takes the event core even on a
-// quiescent machine: a join over a base column builds the catalog's index on
-// the plan's first run only, so the second run reports no build, simulates
-// and re-records, and the third replays.
+// quiescent machine: an appended epoch of the joined table changes the join's
+// Work, so the first run over it simulates and re-records, and the next
+// replays. No run reports a build: the inner is a base column, whose index is
+// the catalog's.
 func TestReplayNeedsEqualWork(t *testing.T) {
 	b := plan.NewBuilder()
 	price := b.Bind("lineitem", "l_extendedprice")
 	lo, _ := b.Join(b.Bind("lineitem", "l_quantity"), price)
 	b.Result(b.Aggr(algebra.AggrSum, b.Fetch(lo, price)))
 	p := b.Plan()
-	eng := NewEngine(testCatalog(2_000), testMachine(), cost.Default())
-	var builds []int64
-	for run, want := range []RunStats{{0, 1}, {0, 2}, {1, 2}} {
-		_, prof, err := eng.Execute(p)
+	cat := testCatalog(2_000)
+	appended, err := cat.AppendRows("lineitem", map[string]storage.ColumnAppend{
+		"l_shipdate": {Ints: []int64{1}}, "l_discount": {Ints: []int64{1}},
+		"l_extendedprice": {Ints: []int64{150}}, "l_quantity": {Ints: []int64{150}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine(cat, testMachine(), cost.Default())
+	var makespans []float64
+	for run, step := range []struct {
+		cat  *storage.Catalog
+		want RunStats
+	}{{cat, RunStats{0, 1}}, {cat, RunStats{1, 1}}, {appended, RunStats{1, 2}}, {appended, RunStats{2, 2}}} {
+		_, prof, err := eng.ExecuteOpts(p, JobOptions{Catalog: step.cat})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var hb int64
-		for _, op := range prof.Ops {
-			hb += op.Work.HashBuilds
+		makespans = append(makespans, prof.Makespan())
+		if st := eng.RunStats(); st != step.want {
+			t.Fatalf("run %d (makespans %v): %+v, want %+v", run, makespans, st, step.want)
 		}
-		builds = append(builds, hb)
-		if st := eng.RunStats(); st != want {
-			t.Fatalf("run %d (hash builds per run %v): %+v, want %+v", run, builds, st, want)
+		for _, op := range prof.Ops {
+			if op.Work.HashBuilds != 0 {
+				t.Fatalf("run %d: %s reports HashBuilds %d", run, op.Op, op.Work.HashBuilds)
+			}
 		}
 	}
-	if builds[0] == 0 || builds[1] != 0 {
-		t.Fatalf("hash builds per run %v: the first run no longer builds the base column's index", builds)
+	if makespans[2] == makespans[0] {
+		t.Fatalf("makespans %v: the appended epoch did not change the join's Work", makespans)
 	}
 }
 

@@ -26,9 +26,7 @@ type suitePlan struct {
 }
 
 // forEachSuitePlan runs f as a subtest on every TPC-H and TPC-DS query, as the
-// serial plan and as heuristic.Parallelize(…, 8). Base-column indexes are
-// cached per catalog, so each plan first runs once on a throwaway engine:
-// every run f makes finds the indexes built.
+// serial plan and as heuristic.Parallelize(…, 8).
 func forEachSuitePlan(t *testing.T, f func(t *testing.T, sp suitePlan)) {
 	suites := []struct {
 		name    string
@@ -49,9 +47,6 @@ func forEachSuitePlan(t *testing.T, f func(t *testing.T, sp suitePlan)) {
 			for pi, p := range []*plan.Plan{serial, parallel} {
 				shape := [...]string{"serial", "parallel"}[pi]
 				t.Run(fmt.Sprintf("%s/q%d/%s", su.name, qn, shape), func(t *testing.T) {
-					if _, _, err := NewEngine(su.cat, testMachine(), cost.Default()).Execute(p); err != nil {
-						t.Fatal(err)
-					}
 					f(t, suitePlan{suite: su.name, qn: qn, cat: su.cat, p: p, seed: int64(1000*si + 10*qn + pi)})
 				})
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -120,9 +121,40 @@ func TestTable3(t *testing.T) {
 	checkTable(t, tab, err, 3, "16MB")
 }
 
+// TestFigure16 holds §4.2.4's claims on the generated table: the Vectorwise
+// comparator, whose engine prices plans with cost.Vectorwise, is slower than
+// the heuristic plans it runs in isolation, and under concurrency adaptive
+// beats heuristic, which beats the comparator, on every query the mix drew.
 func TestFigure16(t *testing.T) {
 	tab, err := Figure16(tiny())
 	checkTable(t, tab, err, 9, "Q14")
+	const hpIso, vwIso, hpConc, apConc, vwConc = 1, 3, 4, 5, 6
+	cell := func(row []string, col int) float64 {
+		v, err := strconv.ParseFloat(row[col], 64)
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", row[0], tab.Headers[col], err, tab.Format())
+		}
+		return v
+	}
+	drawn := 0
+	for _, row := range tab.Rows {
+		if hp, vw := cell(row, hpIso), cell(row, vwIso); vw <= hp {
+			t.Errorf("%s: VW iso %v not above HP iso %v", row[0], vw, hp)
+		}
+		if row[apConc] == "-" {
+			continue // the concurrent mix did not draw this query
+		}
+		drawn++
+		if ap, hp, vw := cell(row, apConc), cell(row, hpConc), cell(row, vwConc); ap >= hp || hp >= vw {
+			t.Errorf("%s: conc AP %v, HP %v, VW %v; want AP < HP < VW", row[0], ap, hp, vw)
+		}
+	}
+	if drawn == 0 {
+		t.Errorf("the concurrent mix drew no query:\n%s", tab.Format())
+	}
+	if t.Failed() {
+		t.Log("\n" + tab.Format())
+	}
 }
 
 func TestFigure17(t *testing.T) {

@@ -54,15 +54,11 @@ func Figure16(s Scale) (*Table, error) {
 		},
 	}
 
-	// Isolated executions.
-	iso := func(p *plan.Plan, vw bool) (float64, error) {
-		eng := newEngine(cat, sim.TwoSocket())
-		opts := exec.JobOptions{}
-		if vw {
-			params := cost.Vectorwise()
-			opts.CostParams = &params
-		}
-		job, err := eng.Submit(p, opts)
+	// Isolated executions, each on an engine of its own priced by the system
+	// it stands for.
+	iso := func(p *plan.Plan, params cost.Params) (float64, error) {
+		eng := exec.NewEngine(cat, sim.TwoSocket(), params)
+		job, err := eng.Submit(p, exec.JobOptions{})
 		if err != nil {
 			return 0, err
 		}
@@ -73,7 +69,7 @@ func Figure16(s Scale) (*Table, error) {
 	// Concurrent executions: per engine, all clients replay the full mix;
 	// report per-query mean latency.
 	conc := func(plans map[int]*plan.Plan, vw bool) (map[int]float64, error) {
-		eng := newEngine(cat, sim.TwoSocket())
+		params := cost.Default()
 		cfg := workload.ClientConfig{Repeats: s.Repeats, Seed: s.Seed}
 		idx := map[int]int{}
 		for i, qn := range queries {
@@ -81,12 +77,12 @@ func Figure16(s Scale) (*Table, error) {
 			idx[i] = qn
 		}
 		if vw {
-			params := cost.Vectorwise()
-			cfg.CostParams = &params
+			params = cost.Vectorwise()
 			cfg.MaxCores = func(client, active int) int {
 				return exec.AdmissionMaxCores(client, active, cores)
 			}
 		}
+		eng := exec.NewEngine(cat, sim.TwoSocket(), params)
 		res, err := workload.RunConcurrent(eng, s.Clients, cfg)
 		if err != nil {
 			return nil, err
@@ -118,15 +114,15 @@ func Figure16(s Scale) (*Table, error) {
 		return "-" // query not drawn by the random mix at this seed
 	}
 	for _, qn := range queries {
-		hpIso, err := iso(hpPlans[qn], false)
+		hpIso, err := iso(hpPlans[qn], cost.Default())
 		if err != nil {
 			return nil, err
 		}
-		apIso, err := iso(apPlans[qn], false)
+		apIso, err := iso(apPlans[qn], cost.Default())
 		if err != nil {
 			return nil, err
 		}
-		vwIso, err := iso(hpPlans[qn], true)
+		vwIso, err := iso(hpPlans[qn], cost.Vectorwise())
 		if err != nil {
 			return nil, err
 		}

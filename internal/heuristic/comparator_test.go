@@ -67,11 +67,11 @@ func parallelize(t *testing.T, p *plan.Plan, cat *storage.Catalog, partitions in
 	return out
 }
 
-// runPriced executes p on a fresh engine with the given per-job cost model.
+// runPriced executes p on a fresh engine with the given cost model.
 func runPriced(t *testing.T, cat *storage.Catalog, m sim.Config, p *plan.Plan, params cost.Params) ([]exec.Value, float64) {
 	t.Helper()
-	eng := exec.NewEngine(cat, m, cost.Default())
-	res, prof, err := eng.ExecuteOpts(p, exec.JobOptions{CostParams: &params})
+	eng := exec.NewEngine(cat, m, params)
+	res, prof, err := eng.Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@
 // range-partition views over base and intermediate columns, tables and a
 // catalog, a shared hash-index cache (MonetDB caches hash indexes on BATs, so
 // cloned join operators re-use a single build — §2.1: a base column's index
-// is cached per catalog, an intermediate's is rebuilt by its producer every
-// run), and the boundary alignment rules for dynamically partitioned tuple
-// reconstruction (§2.3, Figures 9 and 10).
+// belongs to the catalog like its data, built on first use and charged to no
+// plan; an intermediate's is rebuilt by its producer every run), and the
+// boundary alignment rules for dynamically partitioned tuple reconstruction
+// (§2.3, Figures 9 and 10).
 package storage
 
 import (
@@ -327,10 +328,11 @@ func newHashIndex(h *HashIndex, vals []int64, seq int64) *HashIndex {
 }
 
 // Hash returns the hash index over the receiver's full range, building it on
-// first use. The second return value reports whether this call performed the
-// build (true) or hit the cache (false); the cost model charges the build
-// only when it actually happened.
-func (c *Column) Hash() (*HashIndex, bool) { return c.hash(false) }
+// first use and caching it on the base column. It does not report whether it
+// built: a base column's index is the catalog's and charged to no plan, and an
+// intermediate's producer builds (and is charged for) its index with
+// RebuildHash before any join probes it.
+func (c *Column) Hash() *HashIndex { return c.hash(false) }
 
 // RebuildHash builds the index over the receiver's full range afresh, in the
 // storage of the cached one it replaces: how an intermediate's producer gives
@@ -338,7 +340,7 @@ func (c *Column) Hash() (*HashIndex, bool) { return c.hash(false) }
 // column: no reader of the replaced index may remain.
 func (c *Column) RebuildHash() { c.hash(true) }
 
-func (c *Column) hash(rebuild bool) (*HashIndex, bool) {
+func (c *Column) hash(rebuild bool) *HashIndex {
 	base := c.Base()
 	key := hashKey{lo: c.seq, hi: c.EndSeq()}
 
@@ -349,18 +351,9 @@ func (c *Column) hash(rebuild bool) (*HashIndex, bool) {
 	}
 	h := base.hashes[key]
 	if h != nil && !rebuild {
-		return h, false
+		return h
 	}
 	h = newHashIndex(h, c.data.Values(), c.seq)
 	base.hashes[key] = h
-	return h, true
-}
-
-// DropHashes discards every cached hash index on the receiver's base column,
-// so tests can charge builds again.
-func (c *Column) DropHashes() {
-	base := c.Base()
-	base.mu.Lock()
-	defer base.mu.Unlock()
-	base.hashes = nil
+	return h
 }

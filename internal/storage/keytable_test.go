@@ -75,11 +75,11 @@ func TestHashIndexMatchesMapIndex(t *testing.T) {
 	for name, vals := range keyShapes() {
 		base := NewIntColumn(name, append([]int64{-5, -5, -5}, vals...))
 		col := base.View(3, base.Len()) // Seq() != 0, like every partition
-		idx, built := col.Hash()
-		if !built || idx.Tuples() != int64(len(vals)) {
-			t.Fatalf("%s: built=%v tuples=%d, want a fresh index over %d", name, built, idx.Tuples(), len(vals))
+		idx := col.Hash()
+		if idx.Tuples() != int64(len(vals)) {
+			t.Fatalf("%s: tuples=%d, want an index over %d", name, idx.Tuples(), len(vals))
 		}
-		if again, rebuilt := col.Hash(); rebuilt || again != idx {
+		if col.Hash() != idx {
 			t.Fatalf("%s: second Hash() rebuilt", name)
 		}
 		want := refLookup(vals, col.Seq())
@@ -171,11 +171,11 @@ func TestRebuildHashFollowsContents(t *testing.T) {
 
 	buf := []int64{5, 7, 5, 9}
 	c := NewIntColumn("k", buf)
-	h1, _ := c.Hash()
+	h1 := c.Hash()
 	buf[0] = 9 // the producer rewrote its buffer in place
 	c.RebuildHash()
-	if h2, built := c.Hash(); built || h2 != h1 || !slices.Equal(h2.Lookup(9), []int64{0, 3}) {
-		t.Fatalf("after RebuildHash: built=%v same=%v Lookup(9)=%v, want the cached index over the new keys", built, h2 == h1, h2.Lookup(9))
+	if h2 := c.Hash(); h2 != h1 || !slices.Equal(h2.Lookup(9), []int64{0, 3}) {
+		t.Fatalf("after RebuildHash: same=%v Lookup(9)=%v, want the cached index over the new keys", h2 == h1, h2.Lookup(9))
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -110,9 +109,6 @@ type ClientConfig struct {
 	// MaxCores, when non-nil, applies admission control per submission:
 	// it receives the client index and the number of clients still active.
 	MaxCores func(clientIdx, activeClients int) int
-	// CostParams overrides the engine cost model (the Vectorwise
-	// comparator); nil uses the engine default.
-	CostParams *cost.Params
 }
 
 // QueryOutcome records one completed query during a concurrent run.
@@ -158,7 +154,7 @@ func RunConcurrent(eng *exec.Engine, clients int, cfg ClientConfig) (*Concurrent
 			return
 		}
 		pi := rng.Intn(len(cfg.Plans))
-		opts := exec.JobOptions{CostParams: cfg.CostParams}
+		var opts exec.JobOptions
 		if cfg.MaxCores != nil {
 			opts.MaxCores = cfg.MaxCores(client, active)
 		}
