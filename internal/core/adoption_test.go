@@ -84,7 +84,10 @@ func convergeTwinned(s *core.Session, twin *exec.Engine) error {
 // a function of the plan and the data. Every TPC-H / TPC-DS convergence is
 // checked attempt by attempt, and on a second run of each attempt's plan; the
 // joins over an intermediate inner (TPC-H Q4 / Q8 / Q9 / Q17 / Q19, TPC-DS
-// Q3 / Q5) are where a wrapper's cached hash index used to hide the build.
+// Q3 / Q5) are where a wrapper's cached hash index used to hide the build. An
+// attempt's first run also takes the parent run's value and Work for every
+// reusable instruction, so a wrongly reused value or record fails here too —
+// and the test fails when no instruction was reused at all.
 func TestAdoptionIsInvisible(t *testing.T) {
 	type suite struct {
 		name     string
@@ -96,7 +99,7 @@ func TestAdoptionIsInvisible(t *testing.T) {
 		{"tpch", func() *storage.Catalog { return tpch.Generate(tpch.Config{SF: 0.5, Seed: 42}) }, tpch.QueryNumbers(), tpch.MustQuery},
 		{"tpcds", func() *storage.Catalog { return tpcds.Generate(tpcds.Config{SF: 0.5, Seed: 42}) }, tpcds.QueryNumbers(), tpcds.MustQuery},
 	}
-	adopted := int64(0)
+	var adopted exec.CompileStats
 	for _, su := range suites {
 		cat := su.generate()
 		for _, n := range su.numbers {
@@ -106,10 +109,26 @@ func TestAdoptionIsInvisible(t *testing.T) {
 			if err := convergeTwinned(s, b); err != nil {
 				t.Errorf("%s q%d: %v", su.name, n, err)
 			}
-			adopted += a.CompileStats().Derived
+			st := a.CompileStats()
+			adopted.Derived += st.Derived
+			adopted.ReusedInstrs += st.ReusedInstrs
 		}
 	}
-	if adopted == 0 {
-		t.Fatal("no plan adopted its parent's arena: the path under test never ran")
+	t.Logf("%d adopted arenas reused %d instructions", adopted.Derived, adopted.ReusedInstrs)
+	if err := adoptionRan(adopted); err != nil {
+		t.Fatal(err)
 	}
+}
+
+// adoptionRan fails a twin test whose sessions never took the path under
+// test: no plan adopted its parent's arena, or no instruction took its
+// parent's value and Work.
+func adoptionRan(st exec.CompileStats) error {
+	switch {
+	case st.Derived == 0:
+		return fmt.Errorf("no plan adopted its parent's arena: the path under test never ran")
+	case st.ReusedInstrs == 0:
+		return fmt.Errorf("%d plans adopted a parent's arena, but no instruction reused its parent's value: the reuse path never ran", st.Derived)
+	}
+	return nil
 }

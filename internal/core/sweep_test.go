@@ -21,7 +21,8 @@ import (
 // TestFullConvergencePreservesResults: every plan of every full convergence
 // over scale factors × data seeds × machines returns the serial result
 // (216 TPC-H and 30 TPC-DS convergences) and, replayed on a twin engine that
-// adopts nothing, is measured exactly as the session measured it, and run
+// adopts nothing (so takes no parent run's value or Work either), is measured
+// exactly as the session measured it, and run
 // once more reports every instruction's Work unchanged
 // (TestAdoptionIsInvisible's checks, through the same helper); its best plan,
 // served twice more on its own engine, replays the second time and still
@@ -34,6 +35,7 @@ func TestConvergenceSweep(t *testing.T) {
 		L3PerSocket: 64 << 10, BWPerSocket: 1e9, SMTFactor: 0.55, NUMAFactor: 1.2,
 	}}
 	runs, diverged := 0, 0
+	var adopted exec.CompileStats
 	sweep := func(name string, cat *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
 		for _, m := range machines {
 			for _, n := range numbers {
@@ -45,6 +47,9 @@ func TestConvergenceSweep(t *testing.T) {
 				if err == nil {
 					err = serveConvergedTwice(s, eng)
 				}
+				st := eng.CompileStats()
+				adopted.Derived += st.Derived
+				adopted.ReusedInstrs += st.ReusedInstrs
 				if err != nil {
 					diverged++
 					t.Errorf("%s q%d on %s: %v", name, n, m.Name, err)
@@ -62,7 +67,10 @@ func TestConvergenceSweep(t *testing.T) {
 		sweep(fmt.Sprintf("tpcds sf=%g seed=42", sf),
 			tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}), tpcds.QueryNumbers(), tpcds.MustQuery)
 	}
-	t.Logf("%d convergences, %d diverging", runs, diverged)
+	t.Logf("%d convergences, %d diverging; %d adopted arenas reused %d instructions", runs, diverged, adopted.Derived, adopted.ReusedInstrs)
+	if err := adoptionRan(adopted); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // serveConvergedTwice serves s's best plan twice more on eng, the engine it

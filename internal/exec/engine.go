@@ -33,7 +33,7 @@ type Engine struct {
 	recycler bufRecycler
 
 	fullCompiles, derivedCompiles, retiredPlans atomic.Int64
-	replayedRuns, simulatedRuns                 atomic.Int64
+	replayedRuns, simulatedRuns, reusedInstrs   atomic.Int64
 }
 
 // NewEngine creates an engine over the catalog with a fresh machine.
@@ -147,15 +147,16 @@ func (e *Engine) scheduleFor(p *plan.Plan, opts JobOptions) (*planSchedule, erro
 	s := buildSchedule(p)
 	// Adopt the parent's idle arena: matched instructions inherit their
 	// settled kernel buffers (no pool round trip, no append-regrowth on the
-	// child's first run); buffers the mutation orphaned go to the pool. The
-	// parent plan will typically be retired within a step or two; if it does
-	// run again it simply rebuilds an arena.
+	// child's first run), reusable ones their last value and Work too; buffers
+	// the mutation orphaned go to the pool. The parent plan will typically be
+	// retired within a step or two; if it does run again it simply rebuilds an
+	// arena.
 	var a *jobArena
 	if parent != nil {
 		a = parent.takeArena()
 	}
 	if a != nil {
-		a.remapTo(s, parent, &e.recycler, plan.ComputeDiff(opts.DerivedFrom, p))
+		a.remapTo(s, parent, &e.recycler, p, plan.ComputeDiff(opts.DerivedFrom, p))
 		s.putArena(a)
 		e.derivedCompiles.Add(1)
 	} else {
@@ -429,8 +430,19 @@ type groupRun struct {
 // instruction's Work, dependency counters, the sim-task slab, kernel output
 // buffers and shared exchange buffers are all rewritten in place.
 type jobArena struct {
-	env       []Value // zero at submit (release clears it): a zero entry is a variable not evaluated yet
-	work      []algebra.Work
+	// env and work keep the last run's values and Work past release, until the
+	// arena's next checkout: the same plan object's next prepare clears env,
+	// remapTo keeps only the values the child reuses, putShell drops them all.
+	// At submit a zero env entry is a variable not evaluated yet.
+	env  []Value
+	work []algebra.Work
+	// valsOf is the catalog env and work were computed over, set when a run
+	// finishes evaluateAll on the shared-buffer exchange; nil when they hold
+	// nothing a child may reuse (a failed or CopyExchange run). reuse marks
+	// the instructions an adopted arena's next run takes from them instead of
+	// evaluating (remapTo); nil when there are none.
+	valsOf    *storage.Catalog
+	reuse     []bool
 	pending   []int32
 	tasks     []instrTask
 	args      []Value      // resolveArgs scratch
@@ -492,10 +504,19 @@ func sized[T any](slab []T, n int) []T {
 	return slab[:n]
 }
 
-// prepare sizes the arena for the plan and resets per-run state.
-func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
+// prepare sizes the arena for the plan and resets per-run state. Reuse an
+// adoption set up survives only for a run over the catalog the kept values
+// came from, on the shared-buffer exchange; otherwise env starts empty.
+func (a *jobArena) prepare(s *planSchedule, p *plan.Plan, cat *storage.Catalog, copyExchange bool) {
 	n := len(p.Instrs)
+	if a.valsOf != cat || copyExchange {
+		a.reuse = nil
+	}
+	a.valsOf = nil
 	a.env = sized(a.env, p.NVars())
+	if a.reuse == nil {
+		clear(a.env)
+	}
 	a.work = sized(a.work, n)
 	a.pending = sized(a.pending, len(s.pending))
 	a.tasks = sized(a.tasks, n)
@@ -515,15 +536,34 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan) {
 	}
 }
 
-// remapTo moves an idle parent arena under the child schedule built for a
-// mutation of the parent's plan: matched instructions keep their settled
+// remapTo moves an idle parent arena under the child schedule built for
+// mutation p of the parent's plan: matched instructions keep their settled
 // kernel output buffers (moved index-for-index through the diff), a child
 // group takes the shared exchange buffer of the parent group whose pack it
 // matched, and whatever the mutation orphaned is filed into the engine
 // recycler. Only dead intermediate state moves — result-reachable values were
-// never arena-backed in the first place (escape analysis) — and nothing the
-// child is measured by: which buffer a kernel writes into changes no Work.
-func (a *jobArena) remapTo(child, parent *planSchedule, rec *bufRecycler, d *plan.Diff) {
+// never arena-backed in the first place (escape analysis). Which buffer a
+// kernel writes into changes no Work; a reusable instruction (reusable) also
+// keeps the parent run's value, by VarID, and its Work, by instruction. No
+// other value reaches the child's first run.
+func (a *jobArena) remapTo(child, parent *planSchedule, rec *bufRecycler, p *plan.Plan, d *plan.Diff) {
+	a.reuse = nil
+	if a.valsOf != nil {
+		a.reuse = child.reusable(parent, p, d)
+	}
+	if a.reuse != nil { // else the child's prepare clears env
+		env := make([]Value, p.NVars())
+		work := make([]algebra.Work, len(d.ParentOf))
+		for ci, ok := range a.reuse {
+			if ok {
+				work[ci] = a.work[d.ParentOf[ci]]
+				for _, r := range p.Instrs[ci].Rets {
+					env[r] = a.env[r] // a match keeps VarIDs
+				}
+			}
+		}
+		a.env, a.work = env, work
+	}
 	bufs := make([][2][]int64, len(d.ParentOf))
 	outCols := make([]outColCache, len(d.ParentOf))
 	argViews := make([][2]argViewCache, len(d.ParentOf))
@@ -559,12 +599,74 @@ func (a *jobArena) remapTo(child, parent *planSchedule, rec *bufRecycler, d *pla
 	a.bufs, a.outCols, a.argViews, a.groupBufs = bufs, outCols, argViews, groupBufs
 }
 
-// release drops the run's value references (so an idle arena does not pin
-// intermediate columns) and hands the arena back to the schedule.
-func (a *jobArena) release(s *planSchedule) {
-	for i := range a.env {
-		a.env[i] = Value{}
+// reusable is the reuse rule, decided once at adoption: child instruction ci
+// takes its parent instruction's last value and Work instead of running its
+// kernel when the diff matched it (same value over the same inputs) and the
+// value stays where it lived:
+//   - the same output-buffer class, so a value never starts escaping from an
+//     arena slot;
+//   - the same buildsInner bits, so an inner's index and its charge match;
+//   - a pack group's clones and pack only all together, mapped onto one
+//     parent group with the same recycle flag (a window lives in the group's
+//     shared buffer, which remapTo files into the pool unless the groups
+//     match), and a non-member only when its parent was none either.
+//
+// Result markers (they set j.results), binds and consts always run. nil when
+// nothing qualifies. The run-level conditions — the same catalog, no
+// CopyExchange on either side, a parent run that evaluated without error —
+// are valsOf's, checked in remapTo and prepare.
+func (s *planSchedule) reusable(parent *planSchedule, p *plan.Plan, d *plan.Diff) []bool {
+	reuse := make([]bool, len(d.ParentOf))
+	for ci, pi := range d.ParentOf {
+		if pi < 0 {
+			continue
+		}
+		switch p.Instrs[ci].Op {
+		case plan.OpResult, plan.OpBind, plan.OpConst:
+			continue
+		}
+		reuse[ci] = s.outBuf[ci] == parent.outBuf[pi] && s.buildsInner[ci] == parent.buildsInner[pi] &&
+			s.inGroup(int32(ci)) == parent.inGroup(pi)
 	}
+	for gi := range s.groups {
+		g := &s.groups[gi]
+		whole := reuse[g.pack] && s.sameGroup(g, parent, d)
+		for _, c := range g.clones {
+			whole = whole && reuse[c]
+		}
+		if !whole {
+			reuse[g.pack] = false
+			for _, c := range g.clones {
+				reuse[c] = false
+			}
+		}
+	}
+	if !slices.Contains(reuse, true) {
+		return nil
+	}
+	return reuse
+}
+
+// inGroup reports whether instruction i is a pack group's clone or pack.
+func (s *planSchedule) inGroup(i int32) bool { return s.cloneOf[i] >= 0 || s.packGroup[i] >= 0 }
+
+// sameGroup reports whether g's pack is matched to a parent group's pack with
+// the same recycle flag and g's clones, in order, to that group's clones.
+func (s *planSchedule) sameGroup(g *schedGroup, parent *planSchedule, d *plan.Diff) bool {
+	pg := parent.packGroup[d.ParentOf[g.pack]]
+	if pg < 0 {
+		return false
+	}
+	pgr := &parent.groups[pg]
+	return pgr.recycle == g.recycle && slices.EqualFunc(g.clones, pgr.clones, func(c, pc int32) bool {
+		return d.ParentOf[c] == pc
+	})
+}
+
+// release hands the arena back to the schedule. It keeps env and work (see
+// jobArena) and drops the references nothing reads again: the task slab's
+// job pointers and the kernels' argument scratch.
+func (a *jobArena) release(s *planSchedule) {
 	for i := range a.tasks {
 		// j keeps the dead PlanJob (and through it the run's results and
 		// profile) reachable for as long as the schedule stays cached.
@@ -627,9 +729,11 @@ type JobOptions struct {
 	// DerivedFrom names the plan this submission's plan was mutated from
 	// (adaptive sessions set it on every exploration step). When that plan's
 	// compilation is cached with an idle arena, this plan's first run starts
-	// from the parent's settled buffers instead of the pool's; its
-	// compilation and everything it is measured by are the same either way.
-	// Ignored when the plan's own compilation is already cached.
+	// from the parent's settled buffers instead of the pool's, and takes the
+	// parent run's value and Work for every reusable instruction instead of
+	// running its kernel; its compilation, results and everything it is
+	// measured by are the same either way. Ignored when the plan's own
+	// compilation is already cached.
 	DerivedFrom *plan.Plan
 	// Catalog, when non-nil, resolves this job's binds against a different
 	// dataset than the engine's own — the multi-tenant serving path: one
@@ -699,11 +803,11 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 		// out of the engine recycler instead of growing everything from nil.
 		a = e.recycler.getShell()
 	}
-	a.prepare(sched, p)
 	cat := e.cat
 	if opts.Catalog != nil {
 		cat = opts.Catalog
 	}
+	a.prepare(sched, p, cat, opts.CopyExchange)
 	return &PlanJob{
 		Plan:         p,
 		eng:          e,
@@ -719,18 +823,32 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 
 // evaluateAll is the first pass of a run: every instruction, in the
 // schedule's compiled order, computes its results into env and leaves its
-// Work in the arena. On an error the arena goes back to the schedule —
-// nothing has reached the machine.
+// Work in the arena — except, on an adopted arena's first run, the ones
+// remapTo marked reusable, whose parent-run value and Work are already there.
+// On an error the arena goes back to the schedule, keeping nothing a child
+// may reuse — nothing has reached the machine.
 func (j *PlanJob) evaluateAll() error {
+	a := j.arena
+	reuse := a.reuse
+	a.reuse = nil
+	reused := 0
 	for _, i := range j.sched.order {
+		if reuse != nil && reuse[i] {
+			reused++
+			continue
+		}
 		w, err := j.evaluate(int(i))
 		if err != nil {
-			j.arena.release(j.sched)
+			a.release(j.sched)
 			j.arena = nil
 			return err
 		}
-		j.arena.work[i] = w
+		a.work[i] = w
 	}
+	if !j.copyExchange {
+		a.valsOf = j.cat
+	}
+	j.eng.reusedInstrs.Add(int64(reused))
 	return nil
 }
 

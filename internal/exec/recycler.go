@@ -193,10 +193,13 @@ func (r *bufRecycler) getShell() *jobArena {
 }
 
 // putShell strips a's kernel and exchange buffers into the size-classed
-// free lists and retains the shell. Called only for arenas checked back
-// into a retired schedule: their values are dead and their release() pass
-// already dropped env/task references.
+// free lists, drops the last run's values (release kept them for a child
+// that might adopt the arena) and retains the shell. Called only for arenas
+// checked back into a retired schedule: their values are dead and release
+// already dropped the task references.
 func (r *bufRecycler) putShell(a *jobArena) {
+	clear(a.env)
+	a.valsOf, a.reuse = nil, nil
 	for i := range a.bufs {
 		r.putSlots(&a.bufs[i])
 	}
@@ -276,13 +279,17 @@ type CompileStats struct {
 	Full    int64 `json:"full"`
 	Derived int64 `json:"derived"`
 	Retired int64 `json:"retired"`
+	// ReusedInstrs counts instructions a derived plan's first run took from
+	// its parent's last run (value and Work) instead of evaluating.
+	ReusedInstrs int64 `json:"reused_instrs"`
 }
 
 // CompileStats snapshots the engine's compilation counters.
 func (e *Engine) CompileStats() CompileStats {
 	return CompileStats{
-		Full:    e.fullCompiles.Load(),
-		Derived: e.derivedCompiles.Load(),
-		Retired: e.retiredPlans.Load(),
+		Full:         e.fullCompiles.Load(),
+		Derived:      e.derivedCompiles.Load(),
+		Retired:      e.retiredPlans.Load(),
+		ReusedInstrs: e.reusedInstrs.Load(),
 	}
 }

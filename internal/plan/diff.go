@@ -11,8 +11,9 @@ package plan
 // instruction is guaranteed to compute the same value over the same inputs
 // in both plans. The diff has one consumer: the execution engine compiles the
 // child from scratch and uses the match to move the parent's idle arena under
-// it, so a matched instruction's first run in the child writes the buffer its
-// last run in the parent settled.
+// it. A matched instruction's first run in the child writes the buffer its
+// last run in the parent settled — or, when the engine's reuse rule holds for
+// it, does not run at all and takes that run's value and Work.
 
 // Diff maps the instructions of a child plan onto a parent plan.
 type Diff struct {
