@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -34,6 +35,7 @@ type Engine struct {
 
 	fullCompiles, derivedCompiles, retiredPlans atomic.Int64
 	replayedRuns, simulatedRuns, reusedInstrs   atomic.Int64
+	helpedRuns                                  atomic.Int64
 }
 
 // NewEngine creates an engine over the catalog with a fresh machine.
@@ -98,6 +100,14 @@ type planSchedule struct {
 	// catalog's, and so is its index: built on first probe, charged to no
 	// plan.
 	buildsInner []uint8
+
+	// dop is the plan's MaxDOP and evalNs its last run's evaluation length,
+	// summed over the workers that ran it: the evaluation helper's gates.
+	// prods lists each instruction's producers with gates expanded, compiled
+	// on the first run a helper may join (producers).
+	dop    int
+	evalNs atomic.Int64
+	prods  [][]int32
 
 	arenaMu sync.Mutex
 	arena   *jobArena // idle arena of the last completed invocation
@@ -243,7 +253,30 @@ func buildSchedule(p *plan.Plan) *planSchedule {
 	}
 	s.planBuffers(p, producer)
 	s.order = s.compileOrder(n)
+	s.dop = p.MaxDOP()
 	return s
+}
+
+// producers compiles, once per schedule, what a claimed instruction waits on
+// when helpers share its run: every instruction it is a waiter of, and
+// through its group's gate, every producer the gate waits on.
+func (s *planSchedule) producers() {
+	if s.prods != nil {
+		return
+	}
+	n := len(s.cloneOf)
+	s.prods = make([][]int32, n)
+	for u := 0; u < n; u++ {
+		for _, w := range s.waiters[u] {
+			if int(w) < n {
+				s.prods[w] = append(s.prods[w], int32(u))
+				continue
+			}
+			for _, c := range s.waiters[w] {
+				s.prods[c] = append(s.prods[c], int32(u))
+			}
+		}
+	}
 }
 
 // compileOrder is Kahn's algorithm over the graph, first in first out from
@@ -414,9 +447,14 @@ func (s *planSchedule) addGate(sg *schedGroup, producer []int32) {
 }
 
 // groupRun is the per-invocation state of one pack group: the shared buffer
-// builder, each clone's write offset, and how much each clone wrote.
+// builder, each clone's write offset, and how much each clone wrote. mu is the
+// once-guard of the layout: two clones a gate releases together may race for
+// it on two workers, and exactly one lays the windows out and binds the
+// builder's dictionary (cloneShared).
 type groupRun struct {
+	mu      sync.Mutex
 	bld     *vec.Builder
+	dict    *vec.Dict
 	offs    []int // len = clones+1; clone m writes [offs[m], offs[m+1])
 	written []int // values actually written per clone; -1 = pending
 	total   int
@@ -429,6 +467,14 @@ type groupRun struct {
 // nothing: the value store (env, the one home of every result), each
 // instruction's Work, dependency counters, the sim-task slab, kernel output
 // buffers and shared exchange buffers are all rewritten in place.
+//
+// While evaluateAll runs, helpers may evaluate beside the run's owner
+// (helper.go). Every arena write of an evaluation is then either per
+// instruction (env by VarID, work, bufs, outCols, argViews, done, a clone's
+// window and written entry), per worker (scratch), once per group under its
+// lock (groupRuns, groupBufs), or through the recycler's mutex; the owner
+// alone touches the rest, and only before it offers the run or after every
+// helper has left it.
 type jobArena struct {
 	// env and work keep the last run's values and Work past release, until the
 	// arena's next checkout: the same plan object's next prepare clears env,
@@ -445,12 +491,16 @@ type jobArena struct {
 	reuse     []bool
 	pending   []int32
 	tasks     []instrTask
-	args      []Value      // resolveArgs scratch
 	bufs      [][2][]int64 // per-instruction, per-result recycled output buffers
 	groupBufs [][]int64    // per-group shared exchange buffers
 	groupRuns []groupRun   // per-group run state
-	oidParts  [][]int64    // evalPack scratch
-	colParts  []*storage.Column
+
+	// run is the current evaluateAll; done flags each evaluated instruction
+	// while helpers share the run; scratch holds each worker's argument
+	// scratch, the owner's first.
+	run     evalRun
+	done    []atomic.Bool
+	scratch []evalScratch
 
 	// outCols / argViews memoize the per-instruction column wrappers:
 	// executing a cached plan is deterministic, so instruction idx wraps the
@@ -527,9 +577,12 @@ func (a *jobArena) prepare(s *planSchedule, p *plan.Plan, cat *storage.Catalog, 
 		a.groupBufs = make([][]int64, len(s.groups))
 	}
 	a.groupRuns = sized(a.groupRuns, len(s.groups))
+	if len(a.scratch) == 0 {
+		a.scratch = make([]evalScratch, 1)
+	}
 	for i := range a.groupRuns {
 		gr := &a.groupRuns[i]
-		gr.bld = nil
+		gr.bld, gr.dict = nil, nil
 		gr.offs = gr.offs[:0]
 		gr.written = gr.written[:0]
 		gr.total = 0
@@ -665,21 +718,16 @@ func (s *planSchedule) sameGroup(g *schedGroup, parent *planSchedule, d *plan.Di
 
 // release hands the arena back to the schedule. It keeps env and work (see
 // jobArena) and drops the references nothing reads again: the task slab's
-// job pointers and the kernels' argument scratch.
+// job pointers, the run's, and the workers' argument scratch.
 func (a *jobArena) release(s *planSchedule) {
 	for i := range a.tasks {
 		// j keeps the dead PlanJob (and through it the run's results and
 		// profile) reachable for as long as the schedule stays cached.
 		a.tasks[i] = instrTask{}
 	}
-	for i := range a.args {
-		a.args[i] = Value{}
-	}
-	for i := range a.colParts {
-		a.colParts[i] = nil
-	}
-	for i := range a.oidParts {
-		a.oidParts[i] = nil
+	a.run.j, a.run.reuse, a.run.err = nil, nil, nil
+	for i := range a.scratch {
+		a.scratch[i].drop()
 	}
 	s.putArena(a)
 }
@@ -821,35 +869,149 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 	}, nil
 }
 
-// evaluateAll is the first pass of a run: every instruction, in the
+// evaluateAll is the first pass of a run: every instruction, claimed in the
 // schedule's compiled order, computes its results into env and leaves its
 // Work in the arena — except, on an adopted arena's first run, the ones
 // remapTo marked reusable, whose parent-run value and Work are already there.
-// On an error the arena goes back to the schedule, keeping nothing a child
-// may reuse — nothing has reached the machine.
+// The calling goroutine owns the run; when the plan passes the helper's gates
+// (helper.go), helpers claim instructions beside it from the same cursor, and
+// evaluateAll returns only after every one of them has left the run. The
+// evaluation length it measures is theirs and the owner's summed. On an error
+// — on any worker, which stops the others — the arena goes back to the
+// schedule, once, keeping nothing a child may reuse; nothing has reached the
+// machine.
 func (j *PlanJob) evaluateAll() error {
 	a := j.arena
-	reuse := a.reuse
+	r := &a.run
+	*r = evalRun{j: j, reuse: a.reuse}
 	a.reuse = nil
-	reused := 0
-	for _, i := range j.sched.order {
-		if reuse != nil && reuse[i] {
-			reused++
-			continue
-		}
-		w, err := j.evaluate(int(i))
-		if err != nil {
-			a.release(j.sched)
-			j.arena = nil
-			return err
-		}
-		a.work[i] = w
+	pool := evalHelpers
+	pool.busy.Add(1)
+	offered := pool.offer(r)
+	r.work(0)
+	if offered > 0 {
+		pool.retract(r)
+	}
+	pool.busy.Add(-1)
+	j.sched.evalNs.Store(r.evalNs.Load())
+	j.eng.reusedInstrs.Add(r.reused.Load())
+	if r.helped.Load() > 0 {
+		j.eng.helpedRuns.Add(1)
+	}
+	if err := r.err; err != nil {
+		a.release(j.sched)
+		j.arena = nil
+		return err
 	}
 	if !j.copyExchange {
 		a.valsOf = j.cat
 	}
-	j.eng.reusedInstrs.Add(int64(reused))
 	return nil
+}
+
+// evalRun is one evaluateAll: the cursor its workers claim instructions from
+// and what they report back. It lives in the arena. The owner writes its plain
+// fields before it offers the run (share) and reads err once every helper has
+// left; everything the workers share is atomic.
+type evalRun struct {
+	j         *PlanJob
+	reuse     []bool
+	shared    bool   // helpers may join: a claim waits on its producers' done flags
+	offeredTo uint64 // bit k: offered to helper k (helperPool.retract)
+	offeredNs int64
+	err       error // the first failure's, set by the worker that stopped the run
+
+	next   atomic.Int32 // the next position of sched.order to claim
+	stop   atomic.Bool
+	slots  atomic.Int32 // scratch slots handed to helpers; the owner's is 0
+	left   atomic.Int32 // helpers that took the offer and have left
+	evalNs atomic.Int64 // time the workers spent evaluating, waits excluded
+	reused atomic.Int64
+	helped atomic.Int64 // instructions helpers evaluated
+}
+
+// share readies r for helpers before the owner first offers it: the
+// schedule's producer lists, cleared done flags, and scratch for the owner and
+// up to slots−1 helpers.
+func (r *evalRun) share(slots int) {
+	a, s := r.j.arena, r.j.sched
+	s.producers()
+	a.done = sized(a.done, len(s.cloneOf))
+	clear(a.done)
+	for len(a.scratch) < slots {
+		a.scratch = append(a.scratch, evalScratch{})
+	}
+	r.shared = true
+	r.offeredNs = monoNs()
+}
+
+// work is the claim loop every worker of the run executes with its own scratch
+// slot: claim the next instruction in compiled order, wait until its producers
+// are done (only while helpers share the run), evaluate it or take its reused
+// value, flag it done. It returns when the order is exhausted or a worker
+// failed.
+func (r *evalRun) work(slot int) {
+	j := r.j
+	a, order := j.arena, j.sched.order
+	sc := &a.scratch[slot]
+	start := monoNs()
+	var waited, evaluated int64
+	for !r.stop.Load() {
+		k := int(r.next.Add(1)) - 1
+		if k >= len(order) {
+			break
+		}
+		i := order[k]
+		if r.shared {
+			w, ok := r.await(i)
+			waited += w
+			if !ok {
+				break
+			}
+		}
+		if r.reuse != nil && r.reuse[i] {
+			r.reused.Add(1)
+		} else {
+			w, err := j.evaluate(int(i), sc)
+			if err != nil {
+				if r.stop.CompareAndSwap(false, true) {
+					r.err = err
+				}
+				break
+			}
+			a.work[i] = w
+			evaluated++
+		}
+		if r.shared {
+			a.done[i].Store(true)
+		}
+	}
+	r.evalNs.Add(monoNs() - start - waited)
+	if slot > 0 {
+		r.helped.Add(evaluated)
+	}
+}
+
+// await waits until every producer of instruction i is done, and returns how
+// long it waited; false when another worker stopped the run meanwhile.
+func (r *evalRun) await(i int32) (int64, bool) {
+	s, done := r.j.sched, r.j.arena.done
+	var since int64
+	for _, u := range s.prods[i] {
+		for !done[u].Load() {
+			if r.stop.Load() {
+				return 0, false
+			}
+			if since == 0 {
+				since = monoNs()
+			}
+			runtime.Gosched()
+		}
+	}
+	if since == 0 {
+		return 0, true
+	}
+	return monoNs() - since, true
 }
 
 // simulate is the second pass: it feeds the recorded Work to the event core,

@@ -21,20 +21,35 @@ func sliceValue(v Value, lo, hi int) Value {
 	panic(fmt.Sprintf("exec: cannot slice %s value", v.Kind))
 }
 
+// evalScratch is one worker's argument scratch in the arena: the resolved
+// arguments and the variadic kernels' gather buffers. Kernels never retain
+// them, so each is valid until the worker's next evaluate call.
+type evalScratch struct {
+	args     []Value
+	oidParts [][]int64
+	colParts []*storage.Column
+}
+
+// drop drops the references the scratch holds.
+func (sc *evalScratch) drop() {
+	clear(sc.args)
+	clear(sc.oidParts)
+	clear(sc.colParts)
+}
+
 // resolveArgs returns the instruction's argument values with its Part
 // applied to the slice-able anchors. All sliced anchors of one instruction
 // share the Part (they are positionally co-aligned by construction). The
-// returned slice aliases the job's arena scratch: it is valid only until
-// the next evaluate call, which is fine because kernels never retain it.
-// Column views are memoized per (instruction, slice-arg position) in the
-// arena: repeated runs of a cached plan slice the same source columns at the
-// same bounds, so the view objects are reused instead of re-allocated.
-func resolveArgs(j *PlanJob, idx int, in *plan.Instr, env []Value) []Value {
+// returned slice aliases the worker's scratch (sc). Column views are memoized
+// per (instruction, slice-arg position) in the arena: repeated runs of a
+// cached plan slice the same source columns at the same bounds, so the view
+// objects are reused instead of re-allocated.
+func resolveArgs(j *PlanJob, sc *evalScratch, idx int, in *plan.Instr, env []Value) []Value {
 	a := j.arena
-	if cap(a.args) < len(in.Args) {
-		a.args = make([]Value, len(in.Args)+8)
+	if cap(sc.args) < len(in.Args) {
+		sc.args = make([]Value, len(in.Args)+8)
 	}
-	args := a.args[:len(in.Args)]
+	args := sc.args[:len(in.Args)]
 	for i, ai := range in.Args {
 		args[i] = env[ai]
 	}
@@ -74,8 +89,10 @@ func reseqBase(in *plan.Instr, anchor Value) int64 {
 
 // cloneShared resolves the run state of the pack group instruction idx is a
 // clone member of (position m), or nil when it writes no shared buffer. The
-// group's first clone to run sizes the shared buffer.
-func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
+// group's first clone to get here, on whichever worker, lays the windows out
+// and binds the dictionary every clone's output carries (the pack's inputs
+// share one, §2.3); the group's lock orders the others after it.
+func (j *PlanJob) cloneShared(idx int, dict *vec.Dict) (gr *groupRun, m int) {
 	if j.copyExchange {
 		return nil, 0
 	}
@@ -84,8 +101,17 @@ func (j *PlanJob) cloneShared(idx int) (gr *groupRun, m int) {
 		return nil, 0
 	}
 	gr = &j.arena.groupRuns[gi]
+	gr.mu.Lock()
 	if gr.bld == nil {
 		j.initGroup(gi, gr)
+		if dict != nil {
+			gr.bld.BindDict(dict)
+		}
+		gr.dict = dict
+	}
+	gr.mu.Unlock()
+	if dict != gr.dict {
+		panic("exec: pack group clones carry different dictionaries")
 	}
 	return gr, int(j.sched.memberOf[idx])
 }
@@ -162,16 +188,16 @@ type outDest struct {
 }
 
 // dest is the one place that decides who owns instruction idx's n-value
-// output: its pack group's shared buffer when it is a group clone; else the
-// instruction's arena slot when planBuffers classed it bufCol (a dead
-// intermediate, rewritten in place by the next invocation, grown through the
-// engine recycler); else a fresh allocation — a result-reachable output, and
-// every clone under CopyExchange.
+// output, which will carry dict: its pack group's shared buffer when it is a
+// group clone; else the instruction's arena slot when planBuffers classed it
+// bufCol (a dead intermediate, rewritten in place by the next invocation,
+// grown through the engine recycler); else a fresh allocation — a
+// result-reachable output, and every clone under CopyExchange.
 // The kernel fully overwrites what it reports written, so stale values in a
 // recycled buffer can never surface. Values and Work are the same whichever
 // owner is chosen.
-func (j *PlanJob) dest(idx, n int) outDest {
-	if gr, m := j.cloneShared(idx); gr != nil {
+func (j *PlanJob) dest(idx, n int, dict *vec.Dict) outDest {
+	if gr, m := j.cloneShared(idx, dict); gr != nil {
 		return outDest{buf: gr.bld.WriteRange(gr.offs[m], gr.offs[m+1]), gr: gr, m: m}
 	}
 	if j.sched.outBuf[idx][0] != bufCol {
@@ -187,16 +213,14 @@ func (j *PlanJob) dest(idx, n int) outDest {
 
 // done publishes the first n values the kernel wrote into d as instruction
 // idx's output column: a view of the group's builder (recording how much of
-// the window was written, so the pack knows whether it may be a view), the
-// arena slot's memoized wrapper, or a plain column over the fresh buffer
+// the window was written, so the pack knows whether it may be a view; the
+// builder's dictionary is dict, bound by cloneShared), the arena slot's
+// memoized wrapper, or a plain column over the fresh buffer
 // capped at n — a boundary drop must leave no spare capacity reachable from
 // an escaping result. name is called only when a wrapper is built.
 func (j *PlanJob) done(idx int, d outDest, n int, seq int64, dict *vec.Dict, name func() string) *storage.Column {
 	switch {
 	case d.gr != nil:
-		if dict != nil {
-			d.gr.bld.BindDict(dict)
-		}
 		d.gr.written[d.m] = n
 		lo := d.gr.offs[d.m]
 		return storage.NewBuilderColumn(name(), seq, d.gr.bld, lo, lo+n)
@@ -268,11 +292,12 @@ func (j *PlanJob) cachedCol(idx int, seq int64, vals []int64, d *vec.Dict, name 
 // decided there and nowhere else. evaluate knows nothing of virtual time: it
 // reads the job's catalog, env and arena only, so who calls it, and when
 // relative to the machine, is the caller's choice (evaluateAll, before the
-// machine sees the job).
-func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
+// machine sees the job, on whichever worker claimed idx; sc is that worker's
+// scratch).
+func (j *PlanJob) evaluate(idx int, sc *evalScratch) (algebra.Work, error) {
 	in := j.Plan.Instrs[idx]
 	cat, env := j.cat, j.env
-	args := resolveArgs(j, idx, in, env)
+	args := resolveArgs(j, sc, idx, in, env)
 	switch in.Op {
 	case plan.OpBind:
 		aux := in.Aux.(plan.BindAux)
@@ -309,14 +334,14 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 
 	case plan.OpFetch:
 		oids, target := args[0].Oids, args[1].Col
-		d := j.dest(idx, len(oids))
+		d := j.dest(idx, len(oids), target.Dict())
 		n, w, _ := algebra.FetchInto(d.buf, oids, target)
 		col := j.done(idx, d, n, reseqBase(in, env[in.Args[0]]), target.Dict(), target.Name)
 		return j.publish(idx, w, ColValue(col))
 
 	case plan.OpFetchPos:
 		pos, src := args[0].Oids, args[1].Col
-		d := j.dest(idx, len(pos))
+		d := j.dest(idx, len(pos), src.Dict())
 		w := algebra.FetchPositionsInto(d.buf, pos, src)
 		col := j.done(idx, d, len(pos), reseqBase(in, env[in.Args[0]]), src.Dict(), src.Name)
 		return j.publish(idx, w, ColValue(col))
@@ -340,7 +365,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		// slice stays aligned on the base column (§2.3).
 		op := in.Aux.(plan.CalcAux).Op
 		a, b := args[0].Col, args[1].Col
-		d := j.dest(idx, a.Len())
+		d := j.dest(idx, a.Len(), nil)
 		w := algebra.CalcVVInto(d.buf, op, a, b)
 		col := j.done(idx, d, a.Len(), a.Seq(), nil, func() string {
 			return fmt.Sprintf("(%s%s%s)", a.Name(), op, b.Name())
@@ -354,7 +379,7 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		if in.Op == plan.OpCalcSSV {
 			scalar, v = args[0].Scalar, args[1].Col
 		}
-		d := j.dest(idx, v.Len())
+		d := j.dest(idx, v.Len(), nil)
 		w := algebra.CalcSVInto(d.buf, aux.Op, scalar, v, aux.ScalarLeft)
 		col := j.done(idx, d, v.Len(), v.Seq(), nil, func() string {
 			return fmt.Sprintf("(calc%s%s)", aux.Op, v.Name())
@@ -406,14 +431,14 @@ func (j *PlanJob) evaluate(idx int) (algebra.Work, error) {
 		return j.publish(idx, w, ColValue(keys), ColValue(aggs))
 
 	case plan.OpPack:
-		return j.evalPack(idx, in, args)
+		return j.evalPack(idx, in, args, sc)
 
 	case plan.OpSort:
 		sorted, perm, w := algebra.Sort(args[0].Col, in.Aux.(plan.SortAux).Desc)
 		return j.publish(idx, w, ColValue(sorted), OidsValue(perm))
 
 	case plan.OpMergeSorted:
-		cols := j.colPartsScratch(len(args))
+		cols := sc.colPartsOf(len(args))
 		for i, a := range args {
 			cols[i] = a.Col
 		}
@@ -444,28 +469,26 @@ func (j *PlanJob) publish(idx int, w algebra.Work, vals ...Value) (algebra.Work,
 	return w, nil
 }
 
-// colPartsScratch / oidPartsScratch return the arena's variadic-argument
-// gather buffers (kernels never retain them).
-func (j *PlanJob) colPartsScratch(n int) []*storage.Column {
-	a := j.arena
-	if cap(a.colParts) < n {
-		a.colParts = make([]*storage.Column, n)
+// colPartsOf / oidPartsOf return the worker's variadic-argument gather
+// buffers (kernels never retain them).
+func (sc *evalScratch) colPartsOf(n int) []*storage.Column {
+	if cap(sc.colParts) < n {
+		sc.colParts = make([]*storage.Column, n)
 	}
-	return a.colParts[:n]
+	return sc.colParts[:n]
 }
 
-func (j *PlanJob) oidPartsScratch(n int) [][]int64 {
-	a := j.arena
-	if cap(a.oidParts) < n {
-		a.oidParts = make([][]int64, n)
+func (sc *evalScratch) oidPartsOf(n int) [][]int64 {
+	if cap(sc.oidParts) < n {
+		sc.oidParts = make([][]int64, n)
 	}
-	return a.oidParts[:n]
+	return sc.oidParts[:n]
 }
 
-func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work, error) {
+func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value, sc *evalScratch) (algebra.Work, error) {
 	switch args[0].Kind {
 	case plan.KindOids:
-		parts := j.oidPartsScratch(len(args))
+		parts := sc.oidPartsOf(len(args))
 		total := 0
 		for i, a := range args {
 			parts[i] = a.Oids
@@ -478,7 +501,7 @@ func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work,
 		if col, w, ok := j.packView(idx, args); ok {
 			return j.publish(idx, w, ColValue(col))
 		}
-		cols := j.colPartsScratch(len(args))
+		cols := sc.colPartsOf(len(args))
 		for i, a := range args {
 			cols[i] = a.Col
 		}
@@ -487,7 +510,7 @@ func (j *PlanJob) evalPack(idx int, in *plan.Instr, args []Value) (algebra.Work,
 	case plan.KindScalar:
 		// The gathered slice is owned by this instruction (arena slot or
 		// fresh; a pack is never a group clone), so the pack aliases it.
-		partials := j.dest(idx, len(args)).buf
+		partials := j.dest(idx, len(args), nil).buf
 		for i, a := range args {
 			partials[i] = a.Scalar
 		}

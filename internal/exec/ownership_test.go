@@ -241,14 +241,28 @@ func TestOwnershipPathsAgree(t *testing.T) {
 			t.Fatalf("pack copied = %v, want %v", copied, sh.boundary)
 		}
 	}
+	fresh := func(t *testing.T, _ ownShape, j *PlanJob, _, _ *ownRun, ci [2]int, _ int) {
+		noArenaSlot(t, j, ci)
+		if j.sched.cloneOf[ci[0]] >= 0 {
+			t.Error("result-reachable clones were grouped")
+		}
+	}
 	variants := []struct {
 		name, suffix   string
 		opts           JobOptions
 		runs           int
 		propagatedOnly bool
-		check          check
+		// helper: a helper joins every run (forceHelper), so the clones may
+		// run on two workers at once and race for the group's layout.
+		helper bool
+		check  check
 	}{
 		{name: "shared", suffix: "pack", runs: 1, check: shared},
+		// The group's windows are laid out, and its dictionary bound, once
+		// per run whichever worker gets there first: a second layout would
+		// reset a written window (the pack then copies) or race under -race.
+		{name: "two-workers", suffix: "pack", runs: 3, helper: true, check: shared},
+		{name: "two-workers-fresh", suffix: "result", runs: 2, helper: true, check: fresh},
 		// One core runs the propagated shape's anchor chains one after the
 		// other: the gate still holds clone 0 until clone 1's anchor exists.
 		{name: "one-core", suffix: "pack", opts: JobOptions{MaxCores: 1}, runs: 1, propagatedOnly: true, check: shared},
@@ -270,12 +284,7 @@ func TestOwnershipPathsAgree(t *testing.T) {
 				}
 			}
 		}},
-		{name: "fresh", suffix: "result", runs: 1, check: func(t *testing.T, _ ownShape, j *PlanJob, _, _ *ownRun, ci [2]int, _ int) {
-			noArenaSlot(t, j, ci)
-			if j.sched.cloneOf[ci[0]] >= 0 {
-				t.Error("result-reachable clones were grouped")
-			}
-		}},
+		{name: "fresh", suffix: "result", runs: 1, check: fresh},
 	}
 
 	for _, sh := range ownShapes() {
@@ -287,6 +296,9 @@ func TestOwnershipPathsAgree(t *testing.T) {
 					continue
 				}
 				t.Run(v.name, func(t *testing.T) {
+					if v.helper {
+						forceHelper(t)
+					}
 					p, clones, nPrefix := ownPlan(sh, v.suffix)
 					if err := p.Validate(); err != nil {
 						t.Fatal(err)

@@ -15,9 +15,11 @@ import (
 // that loop: when a plan is retired (Engine.Retire, schedule-cache eviction)
 // its arena buffers return to per-size-class free lists on the engine, and
 // the next mutated plan's arena draws from them. The engine is owned by one
-// shard lock in the server (and is single-goroutine in the simulator), so
-// the recycler's own mutex is uncontended; counters are atomics so /stats
-// can read them without the engine lock.
+// shard lock in the server, but a run's evaluation may be shared with the
+// process-wide evaluation helper (helper.go), whose kernels grow buffers
+// through grown on another goroutine: the recycler's mutex is what makes that
+// safe, and it is contended exactly while a helped run's two workers grow at
+// once. Counters are atomics so /stats can read them without the engine lock.
 //
 // Ownership discipline is inherited from the arena's escape analysis:
 // result-reachable values are NEVER backed by arena buffers (planBuffers

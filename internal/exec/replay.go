@@ -54,15 +54,19 @@ func (j *PlanJob) replay() {
 	a.release(j.sched)
 }
 
-// RunStats counts plan runs for /stats by how their virtual time was found.
+// RunStats counts plan runs for /stats by how their virtual time was found,
+// and how many of them a helper evaluated beside their owner.
 type RunStats struct {
 	// Simulated runs went through the event core; Replayed runs repeated the
-	// plan object's recorded timeline instead (ExecuteOpts).
+	// plan object's recorded timeline instead (ExecuteOpts). Helped runs had
+	// at least one instruction evaluated by the evaluation helper (helper.go),
+	// whichever way their virtual time was found.
 	Replayed  int64 `json:"replayed"`
 	Simulated int64 `json:"simulated"`
+	Helped    int64 `json:"helped"`
 }
 
 // RunStats snapshots the engine's run counters.
 func (e *Engine) RunStats() RunStats {
-	return RunStats{Replayed: e.replayedRuns.Load(), Simulated: e.simulatedRuns.Load()}
+	return RunStats{Replayed: e.replayedRuns.Load(), Simulated: e.simulatedRuns.Load(), Helped: e.helpedRuns.Load()}
 }

@@ -41,7 +41,7 @@ func TestReplayMatchesEventCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := eng.RunStats(); st != (RunStats{Replayed: 1, Simulated: 1}) {
+		if st := timeline(eng); st != (RunStats{Replayed: 1, Simulated: 1}) {
 			t.Fatalf("second run on a quiescent machine: %+v, want one replayed", st)
 		}
 		if !ResultsEqual(got, want) {
@@ -68,7 +68,7 @@ func TestReplayMatchesEventCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st := eng.RunStats(); st != (RunStats{Replayed: 1, Simulated: 1}) || !sameMakespan(prof.Makespan(), rec.Makespan()) || !ResultsEqual(got, want) {
+		if st := timeline(eng); st != (RunStats{Replayed: 1, Simulated: 1}) || !sameMakespan(prof.Makespan(), rec.Makespan()) || !ResultsEqual(got, want) {
 			t.Errorf("catalog epoch of the same data: %+v, makespan %v; want the recording's %v replayed", st, prof.Makespan(), rec.Makespan())
 		}
 
@@ -130,11 +130,11 @@ func TestReplayMatchesEventCore(t *testing.T) {
 		for run, step := range []struct {
 			maxCores int
 			want     RunStats
-		}{{2, RunStats{1, 2}}, {2, RunStats{2, 2}}, {0, RunStats{2, 3}}, {0, RunStats{3, 3}}} {
+		}{{2, RunStats{Replayed: 1, Simulated: 2}}, {2, RunStats{Replayed: 2, Simulated: 2}}, {0, RunStats{Replayed: 2, Simulated: 3}}, {0, RunStats{Replayed: 3, Simulated: 3}}} {
 			if _, _, err := eng.ExecuteOpts(p, JobOptions{MaxCores: step.maxCores}); err != nil {
 				t.Fatal(err)
 			}
-			if st := eng.RunStats(); st != step.want {
+			if st := timeline(eng); st != step.want {
 				t.Fatalf("budget change, run %d: %+v, want %+v", run, st, step.want)
 			}
 		}
@@ -165,13 +165,13 @@ func TestReplayNeedsEqualWork(t *testing.T) {
 	for run, step := range []struct {
 		cat  *storage.Catalog
 		want RunStats
-	}{{cat, RunStats{0, 1}}, {cat, RunStats{1, 1}}, {appended, RunStats{1, 2}}, {appended, RunStats{2, 2}}} {
+	}{{cat, RunStats{Simulated: 1}}, {cat, RunStats{Replayed: 1, Simulated: 1}}, {appended, RunStats{Replayed: 1, Simulated: 2}}, {appended, RunStats{Replayed: 2, Simulated: 2}}} {
 		_, prof, err := eng.ExecuteOpts(p, JobOptions{Catalog: step.cat})
 		if err != nil {
 			t.Fatal(err)
 		}
 		makespans = append(makespans, prof.Makespan())
-		if st := eng.RunStats(); st != step.want {
+		if st := timeline(eng); st != step.want {
 			t.Fatalf("run %d (makespans %v): %+v, want %+v", run, makespans, st, step.want)
 		}
 		for _, op := range prof.Ops {
@@ -185,13 +185,67 @@ func TestReplayNeedsEqualWork(t *testing.T) {
 	}
 }
 
+// timeline is eng's run counters by how virtual time was found; whether a
+// helper evaluated a run is the host's business.
+func timeline(eng *Engine) RunStats {
+	st := eng.RunStats()
+	st.Helped = 0
+	return st
+}
+
 // sameMakespan compares virtual makespans to a relative 1e-12: the event core
 // itself rounds differently at a different absolute clock.
 func sameMakespan(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b) }
 
 // An evaluation error fails the run before anything reaches the machine, so
 // the plan's arena goes back to its schedule and the machine never sees a job.
+// With a helper sharing the run, an error on either worker stops both: the
+// other leaves instead of waiting for a producer that will never be done,
+// the core budget is whole again, and the arena comes back once — the next
+// run, over a catalog that has the column, checks the same arena out and
+// returns the unhelped answer.
 func TestEvaluationErrorReturnsArena(t *testing.T) {
+	t.Run("two workers", func(t *testing.T) {
+		forceHelper(t)
+		b := plan.NewBuilder()
+		price := b.Bind("lineitem", "l_extendedprice")
+		var sums []plan.VarID
+		for k := 0; k < 8; k++ {
+			sums = append(sums, b.Aggr(algebra.AggrSum, b.Fetch(b.Select(price, algebra.AtLeast(int64(100*k))), price)))
+		}
+		// testCatalog has no l_shipmode; ownCatalog has.
+		b.Result(append(sums, b.Aggr(algebra.AggrSum, b.Bind("lineitem", "l_shipmode")))...)
+		p := b.Plan()
+		eng := NewEngine(testCatalog(2_000), testMachine(), cost.Default())
+		with := ownCatalog(2_000)
+		want, _, err := NewEngine(with, testMachine(), cost.Default()).Execute(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			if _, _, err := eng.Execute(p); err == nil {
+				t.Fatal("bind of a missing column succeeded")
+			}
+			a := eng.sched[p].arena
+			if a == nil {
+				t.Fatalf("run %d: the failed run's arena was not returned", run)
+			}
+			if busy := forcedHelpers.busy.Load(); busy != 0 {
+				t.Fatalf("run %d: %d workers still hold the core budget", run, busy)
+			}
+			got, _, err := eng.ExecuteOpts(p, JobOptions{Catalog: with})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ResultsEqual(got, want) {
+				t.Fatalf("run %d: results %v after a failed run, want %v", run, got, want)
+			}
+			if eng.sched[p].arena != a {
+				t.Fatalf("run %d: the next run did not check out and return the failed run's arena", run)
+			}
+		}
+	})
+
 	b := plan.NewBuilder()
 	b.Result(b.Aggr(algebra.AggrSum, b.Bind("lineitem", "no_such_column")))
 	p := b.Plan()

@@ -68,9 +68,16 @@ func forEachSuitePlan(t *testing.T, f func(t *testing.T, sp suitePlan)) {
 // index on every run and is charged for it. A propagated pack group's clones
 // wait on its gate, so the group resolves in every order and the pack reports
 // PackColumnsView's zero movement in every order. TPC-H Q19 must have a gate,
-// or that half of the test is vacuous.
+// or that half of the test is vacuous. Then the plan object is evaluated
+// helpedRuns more times with the evaluation helper forced to join
+// (forceHelper): the owner and the helper claim instructions from one cursor,
+// and results and Work must still be the machine run's. Under -race this is
+// the helper's oracle; some instruction of the suite must have been evaluated
+// by the helper, or that half is vacuous.
 func TestEvaluateNeedsNoMachine(t *testing.T) {
 	const evalRuns = 4 // compiled order, then three random orders
+	const helpedRuns = 3
+	var helped int64
 	forEachSuitePlan(t, func(t *testing.T, sp suitePlan) {
 		p := sp.p
 		eng := NewEngine(sp.cat, testMachine(), cost.Default())
@@ -105,7 +112,7 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 			eng.mach = nil // any use of the event core now panics
 			for _, i := range order {
 				idx := int(i)
-				w, err := j.evaluate(idx)
+				w, err := j.evaluate(idx, &j.arena.scratch[0])
 				if err != nil {
 					t.Fatalf("seed %d run %d: instr %d (%s): %v", sp.seed, run, idx, p.Instrs[idx].Op, err)
 				}
@@ -126,7 +133,37 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 			eng.mach = mach
 			j.arena.release(j.sched)
 		}
+
+		// The same plan object, evaluated with a helper forced to join every
+		// run: whichever worker claimed an instruction, its results and every
+		// instruction's Work are the machine run's.
+		forceHelper(t)
+		before := eng.RunStats().Helped
+		eng.mach = nil
+		for run := 0; run < helpedRuns; run++ {
+			j, err := eng.newJob(p, JobOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.evaluateAll(); err != nil {
+				t.Fatalf("helped run %d: %v", run, err)
+			}
+			for idx := range p.Instrs {
+				if w := j.arena.work[idx]; w != wantWork[idx] {
+					t.Errorf("helped run %d: instr %d (%s): Work %+v, through the machine %+v", run, idx, p.Instrs[idx].Op, w, wantWork[idx])
+				}
+			}
+			if got := j.Results(); len(got) == 0 || !ResultsEqual(got, want) {
+				t.Fatalf("helped run %d: results %v, through the machine %v", run, got, want)
+			}
+			j.arena.release(j.sched)
+		}
+		eng.mach = mach
+		helped += eng.RunStats().Helped - before
 	})
+	if helped == 0 {
+		t.Error("the helper evaluated no instruction of any suite plan: the helped half is vacuous")
+	}
 }
 
 // checkInnerBuilds checks that no join over an intermediate inner reports a

@@ -22,7 +22,10 @@
 // bind resolution per job; the engine itself is tenant-agnostic). Engines
 // are not goroutine-safe: the simulated machine is single-threaded, and
 // callers (the server's shard locks) must serialize all executions on one
-// engine.
+// engine. Inside one execution, the evaluation pass may be shared with the
+// process-wide evaluation helper (helper.go); the run's owner waits for the
+// helper to leave before anything after evaluation happens, so the rule
+// above still holds for everything outside evaluateAll.
 //
 // The escape rule above is load-bearing for the serving layer: a published
 // result may be shared by many request goroutines at once (single-flight

@@ -160,8 +160,9 @@ type ShardStats struct {
 	// miss counters per size class); Compile counts plan compilations that
 	// started from the pool (full) vs from the parent plan's adopted arena
 	// (derived); Runs counts plan runs whose virtual time the event core
-	// simulated vs that repeated the plan's recorded timeline (replayed). All
-	// three are atomic-counter snapshots.
+	// simulated vs that repeated the plan's recorded timeline (replayed), and
+	// those the evaluation helper shared (helped). All three are
+	// atomic-counter snapshots.
 	Recycler exec.RecyclerStats `json:"recycler"`
 	Compile  exec.CompileStats  `json:"compile"`
 	Runs     exec.RunStats      `json:"runs"`
@@ -190,6 +191,11 @@ type StatsResponse struct {
 	Shards            int             `json:"shards"`
 	Cache             plancache.Stats `json:"cache"`
 	PerShard          []ShardStats    `json:"per_shard"`
+	// Helper is the process-wide evaluation helper every shard's runs share:
+	// offers taken, offers declined for want of an idle helper or a free
+	// core, and the summed offer-to-start time (StartUs / Joins is the mean
+	// wake latency) — the kernel stage's first clock the daemon owns.
+	Helper exec.HelperStats `json:"helper"`
 	// Tenants breaks the serving counters down per tenant (default tenant
 	// first, then config order); cache counters aggregate across shards.
 	Tenants []TenantStatsInfo `json:"tenants"`
@@ -249,6 +255,7 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 		Admission:         s.cfg.Admission,
 		Cores:             s.shards[0].eng.Machine().Config().LogicalCores(),
 		Shards:            len(s.shards),
+		Helper:            exec.EvalHelperStats(),
 	}
 	// Per-tenant rows start from the tenant request counters; shard-cache
 	// slices merge in below under each shard's lock. The list is copied
