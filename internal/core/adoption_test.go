@@ -29,13 +29,35 @@ import (
 // The twin may share the session's catalog: a base column's hash index is
 // the catalog's and is charged to no plan, so which engine probed it first
 // changes no measurement.
+//
+// Every step that reuses the previous search instead of searching is checked
+// against a fresh MutateMostExpensive over the same run on a twin Mutator
+// (s must use core.DefaultMutationConfig): the plan pointer it returns is the
+// plan the session runs next, and its Mutation is the one that run records.
 func convergeTwinned(s *core.Session, twin *exec.Engine) error {
 	again := exec.NewEngine(twin.Catalog(), twin.Machine().Config(), twin.Params())
+	twinMut := core.NewMutator(core.DefaultMutationConfig())
+	var fresh *core.Mutation // the twin search's answer for the previous step, if it reused
 	for run := 0; !s.Done(); run++ {
+		reused := s.SearchStats().Reused
 		if _, err := s.Step(); err != nil {
 			return err
 		}
 		a := s.Attempts()[run]
+		if fresh != nil && a.Mutation != *fresh {
+			return fmt.Errorf("run %d: reused search recorded %+v, a fresh search %+v", run, a.Mutation, *fresh)
+		}
+		fresh = nil
+		if s.SearchStats().Reused > reused {
+			np, mut, err := twinMut.MutateMostExpensive(a.Plan, a.Profile)
+			if err != nil {
+				return fmt.Errorf("run %d: twin search: %w", run, err)
+			}
+			if np != s.Current() {
+				return fmt.Errorf("run %d: reused search kept the plan, a fresh search mutated it (%+v)", run, mut)
+			}
+			fresh = &mut
+		}
 		res, prof, err := twin.Execute(a.Plan)
 		if err != nil {
 			return fmt.Errorf("run %d: replay: %w", run, err)

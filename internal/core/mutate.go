@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -68,42 +67,33 @@ func NewMutator(cfg MutationConfig) *Mutator {
 // guiding principle). When the most expensive operator is an exchange union
 // over more inputs than the threshold, the step is a deliberate no-op
 // (suppression): the plan stops growing, as in the paper, and the
-// convergence budget drains.
+// convergence budget drains. It drains without searching again: the answer
+// is a function of p and the profile inputs read here, and a Session reuses
+// it while the same plan object re-runs with equal inputs.
 //
-// The returned plan is fresh; p is never modified. A MutationNone result
-// with a nil error means no operator could be (or should be) mutated.
+// p is never modified. A mutated plan is derived from p and shares its
+// unchanged instructions (plan.Derive). A MutationNone result with a nil
+// error means no operator could be (or should be) mutated, and returns p
+// itself.
 func (m *Mutator) MutateMostExpensive(p *plan.Plan, prof *exec.Profile) (*plan.Plan, Mutation, error) {
-	type cand struct {
-		instr    int
-		dur      float64
-		tuplesIn int64
+	cands := make(candHeap, len(prof.Ops))
+	for i, o := range prof.Ops {
+		cands[i] = cand{dur: o.Duration(), pos: int32(i)}
 	}
-	cands := make([]cand, 0, len(prof.Ops))
-	for _, o := range prof.Ops {
-		cands = append(cands, cand{instr: o.Instr, dur: o.Duration(), tuplesIn: o.Work.TuplesIn})
-	}
-	slices.SortStableFunc(cands, func(a, b cand) int {
-		switch {
-		case a.dur > b.dur:
-			return -1
-		case a.dur < b.dur:
-			return 1
-		}
-		return 0
-	})
-
-	for _, c := range cands {
-		if c.instr < 0 || c.instr >= len(p.Instrs) {
+	cands.init()
+	for len(cands) > 0 {
+		o := &prof.Ops[cands.pop().pos]
+		if o.Instr < 0 || o.Instr >= len(p.Instrs) {
 			continue
 		}
-		in := p.Instrs[c.instr]
+		in := p.Instrs[o.Instr]
 		switch {
 		case in.Op == plan.OpPack:
-			np, err := RemovePack(p, c.instr, m.Cfg.PackInputThreshold)
+			np, err := RemovePack(p, o.Instr, m.Cfg.PackInputThreshold)
 			if errors.Is(err, ErrSuppressed) {
 				// Pack growth capped: the pack stays the most expensive
 				// operator and adaptation stops changing the plan (§2.3).
-				return p, Mutation{Kind: MutationNone, Instr: c.instr, Op: in.Op}, nil
+				return p, Mutation{Kind: MutationNone, Instr: o.Instr, Op: in.Op}, nil
 			}
 			if errors.Is(err, errNotApplicable) {
 				continue
@@ -111,21 +101,74 @@ func (m *Mutator) MutateMostExpensive(p *plan.Plan, prof *exec.Profile) (*plan.P
 			if err != nil {
 				return nil, Mutation{}, err
 			}
-			return np, Mutation{Kind: MutationMedium, Instr: c.instr, Op: in.Op}, nil
+			return np, Mutation{Kind: MutationMedium, Instr: o.Instr, Op: in.Op}, nil
 
 		case plan.BasicPartitionable(in.Op) || plan.AdvancedPartitionable(in.Op):
-			if c.tuplesIn < 2*m.Cfg.MinPartTuples {
+			if o.Work.TuplesIn < 2*m.Cfg.MinPartTuples {
 				continue // too small to split profitably
 			}
-			np, kind, err := Parallelize(p, c.instr, m.Cfg.SplitFactor)
+			np, kind, err := Parallelize(p, o.Instr, m.Cfg.SplitFactor)
 			if errors.Is(err, errNotApplicable) {
 				continue
 			}
 			if err != nil {
 				return nil, Mutation{}, err
 			}
-			return np, Mutation{Kind: kind, Instr: c.instr, Op: in.Op}, nil
+			return np, Mutation{Kind: kind, Instr: o.Instr, Op: in.Op}, nil
 		}
 	}
 	return p, Mutation{Kind: MutationNone, Instr: -1}, nil
+}
+
+// cand is one profiled operator in the mutation walk: its duration and its
+// index in the profile's Ops.
+type cand struct {
+	dur float64
+	pos int32
+}
+
+// candHeap yields a profile's operators most expensive first, in exactly the
+// order a stable sort by duration descending would give (ties in profile
+// order). It is a binary heap built in O(n), so a walk that stops at its
+// first or second candidate — the usual case — sorts nothing.
+type candHeap []cand
+
+// first reports whether a comes before b in the walk.
+func (h candHeap) first(a, b int) bool {
+	if h[a].dur != h[b].dur {
+		return h[a].dur > h[b].dur
+	}
+	return h[a].pos < h[b].pos
+}
+
+func (h candHeap) down(i int) {
+	for {
+		l, top := 2*i+1, i
+		if l < len(h) && h.first(l, top) {
+			top = l
+		}
+		if r := l + 1; r < len(h) && h.first(r, top) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		h[i], h[top] = h[top], h[i]
+		i = top
+	}
+}
+
+func (h candHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *candHeap) pop() cand {
+	q := *h
+	c := q[0]
+	q[0] = q[len(q)-1]
+	*h = q[:len(q)-1]
+	h.down(0)
+	return c
 }

@@ -111,6 +111,7 @@ func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores, extraRun
 	s.cur = seed
 	s.parent = nil
 	s.nextMut = Mutation{}
+	s.search.clear()
 	s.reopenBar = barNs
 	s.dethroned = false
 	s.expectNs = 0

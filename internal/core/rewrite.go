@@ -56,23 +56,46 @@ var ErrSuppressed = errors.New("core: exchange union removal suppressed (input t
 // the mutator then tries the next most expensive operator.
 var errNotApplicable = errors.New("core: mutation not applicable")
 
-// rewriteCtx accumulates one mutation's edits over a cloned plan and commits
-// them in a single pass. Its methods are the whole edit vocabulary of the
-// three mutations: remove / emit / clone / rewire build the new subgraph,
-// users / splice / dropDead re-attach it to what survives.
+// rewriteCtx accumulates one mutation's edits over a plan derived from the
+// one being mutated (plan.Derive: it shares that plan's instructions) and
+// commits them in a single pass. Its methods are the whole edit vocabulary of
+// the three mutations: remove / emit / clone / rewire build the new subgraph,
+// users / own / splice / dropDead re-attach it to what survives. The plan's
+// instructions are named by index until commit reorders them.
 type rewriteCtx struct {
 	p       *plan.Plan
-	removed map[*plan.Instr]bool
+	removed []bool // by instruction index
+	owned   []bool // by instruction index: replaced by this plan's own copy
 	addend  []*plan.Instr
 	rewires map[plan.VarID]plan.VarID
 }
 
 func newRewrite(p *plan.Plan) *rewriteCtx {
-	return &rewriteCtx{p: p, removed: map[*plan.Instr]bool{}, rewires: map[plan.VarID]plan.VarID{}}
+	n := len(p.Instrs)
+	flags := make([]bool, 2*n)
+	return &rewriteCtx{p: p, removed: flags[:n:n], owned: flags[n:]}
 }
 
-func (rw *rewriteCtx) remove(in *plan.Instr)      { rw.removed[in] = true }
-func (rw *rewriteCtx) rewire(from, to plan.VarID) { rw.rewires[from] = to }
+func (rw *rewriteCtx) remove(i int) { rw.removed[i] = true }
+
+func (rw *rewriteCtx) rewire(from, to plan.VarID) {
+	if rw.rewires == nil {
+		rw.rewires = map[plan.VarID]plan.VarID{}
+	}
+	rw.rewires[from] = to
+}
+
+// own returns instruction i for writing. The instruction is shared with the
+// plan being mutated until its first write, which replaces it with a copy.
+func (rw *rewriteCtx) own(i int) *plan.Instr {
+	if !rw.owned[i] {
+		cp := *rw.p.Instrs[i]
+		cp.Args = slices.Clone(cp.Args)
+		rw.p.Instrs[i] = &cp
+		rw.owned[i] = true
+	}
+	return rw.p.Instrs[i]
+}
 
 // emit adds a new full-range instruction with fresh results of the given
 // kinds and returns them.
@@ -108,13 +131,13 @@ func (rw *rewriteCtx) cloneOver(t *plan.Instr, parts []plan.Part, comment string
 	return clones
 }
 
-// users returns the surviving instructions of the plan that consume any of
-// vars, in plan order.
-func (rw *rewriteCtx) users(vars ...plan.VarID) []*plan.Instr {
-	var out []*plan.Instr
-	for _, in := range rw.p.Instrs {
-		if !rw.removed[in] && slices.ContainsFunc(in.Args, func(a plan.VarID) bool { return slices.Contains(vars, a) }) {
-			out = append(out, in)
+// users returns the indices of the surviving instructions of the plan that
+// consume any of vars, in plan order.
+func (rw *rewriteCtx) users(vars ...plan.VarID) []int {
+	var out []int
+	for i, in := range rw.p.Instrs {
+		if !rw.removed[i] && slices.ContainsFunc(in.Args, func(a plan.VarID) bool { return slices.Contains(vars, a) }) {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -139,11 +162,11 @@ func splice(pk *plan.Instr, old, repl []plan.VarID) {
 	pk.Args = args
 }
 
-// dropDead removes the packs among ws that are left without a consumer, so
-// they stop costing execution time.
-func (rw *rewriteCtx) dropDead(ws []*plan.Instr) {
+// dropDead removes the packs among ws (instruction indices) that are left
+// without a consumer, so they stop costing execution time.
+func (rw *rewriteCtx) dropDead(ws []int) {
 	for _, w := range ws {
-		if len(rw.users(w.Rets[0])) == 0 {
+		if len(rw.users(rw.p.Instrs[w].Rets[0])) == 0 {
 			rw.remove(w)
 		}
 	}
@@ -153,26 +176,38 @@ func (rw *rewriteCtx) dropDead(ws []*plan.Instr) {
 // surviving and added instructions, and restores topological order.
 func (rw *rewriteCtx) commit() (*plan.Plan, error) {
 	out := make([]*plan.Instr, 0, len(rw.p.Instrs)+len(rw.addend))
-	for _, in := range rw.p.Instrs {
-		if !rw.removed[in] {
-			out = append(out, in)
+	for i, in := range rw.p.Instrs {
+		if rw.removed[i] {
+			continue
 		}
-	}
-	out = append(out, rw.addend...)
-	if len(rw.rewires) > 0 {
-		for _, in := range out {
-			for i, a := range in.Args {
-				if to, ok := rw.rewires[a]; ok {
-					in.Args[i] = to
-				}
-			}
+		if rw.rewires != nil && slices.ContainsFunc(in.Args, rw.rewired) {
+			in = rw.own(i)
+			rw.applyRewires(in)
 		}
+		out = append(out, in)
 	}
-	rw.p.Instrs = out
+	for _, in := range rw.addend {
+		rw.applyRewires(in)
+	}
+	rw.p.Instrs = append(out, rw.addend...)
 	if err := rw.p.TopoSort(); err != nil {
 		return nil, err
 	}
 	return rw.p, nil
+}
+
+func (rw *rewriteCtx) rewired(v plan.VarID) bool {
+	_, ok := rw.rewires[v]
+	return ok
+}
+
+// applyRewires rewrites in's arguments in place; in is the plan's own.
+func (rw *rewriteCtx) applyRewires(in *plan.Instr) {
+	for i, a := range in.Args {
+		if to, ok := rw.rewires[a]; ok {
+			in.Args[i] = to
+		}
+	}
 }
 
 // retsAt collects the ri-th result of every instruction.
@@ -198,9 +233,9 @@ func retsAt(instrs []*plan.Instr, ri int) []plan.VarID {
 func (rw *rewriteCtx) combineRet(origin *plan.Instr, r plan.VarID, ri int, clones []*plan.Instr) error {
 	cloneRets := retsAt(clones, ri)
 	needCombined := false
-	for _, in := range rw.users(r) {
-		if in.Op == plan.OpPack || in.Op == plan.OpMergeSorted {
-			splice(in, []plan.VarID{r}, cloneRets)
+	for _, i := range rw.users(r) {
+		if op := rw.p.Instrs[i].Op; op == plan.OpPack || op == plan.OpMergeSorted {
+			splice(rw.own(i), []plan.VarID{r}, cloneRets)
 		} else {
 			needCombined = true
 		}
@@ -231,7 +266,8 @@ func (rw *rewriteCtx) combineRet(origin *plan.Instr, r plan.VarID, ri int, clone
 
 // Parallelize applies the mutation appropriate for instruction idx of p,
 // splitting its partition into nParts sub-ranges, and returns the mutated
-// plan (p itself is never modified). Basic operators use the basic mutation;
+// plan (derived from p, whose instructions it shares where unchanged; p
+// itself is never modified). Basic operators use the basic mutation;
 // scalar aggregates and sorts the partial+merge scheme; group-bys the full
 // advanced mutation. Packs must go through RemovePack instead.
 func Parallelize(p *plan.Plan, idx, nParts int) (*plan.Plan, MutationKind, error) {
@@ -247,7 +283,7 @@ func Parallelize(p *plan.Plan, idx, nParts int) (*plan.Plan, MutationKind, error
 	case !plan.BasicPartitionable(op):
 		return nil, MutationNone, errNotApplicable
 	}
-	np, err := mutate(p.Clone(), idx, nParts)
+	np, err := mutate(p.Derive(), idx, nParts)
 	if err != nil {
 		return nil, MutationNone, err
 	}
@@ -265,8 +301,8 @@ func parallelizeBasic(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 		return nil, errNotApplicable
 	}
 	rw := newRewrite(cp)
-	clones := rw.cloneOver(t, t.Part.SplitN(nParts), fmt.Sprintf("clone of %s", t.Op))
-	rw.remove(t)
+	clones := rw.cloneOver(t, t.Part.SplitN(nParts), "clone of "+t.Op.String())
+	rw.remove(idx)
 	for ri, r := range t.Rets {
 		if t.Op == plan.OpSort && ri == 1 {
 			continue // permutation unconsumed, checked above
@@ -279,16 +315,16 @@ func parallelizeBasic(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 }
 
 // groupPattern classifies the consumers of group-by g into its grouped
-// aggregates and key extractions — the subgraph the advanced mutation
-// (Figure 6) clones as a unit. ok is false when anything else consumes the
-// groups.
-func groupPattern(p *plan.Plan, g *plan.Instr) (aggrs, keys []*plan.Instr, ok bool) {
+// aggregates and key extractions (instruction indices, plan order) — the
+// subgraph the advanced mutation (Figure 6) clones as a unit. ok is false
+// when anything else consumes the groups.
+func groupPattern(p *plan.Plan, g *plan.Instr) (aggrs, keys []int, ok bool) {
 	for _, ci := range p.Consumers(g.Rets[0]) {
-		switch c := p.Instrs[ci]; c.Op {
+		switch p.Instrs[ci].Op {
 		case plan.OpAggrGrouped:
-			aggrs = append(aggrs, c)
+			aggrs = append(aggrs, ci)
 		case plan.OpGroupKeys:
-			keys = append(keys, c)
+			keys = append(keys, ci)
 		default:
 			return nil, nil, false
 		}
@@ -304,10 +340,11 @@ func groupPattern(p *plan.Plan, g *plan.Instr) (aggrs, keys []*plan.Instr, ok bo
 // existing merge is reused.
 func parallelizeGroupBy(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	g := cp.Instrs[idx]
-	aggrs, keyOps, ok := groupPattern(cp, g)
-	if !ok || len(aggrs) == 0 {
+	aggrIdx, keyIdx, ok := groupPattern(cp, g)
+	if !ok || len(aggrIdx) == 0 {
 		return nil, errNotApplicable
 	}
+	aggrs, keyOps := instrsAt(cp, aggrIdx), instrsAt(cp, keyIdx)
 	// The vals inputs of the dependent aggregates must be positionally
 	// co-partitioned with the keys; the builder guarantees both derive from
 	// the same candidate list. (AggrGrouped validates lengths at runtime.)
@@ -315,7 +352,7 @@ func parallelizeGroupBy(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	rw := newRewrite(cp)
 	parts := g.Part.SplitN(nParts)
 	gClones := rw.cloneOver(g, parts, "clone of groupby")
-	rw.remove(g)
+	rw.remove(idx)
 
 	// Clone each dependent aggregate per partition, co-partitioning its
 	// values input, then the per-partition distinct keys.
@@ -326,13 +363,13 @@ func parallelizeGroupBy(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 			args[1] = gClones[i].Rets[0]
 			aggClones[ai] = append(aggClones[ai], rw.clone(a, args, part, "clone of aggrgrouped"))
 		}
-		rw.remove(a)
+		rw.remove(aggrIdx[ai])
 	}
 	keyRets := make([]plan.VarID, len(parts))
 	for i := range parts {
 		keyRets[i] = rw.emit(plan.OpGroupKeys, []plan.VarID{gClones[i].Rets[0]}, nil, "clone of groupkeys", plan.KindColumn)[0]
 	}
-	for _, k := range keyOps {
+	for _, k := range keyIdx {
 		rw.remove(k)
 	}
 
@@ -341,9 +378,9 @@ func parallelizeGroupBy(cp *plan.Plan, idx, nParts int) (*plan.Plan, error) {
 	// group-merge tail.
 	spliceIntoPacks := func(r plan.VarID, repl []plan.VarID) bool {
 		spliced := false
-		for _, in := range rw.users(r) {
-			if in.Op == plan.OpPack {
-				splice(in, []plan.VarID{r}, repl)
+		for _, i := range rw.users(r) {
+			if rw.p.Instrs[i].Op == plan.OpPack {
+				splice(rw.own(i), []plan.VarID{r}, repl)
 				spliced = true
 			}
 		}
@@ -415,6 +452,11 @@ func keyOf(in *plan.Instr) famKey {
 // per-input clones, its downstream packs rewired in partition order.
 // Removal is suppressed (ErrSuppressed) when the pack has more than
 // threshold inputs, capping plan explosion (§2.3).
+//
+// The applicability checks — the group-by routing, the row-space rule, the
+// families and their downstream packs — read p only, and the plan is
+// derived once they pass: the mutation walk tries packs most expensive
+// first, and a refused one costs no copy.
 func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 	if idx < 0 || idx >= len(p.Instrs) || p.Instrs[idx].Op != plan.OpPack {
 		return nil, errNotApplicable
@@ -422,37 +464,36 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 	if threshold > 0 && len(p.Instrs[idx].Args) > threshold {
 		return nil, ErrSuppressed
 	}
-	cp := p.Clone()
-	u := cp.Instrs[idx]
-	inputs := u.Args
-	out := u.Rets[0]
+	inputs := p.Instrs[idx].Args
+	out := p.Instrs[idx].Rets[0]
+	producer := p.Producers()
 
-	consumers := cp.Consumers(out)
+	consumers := p.Consumers(out)
 	if len(consumers) == 0 {
 		return nil, errNotApplicable
 	}
 	for _, ci := range consumers {
-		c := cp.Instrs[ci]
+		c := p.Instrs[ci]
 		if c.Op == plan.OpGroupBy {
 			// A pack feeding a (possibly partitioned) group-by subgraph is
 			// removed by re-cloning the whole group-by/aggregate/keys
 			// pattern per pack input.
-			return removePackIntoGroupBy(cp, u)
+			return removePackIntoGroupBy(p, idx, producer)
 		}
 		if c.Op == plan.OpAggrGrouped && c.Args[0] == out {
 			// The pack feeds a grouped aggregate as its VALUES input; the
 			// grouping itself hangs off a sibling pack. Remove the whole
 			// subgraph through the groups-side pack (which treats this one
 			// as a co-partitioned sibling).
-			gi := cp.Producer(c.Args[1])
-			if gi < 0 || cp.Instrs[gi].Op != plan.OpGroupBy {
+			gi := producer[c.Args[1]]
+			if gi < 0 || p.Instrs[gi].Op != plan.OpGroupBy {
 				return nil, errNotApplicable
 			}
-			si := cp.Producer(cp.Instrs[gi].Args[0])
-			if si < 0 || cp.Instrs[si].Op != plan.OpPack {
+			si := producer[p.Instrs[gi].Args[0]]
+			if si < 0 || p.Instrs[si].Op != plan.OpPack {
 				return nil, errNotApplicable
 			}
-			return removePackIntoGroupBy(cp, cp.Instrs[si])
+			return removePackIntoGroupBy(p, int(si), producer)
 		}
 	}
 
@@ -465,11 +506,11 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 	// tilings restarts per family: their row ids would index a sibling pack
 	// at the wrong rows. Oid packs are exempt (their values are global ids),
 	// as is a row-id result nobody consumes.
-	if cp.KindOf(out) == plan.KindColumn && !slicedTiling(cp, inputs) {
+	if p.KindOf(out) == plan.KindColumn && !slicedTiling(p, producer, inputs) {
 		for _, ci := range consumers {
-			c := cp.Instrs[ci]
+			c := p.Instrs[ci]
 			for ri, r := range c.Rets {
-				if plan.RowIDRet(c.Op, ri) && len(cp.Consumers(r)) > 0 {
+				if plan.RowIDRet(c.Op, ri) && len(p.Consumers(r)) > 0 {
 					return nil, errNotApplicable
 				}
 			}
@@ -478,13 +519,25 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 
 	// Group the consumers into families: sibling clones sharing opcode,
 	// aux and arguments whose partitions together cover the full packed
-	// range. An unpartitioned consumer is a family of one.
-	fams := map[famKey][]*plan.Instr{}
+	// range. An unpartitioned consumer is a family of one. Members of one
+	// family share opcode and arguments, so the first one's checks answer
+	// for all of them.
+	type family struct {
+		members  []int     // consumer indices, plan order
+		siblings []sibling // packs feeding the other anchors, SliceArgs order
+		packs    []int     // per result: the pack a partitioned family feeds (-1: none)
+	}
+	fams := map[famKey]*family{}
 	var famOrder []famKey
 	for _, ci := range consumers {
-		c := cp.Instrs[ci]
+		c := p.Instrs[ci]
 		if c.Op == plan.OpPack {
 			continue // handled by flattening below
+		}
+		k := keyOf(c)
+		if f, seen := fams[k]; seen {
+			f.members = append(f.members, ci)
+			continue
 		}
 		if c.Op != plan.OpAggr && !plan.BasicPartitionable(c.Op) {
 			return nil, errNotApplicable
@@ -498,45 +551,77 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 		// is resolved pairwise: clone i receives input i of both packs.
 		anchors := plan.SliceArgs(c.Op)
 		for ai, a := range c.Args {
-			switch anchor := slices.Contains(anchors, ai); {
-			case a == out && !anchor:
-				return nil, errNotApplicable
-			case a != out && anchor && findSiblingPack(cp, a, inputs) == nil:
+			if a == out && !slices.Contains(anchors, ai) {
 				return nil, errNotApplicable
 			}
 		}
-		k := keyOf(c)
-		if _, seen := fams[k]; !seen {
-			famOrder = append(famOrder, k)
+		f := &family{members: []int{ci}}
+		for _, ai := range anchors {
+			if a := c.Args[ai]; a != out {
+				w := findSiblingPack(p, producer, a, inputs)
+				if w < 0 {
+					return nil, errNotApplicable
+				}
+				f.siblings = append(f.siblings, sibling{v: a, pack: w})
+			}
 		}
-		fams[k] = append(fams[k], c)
+		famOrder = append(famOrder, k)
+		fams[k] = f
 	}
 	for _, k := range famOrder {
-		if !partsCoverFull(fams[k]) {
+		if !partsCoverFull(instrsAt(p, fams[k].members)) {
 			return nil, errNotApplicable
 		}
 	}
-
-	rw := newRewrite(cp)
-	rw.remove(u)
-	// Flatten into consuming packs: splice the removed pack's inputs.
-	for _, ci := range consumers {
-		if c := cp.Instrs[ci]; c.Op == plan.OpPack {
-			splice(c, []plan.VarID{out}, inputs)
+	// A partitioned family is replaced wholesale, so each of its result
+	// positions must feed one shared pack (or nothing) once the pack and the
+	// families up to this one are gone: that pack takes the per-input
+	// clones' results in partition order.
+	removed := make([]bool, len(p.Instrs))
+	removed[idx] = true
+	for _, k := range famOrder {
+		f := fams[k]
+		for _, m := range f.members {
+			removed[m] = true
+		}
+		if len(f.members) == 1 {
+			continue // combineRet wires a lone consumer's results
+		}
+		for ri := range p.Instrs[f.members[0]].Rets {
+			rets := retsAt(instrsAt(p, f.members), ri)
+			w := -1
+			for i, in := range p.Instrs {
+				if removed[i] || !slices.ContainsFunc(in.Args, func(a plan.VarID) bool { return slices.Contains(rets, a) }) {
+					continue
+				}
+				if w >= 0 || in.Op != plan.OpPack {
+					return nil, errNotApplicable
+				}
+				w = i
+			}
+			f.packs = append(f.packs, w)
 		}
 	}
 
-	var siblingPacks []*plan.Instr
+	cp := p.Derive()
+	rw := newRewrite(cp)
+	rw.remove(idx)
+	// Flatten into consuming packs: splice the removed pack's inputs.
+	for _, ci := range consumers {
+		if cp.Instrs[ci].Op == plan.OpPack {
+			splice(rw.own(ci), []plan.VarID{out}, inputs)
+		}
+	}
+
+	var siblingPacks []int
 	for _, k := range famOrder {
-		members := fams[k]
+		f := fams[k]
+		members := instrsAt(cp, f.members)
 		proto := members[0]
-		// Resolve sibling packs feeding other anchors of this consumer.
 		siblings := map[plan.VarID]*plan.Instr{}
-		for _, ai := range plan.SliceArgs(proto.Op) {
-			if a := proto.Args[ai]; a != out {
-				siblings[a] = findSiblingPack(cp, a, inputs) // non-nil: checked above
-				siblingPacks = append(siblingPacks, siblings[a])
-			}
+		for _, s := range f.siblings {
+			siblings[s.v] = cp.Instrs[s.pack]
+			siblingPacks = append(siblingPacks, s.pack)
 		}
 		// Clone the consumer once per pack input, substituting the input
 		// for the packed variable (and the sibling pack's co-partitioned
@@ -551,19 +636,17 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 					args[ai] = w.Args[i]
 				}
 			}
-			clones[i] = rw.clone(proto, args, plan.FullPart(), fmt.Sprintf("propagated %s", proto.Op))
+			clones[i] = rw.clone(proto, args, plan.FullPart(), "propagated "+proto.Op.String())
 		}
-		for _, m := range members {
+		for _, m := range f.members {
 			rw.remove(m)
 		}
 		for ri, r := range proto.Rets {
-			var err error
-			if len(members) == 1 {
-				err = rw.combineRet(proto, r, ri, clones)
-			} else {
-				err = rw.replaceFamilyRet(members, clones, ri)
-			}
-			if err != nil {
+			if len(members) > 1 {
+				if w := f.packs[ri]; w >= 0 {
+					splice(rw.own(w), retsAt(members, ri), retsAt(clones, ri))
+				}
+			} else if err := rw.combineRet(proto, r, ri, clones); err != nil {
 				return nil, err
 			}
 		}
@@ -572,13 +655,30 @@ func RemovePack(p *plan.Plan, idx int, threshold int) (*plan.Plan, error) {
 	return rw.commit()
 }
 
+// sibling is a co-partitioned pack (instruction index pack) producing v,
+// another anchor of a propagated consumer.
+type sibling struct {
+	v    plan.VarID
+	pack int
+}
+
+// instrsAt returns p's instructions at the given indices. The applicability
+// checks name instructions by index so that the rewrite can find the same
+// ones in p's clone.
+func instrsAt(p *plan.Plan, idx []int) []*plan.Instr {
+	out := make([]*plan.Instr, len(idx))
+	for i, x := range idx {
+		out[i] = p.Instrs[x]
+	}
+	return out
+}
+
 // slicedTiling reports whether the pack inputs are the sibling clones of one
 // sliced instruction — same opcode, aux and arguments — whose Parts tile
 // [0,1) in argument order (the shape plan.PackGroup calls Sliced). Only then
 // does exec's head-sequence rule place input i at its offset in the packed
-// value.
-func slicedTiling(p *plan.Plan, inputs []plan.VarID) bool {
-	producer := p.Producers()
+// value. producer is p.Producers().
+func slicedTiling(p *plan.Plan, producer []int32, inputs []plan.VarID) bool {
 	var first *plan.Instr
 	for _, v := range inputs {
 		if producer[v] < 0 {
@@ -594,38 +694,39 @@ func slicedTiling(p *plan.Plan, inputs []plan.VarID) bool {
 	return plan.PartsTile(len(inputs), func(i int) plan.Part { return p.Instrs[producer[inputs[i]]].Part })
 }
 
-// findSiblingPack returns the pack producing v when that pack's inputs are
-// co-partitioned one-to-one with the given inputs (same count, and each
-// pair of producing instructions shares its partition range and anchor
-// argument). Used to resolve multi-column propagation dependencies (§2.2).
-func findSiblingPack(p *plan.Plan, v plan.VarID, inputs []plan.VarID) *plan.Instr {
-	src := p.Producer(v)
+// findSiblingPack returns the index of the pack producing v when that pack's
+// inputs are co-partitioned one-to-one with the given inputs (same count,
+// and each pair of producing instructions shares its partition range and
+// anchor argument), else -1. Used to resolve multi-column propagation
+// dependencies (§2.2). producer is p.Producers().
+func findSiblingPack(p *plan.Plan, producer []int32, v plan.VarID, inputs []plan.VarID) int {
+	src := producer[v]
 	if src < 0 {
-		return nil
+		return -1
 	}
 	w := p.Instrs[src]
 	if w.Op != plan.OpPack || len(w.Args) != len(inputs) {
-		return nil
+		return -1
 	}
 	for i := range inputs {
-		pa, pb := p.Producer(inputs[i]), p.Producer(w.Args[i])
+		pa, pb := producer[inputs[i]], producer[w.Args[i]]
 		if pa < 0 || pb < 0 {
-			return nil
+			return -1
 		}
 		ia, ib := p.Instrs[pa], p.Instrs[pb]
 		if ia.Part != ib.Part {
-			return nil
+			return -1
 		}
 		// Same anchor lineage: the first slice-arg variable must coincide
 		// so that positions align pairwise.
 		sa, sb := plan.SliceArgs(ia.Op), plan.SliceArgs(ib.Op)
 		if len(sa) > 0 && len(sb) > 0 {
 			if ia.Args[sa[0]] != ib.Args[sb[0]] {
-				return nil
+				return -1
 			}
 		}
 	}
-	return w
+	return int(src)
 }
 
 // partsCoverFull reports whether the members' partitions tile the full
@@ -646,23 +747,6 @@ func partsCoverFull(members []*plan.Instr) bool {
 	return plan.PartsTile(len(ordered), func(i int) plan.Part { return ordered[i].Part })
 }
 
-// replaceFamilyRet rewires the downstream pack of a partitioned consumer
-// family for result index ri: the members' results (which must all feed one
-// shared pack and nothing else) are replaced by the new clone results in
-// partition order.
-func (rw *rewriteCtx) replaceFamilyRet(members, clones []*plan.Instr, ri int) error {
-	memberRets := retsAt(members, ri)
-	us := rw.users(memberRets...)
-	if len(us) == 0 {
-		return nil // dead result (e.g. unused join side)
-	}
-	if len(us) != 1 || us[0].Op != plan.OpPack {
-		return errNotApplicable
-	}
-	splice(us[0], memberRets, retsAt(clones, ri))
-	return nil
-}
-
 // removePackIntoGroupBy removes an exchange union whose output feeds a
 // group-by subgraph: the group-by clones (and their dependent grouped
 // aggregates and key extractions) are re-cloned once per pack input, their
@@ -672,117 +756,121 @@ func (rw *rewriteCtx) replaceFamilyRet(members, clones []*plan.Instr, ri int) er
 // parallelization occurs as a result of using the medium mutation, where the
 // operator is in the data flow dependent path of the expensive exchange
 // union operator" (§2.1).
-func removePackIntoGroupBy(cp *plan.Plan, u *plan.Instr) (*plan.Plan, error) {
-	inputs := u.Args
-	out := u.Rets[0]
+func removePackIntoGroupBy(p *plan.Plan, ui int, producer []int32) (*plan.Plan, error) {
+	inputs := p.Instrs[ui].Args
+	out := p.Instrs[ui].Rets[0]
 
 	// Classify consumers: group-by members and aggregates consuming the
 	// packed value directly as their values input (handled through their
 	// group-by member below).
-	var gMembers []*plan.Instr
-	for _, ci := range cp.Consumers(out) {
-		c := cp.Instrs[ci]
+	var gMembers []int
+	for _, ci := range p.Consumers(out) {
+		c := p.Instrs[ci]
 		if (c.Op != plan.OpGroupBy && c.Op != plan.OpAggrGrouped) || c.Args[0] != out {
 			return nil, errNotApplicable
 		}
 		if c.Op == plan.OpGroupBy {
-			gMembers = append(gMembers, c)
+			gMembers = append(gMembers, ci)
 		}
 	}
-	if len(gMembers) == 0 || !partsCoverFull(gMembers) {
+	if len(gMembers) == 0 || !partsCoverFull(instrsAt(p, gMembers)) {
 		return nil, errNotApplicable
 	}
 
 	// One slot per aggregate of a member; members must align slot by slot
 	// (same order, aux and values source), and each result feeds exactly one
-	// partial pack.
+	// partial pack. Instructions are named by index, as in RemovePack: the
+	// checks read p, the rewrite edits its clone.
 	type aggSlot struct {
 		aux     plan.AggrAux
-		vals    plan.VarID  // source values var: `out` or a sibling pack output
-		sibling *plan.Instr // the co-partitioned pack producing vals, if not `out`
-		pack    *plan.Instr // the partial pack the members' results feed
+		vals    plan.VarID // source values var: `out` or a sibling pack output
+		sibling int        // the co-partitioned pack producing vals, if not `out` (else -1)
+		pack    int        // the partial pack the members' results feed
 		old     []plan.VarID
 	}
 	var slots []aggSlot
-	var keysPack *plan.Instr
+	keysPack := -1
 	var oldKeys []plan.VarID
-	solePack := func(r plan.VarID) *plan.Instr {
-		cons := cp.Consumers(r)
-		if len(cons) != 1 || cp.Instrs[cons[0]].Op != plan.OpPack {
-			return nil
+	removed := []int{ui}
+	solePack := func(r plan.VarID) int {
+		cons := p.Consumers(r)
+		if len(cons) != 1 || p.Instrs[cons[0]].Op != plan.OpPack {
+			return -1
 		}
-		return cp.Instrs[cons[0]]
+		return cons[0]
 	}
-
-	rw := newRewrite(cp)
-	rw.remove(u)
-	for mi, g := range gMembers {
-		aggrs, keys, ok := groupPattern(cp, g)
+	for mi, gi := range gMembers {
+		aggrs, keys, ok := groupPattern(p, p.Instrs[gi])
 		if !ok || len(keys) > 1 {
 			return nil, errNotApplicable
 		}
 		if mi == 0 {
-			for _, a := range aggrs {
+			for _, ai := range aggrs {
+				a := p.Instrs[ai]
 				aux, _ := a.Aux.(plan.AggrAux)
-				s := aggSlot{aux: aux, vals: a.Args[0], pack: solePack(a.Rets[0])}
+				s := aggSlot{aux: aux, vals: a.Args[0], sibling: -1, pack: solePack(a.Rets[0])}
 				if s.vals != out {
-					s.sibling = findSiblingPack(cp, s.vals, inputs)
+					s.sibling = findSiblingPack(p, producer, s.vals, inputs)
 				}
-				if s.pack == nil || (s.vals != out && s.sibling == nil) {
+				if s.pack < 0 || (s.vals != out && s.sibling < 0) {
 					return nil, errNotApplicable
 				}
 				slots = append(slots, s)
 			}
 			if len(keys) == 1 {
-				if keysPack = solePack(keys[0].Rets[0]); keysPack == nil {
+				if keysPack = solePack(p.Instrs[keys[0]].Rets[0]); keysPack < 0 {
 					return nil, errNotApplicable
 				}
 			}
 		}
-		if len(aggrs) != len(slots) || (len(keys) == 1) != (keysPack != nil) {
+		if len(aggrs) != len(slots) || (len(keys) == 1) != (keysPack >= 0) {
 			return nil, errNotApplicable
 		}
-		for si, a := range aggrs {
+		for si, ai := range aggrs {
+			a := p.Instrs[ai]
 			if aux, _ := a.Aux.(plan.AggrAux); slots[si].aux != aux || slots[si].vals != a.Args[0] {
 				return nil, errNotApplicable
 			}
 			slots[si].old = append(slots[si].old, a.Rets[0])
-			rw.remove(a)
 		}
-		for _, k := range keys {
-			oldKeys = append(oldKeys, k.Rets[0])
-			rw.remove(k)
+		for _, ki := range keys {
+			oldKeys = append(oldKeys, p.Instrs[ki].Rets[0])
 		}
-		rw.remove(g)
+		removed = append(append(append(removed, aggrs...), keys...), gi)
 	}
 
 	// Build the per-input clones and rewire the partial packs to them.
+	cp := p.Derive()
+	rw := newRewrite(cp)
+	for _, i := range removed {
+		rw.remove(i)
+	}
 	newAggRets := make([][]plan.VarID, len(slots)) // per slot, per input
 	var newKeyRets []plan.VarID
-	var siblings []*plan.Instr
+	var siblings []int
 	for i, inVar := range inputs {
 		gv := rw.emit(plan.OpGroupBy, []plan.VarID{inVar}, nil, "propagated groupby", plan.KindGroups)[0]
 		for si, s := range slots {
 			valsArg := inVar
-			if s.sibling != nil {
-				valsArg = s.sibling.Args[i]
+			if s.sibling >= 0 {
+				valsArg = cp.Instrs[s.sibling].Args[i]
 			}
 			av := rw.emit(plan.OpAggrGrouped, []plan.VarID{valsArg, gv}, s.aux, "propagated aggrgrouped", plan.KindColumn)
 			newAggRets[si] = append(newAggRets[si], av[0])
 		}
-		if keysPack != nil {
+		if keysPack >= 0 {
 			kv := rw.emit(plan.OpGroupKeys, []plan.VarID{gv}, nil, "propagated groupkeys", plan.KindColumn)
 			newKeyRets = append(newKeyRets, kv[0])
 		}
 	}
 	for si, s := range slots {
-		splice(s.pack, s.old, newAggRets[si])
-		if s.sibling != nil {
+		splice(rw.own(s.pack), s.old, newAggRets[si])
+		if s.sibling >= 0 {
 			siblings = append(siblings, s.sibling)
 		}
 	}
-	if keysPack != nil {
-		splice(keysPack, oldKeys, newKeyRets)
+	if keysPack >= 0 {
+		splice(rw.own(keysPack), oldKeys, newKeyRets)
 	}
 	rw.dropDead(siblings)
 	return rw.commit()

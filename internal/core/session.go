@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -55,6 +56,10 @@ type Session struct {
 	nextMut  Mutation
 	attempts []Attempt
 	best     *plan.Plan
+	// search is the last mutation search that left the plan unchanged;
+	// searches counts them all.
+	search   searchMemo
+	searches SearchStats
 	// done is atomic so cache bookkeeping on other goroutines (eviction
 	// victim selection, /stats aggregation) can poll Done while the owning
 	// goroutine steps the session; every other field stays single-owner.
@@ -183,9 +188,10 @@ func (s *Session) StepWith(opts exec.JobOptions) (bool, error) {
 			s.eng.Retire(s.cur)
 		}
 		s.parent = nil
+		s.search.clear()
 		return false, nil
 	}
-	np, mut, err := s.mut.MutateMostExpensive(s.cur, prof)
+	np, mut, err := s.mutate(prof)
 	if err != nil {
 		return false, fmt.Errorf("core: run %d mutation: %w", s.conv.Run(), err)
 	}
@@ -203,6 +209,92 @@ func (s *Session) StepWith(opts exec.JobOptions) (bool, error) {
 	s.nextMut = mut
 	return true, nil
 }
+
+// mutate decides the next plan from the current plan's run. A session
+// draining its convergence budget (§3.3) keeps re-running a plan the
+// mutator left unchanged, and a re-run of the same plan object over the same
+// data replays its recorded profile, so the search would only repeat its
+// answer: when the plan object and every input MutateMostExpensive reads
+// from the profile equal the last unchanged search's, that answer is reused.
+func (s *Session) mutate(prof *exec.Profile) (*plan.Plan, Mutation, error) {
+	if s.search.matches(s.cur, prof) {
+		s.searches.Reused++
+		return s.cur, s.search.mut, nil
+	}
+	start := time.Now()
+	np, mut, err := s.mut.MutateMostExpensive(s.cur, prof)
+	s.searches.Runs++
+	s.searches.Ns += int64(time.Since(start))
+	if err == nil && np == s.cur {
+		s.search.store(s.cur, prof, mut)
+	} else {
+		s.search.clear()
+	}
+	return np, mut, err
+}
+
+// SearchStats counts a session's mutation searches: Runs searches executed,
+// Reused steps that took the previous unchanged search's answer instead, Ns
+// the wall time spent in MutateMostExpensive.
+type SearchStats struct {
+	Runs, Reused, Ns int64
+}
+
+// Add accumulates o into st.
+func (st *SearchStats) Add(o SearchStats) {
+	st.Runs += o.Runs
+	st.Reused += o.Reused
+	st.Ns += o.Ns
+}
+
+// Since returns what st counted after before was taken.
+func (st SearchStats) Since(before SearchStats) SearchStats {
+	return SearchStats{Runs: st.Runs - before.Runs, Reused: st.Reused - before.Reused, Ns: st.Ns - before.Ns}
+}
+
+// SearchStats reports the session's mutation searches so far.
+func (s *Session) SearchStats() SearchStats { return s.searches }
+
+// searchMemo is one mutation search whose answer left the plan unchanged:
+// the plan object searched, the profile inputs MutateMostExpensive reads —
+// every op's Instr, Duration and Work.TuplesIn, in profile order (the order
+// breaks duration ties) — and the Mutation it returned. The key holds those
+// values, not the profile pointer: a replayed run shares its recording's
+// Ops, but a run the event core simulates again (another core budget, a busy
+// machine) or a new epoch's run has a profile of its own, equal or not.
+type searchMemo struct {
+	plan *plan.Plan
+	key  []searchKey
+	mut  Mutation
+}
+
+type searchKey struct {
+	instr    int
+	dur      float64
+	tuplesIn int64
+}
+
+func (m *searchMemo) matches(p *plan.Plan, prof *exec.Profile) bool {
+	if m.plan != p || len(m.key) != len(prof.Ops) {
+		return false
+	}
+	for i, o := range prof.Ops {
+		if k := m.key[i]; k.instr != o.Instr || k.dur != o.Duration() || k.tuplesIn != o.Work.TuplesIn {
+			return false
+		}
+	}
+	return true
+}
+
+func (m *searchMemo) store(p *plan.Plan, prof *exec.Profile, mut Mutation) {
+	m.plan, m.mut = p, mut
+	m.key = m.key[:0]
+	for _, o := range prof.Ops {
+		m.key = append(m.key, searchKey{instr: o.Instr, dur: o.Duration(), tuplesIn: o.Work.TuplesIn})
+	}
+}
+
+func (m *searchMemo) clear() { m.plan = nil }
 
 // Release hands the session's live plan compilations (current, parent, and
 // best) back to the engine. The plan-session cache calls it on eviction so a

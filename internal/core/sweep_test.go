@@ -23,8 +23,10 @@ import (
 // (216 TPC-H and 30 TPC-DS convergences) and, replayed on a twin engine that
 // adopts nothing (so takes no parent run's value or Work either), is measured
 // exactly as the session measured it, and run
-// once more reports every instruction's Work unchanged
-// (TestAdoptionIsInvisible's checks, through the same helper); its best plan,
+// once more reports every instruction's Work unchanged, and every step that
+// reused its previous search decides exactly what a fresh search on a twin
+// Mutator decides (TestAdoptionIsInvisible's checks, through the same
+// helper; the sweep fails when no step reused one); its best plan,
 // served twice more on its own engine, replays the second time and still
 // returns the serial result at the event core's makespan. Which mutation fires when
 // depends on all three, so the tier-1 tests' single point cannot stand in
@@ -36,6 +38,7 @@ func TestConvergenceSweep(t *testing.T) {
 	}}
 	runs, diverged := 0, 0
 	var adopted exec.CompileStats
+	var searches core.SearchStats
 	sweep := func(name string, cat *storage.Catalog, numbers []int, query func(int) *plan.Plan) {
 		for _, m := range machines {
 			for _, n := range numbers {
@@ -47,6 +50,7 @@ func TestConvergenceSweep(t *testing.T) {
 				if err == nil {
 					err = serveConvergedTwice(s, eng)
 				}
+				searches.Add(s.SearchStats())
 				st := eng.CompileStats()
 				adopted.Derived += st.Derived
 				adopted.ReusedInstrs += st.ReusedInstrs
@@ -67,9 +71,13 @@ func TestConvergenceSweep(t *testing.T) {
 		sweep(fmt.Sprintf("tpcds sf=%g seed=42", sf),
 			tpcds.Generate(tpcds.Config{SF: sf, Seed: 42}), tpcds.QueryNumbers(), tpcds.MustQuery)
 	}
-	t.Logf("%d convergences, %d diverging; %d adopted arenas reused %d instructions", runs, diverged, adopted.Derived, adopted.ReusedInstrs)
+	t.Logf("%d convergences, %d diverging; %d adopted arenas reused %d instructions; %d searches, %d steps reused one",
+		runs, diverged, adopted.Derived, adopted.ReusedInstrs, searches.Runs, searches.Reused)
 	if err := adoptionRan(adopted); err != nil {
 		t.Fatal(err)
+	}
+	if searches.Reused == 0 {
+		t.Fatal("no step reused a search: the fixed-point path never ran")
 	}
 }
 

@@ -2,7 +2,7 @@ package plan
 
 // Structural plan diffing for arena adoption.
 //
-// A mutation clones its input plan, removes a few instructions, appends
+// A mutation derives its input plan, removes a few instructions, appends
 // their replacements (with freshly allocated result variables), and restores
 // topological order — so a mutated child shares almost all of its structure
 // with its parent. ComputeDiff recovers that sharing after the fact: it
@@ -26,7 +26,7 @@ type Diff struct {
 // instrEqual reports structural identity: same opcode, aux parameters,
 // partition range, and identical argument/result variable lists. Comments
 // are cosmetic provenance and ignored. Variable identity is meaningful
-// because mutations clone the variable table: a child's variable v < parent
+// because mutations copy the variable table: a child's variable v < parent
 // NVars IS the parent's v.
 func instrEqual(a, b *Instr) bool {
 	if a.Op != b.Op || a.Aux != b.Aux || a.Part != b.Part ||

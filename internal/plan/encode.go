@@ -56,7 +56,7 @@ func Encode(p *Plan) []byte {
 	buf = appendUvarint(buf, uint64(len(p.kinds)))
 	for v := range p.kinds {
 		buf = append(buf, uint8(p.kinds[v]))
-		buf = appendString(buf, p.names[v])
+		buf = appendString(buf, p.name(VarID(v)))
 	}
 	buf = appendUvarint(buf, uint64(len(p.Instrs)))
 	for _, in := range p.Instrs {

@@ -2,9 +2,10 @@
 // SSA list of operators over typed variables, forming a dataflow graph — the
 // same properties MonetDB's MAL gives the paper ("its plan representation
 // allows identification of individual expensive operators", §2). Plans are
-// value-like: mutations clone a plan and rewrite instructions, never touching
-// the original, so the plan history kept by adaptive parallelization stays
-// valid.
+// value-like: an instruction is immutable once it is in a plan, and a
+// mutation derives a new plan that shares the unchanged instructions and
+// replaces the ones it rewrites, never touching the original, so the plan
+// history kept by adaptive parallelization stays valid.
 //
 // Every partitionable instruction carries a Part — a binary-rational range
 // over its anchor input. Partition boundaries are dyadic fractions, so
@@ -358,17 +359,24 @@ func (in *Instr) clone() *Instr {
 type Plan struct {
 	Instrs []*Instr
 	kinds  []Kind
-	names  []string
+	names  []string // a prefix of the variables: a variable past it is unnamed
 }
 
 // New returns an empty plan.
 func New() *Plan { return &Plan{} }
 
-// NewVar allocates a fresh variable of kind k. The name is cosmetic.
+// NewVar allocates a fresh variable of kind k. The name is cosmetic; an
+// unnamed variable (every one a mutation makes) takes no space in the name
+// table.
 func (p *Plan) NewVar(k Kind, name string) VarID {
 	id := VarID(len(p.kinds))
 	p.kinds = append(p.kinds, k)
-	p.names = append(p.names, name)
+	if name != "" {
+		for len(p.names) < int(id) {
+			p.names = append(p.names, "")
+		}
+		p.names = append(p.names, name)
+	}
 	return id
 }
 
@@ -380,22 +388,46 @@ func (p *Plan) KindOf(v VarID) Kind { return p.kinds[v] }
 
 // NameOf returns the cosmetic name of v.
 func (p *Plan) NameOf(v VarID) string {
-	if n := p.names[v]; n != "" {
+	if n := p.name(v); n != "" {
 		return n
 	}
 	return fmt.Sprintf("X_%d", int(v))
 }
 
+// name returns v's name as given to NewVar ("" when unnamed).
+func (p *Plan) name(v VarID) string {
+	if int(v) < len(p.names) {
+		return p.names[v]
+	}
+	return ""
+}
+
 // Append adds an instruction at the end.
 func (p *Plan) Append(in *Instr) { p.Instrs = append(p.Instrs, in) }
 
-// Clone deep-copies the plan. The copy is slab-allocated — one block for
-// the instruction structs, one for every Args/Rets list — so cloning costs
-// O(1) allocations instead of 3 per instruction: mutations clone on every
-// adaptive step, which made per-instruction cloning the single largest
-// allocator on the exploration cold path. Appending to a cloned
-// instruction's Args (pack splicing) reallocates that list out of the slab,
-// exactly like any full slice; the slab is never shared between plans.
+// Derive returns a plan that shares p's instructions and has its own
+// instruction list and variable table: the starting point of a mutation.
+// An instruction is immutable once it is in a plan, so a mutation replaces
+// each instruction it changes with a copy (it never writes a shared one),
+// and the derived plan costs O(instructions) pointers instead of a copy of
+// every instruction. Clone is the deep copy.
+func (p *Plan) Derive() *Plan {
+	return &Plan{
+		Instrs: append([]*Instr(nil), p.Instrs...),
+		// Headroom for the variables the mutation is about to make.
+		kinds: append(make([]Kind, 0, len(p.kinds)+len(p.kinds)/2+8), p.kinds...),
+		// The name table is never written in place, only appended to (which
+		// reallocates at the clipped capacity), so it can be shared.
+		names: p.names[:len(p.names):len(p.names)],
+	}
+}
+
+// Clone deep-copies the plan, for a caller that will write its
+// instructions (mutations Derive instead). The copy is slab-allocated — one
+// block for the instruction structs, one for every Args/Rets list — so
+// cloning costs O(1) allocations instead of 3 per instruction. Appending to a
+// cloned instruction's Args reallocates that list out of the slab, exactly
+// like any full slice; the slab is never shared between plans.
 func (p *Plan) Clone() *Plan {
 	cp := &Plan{
 		Instrs: make([]*Instr, len(p.Instrs)),

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/algebra"
@@ -67,5 +68,58 @@ func TestTopoSortSelfReference(t *testing.T) {
 	p.Append(&Instr{Op: OpFetchPos, Args: []VarID{v, v}, Rets: []VarID{v}, Part: FullPart()})
 	if err := p.TopoSort(); err == nil {
 		t.Fatal("self-reference not detected")
+	}
+}
+
+// refTopoOrder is the definition TopoSort implements: repeatedly emit the
+// earliest-listed instruction all of whose producers have been emitted.
+func refTopoOrder(p *Plan) []*Instr {
+	producer := p.Producers()
+	emitted := make([]bool, len(p.Instrs))
+	var out []*Instr
+	for len(out) < len(p.Instrs) {
+		for i, in := range p.Instrs {
+			ready := !emitted[i]
+			for _, a := range in.Args {
+				if src := producer[a]; !emitted[src] {
+					ready = false
+				}
+			}
+			if ready {
+				emitted[i] = true
+				out = append(out, in)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// TopoSort's output order is pinned: plans shuffled from random DAGs whose
+// instructions consume the same producer through several, non-consecutive
+// arguments sort exactly as the earliest-ready-first definition says.
+func TestTopoSortMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		p := New()
+		n := 1 + rng.Intn(60)
+		for i := 0; i < n; i++ {
+			in := &Instr{Op: OpPack, Rets: []VarID{p.NewVar(KindColumn, ""), p.NewVar(KindColumn, "")}, Part: FullPart()}
+			for k := rng.Intn(5); i > 0 && k > 0; k-- {
+				src := p.Instrs[rng.Intn(i)]
+				in.Args = append(in.Args, src.Rets[rng.Intn(2)])
+			}
+			p.Append(in)
+		}
+		rng.Shuffle(n, func(i, j int) { p.Instrs[i], p.Instrs[j] = p.Instrs[j], p.Instrs[i] })
+		want := refTopoOrder(p)
+		if err := p.TopoSort(); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if p.Instrs[i] != want[i] {
+				t.Fatalf("trial %d: position %d differs from the earliest-ready order", trial, i)
+			}
+		}
 	}
 }

@@ -235,6 +235,9 @@ type Cache struct {
 
 	hits, misses, evictions, rehydrated, reconvergences int64
 	dataReopens, driftReopens, warmSeeds                int64
+	// search sums the mutation searches of every session this cache has
+	// stepped, evicted ones included.
+	search core.SearchStats
 
 	// mixes holds each tenant's sliding query-mix signature (drift.go),
 	// guarded by mu like the other maps.
@@ -350,6 +353,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 		values  []exec.Value
 		profile *exec.Profile
 		dop     int
+		search  core.SearchStats // this invocation's share of the session's searches
 	)
 	cores := c.eng.Machine().Config().LogicalCores()
 	// An invocation is throttled when its core budget is below what the
@@ -386,7 +390,10 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 		}
 		dop = cur.MaxDOP()
 	case !e.Session.Done():
-		if _, err := e.Session.StepWith(opts); err != nil {
+		before := e.Session.SearchStats()
+		_, err := e.Session.StepWith(opts)
+		search = e.Session.SearchStats().Since(before)
+		if err != nil {
 			// A failing session would error on every future invocation;
 			// evict it so the next request starts clean from the serial
 			// plan instead of replaying the broken state forever.
@@ -451,6 +458,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 	}
 	c.mu.Lock()
 	e.inflight = false
+	c.search.Add(search)
 	if reopened {
 		c.reconvergences++
 		c.tenantCounterLocked(e.Tenant).Reconvergences++
@@ -710,6 +718,15 @@ func (c *Cache) Stats() Stats {
 		}
 	}
 	return st
+}
+
+// SearchStats reports the mutation searches of every session the cache has
+// stepped: searches run, steps that reused the previous unchanged search, and
+// the time spent searching.
+func (c *Cache) SearchStats() core.SearchStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.search
 }
 
 // TenantStats snapshots the per-tenant slice of the cache counters, keyed by

@@ -155,7 +155,7 @@ type ShardStats struct {
 	Shard        int             `json:"shard"`
 	VirtualNowNs float64         `json:"virtual_now_ns"`
 	PeakClients  int             `json:"peak_concurrent_clients"`
-	Cache        plancache.Stats `json:"cache"`
+	Cache        ShardCacheStats `json:"cache"`
 	// Recycler reports the shard engine's size-classed buffer pool (hit and
 	// miss counters per size class); Compile counts plan compilations that
 	// started from the pool (full) vs from the parent plan's adopted arena
@@ -168,6 +168,23 @@ type ShardStats struct {
 	Runs     exec.RunStats      `json:"runs"`
 	// Faults reports the shard machine's fault-injection counters.
 	Faults sim.FaultStats `json:"faults"`
+}
+
+// ShardCacheStats is a shard's plan-cache block: the counters every view of
+// the cache sums, plus the shard's mutation searches.
+type ShardCacheStats struct {
+	plancache.Stats
+	Search SearchStatsInfo `json:"search"`
+}
+
+// SearchStatsInfo counts the mutation searches of the sessions a shard has
+// stepped: searches run, steps that reused the previous search because the
+// plan and its profile were unchanged (a draining session's re-runs), and
+// the total time spent searching — the core layer's clock.
+type SearchStatsInfo struct {
+	Runs   int64 `json:"runs"`
+	Reused int64 `json:"reused"`
+	Us     int64 `json:"us"`
 }
 
 // StatsResponse is the GET /stats reply. Cache counters are aggregated
@@ -282,7 +299,9 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 		// executions on this shard mutate; read them under the shard lock.
 		if err := s.do(sh, func() {
 			st.VirtualNowNs = sh.eng.Machine().Now()
-			st.Cache = sh.cache.Stats()
+			st.Cache.Stats = sh.cache.Stats()
+			search := sh.cache.SearchStats()
+			st.Cache.Search = SearchStatsInfo{Runs: search.Runs, Reused: search.Reused, Us: search.Ns / 1e3}
 			st.Faults = sh.eng.Machine().Faults()
 			tstats = sh.cache.TenantStats()
 		}); err != nil {
@@ -296,7 +315,7 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		resp.PerShard = append(resp.PerShard, st)
-		resp.Cache.Add(st.Cache)
+		resp.Cache.Add(st.Cache.Stats)
 		if st.VirtualNowNs > resp.VirtualNowNs {
 			resp.VirtualNowNs = st.VirtualNowNs
 		}

@@ -154,4 +154,14 @@ func TestStatsSchemaPinned(t *testing.T) {
 	if live < 6 {
 		t.Errorf("only %d plancache.Stats counters are non-zero — the scenario no longer exercises the sums", live)
 	}
+	// The shards' mutation searches are counted and timed: every query
+	// converged above, so searches ran and took time.
+	var search SearchStatsInfo
+	for _, sh := range resp.PerShard {
+		search.Runs += sh.Cache.Search.Runs
+		search.Us += sh.Cache.Search.Us
+	}
+	if search.Runs == 0 || search.Us == 0 {
+		t.Errorf("per_shard[].cache.search sums to %+v: the searches are not counted or not timed", search)
+	}
 }
