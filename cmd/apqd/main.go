@@ -279,12 +279,8 @@ func main() {
 		BreakerFailures: *breakerFailures,
 		BreakerCooldown: *breakerCooldown,
 		SlowFactor:      *slowFactor,
-	}
-	if *staleness {
-		cfg.Staleness = apq.DefaultStaleness()
-	}
-	if *drift {
-		cfg.Drift = apq.DefaultDrift()
+		Staleness:       *staleness,
+		Drift:           *drift,
 	}
 	if len(peers) > 0 && *node == "" {
 		log.Fatal("apqd: -peer requires -node (this daemon's own federation name)")

@@ -16,7 +16,8 @@ func TestApqdSmoke(t *testing.T) {
 	bin := cmdtest.Build(t, "repro/cmd/apqd")
 
 	// Boot the daemon for real: listen -> serve -> SIGTERM -> drain ->
-	// "apqd: shut down", with the convergence store flushed on the way out.
+	// "apqd: shut down", with the convergence store flushed on the way out
+	// and both re-adaptation detectors armed.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -24,7 +25,7 @@ func TestApqdSmoke(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	storePath := filepath.Join(t.TempDir(), "plans.apqs")
-	d := cmdtest.Start(t, bin, "-addr", addr, "-sf", "0.2", "-shards", "1", "-store", storePath)
+	d := cmdtest.Start(t, bin, "-addr", addr, "-sf", "0.2", "-shards", "1", "-store", storePath, "-staleness", "-drift")
 	base := "http://" + addr
 	healthy := false
 	for i := 0; i < 600 && !healthy; i++ {
@@ -68,6 +69,9 @@ func TestApqdSmoke(t *testing.T) {
 	out, code := d.Stop(t)
 	if code != 0 || !strings.Contains(out, "apqd: shut down") {
 		t.Fatalf("SIGTERM: exit %d, want 0 and the shutdown log line:\n%s", code, out)
+	}
+	if !strings.Contains(out, "staleness armed, drift armed") {
+		t.Fatalf("-staleness -drift: the serving log line does not say both detectors are armed:\n%s", out)
 	}
 	if out, code := cmdtest.Run(t, bin, "-store", storePath, "-export-plans", filepath.Join(t.TempDir(), "plans.apqx")); code != 0 {
 		t.Fatalf("-export-plans of the store the daemon left behind exited %d:\n%s", code, out)

@@ -63,10 +63,6 @@ func (s *Session) ExpectNs() float64 { return s.expectNs }
 // session's convergence.
 func (s *Session) DataReopens() int { return s.dataReopens }
 
-// DriftReopens reports how many workload-drift trips have reopened this
-// session's convergence.
-func (s *Session) DriftReopens() int { return s.driftReopens }
-
 // exploreSeed is the plan a re-exploring reopen (staleness, drift) restarts
 // from: the serial plan, or for a restored session — which has none — its
 // best.
@@ -77,24 +73,16 @@ func (s *Session) exploreSeed() *plan.Plan {
 	return s.Best()
 }
 
-// reopenExtraRuns is a reopened instance's default post-threshold budget.
-func (s *Session) reopenExtraRuns() int {
-	if s.stale.enabled() {
-		return s.stale.ExtraRuns
-	}
-	return DefaultStalenessConfig().ExtraRuns
-}
-
 // reopenInstance is the one reopen body: the current credit/debit instance
 // is folded into the report prefix and a fresh bounded instance — cores and
-// extraRuns size it (cores < 1 keeps the previous sizing) — takes over,
+// reopenExtraRuns size it (cores < 1 keeps the previous sizing) — takes over,
 // restarting from seed. barNs is the serving level a run must beat to
 // dethrone the incumbent best (0 = no bar: run 0 re-baselines the seed and
-// GME tracking restarts); counter is the per-reason reopen count to bump.
-func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores, extraRuns int, counter *int) {
+// GME tracking restarts).
+func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores int) {
 	s.foldInstance()
 	ccfg := s.conv.Config()
-	ccfg.ExtraRuns = extraRuns
+	ccfg.ExtraRuns = reopenExtraRuns
 	if cores >= 1 {
 		ccfg.Cores = cores
 	}
@@ -116,7 +104,6 @@ func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores, extraRun
 	s.dethroned = false
 	s.expectNs = 0
 	s.staleWin.Reset()
-	*counter++
 	s.done.Store(false)
 }
 
@@ -124,13 +111,12 @@ func (s *Session) reopenInstance(seed *plan.Plan, barNs float64, cores, extraRun
 // bump and reopens convergence warm, seeded from the learned best plan. It
 // works on converged and still-adapting sessions alike (an epoch can bump
 // mid-adaptation); a session that has never executed is already fresh and is
-// left untouched. extraRuns bounds the reopened instance's post-threshold
-// search (<= 0 uses the session's staleness ExtraRuns, or the default).
+// left untouched.
 //
 // Returns false only when the session has no plan to seed from — the caller
 // should drop such a session rather than serve it against data it has never
 // seen.
-func (s *Session) ReopenForData(extraRuns int) bool {
+func (s *Session) ReopenForData() bool {
 	seed := s.Best()
 	if seed == nil {
 		return false
@@ -139,9 +125,6 @@ func (s *Session) ReopenForData(extraRuns int) bool {
 		// Never executed: nothing measured, nothing stale. The next Step
 		// runs against the new data as run 0.
 		return true
-	}
-	if extraRuns <= 0 {
-		extraRuns = s.reopenExtraRuns()
 	}
 	// A warm instance re-validates a learned plan rather than re-growing
 	// parallelism from serial, so it does not need the cold lower bound of
@@ -154,7 +137,8 @@ func (s *Session) ReopenForData(extraRuns int) bool {
 		cores = max(cores/4, 2)
 	}
 	// Old-epoch measurements are incomparable with the new data: no bar.
-	s.reopenInstance(seed, 0, cores, extraRuns, &s.dataReopens)
+	s.reopenInstance(seed, 0, cores)
+	s.dataReopens++
 	return true
 }
 
@@ -173,6 +157,6 @@ func (s *Session) ReopenForDrift(observedNs float64, cores int) bool {
 	if avail := s.eng.Machine().AvailableCores(); cores <= 0 || (avail >= 1 && cores > avail) {
 		cores = avail
 	}
-	s.reopenInstance(s.exploreSeed(), observedNs, cores, s.reopenExtraRuns(), &s.driftReopens)
+	s.reopenInstance(s.exploreSeed(), observedNs, cores)
 	return true
 }

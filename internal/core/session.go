@@ -69,10 +69,8 @@ type Session struct {
 	// replaces conv with a fresh instance whose run counter restarts at 0;
 	// runBase maps its runs back to absolute attempt indices, and the
 	// prefixes carry the finished instances' traces for Report.
-	stale         StalenessConfig
-	staleWin      BandWindow // Window-of-Window out-of-band serving runs (consecutive rule)
+	staleWin      BandWindow // staleWindow-of-staleWindow out-of-band serving runs (consecutive rule)
 	reopenFrom    *plan.Plan // serial plan re-exploration restarts from (nil: restored session)
-	reopens       int
 	runBase       int
 	histPrefix    []float64
 	outlierPrefix []int
@@ -80,7 +78,6 @@ type Session struct {
 	reopenBar     float64 // post-reopen: the stale serving level a new best must beat
 	dethroned     bool    // the current convergence instance produced s.best
 	dataReopens   int     // reopens forced by dataset epoch bumps (reopen.go)
-	driftReopens  int     // reopens forced by the workload-drift detector (reopen.go)
 
 	// VerifyResults, when set, compares every run's results against the
 	// serial run's — the central mutation-correctness invariant. Intended
@@ -100,6 +97,7 @@ func NewSession(eng *exec.Engine, p *plan.Plan, mcfg MutationConfig, ccfg Conver
 		conv:       NewConvergence(ccfg),
 		cur:        p,
 		reopenFrom: p,
+		staleWin:   NewBandWindow(staleBand, staleWindow, staleWindow),
 	}
 }
 

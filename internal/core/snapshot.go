@@ -47,8 +47,9 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 // The restored session serves exactly like the original — Done, Best,
 // Summary, and Report agree with the pre-snapshot session — but per-run
 // Attempt details beyond execution times (plans, profiles, result vectors)
-// are not persisted: restored attempts carry only ExecNs.
-func RestoreSession(eng *exec.Engine, mcfg MutationConfig, snap *Snapshot) (*Session, error) {
+// are not persisted: restored attempts carry only ExecNs. A reopened restored
+// session mutates with DefaultMutationConfig, like every cached session.
+func RestoreSession(eng *exec.Engine, snap *Snapshot) (*Session, error) {
 	if snap.BestPlan == nil {
 		return nil, fmt.Errorf("core: restore: snapshot has no plan")
 	}
@@ -77,13 +78,14 @@ func RestoreSession(eng *exec.Engine, mcfg MutationConfig, snap *Snapshot) (*Ses
 	}
 	sess := &Session{
 		eng:       eng,
-		mut:       NewMutator(mcfg),
+		mut:       NewMutator(DefaultMutationConfig()),
 		conv:      conv,
 		cur:       snap.BestPlan,
 		attempts:  attempts,
 		best:      snap.BestPlan,
 		expectNs:  expect,
 		dethroned: true,
+		staleWin:  NewBandWindow(staleBand, staleWindow, staleWindow),
 	}
 	sess.done.Store(true)
 	return sess, nil

@@ -35,7 +35,7 @@ func TestSnapshotRestoreTwinEquality(t *testing.T) {
 	snap.BestPlan = decoded
 
 	engB := exec.NewEngine(cat, testMachine(), cost.Default())
-	restored, err := RestoreSession(engB, DefaultMutationConfig(), snap)
+	restored, err := RestoreSession(engB, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +100,19 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 
 	truncated := *snap
 	truncated.History = snap.History[:1]
-	if _, err := RestoreSession(eng, DefaultMutationConfig(), &truncated); err == nil {
+	if _, err := RestoreSession(eng, &truncated); err == nil {
 		t.Fatal("RestoreSession accepted a truncated history")
 	}
 
 	empty := *snap
 	empty.History = nil
-	if _, err := RestoreSession(eng, DefaultMutationConfig(), &empty); err == nil {
+	if _, err := RestoreSession(eng, &empty); err == nil {
 		t.Fatal("RestoreSession accepted an empty history")
 	}
 
 	noPlan := *snap
 	noPlan.BestPlan = nil
-	if _, err := RestoreSession(eng, DefaultMutationConfig(), &noPlan); err == nil {
+	if _, err := RestoreSession(eng, &noPlan); err == nil {
 		t.Fatal("RestoreSession accepted a snapshot without a plan")
 	}
 }

@@ -6,9 +6,9 @@ import "math"
 // converged session pins its best plan and serves it forever — which turns
 // the paper's headline artifact into a liability the moment the machine
 // changes underneath it (core loss, throttling, sustained interference). A
-// session with a StalenessConfig watches the execution times of its
-// post-convergence serving runs: when they deviate from the converged
-// expectation beyond the band for Window consecutive runs, the session
+// session fed the execution times of its post-convergence serving runs
+// (ObserveServed) watches them: when they deviate from the converged
+// expectation beyond staleBand for staleWindow consecutive runs, the session
 // *reopens* convergence — a fresh, bounded credit/debit instance whose
 // serial baseline is the stale plan's performance on the machine as it now
 // is — and adapts again instead of pinning the stale plan. The persistent
@@ -20,34 +20,18 @@ import "math"
 // machine that got faster (throttle lifted, interference ended) changes the
 // optimum too — the paper's adaptivity cuts both ways.
 
-// StalenessConfig parameterizes post-convergence staleness detection.
-type StalenessConfig struct {
-	// Band is the tolerated relative deviation of an observed serving run
-	// from the converged expectation (|observed − GME| / GME). 0.35 means a
-	// run 35% off expectation counts as stale. Band <= 0 disables detection.
-	Band float64
-	// Window is how many *consecutive* stale runs trigger a reopen
-	// (default 3) — single noise spikes are forgiven, sustained drift is not.
-	Window int
-	// ExtraRuns bounds the reopened convergence instance's post-threshold
-	// search (ConvergenceConfig.ExtraRuns semantics; default 6, slightly
-	// under the cold default of 8). The reopened instance is additionally
-	// sized to the post-fault machine — its Cores is the surviving core
-	// count — so both the leak threshold and the total bound shrink with
-	// the hardware.
-	ExtraRuns int
-}
-
-// DefaultStalenessConfig tolerates ±35% drift for up to 3 consecutive runs.
-// The band sits far above the noise floor (±3% jitter) but well below the
-// slowdown of losing cores or an SMT sibling's worth of throughput, and 3
-// consecutive spikes at DefaultNoise rates are a ~10^-7 event.
-func DefaultStalenessConfig() StalenessConfig {
-	return StalenessConfig{Band: 0.35, Window: 3, ExtraRuns: 6}
-}
-
-// enabled reports whether detection is active.
-func (c StalenessConfig) enabled() bool { return c.Band > 0 }
+// Staleness detection's constants. The band sits far above the noise floor
+// (±3% jitter) but well below the slowdown of losing cores or an SMT
+// sibling's worth of throughput, and staleWindow consecutive spikes at
+// DefaultNoise rates are a ~10^-7 event. A reopened instance (any reason)
+// gets reopenExtraRuns post-threshold runs, slightly under the cold default
+// of 8; it is also sized to the machine as it now is, so both the leak
+// threshold and the total bound shrink with the hardware.
+const (
+	staleBand       = 0.35 // tolerated |observed − expectation| / expectation
+	staleWindow     = 3    // consecutive out-of-band servings that reopen
+	reopenExtraRuns = 6    // ConvergenceConfig.ExtraRuns of a reopened instance
+)
 
 // BandWindow is the one out-of-band latency detector, shared by staleness
 // detection (here) and workload-drift detection (internal/plancache): it
@@ -94,46 +78,19 @@ func (w *BandWindow) Reset() {
 	w.next, w.outs = 0, 0
 }
 
-// withDefaults fills the zero fields of an enabled config.
-func (c StalenessConfig) withDefaults() StalenessConfig {
-	if !c.enabled() {
-		return c
-	}
-	if c.Window <= 0 {
-		c.Window = 3
-	}
-	if c.ExtraRuns <= 0 {
-		c.ExtraRuns = 6
-	}
-	return c
-}
-
-// SetStaleness arms (or, with a zero Band, disarms) post-convergence
-// staleness detection on the session. Safe to call at any point; it applies
-// to subsequent ObserveServed calls.
-func (s *Session) SetStaleness(cfg StalenessConfig) {
-	s.stale = cfg.withDefaults()
-	s.staleWin = NewBandWindow(s.stale.Band, s.stale.Window, s.stale.Window)
-}
-
-// Staleness returns the session's staleness configuration (zero = disabled).
-func (s *Session) Staleness() StalenessConfig { return s.stale }
-
-// Reconvergences reports how many times staleness detection has reopened
-// this session's convergence.
-func (s *Session) Reconvergences() int { return s.reopens }
-
 // ObserveServed feeds the virtual execution time of one post-convergence
 // serving run (an execution of Best outside the adaptation loop) into
 // staleness detection. It reports whether the observation tripped the
 // detector and reopened convergence — after a true return the session is no
 // longer Done and the next Step re-explores from the previously-best plan.
 //
-// Not every serving run qualifies: runs executed under an admission-control
-// core budget below the plan's needs reflect the budget, not the machine,
-// and must not be fed here (the plan-session cache skips them).
+// Detection is armed by whoever calls this: the plan-session cache calls it
+// only when its Staleness switch is set. Not every serving run qualifies:
+// runs executed under an admission-control core budget below the plan's
+// needs reflect the budget, not the machine, and must not be fed here (the
+// plan-session cache skips them).
 func (s *Session) ObserveServed(execNs float64) bool {
-	if !s.done.Load() || !s.stale.enabled() || execNs <= 0 {
+	if !s.done.Load() || execNs <= 0 {
 		return false
 	}
 	expect := s.expectNs
@@ -154,6 +111,6 @@ func (s *Session) ObserveServed(execNs float64) bool {
 		return false
 	}
 	// Sized to the machine as it now is: the post-fault available cores.
-	s.reopenInstance(s.exploreSeed(), execNs, s.eng.Machine().AvailableCores(), s.reopenExtraRuns(), &s.reopens)
+	s.reopenInstance(s.exploreSeed(), execNs, s.eng.Machine().AvailableCores())
 	return true
 }

@@ -1,41 +1,34 @@
 package exec
 
-import (
-	"slices"
-
-	"repro/internal/algebra"
-)
-
 // runRecord is a plan object's last event-core run through ExecuteOpts that
 // met the machine-side replay conditions: it started on a quiescent machine
 // (sim.Machine.Quiescent) with the shared-buffer exchange. Its timeline is
 // then a function of the plan, the engine (machine and cost model), the core
 // budget and every instruction's Work, so a later run that matches the last
 // two repeats it. The catalog reaches the timeline only through Work. Recording
-// costs the run nothing but this struct: work, the per-instruction memo, is
-// built from prof on the plan object's next run, so a one-shot plan never
-// pays for it.
+// costs the run nothing but this struct, and a record is never written again:
+// a later run reads it only.
 type runRecord struct {
 	prof     *Profile
 	maxCores int
-	busyNs   float64        // machine busy time the run added
-	work     []algebra.Work // per instruction, from prof.Ops; nil until a later run compares
+	busyNs   float64 // machine busy time the run added
 }
 
 // matches reports whether j, evaluated and about to run on a quiescent
 // machine, would repeat the recorded timeline: same core budget, and every
-// instruction's freshly evaluated Work equal to the recorded run's.
+// instruction's freshly evaluated Work equal to the recorded run's. A run
+// accounts every instruction exactly once, so the recording's Ops holds one
+// entry per instruction, and equal lengths make the loop cover them all.
 func (r *runRecord) matches(j *PlanJob) bool {
-	if r.prof == nil || r.maxCores != j.maxCores {
+	if r.prof == nil || r.maxCores != j.maxCores || len(r.prof.Ops) != len(j.arena.work) {
 		return false
 	}
-	if r.work == nil {
-		r.work = make([]algebra.Work, len(j.Plan.Instrs))
-		for _, op := range r.prof.Ops {
-			r.work[op.Instr] = op.Work
+	for _, op := range r.prof.Ops {
+		if j.arena.work[op.Instr] != op.Work {
+			return false
 		}
 	}
-	return slices.Equal(r.work, j.arena.work)
+	return true
 }
 
 // replay completes j without the event core: the machine advances by the

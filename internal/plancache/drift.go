@@ -3,10 +3,10 @@ package plancache
 import "math"
 
 // Workload-drift detection (ROADMAP item 5b). Staleness detection
-// (core.StalenessConfig) deliberately ignores throttled servings: a converged
-// plan executed under an admission core budget below its width is slow
-// because of the budget, not the machine, so feeding those latencies to the
-// staleness detector would reopen sessions on every busy period. But when the
+// (core.Session.ObserveServed) deliberately ignores throttled servings: a
+// converged plan executed under an admission core budget below its width is
+// slow because of the budget, not the machine, so feeding those latencies to
+// the staleness detector would reopen sessions on every busy period. But when the
 // *workload mix* shifts — a query that converged as the tenant's dominant
 // (and therefore mostly unthrottled) query becomes a minority query that
 // mostly serves under small budgets — that throttled latency IS the session's
@@ -27,64 +27,23 @@ import "math"
 // the mix-share gate alone would trip on harmless mix shifts whose latencies
 // still meet expectations.
 
-// DriftConfig parameterizes per-tenant workload-drift detection.
-type DriftConfig struct {
-	// Band is the tolerated relative deviation of an observed converged
-	// serving run (throttled or not) from the converged expectation.
-	// Band <= 0 disables drift detection.
-	Band float64
-	// Window is how many recent converged servings of an entry are watched
-	// (default 8). The detector is the same core.BandWindow staleness
-	// detection uses, but with Trip below Window: under admission
-	// interleaving, unthrottled servings of the wide plan stay in band and
-	// would hold a Trip == Window (consecutive) rule below its count forever.
-	Window int
-	// Trip is how many of the Window servings must be out of band to trip a
-	// reopen (default 6).
-	Trip int
-	// MixWindow is the length of the per-tenant query-mix ring the share
-	// signature is computed over (default 64 invocations).
-	MixWindow int
-	// MixDelta is the minimum absolute change of the entry's mix share
-	// (current vs convergence-time) required to attribute out-of-band
-	// latency to workload drift (default 0.2).
-	MixDelta float64
-}
-
-// DefaultDriftConfig mirrors the staleness band with a 6-of-8 window over a
-// 64-invocation mix signature.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{Band: 0.35, Window: 8, Trip: 6, MixWindow: 64, MixDelta: 0.2}
-}
-
-// enabled reports whether drift detection is active.
-func (d DriftConfig) enabled() bool { return d.Band > 0 }
-
-// withDefaults fills the zero fields of an enabled config.
-func (d DriftConfig) withDefaults() DriftConfig {
-	if !d.enabled() {
-		return d
-	}
-	if d.Window <= 0 {
-		d.Window = 8
-	}
-	if d.Trip <= 0 || d.Trip > d.Window {
-		d.Trip = d.Window * 3 / 4
-		if d.Trip < 1 {
-			d.Trip = 1
-		}
-	}
-	if d.MixWindow <= 0 {
-		d.MixWindow = 64
-	}
-	if d.MixDelta <= 0 {
-		d.MixDelta = 0.2
-	}
-	return d
-}
+// Drift detection's constants. The band mirrors staleness detection's; the
+// detector is the same core.BandWindow, but with driftTrip below
+// driftWindow: under admission interleaving, unthrottled servings of the
+// wide plan stay in band and would hold a consecutive rule below its count
+// forever. mixDelta is the minimum absolute move of the entry's mix share
+// (current vs convergence-time) that attributes out-of-band latency to
+// workload drift.
+const (
+	driftBand   = 0.35 // tolerated |observed − expectation| / expectation
+	driftWindow = 8    // recent converged servings of an entry watched
+	driftTrip   = 6    // out-of-band servings of the window that trip
+	mixLen      = 64   // invocations in a tenant's query-mix signature
+	mixDelta    = 0.2  // mix-share move required to reopen
+)
 
 // mixWindow is one tenant's sliding query-mix signature: a ring of the last
-// MixWindow invocation fingerprints with per-fingerprint counts maintained
+// mixLen invocation fingerprints with per-fingerprint counts maintained
 // incrementally, so share lookups are O(1).
 type mixWindow struct {
 	ring   []string
@@ -123,7 +82,7 @@ func (c *Cache) observeMixLocked(tenant, fp string) float64 {
 	}
 	m, ok := c.mixes[tenant]
 	if !ok {
-		m = newMixWindow(c.cfg.Drift.MixWindow)
+		m = newMixWindow(mixLen)
 		c.mixes[tenant] = m
 	}
 	return m.observe(fp)
@@ -137,7 +96,6 @@ func (c *Cache) observeMixLocked(tenant, fp string) float64 {
 // drift fields are only ever touched by the (caller-serialized) invocation
 // stream, like the session itself.
 func (c *Cache) observeDrift(e *Entry, ns float64, maxCores, logical int, share float64) bool {
-	d := c.cfg.Drift
 	expect := e.Session.ExpectNs()
 	if expect <= 0 || ns <= 0 {
 		return false
@@ -159,7 +117,7 @@ func (c *Cache) observeDrift(e *Entry, ns float64, maxCores, logical int, share 
 	if !tripped {
 		return false
 	}
-	if math.Abs(share-e.convShare) < d.MixDelta {
+	if math.Abs(share-e.convShare) < mixDelta {
 		return false
 	}
 	if !e.Session.ReopenForDrift(ns, e.driftBudget) {

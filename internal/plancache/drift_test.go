@@ -3,7 +3,6 @@ package plancache
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/tpch"
@@ -47,8 +46,8 @@ func TestMixWindowShares(t *testing.T) {
 func TestDriftDetectorReopensUnderBudget(t *testing.T) {
 	eng := newEngine(t)
 	c := New(eng, Config{
-		Staleness: core.DefaultStalenessConfig(),
-		Drift:     DriftConfig{Band: 0.35, Window: 8, Trip: 6, MixWindow: 16, MixDelta: 0.2},
+		Staleness: true,
+		Drift:     true,
 	})
 	fp6 := Fingerprint("test-db", "tpch:q6")
 	fp14 := Fingerprint("test-db", "tpch:q14")
@@ -131,7 +130,7 @@ func TestDriftDetectorReopensUnderBudget(t *testing.T) {
 func TestDriftIgnoresStableMix(t *testing.T) {
 	eng := newEngine(t)
 	c := New(eng, Config{
-		Drift: DriftConfig{Band: 0.35, Window: 4, Trip: 3, MixWindow: 8, MixDelta: 0.2},
+		Drift: true,
 	})
 	fp := Fingerprint("test-db", "tpch:q6")
 	for i := 0; i < 400; i++ {

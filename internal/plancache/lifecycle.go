@@ -16,7 +16,7 @@ import "repro/internal/core"
 // continue from the best plan so far. Sessions with no plan to seed from are
 // dropped without persistence. Returns how many sessions were reopened warm
 // and how many dropped.
-func (c *Cache) ReopenTenantForData(tenant string, extraRuns int) (reopened, dropped int) {
+func (c *Cache) ReopenTenantForData(tenant string) (reopened, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var victims []*Entry
@@ -25,7 +25,7 @@ func (c *Cache) ReopenTenantForData(tenant string, extraRuns int) (reopened, dro
 			continue
 		}
 		before := e.Session.DataReopens()
-		if !e.Session.ReopenForData(extraRuns) {
+		if !e.Session.ReopenForData() {
 			victims = append(victims, e)
 			continue
 		}

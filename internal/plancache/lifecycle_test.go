@@ -1,11 +1,13 @@
 package plancache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
@@ -46,7 +48,7 @@ func appendTail(t *testing.T, cat *storage.Catalog, table string, n int) *storag
 func TestReopenTenantForData(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.5, Seed: 42})
 	eng := exec.NewEngine(cat, sim.TwoSocket(), cost.Default())
-	c := New(eng, Config{Staleness: core.DefaultStalenessConfig()})
+	c := New(eng, Config{Staleness: true})
 	fpA := Fingerprint("db-a", "tpch:q6")
 	fpB := Fingerprint("db-b", "tpch:q6")
 	for i := 0; i < 400; i++ {
@@ -65,7 +67,7 @@ func TestReopenTenantForData(t *testing.T) {
 	}
 
 	ncat := appendTail(t, cat, "lineitem", 50_000)
-	reopened, dropped := c.ReopenTenantForData("a", 0)
+	reopened, dropped := c.ReopenTenantForData("a")
 	if reopened != 1 || dropped != 0 {
 		t.Fatalf("reopened=%d dropped=%d, want 1/0", reopened, dropped)
 	}
@@ -109,7 +111,7 @@ func TestEvictTenantPersistsAndPurges(t *testing.T) {
 	eng := newEngine(t)
 	persisted := map[string]int{}
 	c := New(eng, Config{
-		Drift:   DefaultDriftConfig(),
+		Drift:   true,
 		Persist: func(e *Entry) { persisted[e.Tenant]++ },
 	})
 	fpA := Fingerprint("db-a", "tpch:q6")
@@ -163,11 +165,11 @@ func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := core.RestoreSession(eng, core.DefaultMutationConfig(), snap)
+	sess, err := core.RestoreSession(eng, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sess.ReopenForData(0) {
+	if !sess.ReopenForData() {
 		t.Fatal("restored session refused data reopen")
 	}
 
@@ -199,4 +201,115 @@ func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 		}
 	}
 	t.Fatal("warm seed did not re-converge within 100 runs")
+}
+
+// TestRestoredSessionsAreWatched: a session the cache did not create — one
+// rehydrated converged (Restore) and one warm-seeded (RestoreWarm) and then
+// re-converged on the request stream — is watched by the cache's Staleness
+// and Drift switches exactly like one it created, and a cache with the
+// switch off reopens nothing on the same servings. Staleness sees a core-loss
+// fault; drift sees each query's tenant mix rotate to three q14 per q6
+// serving, q6 under a 2-core budget.
+func TestRestoredSessionsAreWatched(t *testing.T) {
+	// restore puts two converged q6 sessions of one donor into c, under
+	// tenants "hot" and "warm", and returns their fingerprints.
+	restore := func(t *testing.T, eng *exec.Engine, c *Cache) (fps, tenants [2]string) {
+		t.Helper()
+		donor := core.NewSession(eng, tpch.MustQuery(6), core.DefaultMutationConfig(), core.ConvergenceConfig{})
+		if _, err := donor.Converge(); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := donor.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tenants = [2]string{"hot", "warm"}
+		for i, tn := range tenants {
+			fps[i] = Fingerprint(tn, "tpch:q6")
+			own := *snap
+			own.BestPlan = snap.BestPlan.Clone() // one plan object per session
+			sess, err := core.RestoreSession(eng, &own)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tn == "hot" {
+				if c.Restore(tn, fps[i], "tpch:q6", sess) == nil {
+					t.Fatal("Restore rejected a converged session")
+				}
+				continue
+			}
+			if !sess.ReopenForData() || c.RestoreWarm(tn, fps[i], "tpch:q6", sess) == nil {
+				t.Fatal("warm seed rejected")
+			}
+			for n := 0; !sess.Done(); n++ {
+				if n == 100 {
+					t.Fatal("warm seed did not re-converge in 100 invocations")
+				}
+				if _, err := c.InvokeTenant(tn, fps[i], "tpch:q6", q6(), exec.JobOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return fps, tenants
+	}
+	invoke := func(t *testing.T, c *Cache, tenant, fp, query string, build func() (*plan.Plan, error), maxCores int) Invocation {
+		t.Helper()
+		r, err := c.InvokeTenant(tenant, fp, query, build, exec.JobOptions{MaxCores: maxCores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Invocation
+	}
+	// watched is how many of the two sessions a switch reopens.
+	watched := func(armed bool) int64 {
+		if armed {
+			return 2
+		}
+		return 0
+	}
+	for _, armed := range []bool{true, false} {
+		t.Run(fmt.Sprintf("staleness/armed=%v", armed), func(t *testing.T) {
+			eng := newEngine(t)
+			c := New(eng, Config{Staleness: armed})
+			fps, tenants := restore(t, eng, c)
+			eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 0, Count: 16})
+			eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 1, Count: 12})
+			for i, fp := range fps {
+				reopened := false
+				for n := 0; n < 10 && !reopened; n++ {
+					reopened = invoke(t, c, tenants[i], fp, "tpch:q6", q6(), 0).Reopened
+				}
+				if reopened != armed {
+					t.Fatalf("%s session: reopened %v in 10 post-fault servings, want %v", tenants[i], reopened, armed)
+				}
+			}
+			if got := c.Stats().Reconvergences; got != watched(armed) {
+				t.Fatalf("reconvergences = %d, want %d", got, watched(armed))
+			}
+		})
+		t.Run(fmt.Sprintf("drift/armed=%v", armed), func(t *testing.T) {
+			eng := newEngine(t)
+			c := New(eng, Config{Drift: armed})
+			fps, tenants := restore(t, eng, c)
+			for i, fp := range fps {
+				// One full-budget serving records the mix as it stands (the
+				// restored session converged outside this cache).
+				invoke(t, c, tenants[i], fp, "tpch:q6", q6(), 0)
+				fp14 := Fingerprint(tenants[i], "tpch:q14")
+				drifted := false
+				for n := 0; n < 40 && !drifted; n++ {
+					for j := 0; j < 3; j++ {
+						invoke(t, c, tenants[i], fp14, "tpch:q14", q14(), 0)
+					}
+					drifted = invoke(t, c, tenants[i], fp, "tpch:q6", q6(), 2).DriftReopened
+				}
+				if drifted != armed {
+					t.Fatalf("%s session: drift reopened %v in 40 rotated rounds, want %v", tenants[i], drifted, armed)
+				}
+			}
+			if got := c.Stats().DriftReopens; got != watched(armed) {
+				t.Fatalf("drift reopens = %d, want %d", got, watched(armed))
+			}
+		})
+	}
 }

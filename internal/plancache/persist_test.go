@@ -138,7 +138,7 @@ func TestPersistRehydrateServeBitIdentical(t *testing.T) {
 		if rec.DBIdentity != testDB {
 			t.Fatalf("record %s has identity %q", rec.Fingerprint, rec.DBIdentity)
 		}
-		sess, err := rec.RestoreSession(engB, cacheB.cfg.Mutation)
+		sess, err := rec.RestoreSession(engB)
 		if err != nil {
 			t.Fatal(err)
 		}

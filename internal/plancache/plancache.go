@@ -61,16 +61,14 @@ type Config struct {
 	// (the default); the engine shard pool gives each shard its own prefix
 	// (e.g. "s2.") so ids stay unique across shards.
 	IDPrefix string
-	// Mutation and Convergence tune the sessions the cache creates.
-	Mutation    core.MutationConfig
-	Convergence core.ConvergenceConfig
 	// Staleness arms post-convergence staleness detection on every session
-	// the cache creates or restores: converged sessions whose serving runs
-	// drift out of the band reopen convergence instead of pinning a stale
-	// plan (core.StalenessConfig). The zero value disables detection.
-	// Throttled and frozen invocations never feed the detector — their
-	// latencies reflect the core budget or the breaker, not the plan.
-	Staleness core.StalenessConfig
+	// the cache serves, whether it created, restored or warm-seeded it:
+	// converged sessions whose serving runs drift out of core's ±35 % band
+	// for 3 consecutive runs reopen convergence instead of pinning a stale
+	// plan (core.Session.ObserveServed). Throttled and frozen invocations
+	// never feed the detector — their latencies reflect the core budget or
+	// the breaker, not the plan.
+	Staleness bool
 	// Persist, when set, is the write-behind persistence hook: it fires
 	// once when a session converges (from the invocation that observed the
 	// done transition) and again when a converged entry is evicted, so the
@@ -83,9 +81,8 @@ type Config struct {
 	Persist func(*Entry)
 	// Drift arms per-tenant workload-drift detection (drift.go): converged
 	// sessions whose serving latency no longer matches the query mix they
-	// converged under reopen sized to their observed core budget. The zero
-	// value disables detection.
-	Drift DriftConfig
+	// converged under reopen sized to their observed core budget.
+	Drift bool
 }
 
 // maxTraceInvocations bounds the per-entry invocation log: a long-lived
@@ -163,7 +160,7 @@ type Entry struct {
 	// Workload-drift state (drift.go). Touched only by the caller-serialized
 	// invocation stream (and lifecycle operations holding the same shard
 	// lock), like the session itself — not guarded by cache.mu.
-	drift       core.BandWindow // Trip-of-Window out-of-band converged servings
+	drift       core.BandWindow // driftTrip-of-driftWindow out-of-band converged servings
 	driftBudget int             // core budget of the most recent out-of-band serving
 	convShare   float64         // entry's mix share at convergence (-1 = unrecorded)
 }
@@ -252,19 +249,13 @@ type Cache struct {
 	tenantStats   map[string]*Stats
 }
 
-// New creates a cache over eng. Zero-valued mutation/convergence configs
-// fall back to the engine defaults.
+// New creates a cache over eng. Its sessions adapt with the default
+// mutation configuration and a convergence sized to the engine machine's
+// logical core count.
 func New(eng *exec.Engine, cfg Config) *Cache {
-	if cfg.Convergence.Cores == 0 {
-		cfg.Convergence = core.DefaultConvergenceConfig(eng.Machine().Config().LogicalCores())
-	}
-	if cfg.Mutation == (core.MutationConfig{}) {
-		cfg.Mutation = core.DefaultMutationConfig()
-	}
 	if cfg.IDPrefix == "" {
 		cfg.IDPrefix = "s"
 	}
-	cfg.Drift = cfg.Drift.withDefaults()
 	return &Cache{eng: eng, cfg: cfg, byFP: map[string]*Entry{}, byID: map[string]*Entry{}}
 }
 
@@ -326,7 +317,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			c.mu.Unlock()
 			return nil, err
 		}
-		e = c.insertLocked(tenant, fp, query, core.NewSession(c.eng, p, c.cfg.Mutation, c.cfg.Convergence))
+		e = c.insertLocked(tenant, fp, query, core.NewSession(c.eng, p, core.DefaultMutationConfig(), core.ConvergenceConfig{}))
 		c.misses++
 		c.tenantCounterLocked(tenant).Misses++
 	} else {
@@ -339,7 +330,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 	e.inflight = true
 	created := !ok
 	share := -1.0
-	if c.cfg.Drift.enabled() {
+	if c.cfg.Drift {
 		share = c.observeMixLocked(e.Tenant, fp)
 	}
 	c.mu.Unlock()
@@ -428,7 +419,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			return nil, err
 		}
 		dop = best.MaxDOP()
-		if !frozen && !throttled {
+		if !frozen && !throttled && c.cfg.Staleness {
 			// A full-budget converged serving run feeds staleness
 			// detection: sustained out-of-band latency reopens the
 			// session's convergence, and the next unfrozen invocation
@@ -436,7 +427,7 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			// the budget or the breaker, not the plan, and are skipped.)
 			reopened = e.Session.ObserveServed(profile.Makespan())
 		}
-		if !frozen && !reopened && c.cfg.Drift.enabled() {
+		if !frozen && !reopened && c.cfg.Drift {
 			// Every unfrozen converged serving — including throttled ones
 			// staleness detection must skip — feeds the workload-drift
 			// detector: a session mostly serving under a small budget with
@@ -511,11 +502,11 @@ func (c *Cache) Restore(tenant, fp, query string, sess *core.Session) *Entry {
 	return e
 }
 
-// insertLocked links a new entry for sess under fp — armed with the cache's
-// staleness and drift detectors — and enforces the eviction policy around it.
-// The caller has checked fp is not live and counts the insertion.
+// insertLocked links a new entry for sess under fp and enforces the eviction
+// policy around it. The caller has checked fp is not live and counts the
+// insertion. Whether the entry's detectors are fed is invoke's decision,
+// made on every serving from the cache's Staleness and Drift switches.
 func (c *Cache) insertLocked(tenant, fp, query string, sess *core.Session) *Entry {
-	sess.SetStaleness(c.cfg.Staleness)
 	c.seq++
 	e := &Entry{
 		ID:          fmt.Sprintf("%s%d", c.cfg.IDPrefix, c.seq),
@@ -526,9 +517,7 @@ func (c *Cache) insertLocked(tenant, fp, query string, sess *core.Session) *Entr
 		cache:       c,
 		seq:         c.seq,
 		convShare:   -1,
-	}
-	if d := c.cfg.Drift; d.enabled() {
-		e.drift = core.NewBandWindow(d.Band, d.Window, d.Trip)
+		drift:       core.NewBandWindow(driftBand, driftWindow, driftTrip),
 	}
 	c.byFP[fp] = e
 	c.byID[e.ID] = e

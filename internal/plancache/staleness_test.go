@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sim"
 )
@@ -20,7 +19,7 @@ func TestCacheStalenessReopensAndPersistsNewConvergence(t *testing.T) {
 	eng := newEngine(t)
 	var persisted atomic.Int64
 	c := New(eng, Config{
-		Staleness: core.DefaultStalenessConfig(),
+		Staleness: true,
 		Persist:   func(*Entry) { persisted.Add(1) },
 	})
 	fp := Fingerprint("test-db", "tpch:q6")
@@ -104,7 +103,7 @@ func TestCacheStalenessReopensAndPersistsNewConvergence(t *testing.T) {
 // never advance adaptation and never feed staleness detection.
 func TestFrozenInvocationsServeWithoutSteppingOrReopening(t *testing.T) {
 	eng := newEngine(t)
-	c := New(eng, Config{Staleness: core.DefaultStalenessConfig()})
+	c := New(eng, Config{Staleness: true})
 	fp := Fingerprint("test-db", "tpch:q6")
 	frozen := func() *Result {
 		t.Helper()
@@ -166,7 +165,7 @@ func TestEvictionRacesInFlightReconvergence(t *testing.T) {
 	eng := newEngine(t)
 	var persisted atomic.Int64
 	c := New(eng, Config{
-		Staleness: core.DefaultStalenessConfig(),
+		Staleness: true,
 		Persist:   func(*Entry) { persisted.Add(1) },
 	})
 	fp := Fingerprint("test-db", "tpch:q6")

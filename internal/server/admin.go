@@ -146,7 +146,7 @@ func (s *Server) mutateTenant(tenant, table string, counter *atomic.Int64, op fu
 		ncat.ReclaimTail(table)
 		resp.Epoch = tn.epoch.Add(1)
 		for _, sh := range s.shards {
-			r, d := sh.cache.ReopenTenantForData(tn.tag(), 0)
+			r, d := sh.cache.ReopenTenantForData(tn.tag())
 			resp.SessionsReopened += r
 			resp.SessionsDropped += d
 		}

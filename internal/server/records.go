@@ -4,7 +4,6 @@
 package server
 
 import (
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plancache"
 	"repro/internal/store"
@@ -87,7 +86,7 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (bool, error) {
 		s.skippedRecords.Add(1)
 		return false, nil
 	}
-	sess, err := rec.RestoreSession(sh.eng, core.MutationConfig{})
+	sess, err := rec.RestoreSession(sh.eng)
 	if err != nil {
 		s.skippedRecords.Add(1)
 		return false, nil
@@ -99,7 +98,7 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (bool, error) {
 	// it serializes against live serving on that shard.
 	if err := s.do(sh, func() {
 		if warm {
-			ok = sess.ReopenForData(0) &&
+			ok = sess.ReopenForData() &&
 				sh.cache.RestoreWarm(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
 		} else {
 			ok = sh.cache.Restore(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil

@@ -11,10 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
-	"repro/internal/plancache"
 	"repro/internal/sim"
 	"repro/internal/tpch"
 )
@@ -397,7 +395,7 @@ func TestAdmissionSlotsConcurrentChurn(t *testing.T) {
 func TestServerChaosReconvergence(t *testing.T) {
 	s, ts := newTestServer(t, Config{
 		Benchmark: "tpch",
-		Staleness: core.DefaultStalenessConfig(),
+		Staleness: true,
 	})
 	post := func() QueryResponse {
 		t.Helper()
@@ -473,9 +471,8 @@ func TestServerChaosReconvergence(t *testing.T) {
 func TestServerDriftReopenOverHTTP(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Benchmark: "tpch",
-		Staleness: core.DefaultStalenessConfig(),
-		// A tight mix window makes the rotation visible quickly.
-		Drift: plancache.DriftConfig{Band: 0.35, Window: 8, Trip: 6, MixWindow: 16, MixDelta: 0.2},
+		Staleness: true,
+		Drift:     true,
 	})
 	post := func(req QueryRequest) QueryResponse {
 		t.Helper()

@@ -52,7 +52,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/plancache"
 	"repro/internal/sim"
@@ -94,13 +93,13 @@ type Config struct {
 	// Staleness arms post-convergence staleness detection on every cached
 	// session: converged sessions whose full-budget serving latencies drift
 	// out of the band reopen convergence instead of pinning a stale plan
-	// (core.StalenessConfig semantics; zero = disabled).
-	Staleness core.StalenessConfig
+	// (plancache.Config.Staleness).
+	Staleness bool
 	// Drift arms workload-drift detection on every shard cache: converged
 	// sessions whose serve latency no longer matches the query mix they
 	// converged under proactively reopen at the observed budget
-	// (plancache.DriftConfig semantics; zero = disabled).
-	Drift plancache.DriftConfig
+	// (plancache.Config.Drift).
+	Drift bool
 	// TenantFactory builds the tenant (catalog included) for a runtime
 	// POST /admin/tenants request. nil disables runtime tenant addition —
 	// the endpoint replies 503. The hook runs outside every server lock:

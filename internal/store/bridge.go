@@ -37,12 +37,12 @@ func NewRecord(fp, dbIdentity, tenant, query string, epoch int64, snap *core.Sna
 // identity (DBIdentity, cost calibration) before calling; this function
 // checks integrity — an undecodable plan or a history that does not replay
 // to convergence is an error, never a half-restored session.
-func (r *Record) RestoreSession(eng *exec.Engine, mcfg core.MutationConfig) (*core.Session, error) {
+func (r *Record) RestoreSession(eng *exec.Engine) (*core.Session, error) {
 	p, err := plan.Decode(r.PlanBytes)
 	if err != nil {
 		return nil, fmt.Errorf("store: record %s: %w", r.Fingerprint, err)
 	}
-	sess, err := core.RestoreSession(eng, mcfg, &core.Snapshot{
+	sess, err := core.RestoreSession(eng, &core.Snapshot{
 		Config: core.ConvergenceConfig{
 			Cores:        r.Cores,
 			ExtraRuns:    r.ExtraRuns,

@@ -11,9 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/plancache"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -36,24 +34,6 @@ const (
 	FaultSocketThrottle = sim.FaultSocketThrottle
 	FaultInterference   = sim.FaultInterference
 )
-
-// StalenessConfig arms re-convergence when a converged query's observed
-// serving latency drifts out of band (e.g. after mid-run core loss).
-type StalenessConfig = core.StalenessConfig
-
-// DefaultStaleness is the recommended staleness arming: reopen convergence
-// after 3 consecutive servings more than 35% off the converged expectation.
-func DefaultStaleness() StalenessConfig { return core.DefaultStalenessConfig() }
-
-// DriftConfig arms workload-drift detection: a converged query whose serve
-// latency no longer matches the query mix it converged under is proactively
-// reopened with a budget sized to the observed latency.
-type DriftConfig = plancache.DriftConfig
-
-// DefaultDrift is the recommended drift arming (35% band over an 8-serving
-// window, tripped by 6 out-of-band servings when the tenant's query-mix
-// share moved by at least 0.2).
-func DefaultDrift() DriftConfig { return plancache.DefaultDriftConfig() }
 
 // ResultContentType is the media type of the columnar APQRESULT reply body.
 // A POST /query carrying it in Accept (or "results":true in the body)
@@ -123,16 +103,16 @@ type ServerConfig struct {
 	// EngineOptions tune the engines' machines (noise model, seed).
 	EngineOptions []Option
 	// Staleness arms serving-time staleness detection: a converged query
-	// whose observed latency drifts out of band reopens its convergence and
-	// re-adapts (the zero value disables it; DefaultStaleness() is the
-	// recommended arming).
-	Staleness StalenessConfig
-	// Drift arms workload-drift detection: converged sessions whose serve
-	// latency no longer matches the tenant query mix they converged under
-	// are proactively reopened with a budget sized to the observed latency
-	// (the zero value disables it; DefaultDrift() is the recommended
-	// arming).
-	Drift DriftConfig
+	// whose observed latency stays more than 35 % off its converged
+	// expectation for 3 consecutive servings reopens its convergence and
+	// re-adapts.
+	Staleness bool
+	// Drift arms workload-drift detection: a converged query whose serve
+	// latency no longer matches the tenant query mix it converged under (6
+	// of its last 8 servings out of the same band, and its share of the
+	// tenant's last 64 invocations moved by at least 0.2) is proactively
+	// reopened with a budget sized to the observed latency.
+	Drift bool
 	// Faults schedules deterministic machine faults on every shard's
 	// simulated machine for chaos testing (empty = none). Faults land at
 	// their virtual AtNs as the shard's engine clock advances.

@@ -7,6 +7,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,5 +101,39 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after cancel")
+	}
+}
+
+// TestServerConfigFieldsPinned pins the facade's config surface: every
+// exported field of ServerConfig, and of every struct it reaches through
+// pointers, slices and arrays, by dotted path and kind. A new knob, a
+// removed one or a changed kind shows up in review as a diff of
+// testdata/server_config_fields.txt.
+func TestServerConfigFieldsPinned(t *testing.T) {
+	var got []string
+	var walk func(prefix string, typ reflect.Type, open map[reflect.Type]bool)
+	walk = func(prefix string, typ reflect.Type, open map[reflect.Type]bool) {
+		for k := typ.Kind(); k == reflect.Pointer || k == reflect.Slice || k == reflect.Array; k = typ.Kind() {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct || open[typ] {
+			return
+		}
+		open[typ] = true
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				got = append(got, prefix+f.Name+" "+f.Type.Kind().String())
+				walk(prefix+f.Name+".", f.Type, open)
+			}
+		}
+		delete(open, typ)
+	}
+	walk("", reflect.TypeOf(apq.ServerConfig{}), map[reflect.Type]bool{})
+	raw, err := os.ReadFile("testdata/server_config_fields.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Split(strings.TrimSpace(string(raw)), "\n"); !reflect.DeepEqual(got, want) {
+		t.Errorf("apq.ServerConfig fields changed; got (one per line, the format of testdata/server_config_fields.txt):\n%s", strings.Join(got, "\n"))
 	}
 }
