@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cost"
@@ -58,9 +59,6 @@ func TestReopenForDataWarmBeatsCold(t *testing.T) {
 	if s.Done() {
 		t.Fatal("session still done after data reopen")
 	}
-	if s.DataReopens() != 1 {
-		t.Fatalf("DataReopens = %d, want 1", s.DataReopens())
-	}
 	for !s.Done() {
 		if _, err := s.StepWith(exec.JobOptions{Catalog: ncat}); err != nil {
 			t.Fatal(err)
@@ -100,11 +98,8 @@ func TestReopenForDataFreshSessionNoop(t *testing.T) {
 	cat := testCatalog(10_000)
 	eng := exec.NewEngine(cat, testMachine(), cost.Default())
 	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), ConvergenceConfig{})
-	if !s.ReopenForData() {
-		t.Fatal("fresh session rejected")
-	}
-	if s.DataReopens() != 0 {
-		t.Fatalf("fresh session counted a data reopen: %d", s.DataReopens())
+	if s.ReopenForData() {
+		t.Fatal("fresh session reported a data reopen")
 	}
 	if s.Done() {
 		t.Fatal("fresh session marked done")
@@ -216,8 +211,9 @@ func TestSessionKeepsSerialAndLatestProfiles(t *testing.T) {
 }
 
 // TestReopenForDrift: a session converged unthrottled serves under a small
-// admission budget; the drift reopen restarts exploration from serial, sized
-// to the observed budget, and lands on a plan that serves the budget at least
+// admission budget; Reopen with that budget (what the plan cache's drift
+// detector calls) restarts exploration from serial, sized to the observed
+// budget, and lands on a plan that serves the budget at least
 // as well as the throttled wide plan did.
 func TestReopenForDrift(t *testing.T) {
 	cat := testCatalog(400_000)
@@ -237,7 +233,7 @@ func TestReopenForDrift(t *testing.T) {
 		t.Fatalf("throttled serving (%.0f) not slower than converged expectation (%.0f)", observed, s.ExpectNs())
 	}
 
-	if !s.ReopenForDrift(observed, budget) {
+	if !s.Reopen(observed, budget) {
 		t.Fatal("drift reopen refused a converged session")
 	}
 	if s.Done() {
@@ -263,22 +259,21 @@ func TestReopenForDrift(t *testing.T) {
 		t.Fatalf("post-drift serving %.0f worse than the throttled wide plan %.0f", post, observed)
 	}
 
-	// A second reopen on the now-adapting session must refuse.
+	// An unconverged session refuses serving evidence.
 	s2 := NewSession(eng, selectPlan(), DefaultMutationConfig(), ConvergenceConfig{})
-	if s2.ReopenForDrift(observed, budget) {
-		t.Fatal("drift reopen accepted an unconverged session")
+	if s2.Reopen(observed, budget) {
+		t.Fatal("Reopen accepted an unconverged session")
 	}
 }
 
 // TestReopenReasons pins, per reopen reason, what the one reopen body is
 // handed and what it leaves behind — the seed plan the fresh instance
 // restarts from, the bar a run must beat to dethrone the incumbent, the
-// instance's Cores and ExtraRuns, whether the data-reopen counter moved, and
-// an emptied staleness window — to the values the three separate reopen bodies
-// it replaced produced. A staleness window one serving short of a trip
-// changes none of that. Whatever the reason, the incumbent best keeps serving
-// from its cached compilation: the guarded exploration-tail retire never
-// touches a plan still serving as best.
+// instance's Cores and ExtraRuns — to the values the three separate reopen
+// bodies it replaced produced. Staleness and drift both reach it through
+// Reopen, with the machine's cores (0) or the observed budget. Whatever the
+// reason, the incumbent best keeps serving from its cached compilation: the
+// guarded exploration-tail retire never touches a plan still serving as best.
 func TestReopenReasons(t *testing.T) {
 	const machineCores = 16 // testMachine: 2 sockets × 4 cores × SMT 2
 	type fixture struct {
@@ -333,19 +328,7 @@ func TestReopenReasons(t *testing.T) {
 		}
 	}
 	const obsNs = 9e9 // far out of band for any fixture
-	// pending leaves the staleness window one far-out-of-band serving short
-	// of a trip; stale serves that last one.
-	pending := func(f fixture) {
-		for i := 1; i < staleWindow; i++ {
-			if f.s.ObserveServed(obsNs) {
-				panic("staleness tripped before its window filled")
-			}
-		}
-	}
-	stale := func(s *Session) bool {
-		pending(fixture{s: s})
-		return s.ObserveServed(obsNs)
-	}
+	stale := func(s *Session) bool { return s.Reopen(obsNs, 0) }
 	for _, tc := range []struct {
 		name     string
 		build    func(*testing.T) fixture
@@ -354,7 +337,6 @@ func TestReopenReasons(t *testing.T) {
 		seedBest bool // seed is the pre-reopen Best(); else the serial plan
 		barNs    float64
 		cores    int
-		data     int // data reopens the reopen counts
 	}{
 		{name: "staleness", build: converged, fire: stale,
 			barNs: obsNs, cores: machineCores},
@@ -364,13 +346,10 @@ func TestReopenReasons(t *testing.T) {
 			seedBest: true, barNs: obsNs, cores: machineCores},
 		{name: "data", build: converged,
 			fire:     (*Session).ReopenForData,
-			seedBest: true, cores: machineCores / 4, data: 1},
-		{name: "data/staleness-armed budget", build: converged, prepare: pending,
-			fire:     (*Session).ReopenForData,
-			seedBest: true, cores: machineCores / 4, data: 1},
+			seedBest: true, cores: machineCores / 4},
 		{name: "data/mid-adaptation", build: adapting,
 			fire:     (*Session).ReopenForData,
-			seedBest: true, cores: machineCores / 4, data: 1},
+			seedBest: true, cores: machineCores / 4},
 		{name: "data/shrunken machine floors at 2", build: converged,
 			prepare: func(f fixture) {
 				f.eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 1, Count: 8})
@@ -380,21 +359,18 @@ func TestReopenReasons(t *testing.T) {
 				}
 			},
 			fire:     (*Session).ReopenForData,
-			seedBest: true, cores: 2, data: 1},
+			seedBest: true, cores: 2},
 		{name: "drift", build: converged,
-			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
-			barNs: obsNs, cores: 2},
-		{name: "drift/staleness-armed budget", build: converged, prepare: pending,
-			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
+			fire:  func(s *Session) bool { return s.Reopen(obsNs, 2) },
 			barNs: obsNs, cores: 2},
 		{name: "drift/unbudgeted uses the machine", build: converged,
-			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 0) },
+			fire:  func(s *Session) bool { return s.Reopen(obsNs, 0) },
 			barNs: obsNs, cores: machineCores},
 		{name: "drift/budget above the machine clamps", build: converged, prepare: halfMachine,
-			fire:  func(s *Session) bool { return s.ReopenForDrift(obsNs, 12) },
+			fire:  func(s *Session) bool { return s.Reopen(obsNs, 12) },
 			barNs: obsNs, cores: machineCores / 2},
 		{name: "drift/restored session", build: restored,
-			fire:     func(s *Session) bool { return s.ReopenForDrift(obsNs, 2) },
+			fire:     func(s *Session) bool { return s.Reopen(obsNs, 2) },
 			seedBest: true, barNs: obsNs, cores: 2},
 	} {
 		tc := tc
@@ -422,7 +398,6 @@ func TestReopenReasons(t *testing.T) {
 				}
 			}
 			before := f.eng.CompileStats()
-			preData := s.DataReopens()
 
 			if !tc.fire(s) {
 				t.Fatal("reopen refused")
@@ -442,18 +417,12 @@ func TestReopenReasons(t *testing.T) {
 			if s.ExpectNs() != 0 {
 				t.Fatalf("serving expectation survived the reopen: %v", s.ExpectNs())
 			}
-			if s.staleWin.outs != 0 {
-				t.Fatalf("%d out-of-band servings survived the reopen in the staleness window", s.staleWin.outs)
-			}
 			cc := s.Convergence().Config()
 			if cc.Cores != tc.cores || cc.ExtraRuns != reopenExtraRuns {
 				t.Fatalf("instance sized Cores=%d ExtraRuns=%d, want %d/%d", cc.Cores, cc.ExtraRuns, tc.cores, reopenExtraRuns)
 			}
-			if s.Convergence().Run() != 0 || s.runBase != runs {
-				t.Fatalf("fresh instance at run %d with runBase %d, want 0 and %d", s.Convergence().Run(), s.runBase, runs)
-			}
-			if moved := s.DataReopens() - preData; moved != tc.data {
-				t.Fatalf("data reopens moved by %d, want %d", moved, tc.data)
+			if s.Convergence().Run() != 0 || len(s.Attempts()) != runs {
+				t.Fatalf("fresh instance at run %d after %d attempts, want 0 after %d", s.Convergence().Run(), len(s.Attempts()), runs)
 			}
 			if got := f.eng.CompileStats().Retired - before.Retired; got != int64(wantRetired) {
 				t.Fatalf("reopen retired %d plans, the parent retired %d", got, wantRetired)
@@ -470,5 +439,135 @@ func TestReopenReasons(t *testing.T) {
 				t.Fatalf("serving the incumbent recompiled it (%+v -> %+v): the reopen retired a plan still serving as best", compiled, after)
 			}
 		})
+	}
+}
+
+// TestStalenessDetectsCoreLossAndReconverges is the acceptance path of a
+// staleness reopen: a session converges, three quarters of the machine's
+// cores are lost mid-flight, the stale serving level is handed to Reopen
+// with the machine's cores (what the plan cache's staleness detector does
+// after three out-of-band servings), the session re-converges on the
+// shrunken machine, and the re-converged steady state beats continuing on
+// the stale plan.
+func TestStalenessDetectsCoreLossAndReconverges(t *testing.T) {
+	cat := testCatalog(400_000)
+	eng := exec.NewEngine(cat, testMachine(), cost.Default())
+	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), DefaultConvergenceConfig(8))
+	s.VerifyResults = true
+	if _, err := s.Converge(); err != nil {
+		t.Fatal(err)
+	}
+
+	serveBest := func() float64 {
+		_, prof, err := eng.ExecuteOpts(s.Best(), exec.JobOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prof.Makespan()
+	}
+	preNs := serveBest()
+	if math.Abs(preNs-s.ExpectNs()) > 1e-9*preNs {
+		t.Fatalf("converged serving %.0f ns, expectation %.0f ns", preNs, s.ExpectNs())
+	}
+
+	// Lose all of socket 1 and half of socket 0 — 12 of 16 cores — mid-run.
+	// Losing socket 1 alone leaves the bounded re-exploration a few percent
+	// at best to win back, and it may re-pin the stale plan; here the
+	// re-converged plan wins by ~14 %.
+	eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 1, Count: 8})
+	eng.Machine().InjectFault(sim.FaultEvent{Kind: sim.FaultCoreLoss, Socket: 0, Count: 4})
+	staleNs := serveBest()
+	if staleNs < preNs*1.35 {
+		t.Fatalf("core loss barely moved the stale plan: %.0f vs %.0f", staleNs, preNs)
+	}
+	if !s.Reopen(staleNs, 0) || s.Done() {
+		t.Fatal("Reopen refused a converged session")
+	}
+
+	// Re-exploration is bounded by the reopened instance sized to the 4
+	// surviving cores: 4+1+6·4 = 29 runs at most.
+	reqs := 0
+	for !s.Done() {
+		cont, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs++
+		if reqs > 29 {
+			t.Fatalf("re-convergence did not halt within 29 runs")
+		}
+		if !cont {
+			break
+		}
+	}
+	postNs := serveBest()
+	if postNs >= staleNs {
+		t.Fatalf("re-converged plan (%.0f ns) does not beat the stale plan (%.0f ns) after core loss", postNs, staleNs)
+	}
+	t.Logf("pre-fault %.0f ns, stale-on-degraded %.0f ns, re-converged %.0f ns in %d runs",
+		preNs, staleNs, postNs, reqs)
+
+	// The stitched report stays coherent across the reopen.
+	rep := s.Report()
+	if len(rep.History) != rep.TotalRuns {
+		t.Fatalf("history len %d != total runs %d", len(rep.History), rep.TotalRuns)
+	}
+	if rep.GMERun < 0 || rep.GMERun >= rep.TotalRuns {
+		t.Fatalf("GMERun = %d of %d", rep.GMERun, rep.TotalRuns)
+	}
+	if rep.History[rep.GMERun] != rep.GMENs {
+		t.Fatalf("GME %f != history[%d] = %f", rep.GMENs, rep.GMERun, rep.History[rep.GMERun])
+	}
+
+	// The re-converged session snapshots and restores like any converged one
+	// (the persistent store is updated only on the new convergence).
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreSession(eng, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restored.Done() {
+		t.Fatal("restored re-converged session not done")
+	}
+}
+
+// TestStalenessRepinsWhenNothingBetterExists: when re-exploration cannot
+// improve on the old best (the machine did not actually change — the
+// observed level handed to Reopen is just 1 % off the expectation), the
+// session re-pins the previous best plan rather than serving something worse.
+func TestStalenessRepinsWhenNothingBetterExists(t *testing.T) {
+	cat := testCatalog(400_000)
+	eng := exec.NewEngine(cat, testMachine(), cost.Default())
+	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), DefaultConvergenceConfig(8))
+	if _, err := s.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	oldGME := s.Summary().GMENs
+	if !s.Reopen(oldGME*1.01, 0) {
+		t.Fatal("Reopen refused a converged session")
+	}
+	if s.Done() {
+		t.Fatal("session still done after reopen")
+	}
+	bound := s.Convergence().UpperBoundRuns()
+	for i := 0; !s.Done() && i < bound; i++ {
+		if _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !s.Done() {
+		t.Fatalf("re-convergence did not halt within the reopened instance's %d-run bound", bound)
+	}
+	// The machine is unchanged, so the re-converged plan must serve at least
+	// as well as the old best did (same plan or an equivalent rediscovery).
+	_, prof, err := eng.ExecuteOpts(s.Best(), exec.JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := prof.Makespan(); got > oldGME*1.05 {
+		t.Fatalf("re-pinned plan serves at %.0f ns, old best at %.0f ns", got, oldGME)
 	}
 }

@@ -65,19 +65,18 @@ type Session struct {
 	// goroutine steps the session; every other field stays single-owner.
 	done atomic.Bool
 
-	// Staleness detection and reopened convergence (staleness.go). A reopen
-	// replaces conv with a fresh instance whose run counter restarts at 0;
-	// runBase maps its runs back to absolute attempt indices, and the
-	// prefixes carry the finished instances' traces for Report.
-	staleWin      BandWindow // staleWindow-of-staleWindow out-of-band serving runs (consecutive rule)
-	reopenFrom    *plan.Plan // serial plan re-exploration restarts from (nil: restored session)
-	runBase       int
-	histPrefix    []float64
-	outlierPrefix []int
-	expectNs      float64 // converged serving expectation staleness is judged against
-	reopenBar     float64 // post-reopen: the stale serving level a new best must beat
-	dethroned     bool    // the current convergence instance produced s.best
-	dataReopens   int     // reopens forced by dataset epoch bumps (reopen.go)
+	// best is the plan Best serves and bestRun the attempt that measured it:
+	// the serial run until a run dethrones it, and after a reopen seeded
+	// from best, the fresh instance's run 0 (reopen.go).
+	bestRun int
+	// Reopened convergence (reopen.go). A reopen replaces conv with a fresh
+	// instance whose run counter restarts at 0; outliers keeps the finished
+	// instances' outlier runs at their absolute attempt indices for Report.
+	outliers   []int
+	reopenFrom *plan.Plan // serial plan re-exploration restarts from (nil: restored session)
+	expectNs   float64    // converged serving expectation the plan cache judges servings against
+	reopenBar  float64    // post-reopen: the stale serving level a new best must beat
+	dethroned  bool       // the current convergence instance produced s.best
 
 	// VerifyResults, when set, compares every run's results against the
 	// serial run's — the central mutation-correctness invariant. Intended
@@ -96,8 +95,8 @@ func NewSession(eng *exec.Engine, p *plan.Plan, mcfg MutationConfig, ccfg Conver
 		mut:        NewMutator(mcfg),
 		conv:       NewConvergence(ccfg),
 		cur:        p,
+		best:       p,
 		reopenFrom: p,
-		staleWin:   NewBandWindow(staleBand, staleWindow, staleWindow),
 	}
 }
 
@@ -146,43 +145,42 @@ func (s *Session) StepWith(opts exec.JobOptions) (bool, error) {
 		}
 	}
 	cont := s.conv.Observe(execNs)
-	if _, run, ok := s.conv.GME(); ok && s.runBase+run == len(s.attempts)-1 {
-		// After a staleness reopen, beating the reopened instance's own
-		// baseline is not enough: the incumbent best only falls to a run
+	if s.conv.Run() == 1 && s.cur == s.best {
+		// The instance's run 0 executed the serving plan: a cold session's
+		// serial run, or the seed of a reopen that re-baselines the best.
+		s.bestRun = len(s.attempts) - 1
+	} else if _, run, ok := s.conv.GME(); ok && run == s.conv.Run()-1 {
+		// After a serving-evidence reopen, beating the reopened instance's
+		// own baseline is not enough: the incumbent best only falls to a run
 		// that beats the stale serving level the reopen recorded.
 		if s.reopenBar == 0 || execNs < s.reopenBar {
-			if old := s.best; old != nil && old != s.cur && old != s.parent {
+			if old := s.best; old != s.cur && old != s.parent {
 				// The dethroned global minimum will never execute again.
 				s.eng.Retire(old)
 			}
-			s.best = s.cur
+			s.best, s.bestRun = s.cur, len(s.attempts)-1
 			s.dethroned = true
 		}
 	}
 	if !cont {
 		s.done.Store(true)
-		// Fix the serving expectation staleness detection will judge future
-		// runs against: the new global minimum when this instance produced
-		// the best plan, else (re-pinned old best after a fruitless reopen)
-		// the stale serving level itself, so the re-pin does not immediately
-		// re-trip the detector on a permanently degraded machine.
-		if gme, _, ok := s.conv.GME(); ok && s.dethroned {
-			s.expectNs = gme
-		} else if s.reopenBar > 0 {
+		// Fix the serving expectation the plan cache will judge future runs
+		// against: the best plan's run — unless a fruitless reopen re-pinned
+		// the old best, whose expectation is the stale serving level itself,
+		// so the re-pin does not immediately re-trip the detector on a
+		// permanently degraded machine.
+		if s.reopenBar > 0 && !s.dethroned {
 			s.expectNs = s.reopenBar
-		} else if ok {
-			s.expectNs = gme
 		} else {
-			s.expectNs = s.conv.Serial()
+			s.expectNs = s.attempts[s.bestRun].ExecNs
 		}
 		s.reopenBar = 0
 		// Exploration over: only Best() executes from here on. Drop the
 		// tail plans' compilations back into the engine's buffer pool.
-		best := s.Best()
-		if s.parent != nil && s.parent != best {
+		if s.parent != nil && s.parent != s.best {
 			s.eng.Retire(s.parent)
 		}
-		if s.cur != best {
+		if s.cur != s.best {
 			s.eng.Retire(s.cur)
 		}
 		s.parent = nil
@@ -325,16 +323,11 @@ func (s *Session) Converge() (*Report, error) {
 }
 
 // Best returns the plan a post-convergence invocation should execute: the
-// global-minimum plan once one exists, else the current plan. O(1). After a
-// staleness reopen the previous global minimum keeps serving until the
-// reopened convergence dethrones it (or re-pins it, if bounded
-// re-exploration found nothing better).
-func (s *Session) Best() *plan.Plan {
-	if s.best != nil {
-		return s.best
-	}
-	return s.cur
-}
+// global-minimum plan once one exists, else the serial plan. O(1). After a
+// reopen the previous best keeps serving until the reopened convergence
+// dethrones it (or re-pins it, if bounded re-exploration found nothing
+// better).
+func (s *Session) Best() *plan.Plan { return s.best }
 
 // Summary is the constant-time snapshot of an adaptation's headline
 // numbers. Unlike Report it copies no history or attempt slices, so the
@@ -354,52 +347,32 @@ func (sm Summary) Speedup() float64 {
 	return sm.SerialNs / sm.GMENs
 }
 
-// Summary snapshots the headline adaptation numbers in O(1).
+// Summary snapshots the headline adaptation numbers in O(1): GMENs is the
+// run that measured Best(), SerialNs the first serial run.
 func (s *Session) Summary() Summary {
-	gme, _, ok := s.conv.GME()
-	serial := 0.0
+	sm := Summary{Runs: len(s.attempts), Done: s.done.Load()}
 	if len(s.attempts) > 0 {
-		serial = s.attempts[0].ExecNs
+		sm.GMENs, sm.SerialNs = s.attempts[s.bestRun].ExecNs, s.attempts[0].ExecNs
 	}
-	if !ok {
-		gme = serial
-	}
-	return Summary{Runs: len(s.attempts), GMENs: gme, SerialNs: serial, Done: s.done.Load()}
+	return sm
 }
 
-// Report snapshots the adaptation outcome so far.
+// Report snapshots the adaptation outcome so far. Its history is every
+// attempt's execution time, across reopens.
 func (s *Session) Report() *Report {
-	gme, gmeRun, ok := s.conv.GME()
-	serial := 0.0
-	if len(s.attempts) > 0 {
-		serial = s.attempts[0].ExecNs
-	}
-	best := s.best
-	if best == nil || !ok {
-		best = s.cur
-		gme, gmeRun = serial, -s.runBase // absolute run 0 after the shift below
-	}
-	// A reopened session's convergence instance counts runs from its own
-	// baseline; the report stitches the finished instances' traces back on
-	// and shifts indices to absolute attempt positions.
-	history := s.conv.History()
-	outliers := s.conv.Outliers()
-	if s.runBase > 0 {
-		history = append(append([]float64(nil), s.histPrefix...), history...)
-		shifted := append([]int(nil), s.outlierPrefix...)
-		for _, o := range outliers {
-			shifted = append(shifted, o+s.runBase)
-		}
-		outliers = shifted
+	sm := s.Summary()
+	history := make([]float64, len(s.attempts))
+	for i, a := range s.attempts {
+		history[i] = a.ExecNs
 	}
 	return &Report{
-		TotalRuns: len(s.attempts),
-		GMERun:    s.runBase + gmeRun,
-		GMENs:     gme,
-		SerialNs:  serial,
-		BestPlan:  best,
+		TotalRuns: sm.Runs,
+		GMERun:    s.bestRun,
+		GMENs:     sm.GMENs,
+		SerialNs:  sm.SerialNs,
+		BestPlan:  s.best,
 		History:   history,
-		Outliers:  outliers,
+		Outliers:  s.appendOutliers(append([]int(nil), s.outliers...)),
 		Attempts:  s.attempts,
 	}
 }

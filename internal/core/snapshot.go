@@ -26,15 +26,11 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	if !s.done.Load() {
 		return nil, fmt.Errorf("core: snapshot of unconverged session (run %d)", s.conv.Run())
 	}
-	best := s.Best()
-	if best == nil {
-		return nil, fmt.Errorf("core: converged session has no plan")
-	}
 	return &Snapshot{
 		Config:   s.conv.Config(),
 		History:  s.conv.History(),
 		Outliers: s.conv.Outliers(),
-		BestPlan: best,
+		BestPlan: s.best,
 	}, nil
 }
 
@@ -72,9 +68,9 @@ func RestoreSession(eng *exec.Engine, snap *Snapshot) (*Session, error) {
 	for i, ns := range snap.History {
 		attempts[i] = Attempt{ExecNs: ns}
 	}
-	expect := conv.Serial()
-	if gme, _, ok := conv.GME(); ok {
-		expect = gme
+	bestRun := 0
+	if _, run, ok := conv.GME(); ok {
+		bestRun = run
 	}
 	sess := &Session{
 		eng:       eng,
@@ -83,9 +79,9 @@ func RestoreSession(eng *exec.Engine, snap *Snapshot) (*Session, error) {
 		cur:       snap.BestPlan,
 		attempts:  attempts,
 		best:      snap.BestPlan,
-		expectNs:  expect,
+		bestRun:   bestRun,
+		expectNs:  attempts[bestRun].ExecNs,
 		dethroned: true,
-		staleWin:  NewBandWindow(staleBand, staleWindow, staleWindow),
 	}
 	sess.done.Store(true)
 	return sess, nil

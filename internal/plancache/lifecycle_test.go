@@ -67,9 +67,8 @@ func TestReopenTenantForData(t *testing.T) {
 	}
 
 	ncat := appendTail(t, cat, "lineitem", 50_000)
-	reopened, dropped := c.ReopenTenantForData("a")
-	if reopened != 1 || dropped != 0 {
-		t.Fatalf("reopened=%d dropped=%d, want 1/0", reopened, dropped)
+	if reopened := c.ReopenTenantForData("a"); reopened != 1 {
+		t.Fatalf("reopened=%d, want 1", reopened)
 	}
 	if c.GetFingerprint(fpA).Session.Done() {
 		t.Fatal("tenant a session still done after epoch bump")
@@ -150,8 +149,9 @@ func TestEvictTenantPersistsAndPurges(t *testing.T) {
 }
 
 // TestRestoreWarmSeedsNonDoneSession: a store record whose epoch mismatches
-// rehydrates as a warm seed — a non-done session the request stream then
-// re-converges — and counts as a warm seed, not a rehydration.
+// rehydrates as a warm seed — a non-done session Restore accepts and the
+// request stream then re-converges — and counts as a warm seed, not a
+// rehydration.
 func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 	eng := newEngine(t)
 
@@ -175,11 +175,11 @@ func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 
 	c := New(eng, Config{})
 	fp := Fingerprint("test-db", "tpch:q6")
-	if e := c.RestoreWarm("", fp, "tpch:q6", sess); e == nil {
-		t.Fatal("RestoreWarm rejected the warm seed")
+	if e := c.Restore("", fp, "tpch:q6", sess); e == nil {
+		t.Fatal("Restore rejected the warm seed")
 	}
-	if c.RestoreWarm("", fp, "tpch:q6", sess) != nil {
-		t.Fatal("duplicate RestoreWarm succeeded")
+	if c.Restore("", fp, "tpch:q6", sess) != nil {
+		t.Fatal("duplicate Restore succeeded")
 	}
 	st := c.Stats()
 	if st.WarmSeeds != 1 || st.Rehydrated != 0 {
@@ -204,8 +204,8 @@ func TestRestoreWarmSeedsNonDoneSession(t *testing.T) {
 }
 
 // TestRestoredSessionsAreWatched: a session the cache did not create — one
-// rehydrated converged (Restore) and one warm-seeded (RestoreWarm) and then
-// re-converged on the request stream — is watched by the cache's Staleness
+// rehydrated converged and one warm-seeded and then re-converged on the
+// request stream, both through Restore — is watched by the cache's Staleness
 // and Drift switches exactly like one it created, and a cache with the
 // switch off reopens nothing on the same servings. Staleness sees a core-loss
 // fault; drift sees each query's tenant mix rotate to three q14 per q6
@@ -232,14 +232,11 @@ func TestRestoredSessionsAreWatched(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tn == "hot" {
-				if c.Restore(tn, fps[i], "tpch:q6", sess) == nil {
-					t.Fatal("Restore rejected a converged session")
-				}
-				continue
+			if tn == "warm" && !sess.ReopenForData() {
+				t.Fatal("restored session refused data reopen")
 			}
-			if !sess.ReopenForData() || c.RestoreWarm(tn, fps[i], "tpch:q6", sess) == nil {
-				t.Fatal("warm seed rejected")
+			if c.Restore(tn, fps[i], "tpch:q6", sess) == nil {
+				t.Fatalf("Restore rejected the %s session", tn)
 			}
 			for n := 0; !sess.Done(); n++ {
 				if n == 100 {
@@ -249,6 +246,9 @@ func TestRestoredSessionsAreWatched(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+		}
+		if st := c.Stats(); st.Rehydrated != 1 || st.WarmSeeds != 1 {
+			t.Fatalf("Rehydrated=%d WarmSeeds=%d, want 1/1", st.Rehydrated, st.WarmSeeds)
 		}
 		return fps, tenants
 	}

@@ -61,13 +61,13 @@ type Config struct {
 	// (the default); the engine shard pool gives each shard its own prefix
 	// (e.g. "s2.") so ids stay unique across shards.
 	IDPrefix string
-	// Staleness arms post-convergence staleness detection on every session
-	// the cache serves, whether it created, restored or warm-seeded it:
-	// converged sessions whose serving runs drift out of core's ±35 % band
-	// for 3 consecutive runs reopen convergence instead of pinning a stale
-	// plan (core.Session.ObserveServed). Throttled and frozen invocations
-	// never feed the detector — their latencies reflect the core budget or
-	// the breaker, not the plan.
+	// Staleness arms post-convergence staleness detection (readapt.go) on
+	// every session the cache serves, whether it created, restored or
+	// warm-seeded it: converged sessions whose serving runs fall out of a
+	// ±35 % band for 3 consecutive runs reopen convergence instead of
+	// pinning a stale plan. Throttled and frozen invocations never feed the
+	// detector — their latencies reflect the core budget or the breaker, not
+	// the plan.
 	Staleness bool
 	// Persist, when set, is the write-behind persistence hook: it fires
 	// once when a session converges (from the invocation that observed the
@@ -79,7 +79,7 @@ type Config struct {
 	// it must not call back into the cache, and should only hand the entry
 	// off (e.g. enqueue on a store.Synchronizer).
 	Persist func(*Entry)
-	// Drift arms per-tenant workload-drift detection (drift.go): converged
+	// Drift arms per-tenant workload-drift detection (readapt.go): converged
 	// sessions whose serving latency no longer matches the query mix they
 	// converged under reopen sized to their observed core budget.
 	Drift bool
@@ -115,7 +115,7 @@ type Invocation struct {
 	// the budget, not the plan, and would poison the convergence algorithm.
 	Throttled bool `json:"throttled,omitempty"`
 	// Frozen marks an invocation served in degraded (breaker-open) mode:
-	// the session was neither stepped nor fed to staleness detection.
+	// the session was neither stepped nor fed to a re-adaptation detector.
 	Frozen bool `json:"frozen,omitempty"`
 	// Reopened marks the invocation whose serving observation tripped
 	// staleness detection and reopened the session's convergence.
@@ -157,12 +157,13 @@ type Entry struct {
 	evictPending   bool
 	persistPending bool
 
-	// Workload-drift state (drift.go). Touched only by the caller-serialized
+	// Re-adaptation state (readapt.go). Touched only by the caller-serialized
 	// invocation stream (and lifecycle operations holding the same shard
 	// lock), like the session itself — not guarded by cache.mu.
-	drift       core.BandWindow // driftTrip-of-driftWindow out-of-band converged servings
-	driftBudget int             // core budget of the most recent out-of-band serving
-	convShare   float64         // entry's mix share at convergence (-1 = unrecorded)
+	stale       bandWindow // staleWindow consecutive out-of-band full-budget servings
+	drift       bandWindow // driftTrip-of-driftWindow out-of-band converged servings
+	driftBudget int        // core budget of the most recent out-of-band serving
+	convShare   float64    // entry's mix share at convergence (-1 = unrecorded)
 }
 
 // Hits returns how many invocations the entry has served.
@@ -197,15 +198,15 @@ type Stats struct {
 	// (lifecycle.go).
 	DataReopens int64 `json:"data_reopens,omitempty"`
 	// DriftReopens counts workload-drift-triggered convergence reopens
-	// (drift.go).
+	// (readapt.go).
 	DriftReopens int64 `json:"drift_reopens,omitempty"`
-	// WarmSeeds counts sessions rehydrated as warm seeds from store records
-	// whose dataset epoch no longer matched the live dataset.
+	// WarmSeeds counts sessions restored still adapting: warm seeds from
+	// store records whose dataset epoch no longer matched the live dataset.
 	WarmSeeds int64 `json:"warm_seeds,omitempty"`
 }
 
-// Add accumulates o into s — how /stats sums shard caches into the pool
-// view and a tenant's slices across shards. Every field participates
+// Add accumulates o into s — how Stats sums a cache's tenants and /stats
+// sums shard caches into the pool view and a tenant's slices across shards. Every field participates
 // (TestStatsAddCoversEveryField).
 func (s *Stats) Add(o Stats) {
 	s.Entries += o.Entries
@@ -230,20 +231,18 @@ type Cache struct {
 	seq  int
 	tick int64
 
-	hits, misses, evictions, rehydrated, reconvergences int64
-	dataReopens, driftReopens, warmSeeds                int64
 	// search sums the mutation searches of every session this cache has
 	// stepped, evicted ones included.
 	search core.SearchStats
 
-	// mixes holds each tenant's sliding query-mix signature (drift.go),
+	// mixes holds each tenant's sliding query-mix signature (readapt.go),
 	// guarded by mu like the other maps.
 	mixes map[string]*mixWindow
 
 	// quotas bounds live sessions per tenant tag (missing or 0 = unlimited);
 	// tenantEntries tracks each tag's live session count (kept in step with
-	// byFP so quota checks are O(1), not map scans); tenantStats accumulates
-	// per-tenant counters for the /stats breakdown.
+	// byFP so quota checks are O(1), not map scans); tenantStats holds each
+	// tenant's lifetime counters, their only copy: Stats sums them.
 	quotas        map[string]int
 	tenantEntries map[string]int
 	tenantStats   map[string]*Stats
@@ -299,8 +298,8 @@ func (c *Cache) InvokeTenant(tenant, fp, query string, build func() (*plan.Plan,
 }
 
 // InvokeTenantFrozen serves one invocation in degraded mode: a converged
-// session executes its best plan but its latency is NOT fed to staleness
-// detection, and a still-adapting session executes its current plan without
+// session executes its best plan but its latency feeds neither re-adaptation
+// detector, and a still-adapting session executes its current plan without
 // stepping the adaptation. The per-shard health breaker uses this while
 // open — a degraded shard keeps answering queries from learned state but
 // stops all exploration and reopening until the breaker half-opens.
@@ -318,10 +317,8 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			return nil, err
 		}
 		e = c.insertLocked(tenant, fp, query, core.NewSession(c.eng, p, core.DefaultMutationConfig(), core.ConvergenceConfig{}))
-		c.misses++
 		c.tenantCounterLocked(tenant).Misses++
 	} else {
-		c.hits++
 		c.tenantCounterLocked(e.Tenant).Hits++
 	}
 	c.tick++
@@ -419,20 +416,8 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 			return nil, err
 		}
 		dop = best.MaxDOP()
-		if !frozen && !throttled && c.cfg.Staleness {
-			// A full-budget converged serving run feeds staleness
-			// detection: sustained out-of-band latency reopens the
-			// session's convergence, and the next unfrozen invocation
-			// resumes adapting. (Throttled and frozen latencies reflect
-			// the budget or the breaker, not the plan, and are skipped.)
-			reopened = e.Session.ObserveServed(profile.Makespan())
-		}
-		if !frozen && !reopened && c.cfg.Drift {
-			// Every unfrozen converged serving — including throttled ones
-			// staleness detection must skip — feeds the workload-drift
-			// detector: a session mostly serving under a small budget with
-			// a shifted mix share reopens sized to that budget.
-			drifted = c.observeDrift(e, profile.Makespan(), opts.MaxCores, cores, share)
+		if !frozen {
+			reopened, drifted = c.observeServed(e, profile.Makespan(), opts.MaxCores, throttled, cores, share)
 		}
 	}
 
@@ -451,11 +436,9 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 	e.inflight = false
 	c.search.Add(search)
 	if reopened {
-		c.reconvergences++
 		c.tenantCounterLocked(e.Tenant).Reconvergences++
 	}
 	if drifted {
-		c.driftReopens++
 		c.tenantCounterLocked(e.Tenant).DriftReopens++
 	}
 	if len(e.invocations) >= maxTraceInvocations {
@@ -477,18 +460,18 @@ func (c *Cache) invoke(tenant, fp, query string, build func() (*plan.Plan, error
 	return &Result{Entry: e, Values: values, Profile: profile, Invocation: inv, Created: created}, nil
 }
 
-// Restore inserts an already-converged session rehydrated from the
-// persistent convergence store, so the first invocation of fp is a cache
-// hit served from the learned plan instead of a cold re-adaptation. The
-// caller is responsible for identity checks (the session must have been
-// built against this cache's engine dataset). Restores count as rehydrated
-// sessions, not as misses; a fingerprint already live in the cache wins
-// over the store and Restore returns nil. Restored entries participate in
-// eviction like any other entry, including tenant quotas.
+// Restore inserts a session rehydrated from the persistent convergence
+// store, so the first invocation of fp is a cache hit served from the learned
+// plan instead of a cold re-adaptation. A converged session counts as
+// rehydrated; one still adapting — a warm seed the caller reopened
+// (core.Session.ReopenForData) because its record's dataset epoch no longer
+// matches the live dataset — counts as a warm seed and re-converges on the
+// request stream. The caller is responsible for identity checks (the session
+// must have been built against this cache's engine dataset). A fingerprint
+// already live in the cache wins over the store and Restore returns nil.
+// Restored entries participate in eviction like any other entry, including
+// tenant quotas.
 func (c *Cache) Restore(tenant, fp, query string, sess *core.Session) *Entry {
-	if sess == nil || !sess.Done() {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byFP[fp]; ok {
@@ -497,8 +480,11 @@ func (c *Cache) Restore(tenant, fp, query string, sess *core.Session) *Entry {
 	e := c.insertLocked(tenant, fp, query, sess)
 	c.tick++
 	e.lastUsed = c.tick
-	c.rehydrated++
-	c.tenantCounterLocked(tenant).Rehydrated++
+	if st := c.tenantCounterLocked(tenant); sess.Done() {
+		st.Rehydrated++
+	} else {
+		st.WarmSeeds++
+	}
 	return e
 }
 
@@ -517,7 +503,8 @@ func (c *Cache) insertLocked(tenant, fp, query string, sess *core.Session) *Entr
 		cache:       c,
 		seq:         c.seq,
 		convShare:   -1,
-		drift:       core.NewBandWindow(driftBand, driftWindow, driftTrip),
+		stale:       newBandWindow(servingBand, staleWindow, staleWindow),
+		drift:       newBandWindow(servingBand, driftWindow, driftTrip),
 	}
 	c.byFP[fp] = e
 	c.byID[e.ID] = e
@@ -530,8 +517,8 @@ func (c *Cache) insertLocked(tenant, fp, query string, sess *core.Session) *Entr
 }
 
 // tenantCounterLocked returns (creating if needed) the counter record for a
-// tenant tag. Only Hits/Misses/Evictions accumulate here; Entries and
-// Converged are computed on read.
+// tenant tag. Entries and Converged are not kept here: they are computed on
+// read.
 func (c *Cache) tenantCounterLocked(tenant string) *Stats {
 	if c.tenantStats == nil {
 		c.tenantStats = map[string]*Stats{}
@@ -569,7 +556,6 @@ func (c *Cache) dropEntry(e *Entry) {
 func (c *Cache) removeLocked(e *Entry, persist bool) {
 	delete(c.byFP, e.Fingerprint)
 	delete(c.byID, e.ID)
-	c.evictions++
 	c.tenantCounterLocked(e.Tenant).Evictions++
 	c.tenantEntries[e.Tenant]--
 	if e.inflight {
@@ -690,16 +676,9 @@ func (c *Cache) Evict(fp string) {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := Stats{
-		Entries:        len(c.byFP),
-		Hits:           c.hits,
-		Misses:         c.misses,
-		Evictions:      c.evictions,
-		Rehydrated:     c.rehydrated,
-		Reconvergences: c.reconvergences,
-		DataReopens:    c.dataReopens,
-		DriftReopens:   c.driftReopens,
-		WarmSeeds:      c.warmSeeds,
+	st := Stats{Entries: len(c.byFP)}
+	for _, ts := range c.tenantStats {
+		st.Add(*ts)
 	}
 	for _, e := range c.byFP {
 		if e.Session.Done() {

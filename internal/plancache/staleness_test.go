@@ -1,6 +1,8 @@
 package plancache
 
 import (
+	"math"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // TestCacheStalenessReopensAndPersistsNewConvergence drives the full
@@ -249,4 +252,229 @@ func TestEvictionRacesInFlightReconvergence(t *testing.T) {
 		t.Fatalf("expected the single fingerprint live, got %d entries", st.Entries)
 	}
 	t.Logf("evictions %d, reconvergences %d, persists %d", st.Evictions, st.Reconvergences, persisted.Load())
+}
+
+// convergedQ6 converges q6 through c's invoke path and returns its entry and
+// an invoke that serves it over cat (nil: the engine's own catalog).
+func convergedQ6(t *testing.T, c *Cache) (*Entry, func(cat *storage.Catalog) Invocation) {
+	t.Helper()
+	fp := Fingerprint("test-db", "tpch:q6")
+	invoke := func(cat *storage.Catalog) Invocation {
+		t.Helper()
+		r, err := c.InvokeTenant("", fp, "tpch:q6", q6(), exec.JobOptions{Catalog: cat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Invocation
+	}
+	for i := 0; !invoke(nil).Converged; i++ {
+		if i == 400 {
+			t.Fatal("session never converged")
+		}
+	}
+	return c.GetFingerprint(fp), invoke
+}
+
+// spikeCatalog is the engine's catalog with lineitem grown fourfold: q6
+// served over it runs far above the converged expectation, an out-of-band
+// serving on an unchanged machine.
+func spikeCatalog(t *testing.T, eng *exec.Engine) *storage.Catalog {
+	t.Helper()
+	cat := eng.Catalog()
+	return appendTail(t, cat, "lineitem", 3*cat.MustTable("lineitem").Rows())
+}
+
+// TestStalenessForgivesIsolatedSpikes: through the cache's converged serving
+// path, a single out-of-band serving (an interference spike) does not reopen
+// convergence — the consecutive-serving window resets on the next in-band
+// one — and staleWindow consecutive ones reopen on exactly the last.
+func TestStalenessForgivesIsolatedSpikes(t *testing.T) {
+	eng := newEngine(t)
+	c := New(eng, Config{Staleness: true})
+	e, invoke := convergedQ6(t, c)
+	spike := spikeCatalog(t, eng)
+	for i := 0; i < 5; i++ {
+		if invoke(spike).Reopened {
+			t.Fatalf("spike %d alone reopened convergence", i)
+		}
+		if invoke(nil).Reopened {
+			t.Fatal("in-band serving reopened convergence")
+		}
+	}
+	if !e.Session.Done() {
+		t.Fatal("reopened after alternating spikes")
+	}
+	for i := 1; i <= staleWindow; i++ {
+		if got := invoke(spike).Reopened; got != (i == staleWindow) {
+			t.Fatalf("consecutive spike %d of %d: reopened %v", i, staleWindow, got)
+		}
+	}
+	if e.Session.Done() {
+		t.Fatal("session still done after the staleness reopen")
+	}
+	if st := c.Stats(); st.Reconvergences != 1 {
+		t.Fatalf("reconvergences = %d, want 1", st.Reconvergences)
+	}
+}
+
+// TestStalenessReopenEmptiesBothWindows: a staleness reopen also forgets the
+// out-of-band servings the drift window holds — they measured the plan the
+// reopen just stopped trusting — and an epoch bump's reopen empties both
+// windows too.
+func TestStalenessReopenEmptiesBothWindows(t *testing.T) {
+	eng := newEngine(t)
+	c := New(eng, Config{Staleness: true, Drift: true})
+	e, invoke := convergedQ6(t, c)
+	spike := spikeCatalog(t, eng)
+	empty := func(when string) {
+		t.Helper()
+		if e.stale.outs != 0 || e.drift.outs != 0 {
+			t.Fatalf("%s: staleness window holds %d out-of-band servings, drift window %d", when, e.stale.outs, e.drift.outs)
+		}
+	}
+	for i := 1; i < staleWindow; i++ {
+		invoke(spike)
+	}
+	if e.drift.outs != staleWindow-1 {
+		t.Fatalf("drift window holds %d out-of-band servings, want %d", e.drift.outs, staleWindow-1)
+	}
+	if !invoke(spike).Reopened {
+		t.Fatal("staleness did not reopen")
+	}
+	empty("after the staleness reopen")
+	for i := 0; !invoke(nil).Converged; i++ {
+		if i == 300 {
+			t.Fatal("re-convergence did not halt within 300 invocations")
+		}
+	}
+	invoke(spike)
+	if e.stale.outs != 1 || e.drift.outs != 1 {
+		t.Fatalf("re-converged session's windows hold %d / %d out-of-band servings, want 1 / 1", e.stale.outs, e.drift.outs)
+	}
+	if c.ReopenTenantForData("") != 1 {
+		t.Fatal("epoch bump did not reopen the session")
+	}
+	empty("after the data reopen")
+}
+
+// TestBandWindowMatchesBothParentDetectors feeds identical latency sequences
+// to the one bandWindow in its two deployed configurations and to reference
+// copies of the two detectors it replaced — the staleness "Window
+// consecutive out-of-band runs" counter and the drift "Trip of the last
+// Window" ring — and asserts every trip lands on the same observation index.
+// Like its callers, the harness resets the detector when a trip is acted on;
+// the drift configuration is also run without resets — a trip the mix-share
+// gate vetoes leaves the window sliding.
+func TestBandWindowMatchesBothParentDetectors(t *testing.T) {
+	const expect, band = 1000.0, 0.35
+	in, out, fast := expect*1.2, expect*1.6, expect*0.5 // fast: out of band below
+	rep := func(n int, vs ...float64) []float64 {
+		var s []float64
+		for i := 0; i < n; i++ {
+			s = append(s, vs...)
+		}
+		return s
+	}
+	cat := func(parts ...[]float64) []float64 {
+		var s []float64
+		for _, p := range parts {
+			s = append(s, p...)
+		}
+		return s
+	}
+	seqs := map[string][]float64{
+		"all in band":           rep(20, in),
+		"all out of band":       rep(20, out),
+		"alternating":           rep(12, out, in),
+		"two out, one in":       rep(8, out, out, in),
+		"three out, one in":     rep(6, out, out, out, in),
+		"admission interleave":  rep(4, out, out, out, in, out, out, out, out),
+		"late burst":            cat(rep(9, in), rep(7, out), rep(3, in), rep(8, fast)),
+		"symmetric band":        cat(rep(2, fast), rep(1, out), rep(5, fast, out)),
+		"on the band edge":      rep(10, expect*(1+band)),
+		"just past the edge":    rep(10, expect*(1+band)+1e-6),
+		"window slides out":     cat(rep(5, out), rep(8, in), rep(5, out), rep(1, in), rep(3, out)),
+		"exactly trip then in":  cat(rep(2, out), rep(1, in), rep(3, out), rep(2, in), rep(3, out)),
+		"boundary of the eight": cat(rep(5, out), rep(3, in), rep(1, out), rep(7, in), rep(6, out)),
+	}
+	// The parent's staleness rule: a counter of consecutive out-of-band runs.
+	consecutive := func(seq []float64, window int) (trips []int) {
+		run := 0
+		for i, ns := range seq {
+			if math.Abs(ns-expect)/expect <= band {
+				run = 0
+				continue
+			}
+			if run++; run >= window {
+				trips = append(trips, i)
+				run = 0
+			}
+		}
+		return trips
+	}
+	// The parent's drift rule: a hand-rolled ring with its own fill count.
+	ring := func(seq []float64, window, trip int, reset bool) (trips []int) {
+		var (
+			outRing        []bool
+			idx, n, outCnt int
+		)
+		for i, ns := range seq {
+			o := math.Abs(ns-expect)/expect > band
+			if outRing == nil {
+				outRing = make([]bool, window)
+			}
+			if n == window {
+				if outRing[idx] {
+					outCnt--
+				}
+			} else {
+				n++
+			}
+			outRing[idx] = o
+			idx = (idx + 1) % window
+			if o {
+				outCnt++
+			}
+			if outCnt >= trip {
+				trips = append(trips, i)
+				if reset {
+					outRing, idx, n, outCnt = nil, 0, 0, 0
+				}
+			}
+		}
+		return trips
+	}
+	shared := func(seq []float64, window, trip int, reset bool) (trips []int) {
+		w := newBandWindow(band, window, trip)
+		for i, ns := range seq {
+			wantOut := math.Abs(ns-expect)/expect > band
+			o, tripped := w.observe(ns, expect)
+			if o != wantOut {
+				t.Fatalf("observation %d (%.1f): out=%v, want %v", i, ns, o, wantOut)
+			}
+			if tripped {
+				trips = append(trips, i)
+				if reset {
+					w.reset()
+				}
+			}
+		}
+		return trips
+	}
+	tripped := 0
+	for name, seq := range seqs {
+		if got, want := shared(seq, 3, 3, true), consecutive(seq, 3); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: 3/3 trips at %v, the parent's consecutive counter at %v", name, got, want)
+		}
+		for _, reset := range []bool{true, false} {
+			got, want := shared(seq, 8, 6, reset), ring(seq, 8, 6, reset)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (reset=%v): 6/8 trips at %v, the parent's ring at %v", name, reset, got, want)
+			}
+			tripped += len(got)
+		}
+	}
+	if tripped == 0 {
+		t.Fatal("no sequence tripped the 6/8 configuration — the table proves nothing")
+	}
 }

@@ -68,17 +68,14 @@ type truncateRequest struct {
 }
 
 // MutationResponse reports one admin data mutation: the tenant's new epoch
-// and how many sessions the epoch bump reopened warm (or dropped, for
-// sessions that had no learned plan to seed from).
+// and how many sessions the epoch bump reopened warm.
 type MutationResponse struct {
 	Tenant string `json:"tenant"`
 	Table  string `json:"table"`
 	Epoch  int64  `json:"epoch"`
 	Rows   int64  `json:"rows"`
-	// SessionsReopened counts cached sessions re-seeded warm across shards;
-	// SessionsDropped counts plan-less sessions evicted instead.
+	// SessionsReopened counts cached sessions re-seeded warm across shards.
 	SessionsReopened int `json:"sessions_reopened"`
-	SessionsDropped  int `json:"sessions_dropped,omitempty"`
 }
 
 // TenantLifecycleResponse reports one tenant addition or removal.
@@ -146,9 +143,7 @@ func (s *Server) mutateTenant(tenant, table string, counter *atomic.Int64, op fu
 		ncat.ReclaimTail(table)
 		resp.Epoch = tn.epoch.Add(1)
 		for _, sh := range s.shards {
-			r, d := sh.cache.ReopenTenantForData(tn.tag())
-			resp.SessionsReopened += r
-			resp.SessionsDropped += d
+			resp.SessionsReopened += sh.cache.ReopenTenantForData(tn.tag())
 		}
 	})
 	counter.Add(1)

@@ -98,11 +98,9 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (bool, error) {
 	// it serializes against live serving on that shard.
 	if err := s.do(sh, func() {
 		if warm {
-			ok = sess.ReopenForData() &&
-				sh.cache.RestoreWarm(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
-		} else {
-			ok = sh.cache.Restore(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
+			sess.ReopenForData()
 		}
+		ok = sh.cache.Restore(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
 	}); err != nil {
 		return false, err
 	}

@@ -249,7 +249,7 @@ func (b *Breaker) Snapshot() (state BreakerState, trips int64, failures int) {
 }
 
 // InjectFault schedules a machine fault on one shard — the chaos entry point
-// the self-benchmark and tests drive mid-run core loss through. The event
+// tests drive mid-run core loss through. The event
 // reaches the simulated machine under the shard's engine-ownership boundary;
 // it takes effect at its virtual AtNs (a past AtNs means immediately, at the
 // start of the next run).
