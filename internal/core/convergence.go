@@ -58,16 +58,16 @@ type Convergence struct {
 }
 
 // NewConvergence returns the state machine; the first Observe call must
-// carry the serial (0th run) execution time.
+// carry the serial (0th run) execution time. Cores defaults to 1, and any
+// other field left zero takes its DefaultConvergenceConfig value.
 func NewConvergence(cfg ConvergenceConfig) *Convergence {
-	if cfg.Cores <= 0 {
-		cfg.Cores = 1
-	}
+	def := DefaultConvergenceConfig(max(cfg.Cores, 1))
+	cfg.Cores = def.Cores
 	if cfg.ExtraRuns <= 0 {
-		cfg.ExtraRuns = 8
+		cfg.ExtraRuns = def.ExtraRuns
 	}
 	if cfg.GMEThreshold <= 0 {
-		cfg.GMEThreshold = 0.05
+		cfg.GMEThreshold = def.GMEThreshold
 	}
 	return &Convergence{cfg: cfg, credit: 1, gme: math.Inf(1), gmeRun: -1}
 }
@@ -79,10 +79,6 @@ func (c *Convergence) Run() int { return c.run }
 // NewConvergence defaulting — the values a snapshot must persist so a replay
 // reproduces this machine exactly.
 func (c *Convergence) Config() ConvergenceConfig { return c.cfg }
-
-// Serial returns the serial (run 0) baseline execution time, 0 before the
-// first Observe.
-func (c *Convergence) Serial() float64 { return c.serialExec }
 
 // GME returns the global-minimum execution time observed, the run at which
 // it occurred, and whether one exists yet.

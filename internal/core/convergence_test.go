@@ -187,6 +187,20 @@ func TestHistoryAndBalanceAccessors(t *testing.T) {
 	}
 }
 
+// TestConvergenceFillsDefaults: a partial config takes each missing field
+// from DefaultConvergenceConfig, so setting only Cores is the default for
+// that many cores.
+func TestConvergenceFillsDefaults(t *testing.T) {
+	for _, cores := range []int{1, 16} {
+		if got, want := NewConvergence(ConvergenceConfig{Cores: cores}).Config(), DefaultConvergenceConfig(cores); got != want {
+			t.Errorf("NewConvergence({Cores: %d}).Config() = %+v, want %+v", cores, got, want)
+		}
+	}
+	if got, want := NewConvergence(ConvergenceConfig{}).Config(), DefaultConvergenceConfig(1); got != want {
+		t.Errorf("NewConvergence({}).Config() = %+v, want %+v", got, want)
+	}
+}
+
 func TestConvergenceDefaultsSanitized(t *testing.T) {
 	c := NewConvergence(ConvergenceConfig{})
 	if !c.Observe(100) {

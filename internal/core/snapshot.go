@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/plan"
@@ -61,8 +62,8 @@ func RestoreSession(eng *exec.Engine, snap *Snapshot) (*Session, error) {
 			return nil, fmt.Errorf("core: restore: history of %d runs does not replay to convergence at run %d", len(snap.History), i)
 		}
 	}
-	if got := conv.Outliers(); len(got) != len(snap.Outliers) {
-		return nil, fmt.Errorf("core: restore: replay flagged %d outliers, snapshot recorded %d", len(got), len(snap.Outliers))
+	if got := conv.Outliers(); !slices.Equal(got, snap.Outliers) {
+		return nil, fmt.Errorf("core: restore: replay flagged outlier runs %v, snapshot recorded %v", got, snap.Outliers)
 	}
 	attempts := make([]Attempt, len(snap.History))
 	for i, ns := range snap.History {

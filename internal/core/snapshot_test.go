@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/exec"
 	"repro/internal/plan"
+	"repro/internal/sim"
 )
 
 // TestSnapshotRestoreTwinEquality converges a session, round-trips it
@@ -114,5 +115,34 @@ func TestRestoreRejectsCorruptHistory(t *testing.T) {
 	noPlan.BestPlan = nil
 	if _, err := RestoreSession(eng, &noPlan); err == nil {
 		t.Fatal("RestoreSession accepted a snapshot without a plan")
+	}
+}
+
+// TestRestoreRejectsOtherOutliers: a snapshot whose outlier runs differ from
+// the ones its history replays to is refused, even when their count agrees.
+func TestRestoreRejectsOtherOutliers(t *testing.T) {
+	m := testMachine()
+	m.Noise = sim.NoiseConfig{Enabled: true, Jitter: 0.03, SpikeProb: 0.05, SpikeMin: 4, SpikeMax: 10}
+	m.Seed = 1
+	eng := exec.NewEngine(testCatalog(400_000), m, cost.Default())
+	s := NewSession(eng, selectPlan(), DefaultMutationConfig(), DefaultConvergenceConfig(8))
+	if _, err := s.Converge(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Outliers) == 0 {
+		t.Fatal("noisy convergence flagged no outliers; the test needs one to edit")
+	}
+	if _, err := RestoreSession(eng, snap); err != nil {
+		t.Fatalf("unedited snapshot: %v", err)
+	}
+	edited := *snap
+	edited.Outliers = append([]int(nil), snap.Outliers...)
+	edited.Outliers[0] += 1000
+	if _, err := RestoreSession(eng, &edited); err == nil {
+		t.Fatalf("RestoreSession accepted outliers %v; the history replays to %v", edited.Outliers, snap.Outliers)
 	}
 }

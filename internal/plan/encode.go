@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/algebra"
+	"repro/internal/wire"
 )
 
 // Canonical plan serialization. The persistent convergence store keeps a
@@ -53,26 +54,26 @@ func Encode(p *Plan) []byte {
 	buf := make([]byte, 0, 64+8*len(p.kinds)+32*len(p.Instrs))
 	buf = append(buf, encodeMagic[:]...)
 	buf = append(buf, encodeVersion)
-	buf = appendUvarint(buf, uint64(len(p.kinds)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.kinds)))
 	for v := range p.kinds {
 		buf = append(buf, uint8(p.kinds[v]))
-		buf = appendString(buf, p.name(VarID(v)))
+		buf = wire.AppendString(buf, p.name(VarID(v)))
 	}
-	buf = appendUvarint(buf, uint64(len(p.Instrs)))
+	buf = binary.AppendUvarint(buf, uint64(len(p.Instrs)))
 	for _, in := range p.Instrs {
 		buf = append(buf, uint8(in.Op))
-		buf = appendUvarint(buf, uint64(len(in.Args)))
+		buf = binary.AppendUvarint(buf, uint64(len(in.Args)))
 		for _, a := range in.Args {
-			buf = appendUvarint(buf, uint64(a))
+			buf = binary.AppendUvarint(buf, uint64(a))
 		}
-		buf = appendUvarint(buf, uint64(len(in.Rets)))
+		buf = binary.AppendUvarint(buf, uint64(len(in.Rets)))
 		for _, r := range in.Rets {
-			buf = appendUvarint(buf, uint64(r))
+			buf = binary.AppendUvarint(buf, uint64(r))
 		}
-		buf = appendUvarint(buf, in.Part.LoNum)
-		buf = appendUvarint(buf, in.Part.HiNum)
-		buf = appendUvarint(buf, in.Part.Den)
-		buf = appendString(buf, in.Comment)
+		buf = binary.AppendUvarint(buf, in.Part.LoNum)
+		buf = binary.AppendUvarint(buf, in.Part.HiNum)
+		buf = binary.AppendUvarint(buf, in.Part.Den)
+		buf = wire.AppendString(buf, in.Comment)
 		buf = appendAux(buf, in.Aux)
 	}
 	return buf
@@ -117,25 +118,25 @@ func appendAux(buf []byte, aux any) []byte {
 	buf = append(buf, kind)
 	switch a := aux.(type) {
 	case BindAux:
-		buf = appendString(buf, a.Table)
-		buf = appendString(buf, a.Column)
+		buf = wire.AppendString(buf, a.Table)
+		buf = wire.AppendString(buf, a.Column)
 	case ConstAux:
-		buf = appendVarint(buf, a.Value)
+		buf = binary.AppendVarint(buf, a.Value)
 	case SelectAux:
-		buf = appendVarint(buf, a.Pred.Lo)
-		buf = appendVarint(buf, a.Pred.Hi)
-		buf = append(buf, boolByte(a.Pred.LoIncl), boolByte(a.Pred.HiIncl))
+		buf = binary.AppendVarint(buf, a.Pred.Lo)
+		buf = binary.AppendVarint(buf, a.Pred.Hi)
+		buf = wire.AppendBool(wire.AppendBool(buf, a.Pred.LoIncl), a.Pred.HiIncl)
 	case LikeAux:
-		buf = appendString(buf, a.Pattern)
-		buf = append(buf, uint8(a.Kind), boolByte(a.Anti))
+		buf = wire.AppendString(buf, a.Pattern)
+		buf = wire.AppendBool(append(buf, uint8(a.Kind)), a.Anti)
 	case CalcAux:
 		buf = append(buf, uint8(a.Op))
-		buf = appendVarint(buf, a.Scalar)
-		buf = append(buf, boolByte(a.ScalarLeft))
+		buf = binary.AppendVarint(buf, a.Scalar)
+		buf = wire.AppendBool(buf, a.ScalarLeft)
 	case AggrAux:
 		buf = append(buf, uint8(a.Func))
 	case SortAux:
-		buf = append(buf, boolByte(a.Desc))
+		buf = wire.AppendBool(buf, a.Desc)
 	}
 	return buf
 }
@@ -144,305 +145,115 @@ func appendAux(buf []byte, aux any) []byte {
 // structurally identical to the encoded plan: re-encoding it reproduces the
 // input bytes exactly.
 func Decode(data []byte) (*Plan, error) {
-	d := &decoder{buf: data}
-	var magic [4]byte
-	for i := range magic {
-		b, err := d.byte()
-		if err != nil {
-			return nil, fmt.Errorf("plan: decode: %w", err)
-		}
-		magic[i] = b
+	r := wire.NewReader(data)
+	if magic := r.Raw(len(encodeMagic)); r.Err() == nil && [4]byte(magic) != encodeMagic {
+		return nil, fmt.Errorf("plan: decode: bad magic %q (not a canonical plan)", magic)
 	}
-	if magic != encodeMagic {
-		return nil, fmt.Errorf("plan: decode: bad magic %q (not a canonical plan)", magic[:])
-	}
-	ver, err := d.byte()
-	if err != nil {
-		return nil, fmt.Errorf("plan: decode: %w", err)
-	}
-	if ver != encodeVersion {
+	if ver := r.Byte(); r.Err() == nil && ver != encodeVersion {
 		return nil, fmt.Errorf("plan: decode: unsupported plan-format version %d (this build reads %d)", ver, encodeVersion)
 	}
-	p, err := d.plan()
+	p, err := decodePlan(r)
 	if err != nil {
 		return nil, fmt.Errorf("plan: decode: %w", err)
 	}
-	if len(d.buf) != d.off {
-		return nil, fmt.Errorf("plan: decode: %d trailing bytes after plan", len(d.buf)-d.off)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("plan: decode: %d trailing bytes after plan", r.Len())
 	}
 	return p, nil
 }
 
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) plan() (*Plan, error) {
-	nvars, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nvars > uint64(len(d.buf)) {
+func decodePlan(r *wire.Reader) (*Plan, error) {
+	nvars := r.Uvarint()
+	if nvars > uint64(r.Len()) {
 		return nil, fmt.Errorf("var count %d exceeds input", nvars)
 	}
 	p := New()
-	for i := uint64(0); i < nvars; i++ {
-		kb, err := d.byte()
-		if err != nil {
-			return nil, err
+	for i := uint64(0); i < nvars && r.Err() == nil; i++ {
+		kind := Kind(r.Byte())
+		if kind > KindGroups {
+			return nil, fmt.Errorf("var %d: unknown kind %d", i, kind)
 		}
-		if Kind(kb) > KindGroups {
-			return nil, fmt.Errorf("var %d: unknown kind %d", i, kb)
-		}
-		name, err := d.string()
-		if err != nil {
-			return nil, err
-		}
-		p.NewVar(Kind(kb), name)
+		p.NewVar(kind, r.Str())
 	}
-	ninstrs, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ninstrs > uint64(len(d.buf)) {
+	ninstrs := r.Uvarint()
+	if ninstrs > uint64(r.Len()) {
 		return nil, fmt.Errorf("instruction count %d exceeds input", ninstrs)
 	}
-	for i := uint64(0); i < ninstrs; i++ {
-		in, err := d.instr(nvars)
+	for i := uint64(0); i < ninstrs && r.Err() == nil; i++ {
+		in, err := decodeInstr(r, nvars)
 		if err != nil {
 			return nil, fmt.Errorf("instruction %d: %w", i, err)
 		}
 		p.Append(in)
 	}
-	return p, nil
+	return p, r.Err()
 }
 
-func (d *decoder) instr(nvars uint64) (*Instr, error) {
-	op, err := d.byte()
-	if err != nil {
-		return nil, err
+func decodeInstr(r *wire.Reader, nvars uint64) (*Instr, error) {
+	in := &Instr{Op: OpCode(r.Byte())}
+	if in.Op > OpResult {
+		return nil, fmt.Errorf("unknown opcode %d", in.Op)
 	}
-	if OpCode(op) > OpResult {
-		return nil, fmt.Errorf("unknown opcode %d", op)
-	}
-	in := &Instr{Op: OpCode(op)}
-	if in.Args, err = d.varList(nvars); err != nil {
+	var err error
+	if in.Args, err = decodeVars(r, nvars); err != nil {
 		return nil, fmt.Errorf("args: %w", err)
 	}
-	if in.Rets, err = d.varList(nvars); err != nil {
+	if in.Rets, err = decodeVars(r, nvars); err != nil {
 		return nil, fmt.Errorf("rets: %w", err)
 	}
-	if in.Part.LoNum, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if in.Part.HiNum, err = d.uvarint(); err != nil {
-		return nil, err
-	}
-	if in.Part.Den, err = d.uvarint(); err != nil {
+	in.Part = Part{LoNum: r.Uvarint(), HiNum: r.Uvarint(), Den: r.Uvarint()}
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	if in.Part.Den == 0 || in.Part.HiNum > in.Part.Den || in.Part.LoNum > in.Part.HiNum {
 		return nil, fmt.Errorf("invalid part [%d/%d,%d/%d)", in.Part.LoNum, in.Part.Den, in.Part.HiNum, in.Part.Den)
 	}
-	if in.Comment, err = d.string(); err != nil {
-		return nil, err
-	}
-	if in.Aux, err = d.aux(); err != nil {
-		return nil, err
-	}
-	return in, nil
+	in.Comment = r.Str()
+	in.Aux, err = decodeAux(r)
+	return in, err
 }
 
-func (d *decoder) varList(nvars uint64) ([]VarID, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
+func decodeVars(r *wire.Reader, nvars uint64) ([]VarID, error) {
+	n := r.Uvarint()
+	if n > uint64(r.Len()) {
+		return nil, fmt.Errorf("list length %d exceeds input", n)
 	}
 	if n == 0 {
-		return nil, nil
-	}
-	if n > uint64(len(d.buf)) {
-		return nil, fmt.Errorf("list length %d exceeds input", n)
+		return nil, r.Err()
 	}
 	out := make([]VarID, n)
 	for i := range out {
-		v, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+		v := r.Uvarint()
 		if v >= nvars {
 			return nil, fmt.Errorf("variable %d out of range (plan has %d)", v, nvars)
 		}
 		out[i] = VarID(v)
 	}
-	return out, nil
+	return out, r.Err()
 }
 
-func (d *decoder) aux() (any, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
+// decodeAux reads the fields of each aux in the order appendAux writes them:
+// the reads in a composite literal run in lexical order.
+func decodeAux(r *wire.Reader) (any, error) {
+	var aux any
+	switch kind := r.Byte(); kind {
 	case auxNone:
-		return nil, nil
 	case auxBind:
-		var a BindAux
-		if a.Table, err = d.string(); err != nil {
-			return nil, err
-		}
-		if a.Column, err = d.string(); err != nil {
-			return nil, err
-		}
-		return a, nil
+		aux = BindAux{Table: r.Str(), Column: r.Str()}
 	case auxConst:
-		v, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		return ConstAux{Value: v}, nil
+		aux = ConstAux{Value: r.Varint()}
 	case auxSelect:
-		var a SelectAux
-		if a.Pred.Lo, err = d.varint(); err != nil {
-			return nil, err
-		}
-		if a.Pred.Hi, err = d.varint(); err != nil {
-			return nil, err
-		}
-		if a.Pred.LoIncl, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if a.Pred.HiIncl, err = d.bool(); err != nil {
-			return nil, err
-		}
-		return a, nil
+		aux = SelectAux{Pred: algebra.Range{Lo: r.Varint(), Hi: r.Varint(), LoIncl: r.Bool(), HiIncl: r.Bool()}}
 	case auxLike:
-		var a LikeAux
-		if a.Pattern, err = d.string(); err != nil {
-			return nil, err
-		}
-		kb, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		a.Kind = algebra.LikeKind(kb)
-		if a.Anti, err = d.bool(); err != nil {
-			return nil, err
-		}
-		return a, nil
+		aux = LikeAux{Pattern: r.Str(), Kind: algebra.LikeKind(r.Byte()), Anti: r.Bool()}
 	case auxCalc:
-		var a CalcAux
-		ob, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		a.Op = algebra.CalcOp(ob)
-		if a.Scalar, err = d.varint(); err != nil {
-			return nil, err
-		}
-		if a.ScalarLeft, err = d.bool(); err != nil {
-			return nil, err
-		}
-		return a, nil
+		aux = CalcAux{Op: algebra.CalcOp(r.Byte()), Scalar: r.Varint(), ScalarLeft: r.Bool()}
 	case auxAggr:
-		fb, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		return AggrAux{Func: algebra.AggrFunc(fb)}, nil
+		aux = AggrAux{Func: algebra.AggrFunc(r.Byte())}
 	case auxSort:
-		desc, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		return SortAux{Desc: desc}, nil
+		aux = SortAux{Desc: r.Bool()}
+	default:
+		return nil, fmt.Errorf("unknown aux discriminator %d", kind)
 	}
-	return nil, fmt.Errorf("unknown aux discriminator %d", kind)
-}
-
-func (d *decoder) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, fmt.Errorf("truncated at offset %d", d.off)
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("invalid bool byte %d", b)
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if err := d.varintLen(n); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.off:])
-	if err := d.varintLen(n); err != nil {
-		return 0, err
-	}
-	return v, nil
-}
-
-// varintLen consumes an n-byte varint. A padded encoding (a zero final byte
-// after the first) decodes to a value Encode writes shorter, so accepting it
-// would give one plan two byte strings.
-func (d *decoder) varintLen(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("bad varint at offset %d", d.off)
-	}
-	if n > 1 && d.buf[d.off+n-1] == 0 {
-		return fmt.Errorf("non-canonical varint at offset %d", d.off)
-	}
-	d.off += n
-	return nil
-}
-
-func (d *decoder) string() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		return "", fmt.Errorf("string length %d exceeds input at offset %d", n, d.off)
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-func appendVarint(buf []byte, v int64) []byte {
-	return binary.AppendVarint(buf, v)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
+	return aux, r.Err()
 }

@@ -206,10 +206,7 @@ func (s *Server) AddTenant(spec TenantSpec) (TenantLifecycleResponse, error) {
 	}
 	resp := TenantLifecycleResponse{Tenant: tn.Name, Epoch: tn.epoch.Load()}
 	if s.cfg.Store != nil {
-		before, warmBefore := s.rehydrated.Load(), s.warmSeeded.Load()
-		s.rehydrate(s.cfg.Store, tn)
-		resp.SessionsRehydrated = s.rehydrated.Load() - before
-		resp.SessionsWarmSeeded = s.warmSeeded.Load() - warmBefore
+		resp.SessionsRehydrated, resp.SessionsWarmSeeded = s.rehydrate(s.cfg.Store, tn)
 	}
 	s.life.tenantsAdded.Add(1)
 	return resp, nil

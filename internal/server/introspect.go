@@ -246,9 +246,10 @@ type LifecycleStats struct {
 type StoreStatsInfo struct {
 	store.Stats
 	// RehydratedSessions counts sessions restored into the shard caches
-	// (startup plus runtime tenant additions); WarmSeededSessions counts
-	// records whose dataset epoch mismatched the live tenant's and came
-	// back as warm seeds instead of served-converged; SkippedRecords counts
+	// (startup, runtime tenant additions and replicated records: the caches'
+	// summed Rehydrated); WarmSeededSessions counts records whose dataset
+	// epoch mismatched the live tenant's and came back as warm seeds instead
+	// of served-converged (the summed WarmSeeds); SkippedRecords counts
 	// records refused by the identity, calibration, or integrity checks.
 	RehydratedSessions int64 `json:"rehydrated_sessions"`
 	WarmSeededSessions int64 `json:"warm_seeded_sessions,omitempty"`
@@ -336,8 +337,8 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Store != nil {
 		resp.Store = &StoreStatsInfo{
 			Stats:                 s.cfg.Store.Stats(),
-			RehydratedSessions:    s.rehydrated.Load(),
-			WarmSeededSessions:    s.warmSeeded.Load(),
+			RehydratedSessions:    resp.Cache.Rehydrated,
+			WarmSeededSessions:    resp.Cache.WarmSeeds,
 			SkippedRecords:        s.skippedRecords.Load(),
 			WriteBehindQueueDepth: s.sync.QueueDepth(),
 			RecordsWritten:        s.sync.Written(),

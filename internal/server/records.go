@@ -51,8 +51,9 @@ func (s *Server) persistHook(eng *exec.Engine) func(*plancache.Entry) {
 // a non-done session the request stream re-converges cheaply — never as
 // served-converged. A mismatched or unrestorable record is skipped and
 // counted — never merged, never fatal: the query it belonged to simply
-// converges afresh.
-func (s *Server) rehydrate(st *store.Store, only *tenantState) {
+// converges afresh. It returns how many records went live served-converged
+// and how many as warm seeds.
+func (s *Server) rehydrate(st *store.Store, only *tenantState) (rehydrated, warmSeeded int64) {
 	for _, rec := range st.Records() {
 		rec := rec
 		var tn *tenantState
@@ -65,34 +66,42 @@ func (s *Server) rehydrate(st *store.Store, only *tenantState) {
 			s.skippedRecords.Add(1)
 			continue
 		}
-		if _, err := s.applyRecord(&rec, tn); err != nil {
-			return // server closing mid-rehydration
+		live, warm, err := s.applyRecord(&rec, tn)
+		if err != nil {
+			return rehydrated, warmSeeded // server closing mid-rehydration
+		}
+		switch {
+		case live && warm:
+			warmSeeded++
+		case live:
+			rehydrated++
 		}
 	}
+	return rehydrated, warmSeeded
 }
 
 // applyRecord identity-checks one convergence record and restores it into
 // its owning shard's cache — the shared core of startup rehydration and
 // peer-to-peer replication. It reports whether the session went live (a
 // skipped record is not an error: the query it belonged to simply converges
-// afresh) and errors only when the server is closing.
-func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (bool, error) {
+// afresh) and whether as a warm seed, and errors only when the server is
+// closing. The shard cache counts what went live (Rehydrated, WarmSeeds).
+func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (live, warm bool, err error) {
 	if tn.DBIdentity != rec.DBIdentity {
 		s.skippedRecords.Add(1)
-		return false, nil
+		return false, false, nil
 	}
 	sh := s.shardFor(rec.Fingerprint)
 	if rec.HasCost && rec.CostParams != sh.eng.Params() {
 		s.skippedRecords.Add(1)
-		return false, nil
+		return false, false, nil
 	}
 	sess, err := rec.RestoreSession(sh.eng)
 	if err != nil {
 		s.skippedRecords.Add(1)
-		return false, nil
+		return false, false, nil
 	}
-	warm := rec.Epoch != tn.epoch.Load()
-	var ok bool
+	warm = rec.Epoch != tn.epoch.Load()
 	// Cache insertion under the shard's engine-ownership lock: at startup
 	// it is uncontended; for runtime tenant addition and replicated records
 	// it serializes against live serving on that shard.
@@ -100,19 +109,14 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (bool, error) {
 		if warm {
 			sess.ReopenForData()
 		}
-		ok = sh.cache.Restore(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
+		live = sh.cache.Restore(rec.Tenant, rec.Fingerprint, rec.Query, sess) != nil
 	}); err != nil {
-		return false, err
+		return false, false, err
 	}
-	switch {
-	case !ok:
+	if !live {
 		s.skippedRecords.Add(1)
-	case warm:
-		s.warmSeeded.Add(1)
-	default:
-		s.rehydrated.Add(1)
 	}
-	return ok, nil
+	return live, warm, nil
 }
 
 // ApplyRecord applies one replicated convergence record to the live serving
@@ -128,8 +132,8 @@ func (s *Server) ApplyRecord(rec store.Record) bool {
 		s.skippedRecords.Add(1)
 		return false
 	}
-	ok, err := s.applyRecord(&rec, tn)
-	if err != nil || !ok {
+	live, _, err := s.applyRecord(&rec, tn)
+	if err != nil || !live {
 		return false
 	}
 	if s.sync != nil {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/vec"
+	"repro/internal/wire"
 )
 
 // APQRESULT: the columnar result wire format POST /query streams when a
@@ -166,7 +167,7 @@ func (rw *resultWriter) ints(vals []int64) {
 				room = cap(rw.buf) / 8
 			}
 			n := min(room, len(chunk))
-			rw.buf = vec.AppendInt64LE(rw.buf, chunk[:n])
+			rw.buf = wire.AppendInt64LE(rw.buf, chunk[:n])
 			chunk = chunk[n:]
 		}
 	}
@@ -260,138 +261,56 @@ type ResultPayload struct {
 	Values []exec.Value
 }
 
-// resultReader walks a decode buffer with bounds-checked reads; every
-// over-read is an error, never a panic, and every count is validated against
-// the bytes actually remaining before anything is allocated.
-type resultReader struct {
-	data []byte
-	pos  int
-}
-
-func (r *resultReader) remaining() int { return len(r.data) - r.pos }
-
-func (r *resultReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.remaining() < n {
-		return nil, fmt.Errorf("server: result: truncated at offset %d (want %d bytes, have %d)", r.pos, n, r.remaining())
-	}
-	b := r.data[r.pos : r.pos+n]
-	r.pos += n
-	return b, nil
-}
-
-func (r *resultReader) u8() (byte, error) {
-	b, err := r.bytes(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (r *resultReader) u32() (uint32, error) {
-	b, err := r.bytes(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (r *resultReader) i64() (int64, error) {
-	b, err := r.bytes(8)
-	if err != nil {
-		return 0, err
-	}
-	return int64(binary.LittleEndian.Uint64(b)), nil
-}
-
-// ints decodes one int-stream, enforcing the canonical chunk boundaries. The
-// preallocation is capped by the payload bytes remaining, so a hostile total
-// cannot make the decoder allocate past its input size.
-func (r *resultReader) ints() ([]int64, error) {
-	total, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(total)*8 > uint64(r.remaining()) {
-		return nil, fmt.Errorf("server: result: int-stream claims %d values with %d bytes left", total, r.remaining())
+// readInts decodes one int-stream, enforcing the canonical chunk
+// boundaries. The preallocation is capped by the payload bytes remaining, so
+// a hostile total cannot make the decoder allocate past its input size.
+func readInts(r *wire.Reader) []int64 {
+	total := r.U32()
+	if uint64(total)*8 > uint64(r.Len()) {
+		r.Failf("int-stream claims %d values with %d bytes left", total, r.Len())
+		return nil
 	}
 	out := make([]int64, 0, total)
-	for len(out) < int(total) {
+	for len(out) < int(total) && r.Err() == nil {
 		want := min(int(total)-len(out), resultChunkValues)
-		n, err := r.u32()
-		if err != nil {
-			return nil, err
+		if n := int(r.U32()); n != want {
+			r.Failf("chunk of %d values, want %d (non-canonical boundary)", n, want)
 		}
-		if int(n) != want {
-			return nil, fmt.Errorf("server: result: chunk of %d values, want %d (non-canonical boundary)", n, want)
-		}
-		payload, err := r.bytes(int(n) * 8)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vec.Int64LE(payload, int(n))...)
+		out = append(out, r.Int64LE(want)...)
 	}
-	return out, nil
+	return out
 }
 
-func (r *resultReader) column() (*storage.Column, error) {
-	nameLen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	nameBytes, err := r.bytes(int(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	name := string(nameBytes)
-	seq, err := r.i64()
-	if err != nil {
-		return nil, err
-	}
-	dictFlag, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
+func readColumn(r *wire.Reader) *storage.Column {
+	name := string(r.Raw(int(r.U32())))
+	seq := r.I64()
 	var dict *vec.Dict
-	switch dictFlag {
-	case 0:
-	case 1:
-		dictN, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
+	if r.Bool() {
+		dictN := r.U32()
 		// Each entry is at least its 4-byte length prefix.
-		if uint64(dictN)*4 > uint64(r.remaining()) {
-			return nil, fmt.Errorf("server: result: dictionary claims %d entries with %d bytes left", dictN, r.remaining())
+		if uint64(dictN)*4 > uint64(r.Len()) {
+			r.Failf("dictionary claims %d entries with %d bytes left", dictN, r.Len())
 		}
 		dict = vec.NewDict()
-		for i := uint32(0); i < dictN; i++ {
-			strLen, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			sb, err := r.bytes(int(strLen))
-			if err != nil {
-				return nil, err
-			}
-			if dict.Code(string(sb)) != int64(i) {
-				return nil, fmt.Errorf("server: result: duplicate dictionary entry %q", sb)
+		for i := uint32(0); i < dictN && r.Err() == nil; i++ {
+			if s := r.Raw(int(r.U32())); r.Err() == nil && dict.Code(string(s)) != int64(i) {
+				r.Failf("duplicate dictionary entry %q", s)
 			}
 		}
-	default:
-		return nil, fmt.Errorf("server: result: bad dictionary flag %d", dictFlag)
 	}
-	vals, err := r.ints()
-	if err != nil {
-		return nil, err
-	}
+	vals := readInts(r)
 	if dict != nil {
 		for _, c := range vals {
 			if c < 0 || c >= int64(dict.Len()) {
-				return nil, fmt.Errorf("server: result: dictionary code %d out of range [0,%d)", c, dict.Len())
+				r.Failf("dictionary code %d out of range [0,%d)", c, dict.Len())
+				break
 			}
 		}
 	}
-	return storage.NewColumn(name, seq, vec.New(vals, dict)), nil
+	if r.Err() != nil {
+		return nil
+	}
+	return storage.NewColumn(name, seq, vec.New(vals, dict))
 }
 
 // DecodeResult parses an APQRESULT document. Hostile input — bad magic or
@@ -408,25 +327,16 @@ func DecodeResult(data []byte) (*ResultPayload, error) {
 	if got, want := binary.LittleEndian.Uint32(trailer), crc32.Checksum(body, resultCRC); got != want {
 		return nil, fmt.Errorf("server: result: CRC mismatch (document %08x, computed %08x)", got, want)
 	}
-	r := &resultReader{data: body}
-	magic, err := r.bytes(len(resultMagic))
-	if err != nil || !bytes.Equal(magic, resultMagic[:]) {
+	r := wire.NewReader(body)
+	if !bytes.Equal(r.Raw(len(resultMagic)), resultMagic[:]) {
 		return nil, errors.New("server: result: bad magic (not an APQRESULT document)")
 	}
-	version, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if version != resultVersion {
+	if version := r.U32(); version != resultVersion {
 		return nil, fmt.Errorf("server: result: unsupported version %d (this decoder reads %d)", version, resultVersion)
 	}
-	metaLen, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	metaRaw, err := r.bytes(int(metaLen))
-	if err != nil {
-		return nil, err
+	metaRaw := r.Raw(int(r.U32()))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("server: result: metadata: %w", err)
 	}
 	p := &ResultPayload{}
 	if err := json.Unmarshal(metaRaw, &p.Meta); err != nil {
@@ -437,55 +347,32 @@ func DecodeResult(data []byte) (*ResultPayload, error) {
 	if canon, err := json.Marshal(&p.Meta); err != nil || !bytes.Equal(canon, metaRaw) {
 		return nil, errors.New("server: result: non-canonical metadata encoding")
 	}
-	nvals, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
+	nvals := r.U32()
 	// Smallest possible value is an empty oids stream: 1 tag + 4 total.
-	if uint64(nvals)*5 > uint64(r.remaining()) {
-		return nil, fmt.Errorf("server: result: %d values claimed with %d bytes left", nvals, r.remaining())
+	if uint64(nvals)*5 > uint64(r.Len()) {
+		return nil, fmt.Errorf("server: result: %d values claimed with %d bytes left", nvals, r.Len())
 	}
 	p.Values = make([]exec.Value, 0, nvals)
-	for i := uint32(0); i < nvals; i++ {
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
+	for i := uint32(0); i < nvals && r.Err() == nil; i++ {
+		switch kind := r.Byte(); kind {
 		case resKindScalar:
-			v, err := r.i64()
-			if err != nil {
-				return nil, err
-			}
-			p.Values = append(p.Values, exec.ScalarValue(v))
+			p.Values = append(p.Values, exec.ScalarValue(r.I64()))
 		case resKindOids:
-			oids, err := r.ints()
-			if err != nil {
-				return nil, err
-			}
-			p.Values = append(p.Values, exec.OidsValue(oids))
+			p.Values = append(p.Values, exec.OidsValue(readInts(r)))
 		case resKindColumn:
-			col, err := r.column()
-			if err != nil {
-				return nil, err
-			}
-			p.Values = append(p.Values, exec.ColValue(col))
+			p.Values = append(p.Values, exec.ColValue(readColumn(r)))
 		case resKindGroups:
-			keys, err := r.column()
-			if err != nil {
-				return nil, err
-			}
-			gids, err := r.ints()
-			if err != nil {
-				return nil, err
-			}
-			p.Values = append(p.Values, exec.GroupsValue(&algebra.Groups{Keys: keys, GIDs: gids}))
+			keys := readColumn(r)
+			p.Values = append(p.Values, exec.GroupsValue(&algebra.Groups{Keys: keys, GIDs: readInts(r)}))
 		default:
-			return nil, fmt.Errorf("server: result: unknown value kind %d", kind)
+			r.Failf("unknown value kind %d", kind)
 		}
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("server: result: %d trailing bytes after the last value", r.remaining())
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("server: result: %w", err)
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("server: result: %d trailing bytes after the last value", r.Len())
 	}
 	return p, nil
 }

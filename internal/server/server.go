@@ -230,12 +230,10 @@ type Server struct {
 	}
 
 	// sync is the write-behind path to cfg.Store (nil without a store);
-	// rehydrated/warmSeeded/skippedRecords count rehydration outcomes
-	// (atomics: runtime tenant addition rehydrates concurrently with /stats
-	// reads).
+	// skippedRecords counts the records rehydration and replication refuse
+	// (atomic: runtime tenant addition rehydrates concurrently with /stats
+	// reads). The shard caches count the restores that went live.
 	sync           *store.Synchronizer
-	rehydrated     atomic.Int64
-	warmSeeded     atomic.Int64
 	skippedRecords atomic.Int64
 }
 

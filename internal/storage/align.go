@@ -13,44 +13,6 @@ import "math"
 // that every lookup is a valid access with no repetition and no omission
 // across sibling partitions.
 
-// AlignScenario classifies how an oid range [lo,hi) relates to a target view
-// [tlo,thi), mirroring the boundary cases of Figure 9.
-type AlignScenario int
-
-const (
-	// AlignExact: boundaries coincide (Figure 9A, fixed-size partitions).
-	AlignExact AlignScenario = iota
-	// AlignInside: the oid range is strictly inside the target (9B).
-	AlignInside
-	// AlignOvershootLow: starts before the target's upper boundary (9C/9E).
-	AlignOvershootLow
-	// AlignOvershootHigh: extends beyond the target's lower boundary (9D).
-	AlignOvershootHigh
-	// AlignOvershootBoth: overshoots on both ends (9F).
-	AlignOvershootBoth
-	// AlignDisjoint: no overlap at all; alignment yields an empty range.
-	AlignDisjoint
-)
-
-// Classify returns the alignment scenario for oid span [lo,hi) against a
-// target view spanning oids [tlo,thi).
-func Classify(lo, hi, tlo, thi int64) AlignScenario {
-	switch {
-	case lo == tlo && hi == thi:
-		return AlignExact
-	case hi <= tlo || lo >= thi:
-		return AlignDisjoint
-	case lo < tlo && hi > thi:
-		return AlignOvershootBoth
-	case lo < tlo:
-		return AlignOvershootLow
-	case hi > thi:
-		return AlignOvershootHigh
-	default:
-		return AlignInside
-	}
-}
-
 // AlignOids trims the sorted-or-unsorted oid list to those addressing the
 // target view [tlo,thi), the "adjusting the lower boundary of LT by removing
 // row-id=8" correction from Figure 10. It returns the kept oids, the number
@@ -102,19 +64,4 @@ func AlignOids(oids []int64, tlo, thi int64) (kept []int64, dropped int, ascendi
 		}
 	}
 	return kept, dropped, true
-}
-
-// AlignRange clips oid span [lo,hi) to the target view span [tlo,thi).
-func AlignRange(lo, hi, tlo, thi int64) (alo, ahi int64) {
-	alo, ahi = lo, hi
-	if alo < tlo {
-		alo = tlo
-	}
-	if ahi > thi {
-		ahi = thi
-	}
-	if ahi < alo {
-		ahi = alo
-	}
-	return alo, ahi
 }

@@ -194,26 +194,6 @@ func TestTableAndCatalog(t *testing.T) {
 	}
 }
 
-func TestClassifyScenarios(t *testing.T) {
-	cases := []struct {
-		lo, hi, tlo, thi int64
-		want             AlignScenario
-	}{
-		{0, 10, 0, 10, AlignExact},
-		{2, 8, 0, 10, AlignInside},
-		{0, 8, 2, 10, AlignOvershootLow},
-		{2, 12, 0, 10, AlignOvershootHigh},
-		{0, 12, 2, 10, AlignOvershootBoth},
-		{0, 2, 2, 10, AlignDisjoint},
-		{10, 12, 2, 10, AlignDisjoint},
-	}
-	for _, tc := range cases {
-		if got := Classify(tc.lo, tc.hi, tc.tlo, tc.thi); got != tc.want {
-			t.Errorf("Classify(%d,%d,%d,%d) = %v, want %v", tc.lo, tc.hi, tc.tlo, tc.thi, got, tc.want)
-		}
-	}
-}
-
 func TestAlignOids(t *testing.T) {
 	// The Figure 10 example: LT holds row ids 2,4,5,7,8 while RH covers
 	// oids [1,8); row id 8 must be removed.
@@ -280,17 +260,5 @@ func TestAlignOidsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAlignRange(t *testing.T) {
-	if lo, hi := AlignRange(0, 12, 2, 10); lo != 2 || hi != 10 {
-		t.Fatalf("AlignRange both = [%d,%d)", lo, hi)
-	}
-	if lo, hi := AlignRange(3, 5, 0, 10); lo != 3 || hi != 5 {
-		t.Fatalf("AlignRange inside = [%d,%d)", lo, hi)
-	}
-	if lo, hi := AlignRange(12, 20, 2, 10); lo != hi {
-		t.Fatalf("AlignRange disjoint = [%d,%d), want empty", lo, hi)
 	}
 }

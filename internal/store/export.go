@@ -3,8 +3,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
+
+	"repro/internal/wire"
 )
 
 // Export files are the plan-shipping interchange format: a self-describing
@@ -30,15 +31,10 @@ func EncodeRecords(recs []Record) ([]byte, error) {
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(recs)))
 	buf := hdr[:]
 	for i := range recs {
-		payload, err := encodeRecord(&recs[i], CurrentFormat)
-		if err != nil {
+		var err error
+		if buf, err = appendFrame(buf, &recs[i]); err != nil {
 			return nil, fmt.Errorf("store: encode records: %w", err)
 		}
-		var fh [frameLen]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, fh[:]...)
-		buf = append(buf, payload...)
 	}
 	return buf, nil
 }
@@ -63,29 +59,20 @@ func DecodeRecords(data []byte, src string) ([]Record, error) {
 	// hostile header may claim 4 billion records in a 20-byte document.
 	maxFit := (len(data) - exportHeaderLen) / frameLen
 	recs := make([]Record, 0, min(count, maxFit))
-	off := exportHeaderLen
+	r := wire.NewReader(data[exportHeaderLen:])
 	for i := 0; i < count; i++ {
-		if len(data)-off < frameLen {
-			return nil, fmt.Errorf("store: %s: truncated at record %d of %d", src, i+1, count)
-		}
-		plen := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > maxPayload || len(data)-off-frameLen < int(plen) {
-			return nil, fmt.Errorf("store: %s: truncated at record %d of %d", src, i+1, count)
-		}
-		payload := data[off+frameLen : off+frameLen+int(plen)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return nil, fmt.Errorf("store: %s: record %d of %d fails its checksum — file is corrupt", src, i+1, count)
+		payload, err := readFrame(r)
+		if err != nil {
+			return nil, fmt.Errorf("store: %s: record %d of %d: %w", src, i+1, count, err)
 		}
 		rec, err := decodeRecord(payload, version)
 		if err != nil {
 			return nil, fmt.Errorf("store: %s: record %d of %d does not decode at format version %d: %w", src, i+1, count, version, err)
 		}
 		recs = append(recs, rec)
-		off += frameLen + int(plen)
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("store: %s: %d trailing bytes after %d records", src, len(data)-off, count)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("store: %s: %d trailing bytes after %d records", src, r.Len(), count)
 	}
 	return recs, nil
 }

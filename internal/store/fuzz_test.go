@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
@@ -8,12 +9,20 @@ import (
 	"repro/internal/cost"
 )
 
-// Fuzz targets for the store's two decoders. The property under test is the
-// robustness contract the append log and the replication path both rely on:
+// Fuzz targets for the store's two decoders. The properties under test are
+// the contracts the append log and the replication path both rely on:
 // hostile bytes — including bytes whose CRC framing is perfectly valid —
-// must come back as an error, never a panic or a runaway allocation. The
-// CRC only protects against corruption in flight; a malicious or buggy peer
-// can frame anything.
+// must come back as an error, never a panic or a runaway allocation (the CRC
+// only protects against corruption in flight; a malicious or buggy peer can
+// frame anything), and whatever decodes is canonical: re-encoding it at its
+// own version reproduces the input, so one record has one byte string.
+
+// paddedVarint re-encodes the leading one-byte uvarint of payload (the
+// fingerprint's length) as a padded two-byte one: the same value, a byte
+// string no writer produces, which a decoder must refuse.
+func paddedVarint(payload []byte) []byte {
+	return append([]byte{payload[0] | 0x80, 0}, payload[1:]...)
+}
 
 // fuzzSeedRecord is a fully populated current-format record whose encoding
 // seeds both corpora.
@@ -50,6 +59,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// Truncation seeds: every prefix family the reader walks through.
 		f.Add(payload[:len(payload)/2], v)
 		f.Add(payload[:1], v)
+		f.Add(paddedVarint(payload), v)
 	}
 	f.Add([]byte{}, CurrentFormat)
 	f.Fuzz(func(t *testing.T, data []byte, version int) {
@@ -57,11 +67,16 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A payload that decodes must re-encode: decode success on bytes the
-		// encoder cannot round-trip would let one hostile peer poison the
-		// next hop's store file.
-		if _, err := encodeRecord(&rec, CurrentFormat); err != nil {
+		// A payload that decodes must re-encode to itself: decode success
+		// on bytes the encoder cannot reproduce would give one record two
+		// byte strings, or let one hostile peer poison the next hop's store
+		// file.
+		re, err := encodeRecord(&rec, version)
+		if err != nil {
 			t.Fatalf("decoded record does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("decode accepted a non-canonical v%d record: %d bytes in, %d bytes re-encoded", version, len(data), len(re))
 		}
 	})
 }
@@ -81,15 +96,30 @@ func FuzzDecodeExport(f *testing.F) {
 	f.Add(doc[:exportHeaderLen])
 	f.Add([]byte("APQXPORT"))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, err := DecodeRecords(data, "fuzz"); err == nil {
-			// A document that decodes must re-encode losslessly enough to
-			// decode again (not bit-identical: older versions migrate).
-			recs, _ := DecodeRecords(data, "fuzz")
-			if _, err := EncodeRecords(recs); err != nil {
-				t.Fatalf("decoded export does not re-encode: %v", err)
-			}
+	payload, err := encodeRecord(&rec, CurrentFormat)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(paddedVarint(payload))
+	// decodes checks the canonical property of one document and reports
+	// how many records it decoded (-1 = refused). Older versions migrate on
+	// decode, so only a current-format document must come back bit-identical.
+	decodes := func(t *testing.T, doc []byte) int {
+		recs, err := DecodeRecords(doc, "fuzz")
+		if err != nil {
+			return -1
 		}
+		re, err := EncodeRecords(recs)
+		if err != nil {
+			t.Fatalf("decoded export does not re-encode: %v", err)
+		}
+		if binary.LittleEndian.Uint32(doc[8:]) == CurrentFormat && !bytes.Equal(re, doc) {
+			t.Fatalf("decode accepted a non-canonical export: %d bytes in, %d bytes re-encoded", len(doc), len(re))
+		}
+		return len(recs)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		decodes(t, data)
 		// CRC-valid-but-hostile: frame the raw input as the single record of
 		// an otherwise impeccable current-format document. The framing layer
 		// passes by construction, so any failure to reject garbage here is
@@ -101,10 +131,8 @@ func FuzzDecodeExport(f *testing.F) {
 		framed = binary.LittleEndian.AppendUint32(framed, uint32(len(data)))
 		framed = binary.LittleEndian.AppendUint32(framed, crc32.Checksum(data, crcTable))
 		framed = append(framed, data...)
-		if recs, err := DecodeRecords(framed, "fuzz"); err == nil {
-			if len(recs) != 1 {
-				t.Fatalf("framed single-record document decoded to %d records", len(recs))
-			}
+		if n := decodes(t, framed); n != -1 && n != 1 {
+			t.Fatalf("framed single-record document decoded to %d records", n)
 		}
 	})
 }

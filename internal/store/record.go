@@ -18,9 +18,9 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/cost"
+	"repro/internal/wire"
 )
 
 // Store format versions. CurrentFormat is what new files and new records
@@ -96,16 +96,16 @@ func encodeRecord(rec *Record, version int) ([]byte, error) {
 		return nil, fmt.Errorf("store: cannot encode record at unknown format version %d", version)
 	}
 	buf := make([]byte, 0, 64+len(rec.Fingerprint)+len(rec.DBIdentity)+len(rec.Query)+len(rec.PlanBytes)+8*len(rec.History))
-	buf = appendString(buf, rec.Fingerprint)
-	buf = appendString(buf, rec.DBIdentity)
+	buf = wire.AppendString(buf, rec.Fingerprint)
+	buf = wire.AppendString(buf, rec.DBIdentity)
 	if version >= FormatV2 {
-		buf = appendString(buf, rec.Tenant)
+		buf = wire.AppendString(buf, rec.Tenant)
 	}
-	buf = appendString(buf, rec.Query)
-	buf = appendBytes(buf, rec.PlanBytes)
+	buf = wire.AppendString(buf, rec.Query)
+	buf = wire.AppendBytes(buf, rec.PlanBytes)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.History)))
 	for _, h := range rec.History {
-		buf = appendFloat(buf, h)
+		buf = wire.AppendFloat64(buf, h)
 	}
 	if version >= FormatV2 {
 		buf = binary.AppendUvarint(buf, uint64(len(rec.Outliers)))
@@ -115,13 +115,13 @@ func encodeRecord(rec *Record, version int) ([]byte, error) {
 	}
 	buf = binary.AppendUvarint(buf, uint64(rec.Cores))
 	buf = binary.AppendUvarint(buf, uint64(rec.ExtraRuns))
-	buf = appendFloat(buf, rec.GMEThreshold)
+	buf = wire.AppendFloat64(buf, rec.GMEThreshold)
 	if version >= FormatV2 {
+		buf = wire.AppendBool(buf, rec.HasCost)
 		if rec.HasCost {
-			buf = append(buf, 1)
-			buf = appendCost(buf, rec.CostParams)
-		} else {
-			buf = append(buf, 0)
+			for _, v := range costFields(&rec.CostParams) {
+				buf = wire.AppendFloat64(buf, *v)
+			}
 		}
 	}
 	if version >= FormatV3 {
@@ -133,131 +133,66 @@ func encodeRecord(rec *Record, version int) ([]byte, error) {
 // decodeRecord parses a record payload written at the given format version
 // and migrates it to the current in-memory shape. Fields a version did not
 // record stay at their documented migration defaults: Tenant "" (default
-// tenant), Outliers nil (re-derived by replay on rehydration), HasCost
-// false (no calibration check).
+// tenant), Outliers nil, HasCost false (no calibration check). A v1 record
+// restores only if replaying its history flags no outlier: restore compares
+// the replay's outlier runs with the record's.
 func decodeRecord(data []byte, version int) (Record, error) {
 	switch version {
 	case FormatV1, FormatV2, FormatV3:
 	default:
 		return Record{}, fmt.Errorf("store: cannot decode record at unknown format version %d", version)
 	}
-	d := &reader{buf: data}
+	r := wire.NewReader(data)
 	var rec Record
-	var err error
-	if rec.Fingerprint, err = d.string(); err != nil {
-		return Record{}, err
-	}
-	if rec.DBIdentity, err = d.string(); err != nil {
-		return Record{}, err
-	}
+	rec.Fingerprint = r.Str()
+	rec.DBIdentity = r.Str()
 	if version >= FormatV2 {
-		if rec.Tenant, err = d.string(); err != nil {
-			return Record{}, err
-		}
+		rec.Tenant = r.Str()
 	}
-	if rec.Query, err = d.string(); err != nil {
-		return Record{}, err
-	}
-	if rec.PlanBytes, err = d.bytes(); err != nil {
-		return Record{}, err
-	}
-	nh, err := d.uvarint()
-	if err != nil {
-		return Record{}, err
-	}
-	if nh > uint64(len(data)) {
+	rec.Query = r.Str()
+	rec.PlanBytes = r.Bytes()
+	if nh := r.Uvarint(); nh > uint64(r.Len()) {
 		return Record{}, fmt.Errorf("history length %d exceeds payload", nh)
-	}
-	if nh > 0 {
+	} else if nh > 0 {
 		rec.History = make([]float64, nh)
 		for i := range rec.History {
-			if rec.History[i], err = d.float(); err != nil {
-				return Record{}, err
-			}
+			rec.History[i] = r.Float64()
 		}
 	}
 	if version >= FormatV2 {
-		no, err := d.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		if no > uint64(len(data)) {
+		if no := r.Uvarint(); no > uint64(r.Len()) {
 			return Record{}, fmt.Errorf("outlier count %d exceeds payload", no)
-		}
-		if no > 0 {
+		} else if no > 0 {
 			rec.Outliers = make([]int, no)
 			for i := range rec.Outliers {
-				o, err := d.uvarint()
-				if err != nil {
-					return Record{}, err
-				}
-				rec.Outliers[i] = int(o)
+				rec.Outliers[i] = int(r.Uvarint())
 			}
 		}
 	}
-	cores, err := d.uvarint()
-	if err != nil {
-		return Record{}, err
-	}
-	rec.Cores = int(cores)
-	extra, err := d.uvarint()
-	if err != nil {
-		return Record{}, err
-	}
-	rec.ExtraRuns = int(extra)
-	if rec.GMEThreshold, err = d.float(); err != nil {
-		return Record{}, err
-	}
+	rec.Cores = int(r.Uvarint())
+	rec.ExtraRuns = int(r.Uvarint())
+	rec.GMEThreshold = r.Float64()
 	if version >= FormatV2 {
-		hb, err := d.byte()
-		if err != nil {
-			return Record{}, err
-		}
-		switch hb {
-		case 0:
-		case 1:
-			rec.HasCost = true
-			if rec.CostParams, err = d.cost(); err != nil {
-				return Record{}, err
+		if rec.HasCost = r.Bool(); rec.HasCost {
+			for _, v := range costFields(&rec.CostParams) {
+				*v = r.Float64()
 			}
-		default:
-			return Record{}, fmt.Errorf("invalid has-cost byte %d", hb)
 		}
 	}
 	if version >= FormatV3 {
-		ep, err := d.uvarint()
-		if err != nil {
-			return Record{}, err
-		}
-		rec.Epoch = int64(ep)
+		rec.Epoch = int64(r.Uvarint())
 	}
-	if d.off != len(data) {
-		return Record{}, fmt.Errorf("%d trailing bytes after record", len(data)-d.off)
+	if err := r.Err(); err != nil {
+		return Record{}, err
+	}
+	if r.Len() != 0 {
+		return Record{}, fmt.Errorf("%d trailing bytes after record", r.Len())
 	}
 	return rec, nil
 }
 
-// appendCost and (r *reader).cost serialize the cost calibration field by
-// field; adding a Params field is a format break and needs a version bump.
-func appendCost(buf []byte, p cost.Params) []byte {
-	for _, v := range costFields(&p) {
-		buf = appendFloat(buf, *v)
-	}
-	return buf
-}
-
-func (d *reader) cost() (cost.Params, error) {
-	var p cost.Params
-	for _, v := range costFields(&p) {
-		f, err := d.float()
-		if err != nil {
-			return cost.Params{}, err
-		}
-		*v = f
-	}
-	return p, nil
-}
-
+// costFields lists the cost calibration's fields in their serialized order;
+// adding a Params field is a format break and needs a version bump.
 func costFields(p *cost.Params) []*float64 {
 	return []*float64{
 		&p.ScanNsPerByte, &p.WriteNsPerByte,
@@ -267,71 +202,4 @@ func costFields(p *cost.Params) []*float64 {
 		&p.CompareNs, &p.PackNsPerByte,
 		&p.DispatchNs, &p.ExchangeNsPerTuple,
 	}
-}
-
-type reader struct {
-	buf []byte
-	off int
-}
-
-func (d *reader) byte() (byte, error) {
-	if d.off >= len(d.buf) {
-		return 0, fmt.Errorf("truncated record at offset %d", d.off)
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *reader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("bad uvarint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *reader) float() (float64, error) {
-	if len(d.buf)-d.off < 8 {
-		return 0, fmt.Errorf("truncated float at offset %d", d.off)
-	}
-	bits := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-func (d *reader) string() (string, error) {
-	b, err := d.bytes()
-	return string(b), err
-}
-
-func (d *reader) bytes() ([]byte, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		return nil, fmt.Errorf("field length %d exceeds payload at offset %d", n, d.off)
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := d.buf[d.off : d.off+int(n) : d.off+int(n)]
-	d.off += int(n)
-	return out, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-func appendFloat(buf []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -9,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // File layout: an 8-byte magic, a little-endian uint32 format version, then
@@ -106,39 +109,29 @@ func (s *Store) load() error {
 		return fmt.Errorf("store: %s carries invalid format version %d", s.path, version)
 	}
 
-	// Scan frames. CRC or framing failure marks a torn tail: everything
-	// from that offset on is the residue of an interrupted append and is
-	// truncated away. A frame whose CRC matches but whose payload does not
-	// decode was written intact by an incompatible writer — that is a real
-	// error, not crash residue.
-	off := headerLen
+	// Scan frames. A frame cut short or failing its checksum marks a torn
+	// tail: everything from that offset on is the residue of an interrupted
+	// append and is truncated away. A frame whose CRC matches but whose
+	// payload does not decode was written intact by an incompatible writer —
+	// that is a real error, not crash residue.
+	r := wire.NewReader(data[headerLen:])
 	validEnd := headerLen
-	for off < len(data) {
-		if len(data)-off < frameLen {
-			break // torn frame header
-		}
-		plen := binary.LittleEndian.Uint32(data[off:])
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > maxPayload || len(data)-off-frameLen < int(plen) {
-			break // torn or garbage length
-		}
-		payload := data[off+frameLen : off+frameLen+int(plen)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			break // torn payload
+	for r.Len() > 0 {
+		payload, err := readFrame(r)
+		if err != nil {
+			break // torn tail
 		}
 		rec, err := decodeRecord(payload, version)
 		if err != nil {
-			return fmt.Errorf("store: %s: record at offset %d has a valid checksum but does not decode (format version %d): %w", s.path, off, version, err)
+			return fmt.Errorf("store: %s: record at offset %d has a valid checksum but does not decode (format version %d): %w", s.path, validEnd, version, err)
 		}
-		fb := int64(frameLen + int(plen))
 		if old, ok := s.recs[rec.Fingerprint]; ok {
 			s.deadBytes += frameBytes(&old, version)
 			s.liveBytes -= frameBytes(&old, version)
 		}
 		s.recs[rec.Fingerprint] = rec
-		s.liveBytes += fb
-		off += int(fb)
-		validEnd = off
+		s.liveBytes += int64(frameLen + len(payload))
+		validEnd = len(data) - r.Len()
 	}
 	if validEnd < len(data) {
 		if err := s.f.Truncate(int64(validEnd)); err != nil {
@@ -160,6 +153,38 @@ func (s *Store) load() error {
 		}
 	}
 	return nil
+}
+
+// appendFrame appends rec to buf as one frame at CurrentFormat: the
+// payload's length and CRC-32C, little-endian uint32 each, then the payload.
+// It is the only writer of the frame the store file and APQXPORT share.
+func appendFrame(buf []byte, rec *Record) ([]byte, error) {
+	payload, err := encodeRecord(rec, CurrentFormat)
+	if err != nil {
+		return nil, err
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return append(buf, payload...), nil
+}
+
+// readFrame reads one frame from r and returns its payload: the only reader
+// of appendFrame's output. A frame cut short, a length over maxPayload or a
+// checksum mismatch is an error; the store file's caller truncates there,
+// the export reader refuses the document.
+func readFrame(r *wire.Reader) ([]byte, error) {
+	plen, sum := r.U32(), r.U32()
+	if plen > maxPayload {
+		return nil, fmt.Errorf("frame length %d exceeds %d", plen, maxPayload)
+	}
+	payload := r.Raw(int(plen))
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if crc32.Checksum(payload, crcTable) != sum {
+		return nil, errors.New("frame fails its checksum")
+	}
+	return payload, nil
 }
 
 // frameBytes returns the on-disk frame size a record occupies at version.
@@ -205,14 +230,10 @@ func (s *Store) PutBatch(recs []Record) (wrote int, err error) {
 }
 
 func (s *Store) appendLocked(rec *Record) error {
-	payload, err := encodeRecord(rec, CurrentFormat)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		return err
 	}
-	frame := make([]byte, frameLen, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, crcTable))
-	frame = append(frame, payload...)
 	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("store: append to %s: %w", s.path, err)
 	}
@@ -292,16 +313,10 @@ func (s *Store) compactLocked() error {
 	binary.LittleEndian.PutUint32(hdr[8:], CurrentFormat)
 	buf := hdr[:]
 	for _, rec := range s.sortedLocked() {
-		payload, err := encodeRecord(&rec, CurrentFormat)
-		if err != nil {
+		if buf, err = appendFrame(buf, &rec); err != nil {
 			tf.Close()
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		var fh [frameLen]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, fh[:]...)
-		buf = append(buf, payload...)
 	}
 	if _, err := tf.Write(buf); err != nil {
 		tf.Close()
