@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -22,8 +24,11 @@ type appendDecoder struct {
 // decodeAppend decodes one /admin/append body into req in one pass, without
 // reflection, as json.Unmarshal would (FuzzAppendBody is the oracle): keys
 // fold case, unknown keys' values are validated and skipped, null leaves a
-// string and clears a slice, a repeated key merges or overwrites. Strings are
-// fresh copies: data is pooled, and a dictionary keeps what it takes in.
+// string and clears a slice, a repeated key merges or overwrites. No string
+// aliases data, which is pooled: the tenant, the table and every key are
+// fresh copies, and a compact plain "strs" array is one copy with its
+// elements cut from it — so an element may share memory with its neighbours,
+// and whatever keeps one copies it (vec.Dict.Extend does).
 func decodeAppend(data []byte, req *appendRequest) error {
 	d := appendDecoder{data: data, budget: len(data) / 2}
 	err := d.object(1, func(key []byte) error {
@@ -60,9 +65,9 @@ func (d *appendDecoder) columns(m *map[string]storage.ColumnAppend) error {
 		err := d.object(3, func(key []byte) error {
 			switch {
 			case bytes.EqualFold(key, []byte("ints")):
-				return array(d, &c.Ints, d.int)
+				return d.ints(&c.Ints)
 			case bytes.EqualFold(key, []byte("strs")):
-				return array(d, &c.Strs, d.str)
+				return d.strs(&c.Strs)
 			}
 			return d.skip(3)
 		})
@@ -71,36 +76,176 @@ func (d *appendDecoder) columns(m *map[string]storage.ColumnAppend) error {
 	})
 }
 
-// array reads null or an array into *p the way encoding/json fills a slice:
-// element i lands in the slice's own slot i — a repeated key reuses the
-// slots, and a null element leaves its slot as it was (zero in fresh memory)
-// — then the slice is cut to the elements read; [] is a fresh empty slice.
-func array[T any](d *appendDecoder, p *[]T, elem func(*T) error) error {
-	if d.lit("null") {
-		*p = nil
-		return nil
-	}
-	s, i := *p, 0
+// An array decodes into *p the way encoding/json fills a slice: element i
+// lands in the slice's own slot i — a repeated key reuses the slots, and a
+// null element leaves its slot as it was (zero in fresh memory) — then the
+// slice is cut to the elements read; [] is a fresh empty slice and null
+// clears it. slots and cut are the two ends every array shares.
+
+// slots returns s, or for a nil s an empty slice presized to hint while
+// budget lasts.
+func slots[T any](d *appendDecoder, s []T) []T {
 	if s == nil {
 		n := min(d.hint, d.budget)
 		d.budget -= n
 		s = make([]T, 0, n)
 	}
-	err := d.seq(4, "[", "]", func() error {
-		if i == len(s) {
-			s = slices.Grow(s, 1)[:i+1]
-		}
-		if i++; d.peek() == 'n' && d.lit("null") {
-			return nil
-		}
-		return elem(&s[i-1])
-	})
-	if *p = s[:i]; i == 0 {
+	return s
+}
+
+// cut stores the n elements read into *p, and makes the first array's
+// length the hint.
+func cut[T any](d *appendDecoder, p *[]T, s []T, n int) {
+	if *p = s[:n]; n == 0 {
 		*p = []T{}
 	} else if d.hint == 0 {
-		d.hint = i
+		d.hint = n
 	}
-	return err
+}
+
+// ints reads "ints": null or an array of JSON numbers with no fraction or
+// exponent, in one loop over the body.
+func (d *appendDecoder) ints(p *[]int64) error {
+	if d.lit("null") {
+		*p = nil
+		return nil
+	}
+	if !d.lit("[") {
+		return d.fail("[")
+	}
+	s, k := slots(d, *p), 0
+	data, i := d.data, space(d.data, d.off)
+	if i < len(data) && data[i] == ']' {
+		d.off = i + 1
+		cut(d, p, s, 0)
+		return nil
+	}
+	for {
+		// The slots past len(s) but within its capacity hold what they held,
+		// as encoding/json's slice growth exposes them; new capacity is zero.
+		if k == len(s) {
+			s = slices.Grow(s, 1)
+			s = s[:cap(s)]
+		}
+		k++
+		if i = space(data, i); i < len(data) && data[i] == 'n' {
+			if len(data)-i < 4 || string(data[i:i+4]) != "null" {
+				d.off = i
+				return d.fail("an int64")
+			}
+			i += 4
+		} else {
+			neg := i < len(data) && data[i] == '-'
+			if neg {
+				i++
+			}
+			start, n := i, uint64(0)
+			for ; i < len(data) && data[i]-'0' < 10; i++ {
+				n = n*10 + uint64(data[i]-'0')
+			}
+			// Past 19 digits the accumulator may wrap; a leading zero is not JSON.
+			if digits := i - start; digits == 0 || digits > 19 || n > 1<<63 || n == 1<<63 && !neg ||
+				digits > 1 && data[start] == '0' || i < len(data) && (data[i] == '.' || data[i]|0x20 == 'e') {
+				d.off = start
+				return d.fail("an int64")
+			}
+			if s[k-1] = int64(n); neg {
+				s[k-1] = -s[k-1]
+			}
+		}
+		if i = space(data, i); i < len(data) && data[i] == ',' {
+			i++
+			continue
+		}
+		if d.off = i; i == len(data) || data[i] != ']' {
+			return d.fail("',' or ]")
+		}
+		d.off++
+		cut(d, p, s, k)
+		return nil
+	}
+}
+
+// strs reads "strs": null or an array of strings, through plainStrs when it
+// applies and element by element, each a fresh copy, when it does not.
+func (d *appendDecoder) strs(p *[]string) error {
+	if d.peek() == '[' && d.plainStrs(p) {
+		return nil
+	}
+	if d.lit("null") {
+		*p = nil
+		return nil
+	}
+	s, k := slots(d, *p), 0
+	err := d.seq(4, "[", "]", func() error {
+		if k == len(s) {
+			s = slices.Grow(s, 1)[:k+1]
+		}
+		if k++; d.peek() == 'n' && d.lit("null") {
+			return nil
+		}
+		return d.str(&s[k-1])
+	})
+	if err != nil {
+		return err
+	}
+	cut(d, p, s, k)
+	return nil
+}
+
+// plainStrs reads the array at d.off into *p when it is a compact array of
+// plain tokens — no whitespace, null, escape, control byte or byte >= 0x80 —
+// whose tokens hold no ']'. It copies the array up to its first ']' once and
+// cuts each element from the copy in the pass that checks it, into a fresh
+// slice: every slot is written, so a repeated key's slots need not be
+// reused. It reports false, having read nothing, for any other array.
+func (d *appendDecoder) plainStrs(p *[]string) bool {
+	data, i, base := d.data, d.off+1, d.off+2
+	end := bytes.IndexByte(data[i:], ']') + i
+	if end < i+2 || data[i] != '"' {
+		return false
+	}
+	n := min(bytes.Count(data[i:end], []byte{','})+1, d.budget)
+	all, s := string(data[base:end-1]), make([]string, 0, n)
+	for {
+		// data[i] is a token's opening quote; all[x] is data[base+x].
+		j := plainEnd(data, i+1, end)
+		if data[j] != '"' { // data[end] is ']'
+			return false
+		}
+		s = append(s, all[i+1-base:j-base])
+		if j+1 == end {
+			break
+		}
+		if data[j+1] != ',' || data[j+2] != '"' {
+			return false
+		}
+		i = j + 2
+	}
+	d.budget -= n
+	d.off = end + 1
+	cut(d, p, s, len(s))
+	return true
+}
+
+// plainEnd returns the offset of the first byte in data[i:end] that does not
+// stand for itself in a JSON string — '"', '\', a control byte or >= 0x80 —
+// or end, checking eight bytes at a time.
+func plainEnd(data []byte, i, end int) int {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	for ; i+8 <= end; i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		q, bs := w^(ones*'"'), w^(ones*'\\')
+		// A byte's high bit is set in m when it is below ' ', equals '"' or
+		// '\', or is >= 0x80. Each term marks the first such byte of its
+		// kind exactly; a borrow can only mark bytes above it.
+		if m := ((w-ones*' ')&^w | (q-ones)&^q | (bs-ones)&^bs | w) & highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	for ; i < end && data[i] >= ' ' && data[i] < 0x80 && data[i] != '"' && data[i] != '\\'; i++ {
+	}
+	return i
 }
 
 // object reads null (a no-op) or an object; field consumes each key's value.
@@ -167,29 +312,6 @@ func (d *appendDecoder) skip(depth int) error {
 	return nil
 }
 
-// int reads an "ints" element: a JSON number with no fraction or exponent.
-func (d *appendDecoder) int(p *int64) error {
-	neg := d.peek() == '-'
-	data, i := d.data, d.off
-	if neg {
-		i++
-	}
-	start, n := i, uint64(0)
-	for ; i < len(data) && data[i]-'0' < 10; i++ {
-		n = n*10 + uint64(data[i]-'0')
-	}
-	// Past 19 digits the accumulator may wrap; a leading zero is not JSON.
-	if digits := i - start; digits == 0 || digits > 19 || n > 1<<63 || n == 1<<63 && !neg ||
-		digits > 1 && data[start] == '0' || i < len(data) && (data[i] == '.' || data[i]|0x20 == 'e') {
-		return d.fail("an int64")
-	}
-	if *p = int64(n); neg {
-		*p = -*p
-	}
-	d.off = i
-	return nil
-}
-
 // str reads a string as a fresh copy.
 func (d *appendDecoder) str(p *string) error {
 	b, err := d.text()
@@ -204,22 +326,21 @@ func (d *appendDecoder) text() ([]byte, error) {
 	if d.peek() != '"' {
 		return nil, d.fail("a string")
 	}
-	plain := true
-	for i := d.off + 1; i < len(d.data); i++ {
-		switch c := d.data[i]; {
-		case c == '"':
-			tok := d.data[d.off : i+1]
-			if d.off = i + 1; plain {
-				return tok[1 : len(tok)-1], nil
-			}
+	i := plainEnd(d.data, d.off+1, len(d.data))
+	if i < len(d.data) && d.data[i] == '"' {
+		tok := d.data[d.off+1 : i]
+		d.off = i + 1
+		return tok, nil
+	}
+	for ; i < len(d.data); i++ {
+		switch d.data[i] {
+		case '"':
 			var s string
-			err := json.Unmarshal(tok, &s)
+			err := json.Unmarshal(d.data[d.off:i+1], &s)
+			d.off = i + 1
 			return []byte(s), err
-		case c == '\\':
+		case '\\':
 			i++
-			plain = false
-		case c < ' ' || c >= 0x80:
-			plain = false
 		}
 	}
 	return nil, d.fail("a closing quote")
@@ -237,12 +358,19 @@ func (d *appendDecoder) lit(s string) bool {
 // peek skips whitespace and returns the next byte, or 0 at the end — which
 // no grammar rule accepts. Every value reader starts with it.
 func (d *appendDecoder) peek() byte {
-	for ; d.off < len(d.data); d.off++ {
-		if c := d.data[d.off]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return c
-		}
+	if d.off = space(d.data, d.off); d.off < len(d.data) {
+		return d.data[d.off]
 	}
 	return 0
+}
+
+// space returns the offset of the first byte at or after i that is not JSON
+// whitespace.
+func space(data []byte, i int) int {
+	for i < len(data) && data[i] <= ' ' && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 func (d *appendDecoder) fail(want string) error {

@@ -58,9 +58,37 @@ func FuzzAppendBody(f *testing.F) {
 		`{"columns":{"a":{"ints":"7"}}}`, `{"columns":{"a":{"strs":[1]}}}`,
 		`{"columns":{"a":{"ints":[1,]}}}`, `{"x":nul}`, `{"table":"t"} x`, "{\"table\":\"\x01\"}",
 		`{"table":"\x"}`, `{"table":"\u12g4"}`, `{"x":01}`, `{"x":1.}`, `{"x":1e}`, `{"x":-}`,
+		// Where an array leaves the one-loop and one-copy fast paths:
+		// whitespace around elements and commas, null elements, an escaped
+		// and a non-ASCII string between plain ones.
+		"{\"columns\":{\"a\":{\"ints\":[ 1 ,\t2\n,\r3 ],\"strs\":[ \"x\" , \"y\",\"z\"\n]}}}",
+		`{"columns":{"a":{"ints":[null,1,null],"strs":["x",null,"y"]},"b":{"strs":[null]}}}`,
+		`{"columns":{"a":{"strs":["x","y\"z","w"]},"b":{"strs":["x","\u00e9","é","w"]}}}`,
+		"{\"columns\":{\"a\":{\"strs\":[\"x\",\"\xff\"]}}}",
+		// int edges inside the loop.
+		`{"columns":{"a":{"ints":[-0,-17,1234567890123456789,-9223372036854775808]}}}`,
+		`{"columns":{"a":{"ints":[-01]}}}`, `{"columns":{"a":{"ints":[00]}}}`,
+		`{"columns":{"a":{"ints":[12345678901234567890]}}}`, `{"columns":{"a":{"ints":[nul]}}}`,
+		// A plain array holding ']' or ',' in a token, empty tokens, and a
+		// repeated key's plain array refilling the first's slots.
+		`{"columns":{"a":{"strs":["a]b","c"]},"b":{"strs":["a","]"]},"c":{"strs":["]"]},"d":{"strs":["a,b",""]}}}`,
+		`{"columns":{"a":{"strs":[""]},"b":{"strs":["",""]},"c":{"strs":["p","q"],"strs":["r"]}}}`,
+		`{"columns":{"a":{"strs":["a"b"]}}}`, `{"columns":{"a":{"strs":["a",b"]}}}`, `{"columns":{"a":{"strs":["a","b"c]}}}`,
+		// A body cut off inside a "strs" array.
+		`{"columns":{"a":{"strs":["abc","de`, `{"columns":{"a":{"strs":["abc",`, `{"columns":{"a":{"strs":["abc"`,
 	} {
 		f.Add([]byte(seed))
 	}
+	// The eight-byte scan of a plain string: its closing quote, and each byte
+	// that ends the plain run (a control byte, '"' and '\' escaped, a byte >=
+	// 0x80) or does not (0x7f), on each of the eight lanes of a word.
+	var lanes []string
+	for lane := 0; lane < 8; lane++ {
+		x := strings.Repeat("x", lane)
+		lanes = append(lanes, x, x+`\"y`, x+`\\y`, x+"\x7fy", x+"\xc3\xa9y")
+		f.Add([]byte(`{"columns":{"a":{"strs":["` + x + "\x1fy" + `","ok"]}},"pad":"12345678"}`))
+	}
+	f.Add([]byte(`{"columns":{"a":{"strs":["` + strings.Join(lanes, `","`) + `"]}},"pad":"12345678"}`))
 	f.Fuzz(decodesLikeJSON)
 }
 
@@ -86,6 +114,32 @@ func TestAppendBodyDepthLimit(t *testing.T) {
 		decodesLikeJSON(t, []byte(body))
 		if err := decodeAppend([]byte(body), new(appendRequest)); (err == nil) != (arrays < 10000) {
 			t.Errorf("%d nested arrays in the body object: %v", arrays, err)
+		}
+	}
+}
+
+// TestAppendBodyAllocs: decoding the benchmark writer's bodies allocates per
+// array, not per value — the slices, one copy of each "strs" array, the map
+// and the keys. Each bound is the measured count + ~10 % (go1.24: part at SF
+// 0.5 23 allocations, lineitem at SF 1 39); a string copied per value reads
+// 2 429 for part.
+func TestAppendBodyAllocs(t *testing.T) {
+	skipIfPoolsAreLossy(t)
+	for _, body := range []struct {
+		table     string
+		sf        float64
+		maxAllocs float64
+	}{{"part", 0.5, 26}, {"lineitem", 1, 43}} {
+		data := writerAppendBody(t, tpch.Generate(tpch.Config{SF: body.sf, Seed: 42}), body.table, 600, 42)
+		allocs := testing.AllocsPerRun(20, func() {
+			var req appendRequest
+			if err := decodeAppend(data, &req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations per decode", body.table, allocs)
+		if allocs > body.maxAllocs {
+			t.Errorf("%s: %.0f allocations per decode, want <= %.0f: a value is copied on its own", body.table, allocs, body.maxAllocs)
 		}
 	}
 }

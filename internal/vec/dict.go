@@ -87,6 +87,10 @@ func (d *Dict) Code(s string) int64 {
 // otherwise a longer view of the same lineage — or, when the receiver is not
 // the lineage's longest view (a second child of one parent), of a fork that
 // starts as a copy of the receiver. The receiver is never modified.
+//
+// The dictionary keeps a copy of each string it interns and no reference to
+// strs, so the caller's strings may share memory — cut from one buffer, say —
+// without the dictionary pinning it.
 func (d *Dict) Extend(codes []int64, strs []string) *Dict {
 	l := d.lin
 	l.mu.Lock()
@@ -109,7 +113,11 @@ func (d *Dict) Extend(codes []int64, strs []string) *Dict {
 		}
 	}
 	for ; i < len(strs); i++ {
-		codes[i] = l.intern(strs[i])
+		c, ok := l.index[strs[i]]
+		if !ok {
+			c = l.intern(strings.Clone(strs[i]))
+		}
+		codes[i] = c
 	}
 	return &Dict{values: l.values, lin: l}
 }

@@ -3,9 +3,11 @@ package vec
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewInt64Basics(t *testing.T) {
@@ -292,4 +294,30 @@ func TestDictExtendViews(t *testing.T) {
 		}
 	}()
 	root.Code("z")
+}
+
+// TestExtendCopiesWhatItInterns: Extend keeps a copy of every string it
+// interns, so a caller may hand it strings cut from one larger buffer — as the
+// /admin/append decoder does with each "strs" array — without the dictionary
+// pinning the buffer. Values the view already holds keep their codes. The
+// first Extend grows root's lineage in place, the second forks it.
+func TestExtendCopiesWhatItInterns(t *testing.T) {
+	root := NewDict()
+	red, green := root.Code("red"), root.Code("green")
+	src := "red,blue,green,cyan,blue,red"
+	strs := strings.Split(src, ",") // views of src
+	base := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for _, path := range []string{"in place", "fork"} {
+		codes := make([]int64, len(strs))
+		d := root.Extend(codes, strs)
+		if codes[0] != red || codes[2] != green || codes[5] != red || codes[1] != codes[4] || codes[1] == codes[3] || d.Len() != 4 {
+			t.Fatalf("%s: codes %v, %d values (red %d, green %d)", path, codes, d.Len(), red, green)
+		}
+		for c := root.Len(); c < d.Len(); c++ {
+			v := d.Value(int64(c))
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(v))); p >= base && p < base+uintptr(len(src)) {
+				t.Errorf("%s: code %d (%q) shares the caller's memory", path, c, v)
+			}
+		}
+	}
 }
