@@ -195,36 +195,49 @@ func (d *appendDecoder) strs(p *[]string) error {
 
 // plainStrs reads the array at d.off into *p when it is a compact array of
 // plain tokens — no whitespace, null, escape, control byte or byte >= 0x80 —
-// whose tokens hold no ']'. It copies the array up to its first ']' once and
-// cuts each element from the copy in the pass that checks it, into a fresh
-// slice: every slot is written, so a repeated key's slots need not be
-// reused. It reports false, having read nothing, for any other array.
+// and reports false, having read and allocated nothing, for any other. One
+// pass checks the tokens and finds the closing ']'; then the array is copied
+// once and each element cut from the copy at its closing quote, into the
+// slots as the per-element path fills them.
 func (d *appendDecoder) plainStrs(p *[]string) bool {
-	data, i, base := d.data, d.off+1, d.off+2
-	end := bytes.IndexByte(data[i:], ']') + i
-	if end < i+2 || data[i] != '"' {
-		return false
-	}
-	n := min(bytes.Count(data[i:end], []byte{','})+1, d.budget)
-	all, s := string(data[base:end-1]), make([]string, 0, n)
+	data, i, n := d.data, d.off+1, 0
 	for {
-		// data[i] is a token's opening quote; all[x] is data[base+x].
-		j := plainEnd(data, i+1, end)
-		if data[j] != '"' { // data[end] is ']'
+		// data[i] should be a token's opening quote.
+		if i == len(data) || data[i] != '"' {
 			return false
 		}
-		s = append(s, all[i+1-base:j-base])
-		if j+1 == end {
+		j := plainEnd(data, i+1, len(data))
+		if j+1 >= len(data) || data[j] != '"' {
+			return false
+		}
+		n++
+		if i = j + 1; data[i] == ']' {
 			break
 		}
-		if data[j+1] != ',' || data[j+2] != '"' {
+		if data[i] != ',' {
 			return false
 		}
-		i = j + 2
+		i++
 	}
-	d.budget -= n
-	d.off = end + 1
-	cut(d, p, s, len(s))
+	// all runs from the first token's first byte to the last one's last.
+	all := string(data[d.off+2 : i-1])
+	d.off = i + 1
+	if d.hint == 0 {
+		d.hint = n
+	}
+	s := slots(d, *p)
+	for k := 0; k < n; k++ {
+		if k == len(s) {
+			s = slices.Grow(s, 1)
+			s = s[:cap(s)]
+		}
+		if q := strings.IndexByte(all, '"'); q >= 0 {
+			s[k], all = all[:q], all[q+3:]
+		} else {
+			s[k] = all
+		}
+	}
+	cut(d, p, s, n)
 	return true
 }
 

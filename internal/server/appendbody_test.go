@@ -38,6 +38,7 @@ func FuzzAppendBody(f *testing.F) {
 		`{"columns":{"a":{"ints":[1,2,3],"ints":[4],"ints":[5,null]}}}`,
 		`{"columns":{"a":{"ints":[1,2],"ints":[],"ints":[null]}}}`,
 		`{"columns":{"a":{"strs":["p","q"],"strs":[null]}}}`,
+		`{"columns":{"a":{"strs":["a","b","c"],"strs":["d"],"strs":["e",null]}}}`,
 		// int64 edges.
 		`{"columns":{"a":{"ints":[9223372036854775807,-9223372036854775808]}}}`,
 		`{"columns":{"a":{"ints":[9223372036854775808]}}}`,
@@ -74,6 +75,7 @@ func FuzzAppendBody(f *testing.F) {
 		`{"columns":{"a":{"strs":["a]b","c"]},"b":{"strs":["a","]"]},"c":{"strs":["]"]},"d":{"strs":["a,b",""]}}}`,
 		`{"columns":{"a":{"strs":[""]},"b":{"strs":["",""]},"c":{"strs":["p","q"],"strs":["r"]}}}`,
 		`{"columns":{"a":{"strs":["a"b"]}}}`, `{"columns":{"a":{"strs":["a",b"]}}}`, `{"columns":{"a":{"strs":["a","b"c]}}}`,
+		`{"columns":{"a":{"strs":["a"x"b"]}}}`, "{\"columns\":{\"a\":{\"strs\":[\"a\x1f,\"b\"]}}}", "{\"columns\":{\"a\":{\"strs\":[\"a\x1f]}}}",
 		// A body cut off inside a "strs" array.
 		`{"columns":{"a":{"strs":["abc","de`, `{"columns":{"a":{"strs":["abc",`, `{"columns":{"a":{"strs":["abc"`,
 	} {

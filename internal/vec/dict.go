@@ -41,14 +41,11 @@ type dictLineage struct {
 	index  map[string]int64
 }
 
-// intern returns s's code, appending s when the lineage does not hold it.
-func (l *dictLineage) intern(s string) int64 {
-	c, ok := l.index[s]
-	if !ok {
-		c = int64(len(l.values))
-		l.values = append(l.values, s)
-		l.index[s] = c
-	}
+// add appends s, which the lineage does not hold, and returns its code.
+func (l *dictLineage) add(s string) int64 {
+	c := int64(len(l.values))
+	l.values = append(l.values, s)
+	l.index[s] = c
 	return c
 }
 
@@ -77,7 +74,8 @@ func (d *Dict) Code(s string) int64 {
 	if len(d.values) != len(l.values) {
 		panic("vec: Dict.Code on a view its lineage has outgrown")
 	}
-	c := l.intern(s)
+	// s is new: a code past the view would mean the lineage outgrew it.
+	c := l.add(s)
 	d.values = l.values
 	return c
 }
@@ -115,7 +113,7 @@ func (d *Dict) Extend(codes []int64, strs []string) *Dict {
 	for ; i < len(strs); i++ {
 		c, ok := l.index[strs[i]]
 		if !ok {
-			c = l.intern(strings.Clone(strs[i]))
+			c = l.add(strings.Clone(strs[i]))
 		}
 		codes[i] = c
 	}
