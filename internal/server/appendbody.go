@@ -222,6 +222,7 @@ func (d *appendDecoder) plainStrs(p *[]string) bool {
 	// all runs from the first token's first byte to the last one's last.
 	all := string(data[d.off+2 : i-1])
 	d.off = i + 1
+	// The length is known here, so even the first array is presized.
 	if d.hint == 0 {
 		d.hint = n
 	}
