@@ -36,6 +36,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/heuristic"
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -102,20 +103,10 @@ func (q *Query) String() string { return q.p.String() }
 func (q *Query) Dot() string { return q.p.Dot() }
 
 // Stats summarizes the plan (Table 5 quantities).
-func (q *Query) Stats() PlanStats {
-	return PlanStats{
-		Selects: q.p.CountOps(plan.OpSelect) + q.p.CountOps(plan.OpSelectCand) + q.p.CountOps(plan.OpLikeSelect),
-		Joins:   q.p.CountOps(plan.OpJoin),
-		Packs:   q.p.CountOps(plan.OpPack),
-		Instrs:  len(q.p.Instrs),
-		MaxDOP:  q.p.MaxDOP(),
-	}
-}
+func (q *Query) Stats() PlanStats { return heuristic.Stats(q.p) }
 
 // PlanStats are the plan statistics the paper reports in Table 5.
-type PlanStats struct {
-	Selects, Joins, Packs, Instrs, MaxDOP int
-}
+type PlanStats = heuristic.PlanStats
 
 // TPCHQuery returns the serial plan for the implemented TPC-H queries
 // (4, 6, 8, 9, 13, 14, 17, 19, 22).
@@ -135,25 +126,10 @@ type Engine struct {
 	inner *exec.Engine
 }
 
-// Option configures an Engine's machine.
-type Option func(*Machine)
-
-// WithNoise enables the OS-noise model with the given configuration.
-func WithNoise(n NoiseConfig) Option {
-	return func(m *Machine) { m.Noise = n }
-}
-
-// WithSeed seeds the machine's noise source.
-func WithSeed(seed int64) Option {
-	return func(m *Machine) { m.Seed = seed }
-}
-
 // NewEngine creates an engine for db on the given machine, priced with the
-// MonetDB-style cost calibration.
-func NewEngine(db *DB, m Machine, opts ...Option) *Engine {
-	for _, o := range opts {
-		o(&m)
-	}
+// MonetDB-style cost calibration. The machine's Noise and Seed fields set
+// its OS-noise model.
+func NewEngine(db *DB, m Machine) *Engine {
 	return &Engine{inner: exec.NewEngine(db.cat, m, cost.Default())}
 }
 

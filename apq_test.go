@@ -120,7 +120,9 @@ func TestTPCHAndTPCDSQueryLists(t *testing.T) {
 func TestNoiseOptionAffectsTiming(t *testing.T) {
 	db := smallTPCH(t)
 	clean := NewEngine(db, TwoSocketMachine())
-	noisy := NewEngine(db, TwoSocketMachine(), WithNoise(DefaultNoise()), WithSeed(3))
+	m := TwoSocketMachine()
+	m.Noise, m.Seed = DefaultNoise(), 3
+	noisy := NewEngine(db, m)
 	cr, err := clean.Execute(TPCHQuery(6))
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@
 //	go run ./cmd/apqd -store plans.apqs -export-plans plans.apqx   # export converged plans, then exit
 //	go run ./cmd/apqd -store other.apqs -import-plans plans.apqx   # import an export file, then exit
 //	go run ./cmd/apqd -staleness -fault core-loss@5e6:socket=0:count=8   # chaos: scheduled core loss + re-convergence
-//	go run ./cmd/apqd -request-timeout 2s -max-shard-queue 64 -breaker-failures 5   # overload hardening
+//	go run ./cmd/apqd -request-timeout 2s -max-shard-queue 64 -breaker   # overload hardening
 //	go run ./cmd/apqd -addr :8080 -node a -peer b=http://host2:8080   # two-node federation (run the mirror on host2)
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests —
@@ -216,10 +216,8 @@ func main() {
 	drift := flag.Bool("drift", false, "arm workload-drift detection: converged queries whose serve latency no longer matches the query mix they converged under reopen sized to their observed budget")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request deadline including the wait for the shard (0 = none); expired requests get 503")
 	maxShardQueue := flag.Int("max-shard-queue", 0, "bound on each shard's waiting line (0 = unbounded); excess requests are shed with 503 + Retry-After")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failed/slow requests that trip a shard's health breaker into degraded mode (0 = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 10*time.Second, "how long a tripped shard serves degraded before probing at full fidelity")
-	slowFactor := flag.Float64("slow-factor", 0, "breaker slowness bound: an adaptive request slower than this multiple of its serial baseline counts as a failure (0 = errors only)")
-	noise := flag.Bool("noise", false, "enable the OS-noise model")
+	breaker := flag.Bool("breaker", false, "arm each shard's health breaker: 5 consecutive failed requests (engine error, shed, expired deadline) trip the shard into degraded mode; after 10s a full-fidelity probe decides")
+	noise := flag.Bool("noise", false, "enable the OS-noise model on every shard's machine, seeded with -seed")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -248,6 +246,10 @@ func main() {
 	default:
 		log.Fatalf("unknown machine %q (want 2s, 4s, 2s-asym, or 4s-asym)", *machine)
 	}
+	if *noise {
+		m.Noise = apq.DefaultNoise()
+		m.Seed = *seed
+	}
 
 	var db *apq.DB
 	switch *bench {
@@ -264,32 +266,27 @@ func main() {
 		tenants[i].MaxInFlight = *tenantInflight
 	}
 	cfg := apq.ServerConfig{
-		DB:              db,
-		Machine:         m,
-		DBIdentity:      apq.DBIdentity(*bench, *sf, *seed),
-		Benchmark:       *bench,
-		Admission:       *admission,
-		CacheSize:       *cacheSize,
-		Shards:          *shards,
-		Tenants:         tenants,
-		StorePath:       *storePath,
-		Faults:          apq.FaultPlan(faults),
-		RequestTimeout:  *requestTimeout,
-		MaxShardQueue:   *maxShardQueue,
-		BreakerFailures: *breakerFailures,
-		BreakerCooldown: *breakerCooldown,
-		SlowFactor:      *slowFactor,
-		Staleness:       *staleness,
-		Drift:           *drift,
+		DB:             db,
+		Machine:        m,
+		DBIdentity:     apq.DBIdentity(*bench, *sf, *seed),
+		Benchmark:      *bench,
+		Admission:      *admission,
+		CacheSize:      *cacheSize,
+		Shards:         *shards,
+		Tenants:        tenants,
+		StorePath:      *storePath,
+		Faults:         apq.FaultPlan(faults),
+		RequestTimeout: *requestTimeout,
+		MaxShardQueue:  *maxShardQueue,
+		Breaker:        *breaker,
+		Staleness:      *staleness,
+		Drift:          *drift,
 	}
 	if len(peers) > 0 && *node == "" {
 		log.Fatal("apqd: -peer requires -node (this daemon's own federation name)")
 	}
 	if *node != "" {
 		cfg.Cluster = &apq.ClusterConfig{Self: *node, Peers: peers}
-	}
-	if *noise {
-		cfg.EngineOptions = append(cfg.EngineOptions, apq.WithNoise(apq.DefaultNoise()), apq.WithSeed(*seed))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -116,5 +118,32 @@ func TestApqdSmoke(t *testing.T) {
 		if !strings.Contains(out, tc.want) {
 			t.Fatalf("%v diagnostic missing %q:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestApqdFlagsPinned pins the daemon's flag set the way
+// TestServerConfigFieldsPinned pins the facade's fields: every flag `apqd -h`
+// lists, by name and value kind. A new flag, a removed one or a changed kind
+// shows up in review as a diff of testdata/flags.txt.
+func TestApqdFlagsPinned(t *testing.T) {
+	bin := cmdtest.Build(t, "repro/cmd/apqd")
+	out, code := cmdtest.Run(t, bin, "-h")
+	if code != 0 {
+		t.Fatalf("apqd -h exited %d:\n%s", code, out)
+	}
+	var got []string
+	for _, line := range strings.Split(out, "\n") {
+		// flag.PrintDefaults: "  -name kind" (kind absent for a bool), the
+		// usage text on the next, tab-indented line.
+		if strings.HasPrefix(line, "  -") {
+			got = append(got, strings.TrimSpace(line))
+		}
+	}
+	raw, err := os.ReadFile("testdata/flags.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Split(strings.TrimSpace(string(raw)), "\n"); !reflect.DeepEqual(got, want) {
+		t.Errorf("apqd flags changed; got (one per line, the format of testdata/flags.txt):\n%s", strings.Join(got, "\n"))
 	}
 }

@@ -28,33 +28,38 @@ type Peer struct {
 	URL string `json:"url"`
 }
 
-// Config shapes a federation coordinator.
+// Config shapes a federation coordinator: who this node is and whom it
+// starts federated with. Timing is the coordinator's own (tuning).
 type Config struct {
 	// Self is this node's own ring name (required).
 	Self string
 	// Peers is the initial remote membership; join/leave mutate it live.
 	Peers []Peer
-	// PeerTimeout bounds each remote attempt (default 2s).
-	PeerTimeout time.Duration
-	// Retries is how many times a failed remote attempt is retried on the
-	// same peer before failing over (default 2; negative = never retry).
-	Retries int
-	// RetryBase is the first retry's backoff; subsequent retries double it,
-	// jittered, capped at one second (default 25ms).
-	RetryBase time.Duration
-	// BreakerFailures is the consecutive-failure count that opens a peer's
-	// breaker (default 3).
-	BreakerFailures int
-	// BreakerCooldown is how long an open peer breaker holds before
-	// admitting a half-open probe attempt, pre-jitter (default 2s).
-	BreakerCooldown time.Duration
-	// ProbeInterval is the background health-probe cadence for breaker-open
-	// peers; 0 defaults to 500ms, negative disables the prober.
-	ProbeInterval time.Duration
-	// NowFn and RandFn are test seams (clock and jitter source), same shape
-	// as the per-shard breaker's. Defaults: time.Now, math/rand.
-	NowFn  func() time.Time
-	RandFn func() float64
+}
+
+// tuning is the coordinator's fixed timing, not configuration: New always
+// uses defaultTuning, and only this package's tests build another (a fake
+// clock, a pinned jitter, no retries, a prober that never ticks).
+type tuning struct {
+	peerTimeout     time.Duration // bounds each remote attempt
+	retries         int           // same-peer retries before failing over
+	retryBase       time.Duration // first retry's backoff; doubles per retry, jittered, capped at 1s
+	breakerFailures int           // consecutive failures that open a peer's breaker
+	breakerCooldown time.Duration // how long an open peer breaker holds before a probe, pre-jitter
+	probeInterval   time.Duration // health-probe cadence for breaker-open peers
+	now             func() time.Time
+	rand            func() float64 // jitter source
+}
+
+var defaultTuning = tuning{
+	peerTimeout:     2 * time.Second,
+	retries:         2,
+	retryBase:       25 * time.Millisecond,
+	breakerFailures: 3,
+	breakerCooldown: 2 * time.Second,
+	probeInterval:   500 * time.Millisecond,
+	now:             time.Now,
+	rand:            rand.Float64,
 }
 
 // Coordinator federates the local daemon with its peers: it fronts the
@@ -68,10 +73,11 @@ type Config struct {
 // re-pinned fingerprint from a warm replicated plan instead of re-converging
 // cold.
 type Coordinator struct {
-	cfg   Config // defaulted by New; Peers is only the initial membership
+	self  string
+	tun   tuning
 	local *server.Server
 
-	randMu sync.Mutex // guards cfg.RandFn (see rand)
+	randMu sync.Mutex // guards tun.rand (see rand)
 
 	mu    sync.RWMutex
 	ring  *ring
@@ -107,43 +113,24 @@ type peerState struct {
 // New builds a coordinator fronting local. The caller owns local's
 // lifecycle; Close stops only the federation machinery.
 func New(local *server.Server, cfg Config) (*Coordinator, error) {
+	return newCoordinator(local, cfg, defaultTuning)
+}
+
+// newCoordinator is New with the timing given: the seam the package's tests
+// use.
+func newCoordinator(local *server.Server, cfg Config, tun tuning) (*Coordinator, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self node name is required")
 	}
-	if cfg.PeerTimeout <= 0 {
-		cfg.PeerTimeout = 2 * time.Second
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 25 * time.Millisecond
-	}
-	if cfg.BreakerFailures <= 0 {
-		cfg.BreakerFailures = 3
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.NowFn == nil {
-		cfg.NowFn = time.Now
-	}
-	if cfg.RandFn == nil {
-		cfg.RandFn = rand.Float64
-	}
 	c := &Coordinator{
-		cfg:   cfg,
+		self:  cfg.Self,
+		tun:   tun,
 		local: local,
 		ring:  newRing(),
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
 	}
-	c.ring.add(c.cfg.Self)
+	c.ring.add(c.self)
 	c.repl = newReplicator(c)
 	for _, p := range cfg.Peers {
 		if err := c.AddPeer(p.Name, p.URL); err != nil {
@@ -157,10 +144,8 @@ func New(local *server.Server, cfg Config) (*Coordinator, error) {
 	mux.HandleFunc("/admin/peers", c.handlePeers)
 	mux.Handle("/", local.Handler())
 	c.handler = mux
-	if c.cfg.ProbeInterval > 0 {
-		c.wg.Add(1)
-		go c.probeLoop()
-	}
+	c.wg.Add(1)
+	go c.probeLoop()
 	return c, nil
 }
 
@@ -193,7 +178,7 @@ func (c *Coordinator) Close() {
 func (c *Coordinator) rand() float64 {
 	c.randMu.Lock()
 	defer c.randMu.Unlock()
-	return c.cfg.RandFn()
+	return c.tun.rand()
 }
 
 // AddPeer joins a node to the ring and pushes it the full replica set, so a
@@ -204,7 +189,7 @@ func (c *Coordinator) AddPeer(name, url string) error {
 	if name == "" || url == "" {
 		return errors.New("cluster: peer needs both a name and a url")
 	}
-	if name == c.cfg.Self {
+	if name == c.self {
 		return fmt.Errorf("cluster: peer %q collides with this node's own name", name)
 	}
 	c.mu.Lock()
@@ -214,7 +199,7 @@ func (c *Coordinator) AddPeer(name, url string) error {
 	}
 	p := &peerState{
 		rem: NewRemote(name, url),
-		brk: server.Breaker{Threshold: c.cfg.BreakerFailures, Cooldown: c.cfg.BreakerCooldown, NowFn: c.cfg.NowFn, RandFn: c.rand},
+		brk: server.Breaker{Threshold: c.tun.breakerFailures, Cooldown: c.tun.breakerCooldown, NowFn: c.tun.now, RandFn: c.rand},
 	}
 	c.peers[name] = p
 	c.ring.add(name)
@@ -260,12 +245,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, code, map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
+		writeJSON(w, server.BodyErrorCode(err), map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
 	var req server.QueryRequest
@@ -312,7 +292,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 	}
 	c.mu.RUnlock()
 	for i, node := range seq {
-		if node == c.cfg.Self {
+		if node == c.self {
 			break
 		}
 		p := states[i]
@@ -331,7 +311,7 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 			return
 		}
 	}
-	if seq[0] != c.cfg.Self {
+	if seq[0] != c.self {
 		c.failovers.Add(1)
 	}
 	c.serveLocal(w, r, body)
@@ -384,16 +364,16 @@ func (c *Coordinator) forward(w http.ResponseWriter, r *http.Request, body []byt
 }
 
 // attempts is the one retry loop, shared by request forwarding and plan
-// replication: it calls try up to 1+Retries times, each call under its own
-// PeerTimeout deadline beneath ctx, sleeping base·2^(n-1) scaled by the
+// replication: it calls try up to 1+retries times, each call under its own
+// peerTimeout deadline beneath ctx, sleeping base·2^(n-1) scaled by the
 // breaker-style 1+0.5·rand() jitter before retry n, until try reports stop or
 // ctx (or the coordinator) dies mid-backoff.
 func (c *Coordinator) attempts(ctx context.Context, try func(actx context.Context, n int) (stop bool)) {
-	for n := 0; n <= c.cfg.Retries; n++ {
+	for n := 0; n <= c.tun.retries; n++ {
 		if n > 0 && !c.backoff(ctx, n) {
 			return
 		}
-		actx, cancel := context.WithTimeout(ctx, c.cfg.PeerTimeout)
+		actx, cancel := context.WithTimeout(ctx, c.tun.peerTimeout)
 		stop := try(actx, n)
 		cancel()
 		if stop {
@@ -405,7 +385,7 @@ func (c *Coordinator) attempts(ctx context.Context, try func(actx context.Contex
 // backoff sleeps retry attempt n's delay (n is 1-based); false means the
 // request's context or the coordinator died first.
 func (c *Coordinator) backoff(ctx context.Context, n int) bool {
-	d := c.cfg.RetryBase << (n - 1)
+	d := c.tun.retryBase << (n - 1)
 	if d > time.Second {
 		d = time.Second
 	}
@@ -428,7 +408,7 @@ func (c *Coordinator) backoff(ctx context.Context, n int) bool {
 // deaf to while down.
 func (c *Coordinator) probeLoop() {
 	defer c.wg.Done()
-	t := time.NewTicker(c.cfg.ProbeInterval)
+	t := time.NewTicker(c.tun.probeInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -440,7 +420,7 @@ func (c *Coordinator) probeLoop() {
 			if st, _, _ := p.brk.Snapshot(); st == server.BreakerClosed {
 				continue
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.PeerTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), c.tun.peerTimeout)
 			h, err := p.rem.Health(ctx)
 			cancel()
 			if err == nil && h.OK {
@@ -464,7 +444,7 @@ func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplicationBody))
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]string{"error": fmt.Sprintf("bad replication body: %v", err)})
+		writeJSON(w, server.BodyErrorCode(err), map[string]string{"error": fmt.Sprintf("bad replication body: %v", err)})
 		return
 	}
 	recs, err := store.DecodeRecords(body, "replication payload")
@@ -563,7 +543,7 @@ type Stats struct {
 // as the "cluster" block.
 func (c *Coordinator) Stats() Stats {
 	s := Stats{
-		Self:               c.cfg.Self,
+		Self:               c.self,
 		Nodes:              c.Nodes(),
 		ServedLocal:        c.servedLocal.Load(),
 		Forwarded:          c.forwarded.Load(),

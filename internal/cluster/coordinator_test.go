@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -57,14 +58,13 @@ func TestHalfOpenPeerAdmitsOneProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, Config{
-		Retries:         -1,
-		BreakerFailures: 1,
-		BreakerCooldown: time.Second,
-		ProbeInterval:   -1,
-		NowFn:           func() time.Time { return time.Unix(0, nowNs.Load()) },
-		RandFn:          func() float64 { return 0 },
-	})
+	tun := quietTuning()
+	tun.retries = 0
+	tun.breakerFailures = 1
+	tun.breakerCooldown = time.Second
+	tun.now = func() time.Time { return time.Unix(0, nowNs.Load()) }
+	tun.rand = func() float64 { return 0 }
+	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, tun)
 	req := remoteOwnedQuery(t, a.coord, "", "b")
 	client := &http.Client{}
 	peerStatus := func() PeerStatus { return a.coord.Stats().Peers[0] }
@@ -128,12 +128,12 @@ func TestHalfOpenPeerAdmitsOneProbe(t *testing.T) {
 }
 
 // TestBackoffDelays: the jittered exponential schedule doubles per attempt
-// from RetryBase and honours context cancellation.
+// from retryBase and honours context cancellation.
 func TestBackoffDelays(t *testing.T) {
 	c := &Coordinator{
-		cfg: Config{
-			RetryBase: 10 * time.Millisecond,
-			RandFn:    func() float64 { return 0 }, // jitter scale pinned to 1.0
+		tun: tuning{
+			retryBase: 10 * time.Millisecond,
+			rand:      func() float64 { return 0 }, // jitter scale pinned to 1.0
 		},
 		stop: make(chan struct{}),
 	}
@@ -161,6 +161,39 @@ func TestBackoffDelays(t *testing.T) {
 	}
 }
 
+// brokenBody yields the start of a document, then a read error that is not
+// a size overrun — a client that went away mid-body.
+type brokenBody struct{ sent bool }
+
+func (b *brokenBody) Read(p []byte) (int, error) {
+	if !b.sent {
+		b.sent = true
+		return copy(p, "APQXPORT"), nil
+	}
+	return 0, errors.New("connection reset mid-body")
+}
+
+// TestReplicateBodyErrors: the replication intake answers 413 only for a
+// body past its size limit; a body whose read fails partway is a 400, the
+// way the local daemon's own body reader maps it.
+func TestReplicateBodyErrors(t *testing.T) {
+	c := &Coordinator{}
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want int
+	}{
+		{"read fails partway", &brokenBody{}, http.StatusBadRequest},
+		{"past the limit", bytes.NewReader(make([]byte, maxReplicationBody+1)), http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		c.handleReplicate(rec, httptest.NewRequest(http.MethodPost, "/cluster/replicate", tc.body))
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		}
+	}
+}
+
 // TestConfigValidation: a coordinator rejects nameless nodes and membership
 // collisions.
 func TestConfigValidation(t *testing.T) {
@@ -173,7 +206,7 @@ func TestConfigValidation(t *testing.T) {
 		{{Name: "a", URL: "http://x"}},                               // collides with self
 		{{Name: "b", URL: "http://x"}, {Name: "b", URL: "http://y"}}, // duplicate
 	} {
-		c, err := New(nil, Config{Self: "a", Peers: peers, ProbeInterval: -1})
+		c, err := New(nil, Config{Self: "a", Peers: peers})
 		if err == nil {
 			c.Close()
 			t.Fatalf("peers %v must be rejected", peers)
@@ -203,11 +236,10 @@ func TestReplicationQueueDepthCountsInFlightBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, Config{
-		Retries:       -1,
-		PeerTimeout:   30 * time.Second,
-		ProbeInterval: -1,
-	})
+	tun := quietTuning()
+	tun.retries = 0
+	tun.peerTimeout = 30 * time.Second
+	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, tun)
 	a.coord.Observe(store.Record{
 		Fingerprint: "fp-lag", DBIdentity: testIdentity, Query: "tpch:q6",
 		PlanBytes: []byte{1, 2, 3}, History: []float64{10, 5}, Cores: 4,

@@ -62,10 +62,18 @@ type fedNode struct {
 	url   string
 }
 
-// startNode brings up one federated node on ln: serving core, coordinator,
-// and a real HTTP listener, with convergence records wired into the
-// replicator the way the apq wiring does it.
-func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Config, tenants ...string) *fedNode {
+// quietTuning is defaultTuning with a health prober that never ticks within
+// a test, so only the serve path moves a peer's breaker.
+func quietTuning() tuning {
+	tun := defaultTuning
+	tun.probeInterval = time.Hour
+	return tun
+}
+
+// startNode brings up one federated node on ln: serving core, coordinator
+// with the given timing, and a real HTTP listener, with convergence records
+// wired into the replicator the way the apq wiring does it.
+func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, tun tuning, tenants ...string) *fedNode {
 	t.Helper()
 	var ptr atomic.Pointer[Coordinator]
 	srv := newEngineServer(t, func(rec store.Record) {
@@ -73,9 +81,7 @@ func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Co
 			c.Observe(rec)
 		}
 	}, tenants...)
-	ccfg.Self = name
-	ccfg.Peers = peers
-	coord, err := New(srv, ccfg)
+	coord, err := newCoordinator(srv, Config{Self: name, Peers: peers}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +101,7 @@ func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, ccfg Co
 
 // twoNodes wires an A/B federation over pre-allocated loopback listeners
 // (each node's config must name the other's URL before either exists).
-func twoNodes(t *testing.T, ccfg Config, tenants ...string) (*fedNode, *fedNode) {
+func twoNodes(t *testing.T, tun tuning, tenants ...string) (*fedNode, *fedNode) {
 	t.Helper()
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -108,8 +114,8 @@ func twoNodes(t *testing.T, ccfg Config, tenants ...string) (*fedNode, *fedNode)
 	}
 	urlA := "http://" + lnA.Addr().String()
 	urlB := "http://" + lnB.Addr().String()
-	a := startNode(t, "a", lnA, []Peer{{Name: "b", URL: urlB}}, ccfg, tenants...)
-	b := startNode(t, "b", lnB, []Peer{{Name: "a", URL: urlA}}, ccfg, tenants...)
+	a := startNode(t, "a", lnA, []Peer{{Name: "b", URL: urlB}}, tun, tenants...)
+	b := startNode(t, "b", lnB, []Peer{{Name: "a", URL: urlA}}, tun, tenants...)
 	return a, b
 }
 
@@ -168,7 +174,7 @@ func postJSON(t *testing.T, client *http.Client, url string, req server.QueryReq
 // run numbers, convergence state — and identical per-run convergence
 // traces. The remote transport is a routing layer, not a different engine.
 func TestRemoteTwinBitIdentical(t *testing.T) {
-	a, b := twoNodes(t, Config{ProbeInterval: -1})
+	a, b := twoNodes(t, quietTuning())
 	standalone := newEngineServer(t, nil)
 	ts := httptest.NewServer(standalone.Handler())
 	defer ts.Close()
@@ -279,7 +285,7 @@ func postResultBytes(t *testing.T, client *http.Client, url string, req server.Q
 // standalone server produces for the same request sequence, and (once
 // converged) to what the owner serves locally.
 func TestRemoteTwinForwardedResultBytes(t *testing.T) {
-	a, b := twoNodes(t, Config{ProbeInterval: -1})
+	a, b := twoNodes(t, quietTuning())
 	standalone := newEngineServer(t, nil)
 	ts := httptest.NewServer(standalone.Handler())
 	defer ts.Close()
@@ -334,13 +340,11 @@ func TestRemoteTwinForwardedResultBytes(t *testing.T) {
 // re-pins to the survivor, which serves it converged from the replicated
 // plan (fewer requests to re-converge than the cold convergence took: zero).
 func TestFailoverKillNodeMidTraffic(t *testing.T) {
-	a, b := twoNodes(t, Config{
-		Retries:         2,
-		RetryBase:       time.Millisecond,
-		BreakerFailures: 1,
-		BreakerCooldown: 100 * time.Millisecond,
-		ProbeInterval:   -1,
-	})
+	tun := quietTuning()
+	tun.retryBase = time.Millisecond
+	tun.breakerFailures = 1
+	tun.breakerCooldown = 100 * time.Millisecond
+	a, b := twoNodes(t, tun)
 	req := remoteOwnedQuery(t, a.coord, "", "b")
 	client := &http.Client{}
 	coldRuns := 0
@@ -411,8 +415,8 @@ func TestAdminPeersJoinLeave(t *testing.T) {
 		lnA.Close()
 		t.Fatal(err)
 	}
-	a := startNode(t, "a", lnA, nil, Config{ProbeInterval: -1})
-	b := startNode(t, "b", lnB, nil, Config{ProbeInterval: -1})
+	a := startNode(t, "a", lnA, nil, quietTuning())
+	b := startNode(t, "b", lnB, nil, quietTuning())
 
 	// Converge something on the lone node so the join has a replica set to
 	// push.
@@ -489,7 +493,7 @@ func TestReplicateIntake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startNode(t, "a", ln, nil, Config{ProbeInterval: -1})
+	a := startNode(t, "a", ln, nil, quietTuning())
 	client := &http.Client{}
 
 	resp, err := client.Post(a.url+"/cluster/replicate", "application/octet-stream", bytes.NewReader([]byte("not an export document")))
@@ -572,7 +576,7 @@ func postRaw(t *testing.T, client *http.Client, base string, req server.QueryReq
 // reply, JSON and APQRESULT alike, is byte-identical to a standalone server's
 // for the same request sequence.
 func TestForwardedRequestKeepsTenantHeader(t *testing.T) {
-	a, _ := twoNodes(t, Config{ProbeInterval: -1}, "acme")
+	a, _ := twoNodes(t, quietTuning(), "acme")
 	standalone := newEngineServer(t, nil, "acme")
 	ts := httptest.NewServer(standalone.Handler())
 	defer ts.Close()

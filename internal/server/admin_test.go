@@ -488,8 +488,9 @@ func TestTenantLifecycleOverLiveTraffic(t *testing.T) {
 
 // TestTenantRemovalFlushesAndRehydrates: removing a tenant flushes its
 // converged sessions to the store; re-adding the same tenant (same identity,
-// same epoch) rehydrates them served-converged, while an epoch-mismatched
-// record comes back as a warm seed only.
+// same epoch) rehydrates them served-converged. A record learned after an
+// append (epoch 1) comes back as a warm seed only, because a re-added tenant
+// is regenerated at epoch 0.
 func TestTenantRemovalFlushesAndRehydrates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping store lifecycle test in -short mode")
@@ -501,13 +502,12 @@ func TestTenantRemovalFlushesAndRehydrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	epoch := int64(0)
 	srv, err := New(Config{
 		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: "tpch:sf=0.1:seed=42",
 		Store:      st,
 		TenantFactory: func(spec TenantSpec) (Tenant, error) {
-			return Tenant{Name: spec.Name, Catalog: tcat, DBIdentity: "tpch:sf=0.1:seed=7", Epoch: epoch}, nil
+			return Tenant{Name: spec.Name, Catalog: tcat, DBIdentity: "tpch:sf=0.1:seed=7"}, nil
 		},
 	})
 	if err != nil {
@@ -542,14 +542,22 @@ func TestTenantRemovalFlushesAndRehydrates(t *testing.T) {
 	if qr := serveOnce(t, srv, body); qr.State != "converged" || !qr.CacheHit {
 		t.Fatalf("first post-re-add request not served converged: %+v", qr)
 	}
-	if _, err := srv.RemoveTenant("t1"); err != nil {
+
+	// Epoch mismatch, the way production gets one: an append moves the
+	// tenant to epoch 1, the query re-converges there, and removal flushes
+	// that epoch-1 record. The re-added tenant's dataset is generated afresh
+	// at epoch 0, so the record must come back warm, never served-converged.
+	var mut MutationResponse
+	if code := postJSON(t, srv, http.MethodPost, "/admin/append", appendBodyFor(t, tcat, "t1", "lineitem", 500), &mut); code != http.StatusOK || mut.Epoch != 1 {
+		t.Fatalf("/admin/append: status %d, reply %+v; want 200 at epoch 1", code, mut)
+	}
+	convergeQuery(t, srv, body)
+	if life, err = srv.RemoveTenant("t1"); err != nil {
 		t.Fatal(err)
 	}
-
-	// Epoch mismatch: the tenant declares its dataset mutated since the
-	// record was written — the record must come back warm, never
-	// served-converged.
-	epoch = 1
+	if life.SessionsFlushed != 1 {
+		t.Fatalf("removal at epoch 1 flushed %d sessions, want 1", life.SessionsFlushed)
+	}
 	life, err = srv.AddTenant(TenantSpec{Name: "t1"})
 	if err != nil {
 		t.Fatal(err)

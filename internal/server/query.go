@@ -207,14 +207,19 @@ func readBody(b *ioBuf, w http.ResponseWriter, r *http.Request, parse func([]byt
 		err = parse(b.buf.Bytes())
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		return &dispatchErr{code: code, err: fmt.Errorf("bad request body: %w", err)}
+		return &dispatchErr{code: BodyErrorCode(err), err: fmt.Errorf("bad request body: %w", err)}
 	}
 	return nil
+}
+
+// BodyErrorCode is the reply code for a request body that failed to read or
+// parse: 413 when it ran past its size limit, 400 for anything else.
+func BodyErrorCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // dispatch runs one decoded query request through the whole serve path below
@@ -542,7 +547,7 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 	mode := BreakerNormal
 	if forceFrozen {
 		mode = BreakerFrozen
-	} else if s.cfg.BreakerFailures > 0 {
+	} else if s.cfg.Breaker {
 		mode = sh.brk.Admit()
 	}
 	var (
@@ -563,19 +568,14 @@ func (s *Server) serveAdaptive(ctx context.Context, tn *tenantState, sh *shard, 
 			sum = res.Entry.Session.Summary()
 		}
 	})
-	if derr := engineErr(doErr, err); derr != nil {
-		if s.cfg.BreakerFailures > 0 {
-			// Errored — or shed, deadline-expired, closed: the shard never
-			// answered at full fidelity, and a probe that hit this stays
-			// open.
-			sh.brk.Record(mode, true)
-		}
-		return QueryResponse{}, nil, derr
+	derr := engineErr(doErr, err)
+	if s.cfg.Breaker {
+		// Errored — or shed, deadline-expired, closed: the shard never
+		// answered at full fidelity, and a probe that hit this stays open.
+		sh.brk.Record(mode, derr != nil)
 	}
-	if s.cfg.BreakerFailures > 0 {
-		slow := s.cfg.SlowFactor > 0 && sum.SerialNs > 0 &&
-			res.Invocation.LatencyNs > s.cfg.SlowFactor*sum.SerialNs
-		sh.brk.Record(mode, slow)
+	if derr != nil {
+		return QueryResponse{}, nil, derr
 	}
 	resp := QueryResponse{
 		Session:         res.Entry.ID,

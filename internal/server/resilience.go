@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -22,11 +21,23 @@ import (
 //   - Load shedding: the waiting line in front of each shard is bounded
 //     (Config.MaxShardQueue); excess arrivals fail fast with 503 and a
 //     Retry-After header instead of stacking goroutines on the semaphore.
-//   - A per-shard health breaker: consecutive failed or anomalously slow
-//     invocations trip the shard into degraded mode, where it keeps serving
-//     last-converged plans (plancache frozen invocations — no exploration,
-//     no staleness feedback) until a cooldown elapses and a half-open probe
-//     request succeeds at full fidelity.
+//   - A per-shard health breaker (Config.Breaker): breakerThreshold
+//     consecutive failed invocations trip the shard into degraded mode,
+//     where it keeps serving last-converged plans (plancache frozen
+//     invocations — no exploration, no staleness feedback) until
+//     breakerCooldown elapses and a half-open probe request succeeds at full
+//     fidelity. A failure is an engine error, a shed, an expired deadline or
+//     a closed server; latency is not judged here — virtual-latency drift is
+//     the plan cache's band, and wall-clock slowness arrives as deadline
+//     expiries.
+
+// The shard breaker's fixed sizing. Like the plan cache's detector
+// constants, these are not operator settings: no deployment has needed
+// other values.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
 
 // ErrOverloaded reports a request shed because its shard's queue was full.
 var ErrOverloaded = errors.New("server: shard queue full")
@@ -124,17 +135,17 @@ const (
 // Breaker is the one health breaker, used per engine shard (a tripped shard
 // serves frozen plans) and per federation peer (a tripped peer's fingerprints
 // route to the next ring node). Failures are consecutive full-fidelity
-// outcomes that errored or ran anomalously slowly; frozen outcomes never
-// count (they are the degraded mode itself, not evidence). The zero value is
-// a closed breaker; set the exported fields before first use.
+// outcomes that failed; frozen outcomes never count (they are the degraded
+// mode itself, not evidence). The zero value is a closed breaker; set every
+// exported field before first use.
 type Breaker struct {
 	// Threshold is the consecutive-failure count that trips a closed breaker.
 	Threshold int
 	// Cooldown is how long a tripped breaker refuses work before admitting a
 	// half-open probe, pre-jitter.
 	Cooldown time.Duration
-	// NowFn and RandFn are the clock and jitter seams (nil = time.Now,
-	// math/rand).
+	// NowFn and RandFn are the clock and the jitter source: time.Now and
+	// rand.Float64 outside tests.
 	NowFn  func() time.Time
 	RandFn func() float64
 
@@ -150,26 +161,12 @@ type Breaker struct {
 	jitter float64
 }
 
-func (b *Breaker) now() time.Time {
-	if b.NowFn != nil {
-		return b.NowFn()
-	}
-	return time.Now()
-}
-
-func (b *Breaker) rand() float64 {
-	if b.RandFn != nil {
-		return b.RandFn()
-	}
-	return rand.Float64()
-}
-
 // trip opens the breaker and draws the cooldown jitter for this open period.
 // Callers hold b.mu.
 func (b *Breaker) trip() {
 	b.state = BreakerOpen
-	b.openedAt = b.now()
-	b.jitter = 1 + 0.5*b.rand()
+	b.openedAt = b.NowFn()
+	b.jitter = 1 + 0.5*b.RandFn()
 	b.trips++
 }
 
@@ -187,7 +184,7 @@ func (b *Breaker) Admit() BreakerMode {
 		if scale < 1 {
 			scale = 1
 		}
-		if b.now().Sub(b.openedAt) < time.Duration(float64(b.Cooldown)*scale) {
+		if b.NowFn().Sub(b.openedAt) < time.Duration(float64(b.Cooldown)*scale) {
 			return BreakerFrozen
 		}
 		b.state = BreakerHalfOpen

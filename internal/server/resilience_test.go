@@ -106,8 +106,9 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 
 // TestBreakerLifecycle walks the one Breaker type through its full state
 // cycle under a fake clock, once per configuration it is deployed in: the
-// per-shard breaker (server.Config thresholds) and the per-peer breaker
-// (cluster.Config thresholds), at both edges of the jitter range. Consecutive
+// per-shard breaker (breakerThreshold, breakerCooldown) and the per-peer
+// breaker (the federation coordinator's 3 failures, 2 s), at both edges of
+// the jitter range. Consecutive
 // failures trip it open, frozen outcomes never count, the jittered cooldown
 // (scale drawn once per trip, within [1, 1.5]× the configured cooldown) admits
 // exactly one probe at a time, the probe's outcome closes or re-arms it, and
@@ -119,8 +120,8 @@ func TestBreakerLifecycle(t *testing.T) {
 		cooldown  time.Duration
 		r         float64 // pinned jitter draw
 	}{
-		{"shard/jitter-low", 3, time.Minute, 0},
-		{"shard/jitter-high", 3, time.Minute, 0.999},
+		{"shard/jitter-low", breakerThreshold, breakerCooldown, 0},
+		{"shard/jitter-high", breakerThreshold, breakerCooldown, 0.999},
 		{"shard/threshold-1", 1, time.Hour, 0.5},
 		{"peer/jitter-low", 3, 2 * time.Second, 0},
 		{"peer/jitter-high", 3, 2 * time.Second, 1},
@@ -231,22 +232,46 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-// TestBreakerDegradedServingHTTP trips a shard's breaker through the serve
-// path (SlowFactor marks early adaptive runs as anomalously slow), then
-// checks degraded serving, /healthz, and the /stats resilience block.
+// TestBreakerDegradedServingHTTP arms the shard breaker and trips it through
+// the serve path with deadline expiries: while the shard's engine semaphore
+// is held from outside, each request's deadline fires in the queue. It then
+// checks degraded serving, /healthz and the /stats resilience block, and
+// both probe outcomes: a probe that expires reopens the breaker, a probe
+// that runs closes it.
 func TestBreakerDegradedServingHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{
-		Benchmark:       "tpch",
-		BreakerFailures: 2,
-		BreakerCooldown: time.Hour,
-		SlowFactor:      0.3, // only a 3.3× speedup over serial counts as healthy
+		Benchmark:      "tpch",
+		Breaker:        true,
+		RequestTimeout: 50 * time.Millisecond,
 	})
-	// Runs 0 and 1 serve at ≈serial latency — two consecutive "slow"
-	// outcomes trip the breaker.
-	for i := 0; i < 2; i++ {
-		if qr, code := postQuery(t, ts.URL, QueryRequest{Query: 6}); code != http.StatusOK || qr.Degraded {
-			t.Fatalf("run %d: code %d degraded %v", i, code, qr.Degraded)
+	sh := s.shards[0]
+	var nowNs atomic.Int64
+	nowNs.Store(time.Now().UnixNano())
+	sh.brk.mu.Lock()
+	sh.brk.NowFn = func() time.Time { return time.Unix(0, nowNs.Load()) }
+	sh.brk.mu.Unlock()
+	expect := func(step string, st BreakerState, trips int64) {
+		t.Helper()
+		if gs, gt, _ := sh.brk.Snapshot(); gs != st || gt != trips {
+			t.Fatalf("%s: breaker %v with %d trips, want %v with %d", step, gs, gt, st, trips)
 		}
+	}
+	expire := func(step string) {
+		t.Helper()
+		sh.sem <- struct{}{}
+		defer func() { <-sh.sem }()
+		if _, code := postQuery(t, ts.URL, QueryRequest{Query: 6}); code != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d with the shard held, want 503", step, code)
+		}
+	}
+
+	for i := 0; i < breakerThreshold; i++ {
+		expect(fmt.Sprintf("before expiry %d", i+1), BreakerClosed, 0)
+		expire(fmt.Sprintf("expiry %d", i+1))
+	}
+	expect("after the expiries", BreakerOpen, 1)
+	if got := s.res.deadlineExpiries.Load(); got != breakerThreshold {
+		t.Fatalf("deadline expiries = %d, want %d", got, breakerThreshold)
 	}
 	qr, code := postQuery(t, ts.URL, QueryRequest{Query: 6})
 	if code != http.StatusOK || !qr.Degraded {
@@ -275,15 +300,74 @@ func TestBreakerDegradedServingHTTP(t *testing.T) {
 		t.Fatalf("resilience breakers: %+v", br)
 	}
 
-	// Jump past the cooldown: the next request is the half-open probe and
-	// runs at full fidelity (not degraded). Early in adaptation it is still
-	// slow, so the breaker reopens behind it.
-	s.shards[0].brk.NowFn = func() time.Time { return time.Now().Add(2 * time.Hour) }
-	if qr, _ := postQuery(t, ts.URL, QueryRequest{Query: 6}); qr.Degraded {
-		t.Fatalf("probe served degraded: %+v", qr)
+	// Past the cooldown (at most 1.5× with jitter) the next request is the
+	// half-open probe. With the shard held it expires too, and the breaker
+	// reopens behind it.
+	nowNs.Add(int64(2 * breakerCooldown))
+	expire("expiring probe")
+	expect("after the expiring probe", BreakerOpen, 2)
+
+	// A probe that reaches the engine runs at full fidelity and closes it.
+	nowNs.Add(int64(2 * breakerCooldown))
+	if qr, code := postQuery(t, ts.URL, QueryRequest{Query: 6}); code != http.StatusOK || qr.Degraded {
+		t.Fatalf("probe: code %d, %+v", code, qr)
 	}
-	if st, trips, _ := s.shards[0].brk.Snapshot(); st != BreakerOpen || trips != 2 {
-		t.Fatalf("slow probe did not reopen: %v trips %d", st, trips)
+	expect("after the successful probe", BreakerClosed, 2)
+	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || !health.OK {
+		t.Fatalf("healthz after the breaker closed: %d %+v", code, health)
+	}
+}
+
+// TestBreakerTripsOnShedRequests: with the breaker armed and the shard queue
+// bounded, shed requests count against the shard. One client waits on the
+// held shard; the next breakerThreshold arrivals are shed with 503 +
+// Retry-After and trip the breaker, so the request after them is served
+// degraded.
+func TestBreakerTripsOnShedRequests(t *testing.T) {
+	s, ts := newTestServer(t, Config{
+		Benchmark:     "tpch",
+		Breaker:       true,
+		MaxShardQueue: 1,
+	})
+	sh := s.shards[0]
+	sh.sem <- struct{}{}
+	var once sync.Once
+	release := func() { once.Do(func() { <-sh.sem }) }
+	defer release() // a failure below must not leave the queued client stuck
+	done := make(chan int, 1)
+	go func() {
+		_, code := postQuery(t, ts.URL, QueryRequest{Query: 6})
+		done <- code
+	}()
+	for i := 0; sh.waiting.Load() == 0 && i < 200; i++ {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if sh.waiting.Load() == 0 {
+		t.Fatal("first client never queued")
+	}
+	body, _ := json.Marshal(QueryRequest{Query: 6})
+	for i := 0; i < breakerThreshold; i++ {
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("arrival %d: status %d, Retry-After %q; want a shed 503", i+1, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+	}
+	if st, trips, _ := sh.brk.Snapshot(); st != BreakerOpen || trips != 1 {
+		t.Fatalf("after %d sheds: breaker %v with %d trips, want open with 1", breakerThreshold, st, trips)
+	}
+	release()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("queued client finished with %d", code)
+	}
+	if qr, code := postQuery(t, ts.URL, QueryRequest{Query: 6}); code != http.StatusOK || !qr.Degraded {
+		t.Fatalf("open breaker did not serve degraded: code %d, %+v", code, qr)
+	}
+	if got := s.res.shed.Load(); got != breakerThreshold {
+		t.Fatalf("shed requests = %d, want %d", got, breakerThreshold)
 	}
 }
 

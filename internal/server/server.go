@@ -118,17 +118,12 @@ type Config struct {
 	// one shard's engine semaphore; arrivals beyond it are shed with 503 +
 	// Retry-After (0 = unbounded).
 	MaxShardQueue int
-	// BreakerFailures is the consecutive full-fidelity failure count (errors
-	// or anomalously slow runs) that trips a shard's health breaker into
-	// degraded mode (0 = breaker disabled).
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped breaker serves frozen before
-	// admitting a half-open probe (0 = probe immediately).
-	BreakerCooldown time.Duration
-	// SlowFactor counts a converged invocation slower than SlowFactor × its
-	// session's serial baseline as a breaker failure (0 = only hard errors
-	// count).
-	SlowFactor float64
+	// Breaker arms each shard's health breaker: breakerThreshold
+	// consecutive failed requests (an engine error, a shed, an expired
+	// deadline or a closed server) trip the shard into degraded mode, which
+	// serves frozen until breakerCooldown elapses and a half-open probe
+	// succeeds.
+	Breaker bool
 
 	// OnRecord, when set, observes every convergence record the serving
 	// layer produces — the same records the persistent store receives, fired
@@ -188,8 +183,8 @@ type Server struct {
 		deletes        atomic.Int64
 	}
 
-	// randFn is the jitter source for Retry-After hints and breaker
-	// cooldowns (nil = math/rand; tests pin it).
+	// randFn is the jitter source for Retry-After hints (nil = math/rand;
+	// tests pin it).
 	randFn func() float64
 
 	closeMu  sync.RWMutex
@@ -300,7 +295,7 @@ func New(cfg Config) (*Server, error) {
 			eng:   eng,
 			cache: plancache.New(eng, ccfg),
 			sem:   make(chan struct{}, 1),
-			brk:   Breaker{Threshold: cfg.BreakerFailures, Cooldown: cfg.BreakerCooldown},
+			brk:   Breaker{Threshold: breakerThreshold, Cooldown: breakerCooldown, NowFn: time.Now, RandFn: rand.Float64},
 		}
 		if len(cfg.Faults) > 0 {
 			eng.Machine().SetFaultPlan(cfg.Faults)

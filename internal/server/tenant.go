@@ -50,11 +50,6 @@ type Tenant struct {
 	// across the whole pool (0 = unlimited); excess requests fail fast
 	// with 429 instead of queueing on shard locks.
 	MaxInFlight int
-	// Epoch is the dataset's initial mutation epoch (0 = the dataset as
-	// generated). Every append/delete through the admin mutation API bumps
-	// it; persistent-store records carry the epoch they converged at, and
-	// rehydration compares the two.
-	Epoch int64
 }
 
 // tenantState is one tenant's runtime: its immutable config plus the
@@ -67,12 +62,14 @@ type tenantState struct {
 	Tenant
 	def bool
 
-	// epoch is the dataset's live mutation epoch; catalog is the live
-	// catalog pointer (mutations swap in a new catalog under the all-shard
-	// barrier, so a pointer loaded inside a shard stays valid and immutable
-	// for the run that loaded it). draining marks a tenant mid-removal: new
-	// requests 404, in-flight ones finish. mutMu serializes data mutations
-	// per tenant.
+	// epoch is the dataset's live mutation epoch: 0 when the tenant is
+	// linked (its dataset as given), bumped by every admin mutation.
+	// Persisted records carry the epoch they converged at, and rehydration
+	// compares the two. catalog is the live catalog pointer (mutations swap
+	// in a new catalog under the all-shard barrier, so a pointer loaded
+	// inside a shard stays valid and immutable for the run that loaded it).
+	// draining marks a tenant mid-removal: new requests 404, in-flight ones
+	// finish. mutMu serializes data mutations per tenant.
 	epoch    atomic.Int64
 	catalog  atomic.Pointer[storage.Catalog]
 	draining atomic.Bool
@@ -92,7 +89,6 @@ type tenantState struct {
 func newTenantState(t Tenant, def bool) *tenantState {
 	tn := &tenantState{Tenant: t, def: def}
 	tn.catalog.Store(t.Catalog.Detached())
-	tn.epoch.Store(t.Epoch)
 	return tn
 }
 

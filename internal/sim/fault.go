@@ -111,13 +111,13 @@ func GenFaultPlan(cfg Config, seed int64, n int, horizonNs float64) FaultPlan {
 	for i := 0; i < n; i++ {
 		ev := FaultEvent{
 			AtNs:   rng.Float64() * horizonNs,
-			Socket: rng.Intn(maxInt(1, cfg.Sockets)),
+			Socket: rng.Intn(max(1, cfg.Sockets)),
 		}
 		switch rng.Intn(3) {
 		case 0:
 			if lossBudget > 0 {
 				ev.Kind = FaultCoreLoss
-				ev.Count = 1 + rng.Intn(maxInt(1, lossBudget/2))
+				ev.Count = 1 + rng.Intn(max(1, lossBudget/2))
 				if ev.Count > lossBudget {
 					ev.Count = lossBudget
 				}
@@ -137,13 +137,6 @@ func GenFaultPlan(cfg Config, seed int64, n int, horizonNs float64) FaultPlan {
 		plan = append(plan, ev)
 	}
 	return plan.Sorted()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FaultStats counts the machine's applied faults and their effects.

@@ -100,8 +100,6 @@ type ServerConfig struct {
 	// 0 derives the width from GOMAXPROCS; 1 reproduces the single-engine
 	// daemon.
 	Shards int
-	// EngineOptions tune the engines' machines (noise model, seed).
-	EngineOptions []Option
 	// Staleness arms serving-time staleness detection: a converged query
 	// whose observed latency stays more than 35 % off its converged
 	// expectation for 3 consecutive servings reopens its convergence and
@@ -123,18 +121,11 @@ type ServerConfig struct {
 	// MaxShardQueue bounds the waiting line in front of each shard; excess
 	// arrivals are shed with 503 + Retry-After (0 = unbounded).
 	MaxShardQueue int
-	// BreakerFailures arms the per-shard health breaker: that many
-	// consecutive failed or anomalously slow requests trip the shard into
-	// degraded mode, serving last-converged plans without exploration until
-	// BreakerCooldown elapses and a half-open probe succeeds (0 = disabled).
-	BreakerFailures int
-	// BreakerCooldown is how long a tripped shard stays degraded before it
-	// probes at full fidelity again.
-	BreakerCooldown time.Duration
-	// SlowFactor defines "anomalously slow" for the breaker: an adaptive
-	// request counting as a failure when its latency exceeds SlowFactor ×
-	// the query's serial baseline (0 = only errors count).
-	SlowFactor float64
+	// Breaker arms the per-shard health breaker: 5 consecutive failed
+	// requests (an engine error, a shed, an expired deadline) trip the shard
+	// into degraded mode, serving last-converged plans without exploration
+	// until a 10 s cooldown elapses and a half-open probe succeeds.
+	Breaker bool
 	// Cluster federates this daemon with remote peers (nil = standalone).
 	// When set, Handler() fronts the serve surface with the federation
 	// coordinator: /query routes by fingerprint across the consistent-hash
@@ -146,19 +137,15 @@ type ServerConfig struct {
 // ClusterPeer names one remote daemon of a federation.
 type ClusterPeer = cluster.Peer
 
-// ClusterConfig federates a daemon with its peers. All nodes must agree on
-// the set of node names (ring ownership is computed independently on each
-// node) and should run identically configured tenants — replicated records
-// are identity-checked on arrival, so a mismatched peer skips them. Peer
-// timeout, retry, breaker and probe cadence are the coordinator's fixed
-// defaults (2s; 2 retries from 25ms; 3 failures, 2s cooldown; 500ms).
-type ClusterConfig struct {
-	// Self is this node's ring name (required; must differ from every peer).
-	Self string
-	// Peers is the initial remote membership; POST/DELETE /admin/peers
-	// mutates it live.
-	Peers []ClusterPeer
-}
+// ClusterConfig federates a daemon with its peers: Self is this node's ring
+// name (required; must differ from every peer), Peers the initial remote
+// membership, which POST/DELETE /admin/peers mutates live. All nodes must
+// agree on the set of node names (ring ownership is computed independently on
+// each node) and should run identically configured tenants — replicated
+// records are identity-checked on arrival, so a mismatched peer skips them.
+// Peer timeout, retry, breaker and probe cadence are the coordinator's fixed
+// timing (2s; 2 retries from 25ms; 3 failures, 2s cooldown; 500ms).
+type ClusterConfig = cluster.Config
 
 // TenantConfig declares one named tenant dataset for the query service.
 type TenantConfig struct {
@@ -179,11 +166,6 @@ type TenantConfig struct {
 	// MaxInFlight bounds the tenant's concurrently executing requests
 	// (0 = unlimited); excess requests fail fast with HTTP 429.
 	MaxInFlight int
-	// Epoch is the dataset's initial mutation epoch (0 = the dataset as
-	// generated). Persisted convergence records carry the epoch they were
-	// learned at; a record whose epoch no longer matches rehydrates as a
-	// warm seed instead of being served converged.
-	Epoch int64
 }
 
 // buildTenant generates a tenant's dataset and wraps it for the serving
@@ -214,7 +196,6 @@ func buildTenant(t TenantConfig) (server.Tenant, error) {
 		Benchmark:   bench,
 		MaxSessions: t.MaxSessions,
 		MaxInFlight: t.MaxInFlight,
-		Epoch:       t.Epoch,
 	}, nil
 }
 
@@ -246,7 +227,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for i := range engines {
 		// Each shard replica owns its own simulated machine; the catalog
 		// underneath is shared and read-only.
-		engines[i] = NewEngine(cfg.DB, cfg.Machine, cfg.EngineOptions...).inner
+		engines[i] = NewEngine(cfg.DB, cfg.Machine).inner
 	}
 	// Tenant datasets are generated once and shared read-only by every
 	// shard; requests resolve binds against their tenant's catalog while
@@ -286,12 +267,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 				MaxInFlight: spec.MaxInFlight,
 			})
 		},
-		Faults:          cfg.Faults,
-		RequestTimeout:  cfg.RequestTimeout,
-		MaxShardQueue:   cfg.MaxShardQueue,
-		BreakerFailures: cfg.BreakerFailures,
-		BreakerCooldown: cfg.BreakerCooldown,
-		SlowFactor:      cfg.SlowFactor,
+		Faults:         cfg.Faults,
+		RequestTimeout: cfg.RequestTimeout,
+		MaxShardQueue:  cfg.MaxShardQueue,
+		Breaker:        cfg.Breaker,
 	}
 	// The coordinator wraps the serving core but the core's config hooks
 	// must exist before server.New — relay through a pointer filled in once
@@ -320,7 +299,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	var coord *cluster.Coordinator
 	if cfg.Cluster != nil {
-		coord, err = cluster.New(inner, cluster.Config{Self: cfg.Cluster.Self, Peers: cfg.Cluster.Peers})
+		coord, err = cluster.New(inner, *cfg.Cluster)
 		if err != nil {
 			inner.Close()
 			if st != nil {
