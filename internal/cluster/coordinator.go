@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -62,20 +60,19 @@ var defaultTuning = tuning{
 	rand:            rand.Float64,
 }
 
-// Coordinator federates the local daemon with its peers: it fronts the
-// local HTTP surface, routes /query requests to the fingerprint's owning
-// node on the consistent-hash ring, retries remote failures with jittered
-// exponential backoff, trips a per-peer breaker after repeated failure —
-// the same server.Breaker the engine shards use, guarding a whole node
-// instead of one replica — and fails the fingerprint over to the next
+// Coordinator federates the local daemon with its peers as its
+// server.Federation: its route stage sends each /query to the fingerprint's
+// owning node on the consistent-hash ring, retries remote failures with
+// jittered exponential backoff, trips a per-peer breaker after repeated
+// failure — the same server.Breaker the engine shards use, guarding a whole
+// node instead of one replica — and fails the fingerprint over to the next
 // surviving node in ring order. A write-behind replicator ships every
 // convergence record to the peers, so the failover target serves the
 // re-pinned fingerprint from a warm replicated plan instead of re-converging
 // cold.
 type Coordinator struct {
-	self  string
-	tun   tuning
-	local *server.Server
+	self string
+	tun  tuning
 
 	randMu sync.Mutex // guards tun.rand (see rand)
 
@@ -84,7 +81,6 @@ type Coordinator struct {
 	peers map[string]*peerState
 
 	repl      *replicator
-	handler   http.Handler
 	stop      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -108,24 +104,27 @@ type Coordinator struct {
 type peerState struct {
 	rem *Remote
 	brk server.Breaker
+	// behind marks a peer that missed a replication delivery (it failed, or
+	// was skipped while the breaker refused): its next delivery is the whole
+	// replica set, and a delivered one clears the mark.
+	behind atomic.Bool
 }
 
-// New builds a coordinator fronting local. The caller owns local's
-// lifecycle; Close stops only the federation machinery.
-func New(local *server.Server, cfg Config) (*Coordinator, error) {
-	return newCoordinator(local, cfg, defaultTuning)
+// New builds a coordinator, to be handed to the local daemon as its
+// server.Config.Federation. Close it before the daemon.
+func New(cfg Config) (*Coordinator, error) {
+	return newCoordinator(cfg, defaultTuning)
 }
 
 // newCoordinator is New with the timing given: the seam the package's tests
 // use.
-func newCoordinator(local *server.Server, cfg Config, tun tuning) (*Coordinator, error) {
+func newCoordinator(cfg Config, tun tuning) (*Coordinator, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self node name is required")
 	}
 	c := &Coordinator{
 		self:  cfg.Self,
 		tun:   tun,
-		local: local,
 		ring:  newRing(),
 		peers: make(map[string]*peerState),
 		stop:  make(chan struct{}),
@@ -133,33 +132,24 @@ func newCoordinator(local *server.Server, cfg Config, tun tuning) (*Coordinator,
 	c.ring.add(c.self)
 	c.repl = newReplicator(c)
 	for _, p := range cfg.Peers {
-		if err := c.AddPeer(p.Name, p.URL); err != nil {
+		if _, err := c.Join(p.Name, p.URL); err != nil {
 			c.repl.q.Close()
 			return nil, err
 		}
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/query", c.handleQuery)
-	mux.HandleFunc("/cluster/replicate", c.handleReplicate)
-	mux.HandleFunc("/admin/peers", c.handlePeers)
-	mux.Handle("/", local.Handler())
-	c.handler = mux
 	c.wg.Add(1)
 	go c.probeLoop()
 	return c, nil
 }
 
-// Handler is the federated HTTP surface: /query routes across the ring,
-// /cluster/replicate and /admin/peers are the federation's own endpoints,
-// everything else passes through to the local daemon.
-func (c *Coordinator) Handler() http.Handler { return c.handler }
-
-// Observe feeds one convergence record into the write-behind replicator —
-// the server.Config.OnRecord subscription point.
+// Observe feeds one convergence record into the write-behind replicator.
 func (c *Coordinator) Observe(rec store.Record) { c.repl.enqueue(rec) }
 
+// Applied counts replicated records the local intake accepted.
+func (c *Coordinator) Applied(n int) { c.repl.applied.Add(int64(n)) }
+
 // Close stops the prober and the replicator (flushing its queue best-effort)
-// and releases peer connections. The local server is not closed.
+// and releases peer connections. The local daemon is not closed.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.stop)
@@ -181,21 +171,22 @@ func (c *Coordinator) rand() float64 {
 	return c.tun.rand()
 }
 
-// AddPeer joins a node to the ring and pushes it the full replica set, so a
+// Join adds a node to the ring and pushes it the full replica set, so a
 // joining (or rejoining) node starts warm. Fingerprints whose ring arc the
 // newcomer now owns re-pin to it on their next request; all others keep
-// their placement — the consistent-hashing minimal-movement property.
-func (c *Coordinator) AddPeer(name, url string) error {
+// their placement — the consistent-hashing minimal-movement property. It
+// returns the membership after the join.
+func (c *Coordinator) Join(name, url string) ([]string, error) {
 	if name == "" || url == "" {
-		return errors.New("cluster: peer needs both a name and a url")
+		return nil, errors.New("cluster: peer needs both a name and a url")
 	}
 	if name == c.self {
-		return fmt.Errorf("cluster: peer %q collides with this node's own name", name)
+		return nil, fmt.Errorf("cluster: peer %q collides with this node's own name", name)
 	}
 	c.mu.Lock()
 	if _, ok := c.peers[name]; ok {
 		c.mu.Unlock()
-		return fmt.Errorf("cluster: peer %q already joined", name)
+		return nil, fmt.Errorf("cluster: peer %q already joined", name)
 	}
 	p := &peerState{
 		rem: NewRemote(name, url),
@@ -205,23 +196,24 @@ func (c *Coordinator) AddPeer(name, url string) error {
 	c.ring.add(name)
 	c.mu.Unlock()
 	c.repl.syncTo(p)
-	return nil
+	return c.Nodes(), nil
 }
 
-// RemovePeer detaches a node: its virtual points leave the ring, so the
-// fingerprints it owned re-pin to their next-in-sequence survivors.
-func (c *Coordinator) RemovePeer(name string) error {
+// Leave detaches a node: its virtual points leave the ring, so the
+// fingerprints it owned re-pin to their next-in-sequence survivors. It
+// returns the membership after the leave.
+func (c *Coordinator) Leave(name string) ([]string, error) {
 	c.mu.Lock()
 	p, ok := c.peers[name]
 	if !ok {
 		c.mu.Unlock()
-		return fmt.Errorf("cluster: unknown peer %q", name)
+		return nil, fmt.Errorf("cluster: unknown peer %q", name)
 	}
 	delete(c.peers, name)
 	c.ring.remove(name)
 	c.mu.Unlock()
 	p.rem.Retire()
-	return nil
+	return c.Nodes(), nil
 }
 
 func (c *Coordinator) peerList() []*peerState {
@@ -235,70 +227,28 @@ func (c *Coordinator) peerList() []*peerState {
 	return out
 }
 
-// handleQuery is the federated serve path. Requests another coordinator
-// already routed (forwarded marker) and non-POSTs serve locally untouched.
-// Everything else resolves to a routing fingerprint and walks the ring.
-func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost || r.Header.Get(server.ForwardedHeader) != "" {
-		c.serveLocal(w, r, nil)
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeJSON(w, server.BodyErrorCode(err), map[string]string{"error": fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	var req server.QueryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		// Undecodable bodies are not routable; the local serve path owns the
-		// canonical 400.
-		c.serveLocal(w, r, body)
-		return
-	}
-	fp, err := c.local.RouteFingerprint(r.Header.Get("X-APQ-Tenant"), &req)
-	if err != nil {
-		// Resolution failures (unknown tenant, bad spec) are not routing
-		// decisions either — serve locally for the canonical error reply.
-		c.serveLocal(w, r, body)
-		return
-	}
-	c.route(w, r, body, fp)
-}
-
-// serveLocal replays the request into the local daemon's own handler; body
-// non-nil restores an already-consumed request body.
-func (c *Coordinator) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	if body != nil {
-		r = r.Clone(r.Context())
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		r.ContentLength = int64(len(body))
-	}
-	c.servedLocal.Add(1)
-	c.local.Handler().ServeHTTP(w, r)
-}
-
-// route walks fp's ring sequence: the owner first, then the failover order.
-// A node is skipped while its breaker refuses work (open, or half-open with
-// its one probe already in flight); a remote owner that fails its bounded
-// retries fails the fingerprint over to the next survivor. The local node
-// always terminates the walk — worst case every peer is down and the
-// fingerprint serves here from its replicated warm seed.
-func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte, fp string) {
+// Route is the daemon's /query federation stage (server.Federation). A
+// request a peer already routed serves here untouched — it is never routed
+// again — and so does one whose fingerprint this node owns. Anything else
+// walks fp's ring sequence: the owner first, then the failover order. A node
+// is skipped while its breaker refuses work (open, or half-open with its one
+// probe already in flight); a remote owner that fails its bounded retries
+// fails the fingerprint over to the next survivor. The local node always
+// terminates the walk — worst case every peer is down and the fingerprint
+// serves here from its replicated warm seed.
+func (c *Coordinator) Route(w http.ResponseWriter, r *http.Request, body []byte, fp string) bool {
+	var walk []*peerState // the ring sequence up to this node
 	c.mu.RLock()
-	seq := c.ring.sequence(fp)
-	states := make([]*peerState, len(seq))
-	for i, node := range seq {
-		states[i] = c.peers[node] // nil for self
+	if r.Header.Get(server.ForwardedHeader) == "" && c.ring.owner(fp, nil) != c.self {
+		for _, node := range c.ring.sequence(fp) {
+			if node == c.self {
+				break
+			}
+			walk = append(walk, c.peers[node])
+		}
 	}
 	c.mu.RUnlock()
-	for i, node := range seq {
-		if node == c.self {
-			break
-		}
-		p := states[i]
-		if p == nil {
-			continue
-		}
+	for i, p := range walk {
 		mode := p.brk.Admit()
 		if mode == server.BreakerFrozen {
 			continue
@@ -308,13 +258,14 @@ func (c *Coordinator) route(w http.ResponseWriter, r *http.Request, body []byte,
 				c.failovers.Add(1)
 			}
 			c.forwarded.Add(1)
-			return
+			return true
 		}
 	}
-	if seq[0] != c.self {
+	if len(walk) > 0 {
 		c.failovers.Add(1)
 	}
-	c.serveLocal(w, r, body)
+	c.servedLocal.Add(1)
+	return false
 }
 
 // forward is the one forward path: it proxies the client's /query to peer p
@@ -432,69 +383,6 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// handleReplicate is the replication intake: an APQXPORT document from a
-// peer's replicator, applied record by record through the same identity
-// gates as disk rehydration. Records that don't belong here (unknown
-// tenant, foreign DB identity, stale identity) are skipped, not errors —
-// membership may lag.
-func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxReplicationBody))
-	if err != nil {
-		writeJSON(w, server.BodyErrorCode(err), map[string]string{"error": fmt.Sprintf("bad replication body: %v", err)})
-		return
-	}
-	recs, err := store.DecodeRecords(body, "replication payload")
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	applied := 0
-	for _, rec := range recs {
-		if c.local.ApplyRecord(rec) {
-			applied++
-		}
-	}
-	c.repl.applied.Add(int64(applied))
-	writeJSON(w, http.StatusOK, map[string]int{"received": len(recs), "applied": applied})
-}
-
-// handlePeers is the membership surface: GET lists, POST {"name","url"}
-// joins, DELETE ?name= leaves.
-func (c *Coordinator) handlePeers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		writeJSON(w, http.StatusOK, c.Stats())
-	case http.MethodPost:
-		var p Peer
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&p); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad peer body: %v", err)})
-			return
-		}
-		if err := c.AddPeer(p.Name, p.URL); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"joined": p.Name, "nodes": c.Nodes()})
-	case http.MethodDelete:
-		name := r.URL.Query().Get("name")
-		if err := c.RemovePeer(name); err != nil {
-			writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"left": name, "nodes": c.Nodes()})
-	default:
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "GET, POST or DELETE"})
-	}
-}
-
-// maxReplicationBody bounds one replication intake document; generous —
-// a full replica-set sync push from a large peer must fit.
-const maxReplicationBody = 16 << 20
-
 // Nodes returns the current ring membership, sorted, self included.
 func (c *Coordinator) Nodes() []string {
 	c.mu.RLock()
@@ -539,8 +427,8 @@ type Stats struct {
 	Replication        ReplicationStats `json:"replication"`
 }
 
-// Stats snapshots the coordinator; wired into the local daemon's GET /stats
-// as the "cluster" block.
+// Stats snapshots the coordinator: the local daemon's GET /stats "cluster"
+// block and GET /admin/peers reply (ClusterStats).
 func (c *Coordinator) Stats() Stats {
 	s := Stats{
 		Self:               c.self,
@@ -560,8 +448,5 @@ func (c *Coordinator) Stats() Stats {
 	return s
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
+// ClusterStats is Stats for server.Federation.
+func (c *Coordinator) ClusterStats() any { return c.Stats() }

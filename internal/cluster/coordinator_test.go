@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,20 +176,24 @@ func (b *brokenBody) Read(p []byte) (int, error) {
 }
 
 // TestReplicateBodyErrors: the replication intake answers 413 only for a
-// body past its size limit; a body whose read fails partway is a 400, the
-// way the local daemon's own body reader maps it.
+// body past its size limit (16 MiB); a body whose read fails partway is a
+// 400. The intake reads through the daemon's one body reader.
 func TestReplicateBodyErrors(t *testing.T) {
-	c := &Coordinator{}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := startNode(t, "a", ln, nil, quietTuning())
 	for _, tc := range []struct {
 		name string
 		body io.Reader
 		want int
 	}{
 		{"read fails partway", &brokenBody{}, http.StatusBadRequest},
-		{"past the limit", bytes.NewReader(make([]byte, maxReplicationBody+1)), http.StatusRequestEntityTooLarge},
+		{"past the limit", bytes.NewReader(make([]byte, 16<<20+1)), http.StatusRequestEntityTooLarge},
 	} {
 		rec := httptest.NewRecorder()
-		c.handleReplicate(rec, httptest.NewRequest(http.MethodPost, "/cluster/replicate", tc.body))
+		a.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/replicate", tc.body))
 		if rec.Code != tc.want {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
 		}
@@ -197,7 +203,7 @@ func TestReplicateBodyErrors(t *testing.T) {
 // TestConfigValidation: a coordinator rejects nameless nodes and membership
 // collisions.
 func TestConfigValidation(t *testing.T) {
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Fatal("empty Self must be rejected")
 	}
 	for _, peers := range [][]Peer{
@@ -206,7 +212,7 @@ func TestConfigValidation(t *testing.T) {
 		{{Name: "a", URL: "http://x"}},                               // collides with self
 		{{Name: "b", URL: "http://x"}, {Name: "b", URL: "http://y"}}, // duplicate
 	} {
-		c, err := New(nil, Config{Self: "a", Peers: peers})
+		c, err := New(Config{Self: "a", Peers: peers})
 		if err == nil {
 			c.Close()
 			t.Fatalf("peers %v must be rejected", peers)
@@ -263,5 +269,129 @@ func TestReplicationQueueDepthCountsInFlightBatch(t *testing.T) {
 			t.Fatalf("replication never drained: %+v", st)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReplicationCatchesUpAfterMissedBatch: a batch a peer never
+// acknowledged — its breaker stayed closed, so no recovery sync follows — is
+// not lost. The scripted peer answers 500 to the first batch's three
+// attempts and 200 after that; the next delivery to it is the whole replica
+// set, so it ends with both records.
+func TestReplicationCatchesUpAfterMissedBatch(t *testing.T) {
+	var (
+		mu   sync.Mutex
+		hits int
+		got  = map[string]bool{}
+	)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		defer mu.Unlock()
+		if hits++; hits <= 3 {
+			http.Error(w, "scripted failure", http.StatusInternalServerError)
+			return
+		}
+		recs, err := store.DecodeRecords(body, "test")
+		if err != nil {
+			t.Error(err)
+		}
+		for _, rec := range recs {
+			got[rec.Fingerprint] = true
+		}
+		io.WriteString(w, `{"received":1,"applied":1}`)
+	}))
+	defer peer.Close()
+	tun := quietTuning()
+	tun.retryBase = time.Millisecond
+	c, err := newCoordinator(Config{Self: "a", Peers: []Peer{{Name: "b", URL: peer.URL}}}, tun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	record := func(fp string) store.Record {
+		return store.Record{
+			Fingerprint: fp, DBIdentity: testIdentity, Query: "tpch:q6",
+			PlanBytes: []byte{1, 2, 3}, History: []float64{10, 5}, Cores: 4,
+		}
+	}
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, c.Stats().Replication)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	c.Observe(record("fp-first"))
+	waitFor("the first batch to fail", func() bool { return c.Stats().Replication.SendFailures == 1 })
+	c.Observe(record("fp-second"))
+	waitFor("the second record to arrive", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return got["fp-second"]
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if !got["fp-first"] {
+		t.Error("the record of the failed batch never reached the peer")
+	}
+	st := c.Stats()
+	if st.Peers[0].Breaker != "closed" || st.Replication.SendFailures != 1 || st.Replication.SyncPushes != 1 {
+		t.Errorf("want breaker closed, 1 send failure, 1 sync push; got %s, %+v", st.Peers[0].Breaker, st.Replication)
+	}
+}
+
+// TestFederationRoutesFollowBodyRules: /admin/peers and /cluster/replicate
+// are daemon routes like any other — a body over its limit is a 413, bytes
+// after the JSON object a 400, a method the route does not take a 405, each
+// a JSON error counted in /stats "errors".
+func TestFederationRoutesFollowBodyRules(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := startNode(t, "a", ln, nil, quietTuning())
+	h := a.srv.Handler()
+	errorsCounted := func() int64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st struct {
+			Errors int64 `json:"errors"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Errors
+	}
+	huge := `{"name":"c","url":"http://127.0.0.1:1/` + strings.Repeat("x", 1<<20) + `"}`
+	cases := []struct {
+		name, method, path, body string
+		want                     int
+	}{
+		{"peer body over the limit", http.MethodPost, "/admin/peers", huge, http.StatusRequestEntityTooLarge},
+		{"peer body with trailing bytes", http.MethodPost, "/admin/peers", `{"name":"c","url":"http://127.0.0.1:1"} {}`, http.StatusBadRequest},
+		{"peers PUT", http.MethodPut, "/admin/peers", "", http.StatusMethodNotAllowed},
+		{"replicate GET", http.MethodGet, "/cluster/replicate", "", http.StatusMethodNotAllowed},
+	}
+	before := errorsCounted()
+	for _, tc := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body)))
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != tc.want {
+			t.Errorf("%s: status %d, want %d (%s)", tc.name, rec.Code, tc.want, rec.Body.String())
+		} else if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || reply.Error == "" {
+			t.Errorf("%s: reply is not a JSON error: %q", tc.name, rec.Body.String())
+		}
+	}
+	if got := a.coord.Nodes(); len(got) != 1 {
+		t.Errorf("a refused body changed the membership: %v", got)
+	}
+	if n := errorsCounted() - before; n != int64(len(cases)) {
+		t.Errorf("/stats errors moved by %d over %d refused requests", n, len(cases))
 	}
 }

@@ -8,13 +8,18 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
-	"sync/atomic"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cost"
 	"repro/internal/exec"
+	"repro/internal/plancache"
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -26,24 +31,25 @@ import (
 // twin test exercises chunk boundaries over the wire.
 const testIdentity = "tpch:sf=0.2:seed=42"
 
-// newEngineServer builds one single-shard serving core over its own engine.
-// Every call generates the same dataset, so two nodes (or a node and its
-// standalone twin) are deterministically identical. Each named tenant gets
-// its own (equally deterministic) SF 0.1 dataset.
-func newEngineServer(t *testing.T, onRecord func(store.Record), tenants ...string) *server.Server {
+// newEngineServer builds one single-shard serving core over its own engine,
+// federated through fed (nil = standalone). Every call generates the same
+// dataset, so two nodes (or a node and its standalone twin) are
+// deterministically identical. Each named tenant gets its own (equally
+// deterministic) SF 0.1 dataset, identity tenantIdentity(name).
+func newEngineServer(t *testing.T, fed server.Federation, tenants ...string) *server.Server {
 	t.Helper()
 	cat := tpch.Generate(tpch.Config{SF: 0.2, Seed: 42})
 	cfg := server.Config{
 		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
 		DBIdentity: testIdentity,
 		Benchmark:  "tpch",
-		OnRecord:   onRecord,
+		Federation: fed,
 	}
 	for _, name := range tenants {
 		cfg.Tenants = append(cfg.Tenants, server.Tenant{
 			Name:       name,
 			Catalog:    tpch.Generate(tpch.Config{SF: 0.1, Seed: 7}),
-			DBIdentity: name + ":tpch:sf=0.1:seed=7",
+			DBIdentity: tenantIdentity(name),
 		})
 	}
 	s, err := server.New(cfg)
@@ -70,24 +76,18 @@ func quietTuning() tuning {
 	return tun
 }
 
-// startNode brings up one federated node on ln: serving core, coordinator
-// with the given timing, and a real HTTP listener, with convergence records
-// wired into the replicator the way the apq wiring does it.
+// startNode brings up one federated node on ln: a coordinator with the
+// given timing, the serving core it federates, and a real HTTP listener —
+// the apq wiring.
 func startNode(t *testing.T, name string, ln net.Listener, peers []Peer, tun tuning, tenants ...string) *fedNode {
 	t.Helper()
-	var ptr atomic.Pointer[Coordinator]
-	srv := newEngineServer(t, func(rec store.Record) {
-		if c := ptr.Load(); c != nil {
-			c.Observe(rec)
-		}
-	}, tenants...)
-	coord, err := newCoordinator(srv, Config{Self: name, Peers: peers}, tun)
+	coord, err := newCoordinator(Config{Self: name, Peers: peers}, tun)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptr.Store(coord)
+	srv := newEngineServer(t, coord, tenants...)
 	t.Cleanup(coord.Close)
-	hs := &http.Server{Handler: coord.Handler()}
+	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })
 	return &fedNode{
@@ -126,6 +126,22 @@ func selectSumReq(lo int64) server.QueryRequest {
 	}}
 }
 
+// tenantIdentity is the DBIdentity newEngineServer gives tenant name ("" =
+// the default tenant).
+func tenantIdentity(name string) string {
+	if name == "" {
+		return testIdentity
+	}
+	return name + ":tpch:sf=0.1:seed=7"
+}
+
+// specFingerprint is the fingerprint the server resolves a select_sum
+// (shape "select_sum") or select_rows spec to for a tenant of the given
+// identity: the spec's canonical key under the dataset identity.
+func specFingerprint(identity, shape string, sp *server.SelectSumSpec) string {
+	return plancache.Fingerprint(identity, fmt.Sprintf("%s:%s:%s:%d:%d", shape, sp.Table, sp.Column, *sp.Lo, *sp.Hi))
+}
+
 // remoteOwnedQuery finds a select_sum whose fingerprint — resolved for the
 // tenant named by the X-APQ-Tenant header value hdrTenant ("" = default) —
 // node owner owns on the ring as this coordinator computes it.
@@ -133,10 +149,7 @@ func remoteOwnedQuery(t *testing.T, c *Coordinator, hdrTenant, owner string) ser
 	t.Helper()
 	for lo := int64(1); lo <= 64; lo++ {
 		req := selectSumReq(lo)
-		fp, err := c.local.RouteFingerprint(hdrTenant, &req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := specFingerprint(tenantIdentity(hdrTenant), "select_sum", req.SelectSum)
 		c.mu.RLock()
 		got := c.ring.owner(fp, nil)
 		c.mu.RUnlock()
@@ -241,10 +254,7 @@ func remoteOwnedRowsQuery(t *testing.T, c *Coordinator, owner string) server.Que
 		req := server.QueryRequest{SelectRows: &server.SelectSumSpec{
 			Table: "lineitem", Column: "l_quantity", Lo: &lo, Hi: &hi,
 		}}
-		fp, err := c.local.RouteFingerprint("", &req)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fp := specFingerprint(testIdentity, "select_rows", req.SelectRows)
 		c.mu.RLock()
 		got := c.ring.owner(fp, nil)
 		c.mu.RUnlock()
@@ -339,11 +349,26 @@ func TestRemoteTwinForwardedResultBytes(t *testing.T) {
 // dies, and every subsequent request still answers 200 — the fingerprint
 // re-pins to the survivor, which serves it converged from the replicated
 // plan (fewer requests to re-converge than the cold convergence took: zero).
+// It runs at a fast tuning and at the production timing (defaultTuning,
+// health prober included): the kill criterion holds at the latter.
 func TestFailoverKillNodeMidTraffic(t *testing.T) {
-	tun := quietTuning()
-	tun.retryBase = time.Millisecond
-	tun.breakerFailures = 1
-	tun.breakerCooldown = 100 * time.Millisecond
+	fast := quietTuning()
+	fast.retryBase = time.Millisecond
+	fast.breakerFailures = 1
+	fast.breakerCooldown = 100 * time.Millisecond
+	for _, tc := range []struct {
+		name string
+		tun  tuning
+	}{
+		{"fast", fast},
+		{"production", defaultTuning},
+	} {
+		t.Run(tc.name, func(t *testing.T) { killOwnerMidTraffic(t, tc.tun) })
+	}
+}
+
+// killOwnerMidTraffic is TestFailoverKillNodeMidTraffic at one tuning.
+func killOwnerMidTraffic(t *testing.T, tun tuning) {
 	a, b := twoNodes(t, tun)
 	req := remoteOwnedQuery(t, a.coord, "", "b")
 	client := &http.Client{}
@@ -585,10 +610,7 @@ func TestForwardedRequestKeepsTenantHeader(t *testing.T) {
 	if req.Tenant != "" {
 		t.Fatal("the request must name its tenant by header only")
 	}
-	wantFP, err := standalone.RouteFingerprint("acme", &req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantFP := specFingerprint(tenantIdentity("acme"), "select_sum", req.SelectSum)
 	client := &http.Client{}
 
 	hdr := map[string]string{"X-APQ-Tenant": "acme"}
@@ -626,5 +648,171 @@ func TestForwardedRequestKeepsTenantHeader(t *testing.T) {
 	}
 	if stats := a.coord.Stats(); stats.Forwarded != 2 {
 		t.Fatalf("entry node forwarded %d of the 2 requests", stats.Forwarded)
+	}
+}
+
+// skipIfPoolsAreLossy skips allocation measurements under the race
+// detector, whose sync.Pool drops Puts on purpose: a Get/Put round trip on a
+// warm pool allocates only when the pool is lossy.
+func skipIfPoolsAreLossy(t *testing.T) {
+	t.Helper()
+	pool := sync.Pool{New: func() any { return new(int) }}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < 1000; i++ {
+		pool.Put(pool.Get())
+	}
+	runtime.ReadMemStats(&m1)
+	if m1.Mallocs-m0.Mallocs > 100 {
+		t.Skip("sync.Pool is lossy in this build (race detector): allocation counts are exact only without it")
+	}
+}
+
+// TestFederatedLocalQueryAllocs: a converged request this node owns is read,
+// decoded and resolved once at a federated node — the federation stage adds
+// one ring lookup, not a second front. Its allocations stay within 4 of the
+// standalone handler's on the same converged request.
+func TestFederatedLocalQueryAllocs(t *testing.T) {
+	skipIfPoolsAreLossy(t)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		io.WriteString(w, `{"received":1,"applied":0}`)
+	}))
+	defer peer.Close()
+	coord, err := newCoordinator(Config{Self: "a", Peers: []Peer{{Name: "b", URL: peer.URL}}}, quietTuning())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := newEngineServer(t, coord)
+	t.Cleanup(coord.Close)
+	standalone := newEngineServer(t, nil)
+
+	req := remoteOwnedQuery(t, coord, "", "a")
+	body, _ := json.Marshal(req)
+	serve := func(h http.Handler) server.QueryResponse {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+		var qr server.QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	converge := func(h http.Handler) {
+		for i := 0; serve(h).State != "converged"; i++ {
+			if i == 4000 {
+				t.Fatal("query never converged within 4000 requests")
+			}
+		}
+	}
+	converge(standalone.Handler())
+	converge(fed.Handler())
+	// The converged record's replication must be done before measuring: the
+	// replicator's goroutine allocates too.
+	deadline := time.Now().Add(10 * time.Second)
+	for st := coord.Stats().Replication; st.RecordsSent == 0 || st.QueueDepth != 0; st = coord.Stats().Replication {
+		if time.Now().After(deadline) {
+			t.Fatalf("the converged record never replicated: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	want := testing.AllocsPerRun(200, func() { serve(standalone.Handler()) })
+	got := testing.AllocsPerRun(200, func() { serve(fed.Handler()) })
+	t.Logf("locally owned converged request: %.0f allocs/op federated, %.0f standalone", got, want)
+	if got > want+4 {
+		t.Fatalf("a locally owned request allocates %.0f/op at a federated node, standalone %.0f/op: more than the ring lookup's +4", got, want)
+	}
+	if st := coord.Stats(); st.Forwarded != 0 || st.ServedLocal == 0 {
+		t.Fatalf("the request was not served locally: %+v", st)
+	}
+}
+
+// keyPaths collects the recursive set of JSON key paths under v: objects
+// contribute "parent.key", arrays "parent[]" (the union over their
+// elements). Values are ignored — this is the reply's schema, not its data.
+func keyPaths(prefix string, v any, out map[string]bool) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, sub := range x {
+			p := k
+			if prefix != "" {
+				p = prefix + "." + k
+			}
+			out[p] = true
+			keyPaths(p, sub, out)
+		}
+	case []any:
+		for _, sub := range x {
+			keyPaths(prefix+"[]", sub, out)
+		}
+	}
+}
+
+// TestClusterStatsKeysPinned pins the /stats "cluster" block from outside:
+// its JSON key paths, with a peer that has failed once and stayed closed (so
+// the omitempty consecutive_failures is live), must equal
+// testdata/cluster_stats_keys.txt, and GET /admin/peers must reply with the
+// same block.
+func TestClusterStatsKeysPinned(t *testing.T) {
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		if r.URL.Path == "/query" {
+			http.Error(w, "scripted failure", http.StatusInternalServerError)
+			return
+		}
+		io.WriteString(w, `{"received":0,"applied":0}`)
+	}))
+	defer peer.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tun := quietTuning()
+	tun.retries = 0
+	a := startNode(t, "a", ln, []Peer{{Name: "b", URL: peer.URL}}, tun)
+	client := &http.Client{}
+	if _, code := postJSON(t, client, a.url, remoteOwnedQuery(t, a.coord, "", "b")); code != http.StatusOK {
+		t.Fatalf("failover request: status %d", code)
+	}
+	if st := a.coord.Stats(); st.Peers[0].Failures != 1 || st.Peers[0].Breaker != "closed" {
+		t.Fatalf("want one failure on a closed breaker: %+v", st.Peers[0])
+	}
+	keys := func(path, block string) []string {
+		t.Helper()
+		resp, err := client.Get(a.url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var tree map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&tree); err != nil {
+			t.Fatal(err)
+		}
+		var v any = tree
+		if block != "" {
+			v = tree[block]
+		}
+		set := map[string]bool{}
+		keyPaths("", v, set)
+		out := make([]string, 0, len(set))
+		for p := range set {
+			out = append(out, p)
+		}
+		sort.Strings(out)
+		return out
+	}
+	got := keys("/stats", "cluster")
+	raw, err := os.ReadFile("testdata/cluster_stats_keys.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Fields(string(raw)); !reflect.DeepEqual(got, want) {
+		t.Errorf("/stats cluster key paths changed; got (one per line, the format of testdata/cluster_stats_keys.txt):\n%s", strings.Join(got, "\n"))
+	}
+	if peers := keys("/admin/peers", ""); !reflect.DeepEqual(peers, got) {
+		t.Errorf("GET /admin/peers keys differ from the /stats cluster block:\n%v\n%v", peers, got)
 	}
 }

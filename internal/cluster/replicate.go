@@ -23,11 +23,12 @@ type ReplicationStats struct {
 	// RecordsApplied counts replicated records this node accepted from
 	// peers and applied to its own cache.
 	RecordsApplied int64 `json:"records_applied"`
-	// SendFailures counts batches a peer never acknowledged (retries
-	// exhausted or breaker open); the peer catches up via a sync push when
-	// its breaker closes.
+	// SendFailures counts deliveries a peer never acknowledged (retries
+	// exhausted, or skipped while its breaker was open); the peer's next
+	// delivery is a sync push of the whole replica set.
 	SendFailures int64 `json:"send_failures"`
-	// SyncPushes counts full replica-set pushes (peer join, peer recovery).
+	// SyncPushes counts full replica-set pushes (peer join, peer recovery,
+	// catch-up after a missed delivery).
 	SyncPushes int64 `json:"sync_pushes"`
 }
 
@@ -37,8 +38,8 @@ type ReplicationStats struct {
 // queue's sink — encodes each batch once as an APQXPORT document (the same
 // bytes the plan-export surface writes to disk) and POSTs it to each live
 // peer's /cluster/replicate. The replicator itself keeps only the replica
-// set — the latest record per session — to push whole to a peer that joins
-// or recovers, covering everything the peer missed.
+// set — the latest record per session — to push whole to a peer that joins,
+// recovers, or missed a delivery, covering everything the peer missed.
 type replicator struct {
 	c *Coordinator
 	q *store.Synchronizer
@@ -77,8 +78,8 @@ func (r *replicator) enqueue(rec store.Record) {
 
 // broadcast is the queue's sink: a burst of convergences coalesces into one
 // document per peer. Delivery is per peer and best-effort (counted in sent /
-// failures; the sync push on breaker close replays what a peer missed), so
-// the only batch-level error is a document that cannot be encoded.
+// failures; a peer that missed one gets the whole replica set next), so the
+// only batch-level error is a document that cannot be encoded.
 func (r *replicator) broadcast(batch []store.Record) (int, error) {
 	payload, err := store.EncodeRecords(batch)
 	if err != nil {
@@ -90,6 +91,12 @@ func (r *replicator) broadcast(batch []store.Record) (int, error) {
 			// The peer is deaf; don't stall the queue proving it. The sync
 			// push on breaker close replays everything it missed.
 			r.failures.Add(1)
+			p.behind.Store(true)
+			continue
+		}
+		if p.behind.Load() {
+			// The set already holds this batch.
+			r.syncTo(p)
 			continue
 		}
 		r.send(p, payload, len(batch))
@@ -98,7 +105,7 @@ func (r *replicator) broadcast(batch []store.Record) (int, error) {
 }
 
 // send delivers one document to one peer with the coordinator's bounded
-// jittered retries.
+// jittered retries. A failed delivery marks the peer behind.
 func (r *replicator) send(p *peerState, payload []byte, n int) {
 	sent := false
 	r.c.attempts(context.Background(), func(ctx context.Context, _ int) bool {
@@ -109,13 +116,17 @@ func (r *replicator) send(p *peerState, payload []byte, n int) {
 		r.sent.Add(int64(n))
 	} else {
 		r.failures.Add(1)
+		p.behind.Store(true)
 	}
 }
 
-// syncTo pushes the full replica set to one peer — the join seed and the
-// recovery catch-up. Sorted by session key so identical sets encode to
-// identical documents.
+// syncTo pushes the full replica set to one peer — the join seed, the
+// recovery catch-up and the delivery after a missed one. Sorted by session
+// key so identical sets encode to identical documents. It clears the peer's
+// behind mark before it takes the set, so a delivery missed meanwhile, or
+// this push failing, marks the peer again.
 func (r *replicator) syncTo(p *peerState) {
+	p.behind.Store(false)
 	r.mu.Lock()
 	if len(r.set) == 0 {
 		r.mu.Unlock()

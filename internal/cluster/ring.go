@@ -95,6 +95,14 @@ func (r *ring) nodes() []string {
 	return out
 }
 
+// start is the index of fp's owning point: the first clockwise from fp's
+// hash. The ring must not be empty.
+func (r *ring) start(fp string) int {
+	h := ringHash(fp)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return i % len(r.points)
+}
+
 // sequence returns the distinct nodes in ring order starting at fp's
 // position: sequence(fp)[0] owns fp, and the rest is the failover order a
 // coordinator walks when the owner is down. Every member appears exactly
@@ -103,8 +111,7 @@ func (r *ring) sequence(fp string) []string {
 	if len(r.points) == 0 {
 		return nil
 	}
-	h := ringHash(fp)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	start := r.start(fp)
 	seen := make(map[string]bool, len(r.members))
 	out := make([]string, 0, len(r.members))
 	for i := 0; len(out) < len(r.members); i++ {
@@ -118,11 +125,18 @@ func (r *ring) sequence(fp string) []string {
 }
 
 // owner returns the first node in fp's failover sequence that alive admits
-// (nil alive = first owner unconditionally), or "" on an empty ring or when
-// no member is alive.
+// (nil alive = first owner unconditionally, without building the sequence:
+// the serve path asks this once per request), or "" on an empty ring or
+// when no member is alive.
 func (r *ring) owner(fp string, alive func(string) bool) string {
+	if alive == nil {
+		if len(r.points) == 0 {
+			return ""
+		}
+		return r.points[r.start(fp)].node
+	}
 	for _, n := range r.sequence(fp) {
-		if alive == nil || alive(n) {
+		if alive(n) {
 			return n
 		}
 	}

@@ -300,8 +300,7 @@ func (s *Server) adminReply(b *ioBuf, w http.ResponseWriter, resp any, err error
 
 func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var req appendRequest
-	if derr := readBody(b, w, r, func(data []byte) error { return decodeAppend(data, &req) }); derr != nil {
-		s.writeErr(b, w, derr.code, derr.err)
+	if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return decodeAppend(data, &req) }) {
 		return
 	}
 	resp, err := s.AppendRows(req.Tenant, req.Table, req.Columns)
@@ -310,8 +309,7 @@ func (s *Server) handleAppend(b *ioBuf, w http.ResponseWriter, r *http.Request) 
 
 func (s *Server) handleTruncate(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var req truncateRequest
-	if derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &req) }); derr != nil {
-		s.writeErr(b, w, derr.code, derr.err)
+	if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return json.Unmarshal(data, &req) }) {
 		return
 	}
 	resp, err := s.DeleteTail(req.Tenant, req.Table, req.Rows)
@@ -326,8 +324,7 @@ func (s *Server) handleTenants(b *ioBuf, w http.ResponseWriter, r *http.Request)
 	switch r.Method {
 	case http.MethodPost:
 		var spec TenantSpec
-		if derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &spec) }); derr != nil {
-			s.writeErr(b, w, derr.code, derr.err)
+		if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return json.Unmarshal(data, &spec) }) {
 			return
 		}
 		resp, err = s.AddTenant(spec)

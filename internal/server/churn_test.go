@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -174,7 +173,7 @@ func TestServedPlansNeverReturnCatalogStorage(t *testing.T) {
 		// Serial, then enough adaptive runs to serve partitioned plans too.
 		for i, mode := range []string{"serial", "", "", "", "", "", "", "", ""} {
 			req.Mode = mode
-			_, vals, derr := srv.dispatch(context.Background(), "", &req, false)
+			_, vals, derr := serveInProcess(srv, &req)
 			if derr != nil {
 				t.Fatalf("%+v run %d: %v", req, i, derr.err)
 			}

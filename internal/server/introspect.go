@@ -224,7 +224,7 @@ type StatsResponse struct {
 	Resilience ResilienceStats `json:"resilience"`
 	// Lifecycle counts admin mutations and tenant churn (admin.go).
 	Lifecycle LifecycleStats `json:"lifecycle"`
-	// Cluster is the federation coordinator's block (Config.ClusterStats;
+	// Cluster is the federation's block (Config.Federation's ClusterStats;
 	// absent on an unfederated daemon).
 	Cluster any `json:"cluster,omitempty"`
 }
@@ -350,8 +350,8 @@ func (s *Server) handleStats(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 		Appends:        s.life.appends.Load(),
 		Deletes:        s.life.deletes.Load(),
 	}
-	if s.cfg.ClusterStats != nil {
-		resp.Cluster = s.cfg.ClusterStats()
+	if s.cfg.Federation != nil {
+		resp.Cluster = s.cfg.Federation.ClusterStats()
 	}
 	b.reply(w, http.StatusOK, resp)
 }

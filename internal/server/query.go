@@ -1,7 +1,8 @@
 // The /query path, in the order a request crosses it:
 //
-//	decode → route + quota → resolve → shard pin + deadline →
-//	coalesce → serveAdaptive | serveSerial → encode
+//	decode → resolve (tenant, fingerprint) → federation route →
+//	quota → shard pin + deadline → coalesce →
+//	serveAdaptive | serveSerial → encode
 //
 // handleQuery is the spine above HTTP framing, dispatch the spine below it;
 // each stage is one function taking the previous stage's outputs.
@@ -158,8 +159,8 @@ type QueryResponse struct {
 
 // FrozenHeader forces a request to serve from learned state only (no
 // adaptation, no staleness feedback); ForwardedHeader marks a request
-// already routed by a peer's federation coordinator — the receiving node
-// must serve it locally, never re-route it (no forwarding loops). Both are
+// already routed by a peer's federation stage — the receiving node must
+// serve it locally, never re-route it (no forwarding loops). Both are
 // coordinator-to-node headers, exported for internal/cluster.
 const (
 	FrozenHeader    = "X-APQ-Frozen"
@@ -174,17 +175,26 @@ type dispatchErr struct {
 	retry bool
 }
 
-// handleQuery is POST /query: decode → dispatch → encode over one pooled
-// buffer, which holds the request body first and the reply after.
+// handleQuery is POST /query: decode → resolve → federation → dispatch →
+// encode over one pooled buffer, which holds the request body first and the
+// reply after. A federated daemon's route stage sees the request decoded and
+// resolved once, before any quota or engine work: a fingerprint another node
+// owns is relayed from there and never reaches dispatch.
 func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var (
 		req  QueryRequest
 		resp QueryResponse
 		vals []exec.Value
 	)
-	derr := readBody(b, w, r, func(data []byte) error { return json.Unmarshal(data, &req) })
+	if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return json.Unmarshal(data, &req) }) {
+		return
+	}
+	t, derr := s.resolve(r.Header.Get("X-APQ-Tenant"), &req)
 	if derr == nil {
-		resp, vals, derr = s.dispatch(r.Context(), r.Header.Get("X-APQ-Tenant"), &req, r.Header.Get(FrozenHeader) == "1")
+		if s.cfg.Federation != nil && s.cfg.Federation.Route(w, r, b.buf.Bytes(), t.fp) {
+			return
+		}
+		resp, vals, derr = s.dispatch(r.Context(), t, &req, r.Header.Get(FrozenHeader) == "1")
 	}
 	if derr != nil {
 		if derr.retry {
@@ -198,40 +208,25 @@ func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	s.encode(b, w, wantsResult(r.Header.Get("Accept"), &req), resp, vals)
 }
 
-// readBody drains the bounded request body into the pooled buffer and hands
-// it to parse — json.Unmarshal, or decodeAppend for /admin/append. Every POST
-// body comes through here: over the limit is a 413, and a refusal a 400.
-func readBody(b *ioBuf, w http.ResponseWriter, r *http.Request, parse func([]byte) error) *dispatchErr {
-	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err == nil {
-		err = parse(b.buf.Bytes())
-	}
-	if err != nil {
-		return &dispatchErr{code: BodyErrorCode(err), err: fmt.Errorf("bad request body: %w", err)}
-	}
-	return nil
+// target is a request resolved against its tenant's dataset: what dispatch
+// serves, and the fingerprint the federation routes by.
+type target struct {
+	tn   *tenantState
+	name string
+	fp   string
+	// build is deferred: plancache only calls it on a fingerprint miss, so
+	// the hot cached path never constructs a plan.
+	build func() (*plan.Plan, error)
 }
 
-// BodyErrorCode is the reply code for a request body that failed to read or
-// parse: 413 when it ran past its size limit, 400 for anything else.
-func BodyErrorCode(err error) int {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// dispatch runs one decoded query request through the whole serve path below
-// HTTP framing, stage by stage. forceFrozen overrides the breaker decision to
-// serve learned state only (the FrozenHeader fidelity). The returned values
-// are the query's published result (shared, immutable; owned per the exec
-// escape contract) — encode streams them when the request negotiated it.
-func (s *Server) dispatch(ctx context.Context, hdrTenant string, req *QueryRequest, forceFrozen bool) (resp QueryResponse, vals []exec.Value, derr *dispatchErr) {
-	tn, err := s.route(hdrTenant, req)
-	if err != nil {
-		return QueryResponse{}, nil, &dispatchErr{code: http.StatusNotFound, err: err}
-	}
+// dispatch runs one resolved query request through the rest of the serve
+// path below HTTP framing, stage by stage. forceFrozen overrides the breaker
+// decision to serve learned state only (the FrozenHeader fidelity). The
+// returned values are the query's published result (shared, immutable; owned
+// per the exec escape contract) — encode streams them when the request
+// negotiated it.
+func (s *Server) dispatch(ctx context.Context, t target, req *QueryRequest, forceFrozen bool) (resp QueryResponse, vals []exec.Value, derr *dispatchErr) {
+	tn := t.tn
 	// From here on every failure, in whichever stage, counts against the
 	// tenant — once, here.
 	defer func() {
@@ -252,17 +247,13 @@ func (s *Server) dispatch(ctx context.Context, hdrTenant string, req *QueryReque
 		return QueryResponse{}, nil, &dispatchErr{code: code, err: err, retry: retry}
 	}
 	defer tn.release()
-	name, fp, build, err := s.resolve(tn, req)
-	if err != nil {
-		return QueryResponse{}, nil, &dispatchErr{code: http.StatusBadRequest, err: err}
-	}
 	s.queryCount.Add(1)
 
 	// Shard pinning: the fingerprint decides the engine replica, so a
 	// session's adaptive state lives (and converges deterministically) on
 	// exactly one simulated machine. Tenants share the pool — the
 	// fingerprint already incorporates the tenant's dataset identity.
-	sh := s.shardFor(fp)
+	sh := s.shardFor(t.fp)
 
 	// The request context carries the per-request deadline into shard
 	// dispatch: a request that cannot reach its engine in time 503s instead
@@ -275,25 +266,15 @@ func (s *Server) dispatch(ctx context.Context, hdrTenant string, req *QueryReque
 
 	switch req.Mode {
 	case "", "adaptive":
-		return s.coalesce(ctx, tn, sh, req, fp, name, build, forceFrozen)
+		return s.coalesce(ctx, tn, sh, req, t.fp, t.name, t.build, forceFrozen)
 	case "serial":
 		// Serial mode is the cold baseline the serving benchmark compares
 		// against — coalescing it would fabricate the very sharing the
 		// baseline exists to exclude, so it always runs.
-		return s.serveSerial(ctx, tn, sh, req, name, build)
+		return s.serveSerial(ctx, tn, sh, req, t.name, t.build)
 	default:
 		return QueryResponse{}, nil, &dispatchErr{code: http.StatusBadRequest, err: fmt.Errorf("unknown mode %q", req.Mode)}
 	}
-}
-
-// route picks the request's tenant: the body's "tenant" field first, then
-// the X-APQ-Tenant header value hdrTenant ("" = none).
-func (s *Server) route(hdrTenant string, req *QueryRequest) (*tenantState, error) {
-	name := req.Tenant
-	if name == "" {
-		name = hdrTenant
-	}
-	return s.tenantByName(name)
 }
 
 // fpEntry is one cached (display name, fingerprint) resolution.
@@ -333,10 +314,32 @@ func (s *Server) fpCacheKey(tn *tenantState, key string) string {
 	return tn.Name + "\x00" + key
 }
 
-// resolve maps a request to (query name, fingerprint, plan builder) against
-// its tenant's dataset. The builder is deferred: plancache only calls it on
-// a fingerprint miss, so the hot cached path never constructs a plan.
-func (s *Server) resolve(tn *tenantState, req *QueryRequest) (name, fp string, build func() (*plan.Plan, error), err error) {
+// resolve maps a request to its target: the tenant — the body's "tenant"
+// field first, then the X-APQ-Tenant header value hdrTenant ("" = none), an
+// unknown one a 404 — and the query name, fingerprint and plan builder
+// against that tenant's dataset, a malformed spec a 400 the tenant counts.
+func (s *Server) resolve(hdrTenant string, req *QueryRequest) (target, *dispatchErr) {
+	name := req.Tenant
+	if name == "" {
+		name = hdrTenant
+	}
+	tn, err := s.tenantByName(name)
+	if err != nil {
+		return target{}, &dispatchErr{code: http.StatusNotFound, err: err}
+	}
+	t := target{tn: tn}
+	if t.name, t.fp, t.build, err = s.resolveQuery(tn, req); err != nil {
+		// A routed request, refused before the quota takes it.
+		tn.requests.Add(1)
+		tn.noteErr()
+		return target{}, &dispatchErr{code: http.StatusBadRequest, err: err}
+	}
+	return t, nil
+}
+
+// resolveQuery maps a request to (query name, fingerprint, plan builder)
+// against its tenant's dataset.
+func (s *Server) resolveQuery(tn *tenantState, req *QueryRequest) (name, fp string, build func() (*plan.Plan, error), err error) {
 	bench := req.Benchmark
 	if bench == "" {
 		bench = tn.Benchmark
@@ -402,21 +405,6 @@ func (s *Server) resolve(tn *tenantState, req *QueryRequest) (name, fp string, b
 	})
 	return e.name, e.fp,
 		func() (*plan.Plan, error) { return lookup(n) }, nil
-}
-
-// RouteFingerprint resolves a request to its routing fingerprint without
-// executing anything — the key the federation coordinator hashes to pick an
-// owning node; tenant precedence is route's, same as serving. Resolution
-// failures (unknown tenant, malformed spec) are not routing decisions: the
-// caller serves such requests locally so the canonical error reply comes
-// from the full serve path.
-func (s *Server) RouteFingerprint(hdrTenant string, req *QueryRequest) (string, error) {
-	tn, err := s.route(hdrTenant, req)
-	if err != nil {
-		return "", err
-	}
-	_, fp, _, err := s.resolve(tn, req)
-	return fp, err
 }
 
 // flightKey identifies requests that may share one engine run: the

@@ -13,8 +13,7 @@ import (
 // convergence and converged eviction (cold events only — never the converged
 // serving path) and just snapshots + enqueues; the synchronizer goroutine
 // does the encoding batch-wise off the request path. The same record feeds
-// the OnRecord subscriber (the federation replicator), which runs its own
-// instance of the queue.
+// the federation (its replicator runs its own instance of the queue).
 func (s *Server) persistHook(eng *exec.Engine) func(*plancache.Entry) {
 	return func(e *plancache.Entry) {
 		tn := s.tenantByTag(e.Tenant)
@@ -33,8 +32,8 @@ func (s *Server) persistHook(eng *exec.Engine) func(*plancache.Entry) {
 		if s.sync != nil {
 			s.sync.Enqueue(rec)
 		}
-		if s.cfg.OnRecord != nil {
-			s.cfg.OnRecord(rec)
+		if s.cfg.Federation != nil {
+			s.cfg.Federation.Observe(rec)
 		}
 	}
 }
@@ -119,14 +118,14 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (live, warm boo
 	return live, warm, nil
 }
 
-// ApplyRecord applies one replicated convergence record to the live serving
+// applyReplica applies one replicated convergence record to the live serving
 // state — the peer-to-peer equivalent of startup rehydration, with the same
 // identity checks and warm-seed epoch semantics. A record whose fingerprint
 // is already live in its shard's cache is left alone (the local session is
 // at least as fresh). When a persistent store is configured the record is
 // also written behind, so replicated plans survive this node's own restart.
 // It reports whether the session went live.
-func (s *Server) ApplyRecord(rec store.Record) bool {
+func (s *Server) applyReplica(rec store.Record) bool {
 	tn := s.tenantByTag(rec.Tenant)
 	if tn == nil || tn.draining.Load() {
 		s.skippedRecords.Add(1)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -311,7 +310,7 @@ func TestServeResultEquivalence(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			// Engine ground truth through the in-process seam (no wire).
 			req := shape.req
-			_, truth, derr := s.dispatch(context.Background(), "", &req, false)
+			_, truth, derr := serveInProcess(s, &req)
 			if derr != nil {
 				t.Fatalf("dispatch: %v", derr.err)
 			}

@@ -125,16 +125,11 @@ type Config struct {
 	// succeeds.
 	Breaker bool
 
-	// OnRecord, when set, observes every convergence record the serving
-	// layer produces — the same records the persistent store receives, fired
-	// on convergence and converged eviction (cold events only, never the
-	// converged serving path). The federation replicator subscribes here to
-	// ship converged sessions to peer nodes; the hook must not block (hand
-	// off to a queue).
-	OnRecord func(store.Record)
-	// ClusterStats, when set, supplies the GET /stats "cluster" block — the
-	// federation coordinator's view of its peers. nil omits the block.
-	ClusterStats func() any
+	// Federation, when set, joins this daemon to a federation of peers (see
+	// Federation): /query consults its route stage, every convergence record
+	// reaches it, /stats carries its block, and /cluster/replicate and
+	// /admin/peers are served. The opener owns its lifetime, as the Store's.
+	Federation Federation
 }
 
 // shard is one engine replica: a simulated machine, its plan-session cache,
@@ -287,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 			Staleness:  cfg.Staleness,
 			Drift:      cfg.Drift,
 		}
-		if s.sync != nil || cfg.OnRecord != nil {
+		if s.sync != nil || cfg.Federation != nil {
 			ccfg.Persist = s.persistHook(eng)
 		}
 		sh := &shard{
@@ -322,6 +317,10 @@ func New(cfg Config) (*Server, error) {
 	s.handle("/admin/append", http.MethodPost, s.handleAppend)
 	s.handle("/admin/truncate", http.MethodPost, s.handleTruncate)
 	s.handle("/admin/tenants", "", s.handleTenants)
+	if cfg.Federation != nil {
+		s.handle("/cluster/replicate", http.MethodPost, s.handleReplicate)
+		s.handle("/admin/peers", "", s.handlePeers)
+	}
 	return s, nil
 }
 
@@ -351,6 +350,28 @@ func (s *Server) handle(path, method string, h func(*ioBuf, http.ResponseWriter,
 		}
 		h(b, w, r)
 	})
+}
+
+// readBody drains the request body, bounded by limit, into the pooled buffer
+// and hands it to parse — json.Unmarshal, decodeAppend for /admin/append,
+// store.DecodeRecords for /cluster/replicate. Every POST body comes through
+// here: over the limit is a 413, and a refusal a 400, both written here; it
+// reports whether the handler goes on.
+func (s *Server) readBody(b *ioBuf, w http.ResponseWriter, r *http.Request, limit int64, parse func([]byte) error) bool {
+	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	if err == nil {
+		err = parse(b.buf.Bytes())
+	}
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.writeErr(b, w, code, fmt.Errorf("bad request body: %w", err))
+	return false
 }
 
 // Handler returns the HTTP handler tree.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -116,11 +117,21 @@ func TestShardPinningIsStable(t *testing.T) {
 
 func fingerprintOf(t *testing.T, s *Server, req *QueryRequest) string {
 	t.Helper()
-	_, fp, _, err := s.resolve(s.defTenant, req)
-	if err != nil {
-		t.Fatal(err)
+	tg, derr := s.resolve("", req)
+	if derr != nil {
+		t.Fatal(derr.err)
 	}
-	return fp
+	return tg.fp
+}
+
+// serveInProcess runs req through resolve and dispatch, the serve path below
+// HTTP framing, for the default tenant.
+func serveInProcess(s *Server, req *QueryRequest) (QueryResponse, []exec.Value, *dispatchErr) {
+	tg, derr := s.resolve("", req)
+	if derr != nil {
+		return QueryResponse{}, nil, derr
+	}
+	return s.dispatch(context.Background(), tg, req, false)
 }
 
 func serveShardQuery(t *testing.T, s *Server, req QueryRequest) QueryResponse {

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -127,10 +126,10 @@ type ServerConfig struct {
 	// until a 10 s cooldown elapses and a half-open probe succeeds.
 	Breaker bool
 	// Cluster federates this daemon with remote peers (nil = standalone).
-	// When set, Handler() fronts the serve surface with the federation
-	// coordinator: /query routes by fingerprint across the consistent-hash
-	// ring, convergence records replicate to the peers write-behind, and a
-	// dead peer's fingerprints fail over to survivors warm.
+	// When set, /query routes by fingerprint across the consistent-hash ring
+	// before it queues for an engine, convergence records replicate to the
+	// peers write-behind, a dead peer's fingerprints fail over to survivors
+	// warm, and Handler() serves /cluster/replicate and /admin/peers too.
 	Cluster *ClusterConfig
 }
 
@@ -272,44 +271,21 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		MaxShardQueue:  cfg.MaxShardQueue,
 		Breaker:        cfg.Breaker,
 	}
-	// The coordinator wraps the serving core but the core's config hooks
-	// must exist before server.New — relay through a pointer filled in once
-	// the coordinator is up. Records converged before that (rehydration) are
-	// covered by the replica-set sync pushed at peer join.
-	var coordPtr atomic.Pointer[cluster.Coordinator]
+	// A failure from here on closes what was built through Close.
+	s := &Server{st: st}
+	var err error
 	if cfg.Cluster != nil {
-		scfg.OnRecord = func(rec store.Record) {
-			if c := coordPtr.Load(); c != nil {
-				c.Observe(rec)
-			}
-		}
-		scfg.ClusterStats = func() any {
-			if c := coordPtr.Load(); c != nil {
-				return c.Stats()
-			}
-			return nil
-		}
-	}
-	inner, err := server.New(scfg)
-	if err != nil {
-		if st != nil {
-			st.Close()
-		}
-		return nil, err
-	}
-	var coord *cluster.Coordinator
-	if cfg.Cluster != nil {
-		coord, err = cluster.New(inner, *cfg.Cluster)
-		if err != nil {
-			inner.Close()
-			if st != nil {
-				st.Close()
-			}
+		if s.coord, err = cluster.New(*cfg.Cluster); err != nil {
+			s.Close()
 			return nil, err
 		}
-		coordPtr.Store(coord)
+		scfg.Federation = s.coord
 	}
-	return &Server{inner: inner, st: st, coord: coord}, nil
+	if s.inner, err = server.New(scfg); err != nil {
+		s.Close()
+		return nil, err
+	}
+	return s, nil
 }
 
 // Shards reports the engine-pool width the server is running with.
@@ -318,15 +294,9 @@ func (s *Server) Shards() int { return s.inner.Shards() }
 // Handler returns the HTTP handler tree: POST /query, GET /sessions,
 // GET /sessions/{id}/trace, GET /stats, GET /healthz, plus the admin
 // surface POST /admin/append, POST /admin/truncate, POST|DELETE
-// /admin/tenants. A federated daemon (ServerConfig.Cluster) fronts the tree
-// with the coordinator, adding POST /cluster/replicate and GET|POST|DELETE
-// /admin/peers and routing /query across the ring.
-func (s *Server) Handler() http.Handler {
-	if s.coord != nil {
-		return s.coord.Handler()
-	}
-	return s.inner.Handler()
-}
+// /admin/tenants. A federated daemon (ServerConfig.Cluster) adds POST
+// /cluster/replicate and GET|POST|DELETE /admin/peers.
+func (s *Server) Handler() http.Handler { return s.inner.Handler() }
 
 // Close drains in-flight requests, retires the engine shards, flushes the
 // write-behind persistence queue, and closes the convergence store (when
@@ -334,12 +304,14 @@ func (s *Server) Handler() http.Handler {
 // afterwards fail with 503.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
+		// Federation machinery first: the replicator flushes its queue
+		// against a still-serving pool of peers.
 		if s.coord != nil {
-			// Federation machinery first: the replicator flushes its queue
-			// against a still-serving pool of peers.
 			s.coord.Close()
 		}
-		s.inner.Close()
+		if s.inner != nil {
+			s.inner.Close()
+		}
 		if s.st != nil {
 			s.st.Close()
 		}
