@@ -544,12 +544,9 @@ func TestReplicateIntake(t *testing.T) {
 	rec := store.Record{
 		Fingerprint: "fp-foreign", DBIdentity: testIdentity, Tenant: "ghost",
 		Query: "tpch:q6", PlanBytes: []byte{1, 2, 3}, History: []float64{10, 5},
-		Cores: 4, HasCost: true, CostParams: cost.Default(),
+		Cores: 4, CostParams: cost.Default(),
 	}
-	doc, err := store.EncodeRecords([]store.Record{rec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := store.EncodeRecords([]store.Record{rec})
 	resp, err = client.Post(a.url+"/cluster/replicate", "application/octet-stream", bytes.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)

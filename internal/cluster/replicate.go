@@ -78,14 +78,10 @@ func (r *replicator) enqueue(rec store.Record) {
 
 // broadcast is the queue's sink: a burst of convergences coalesces into one
 // document per peer. Delivery is per peer and best-effort (counted in sent /
-// failures; a peer that missed one gets the whole replica set next), so the
-// only batch-level error is a document that cannot be encoded.
+// failures; a peer that missed one gets the whole replica set next), so it
+// never reports a batch-level error.
 func (r *replicator) broadcast(batch []store.Record) (int, error) {
-	payload, err := store.EncodeRecords(batch)
-	if err != nil {
-		r.failures.Add(1)
-		return 0, err
-	}
+	payload := store.EncodeRecords(batch)
 	for _, p := range r.c.peerList() {
 		if st, _, _ := p.brk.Snapshot(); st != server.BreakerClosed {
 			// The peer is deaf; don't stall the queue proving it. The sync
@@ -142,13 +138,8 @@ func (r *replicator) syncTo(p *peerState) {
 		recs = append(recs, r.set[k])
 	}
 	r.mu.Unlock()
-	payload, err := store.EncodeRecords(recs)
-	if err != nil {
-		r.failures.Add(1)
-		return
-	}
 	r.syncs.Add(1)
-	r.send(p, payload, len(recs))
+	r.send(p, store.EncodeRecords(recs), len(recs))
 }
 
 func (r *replicator) stats() ReplicationStats {

@@ -91,7 +91,7 @@ func (s *Server) applyRecord(rec *store.Record, tn *tenantState) (live, warm boo
 		return false, false, nil
 	}
 	sh := s.shardFor(rec.Fingerprint)
-	if rec.HasCost && rec.CostParams != sh.eng.Params() {
+	if rec.CostParams != sh.eng.Params() {
 		s.skippedRecords.Add(1)
 		return false, false, nil
 	}

@@ -208,7 +208,7 @@ func TestServerRehydrationSkipsMismatchedRecords(t *testing.T) {
 	for _, rec := range []store.Record{
 		{Fingerprint: "f1", DBIdentity: "tpch:sf=9:seed=1", Query: "tpch:q6", PlanBytes: []byte("junk"), History: []float64{1}},
 		{Fingerprint: "f2", DBIdentity: "tpch:sf=0.5:seed=42", Tenant: "ghost", Query: "tpch:q6", PlanBytes: []byte("junk"), History: []float64{1}},
-		{Fingerprint: "f3", DBIdentity: "tpch:sf=0.5:seed=42", Query: "tpch:q6", PlanBytes: []byte("junk"), History: []float64{1}},
+		{Fingerprint: "f3", DBIdentity: "tpch:sf=0.5:seed=42", Query: "tpch:q6", PlanBytes: []byte("junk"), History: []float64{1}, CostParams: cost.Default()},
 	} {
 		if err := st.Put(rec); err != nil {
 			t.Fatal(err)

@@ -24,10 +24,11 @@ func NewRecord(fp, dbIdentity, tenant, query string, epoch int64, snap *core.Sna
 		PlanBytes:    plan.Encode(snap.BestPlan),
 		History:      snap.History,
 		Outliers:     snap.Outliers,
+		Start:        snap.Start,
+		Halt:         snap.Halt,
 		Cores:        snap.Config.Cores,
 		ExtraRuns:    snap.Config.ExtraRuns,
 		GMEThreshold: snap.Config.GMEThreshold,
-		HasCost:      true,
 		CostParams:   params,
 	}
 }
@@ -50,6 +51,8 @@ func (r *Record) RestoreSession(eng *exec.Engine) (*core.Session, error) {
 		},
 		History:  r.History,
 		Outliers: r.Outliers,
+		Start:    r.Start,
+		Halt:     r.Halt,
 		BestPlan: p,
 	})
 	if err != nil {

@@ -3,73 +3,11 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 )
-
-// writeLegacyFile hand-builds an on-disk store at an older format version, as
-// a daemon of that era would have left it.
-func writeLegacyFile(t *testing.T, path string, version int, recs ...Record) {
-	t.Helper()
-	var hdr [headerLen]byte
-	copy(hdr[:], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(version))
-	buf := hdr[:]
-	for i := range recs {
-		payload, err := encodeRecord(&recs[i], version)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fh [frameLen]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, fh[:]...)
-		buf = append(buf, payload...)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStoreMigratesV2ToV3: a v2-era file opens, reports the migration, and
-// its records carry the documented epoch default 0 — a freshly generated
-// dataset — at v3 on disk.
-func TestStoreMigratesV2ToV3(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conv.store")
-	recs := []Record{testRecord(0), testRecord(1)}
-	writeLegacyFile(t, path, FormatV2, recs...)
-
-	s := mustOpen(t, path)
-	st := s.Stats()
-	if st.MigratedFromVersion != FormatV2 || st.Version != CurrentFormat {
-		t.Fatalf("migration not reported: %+v", st)
-	}
-	for _, want := range recs {
-		got, ok := s.Get(want.Fingerprint)
-		if !ok {
-			t.Fatalf("record %s lost in migration", want.Fingerprint)
-		}
-		if got.Epoch != 0 {
-			t.Fatalf("migrated record carries epoch %d, want the default 0", got.Epoch)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("migrated record mismatch:\n got  %+v\n want %+v", got, want)
-		}
-	}
-	s.Close()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != FormatV3 {
-		t.Fatalf("file at version %d after migration, want %d", v, FormatV3)
-	}
-}
 
 // TestStoreEpochRoundTrip: a non-zero epoch survives put, reopen, and
 // compaction.
@@ -104,7 +42,7 @@ func TestStoreEpochRoundTrip(t *testing.T) {
 func TestCompactionRacesSynchronizer(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
-	s.NoAutoCompact = true // compaction timing is driven explicitly below
+	s.noAutoCompact = true // compaction timing is driven explicitly below
 	sy := NewSynchronizer(s.PutBatch)
 
 	const fps = 16
@@ -178,7 +116,7 @@ func TestCompactionRacesSynchronizer(t *testing.T) {
 func TestTornTailAfterCrashMidCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
-	s.NoAutoCompact = true
+	s.noAutoCompact = true
 	for i := 0; i < 4; i++ {
 		if err := s.Put(testRecord(i)); err != nil {
 			t.Fatal(err)

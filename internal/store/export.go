@@ -24,35 +24,29 @@ const exportHeaderLen = 16 // magic + version + count
 // ships the document to every peer. Records are encoded in the order given;
 // callers wanting the deterministic on-disk property sort by fingerprint
 // first (Export does).
-func EncodeRecords(recs []Record) ([]byte, error) {
+func EncodeRecords(recs []Record) []byte {
 	var hdr [exportHeaderLen]byte
 	copy(hdr[:], exportMagic[:])
 	binary.LittleEndian.PutUint32(hdr[8:], CurrentFormat)
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(recs)))
 	buf := hdr[:]
 	for i := range recs {
-		var err error
-		if buf, err = appendFrame(buf, &recs[i]); err != nil {
-			return nil, fmt.Errorf("store: encode records: %w", err)
-		}
+		buf = appendFrame(buf, &recs[i])
 	}
-	return buf, nil
+	return buf
 }
 
 // DecodeRecords parses an APQXPORT document from memory — the receiving
 // side of EncodeRecords. src names the document in errors (a path, a peer).
-// The same strictness as ReadExport applies: framing or checksum damage is
-// an error, never a silent skip.
+// Framing or checksum damage is an error, never a silent skip; a document
+// at the previous format version migrates, older and newer ones are refused.
 func DecodeRecords(data []byte, src string) ([]Record, error) {
 	if len(data) < exportHeaderLen || [8]byte(data[:8]) != exportMagic {
 		return nil, fmt.Errorf("store: %s is not a plan export file (bad magic)", src)
 	}
 	version := int(binary.LittleEndian.Uint32(data[8:12]))
-	if version > CurrentFormat {
-		return nil, fmt.Errorf("store: %s is export format version %d, newer than this build supports (%d) — upgrade before importing", src, version, CurrentFormat)
-	}
-	if version < FormatV1 {
-		return nil, fmt.Errorf("store: %s carries invalid export format version %d", src, version)
+	if err := checkVersion(src, version); err != nil {
+		return nil, err
 	}
 	count := int(binary.LittleEndian.Uint32(data[12:16]))
 	// Cap the allocation by what the bytes in hand could actually frame: a
@@ -86,12 +80,8 @@ func (s *Store) Export(path string) (int, error) {
 		return 0, fmt.Errorf("store: %s is closed", s.path)
 	}
 	recs := s.sortedLocked()
-	buf, err := EncodeRecords(recs)
-	if err != nil {
-		return 0, fmt.Errorf("store: export: %w", err)
-	}
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := os.WriteFile(tmp, EncodeRecords(recs), 0o644); err != nil {
 		return 0, fmt.Errorf("store: export: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -101,14 +91,19 @@ func (s *Store) Export(path string) (int, error) {
 	return len(recs), nil
 }
 
-// Import merges the records of an export file written by this build's
-// format version or any older one (older records are migrated on decode).
-// Unlike the append log, an export file is a finished document: any framing
-// or checksum damage is an error, never silently skipped or truncated.
-// Imported records supersede same-fingerprint records already in the store.
-// Returns the number of records imported.
+// Import merges the records of an export file written at this build's
+// format version or the previous one (its records are migrated on decode).
+// Unlike the append log, an export file is a finished document: foreign
+// magic, a refused version, any framing or checksum damage, or a record
+// count that does not match the header is an error, never silently skipped
+// or truncated. Imported records supersede same-fingerprint records already
+// in the store. Returns the number of records imported.
 func (s *Store) Import(path string) (int, error) {
-	recs, err := ReadExport(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return 0, fmt.Errorf("store: import %s: %w", path, err)
+	}
+	recs, err := DecodeRecords(data, path)
 	if err != nil {
 		return 0, err
 	}
@@ -126,16 +121,4 @@ func (s *Store) Import(path string) (int, error) {
 		return 0, fmt.Errorf("store: import: %w", err)
 	}
 	return len(recs), nil
-}
-
-// ReadExport parses an export file and returns its records, migrated to the
-// current format. It rejects files with foreign magic, format versions
-// newer than this build, corrupt frames, or record counts that do not match
-// the header — each with a distinct, actionable error.
-func ReadExport(path string) ([]Record, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("store: import %s: %w", path, err)
-	}
-	return DecodeRecords(data, path)
 }

@@ -35,32 +35,42 @@ func fuzzSeedRecord() Record {
 		PlanBytes:    []byte{0xDE, 0xAD, 0xBE, 0xEF},
 		History:      []float64{100, 60, 40, 31},
 		Outliers:     []int{2},
+		Start:        1,
 		Cores:        8,
 		ExtraRuns:    8,
 		GMEThreshold: 0.02,
-		HasCost:      true,
 		CostParams:   cost.Default(),
 		Epoch:        3,
 	}
 }
 
 // FuzzDecodeRecord drives the per-record payload decoder — the bytes inside
-// one CRC frame, after the checksum already passed — at every live format
-// version. Valid-looking length prefixes pointing past the buffer, huge
+// one CRC frame, after the checksum already passed — at both readable
+// format versions. Valid-looking length prefixes pointing past the buffer, huge
 // varint counts, and truncated tails must all error cleanly.
 func FuzzDecodeRecord(f *testing.F) {
 	rec := fuzzSeedRecord()
-	for v := FormatV1; v <= CurrentFormat; v++ {
-		payload, err := encodeRecord(&rec, v)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, v := range []int{FormatV3, CurrentFormat} {
+		payload := encodeRecord(&rec, v)
 		f.Add(payload, v)
 		// Truncation seeds: every prefix family the reader walks through.
 		f.Add(payload[:len(payload)/2], v)
 		f.Add(payload[:1], v)
 		f.Add(paddedVarint(payload), v)
 	}
+	// Seeds one byte away from what the format rules refuse: a v3 record
+	// without a cost calibration (its flag sits before the cost fields and
+	// the one-byte epoch), a v4 record with an unknown halt reason or a
+	// start past its history (the last two bytes), and v3 bytes read as v4.
+	edit := func(v, at int, b byte) []byte {
+		p := encodeRecord(&rec, v)
+		p[len(p)-at] = b
+		return p
+	}
+	f.Add(edit(FormatV3, 2+8*len(costFields(&rec.CostParams)), 0), FormatV3)
+	f.Add(edit(CurrentFormat, 1, 1), CurrentFormat)
+	f.Add(edit(CurrentFormat, 2, byte(len(rec.History))), CurrentFormat)
+	f.Add(encodeRecord(&rec, FormatV3), CurrentFormat)
 	f.Add([]byte{}, CurrentFormat)
 	f.Fuzz(func(t *testing.T, data []byte, version int) {
 		rec, err := decodeRecord(data, version)
@@ -71,10 +81,7 @@ func FuzzDecodeRecord(f *testing.F) {
 		// on bytes the encoder cannot reproduce would give one record two
 		// byte strings, or let one hostile peer poison the next hop's store
 		// file.
-		re, err := encodeRecord(&rec, version)
-		if err != nil {
-			t.Fatalf("decoded record does not re-encode: %v", err)
-		}
+		re := encodeRecord(&rec, version)
 		if !bytes.Equal(re, data) {
 			t.Fatalf("decode accepted a non-canonical v%d record: %d bytes in, %d bytes re-encoded", version, len(data), len(re))
 		}
@@ -87,19 +94,13 @@ func FuzzDecodeRecord(f *testing.F) {
 // hostile payload — the case checksums cannot catch).
 func FuzzDecodeExport(f *testing.F) {
 	rec := fuzzSeedRecord()
-	doc, err := EncodeRecords([]Record{rec})
-	if err != nil {
-		f.Fatal(err)
-	}
+	doc := EncodeRecords([]Record{rec})
 	f.Add(doc)
 	f.Add(doc[:len(doc)-3])
 	f.Add(doc[:exportHeaderLen])
 	f.Add([]byte("APQXPORT"))
 	f.Add([]byte{})
-	payload, err := encodeRecord(&rec, CurrentFormat)
-	if err != nil {
-		f.Fatal(err)
-	}
+	payload := encodeRecord(&rec, CurrentFormat)
 	f.Add(paddedVarint(payload))
 	// decodes checks the canonical property of one document and reports
 	// how many records it decoded (-1 = refused). Older versions migrate on
@@ -109,10 +110,7 @@ func FuzzDecodeExport(f *testing.F) {
 		if err != nil {
 			return -1
 		}
-		re, err := EncodeRecords(recs)
-		if err != nil {
-			t.Fatalf("decoded export does not re-encode: %v", err)
-		}
+		re := EncodeRecords(recs)
 		if binary.LittleEndian.Uint32(doc[8:]) == CurrentFormat && !bytes.Equal(re, doc) {
 			t.Fatalf("decode accepted a non-canonical export: %d bytes in, %d bytes re-encoded", len(doc), len(re))
 		}

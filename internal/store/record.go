@@ -7,40 +7,47 @@
 // no cgo, no dependencies beyond the standard library and the repo's own
 // plan/cost packages.
 //
-// The on-disk schema carries an explicit format version. Version bumps
-// follow one discipline: old versions keep a decoder forever, Open migrates
-// old files forward by rewriting them at the current version, and unknown
-// (future) versions are rejected with an error, never guessed at. The
-// v1→v2 migration (v2 added per-record tenant names, outlier runs, and the
-// cost calibration) is the template.
+// The on-disk schema carries an explicit format version, and one rule: the
+// previous version migrates (Open rewrites its files at the current
+// version); older ones, and unknown future ones, are refused with an error
+// naming the version, never guessed at.
 package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/wire"
 )
 
-// Store format versions. CurrentFormat is what new files and new records
-// are written at; every older version listed here can still be read and is
-// migrated forward on Open.
+// Store format versions: CurrentFormat is written, and FormatV3, the
+// previous version, is read and migrated.
 const (
-	// FormatV1 recorded {fingerprint, db identity, query, plan, history,
-	// convergence config}.
-	FormatV1 = 1
-	// FormatV2 added the tenant name, the outlier-run list, and the cost
-	// calibration the history was measured under.
-	FormatV2 = 2
-	// FormatV3 added the dataset epoch the session converged at. Records
-	// migrated from older versions carry epoch 0 — the epoch of a freshly
-	// generated dataset — so pre-epoch records rehydrate hot on unmutated
-	// data and as warm seeds after any mutation, exactly like v3 records.
+	// FormatV3 has a calibration flag, and no Start or Halt: each of its
+	// records holds one convergence instance, so they migrate with Start 0
+	// and halt reason budget.
 	FormatV3 = 3
+	// FormatV4 drops the flag (every record is calibrated) and adds Start
+	// and Halt.
+	FormatV4 = 4
 
-	CurrentFormat = FormatV3
+	CurrentFormat = FormatV4
 )
+
+// checkVersion refuses a format version this build cannot read; src names
+// the file, document or record.
+func checkVersion(src string, version int) error {
+	switch {
+	case version > CurrentFormat:
+		return fmt.Errorf("store: %s is format version %d, newer than this build supports (%d) — upgrade before reading it", src, version, CurrentFormat)
+	case version < FormatV3:
+		return fmt.Errorf("store: %s is format version %d; this build reads only v%d and v%d", src, version, FormatV3, CurrentFormat)
+	}
+	return nil
+}
 
 // Record is one persisted converged session.
 type Record struct {
@@ -52,103 +59,89 @@ type Record struct {
 	// serving tenant's — a stale plan for different data is never merged.
 	DBIdentity string
 	// Tenant names the owning tenant ("" = the daemon's default tenant).
-	// Since v2.
 	Tenant string
 	// Query is the cached query in its cache-key form (named query or
 	// builder-spec JSON).
 	Query string
 	// PlanBytes is the best plan in canonical plan.Encode form.
 	PlanBytes []byte
-	// History is the per-run execution-time sequence; replaying it through
-	// the convergence algorithm reconstructs the session's state exactly.
-	History []float64
-	// Outliers are the runs convergence flagged as noise peaks. Since v2.
+	// History is the session's per-run execution-time sequence across
+	// reopens, and Outliers the runs convergence flagged as noise peaks;
+	// replaying History[Start:], the last convergence instance, through the
+	// convergence algorithm reconstructs the session's state.
+	History  []float64
 	Outliers []int
-	// Cores, ExtraRuns, GMEThreshold are the session's ConvergenceConfig —
-	// the replay must run under the same calibration that produced History.
+	Start    int
+	// Halt says why the last instance stopped exploring.
+	Halt core.Halt
+	// Cores, ExtraRuns, GMEThreshold are the last instance's
+	// ConvergenceConfig — the replay must run under the same calibration
+	// that produced History.
 	Cores        int
 	ExtraRuns    int
 	GMEThreshold float64
-	// HasCost marks whether CostParams was recorded. Records migrated from
-	// v1 have no calibration (HasCost=false) and rehydrate against any
-	// engine. Since v2.
-	HasCost bool
 	// CostParams is the engine cost calibration the history was measured
 	// under; rehydration skips records whose calibration differs from the
-	// serving engine's. Since v2.
+	// serving engine's.
 	CostParams cost.Params
 	// Epoch is the tenant dataset's mutation epoch the session converged at
 	// (0 = the dataset as generated). Rehydration compares it against the
 	// live tenant's epoch: a mismatch means the plan was learned on other
 	// data — still correct (partitions are binary-rational ranges), but its
 	// measurements are stale, so the record rehydrates as a warm seed, never
-	// as served-converged. Since v3.
+	// as served-converged.
 	Epoch int64
 }
 
-// encodeRecord renders rec at the given format version. Encoding is
-// deterministic — identical records produce identical bytes — which is what
-// makes compaction and export output reproducible bit-for-bit.
-func encodeRecord(rec *Record, version int) ([]byte, error) {
-	switch version {
-	case FormatV1, FormatV2, FormatV3:
-	default:
-		return nil, fmt.Errorf("store: cannot encode record at unknown format version %d", version)
-	}
+// encodeRecord renders rec at CurrentFormat, or at FormatV3 (dropping Start
+// and Halt) for the tests' v3-era files. Encoding is deterministic —
+// identical records produce identical bytes — which is what makes
+// compaction and export output reproducible bit-for-bit.
+func encodeRecord(rec *Record, version int) []byte {
 	buf := make([]byte, 0, 64+len(rec.Fingerprint)+len(rec.DBIdentity)+len(rec.Query)+len(rec.PlanBytes)+8*len(rec.History))
 	buf = wire.AppendString(buf, rec.Fingerprint)
 	buf = wire.AppendString(buf, rec.DBIdentity)
-	if version >= FormatV2 {
-		buf = wire.AppendString(buf, rec.Tenant)
-	}
+	buf = wire.AppendString(buf, rec.Tenant)
 	buf = wire.AppendString(buf, rec.Query)
 	buf = wire.AppendBytes(buf, rec.PlanBytes)
 	buf = binary.AppendUvarint(buf, uint64(len(rec.History)))
 	for _, h := range rec.History {
 		buf = wire.AppendFloat64(buf, h)
 	}
-	if version >= FormatV2 {
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Outliers)))
-		for _, o := range rec.Outliers {
-			buf = binary.AppendUvarint(buf, uint64(o))
-		}
+	buf = binary.AppendUvarint(buf, uint64(len(rec.Outliers)))
+	for _, o := range rec.Outliers {
+		buf = binary.AppendUvarint(buf, uint64(o))
 	}
 	buf = binary.AppendUvarint(buf, uint64(rec.Cores))
 	buf = binary.AppendUvarint(buf, uint64(rec.ExtraRuns))
 	buf = wire.AppendFloat64(buf, rec.GMEThreshold)
-	if version >= FormatV2 {
-		buf = wire.AppendBool(buf, rec.HasCost)
-		if rec.HasCost {
-			for _, v := range costFields(&rec.CostParams) {
-				buf = wire.AppendFloat64(buf, *v)
-			}
-		}
+	if version == FormatV3 {
+		buf = wire.AppendBool(buf, true)
 	}
-	if version >= FormatV3 {
-		buf = binary.AppendUvarint(buf, uint64(rec.Epoch))
+	for _, v := range costFields(&rec.CostParams) {
+		buf = wire.AppendFloat64(buf, *v)
 	}
-	return buf, nil
+	buf = binary.AppendUvarint(buf, uint64(rec.Epoch))
+	if version != FormatV3 {
+		buf = binary.AppendUvarint(buf, uint64(rec.Start))
+		buf = append(buf, byte(rec.Halt))
+	}
+	return buf
 }
 
 // decodeRecord parses a record payload written at the given format version
-// and migrates it to the current in-memory shape. Fields a version did not
-// record stay at their documented migration defaults: Tenant "" (default
-// tenant), Outliers nil, HasCost false (no calibration check). A v1 record
-// restores only if replaying its history flags no outlier: restore compares
-// the replay's outlier runs with the record's.
+// into the current in-memory shape. It refuses a v3 record without a cost
+// calibration (only a migrated v1 record could carry one), an unknown halt
+// reason and a Start outside the history.
 func decodeRecord(data []byte, version int) (Record, error) {
-	switch version {
-	case FormatV1, FormatV2, FormatV3:
-	default:
-		return Record{}, fmt.Errorf("store: cannot decode record at unknown format version %d", version)
+	if err := checkVersion("record", version); err != nil {
+		return Record{}, err
 	}
 	r := wire.NewReader(data)
 	var rec Record
 	rec.Fingerprint = r.Str()
 	rec.DBIdentity = r.Str()
-	if version >= FormatV2 {
-		rec.Tenant = r.Str()
-	}
+	rec.Tenant = r.Str()
 	rec.Query = r.Str()
 	rec.PlanBytes = r.Bytes()
 	if nh := r.Uvarint(); nh > uint64(r.Len()) {
@@ -159,34 +152,37 @@ func decodeRecord(data []byte, version int) (Record, error) {
 			rec.History[i] = r.Float64()
 		}
 	}
-	if version >= FormatV2 {
-		if no := r.Uvarint(); no > uint64(r.Len()) {
-			return Record{}, fmt.Errorf("outlier count %d exceeds payload", no)
-		} else if no > 0 {
-			rec.Outliers = make([]int, no)
-			for i := range rec.Outliers {
-				rec.Outliers[i] = int(r.Uvarint())
-			}
+	if no := r.Uvarint(); no > uint64(r.Len()) {
+		return Record{}, fmt.Errorf("outlier count %d exceeds payload", no)
+	} else if no > 0 {
+		rec.Outliers = make([]int, no)
+		for i := range rec.Outliers {
+			rec.Outliers[i] = int(r.Uvarint())
 		}
 	}
 	rec.Cores = int(r.Uvarint())
 	rec.ExtraRuns = int(r.Uvarint())
 	rec.GMEThreshold = r.Float64()
-	if version >= FormatV2 {
-		if rec.HasCost = r.Bool(); rec.HasCost {
-			for _, v := range costFields(&rec.CostParams) {
-				*v = r.Float64()
-			}
-		}
+	if version == FormatV3 && !r.Bool() && r.Err() == nil {
+		return Record{}, errors.New("v3 record has no cost calibration")
 	}
-	if version >= FormatV3 {
-		rec.Epoch = int64(r.Uvarint())
+	for _, v := range costFields(&rec.CostParams) {
+		*v = r.Float64()
 	}
-	if err := r.Err(); err != nil {
+	rec.Epoch = int64(r.Uvarint())
+	if version != FormatV3 {
+		rec.Start = int(r.Uvarint())
+		rec.Halt = core.Halt(r.Byte())
+	}
+	switch err := r.Err(); {
+	case err != nil:
 		return Record{}, err
-	}
-	if r.Len() != 0 {
+	case r.Len() != 0:
 		return Record{}, fmt.Errorf("%d trailing bytes after record", r.Len())
+	case rec.Start < 0 || rec.Start >= len(rec.History):
+		return Record{}, fmt.Errorf("instance start %d outside a history of %d runs", rec.Start, len(rec.History))
+	case rec.Halt != core.HaltBudget:
+		return Record{}, fmt.Errorf("unknown halt reason %d", rec.Halt)
 	}
 	return rec, nil
 }

@@ -52,15 +52,14 @@ type Store struct {
 	migratedFrom   int // pre-migration version, 0 if the file was born current
 	closed         bool
 
-	// NoAutoCompact disables the dead-bytes-triggered compaction inside
-	// Put; Compact must then be called explicitly. Tests use it to examine
-	// log growth.
-	NoAutoCompact bool
+	// noAutoCompact disables the dead-bytes-triggered compaction inside
+	// Put, so the package's tests can examine log growth.
+	noAutoCompact bool
 }
 
-// Open opens or creates the store at path. Files written by older format
-// versions are migrated to CurrentFormat (the file is rewritten); files
-// written by newer versions are rejected. A torn tail — the residue of a
+// Open opens or creates the store at path. A file written at the previous
+// format version is migrated to CurrentFormat (the file is rewritten); files
+// written at older or newer versions are rejected. A torn tail — the residue of a
 // crash mid-append — is truncated back to the last intact record.
 func Open(path string) (*Store, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -102,11 +101,8 @@ func (s *Store) load() error {
 		return fmt.Errorf("store: %s is not a convergence store (bad magic)", s.path)
 	}
 	version := int(binary.LittleEndian.Uint32(data[8:12]))
-	if version > CurrentFormat {
-		return fmt.Errorf("store: %s is format version %d, newer than this build supports (%d) — refusing to modify it", s.path, version, CurrentFormat)
-	}
-	if version < FormatV1 {
-		return fmt.Errorf("store: %s carries invalid format version %d", s.path, version)
+	if err := checkVersion(s.path, version); err != nil {
+		return err
 	}
 
 	// Scan frames. A frame cut short or failing its checksum marks a torn
@@ -145,8 +141,7 @@ func (s *Store) load() error {
 
 	if version < CurrentFormat {
 		// Migrate: decodeRecord already lifted the records to the current
-		// in-memory shape with the documented defaults for fields the old
-		// version lacked; rewriting the file pins them at CurrentFormat.
+		// in-memory shape; rewriting the file pins them at CurrentFormat.
 		s.migratedFrom = version
 		if err := s.compactLocked(); err != nil {
 			return fmt.Errorf("store: migrate %s from format v%d: %w", s.path, version, err)
@@ -158,14 +153,11 @@ func (s *Store) load() error {
 // appendFrame appends rec to buf as one frame at CurrentFormat: the
 // payload's length and CRC-32C, little-endian uint32 each, then the payload.
 // It is the only writer of the frame the store file and APQXPORT share.
-func appendFrame(buf []byte, rec *Record) ([]byte, error) {
-	payload, err := encodeRecord(rec, CurrentFormat)
-	if err != nil {
-		return nil, err
-	}
+func appendFrame(buf []byte, rec *Record) []byte {
+	payload := encodeRecord(rec, CurrentFormat)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	return append(buf, payload...), nil
+	return append(buf, payload...)
 }
 
 // readFrame reads one frame from r and returns its payload: the only reader
@@ -189,11 +181,7 @@ func readFrame(r *wire.Reader) ([]byte, error) {
 
 // frameBytes returns the on-disk frame size a record occupies at version.
 func frameBytes(rec *Record, version int) int64 {
-	payload, err := encodeRecord(rec, version)
-	if err != nil {
-		return 0
-	}
-	return int64(frameLen + len(payload))
+	return int64(frameLen + len(encodeRecord(rec, version)))
 }
 
 // Put writes rec, superseding any previous record with the same
@@ -211,7 +199,7 @@ func (s *Store) Put(rec Record) error {
 	if err := s.appendLocked(&rec); err != nil {
 		return err
 	}
-	if !s.NoAutoCompact && s.deadBytes > compactMinDead && s.deadBytes > s.liveBytes {
+	if !s.noAutoCompact && s.deadBytes > compactMinDead && s.deadBytes > s.liveBytes {
 		return s.compactLocked()
 	}
 	return nil
@@ -230,10 +218,7 @@ func (s *Store) PutBatch(recs []Record) (wrote int, err error) {
 }
 
 func (s *Store) appendLocked(rec *Record) error {
-	frame, err := appendFrame(nil, rec)
-	if err != nil {
-		return err
-	}
+	frame := appendFrame(nil, rec)
 	if _, err := s.f.Write(frame); err != nil {
 		return fmt.Errorf("store: append to %s: %w", s.path, err)
 	}
@@ -313,10 +298,7 @@ func (s *Store) compactLocked() error {
 	binary.LittleEndian.PutUint32(hdr[8:], CurrentFormat)
 	buf := hdr[:]
 	for _, rec := range s.sortedLocked() {
-		if buf, err = appendFrame(buf, &rec); err != nil {
-			tf.Close()
-			return fmt.Errorf("store: compact: %w", err)
-		}
+		buf = appendFrame(buf, &rec)
 	}
 	if _, err := tf.Write(buf); err != nil {
 		tf.Close()

@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 )
 
@@ -25,7 +27,6 @@ func testRecord(i int) Record {
 		Cores:        8,
 		ExtraRuns:    8,
 		GMEThreshold: 0.02,
-		HasCost:      true,
 		CostParams:   cost.Default(),
 	}
 }
@@ -74,7 +75,7 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreSupersede(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "conv.store")
 	s := mustOpen(t, path)
-	s.NoAutoCompact = true
+	s.noAutoCompact = true
 	rec := testRecord(1)
 	for pass := 0; pass < 5; pass++ {
 		rec.History = append(rec.History, float64(pass))
@@ -183,8 +184,8 @@ func TestStoreCompactionShrinksAndIsDeterministic(t *testing.T) {
 	pathB := filepath.Join(dir, "b.store")
 	a := mustOpen(t, pathA)
 	b := mustOpen(t, pathB)
-	a.NoAutoCompact = true
-	b.NoAutoCompact = true
+	a.noAutoCompact = true
+	b.noAutoCompact = true
 	// Same records, inserted in different orders with different supersede
 	// churn.
 	for i := 0; i < 8; i++ {
@@ -253,69 +254,123 @@ func TestStoreAutoCompaction(t *testing.T) {
 	}
 }
 
-// writeV1File hand-builds an on-disk store at format v1, as a v1-era daemon
-// would have left it.
-func writeV1File(t *testing.T, path string, recs ...Record) {
+// writeLegacyFile hand-builds, in dir, a store file and an export document
+// whose headers carry version and whose one frame each holds payload, as a
+// daemon of that era would have left them, and returns their paths.
+func writeLegacyFile(t *testing.T, dir string, version int, payload []byte) (storePath, exportPath string) {
 	t.Helper()
-	var hdr [headerLen]byte
+	var fh [frameLen]byte
+	binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
+	frame := append(fh[:], payload...)
+	var hdr [exportHeaderLen]byte
 	copy(hdr[:], fileMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV1)
-	buf := hdr[:]
-	for i := range recs {
-		payload, err := encodeRecord(&recs[i], FormatV1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fh [frameLen]byte
-		binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, fh[:]...)
-		buf = append(buf, payload...)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(version))
+	storePath = filepath.Join(dir, "legacy.store")
+	if err := os.WriteFile(storePath, append(hdr[:headerLen:headerLen], frame...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	copy(hdr[:], exportMagic[:])
+	binary.LittleEndian.PutUint32(hdr[12:], 1)
+	exportPath = filepath.Join(dir, "legacy.apqx")
+	if err := os.WriteFile(exportPath, append(hdr[:], frame...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return storePath, exportPath
 }
 
-func TestStoreMigratesV1ToV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conv.store")
-	recs := []Record{testRecord(0), testRecord(1)}
-	writeV1File(t, path, recs...)
+// TestFormatRules pins the versioning rule on the store file and the export
+// document alike: the previous format, v3, migrates with every field kept;
+// older and future versions are refused with an error naming the version;
+// and a CRC-valid record the rules forbid — a v3 record without a cost
+// calibration (only a migrated v1 record could carry one), an unknown halt
+// reason, an instance start past the history — does not decode, so Open
+// fails naming its offset.
+func TestFormatRules(t *testing.T) {
+	rec := testRecord(1)
+	rec.Epoch = 5
+	payload := func(version int, edit func(p []byte)) []byte {
+		p := encodeRecord(&rec, version)
+		if edit != nil {
+			edit(p)
+		}
+		return p
+	}
+	// A v3 payload ends with the calibration flag, the cost fields and the
+	// one-byte epoch; a v4 payload with the epoch, the one-byte start and
+	// the halt reason.
+	noCalibration := func(p []byte) { p[len(p)-2-8*len(costFields(&rec.CostParams))] = 0 }
+	unknownHalt := func(p []byte) { p[len(p)-1] = 1 }
+	startPastHistory := func(p []byte) { p[len(p)-2] = byte(len(rec.History)) }
+	for _, tc := range []struct {
+		name    string
+		version int    // the file's and the document's header
+		payload []byte // their one record
+		wantErr string // "" = the record migrates
+	}{
+		{"v1 is refused", 1, payload(FormatV3, nil), "format version 1;"},
+		{"v2 is refused", 2, payload(FormatV3, nil), "format version 2;"},
+		{"a future version is refused", CurrentFormat + 1, payload(CurrentFormat, nil), fmt.Sprintf("format version %d,", CurrentFormat+1)},
+		{"v3 migrates", FormatV3, payload(FormatV3, nil), ""},
+		{"v3 without a calibration is refused", FormatV3, payload(FormatV3, noCalibration), "v3 record has no cost calibration"},
+		{"an unknown halt reason is refused", CurrentFormat, payload(CurrentFormat, unknownHalt), "unknown halt reason 1"},
+		{"a start past the history is refused", CurrentFormat, payload(CurrentFormat, startPastHistory), "instance start 4 outside a history of 4 runs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path, doc := writeLegacyFile(t, dir, tc.version, tc.payload)
+			into := mustOpen(t, filepath.Join(dir, "into.store"))
+			defer into.Close()
+			s, openErr := Open(path)
+			_, importErr := into.Import(doc)
+			if tc.wantErr != "" {
+				for what, err := range map[string]error{"Open": openErr, "Import": importErr} {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Errorf("%s: error %v, want one containing %q", what, err, tc.wantErr)
+					}
+				}
+				if tc.version == FormatV3 || tc.version == CurrentFormat {
+					if openErr == nil || !strings.Contains(openErr.Error(), fmt.Sprintf("record at offset %d", headerLen)) {
+						t.Errorf("Open error %v does not name the record's offset", openErr)
+					}
+				}
+				if s != nil {
+					s.Close()
+				}
+				if into.Len() != 0 {
+					t.Error("a refused import changed the store")
+				}
+				return
+			}
+			if openErr != nil || importErr != nil {
+				t.Fatalf("Open: %v, Import: %v", openErr, importErr)
+			}
+			if st := s.Stats(); st.MigratedFromVersion != tc.version || st.Version != CurrentFormat {
+				t.Fatalf("migration not reported: %+v", st)
+			}
+			for what, st := range map[string]*Store{"Open": s, "Import": into} {
+				got, ok := st.Get(rec.Fingerprint)
+				if !ok || !reflect.DeepEqual(got, rec) || got.Start != 0 || got.Halt != core.HaltBudget {
+					t.Fatalf("%s: migrated record\n got  %+v\n want %+v", what, got, rec)
+				}
+			}
+			s.Close()
 
-	s := mustOpen(t, path)
-	st := s.Stats()
-	if st.MigratedFromVersion != FormatV1 || st.Version != CurrentFormat {
-		t.Fatalf("migration not reported: %+v", st)
-	}
-	for _, want := range recs {
-		got, ok := s.Get(want.Fingerprint)
-		if !ok {
-			t.Fatalf("record %s lost in migration", want.Fingerprint)
-		}
-		// v1 never recorded tenant/outliers/cost: migration defaults apply.
-		if got.Tenant != "" || got.Outliers != nil || got.HasCost {
-			t.Fatalf("migrated record carries fields v1 could not store: %+v", got)
-		}
-		want.Tenant, want.Outliers, want.HasCost, want.CostParams = "", nil, false, cost.Params{}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("migrated record mismatch:\n got  %+v\n want %+v", got, want)
-		}
-	}
-	s.Close()
-
-	// The migration rewrote the file: on disk it is now current, and
-	// reopening it is a plain (non-migrating) open.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.LittleEndian.Uint32(data[8:12]); v != CurrentFormat {
-		t.Fatalf("file still at version %d after migration", v)
-	}
-	s2 := mustOpen(t, path)
-	defer s2.Close()
-	if st := s2.Stats(); st.MigratedFromVersion != 0 || s2.Len() != 2 {
-		t.Fatalf("reopen after migration: %+v, %d records", st, s2.Len())
+			// The migration rewrote the file at the current version, and
+			// reopening it is a plain open.
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(data[8:12]); v != CurrentFormat {
+				t.Fatalf("file at version %d after migration, want %d", v, CurrentFormat)
+			}
+			s2 := mustOpen(t, path)
+			defer s2.Close()
+			if got, ok := s2.Get(rec.Fingerprint); s2.Stats().MigratedFromVersion != 0 || !ok || !reflect.DeepEqual(got, rec) {
+				t.Fatalf("reopen after migration: %+v, record %+v", s2.Stats(), got)
+			}
+		})
 	}
 }
 
@@ -429,37 +484,6 @@ func TestImportRejectsCorruptAndForeignFiles(t *testing.T) {
 	if _, err := s.Import(cases["future version"]); err == nil ||
 		!bytes.Contains([]byte(err.Error()), []byte("version 77")) {
 		t.Fatalf("future-version import error does not name the version: %v", err)
-	}
-}
-
-func TestImportAcceptsV1Export(t *testing.T) {
-	dir := t.TempDir()
-	// A v1-era export: same framing, version header 1, v1 payloads.
-	rec := testRecord(3)
-	payload, err := encodeRecord(&rec, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hdr [exportHeaderLen]byte
-	copy(hdr[:], exportMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], FormatV1)
-	binary.LittleEndian.PutUint32(hdr[12:], 1)
-	var fh [frameLen]byte
-	binary.LittleEndian.PutUint32(fh[:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(fh[4:], crc32.Checksum(payload, crcTable))
-	p := filepath.Join(dir, "old.apqx")
-	if err := os.WriteFile(p, append(append(hdr[:], fh[:]...), payload...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s := mustOpen(t, filepath.Join(dir, "s.store"))
-	defer s.Close()
-	if n, err := s.Import(p); err != nil || n != 1 {
-		t.Fatalf("Import v1 export = %d, %v", n, err)
-	}
-	got, ok := s.Get(rec.Fingerprint)
-	if !ok || got.HasCost || got.Tenant != "" || got.Outliers != nil {
-		t.Fatalf("v1 import did not apply migration defaults: %+v", got)
 	}
 }
 

@@ -364,9 +364,9 @@ func ExportPlans(storePath, exportPath string) (int, error) {
 
 // ImportPlans merges the records of an export file into the convergence
 // store at storePath (created if missing). Records supersede same-fingerprint
-// ones already present. A corrupt, foreign, or newer-versioned export file is
-// rejected with an error before anything is written. It returns the record
-// count imported.
+// ones already present. A corrupt or foreign export file, or one at a format
+// version other than the current or the previous one, is rejected with an
+// error before anything is written. It returns the record count imported.
 func ImportPlans(storePath, importPath string) (int, error) {
 	st, err := store.Open(storePath)
 	if err != nil {
