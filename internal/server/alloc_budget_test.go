@@ -57,9 +57,9 @@ type allocBaseline struct {
 	ColdMeasuredAllocs float64 `json:"cold_measured_allocs_per_op"`
 	ColdPR3AllocsPerOp float64 `json:"cold_pr3_allocs_per_op"`
 	// Results budget: the converged serve loop answering APQRESULT instead
-	// of JSON. The wire encoder stages through a pooled buffer, so the only
-	// per-request costs on top of the hot JSON path are the metadata
-	// marshal and the single-flight gate (one atomic load, zero allocs).
+	// of JSON. The wire encoder stages through a pooled buffer and the
+	// metadata is appended to the request's, so it sits below the hot JSON
+	// path, whose harness decodes the reply.
 	ResultsMaxAllocsPerOp float64 `json:"results_max_allocs_per_op"`
 	ResultsMeasuredAllocs float64 `json:"results_measured_allocs_per_op"`
 	// Join budget: converged TPC-H Q9 (the BenchmarkServeHotJoin shape), in
@@ -180,8 +180,8 @@ func TestServeHotJoinAllocBudget(t *testing.T) {
 // select_sum served with "results":true must stay within its recorded
 // allocation budget. The engine contributes zero additional per-request
 // allocations on this path — result values stream straight from the
-// published buffers through the pooled wire encoder — so the delta over the
-// JSON budget is the metadata marshal plus the httptest harness.
+// published buffers through the pooled wire encoder, behind metadata
+// appended to the request's pooled buffer.
 func TestServeResultAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc budget measured in full (non -short) runs")
@@ -259,5 +259,43 @@ func TestServeColdAllocBudget(t *testing.T) {
 		t.Fatalf("converging serve loop allocates %.0f/step, budget is %.0f/step (PR 3 sat at %.0f/step) — "+
 			"either the cold path regressed or testdata/alloc_baseline.json needs a deliberate bump",
 			got, base.ColdMaxAllocsPerOp, base.ColdPR3AllocsPerOp)
+	}
+}
+
+// TestResolveHitAllocatesNothing: once a request's resolution is cached,
+// resolving it again — tenant lookup, cache key, fingerprint-cache hit —
+// allocates nothing, for a named query and both spec shapes, on the default
+// tenant and on a named one.
+func TestResolveHitAllocatesNothing(t *testing.T) {
+	skipIfPoolsAreLossy(t)
+	cat := tpch.Generate(tpch.Config{SF: 0.01, Seed: 42})
+	s, err := New(Config{
+		Engines:    []*exec.Engine{exec.NewEngine(cat, sim.TwoSocket(), cost.Default())},
+		DBIdentity: "tpch:sf=0.01:seed=42",
+		Benchmark:  "tpch",
+		Tenants:    []Tenant{{Name: "acme", Catalog: cat}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	lo, hi := int64(10), int64(15)
+	for _, req := range []QueryRequest{
+		{Query: 6},
+		{SelectSum: &SelectSumSpec{Table: "part", Column: "p_size", Lo: &lo, Hi: &hi}},
+		{Tenant: "acme", SelectRows: &SelectSumSpec{Table: "part", Column: "p_size", Lo: &lo}},
+	} {
+		first, derr := s.resolve("", &req)
+		if derr != nil {
+			t.Fatalf("%+v: %v", req, derr.err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if again, derr := s.resolve("", &req); derr != nil || again.fp != first.fp {
+				t.Fatalf("%+v: resolved again to %q, %v; first to %q", req, again.fp, derr, first.fp)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%+v: a fingerprint-cache hit allocates %.0f times per resolve, want 0", req, allocs)
+		}
 	}
 }

@@ -190,6 +190,36 @@ func BenchmarkAppendBody(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryBody decodes the benchmark's tiny_adapt /query bodies — the
+// converged select_sum and its serial twin, as the harness marshals them —
+// with decodeQuery and, beside it, with the encoding/json it replaced.
+func BenchmarkQueryBody(b *testing.B) {
+	for _, body := range []struct{ name, data string }{
+		{"hot", `{"select_sum":{"column":"p_size","hi":15,"lo":10,"table":"part"}}`},
+		{"serial", `{"mode":"serial","select_sum":{"column":"p_size","hi":15,"lo":10,"table":"part"}}`},
+	} {
+		for _, dec := range []struct {
+			name   string
+			decode func([]byte, *QueryRequest) error
+		}{
+			{"decodeQuery", decodeQuery},
+			{"json", func(data []byte, req *QueryRequest) error { return json.Unmarshal(data, req) }},
+		} {
+			b.Run(body.name+"/"+dec.name, func(b *testing.B) {
+				data := []byte(body.data)
+				b.ReportAllocs()
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					var req QueryRequest
+					if err := dec.decode(data, &req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkServeColdSerial is the baseline: every request executes the
 // serial plan with no cached adaptive state.
 func BenchmarkServeColdSerial(b *testing.B) {

@@ -5,19 +5,25 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/storage"
 )
 
-// appendDecoder is one pass over one body; off is the next byte to read.
-// Arrays after the first are presized to hint, the first's length, while
-// budget lasts: an element takes two bytes or more, so real columns never
-// reserve more than len(data)/2 elements.
-type appendDecoder struct {
+// bodyDecoder is the one scanner of the POST bodies that do not go through
+// encoding/json: one pass over one body, without reflection, into one of two
+// schemas — appendRequest (decodeAppend) and QueryRequest (decodeQuery) —
+// each as json.Unmarshal would fill it. off is the next byte to read; kind
+// names the body in errors. Arrays after the first are presized to hint, the
+// first's length, while budget lasts: an element takes two bytes or more, so
+// real columns never reserve more than len(data)/2 elements.
+type bodyDecoder struct {
 	data              []byte
+	kind              string
 	off, hint, budget int
 }
 
@@ -30,7 +36,7 @@ type appendDecoder struct {
 // elements cut from it — so an element may share memory with its neighbours,
 // and whatever keeps one copies it (vec.Dict.Extend does).
 func decodeAppend(data []byte, req *appendRequest) error {
-	d := appendDecoder{data: data, budget: len(data) / 2}
+	d := bodyDecoder{data: data, kind: "append body", budget: len(data) / 2}
 	err := d.object(1, func(key []byte) error {
 		switch {
 		case bytes.EqualFold(key, []byte("columns")):
@@ -44,6 +50,114 @@ func decodeAppend(data []byte, req *appendRequest) error {
 		}
 		return d.skip(1)
 	})
+	return d.end(err)
+}
+
+// decodeQuery decodes one /query body into req in one pass, as
+// json.Unmarshal would (FuzzQueryBody is the oracle): keys fold case,
+// unknown keys' values are validated and skipped, null leaves a string, an
+// int or a bool as it was and clears a spec or a bound, a repeated key's last
+// value wins and a repeated spec object merges into the first, an int takes
+// the JSON integer grammar. The body stays intact — the federation stage
+// forwards it — and no string aliases it: the plan builder and the
+// fingerprint cache keep the spec's.
+func decodeQuery(data []byte, req *QueryRequest) error {
+	d := bodyDecoder{data: data, kind: "query body"}
+	err := d.object(1, func(key []byte) error {
+		switch {
+		case bytes.EqualFold(key, []byte("select_sum")):
+			return d.spec(&req.SelectSum)
+		case bytes.EqualFold(key, []byte("select_rows")):
+			return d.spec(&req.SelectRows)
+		case d.lit("null"):
+			return nil
+		case bytes.EqualFold(key, []byte("query")):
+			return integer(&d, &req.Query)
+		case bytes.EqualFold(key, []byte("max_cores")):
+			return integer(&d, &req.MaxCores)
+		case bytes.EqualFold(key, []byte("results")):
+			return d.bool(&req.Results)
+		case bytes.EqualFold(key, []byte("mode")):
+			return d.str(&req.Mode)
+		case bytes.EqualFold(key, []byte("tenant")):
+			return d.str(&req.Tenant)
+		case bytes.EqualFold(key, []byte("benchmark")):
+			return d.str(&req.Benchmark)
+		}
+		return d.skip(1)
+	})
+	return d.end(err)
+}
+
+// spec reads "select_sum" / "select_rows": null clears *p, and an object
+// fills the spec *p points to, a new one when it is nil — made in one
+// allocation with the two bounds it may come to point to.
+func (d *bodyDecoder) spec(p **SelectSumSpec) error {
+	if d.lit("null") {
+		*p = nil
+		return nil
+	}
+	var lo, hi *int64
+	if *p == nil {
+		a := new(struct {
+			SelectSumSpec
+			lo, hi int64
+		})
+		*p, lo, hi = &a.SelectSumSpec, &a.lo, &a.hi
+	}
+	sp := *p
+	return d.object(2, func(key []byte) error {
+		switch {
+		case bytes.EqualFold(key, []byte("lo")):
+			return d.bound(&sp.Lo, lo)
+		case bytes.EqualFold(key, []byte("hi")):
+			return d.bound(&sp.Hi, hi)
+		case d.lit("null"):
+			return nil
+		case bytes.EqualFold(key, []byte("table")):
+			return d.str(&sp.Table)
+		case bytes.EqualFold(key, []byte("column")):
+			return d.str(&sp.Column)
+		}
+		return d.skip(2)
+	})
+}
+
+// bound reads "lo" / "hi": null clears *p, and an int64 is written where *p
+// points — to slot, or a new int64 when slot is nil, if *p is nil.
+func (d *bodyDecoder) bound(p **int64, slot *int64) error {
+	if d.lit("null") {
+		*p = nil
+		return nil
+	}
+	if *p == nil {
+		if *p = slot; slot == nil {
+			*p = new(int64)
+		}
+	}
+	return integer(d, *p)
+}
+
+// integer reads a JSON integer within int64 into *p; the caller has taken
+// null, which skipped the whitespace before it.
+func integer[T int | int64](d *bodyDecoder, p *T) error {
+	v, end, ok := intAt(d.data, d.off)
+	if d.off, *p = end, T(v); !ok {
+		return d.fail("an int64")
+	}
+	return nil
+}
+
+// bool reads a bool field; the caller has taken null.
+func (d *bodyDecoder) bool(p *bool) error {
+	if *p = d.lit("true"); !*p && !d.lit("false") {
+		return d.fail("true or false")
+	}
+	return nil
+}
+
+// end refuses whatever follows the top-level value.
+func (d *bodyDecoder) end(err error) error {
 	if d.peek(); err == nil && d.off < len(d.data) {
 		err = d.fail("the end of the body")
 	}
@@ -52,7 +166,7 @@ func decodeAppend(data []byte, req *appendRequest) error {
 
 // columns reads "columns": null clears the map, a second object merges in,
 // and each column decodes from zero, so a repeated name's last value wins.
-func (d *appendDecoder) columns(m *map[string]storage.ColumnAppend) error {
+func (d *bodyDecoder) columns(m *map[string]storage.ColumnAppend) error {
 	if d.lit("null") {
 		*m = nil
 		return nil
@@ -84,7 +198,7 @@ func (d *appendDecoder) columns(m *map[string]storage.ColumnAppend) error {
 
 // slots returns s, or for a nil s an empty slice presized to hint while
 // budget lasts.
-func slots[T any](d *appendDecoder, s []T) []T {
+func slots[T any](d *bodyDecoder, s []T) []T {
 	if s == nil {
 		n := min(d.hint, d.budget)
 		d.budget -= n
@@ -95,7 +209,7 @@ func slots[T any](d *appendDecoder, s []T) []T {
 
 // cut stores the n elements read into *p, and makes the first array's
 // length the hint.
-func cut[T any](d *appendDecoder, p *[]T, s []T, n int) {
+func cut[T any](d *bodyDecoder, p *[]T, s []T, n int) {
 	if *p = s[:n]; n == 0 {
 		*p = []T{}
 	} else if d.hint == 0 {
@@ -105,7 +219,7 @@ func cut[T any](d *appendDecoder, p *[]T, s []T, n int) {
 
 // ints reads "ints": null or an array of JSON numbers with no fraction or
 // exponent, in one loop over the body.
-func (d *appendDecoder) ints(p *[]int64) error {
+func (d *bodyDecoder) ints(p *[]int64) error {
 	if d.lit("null") {
 		*p = nil
 		return nil
@@ -135,6 +249,8 @@ func (d *appendDecoder) ints(p *[]int64) error {
 			}
 			i += 4
 		} else {
+			// intAt's loop, inline: a call per element costs ~8 % of a
+			// lineitem body's decode.
 			neg := i < len(data) && data[i] == '-'
 			if neg {
 				i++
@@ -143,9 +259,7 @@ func (d *appendDecoder) ints(p *[]int64) error {
 			for ; i < len(data) && data[i]-'0' < 10; i++ {
 				n = n*10 + uint64(data[i]-'0')
 			}
-			// Past 19 digits the accumulator may wrap; a leading zero is not JSON.
-			if digits := i - start; digits == 0 || digits > 19 || n > 1<<63 || n == 1<<63 && !neg ||
-				digits > 1 && data[start] == '0' || i < len(data) && (data[i] == '.' || data[i]|0x20 == 'e') {
+			if !intFits(data, start, i, n, neg) {
 				d.off = start
 				return d.fail("an int64")
 			}
@@ -166,9 +280,39 @@ func (d *appendDecoder) ints(p *[]int64) error {
 	}
 }
 
+// intAt reads the JSON integer at data[i:] that fits an int64 — no
+// fraction, exponent or leading zero — and returns it with the offset past
+// it, or reports false with the offset of its first digit.
+func intAt(data []byte, i int) (v int64, end int, ok bool) {
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	start, n := i, uint64(0)
+	for ; i < len(data) && data[i]-'0' < 10; i++ {
+		n = n*10 + uint64(data[i]-'0')
+	}
+	if !intFits(data, start, i, n, neg) {
+		return 0, start, false
+	}
+	if v = int64(n); neg {
+		v = -v
+	}
+	return v, i, true
+}
+
+// intFits reports whether the digits data[start:i], accumulated into n, are
+// a JSON integer whose value (negated when neg) fits an int64. Past 19
+// digits the accumulator may wrap; a leading zero is not JSON.
+func intFits(data []byte, start, i int, n uint64, neg bool) bool {
+	digits := i - start
+	return digits > 0 && digits <= 19 && (n < 1<<63 || n == 1<<63 && neg) && (digits == 1 || data[start] != '0') &&
+		(i == len(data) || data[i] != '.' && data[i]|0x20 != 'e')
+}
+
 // strs reads "strs": null or an array of strings, through plainStrs when it
 // applies and element by element, each a fresh copy, when it does not.
-func (d *appendDecoder) strs(p *[]string) error {
+func (d *bodyDecoder) strs(p *[]string) error {
 	if d.peek() == '[' && d.plainStrs(p) {
 		return nil
 	}
@@ -199,7 +343,7 @@ func (d *appendDecoder) strs(p *[]string) error {
 // pass checks the tokens and finds the closing ']'; then the array is copied
 // once and each element cut from the copy at its closing quote, into the
 // slots as the per-element path fills them.
-func (d *appendDecoder) plainStrs(p *[]string) bool {
+func (d *bodyDecoder) plainStrs(p *[]string) bool {
 	data, i, n := d.data, d.off+1, 0
 	for {
 		// data[i] should be a token's opening quote.
@@ -263,7 +407,7 @@ func plainEnd(data []byte, i, end int) int {
 }
 
 // object reads null (a no-op) or an object; field consumes each key's value.
-func (d *appendDecoder) object(depth int, field func(key []byte) error) error {
+func (d *bodyDecoder) object(depth int, field func(key []byte) error) error {
 	if d.lit("null") {
 		return nil
 	}
@@ -280,7 +424,7 @@ func (d *appendDecoder) object(depth int, field func(key []byte) error) error {
 }
 
 // seq reads open, comma-separated items (item consumes one), and close.
-func (d *appendDecoder) seq(depth int, open, close string, item func() error) error {
+func (d *bodyDecoder) seq(depth int, open, close string, item func() error) error {
 	if depth > 10000 || !d.lit(open) { // encoding/json's nesting limit
 		return d.fail(open + " within 10000 levels")
 	}
@@ -304,7 +448,7 @@ func (d *appendDecoder) seq(depth int, open, close string, item func() error) er
 }
 
 // skip reads one value of any type in a container at depth.
-func (d *appendDecoder) skip(depth int) error {
+func (d *bodyDecoder) skip(depth int) error {
 	switch d.peek() {
 	case '{':
 		return d.object(depth+1, func([]byte) error { return d.skip(depth + 1) })
@@ -327,7 +471,7 @@ func (d *appendDecoder) skip(depth int) error {
 }
 
 // str reads a string as a fresh copy.
-func (d *appendDecoder) str(p *string) error {
+func (d *bodyDecoder) str(p *string) error {
 	b, err := d.text()
 	*p = string(b)
 	return err
@@ -336,7 +480,7 @@ func (d *appendDecoder) str(p *string) error {
 // text reads a string token: a view of the body for plain ASCII without a
 // backslash or control byte, else json.Unmarshal of the token alone, which
 // validates it and decodes escapes, surrogates and invalid UTF-8 (U+FFFD).
-func (d *appendDecoder) text() ([]byte, error) {
+func (d *bodyDecoder) text() ([]byte, error) {
 	if d.peek() != '"' {
 		return nil, d.fail("a string")
 	}
@@ -361,7 +505,7 @@ func (d *appendDecoder) text() ([]byte, error) {
 }
 
 // lit consumes s if it comes next.
-func (d *appendDecoder) lit(s string) bool {
+func (d *bodyDecoder) lit(s string) bool {
 	if d.peek() != s[0] || len(d.data)-d.off < len(s) || string(d.data[d.off:d.off+len(s)]) != s {
 		return false
 	}
@@ -371,7 +515,7 @@ func (d *appendDecoder) lit(s string) bool {
 
 // peek skips whitespace and returns the next byte, or 0 at the end — which
 // no grammar rule accepts. Every value reader starts with it.
-func (d *appendDecoder) peek() byte {
+func (d *bodyDecoder) peek() byte {
 	if d.off = space(d.data, d.off); d.off < len(d.data) {
 		return d.data[d.off]
 	}
@@ -387,6 +531,85 @@ func space(data []byte, i int) int {
 	return i
 }
 
-func (d *appendDecoder) fail(want string) error {
-	return fmt.Errorf("append body: offset %d: want %s", d.off, want)
+func (d *bodyDecoder) fail(want string) error {
+	return fmt.Errorf("%s: offset %d: want %s", d.kind, d.off, want)
+}
+
+// appendQueryResponse appends r as JSON to b, byte for byte what json.Marshal
+// writes (FuzzQueryReply is the oracle): the fields in order, omitempty,
+// encoding/json's float format and its HTML-safe string escaping. A NaN or
+// infinite float is json.Marshal's error.
+func appendQueryResponse(b []byte, r *QueryResponse) ([]byte, error) {
+	for _, f := range [...]float64{r.LatencyNs, r.BestLatencyNs, r.SerialLatencyNs, r.Speedup} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			_, err := json.Marshal(*r)
+			return b, err
+		}
+	}
+	// Every field is written with a leading comma; the first one's becomes
+	// the opening brace ("query" is never omitted, so there is a first).
+	start := len(b)
+	if r.Session != "" {
+		b = appendJSONString(append(b, `,"session":`...), r.Session)
+	}
+	if r.Fingerprint != "" {
+		b = appendJSONString(append(b, `,"fingerprint":`...), r.Fingerprint)
+	}
+	b = appendJSONString(append(b, `,"query":`...), r.Query)
+	if r.Tenant != "" {
+		b = appendJSONString(append(b, `,"tenant":`...), r.Tenant)
+	}
+	b = strconv.AppendInt(append(b, `,"shard":`...), int64(r.Shard), 10)
+	b = appendJSONString(append(b, `,"state":`...), r.State)
+	b = strconv.AppendInt(append(b, `,"run":`...), int64(r.Run), 10)
+	b = strconv.AppendBool(append(b, `,"cache_hit":`...), r.CacheHit)
+	b = appendJSONFloat(append(b, `,"latency_ns":`...), r.LatencyNs)
+	if r.BestLatencyNs != 0 {
+		b = appendJSONFloat(append(b, `,"best_latency_ns":`...), r.BestLatencyNs)
+	}
+	if r.SerialLatencyNs != 0 {
+		b = appendJSONFloat(append(b, `,"serial_latency_ns":`...), r.SerialLatencyNs)
+	}
+	if r.Speedup != 0 {
+		b = appendJSONFloat(append(b, `,"speedup":`...), r.Speedup)
+	}
+	b = strconv.AppendInt(append(b, `,"dop":`...), int64(r.DOP), 10)
+	b = strconv.AppendInt(append(b, `,"max_cores":`...), int64(r.MaxCores), 10)
+	b = strconv.AppendInt(append(b, `,"num_values":`...), int64(r.NumValues), 10)
+	if r.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	b[start] = '{'
+	return append(b, '}'), nil
+}
+
+// appendJSONString appends s as a JSON string: as it is when it is printable
+// ASCII that needs no escape (HTML-safe: not '<', '>' or '&'), else through
+// json.Marshal on its own.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends a finite f as encoding/json does: like
+// strconv's shortest 'f', with 'e' below 1e-6 and from 1e21, and an
+// exponent's leading zero dropped.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }

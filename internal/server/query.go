@@ -10,7 +10,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -81,22 +80,20 @@ func (sp *SelectSumSpec) pred() algebra.Range {
 	}
 }
 
-// key renders the spec's canonical identity for fingerprinting — the spec
-// fields already determine the plan, so there is no need to build and
-// render a plan per request just to compute the cache key. Built with
-// append, not Sprintf: this runs on every select_sum/select_rows request.
-// prefix namespaces the two query shapes sharing this spec type.
-func (sp *SelectSumSpec) key(prefix string) string {
-	buf := make([]byte, 0, 48+len(prefix)+len(sp.Table)+len(sp.Column))
-	buf = append(buf, prefix...)
+// appendKey appends the spec's canonical identity for fingerprinting — the
+// spec fields already determine the plan, so there is no need to build and
+// render a plan per request just to compute the cache key. shape namespaces
+// the two query shapes sharing this spec type.
+func (sp *SelectSumSpec) appendKey(buf []byte, shape string) []byte {
+	buf = append(buf, shape...)
+	buf = append(buf, ':')
 	buf = append(buf, sp.Table...)
 	buf = append(buf, ':')
 	buf = append(buf, sp.Column...)
 	buf = append(buf, ':')
 	buf = appendBound(buf, sp.Lo)
 	buf = append(buf, ':')
-	buf = appendBound(buf, sp.Hi)
-	return string(buf)
+	return appendBound(buf, sp.Hi)
 }
 
 func appendBound(buf []byte, p *int64) []byte {
@@ -179,14 +176,15 @@ type dispatchErr struct {
 // encode over one pooled buffer, which holds the request body first and the
 // reply after. A federated daemon's route stage sees the request decoded and
 // resolved once, before any quota or engine work: a fingerprint another node
-// owns is relayed from there and never reaches dispatch.
+// owns is relayed from there and never reaches dispatch. A successful request
+// calls no encoding/json and resolves without allocating on a cache hit.
 func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 	var (
 		req  QueryRequest
 		resp QueryResponse
 		vals []exec.Value
 	)
-	if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return json.Unmarshal(data, &req) }) {
+	if !s.readBody(b, w, r, maxRequestBody, func(data []byte) error { return decodeQuery(data, &req) }) {
 		return
 	}
 	t, derr := s.resolve(r.Header.Get("X-APQ-Tenant"), &req)
@@ -211,12 +209,8 @@ func (s *Server) handleQuery(b *ioBuf, w http.ResponseWriter, r *http.Request) {
 // target is a request resolved against its tenant's dataset: what dispatch
 // serves, and the fingerprint the federation routes by.
 type target struct {
-	tn   *tenantState
-	name string
-	fp   string
-	// build is deferred: plancache only calls it on a fingerprint miss, so
-	// the hot cached path never constructs a plan.
-	build func() (*plan.Plan, error)
+	tn *tenantState
+	fpEntry
 }
 
 // dispatch runs one resolved query request through the rest of the serve
@@ -277,19 +271,23 @@ func (s *Server) dispatch(ctx context.Context, t target, req *QueryRequest, forc
 	}
 }
 
-// fpEntry is one cached (display name, fingerprint) resolution.
+// fpEntry is one cached resolution: the display name, the fingerprint and
+// the plan builder, made once on the miss. build is deferred: plancache only
+// calls it on its own miss, so the hot cached path never constructs a plan.
 type fpEntry struct {
 	name, fp string
+	build    func() (*plan.Plan, error)
 }
 
 // maxFPCache bounds the fingerprint cache; ad-hoc specs are unbounded in
 // principle, so the cache resets rather than grow without limit.
 const maxFPCache = 4096
 
-// fingerprintFor memoizes the query-identity hash for a resolution key.
-func (s *Server) fingerprintFor(key string, derive func() fpEntry) fpEntry {
+// fingerprintFor memoizes a resolution by its key. A hit allocates nothing:
+// the caller builds key in a stack buffer, and only a miss stores a copy.
+func (s *Server) fingerprintFor(key []byte, derive func() fpEntry) fpEntry {
 	s.fpMu.Lock()
-	e, ok := s.fpCache[key]
+	e, ok := s.fpCache[string(key)]
 	s.fpMu.Unlock()
 	if ok {
 		return e
@@ -299,19 +297,9 @@ func (s *Server) fingerprintFor(key string, derive func() fpEntry) fpEntry {
 	if len(s.fpCache) >= maxFPCache {
 		s.fpCache = make(map[string]fpEntry)
 	}
-	s.fpCache[key] = e
+	s.fpCache[string(key)] = e
 	s.fpMu.Unlock()
 	return e
-}
-
-// fpCacheKey namespaces a fingerprint-cache key by tenant. The default
-// tenant keeps the bare key (no per-request concatenation on the
-// single-tenant hot path); named tenants prefix their name.
-func (s *Server) fpCacheKey(tn *tenantState, key string) string {
-	if tn.def {
-		return key
-	}
-	return tn.Name + "\x00" + key
 }
 
 // resolve maps a request to its target: the tenant — the body's "tenant"
@@ -328,7 +316,7 @@ func (s *Server) resolve(hdrTenant string, req *QueryRequest) (target, *dispatch
 		return target{}, &dispatchErr{code: http.StatusNotFound, err: err}
 	}
 	t := target{tn: tn}
-	if t.name, t.fp, t.build, err = s.resolveQuery(tn, req); err != nil {
+	if t.fpEntry, err = s.resolveQuery(tn, req); err != nil {
 		// A routed request, refused before the quota takes it.
 		tn.requests.Add(1)
 		tn.noteErr()
@@ -337,26 +325,35 @@ func (s *Server) resolve(hdrTenant string, req *QueryRequest) (target, *dispatch
 	return t, nil
 }
 
-// resolveQuery maps a request to (query name, fingerprint, plan builder)
+// resolveQuery maps a request to its (query name, fingerprint, plan builder)
 // against its tenant's dataset.
-func (s *Server) resolveQuery(tn *tenantState, req *QueryRequest) (name, fp string, build func() (*plan.Plan, error), err error) {
+func (s *Server) resolveQuery(tn *tenantState, req *QueryRequest) (fpEntry, error) {
 	bench := req.Benchmark
 	if bench == "" {
 		bench = tn.Benchmark
 	}
 	if bench != tn.Benchmark {
-		return "", "", nil, fmt.Errorf("tenant %q serves %q, not %q", tn.displayName(), tn.Benchmark, bench)
+		return fpEntry{}, fmt.Errorf("tenant %q serves %q, not %q", tn.displayName(), tn.Benchmark, bench)
 	}
+	// The fingerprint-cache key: the default tenant's is the bare query
+	// identity, a named tenant's is prefixed name + NUL (RemoveTenant drops
+	// a tenant's keys by that prefix).
+	var buf [128]byte
+	key := buf[:0]
+	if !tn.def {
+		key = append(append(key, tn.Name...), 0)
+	}
+	id := len(key)
 	if req.SelectSum != nil || req.SelectRows != nil {
 		if req.Query != 0 || (req.SelectSum != nil && req.SelectRows != nil) {
-			return "", "", nil, errors.New("set exactly one of query, select_sum, or select_rows")
+			return fpEntry{}, errors.New("set exactly one of query, select_sum, or select_rows")
 		}
 		shape, sel := "select_sum", req.SelectSum
 		if req.SelectRows != nil {
 			shape, sel = "select_rows", req.SelectRows
 		}
 		if sel.Table == "" || sel.Column == "" {
-			return "", "", nil, fmt.Errorf("%s needs table and column", shape)
+			return fpEntry{}, fmt.Errorf("%s needs table and column", shape)
 		}
 		// Validate against the tenant's live catalog before the plan can
 		// reach the cache: a bad spec must be a 400, not a cache insertion
@@ -365,20 +362,20 @@ func (s *Server) resolveQuery(tn *tenantState, req *QueryRequest) (name, fp stri
 		// loaded pointer needs no lock.
 		tbl, err := tn.curCatalog().Table(sel.Table)
 		if err != nil {
-			return "", "", nil, err
+			return fpEntry{}, err
 		}
 		if _, err := tbl.Column(sel.Column); err != nil {
-			return "", "", nil, err
+			return fpEntry{}, err
 		}
-		spec, rows := *sel, req.SelectRows != nil
-		e := s.fingerprintFor(s.fpCacheKey(tn, spec.key(shape+":")), func() fpEntry {
+		key = sel.appendKey(key, shape)
+		return s.fingerprintFor(key, func() fpEntry {
+			spec, rows := *sel, req.SelectRows != nil
 			return fpEntry{
-				name: fmt.Sprintf("%s(%s.%s)", shape, spec.Table, spec.Column),
-				fp:   plancache.Fingerprint(tn.DBIdentity, spec.key(shape+":")),
+				name:  fmt.Sprintf("%s(%s.%s)", shape, spec.Table, spec.Column),
+				fp:    plancache.Fingerprint(tn.DBIdentity, string(key[id:])),
+				build: func() (*plan.Plan, error) { return spec.build(rows), nil },
 			}
-		})
-		return e.name, e.fp,
-			func() (*plan.Plan, error) { return spec.build(rows), nil }, nil
+		}), nil
 	}
 	var (
 		lookup  func(int) (*plan.Plan, error)
@@ -392,19 +389,22 @@ func (s *Server) resolveQuery(tn *tenantState, req *QueryRequest) (name, fp stri
 	}
 	n := req.Query
 	if n == 0 {
-		return "", "", nil, errors.New("missing query number")
+		return fpEntry{}, errors.New("missing query number")
 	}
 	// Validate by number only — building the plan here would put full plan
 	// construction on every cached request's path.
 	if !slices.Contains(numbers, n) {
-		return "", "", nil, fmt.Errorf("%s: query %d not implemented", bench, n)
+		return fpEntry{}, fmt.Errorf("%s: query %d not implemented", bench, n)
 	}
-	e := s.fingerprintFor(s.fpCacheKey(tn, bench+":q"+strconv.Itoa(n)), func() fpEntry {
-		name := fmt.Sprintf("%s:q%d", bench, n)
-		return fpEntry{name: name, fp: plancache.Fingerprint(tn.DBIdentity, name)}
-	})
-	return e.name, e.fp,
-		func() (*plan.Plan, error) { return lookup(n) }, nil
+	key = strconv.AppendInt(append(append(key, bench...), ":q"...), int64(n), 10)
+	return s.fingerprintFor(key, func() fpEntry {
+		name := string(key[id:])
+		return fpEntry{
+			name:  name,
+			fp:    plancache.Fingerprint(tn.DBIdentity, name),
+			build: func() (*plan.Plan, error) { return lookup(n) },
+		}
+	}), nil
 }
 
 // flightKey identifies requests that may share one engine run: the
@@ -634,19 +634,22 @@ func (s *Server) serveSerial(ctx context.Context, tn *tenantState, sh *shard, re
 // encode writes the success reply: the JSON metadata, or — when the request
 // negotiated results — the same metadata framed inside APQRESULT followed by
 // every result value streamed chunk-by-chunk straight from the published
-// immutable buffers (result.go). Errors always go out as JSON; only success
-// bodies change representation.
+// immutable buffers (result.go). The metadata is appendQueryResponse's, staged
+// in the pooled buffer the body is done with. Errors always go out as JSON;
+// only success bodies change representation.
 func (s *Server) encode(b *ioBuf, w http.ResponseWriter, results bool, resp QueryResponse, vals []exec.Value) {
-	if !results {
-		b.reply(w, http.StatusOK, resp)
-		return
-	}
-	meta, err := json.Marshal(&resp)
+	b.buf.Reset()
+	meta, err := appendQueryResponse(b.buf.AvailableBuffer(), &resp)
 	if err != nil {
 		s.writeErr(b, w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", ResultContentType)
+	if !results {
+		b.buf.Write(append(meta, '\n'))
+		b.send(w, http.StatusOK)
+		return
+	}
+	w.Header()["Content-Type"] = resultContentType
 	n, _ := writeResult(w, meta, vals)
 	// A mid-stream write error means the client hung up; the bytes that
 	// made it out still count.

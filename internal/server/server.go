@@ -353,10 +353,11 @@ func (s *Server) handle(path, method string, h func(*ioBuf, http.ResponseWriter,
 }
 
 // readBody drains the request body, bounded by limit, into the pooled buffer
-// and hands it to parse — json.Unmarshal, decodeAppend for /admin/append,
-// store.DecodeRecords for /cluster/replicate. Every POST body comes through
-// here: over the limit is a 413, and a refusal a 400, both written here; it
-// reports whether the handler goes on.
+// and hands it to parse — the body scanner's decodeQuery for /query and
+// decodeAppend for /admin/append, store.DecodeRecords for
+// /cluster/replicate, json.Unmarshal for the rest. Every POST body comes
+// through here: over the limit is a 413, and a refusal a 400, both written
+// here; it reports whether the handler goes on.
 func (s *Server) readBody(b *ioBuf, w http.ResponseWriter, r *http.Request, limit int64, parse func([]byte) error) bool {
 	_, err := b.buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	if err == nil {
@@ -463,10 +464,9 @@ type errorResponse struct {
 
 // ioBuf is the pooled per-request I/O state: one buffer for draining the
 // request body before decoding and for staging the JSON reply, plus an
-// encoder bound to it. Request decoding dominates the serve hot path at
-// small scale factors (ROADMAP), and json.NewDecoder/NewEncoder per request
-// re-allocated both every time; the pool makes the HTTP framing
-// allocation-free in steady state.
+// encoder bound to it for every reply but a successful /query's, which
+// appendQueryResponse writes into the buffer itself. The pool makes the
+// HTTP framing allocation-free in steady state.
 type ioBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -498,6 +498,14 @@ func putIOBuf(b *ioBuf) {
 	}
 }
 
+// The replies' Content-Type values, shared: assigning one allocates nothing,
+// where Header().Set makes a slice per reply. net/http and httptest copy
+// header values before they write them.
+var (
+	jsonContentType   = []string{"application/json"}
+	resultContentType = []string{ResultContentType}
+)
+
 // reply stages v through the pooled buffer and writes it in one call.
 func (b *ioBuf) reply(w http.ResponseWriter, code int, v any) {
 	b.buf.Reset()
@@ -509,7 +517,12 @@ func (b *ioBuf) reply(w http.ResponseWriter, code int, v any) {
 		writeJSONError(w, http.StatusInternalServerError, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	b.send(w, code)
+}
+
+// send writes the reply staged in the pooled buffer.
+func (b *ioBuf) send(w http.ResponseWriter, code int) {
+	w.Header()["Content-Type"] = jsonContentType
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
@@ -541,7 +554,7 @@ func (s *Server) writeErr(b *ioBuf, w http.ResponseWriter, code int, err error) 
 // writeJSONError writes an errorResponse without a pooled buffer — the
 // last-resort error path for when staging the real reply itself failed.
 func writeJSONError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	msg, merr := json.Marshal(errorResponse{Error: err.Error()})
 	if merr != nil {
