@@ -75,6 +75,14 @@ func BenchmarkFetchInto(b *testing.B) {
 	// Clipped: the view ends inside the ascending list, the boundary drop
 	// every misaligned partition clone pays (§2.3).
 	clipped := col.View(0, col.Len()/2)
+	// Outside: the list lies in the view's lower half and the target is its
+	// upper half, so the fetch keeps nothing.
+	lower, _ := SelectInto(nil, clipped, LessThan(48))
+	upper := col.View(col.Len()/2, col.Len())
+	// Descent-last: ascending but for its last oid, the costliest fallback
+	// from the one-pass path.
+	descent := append([]int64(nil), ascending...)
+	descent[len(descent)-1] = descent[0]
 	for _, bc := range []struct {
 		name   string
 		oids   []int64
@@ -82,7 +90,9 @@ func BenchmarkFetchInto(b *testing.B) {
 	}{
 		{"ascending", ascending, col},
 		{"ascending-clipped", ascending, clipped},
+		{"ascending-outside", lower, upper},
 		{"shuffled", shuffled, col},
+		{"descent-last", descent, col},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			dst := make([]int64, len(bc.oids))

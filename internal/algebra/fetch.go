@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -41,16 +42,68 @@ func fetchWork(oids, aligned []int64, ascending bool, footprint int64) Work {
 // so callers (and tests) can assert when strict containment is expected. dst
 // must hold at least the aligned oid count; len(oids) always suffices.
 //
-// The oid list is read twice and nothing is allocated for ascending lists:
-// one storage.AlignOids pass trims the boundary overshoot (a sub-slice) and
-// classifies the access pattern, then the values are gathered by position.
+// An ascending oid list (a selection vector) is read once and nothing is
+// allocated: fetchAscending aligns it by binary search inside the gather.
+// Any other list (a join side, or drops interleaved with kept oids) fails a
+// check there and takes the general path, which overwrites dst: one
+// storage.AlignOids pass trims and classifies, then a gather by position.
 func FetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, int) {
+	if run, ok := fetchAscending(dst, oids, target); ok {
+		return len(run), fetchWork(oids, run, true, target.Bytes()), len(oids) - len(run)
+	}
 	aligned, dropped, ascending := storage.AlignOids(oids, target.Seq(), target.EndSeq())
 	if len(dst) < len(aligned) {
 		panic(fmt.Sprintf("algebra: FetchInto dst %d too small for %d aligned oids", len(dst), len(aligned)))
 	}
 	gather(dst, aligned, target)
 	return len(aligned), fetchWork(oids, aligned, ascending, target.Bytes()), dropped
+}
+
+// fetchAscending is FetchInto's one pass: two binary searches find the run
+// of oids between the view's first oid and its end, gatherRun checks and
+// gathers it (first, so an unsorted list fails fast), and a branch-free count
+// finds no in-view oid around it. Then (ok) the run is AlignOids' kept list,
+// ascending; otherwise dst may hold part of a gather.
+func fetchAscending(dst, oids []int64, target *storage.Column) (run []int64, ok bool) {
+	vals, seq := target.Values(), target.Seq()
+	lo, _ := slices.BinarySearch(oids, seq)
+	n, _ := slices.BinarySearch(oids[lo:], seq+int64(len(vals)))
+	run = oids[lo : lo+n]
+	ok = gatherRun(dst, run, vals, seq) &&
+		countInView(oids[:lo], vals, seq) == 0 && countInView(oids[lo+n:], vals, seq) == 0
+	return run, ok
+}
+
+// gatherRun writes the value at every oid of run into dst and reports
+// whether each lies in the view and is not below its predecessor, stopping
+// at the first that does not. A run longer than len(dst) is refused: the
+// length, not the capacity, bounds it, because a partition clone's dst is a
+// window of its pack group's shared buffer and what lies past it is a
+// sibling's. The in-view test is the bounds check.
+func gatherRun(dst, run, vals []int64, seq int64) bool {
+	if len(run) > len(dst) {
+		return false
+	}
+	dst = dst[:len(run)]
+	prev := seq
+	for i, o := range run {
+		if uint64(o-seq) >= uint64(len(vals)) || o < prev {
+			return false
+		}
+		dst[i], prev = vals[o-seq], o
+	}
+	return true
+}
+
+// countInView counts the oids that address the view vals starts at seq.
+func countInView(oids, vals []int64, seq int64) int {
+	c := 0
+	for _, o := range oids {
+		if uint64(o-seq) < uint64(len(vals)) {
+			c++
+		}
+	}
+	return c
 }
 
 // gather writes target's value at every aligned oid into dst[:len(aligned)],

@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -37,6 +38,67 @@ func TestFetchAlignsMisalignedBoundaries(t *testing.T) {
 	_, _, dropped := fetch([]int64{2, 4, 5, 7, 8}, target)
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1 (row id 8 outside [1,8))", dropped)
+	}
+}
+
+// FetchShape is an oid list over a view and whether FetchInto's one-pass
+// path takes it. The shapes reach every exit of fetchAscending;
+// TestKernelsMatchReference and FuzzSelectKernels run them against the
+// reference too.
+type FetchShape struct {
+	Name  string
+	Oids  []int64
+	Taken bool
+}
+
+// FetchShapes returns the shapes over the view [seq, end). Taken is right
+// for a view of at least six oids.
+func FetchShapes(seq, end int64) []FetchShape {
+	mid := seq + (end-seq)/2
+	return []FetchShape{
+		{"empty", nil, true},
+		{"below", []int64{seq - 9, seq - 3, seq - 1}, true},
+		{"above", []int64{end, end + 2, end + 7}, true},
+		{"straddling", []int64{seq - 2, seq - 1, seq, mid, end - 1, end, end + 3}, true},
+		{"inside", []int64{seq, seq + 1, mid, end - 1}, true},
+		{"duplicates at both boundaries", []int64{seq - 1, seq - 1, seq, seq, mid, end - 1, end - 1, end, end}, true},
+		{"shuffled", []int64{mid, seq, end - 1, seq + 1}, false},
+		{"descent at the first kept oid", []int64{seq - 1, seq + 1, seq, mid, end - 1, end}, false},
+		{"descent at a middle kept oid", []int64{seq - 1, seq, mid, seq + 1, end - 1, end}, false},
+		{"descent at the last kept oid", []int64{seq - 1, seq, seq + 1, mid, mid - 1, end}, false},
+		{"in-view oid in the dropped prefix", []int64{mid, seq - 3, seq - 1, seq, end - 1}, false},
+		{"in-view oid in the dropped suffix", []int64{seq, seq + 1, end, end + 2, mid}, false},
+	}
+}
+
+// An ascending list must be fetched in one pass; a silent fall back to
+// AlignOids and a second pass would keep every result right and lose the
+// speed, so the path taken is pinned here, exit by exit.
+func TestFetchAscendingExits(t *testing.T) {
+	vals := make([]int64, 40)
+	for i := range vals {
+		vals[i] = int64(100 + i)
+	}
+	target := storage.NewIntColumn("rt", vals).View(10, 20)
+	for _, s := range FetchShapes(10, 20) {
+		if _, ok := fetchAscending(make([]int64, len(s.Oids)), s.Oids, target); ok != s.Taken {
+			t.Errorf("%s %v: one-pass path taken = %v, want %v", s.Name, s.Oids, ok, s.Taken)
+		}
+	}
+
+	// A kept run longer than dst is refused by dst's length, not its
+	// capacity: past the window lies a sibling clone's output.
+	buf := []int64{-7, -7, -7, -7, -7, -7, -7, -7}
+	if _, ok := fetchAscending(buf[:3], []int64{10, 11, 15, 19}, target); ok || !slices.Equal(buf[3:], []int64{-7, -7, -7, -7, -7}) {
+		t.Fatalf("a 4-oid run into a 3-slot window: taken = %v, buffer %v", ok, buf)
+	}
+
+	// The searches confine the run for any list; gatherRun's in-view test
+	// still keeps a run that is not confined from reading past the view.
+	for _, run := range [][]int64{{9}, {10, 20}, {19, 35}} {
+		if gatherRun(make([]int64, len(run)), run, target.Values(), target.Seq()) {
+			t.Errorf("gatherRun accepted %v over the view [10,20)", run)
+		}
 	}
 }
 

@@ -14,8 +14,10 @@ import (
 // SelectWithCandsInto and FetchInto must agree with the naive loop over it
 // value for value — for any Range (sentinels, exclusive bounds at the int64
 // edges, lo > hi), any view offset (Seq() != 0), any candidate list
-// (ascending, shuffled, overshooting both view boundaries) and any state of
-// the destination buffer (nil, too small, recycled with stale contents).
+// (ascending, shuffled, overshooting both view boundaries, or one of
+// FetchShapes) and any state of the destination buffer (nil, too small,
+// recycled with stale contents). FetchInto's Work must classify the kept
+// oids' order as the reference does.
 func FuzzSelectKernels(f *testing.F) {
 	for i, r := range []Range{
 		FullRange(), Eq(3), Between(2, 5), HalfOpen(2, 5), LessThan(3), AtMost(3), GreaterThan(3), AtLeast(3),
@@ -32,6 +34,12 @@ func FuzzSelectKernels(f *testing.F) {
 		AtLeast(math.MaxInt64), AtMost(math.MinInt64),
 	} {
 		f.Add(r.Lo, r.Hi, r.LoIncl, r.HiIncl, int64(i), uint16(17*i), uint8(i), uint8(i/3))
+	}
+	// A candMode of 128 or more fetches one of FetchShapes' lists, every exit
+	// of FetchInto's one-pass path; seed 2552 draws an empty view.
+	for i := range FetchShapes(0, 0) {
+		f.Add(int64(10), int64(50), true, false, int64(i), uint16(5*i), uint8(i), uint8(128+i))
+		f.Add(int64(10), int64(50), true, false, int64(2552), uint16(5*i), uint8(i), uint8(128+i))
 	}
 	f.Fuzz(func(t *testing.T, lo, hi int64, loIncl, hiIncl bool, seed int64, offset uint16, dstMode, candMode uint8) {
 		pred := Range{Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl}
@@ -87,10 +95,13 @@ func FuzzSelectKernels(f *testing.F) {
 				break
 			}
 		}
-		switch candMode % 3 {
-		case 1:
+		switch {
+		case candMode >= 128:
+			shapes := FetchShapes(seq, view.EndSeq())
+			cands = shapes[int(candMode-128)%len(shapes)].Oids
+		case candMode%3 == 1:
 			r.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		case 2: // in-view candidates only: nothing to drop
+		case candMode%3 == 2: // in-view candidates only: nothing to drop
 			in := cands[:0]
 			for _, oid := range cands {
 				if oid >= seq && oid < view.EndSeq() {
@@ -99,13 +110,14 @@ func FuzzSelectKernels(f *testing.F) {
 			}
 			cands = in
 		}
-		var wantOids, wantVals []int64
+		var wantOids, wantVals, kept []int64
 		wantDropped := 0
 		for _, oid := range cands {
 			if oid < seq || oid >= view.EndSeq() {
 				wantDropped++
 				continue
 			}
+			kept = append(kept, oid)
 			wantVals = append(wantVals, vals[oid-seq])
 			if pred.Matches(vals[oid-seq]) {
 				wantOids = append(wantOids, oid)
@@ -116,11 +128,24 @@ func FuzzSelectKernels(f *testing.F) {
 			t.Fatalf("SelectWithCandsInto(%+v, %v) over view [%d,%d) = %v dropped %d, want %v dropped %d",
 				pred, cands, seq, view.EndSeq(), gotOids, dropped, wantOids, wantDropped)
 		}
-		fetched := make([]int64, len(cands))
-		k, _, dropped := FetchInto(fetched, cands, view)
-		if !slices.Equal(fetched[:k], wantVals) || dropped != wantDropped {
-			t.Fatalf("FetchInto(%v) over view [%d,%d) = %v dropped %d, want %v dropped %d",
-				cands, seq, view.EndSeq(), fetched[:k], dropped, wantVals, wantDropped)
+		// The fetch writes into a window sized to the kept oids; the slots
+		// past it belong to a sibling and must keep their contents.
+		buf := make([]int64, len(wantVals)+8)
+		for i := range buf {
+			buf[i] = -7
+		}
+		k, w, dropped := FetchInto(buf[:len(wantVals)], cands, view)
+		nk := int64(len(kept))
+		wantW := Work{
+			BytesSeqRead: int64(len(cands)) * 8, BytesWritten: nk * 8, TuplesIn: int64(len(cands)),
+			TuplesOut: nk, FootprintBytes: view.Bytes(), MemClaimBytes: nk * 8,
+		}
+		if !slices.IsSorted(kept) {
+			wantW.BytesRandRead = nk * 8
+		}
+		if !slices.Equal(buf[:k], wantVals) || dropped != wantDropped || w != wantW || slices.ContainsFunc(buf[len(wantVals):], func(v int64) bool { return v != -7 }) {
+			t.Fatalf("FetchInto(%v) over view [%d,%d) = %v dropped %d work %+v (window tail %v), want %v dropped %d work %+v",
+				cands, seq, view.EndSeq(), buf[:k], dropped, w, buf[len(wantVals):], wantVals, wantDropped, wantW)
 		}
 	})
 }

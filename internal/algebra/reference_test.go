@@ -347,18 +347,29 @@ func TestKernelsMatchReference(t *testing.T) {
 					}
 				}
 
-				for _, oids := range [][]int64{asc, shuf} {
-					want, got := make([]int64, len(oids)), make([]int64, len(oids))
-					wn, ww, wd := refFetchInto(want, oids, view)
-					gn, gw, gd := FetchInto(got, oids, view)
-					if gn != wn || gw != ww || gd != wd || !slices.Equal(got[:gn], want[:wn]) {
-						t.Fatalf("%s FetchInto: n %d dropped %d work %+v, want n %d dropped %d work %+v", at, gn, gd, gw, wn, wd, ww)
-					}
-					// A recycled destination: longer than needed.
-					long := make([]int64, len(oids)+3)
-					fn, fw, fd := FetchInto(long, oids, view)
-					if fw != ww || fd != wd || !slices.Equal(long[:fn], want[:wn]) {
-						t.Fatalf("%s FetchInto(long): n %d dropped %d work %+v, want n %d dropped %d work %+v", at, fn, fd, fw, wn, wd, ww)
+				// Beside the whole-column lists, the shapes that reach every
+				// exit of the one-pass path, over this view and over an
+				// empty one.
+				lists := [][]int64{asc, shuf}
+				for _, s := range FetchShapes(view.Seq(), view.EndSeq()) {
+					lists = append(lists, s.Oids)
+				}
+				for _, target := range []*storage.Column{view, col.View(p[0], p[0])} {
+					for li, oids := range lists {
+						want, got := make([]int64, len(oids)), make([]int64, len(oids))
+						wn, ww, wd := refFetchInto(want, oids, target)
+						gn, gw, gd := FetchInto(got, oids, target)
+						if gn != wn || gw != ww || gd != wd || !slices.Equal(got[:gn], want[:wn]) {
+							t.Fatalf("%s list %d over [%d,%d) FetchInto: n %d dropped %d work %+v, want n %d dropped %d work %+v",
+								at, li, target.Seq(), target.EndSeq(), gn, gd, gw, wn, wd, ww)
+						}
+						// A recycled destination: longer than needed.
+						long := make([]int64, len(oids)+3)
+						fn, fw, fd := FetchInto(long, oids, target)
+						if fw != ww || fd != wd || !slices.Equal(long[:fn], want[:wn]) {
+							t.Fatalf("%s list %d over [%d,%d) FetchInto(long): n %d dropped %d work %+v, want n %d dropped %d work %+v",
+								at, li, target.Seq(), target.EndSeq(), fn, fd, fw, wn, wd, ww)
+						}
 					}
 				}
 
@@ -445,7 +456,8 @@ func TestSelectLikeMatchesReference(t *testing.T) {
 // Every …Into kernel runs allocation-free once its destination is warm —
 // the hot-path contract the serve alloc budgets rest on — including an
 // ascending oid list that overshoots the view (the boundary drop used to
-// allocate the trimmed list on every request).
+// allocate the trimmed list on every request), one that misses it wholly,
+// and a shuffled list on the general path.
 func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 	cat := tpch.Generate(tpch.Config{SF: 0.1, Seed: 11})
 	col := cat.MustTable("lineitem").MustColumn("l_quantity")
@@ -456,6 +468,11 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 
 	cands, _ := SelectInto(nil, col, AtLeast(10)) // ascending, overshoots view on both sides
 	oids, _ := SelectInto(nil, view, pred)
+	// An ascending list that lies wholly below its view, and a shuffled
+	// list, which takes the general path.
+	idle := col.View(col.Len()-100, col.Len())
+	shuffled := slices.Clone(oids)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 	refined, _, dropped := SelectWithCandsInto(nil, view, pred, cands)
 	if dropped == 0 {
 		t.Fatal("candidate list does not overshoot the view; the boundary-drop case is not covered")
@@ -472,6 +489,8 @@ func TestIntoKernelsDoNotAllocateWhenWarm(t *testing.T) {
 		"SelectLikeInto":      func() { likes, _ = SelectLikeInto(likes, comment, "special", LikeContains, false) },
 		"FetchInto":           func() { FetchInto(vals, oids, view) },
 		"FetchInto boundary":  func() { FetchInto(vals, cands, view) },
+		"FetchInto outside":   func() { FetchInto(vals, oids, idle) },
+		"FetchInto shuffled":  func() { FetchInto(vals, shuffled, view) },
 		"CalcVVInto":          func() { CalcVVInto(calc, CalcMul, a, b) },
 		"CalcSVInto":          func() { CalcSVInto(calc, CalcSub, 100, a, true) },
 		"HashJoinInto":        func() { lo, ro, _ = HashJoinInto(lo, ro, lkeys, okeys) },

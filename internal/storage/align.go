@@ -12,6 +12,10 @@ import "math"
 // the boundaries by trimming row ids that fall outside the target range, so
 // that every lookup is a valid access with no repetition and no omission
 // across sibling partitions.
+//
+// algebra.SelectWithCandsInto aligns its candidates here. FetchInto aligns
+// an ascending oid list itself, by binary search inside its gather, and
+// calls AlignOids only for a list that fails that path's checks.
 
 // AlignOids trims the sorted-or-unsorted oid list to those addressing the
 // target view [tlo,thi), the "adjusting the lower boundary of LT by removing
