@@ -79,8 +79,8 @@ func BenchmarkFetchInto(b *testing.B) {
 	// upper half, so the fetch keeps nothing.
 	lower, _ := SelectInto(nil, clipped, LessThan(48))
 	upper := col.View(col.Len()/2, col.Len())
-	// Descent-last: ascending but for its last oid, the costliest fallback
-	// from the one-pass path.
+	// Descent-last: ascending but for its last oid, so the prefix ends one
+	// oid before the list does.
 	descent := append([]int64(nil), ascending...)
 	descent[len(descent)-1] = descent[0]
 	for _, bc := range []struct {

@@ -1,121 +1,83 @@
 package algebra
 
-import (
-	"fmt"
-	"slices"
-
-	"repro/internal/storage"
-)
-
-// fetchWork is the shared cost accounting for tuple reconstruction. The oid
-// list is scanned once sequentially. For ascending row ids (the common
-// case: selection vectors) the driven target accesses are one fused forward
-// skip-scan riding the same stream — the prefetcher serves both, so the
-// model charges that stream once rather than once per array; the seed
-// charged it twice (base Work plus the ascending branch), making ascending
-// fetches cost as much sequential I/O as two full scans. Shuffled ids (join
-// sides) genuinely touch a second region per value and pay random access.
-// Pinned by TestFetchWorkAccounting.
-func fetchWork(oids, aligned []int64, ascending bool, footprint int64) Work {
-	w := Work{
-		BytesSeqRead:   int64(len(oids)) * 8,
-		BytesWritten:   int64(len(aligned)) * 8,
-		TuplesIn:       int64(len(oids)),
-		TuplesOut:      int64(len(aligned)),
-		FootprintBytes: footprint,
-		MemClaimBytes:  int64(len(aligned)) * 8,
-	}
-	if !ascending {
-		w.BytesRandRead += int64(len(aligned)) * 8
-	}
-	return w
-}
+import "repro/internal/storage"
 
 // FetchInto performs tuple reconstruction (MonetDB's algebra.leftfetchjoin,
 // §2.3 Figure 10): for every row id in oids it fetches the value at that head
 // oid of the target column view into dst — a caller-owned destination, e.g. a
-// partition clone's disjoint slice of one shared result buffer. Row ids that
-// fall outside the view are aligned away per the paper's dynamic-partition
-// boundary correction. It returns the number of values written (≤ len(oids)),
-// the Work record — the same whoever owns dst, so shared-buffer and
-// materializing executions cost the same — and the number of row ids dropped,
-// so callers (and tests) can assert when strict containment is expected. dst
-// must hold at least the aligned oid count; len(oids) always suffices.
+// partition clone's disjoint slice of one shared result buffer. It returns
+// the number of values written (≤ len(oids)), the Work record — the same
+// whoever owns dst, so shared-buffer and materializing executions cost the
+// same — and the number of row ids dropped, so callers (and tests) can assert
+// when strict containment is expected. dst must hold at least the kept oid
+// count (len(oids) always suffices); a shorter dst panics, and no slot past
+// len(dst) is written — past a partition clone's window lies a sibling's.
 //
-// An ascending oid list (a selection vector) is read once and nothing is
-// allocated: fetchAscending aligns it by binary search inside the gather.
-// Any other list (a join side, or drops interleaved with kept oids) fails a
-// check there and takes the general path, which overwrites dst: one
-// storage.AlignOids pass trims and classifies, then a gather by position.
+// Row ids outside the view are aligned away (paper §2.3, Figures 9/10). With
+// fixed-size partitions the row ids are always a subset of the target's head
+// oids (Figure 9A), but dynamic partitioning produces variable-sized
+// partitions whose boundaries may over- or under-shoot the target view
+// (Figures 9B–9F). The paper aligns the boundaries by trimming the row ids
+// that fall outside the target range ("adjusting the lower boundary of LT by
+// removing row-id=8", Figure 10), so that every lookup is a valid access with
+// no repetition and no omission across sibling partitions.
+//
+// Any list is read once and nothing is allocated. gatherPrefix gathers the
+// in-view, non-descending prefix — all of a selection vector. The rest, if
+// any, is walked once: out-of-view oids are skipped, and descents among the
+// kept ones are counted, for Work's serial-vs-random access distinction
+// (§4.1).
 func FetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, int) {
-	if run, ok := fetchAscending(dst, oids, target); ok {
-		return len(run), fetchWork(oids, run, true, target.Bytes()), len(oids) - len(run)
-	}
-	aligned, dropped, ascending := storage.AlignOids(oids, target.Seq(), target.EndSeq())
-	if len(dst) < len(aligned) {
-		panic(fmt.Sprintf("algebra: FetchInto dst %d too small for %d aligned oids", len(dst), len(aligned)))
-	}
-	gather(dst, aligned, target)
-	return len(aligned), fetchWork(oids, aligned, ascending, target.Bytes()), dropped
-}
-
-// fetchAscending is FetchInto's one pass: two binary searches find the run
-// of oids between the view's first oid and its end, gatherRun checks and
-// gathers it (first, so an unsorted list fails fast), and a branch-free count
-// finds no in-view oid around it. Then (ok) the run is AlignOids' kept list,
-// ascending; otherwise dst may hold part of a gather.
-func fetchAscending(dst, oids []int64, target *storage.Column) (run []int64, ok bool) {
 	vals, seq := target.Values(), target.Seq()
-	lo, _ := slices.BinarySearch(oids, seq)
-	n, _ := slices.BinarySearch(oids[lo:], seq+int64(len(vals)))
-	run = oids[lo : lo+n]
-	ok = gatherRun(dst, run, vals, seq) &&
-		countInView(oids[:lo], vals, seq) == 0 && countInView(oids[lo+n:], vals, seq) == 0
-	return run, ok
+	n := gatherPrefix(dst, oids, vals, seq)
+	descents, prev := 0, seq
+	if n > 0 {
+		prev = oids[n-1]
+	}
+	for _, o := range oids[n:] {
+		if uint64(o-seq) < uint64(len(vals)) {
+			descents += b2i(o < prev)
+			dst[n], prev = vals[o-seq], o
+			n++
+		}
+	}
+	// The oid list is scanned once sequentially. For ascending row ids (the
+	// common case: selection vectors) the driven target accesses are one
+	// fused forward skip-scan riding the same stream — the prefetcher serves
+	// both, so the model charges that stream once rather than once per array.
+	// Shuffled ids (join sides) genuinely touch a second region per value and
+	// pay random access. Pinned by TestFetchWorkAccounting.
+	w := Work{
+		BytesSeqRead:   int64(len(oids)) * 8,
+		BytesWritten:   int64(n) * 8,
+		TuplesIn:       int64(len(oids)),
+		TuplesOut:      int64(n),
+		FootprintBytes: target.Bytes(),
+		MemClaimBytes:  int64(n) * 8,
+	}
+	if descents > 0 {
+		w.BytesRandRead = int64(n) * 8
+	}
+	return n, w, len(oids) - n
 }
 
-// gatherRun writes the value at every oid of run into dst and reports
-// whether each lies in the view and is not below its predecessor, stopping
-// at the first that does not. A run longer than len(dst) is refused: the
-// length, not the capacity, bounds it, because a partition clone's dst is a
-// window of its pack group's shared buffer and what lies past it is a
-// sibling's. The in-view test is the bounds check.
-func gatherRun(dst, run, vals []int64, seq int64) bool {
-	if len(run) > len(dst) {
-		return false
-	}
-	dst = dst[:len(run)]
+// gatherPrefix writes the value at every oid of the list's in-view,
+// non-descending prefix into dst and returns the prefix's length. The prefix
+// also ends at len(dst), so that a short dst is written no further. It is
+// kept out of line: inlined into FetchInto, the loop's registers were
+// spilled (see the compact* loops in select.go).
+//
+//go:noinline
+func gatherPrefix(dst, oids, vals []int64, seq int64) int {
+	oids = oids[:min(len(oids), len(dst))]
 	prev := seq
-	for i, o := range run {
+	for i, o := range oids {
 		if uint64(o-seq) >= uint64(len(vals)) || o < prev {
-			return false
+			return i
 		}
 		dst[i], prev = vals[o-seq], o
 	}
-	return true
-}
-
-// countInView counts the oids that address the view vals starts at seq.
-func countInView(oids, vals []int64, seq int64) int {
-	c := 0
-	for _, o := range oids {
-		if uint64(o-seq) < uint64(len(vals)) {
-			c++
-		}
-	}
-	return c
-}
-
-// gather writes target's value at every aligned oid into dst[:len(aligned)],
-// walking the view by position. AlignOids already confined the oids to the
-// view; the slice bounds check is the safety net against a caller that did
-// not.
-func gather(dst, aligned []int64, target *storage.Column) {
-	vals, seq := target.Values(), target.Seq()
-	dst = dst[:len(aligned)]
-	for i, oid := range aligned {
-		dst[i] = vals[oid-seq]
-	}
+	return len(oids)
 }
 
 // FetchPositionsInto gathers the values of col at the given zero-based

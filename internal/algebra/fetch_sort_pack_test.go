@@ -41,64 +41,127 @@ func TestFetchAlignsMisalignedBoundaries(t *testing.T) {
 	}
 }
 
-// FetchShape is an oid list over a view and whether FetchInto's one-pass
-// path takes it. The shapes reach every exit of fetchAscending;
-// TestKernelsMatchReference and FuzzSelectKernels run them against the
-// reference too.
+// FetchShape is an oid list over a view and the length of its in-view,
+// non-descending prefix: where FetchInto's gather and SelectWithCandsInto's
+// compaction hand the list to the tail walk. The shapes reach every exit of
+// both kernels — a prefix ending at the list's end, at an out-of-view oid or
+// at a descent (at the first, a middle or the last kept oid), and a tail that
+// drops, keeps in order and keeps descending oids. TestKernelsMatchReference
+// and FuzzSelectKernels run them against the reference too.
 type FetchShape struct {
-	Name  string
-	Oids  []int64
-	Taken bool
+	Name   string
+	Oids   []int64
+	Prefix int
 }
 
-// FetchShapes returns the shapes over the view [seq, end). Taken is right
+// FetchShapes returns the shapes over the view [seq, end). Prefix is right
 // for a view of at least six oids.
 func FetchShapes(seq, end int64) []FetchShape {
 	mid := seq + (end-seq)/2
 	return []FetchShape{
-		{"empty", nil, true},
-		{"below", []int64{seq - 9, seq - 3, seq - 1}, true},
-		{"above", []int64{end, end + 2, end + 7}, true},
-		{"straddling", []int64{seq - 2, seq - 1, seq, mid, end - 1, end, end + 3}, true},
-		{"inside", []int64{seq, seq + 1, mid, end - 1}, true},
-		{"duplicates at both boundaries", []int64{seq - 1, seq - 1, seq, seq, mid, end - 1, end - 1, end, end}, true},
-		{"shuffled", []int64{mid, seq, end - 1, seq + 1}, false},
-		{"descent at the first kept oid", []int64{seq - 1, seq + 1, seq, mid, end - 1, end}, false},
-		{"descent at a middle kept oid", []int64{seq - 1, seq, mid, seq + 1, end - 1, end}, false},
-		{"descent at the last kept oid", []int64{seq - 1, seq, seq + 1, mid, mid - 1, end}, false},
-		{"in-view oid in the dropped prefix", []int64{mid, seq - 3, seq - 1, seq, end - 1}, false},
-		{"in-view oid in the dropped suffix", []int64{seq, seq + 1, end, end + 2, mid}, false},
+		{"empty", nil, 0},
+		{"inside", []int64{seq, seq + 1, mid, end - 1}, 4},
+		{"duplicates inside", []int64{seq, seq, mid, mid, end - 1, end - 1}, 6},
+		{"below", []int64{seq - 9, seq - 3, seq - 1}, 0},
+		{"above", []int64{end, end + 2, end + 7}, 0},
+		{"clipped above", []int64{seq, mid, end - 1, end, end + 3}, 3},
+		{"straddling", []int64{seq - 2, seq - 1, seq, mid, end - 1, end, end + 3}, 0},
+		{"duplicates at both boundaries", []int64{seq - 1, seq - 1, seq, seq, mid, end - 1, end - 1, end, end}, 0},
+		{"shuffled", []int64{mid, seq, end - 1, seq + 1}, 1},
+		{"descent at the first kept oid", []int64{seq + 1, seq, mid, end - 1, end}, 1},
+		{"descent at a middle kept oid", []int64{seq, mid, seq + 1, end - 1, end}, 2},
+		{"descent at the last kept oid", []int64{seq, seq + 1, mid, mid - 1, end}, 3},
+		{"descent after dropped oids", []int64{seq - 1, seq + 1, seq, mid, end - 1, end}, 0},
+		{"drops interleaved with ascending kept oids", []int64{seq, end, seq + 1, seq - 1, mid}, 1},
+		{"descent through a dropped oid only", []int64{seq + 1, seq - 1, seq + 2}, 1},
+		{"in-view oid before dropped ones", []int64{mid, seq - 3, seq - 1, seq, end - 1}, 1},
+		{"in-view oid after dropped ones", []int64{seq, seq + 1, end, end + 2, mid}, 2},
 	}
 }
 
-// An ascending list must be fetched in one pass; a silent fall back to
-// AlignOids and a second pass would keep every result right and lose the
-// speed, so the path taken is pinned here, exit by exit.
-func TestFetchAscendingExits(t *testing.T) {
+// A selection vector must be read by the out-of-line prefix loops; a list
+// that left them early would keep every result right and lose the speed, so
+// where each kernel's prefix ends is pinned here, shape by shape, and so is
+// that neither kernel allocates beyond its output's growth.
+func TestOidPrefixExits(t *testing.T) {
 	vals := make([]int64, 40)
 	for i := range vals {
 		vals[i] = int64(100 + i)
 	}
 	target := storage.NewIntColumn("rt", vals).View(10, 20)
+	lo, span, _ := AtLeast(0).closed()
 	for _, s := range FetchShapes(10, 20) {
-		if _, ok := fetchAscending(make([]int64, len(s.Oids)), s.Oids, target); ok != s.Taken {
-			t.Errorf("%s %v: one-pass path taken = %v, want %v", s.Name, s.Oids, ok, s.Taken)
+		if n := gatherPrefix(make([]int64, len(s.Oids)), s.Oids, target.Values(), target.Seq()); n != s.Prefix {
+			t.Errorf("%s %v: gather prefix %d, want %d", s.Name, s.Oids, n, s.Prefix)
+		}
+		if _, n := compactCands(make([]int64, len(s.Oids)), s.Oids, target.Values(), target.Seq(), target.Seq(), lo, span); n != s.Prefix {
+			t.Errorf("%s %v: compaction prefix %d, want %d", s.Name, s.Oids, n, s.Prefix)
+		}
+		dst := make([]int64, len(s.Oids))
+		out := make([]int64, 0, len(s.Oids)+1)
+		if a := testing.AllocsPerRun(10, func() {
+			FetchInto(dst, s.Oids, target)
+			SelectWithCandsInto(out, target, FullRange(), s.Oids)
+		}); a != 0 {
+			t.Errorf("%s: %v allocations per run, want 0", s.Name, a)
 		}
 	}
 
-	// A kept run longer than dst is refused by dst's length, not its
-	// capacity: past the window lies a sibling clone's output.
+	// A kept list longer than dst ends the prefix at len(dst) and panics in
+	// the tail; dst's length, not its capacity, bounds the writes, because
+	// past a partition clone's window lies a sibling clone's output.
 	buf := []int64{-7, -7, -7, -7, -7, -7, -7, -7}
-	if _, ok := fetchAscending(buf[:3], []int64{10, 11, 15, 19}, target); ok || !slices.Equal(buf[3:], []int64{-7, -7, -7, -7, -7}) {
-		t.Fatalf("a 4-oid run into a 3-slot window: taken = %v, buffer %v", ok, buf)
+	if n := gatherPrefix(buf[:3], []int64{10, 11, 15, 19}, target.Values(), target.Seq()); n != 3 {
+		t.Fatalf("a 4-oid prefix into a 3-slot window: prefix %d, want 3", n)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("FetchInto of 4 kept oids into a 3-slot window did not panic")
+			}
+		}()
+		FetchInto(buf[:3], []int64{10, 11, 15, 19}, target)
+	}()
+	if !slices.Equal(buf, []int64{110, 111, 115, -7, -7, -7, -7, -7}) {
+		t.Fatalf("a 4-oid list into a 3-slot window left the buffer %v", buf)
+	}
+}
 
-	// The searches confine the run for any list; gatherRun's in-view test
-	// still keeps a run that is not confined from reading past the view.
-	for _, run := range [][]int64{{9}, {10, 20}, {19, 35}} {
-		if gatherRun(make([]int64, len(run)), run, target.Values(), target.Seq()) {
-			t.Errorf("gatherRun accepted %v over the view [10,20)", run)
+// Property: one oid list aligned against the adjacent views [0,c) and
+// [c,size) keeps every in-range oid in exactly one of them, in list order (no
+// repetition, no omission — the two failure modes §2.3 warns about), and the
+// two dropped counts add up, in both kernels that align.
+func TestKernelsAlignPartitionProperty(t *testing.T) {
+	f := func(raw []uint16, cut uint16, n uint16) bool {
+		size := int64(n)%200 + 10
+		c := int64(cut) % size
+		vals := make([]int64, size)
+		for i := range vals {
+			vals[i] = int64(i)
 		}
+		col := storage.NewIntColumn("t", vals)
+		var oids, wantL, wantR []int64
+		for _, r := range raw {
+			o := int64(r)%(size+6) - 3 // some outside [0,size)
+			oids = append(oids, o)
+			switch {
+			case o >= 0 && o < c:
+				wantL = append(wantL, o)
+			case o >= c && o < size:
+				wantR = append(wantR, o)
+			}
+		}
+		dropped := 2*len(oids) - len(wantL) - len(wantR)
+		left, right := make([]int64, len(oids)), make([]int64, len(oids))
+		nl, _, dl := FetchInto(left, oids, col.View(0, int(c)))
+		nr, _, dr := FetchInto(right, oids, col.View(int(c), int(size)))
+		sl, _, sdl := SelectWithCandsInto(nil, col.View(0, int(c)), FullRange(), oids)
+		sr, _, sdr := SelectWithCandsInto(nil, col.View(int(c), int(size)), FullRange(), oids)
+		return slices.Equal(left[:nl], wantL) && slices.Equal(right[:nr], wantR) && dl+dr == dropped &&
+			slices.Equal(sl, wantL) && slices.Equal(sr, wantR) && sdl+sdr == dropped
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // edges, lo > hi), any view offset (Seq() != 0), any candidate list
 // (ascending, shuffled, overshooting both view boundaries, or one of
 // FetchShapes) and any state of the destination buffer (nil, too small,
-// recycled with stale contents). FetchInto's Work must classify the kept
-// oids' order as the reference does.
+// recycled with stale contents). Both row-id kernels' Work must classify the
+// kept oids' order as the reference does.
 func FuzzSelectKernels(f *testing.F) {
 	for i, r := range []Range{
 		FullRange(), Eq(3), Between(2, 5), HalfOpen(2, 5), LessThan(3), AtMost(3), GreaterThan(3), AtLeast(3),
@@ -35,8 +35,8 @@ func FuzzSelectKernels(f *testing.F) {
 	} {
 		f.Add(r.Lo, r.Hi, r.LoIncl, r.HiIncl, int64(i), uint16(17*i), uint8(i), uint8(i/3))
 	}
-	// A candMode of 128 or more fetches one of FetchShapes' lists, every exit
-	// of FetchInto's one-pass path; seed 2552 draws an empty view.
+	// A candMode of 128 or more takes one of FetchShapes' lists, every exit of
+	// the kernels' prefix and tail loops; seed 2552 draws an empty view.
 	for i := range FetchShapes(0, 0) {
 		f.Add(int64(10), int64(50), true, false, int64(i), uint16(5*i), uint8(i), uint8(128+i))
 		f.Add(int64(10), int64(50), true, false, int64(2552), uint16(5*i), uint8(i), uint8(128+i))
@@ -123,10 +123,18 @@ func FuzzSelectKernels(f *testing.F) {
 				wantOids = append(wantOids, oid)
 			}
 		}
-		gotOids, _, dropped := SelectWithCandsInto(dst(), view, pred, cands)
-		if !slices.Equal(gotOids, wantOids) || dropped != wantDropped {
-			t.Fatalf("SelectWithCandsInto(%+v, %v) over view [%d,%d) = %v dropped %d, want %v dropped %d",
-				pred, cands, seq, view.EndSeq(), gotOids, dropped, wantOids, wantDropped)
+		nk, nm := int64(len(kept)), int64(len(wantOids))
+		wantW := Work{
+			BytesSeqRead: int64(len(cands))*8 + nk*8, BytesWritten: nm * 8, TuplesIn: int64(len(cands)),
+			TuplesOut: nm, FootprintBytes: view.Bytes(), MemClaimBytes: nm * 8,
+		}
+		if !slices.IsSorted(kept) {
+			wantW.BytesSeqRead, wantW.BytesRandRead = int64(len(cands))*8, nk*8
+		}
+		gotOids, w, dropped := SelectWithCandsInto(dst(), view, pred, cands)
+		if !slices.Equal(gotOids, wantOids) || dropped != wantDropped || w != wantW {
+			t.Fatalf("SelectWithCandsInto(%+v, %v) over view [%d,%d) = %v dropped %d work %+v, want %v dropped %d work %+v",
+				pred, cands, seq, view.EndSeq(), gotOids, dropped, w, wantOids, wantDropped, wantW)
 		}
 		// The fetch writes into a window sized to the kept oids; the slots
 		// past it belong to a sibling and must keep their contents.
@@ -135,8 +143,7 @@ func FuzzSelectKernels(f *testing.F) {
 			buf[i] = -7
 		}
 		k, w, dropped := FetchInto(buf[:len(wantVals)], cands, view)
-		nk := int64(len(kept))
-		wantW := Work{
+		wantW = Work{
 			BytesSeqRead: int64(len(cands)) * 8, BytesWritten: nk * 8, TuplesIn: int64(len(cands)),
 			TuplesOut: nk, FootprintBytes: view.Bytes(), MemClaimBytes: nk * 8,
 		}

@@ -75,7 +75,7 @@ func refSelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands 
 	aligned, dropped := refAlignOids(cands, col.Seq(), col.EndSeq())
 	out := dst[:0]
 	if cap(out) == 0 {
-		out = make([]int64, 0, len(aligned)/2+1)
+		out = make([]int64, 0, len(cands)/2+1)
 	}
 	for _, oid := range aligned {
 		if pred.Matches(col.ValueAtOid(oid)) {
@@ -319,6 +319,14 @@ func TestKernelsMatchReference(t *testing.T) {
 			for pi, p := range partitions(r, col.Len(), k) {
 				view := col.View(p[0], p[1])
 				at := fmt.Sprintf("%s k=%d part %d [%d,%d)", name, k, pi, p[0], p[1])
+				// Beside the whole-column lists, the shapes that reach every
+				// exit of the kernels' prefix and tail loops, over this view
+				// and over an empty one.
+				lists := [][]int64{asc, shuf}
+				for _, s := range FetchShapes(view.Seq(), view.EndSeq()) {
+					lists = append(lists, s.Oids)
+				}
+				targets := []*storage.Column{view, col.View(p[0], p[0])}
 
 				for _, pred := range preds {
 					want, ww := refSelectInto(nil, view, pred)
@@ -337,24 +345,19 @@ func TestKernelsMatchReference(t *testing.T) {
 							at, pred, len(got), cap(got), gw, len(want), cap(wantWarm), ww)
 					}
 
-					for _, cands := range [][]int64{asc, shuf} {
-						want, ww, wd := refSelectWithCandsInto(nil, view, pred, cands)
-						got, gw, gd := SelectWithCandsInto(nil, view, pred, cands)
-						if !slices.Equal(got, want) || gw != ww || gd != wd || cap(got) != cap(want) {
-							t.Fatalf("%s SelectWithCandsInto(%+v): %d oids cap %d dropped %d work %+v, want %d oids cap %d dropped %d work %+v",
-								at, pred, len(got), cap(got), gd, gw, len(want), cap(want), wd, ww)
+					for _, target := range targets {
+						for li, cands := range lists {
+							want, ww, wd := refSelectWithCandsInto(nil, target, pred, cands)
+							got, gw, gd := SelectWithCandsInto(nil, target, pred, cands)
+							if !slices.Equal(got, want) || gw != ww || gd != wd || cap(got) != cap(want) {
+								t.Fatalf("%s list %d over [%d,%d) SelectWithCandsInto(%+v): %d oids cap %d dropped %d work %+v, want %d oids cap %d dropped %d work %+v",
+									at, li, target.Seq(), target.EndSeq(), pred, len(got), cap(got), gd, gw, len(want), cap(want), wd, ww)
+							}
 						}
 					}
 				}
 
-				// Beside the whole-column lists, the shapes that reach every
-				// exit of the one-pass path, over this view and over an
-				// empty one.
-				lists := [][]int64{asc, shuf}
-				for _, s := range FetchShapes(view.Seq(), view.EndSeq()) {
-					lists = append(lists, s.Oids)
-				}
-				for _, target := range []*storage.Column{view, col.View(p[0], p[0])} {
+				for _, target := range targets {
 					for li, oids := range lists {
 						want, got := make([]int64, len(oids)), make([]int64, len(oids))
 						wn, ww, wd := refFetchInto(want, oids, target)

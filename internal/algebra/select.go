@@ -124,16 +124,20 @@ func compactRange(w, vals []int64, oid, lo int64, span uint64) int {
 }
 
 // compactCands matches the values the candidate oids address, read by
-// position from the view (vals, head oid seq).
+// position from the view (vals, head oid seq). It stops at the first
+// candidate that is out of the view or below its predecessor (prev before
+// the first) and returns the matches and the candidates it consumed.
 //
 //go:noinline
-func compactCands(w, cands, vals []int64, seq, lo int64, span uint64) int {
-	m := 0
-	for _, oid := range cands {
-		w[m] = oid
+func compactCands(w, cands, vals []int64, seq, prev, lo int64, span uint64) (m, n int) {
+	for i, oid := range cands {
+		if uint64(oid-seq) >= uint64(len(vals)) || oid < prev {
+			return m, i
+		}
+		w[m], prev = oid, oid
 		m += b2i(uint64(vals[oid-seq]-lo) <= span)
 	}
-	return m
+	return m, len(cands)
 }
 
 // compactMembers matches dictionary codes, whose oids are oid, oid+1, …,
@@ -205,33 +209,55 @@ func SelectInto(dst []int64, col *storage.Column, pred Range) ([]int64, Work) {
 // SelectWithCandsInto refines an existing candidate oid list against the
 // view: the two-input filter-operator semantics the paper discusses in §2.2
 // ("accepts column and also a bit vector from another selection operator's
-// output"). Candidates outside the view's oid span are aligned away first
-// (§2.3) so partitioned refinement stays a valid access; the number dropped
-// is returned. Matches are appended into dst's storage; see SelectInto for
-// the buffer-reuse contract and the branch-free compaction. Candidates are
-// aligned and classified in one pass (storage.AlignOids), then read by
-// position, vals[oid-seq].
+// output"). Candidates outside the view's oid span are aligned away (§2.3,
+// see FetchInto) so partitioned refinement stays a valid access; the number
+// dropped is returned. Matches are appended into dst's storage; see
+// SelectInto for the buffer-reuse contract and the branch-free compaction.
+// The list is read once, as FetchInto reads it: compactCands takes the
+// in-view, non-descending prefix (all of a selection vector) and the rest,
+// if any, is walked once, skipping out-of-view candidates and counting
+// descents among the kept ones.
 func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []int64) ([]int64, Work, int) {
-	aligned, dropped, ascending := storage.AlignOids(cands, col.Seq(), col.EndSeq())
-	vals := col.Values()
-	seq := col.Seq()
+	vals, seq := col.Values(), col.Seq()
 	out := dst[:0]
 	if cap(out) == 0 {
-		out = make([]int64, 0, len(aligned)/2+1)
+		out = make([]int64, 0, len(cands)/2+1)
 	}
 	lo, span, ok := pred.closed()
-	for i := 0; ok && i < len(aligned); {
-		n := min(len(aligned)-i, cap(out)-len(out))
+	i, prev := 0, seq
+	for ok && i < len(cands) {
+		n := min(len(cands)-i, cap(out)-len(out))
 		if n == 0 {
-			if uint64(vals[aligned[i]-seq]-lo) <= span {
-				out = append(out, aligned[i])
+			o := cands[i]
+			if uint64(o-seq) >= uint64(len(vals)) || o < prev {
+				break
 			}
-			i++
+			if uint64(vals[o-seq]-lo) <= span {
+				out = append(out, o)
+			}
+			i, prev = i+1, o
 			continue
 		}
 		k := len(out)
-		out = out[:k+compactCands(out[k:k+n], aligned[i:i+n], vals, seq, lo, span)]
-		i += n
+		m, c := compactCands(out[k:k+n], cands[i:i+n], vals, seq, prev, lo, span)
+		out, i = out[:k+m], i+c
+		if i > 0 {
+			prev = cands[i-1]
+		}
+		if c < n {
+			break
+		}
+	}
+	kept, descents := i, 0
+	for _, o := range cands[i:] {
+		if uint64(o-seq) < uint64(len(vals)) {
+			kept++
+			descents += b2i(o < prev)
+			prev = o
+			if ok && uint64(vals[o-seq]-lo) <= span {
+				out = append(out, o)
+			}
+		}
 	}
 	w := Work{
 		BytesSeqRead:   int64(len(cands)) * 8,
@@ -244,12 +270,12 @@ func SelectWithCandsInto(dst []int64, col *storage.Column, pred Range, cands []i
 	// Candidate lists from selects are ascending, so the driven accesses are
 	// a forward skip-scan — effectively sequential for the prefetcher.
 	// Unsorted candidates pay random-access cost instead.
-	if ascending {
-		w.BytesSeqRead += int64(len(aligned)) * 8
+	if descents == 0 {
+		w.BytesSeqRead += int64(kept) * 8
 	} else {
-		w.BytesRandRead += int64(len(aligned)) * 8
+		w.BytesRandRead += int64(kept) * 8
 	}
-	return out, w, dropped
+	return out, w, len(cands) - kept
 }
 
 // LikeKind selects the string-match flavour of SelectLikeInto.

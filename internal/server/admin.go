@@ -37,17 +37,22 @@ import (
 // TenantSpec is the POST /admin/tenants body: what to call the tenant and
 // how to build its dataset. The server hands it to Config.TenantFactory.
 type TenantSpec struct {
-	// Name routes requests to the new tenant (required, unique, not
-	// "default").
+	// Name routes requests to the tenant. Required, unique, and not
+	// "default" (the primary database's reserved name).
 	Name string `json:"name"`
-	// Benchmark selects the dataset generator and named-query set: "tpch"
-	// (default) or "tpcds".
+	// Benchmark is the tenant's dataset generator and named-query set:
+	// "tpch" (default) or "tpcds".
 	Benchmark string `json:"benchmark,omitempty"`
-	// SF and Seed parameterize the generator (SF 0 = 1).
-	SF   float64 `json:"sf,omitempty"`
-	Seed int64   `json:"seed,omitempty"`
-	// MaxSessions / MaxInFlight are the tenant quotas (0 = unlimited).
+	// SF is the generator scale factor (0 = 1).
+	SF float64 `json:"sf,omitempty"`
+	// Seed is the generator seed, part of the tenant's dataset identity.
+	Seed int64 `json:"seed,omitempty"`
+	// MaxSessions bounds the tenant's live cached plan-sessions on each
+	// shard (0 = unlimited). Over-quota tenants evict only their own
+	// least-recently-used sessions, converged first.
 	MaxSessions int `json:"max_sessions,omitempty"`
+	// MaxInFlight bounds the tenant's concurrently executing requests
+	// (0 = unlimited); excess requests fail fast with HTTP 429.
 	MaxInFlight int `json:"max_in_flight,omitempty"`
 }
 

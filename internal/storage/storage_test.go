@@ -193,72 +193,3 @@ func TestTableAndCatalog(t *testing.T) {
 		t.Fatalf("Tables = %v", tabs)
 	}
 }
-
-func TestAlignOids(t *testing.T) {
-	// The Figure 10 example: LT holds row ids 2,4,5,7,8 while RH covers
-	// oids [1,8); row id 8 must be removed.
-	oids := []int64{2, 4, 5, 7, 8}
-	kept, dropped, asc := AlignOids(oids, 1, 8)
-	if dropped != 1 || len(kept) != 4 || kept[3] != 7 || !asc {
-		t.Fatalf("AlignOids = %v dropped=%d ascending=%v", kept, dropped, asc)
-	}
-	// Out-of-view oids at the ends trim to a sub-slice, not a copy.
-	if &kept[0] != &oids[0] {
-		t.Fatal("AlignOids copied an ascending list")
-	}
-	// No trimming needed: same slice returned, zero allocations implied.
-	kept2, dropped2, _ := AlignOids(kept, 0, 100)
-	if dropped2 != 0 || &kept2[0] != &kept[0] {
-		t.Fatal("AlignOids copied when no trimming was needed")
-	}
-	// Dropped oids between kept ones force a copy; ascending describes the
-	// kept oids only (9 and 0 are outside the view).
-	kept3, dropped3, asc3 := AlignOids([]int64{9, 3, 0, 5}, 1, 8)
-	if dropped3 != 2 || len(kept3) != 2 || kept3[0] != 3 || kept3[1] != 5 || !asc3 {
-		t.Fatalf("AlignOids interleaved = %v dropped=%d ascending=%v", kept3, dropped3, asc3)
-	}
-	if _, _, asc4 := AlignOids([]int64{5, 3}, 1, 8); asc4 {
-		t.Fatal("AlignOids reported a descending list as ascending")
-	}
-}
-
-// Property: aligning an arbitrary oid set against a partitioning of the
-// target yields each in-range oid in exactly one partition (no repetition, no
-// omission — the two failure modes §2.3 warns about).
-func TestAlignOidsPartitionProperty(t *testing.T) {
-	f := func(raw []uint16, cut uint16, n uint16) bool {
-		size := int64(n)%200 + 10
-		c := int64(cut) % size
-		var oids []int64
-		for _, r := range raw {
-			oids = append(oids, int64(r)%(size+6)-3) // some outside [0,size)
-		}
-		left, dl, _ := AlignOids(oids, 0, c)
-		right, dr, _ := AlignOids(oids, c, size)
-		inRange := 0
-		for _, o := range oids {
-			if o >= 0 && o < size {
-				inRange++
-			}
-		}
-		if len(left)+len(right) != inRange {
-			return false
-		}
-		_ = dl
-		_ = dr
-		for _, o := range left {
-			if o < 0 || o >= c {
-				return false
-			}
-		}
-		for _, o := range right {
-			if o < c || o >= size {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}

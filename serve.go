@@ -146,26 +146,10 @@ type ClusterPeer = cluster.Peer
 // timing (2s; 2 retries from 25ms; 3 failures, 2s cooldown; 500ms).
 type ClusterConfig = cluster.Config
 
-// TenantConfig declares one named tenant dataset for the query service.
-type TenantConfig struct {
-	// Name routes requests to this tenant. Required, unique, and not
-	// "default" (the primary database's reserved name).
-	Name string
-	// Benchmark is the tenant's dataset generator and named-query set:
-	// "tpch" (default) or "tpcds".
-	Benchmark string
-	// SF is the generator scale factor (0 = 1).
-	SF float64
-	// Seed is the generator seed, part of the tenant's dataset identity.
-	Seed int64
-	// MaxSessions bounds the tenant's live cached plan-sessions on each
-	// shard (0 = unlimited). Over-quota tenants evict only their own
-	// least-recently-used sessions, converged first.
-	MaxSessions int
-	// MaxInFlight bounds the tenant's concurrently executing requests
-	// (0 = unlimited); excess requests fail fast with HTTP 429.
-	MaxInFlight int
-}
+// TenantConfig declares one named tenant dataset for the query service: the
+// body of POST /admin/tenants, so a statically configured tenant and one
+// added at runtime are declared alike.
+type TenantConfig = server.TenantSpec
 
 // buildTenant generates a tenant's dataset and wraps it for the serving
 // layer. It is both the NewServer path for statically configured tenants and
@@ -247,25 +231,16 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	scfg := server.Config{
-		Engines:    engines,
-		DBIdentity: cfg.DBIdentity,
-		Benchmark:  cfg.Benchmark,
-		Admission:  cfg.Admission,
-		CacheSize:  cfg.CacheSize,
-		Tenants:    tenants,
-		Store:      st,
-		Staleness:  cfg.Staleness,
-		Drift:      cfg.Drift,
-		TenantFactory: func(spec server.TenantSpec) (server.Tenant, error) {
-			return buildTenant(TenantConfig{
-				Name:        spec.Name,
-				Benchmark:   spec.Benchmark,
-				SF:          spec.SF,
-				Seed:        spec.Seed,
-				MaxSessions: spec.MaxSessions,
-				MaxInFlight: spec.MaxInFlight,
-			})
-		},
+		Engines:        engines,
+		DBIdentity:     cfg.DBIdentity,
+		Benchmark:      cfg.Benchmark,
+		Admission:      cfg.Admission,
+		CacheSize:      cfg.CacheSize,
+		Tenants:        tenants,
+		Store:          st,
+		Staleness:      cfg.Staleness,
+		Drift:          cfg.Drift,
+		TenantFactory:  buildTenant,
 		Faults:         cfg.Faults,
 		RequestTimeout: cfg.RequestTimeout,
 		MaxShardQueue:  cfg.MaxShardQueue,
