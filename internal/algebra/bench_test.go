@@ -79,6 +79,8 @@ func BenchmarkFetchInto(b *testing.B) {
 	// upper half, so the fetch keeps nothing.
 	lower, _ := SelectInto(nil, clipped, LessThan(48))
 	upper := col.View(col.Len()/2, col.Len())
+	// Head-dropped: the whole list against the view's upper half, so the
+	// list's lower half lies below the view (a lower-boundary drop).
 	// Descent-last: ascending but for its last oid, so the prefix ends one
 	// oid before the list does.
 	descent := append([]int64(nil), ascending...)
@@ -91,6 +93,7 @@ func BenchmarkFetchInto(b *testing.B) {
 		{"ascending", ascending, col},
 		{"ascending-clipped", ascending, clipped},
 		{"ascending-outside", lower, upper},
+		{"ascending-head-dropped", ascending, upper},
 		{"shuffled", shuffled, col},
 		{"descent-last", descent, col},
 	} {

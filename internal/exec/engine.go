@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -883,9 +882,9 @@ func (e *Engine) newJob(p *plan.Plan, opts JobOptions) (*PlanJob, error) {
 func (j *PlanJob) evaluateAll() error {
 	a := j.arena
 	r := &a.run
-	*r = evalRun{j: j, reuse: a.reuse}
-	a.reuse = nil
 	pool := evalHelpers
+	r.begin(j, pool)
+	a.reuse = nil
 	pool.busy.Add(1)
 	offered := pool.offer(r)
 	r.work(0)
@@ -909,25 +908,38 @@ func (j *PlanJob) evaluateAll() error {
 	return nil
 }
 
-// evalRun is one evaluateAll: the cursor its workers claim instructions from
-// and what they report back. It lives in the arena. The owner writes its plain
-// fields before it offers the run (share) and reads err once every helper has
-// left; everything the workers share is atomic.
+// evalRun is one evaluateAll: the cursor its workers claim instructions from,
+// what they report back, and the lock and condition a worker parks on when a
+// wait outlives its spin (wait, in helper.go). It lives in the arena. The
+// owner writes its plain fields before it offers the run (share) and reads err
+// once every helper has left; everything else the workers share is atomic or
+// guarded by mu.
 type evalRun struct {
 	j         *PlanJob
 	reuse     []bool
+	pool      *helperPool
 	shared    bool   // helpers may join: a claim waits on its producers' done flags
 	offeredTo uint64 // bit k: offered to helper k (helperPool.retract)
 	offeredNs int64
 	err       error // the first failure's, set by the worker that stopped the run
 
-	next   atomic.Int32 // the next position of sched.order to claim
-	stop   atomic.Bool
-	slots  atomic.Int32 // scratch slots handed to helpers; the owner's is 0
-	left   atomic.Int32 // helpers that took the offer and have left
-	evalNs atomic.Int64 // time the workers spent evaluating, waits excluded
-	reused atomic.Int64
-	helped atomic.Int64 // instructions helpers evaluated
+	next     atomic.Int32 // the next position of sched.order to claim
+	stop     atomic.Bool
+	slots    atomic.Int32 // scratch slots handed to helpers; the owner's is 0
+	left     atomic.Int32 // helpers that took the offer and have left
+	sleepers atomic.Int32 // workers parked, or about to park, on cond
+	evalNs   atomic.Int64 // time the workers spent evaluating, waits excluded
+	reused   atomic.Int64
+	helped   atomic.Int64 // instructions helpers evaluated
+
+	mu   sync.Mutex
+	cond sync.Cond // on mu
+}
+
+// begin resets r for a run of j on pool's helpers.
+func (r *evalRun) begin(j *PlanJob, pool *helperPool) {
+	*r = evalRun{j: j, reuse: j.arena.reuse, pool: pool}
+	r.cond.L = &r.mu
 }
 
 // share readies r for helpers before the owner first offers it: the
@@ -974,9 +986,7 @@ func (r *evalRun) work(slot int) {
 		} else {
 			w, err := j.evaluate(int(i), sc)
 			if err != nil {
-				if r.stop.CompareAndSwap(false, true) {
-					r.err = err
-				}
+				r.fail(err)
 				break
 			}
 			a.work[i] = w
@@ -984,34 +994,39 @@ func (r *evalRun) work(slot int) {
 		}
 		if r.shared {
 			a.done[i].Store(true)
+			r.wake()
 		}
 	}
 	r.evalNs.Add(monoNs() - start - waited)
+	if waited > 0 {
+		r.pool.waitNs.Add(waited)
+	}
 	if slot > 0 {
 		r.helped.Add(evaluated)
 	}
 }
 
+// fail stops the run on err — the first failure's err is the one kept — and
+// wakes the workers parked on it.
+func (r *evalRun) fail(err error) {
+	if r.stop.CompareAndSwap(false, true) {
+		r.err = err
+	}
+	r.wake()
+}
+
 // await waits until every producer of instruction i is done, and returns how
 // long it waited; false when another worker stopped the run meanwhile.
 func (r *evalRun) await(i int32) (int64, bool) {
-	s, done := r.j.sched, r.j.arena.done
-	var since int64
-	for _, u := range s.prods[i] {
-		for !done[u].Load() {
-			if r.stop.Load() {
-				return 0, false
-			}
-			if since == 0 {
-				since = monoNs()
-			}
-			runtime.Gosched()
+	done := r.j.arena.done
+	var waited int64
+	for _, u := range r.j.sched.prods[i] {
+		waited += r.wait(func() bool { return done[u].Load() || r.stop.Load() })
+		if !done[u].Load() {
+			return waited, false
 		}
 	}
-	if since == 0 {
-		return 0, true
-	}
-	return monoNs() - since, true
+	return waited, true
 }
 
 // simulate is the second pass: it feeds the recorded Work to the event core,

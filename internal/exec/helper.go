@@ -26,6 +26,24 @@ import (
 //     evaluations and joined helpers together and never lets them exceed
 //     GOMAXPROCS, so shards × DOP cannot oversubscribe the host.
 //
+// Every wait of a run — a claim for a producer another worker is evaluating,
+// the owner for its helpers to leave — is one wait (evalRun.wait): check the
+// condition, yield with runtime.Gosched for at most parkAfterNs, then park on
+// the run's own mutex and condition variable, counted in the run's sleepers.
+// The spin serves the many short waits of a plan with dozens of clones, which a
+// futex wake-up would lengthen; parking serves the long ones, where yielding
+// kept the waiter on its thread and paid the scheduler on every yield — and,
+// when the kernel had descheduled the producer's thread, kept the producer off
+// the waiter's vCPU for milliseconds. Whoever can make a condition true — a
+// worker that flags an instruction done or stops the run on an error, a helper
+// that leaves — broadcasts when sleepers is non-zero. Go's atomics are
+// sequentially consistent and a waiter counts itself a sleeper before it
+// re-checks its condition under the lock, so either the waker sees the sleeper
+// or the sleeper sees the condition: no wake-up is lost. A helper leaves under
+// the lock, and the owner takes the lock once after the last one has left:
+// the run lives in the arena, which the owner reuses as soon as retract
+// returns, so no helper may still be inside the run's lock by then.
+//
 // Nothing a run measures depends on who evaluated what: values and Work are
 // the same with or without a helper, and so is everything after evaluateAll.
 const (
@@ -35,6 +53,11 @@ const (
 	// more than the split saves, and a 150 µs gate slowed rows_churn's cold
 	// steps by 11 %.
 	helpMinEvalNs = 400_000
+	// parkAfterNs bounds a wait's spin. Parking at once cost join_hot 4 %
+	// in p50 and 3.5 % in wall speedup (a futex wake-up is tens of
+	// microseconds); spin budgets from 10 to 200 µs cost the same CPU, so
+	// the bound is a latency choice.
+	parkAfterNs = 50_000
 	// maxHelpers bounds the pool: a run records the helpers it offered
 	// itself to in one word.
 	maxHelpers = 63
@@ -46,15 +69,18 @@ const (
 type helperPool struct {
 	// cores is the budget of evaluations plus joined helpers; 0 reads
 	// GOMAXPROCS at every offer. force makes every run offer itself, whatever
-	// its length and DOP, and wait until a helper takes it (tests only).
-	cores int
-	force bool
+	// its length and DOP, and wait until a helper takes it; parkAtOnce makes
+	// every wait of its runs park without spinning (tests only, both).
+	cores      int
+	force      bool
+	parkAtOnce bool
 
 	mu      sync.Mutex // serializes starting helpers
 	helpers atomic.Pointer[[]*helper]
 
 	busy                     atomic.Int32 // running evaluations + joined helpers
 	joins, declined, startNs atomic.Int64
+	waitNs, retractNs, parks atomic.Int64
 }
 
 // evalHelpers is the process's pool. Tests swap it for one with a fixed
@@ -74,17 +100,34 @@ type HelperStats struct {
 	// Joins counts offers a helper took; Declined counts runs that passed
 	// the length and DOP gates but found no idle helper or no free core;
 	// StartUs is the total time from offer to a helper's start, so
-	// StartUs / Joins is the mean wake latency.
-	Joins    int64 `json:"joins"`
-	Declined int64 `json:"declined"`
-	StartUs  int64 `json:"start_us"`
+	// StartUs / Joins is the mean wake latency. WaitUs is the time every
+	// worker of a shared run, owner and helpers, waited for a producer;
+	// RetractUs the time owners waited for their helpers to leave; Parks
+	// counts the waits that outlived their spin and parked.
+	Joins     int64 `json:"joins"`
+	Declined  int64 `json:"declined"`
+	StartUs   int64 `json:"start_us"`
+	WaitUs    int64 `json:"wait_us"`
+	RetractUs int64 `json:"retract_us"`
+	Parks     int64 `json:"parks"`
 }
 
 // EvalHelperStats snapshots the process-wide evaluation helper's counters.
 func EvalHelperStats() HelperStats { return evalHelpers.stats() }
 
 func (p *helperPool) stats() HelperStats {
-	return HelperStats{Joins: p.joins.Load(), Declined: p.declined.Load(), StartUs: p.startNs.Load() / 1e3}
+	return HelperStats{
+		Joins: p.joins.Load(), Declined: p.declined.Load(), StartUs: p.startNs.Load() / 1e3,
+		WaitUs: p.waitNs.Load() / 1e3, RetractUs: p.retractNs.Load() / 1e3, Parks: p.parks.Load(),
+	}
+}
+
+// spinNs is how long a wait of the pool's runs spins before it parks.
+func (p *helperPool) spinNs() int64 {
+	if p.parkAtOnce {
+		return 0
+	}
+	return parkAfterNs
 }
 
 var monoBase = time.Now()
@@ -201,23 +244,73 @@ func (p *helperPool) retract(r *evalRun) {
 			taken++
 		}
 	}
-	for r.left.Load() < taken {
-		runtime.Gosched()
+	if taken == 0 {
+		return
 	}
+	p.retractNs.Add(r.wait(func() bool { return r.left.Load() >= taken }))
+	// The last helper may still be inside the lock it left under.
+	r.mu.Lock()
+	r.mu.Unlock()
 }
 
 // serve is a helper's life: take an offer, work the run until its cursor is
 // exhausted, give the core back, leave — and touch the run no more.
 func (p *helperPool) serve(h *helper) {
 	for {
-		r := h.next()
-		h.working.Store(true)
-		p.joins.Add(1)
-		p.startNs.Add(monoNs() - r.offeredNs)
-		r.work(int(r.slots.Add(1)))
-		p.busy.Add(-1)
-		h.working.Store(false)
-		r.left.Add(1)
+		p.help(h, h.next())
+	}
+}
+
+// help works r as helper h until r's cursor is exhausted or the run stops.
+func (p *helperPool) help(h *helper, r *evalRun) {
+	h.working.Store(true)
+	p.joins.Add(1)
+	p.startNs.Add(monoNs() - r.offeredNs)
+	r.work(int(r.slots.Add(1)))
+	p.busy.Add(-1)
+	h.working.Store(false)
+	r.mu.Lock()
+	r.left.Add(1)
+	if r.sleepers.Load() > 0 {
+		r.cond.Broadcast()
+	}
+	r.mu.Unlock()
+}
+
+// wait blocks the calling worker until ready holds and returns how long it
+// waited: it yields for at most its pool's spin budget, then parks on the
+// run's condition until a wake-up finds ready true. ready must become true
+// only through a write that is followed by wake (or, for left, a broadcast
+// under mu).
+func (r *evalRun) wait(ready func() bool) int64 {
+	if ready() {
+		return 0
+	}
+	start, spin := monoNs(), r.pool.spinNs()
+	for monoNs()-start < spin {
+		runtime.Gosched()
+		if ready() {
+			return monoNs() - start
+		}
+	}
+	r.pool.parks.Add(1)
+	r.mu.Lock()
+	r.sleepers.Add(1)
+	for !ready() {
+		r.cond.Wait()
+	}
+	r.sleepers.Add(-1)
+	r.mu.Unlock()
+	return monoNs() - start
+}
+
+// wake wakes the run's parked workers, if any, after a write that may have
+// made their condition true.
+func (r *evalRun) wake() {
+	if r.sleepers.Load() > 0 {
+		r.mu.Lock()
+		r.cond.Broadcast()
+		r.mu.Unlock()
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,12 +19,17 @@ import (
 // detector needs.
 var forcedHelpers = &helperPool{cores: 2, force: true}
 
-// forceHelper makes every run of the test share its evaluation with a helper.
-func forceHelper(t testing.TB) {
-	prev := evalHelpers
-	evalHelpers = forcedHelpers
-	t.Cleanup(func() { evalHelpers = prev })
-}
+// parkingHelpers is forcedHelpers with no spin: every wait of its runs that
+// does not find its condition true at once parks, so a lost wake-up — a
+// producer's done flag, a stop, a helper leaving — hangs the test.
+var parkingHelpers = &helperPool{cores: 2, force: true, parkAtOnce: true}
+
+// forcedPools are the two forced pools, by name: a test of the helper runs
+// under both, so it covers the wait's spin and its park.
+var forcedPools = []struct {
+	name string
+	pool *helperPool
+}{{"spin", forcedHelpers}, {"park", parkingHelpers}}
 
 // useHelpers runs the test on pool instead of the process's.
 func useHelpers(t testing.TB, pool *helperPool) {
@@ -91,6 +97,12 @@ func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One P: the forced helper still joins every run, and its goroutines
+	// cannot change Ps. A worker that parks on one P and wakes on another
+	// moves the runtime's wait record (sudog) from the first P's cache to
+	// the second's, and a P whose cache has run dry allocates one: the
+	// runtime's cost of blocking, not the helper's path.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	perRun := func(pool *helperPool) (float64, RunStats) {
 		useHelpers(t, pool)
 		eng := NewEngine(cat, testMachine(), cost.Default())
@@ -123,6 +135,100 @@ func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 	// the runtime's own (a pool refilled after a GC) stay far below that.
 	if helped-alone >= 0.5 {
 		t.Fatalf("a helped run allocates %.2f objects, the same run alone %.2f", helped, alone)
+	}
+}
+
+// TestStopWakesAParkedWorker: a worker parked on a producer that no worker
+// will evaluate returns, reporting the stop, when another worker fails the
+// run — the wake-up an error owes the run's sleepers.
+func TestStopWakesAParkedWorker(t *testing.T) {
+	eng := NewEngine(testCatalog(2_000), testMachine(), cost.Default())
+	p := partitionedFetchPlan(2)
+	j, err := eng.newJob(p, JobOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &j.arena.run
+	r.begin(j, parkingHelpers)
+	r.share(2)
+	last := j.sched.order[len(j.sched.order)-1]
+	if len(j.sched.prods[last]) == 0 {
+		t.Fatalf("instruction %d has no producer to wait on", last)
+	}
+	parks := parkingHelpers.parks.Load()
+	ok := make(chan bool)
+	go func() {
+		_, done := r.await(last)
+		ok <- done
+	}()
+	for r.sleepers.Load() == 0 {
+		runtime.Gosched()
+	}
+	r.fail(errors.New("stopped"))
+	if <-ok {
+		t.Fatal("a stopped run's parked worker reported its producers done")
+	}
+	if r.err == nil || parkingHelpers.parks.Load() != parks+1 {
+		t.Fatalf("err %v, %d parks; want the stop's error and one park", r.err, parkingHelpers.parks.Load()-parks)
+	}
+	j.arena.release(j.sched)
+}
+
+// TestHelperLeavesWhileOwnerParksInRetract: the owner finishes the run's
+// cursor alone and parks in retract until the helper that took its offer
+// leaves; the helper's leaving wakes it, evaluateAll returns the unhelped
+// answer, and the arena's next run, helped for real, is as clean as the
+// first. The test plays the helper: its pool's one helper has no goroutine,
+// so the test takes the offer and calls help only once the owner has parked.
+func TestHelperLeavesWhileOwnerParksInRetract(t *testing.T) {
+	cat := testCatalog(20_000)
+	p := partitionedFetchPlan(8)
+	useHelpers(t, &helperPool{cores: 1})
+	want, prof, err := NewEngine(cat, testMachine(), cost.Default()).Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantWork := workByInstr(prof)
+
+	pool := &helperPool{cores: 2, force: true, parkAtOnce: true}
+	h := &helper{wake: make(chan struct{}, 1)}
+	pool.helpers.Store(&[]*helper{h})
+	useHelpers(t, pool)
+	left := make(chan struct{})
+	go func() {
+		defer close(left)
+		r := h.next()
+		for r.sleepers.Load() == 0 { // the owner has not parked yet
+			runtime.Gosched()
+		}
+		pool.help(h, r)
+	}()
+	eng := NewEngine(cat, testMachine(), cost.Default())
+	got, _, err := eng.Execute(p)
+	<-left
+	if err != nil || !ResultsEqual(got, want) {
+		t.Fatalf("results %v (%v), want %v", got, err, want)
+	}
+	if st := pool.stats(); st.Joins != 1 || st.Parks != 1 || pool.waitNs.Load() != 0 || pool.retractNs.Load() == 0 || pool.busy.Load() != 0 {
+		t.Fatalf("%+v, busy %d: want one join, one park, spent in retract, and the budget whole", st, pool.busy.Load())
+	}
+	if eng.RunStats().Helped != 0 {
+		t.Fatal("a helper that joined after the cursor ran out was counted as helping")
+	}
+
+	a := eng.sched[p].arena
+	useHelpers(t, parkingHelpers)
+	got, prof, err = eng.ExecuteOpts(p, JobOptions{MaxCores: 2}) // simulated, not replayed
+	if err != nil || !ResultsEqual(got, want) {
+		t.Fatalf("next run: results %v (%v), want %v", got, err, want)
+	}
+	for idx, w := range workByInstr(prof) {
+		if w != wantWork[idx] {
+			t.Errorf("next run: instr %d: Work %+v, want %+v", idx, w, wantWork[idx])
+		}
+	}
+	if eng.sched[p].arena != a || a.run.sleepers.Load() != 0 || parkingHelpers.busy.Load() != 0 {
+		t.Fatal("the next run did not reuse the arena cleanly")
 	}
 }
 

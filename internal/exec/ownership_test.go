@@ -252,17 +252,20 @@ func TestOwnershipPathsAgree(t *testing.T) {
 		opts           JobOptions
 		runs           int
 		propagatedOnly bool
-		// helper: a helper joins every run (forceHelper), so the clones may
-		// run on two workers at once and race for the group's layout.
-		helper bool
-		check  check
+		// helpers: a forced pool whose helper joins every run, so the clones
+		// may run on two workers at once and race for the group's layout;
+		// parkingHelpers' workers park at every wait.
+		helpers *helperPool
+		check   check
 	}{
 		{name: "shared", suffix: "pack", runs: 1, check: shared},
 		// The group's windows are laid out, and its dictionary bound, once
 		// per run whichever worker gets there first: a second layout would
 		// reset a written window (the pack then copies) or race under -race.
-		{name: "two-workers", suffix: "pack", runs: 3, helper: true, check: shared},
-		{name: "two-workers-fresh", suffix: "result", runs: 2, helper: true, check: fresh},
+		{name: "two-workers", suffix: "pack", runs: 3, helpers: forcedHelpers, check: shared},
+		{name: "two-workers-fresh", suffix: "result", runs: 2, helpers: forcedHelpers, check: fresh},
+		{name: "two-workers-parked", suffix: "pack", runs: 3, helpers: parkingHelpers, check: shared},
+		{name: "two-workers-parked-fresh", suffix: "result", runs: 2, helpers: parkingHelpers, check: fresh},
 		// One core runs the propagated shape's anchor chains one after the
 		// other: the gate still holds clone 0 until clone 1's anchor exists.
 		{name: "one-core", suffix: "pack", opts: JobOptions{MaxCores: 1}, runs: 1, propagatedOnly: true, check: shared},
@@ -296,8 +299,8 @@ func TestOwnershipPathsAgree(t *testing.T) {
 					continue
 				}
 				t.Run(v.name, func(t *testing.T) {
-					if v.helper {
-						forceHelper(t)
+					if v.helpers != nil {
+						useHelpers(t, v.helpers)
 					}
 					p, clones, nPrefix := ownPlan(sh, v.suffix)
 					if err := p.Validate(); err != nil {

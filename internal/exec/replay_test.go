@@ -200,51 +200,18 @@ func sameMakespan(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Abs(b)
 // An evaluation error fails the run before anything reaches the machine, so
 // the plan's arena goes back to its schedule and the machine never sees a job.
 // With a helper sharing the run, an error on either worker stops both: the
-// other leaves instead of waiting for a producer that will never be done,
-// the core budget is whole again, and the arena comes back once — the next
-// run, over a catalog that has the column, checks the same arena out and
-// returns the unhelped answer.
+// other leaves instead of waiting for a producer that will never be done —
+// parked or not — the core budget is whole again, and the arena comes back
+// once — the next run, over a catalog that has the column, checks the same
+// arena out and returns the unhelped answer.
 func TestEvaluationErrorReturnsArena(t *testing.T) {
-	t.Run("two workers", func(t *testing.T) {
-		forceHelper(t)
-		b := plan.NewBuilder()
-		price := b.Bind("lineitem", "l_extendedprice")
-		var sums []plan.VarID
-		for k := 0; k < 8; k++ {
-			sums = append(sums, b.Aggr(algebra.AggrSum, b.Fetch(b.Select(price, algebra.AtLeast(int64(100*k))), price)))
+	for _, fp := range forcedPools {
+		name := "two workers"
+		if fp.pool == parkingHelpers {
+			name = "two workers parked"
 		}
-		// testCatalog has no l_shipmode; ownCatalog has.
-		b.Result(append(sums, b.Aggr(algebra.AggrSum, b.Bind("lineitem", "l_shipmode")))...)
-		p := b.Plan()
-		eng := NewEngine(testCatalog(2_000), testMachine(), cost.Default())
-		with := ownCatalog(2_000)
-		want, _, err := NewEngine(with, testMachine(), cost.Default()).Execute(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for run := 0; run < 3; run++ {
-			if _, _, err := eng.Execute(p); err == nil {
-				t.Fatal("bind of a missing column succeeded")
-			}
-			a := eng.sched[p].arena
-			if a == nil {
-				t.Fatalf("run %d: the failed run's arena was not returned", run)
-			}
-			if busy := forcedHelpers.busy.Load(); busy != 0 {
-				t.Fatalf("run %d: %d workers still hold the core budget", run, busy)
-			}
-			got, _, err := eng.ExecuteOpts(p, JobOptions{Catalog: with})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ResultsEqual(got, want) {
-				t.Fatalf("run %d: results %v after a failed run, want %v", run, got, want)
-			}
-			if eng.sched[p].arena != a {
-				t.Fatalf("run %d: the next run did not check out and return the failed run's arena", run)
-			}
-		}
-	})
+		t.Run(name, func(t *testing.T) { testTwoWorkerError(t, fp.pool) })
+	}
 
 	b := plan.NewBuilder()
 	b.Result(b.Aggr(algebra.AggrSum, b.Bind("lineitem", "no_such_column")))
@@ -260,5 +227,48 @@ func TestEvaluationErrorReturnsArena(t *testing.T) {
 	}
 	if st := eng.RunStats(); st != (RunStats{}) || eng.Machine().Now() != 0 || !eng.Machine().Quiescent() {
 		t.Fatalf("failed runs reached the machine: %+v, clock %v", st, eng.Machine().Now())
+	}
+}
+
+// testTwoWorkerError is TestEvaluationErrorReturnsArena's two-worker case on
+// the forced pool pool.
+func testTwoWorkerError(t *testing.T, pool *helperPool) {
+	useHelpers(t, pool)
+	b := plan.NewBuilder()
+	price := b.Bind("lineitem", "l_extendedprice")
+	var sums []plan.VarID
+	for k := 0; k < 8; k++ {
+		sums = append(sums, b.Aggr(algebra.AggrSum, b.Fetch(b.Select(price, algebra.AtLeast(int64(100*k))), price)))
+	}
+	// testCatalog has no l_shipmode; ownCatalog has.
+	b.Result(append(sums, b.Aggr(algebra.AggrSum, b.Bind("lineitem", "l_shipmode")))...)
+	p := b.Plan()
+	eng := NewEngine(testCatalog(2_000), testMachine(), cost.Default())
+	with := ownCatalog(2_000)
+	want, _, err := NewEngine(with, testMachine(), cost.Default()).Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 3; run++ {
+		if _, _, err := eng.Execute(p); err == nil {
+			t.Fatal("bind of a missing column succeeded")
+		}
+		a := eng.sched[p].arena
+		if a == nil {
+			t.Fatalf("run %d: the failed run's arena was not returned", run)
+		}
+		if busy := pool.busy.Load(); busy != 0 {
+			t.Fatalf("run %d: %d workers still hold the core budget", run, busy)
+		}
+		got, _, err := eng.ExecuteOpts(p, JobOptions{Catalog: with})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ResultsEqual(got, want) {
+			t.Fatalf("run %d: results %v after a failed run, want %v", run, got, want)
+		}
+		if eng.sched[p].arena != a {
+			t.Fatalf("run %d: the next run did not check out and return the failed run's arena", run)
+		}
 	}
 }

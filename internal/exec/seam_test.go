@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -69,15 +70,18 @@ func forEachSuitePlan(t *testing.T, f func(t *testing.T, sp suitePlan)) {
 // wait on its gate, so the group resolves in every order and the pack reports
 // PackColumnsView's zero movement in every order. TPC-H Q19 must have a gate,
 // or that half of the test is vacuous. Then the plan object is evaluated
-// helpedRuns more times with the evaluation helper forced to join
-// (forceHelper): the owner and the helper claim instructions from one cursor,
-// and results and Work must still be the machine run's. Under -race this is
-// the helper's oracle; some instruction of the suite must have been evaluated
-// by the helper, or that half is vacuous.
+// helpedRuns more times with the evaluation helper forced to join, under each
+// of forcedPools: the owner and the helper claim instructions from one cursor,
+// and results and Work must still be the machine run's whether a wait spins
+// before it parks or parks at once. Under -race this is the helper's oracle;
+// under each pool some instruction of the suite must have been evaluated by
+// the helper, and under parkingHelpers some wait must have parked (given two
+// Ps), or that half is vacuous.
 func TestEvaluateNeedsNoMachine(t *testing.T) {
 	const evalRuns = 4 // compiled order, then three random orders
 	const helpedRuns = 3
-	var helped int64
+	helped := map[string]int64{}
+	parks := parkingHelpers.parks.Load()
 	forEachSuitePlan(t, func(t *testing.T, sp suitePlan) {
 		p := sp.p
 		eng := NewEngine(sp.cat, testMachine(), cost.Default())
@@ -135,34 +139,44 @@ func TestEvaluateNeedsNoMachine(t *testing.T) {
 		}
 
 		// The same plan object, evaluated with a helper forced to join every
-		// run: whichever worker claimed an instruction, its results and every
-		// instruction's Work are the machine run's.
-		forceHelper(t)
-		before := eng.RunStats().Helped
-		eng.mach = nil
-		for run := 0; run < helpedRuns; run++ {
-			j, err := eng.newJob(p, JobOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := j.evaluateAll(); err != nil {
-				t.Fatalf("helped run %d: %v", run, err)
-			}
-			for idx := range p.Instrs {
-				if w := j.arena.work[idx]; w != wantWork[idx] {
-					t.Errorf("helped run %d: instr %d (%s): Work %+v, through the machine %+v", run, idx, p.Instrs[idx].Op, w, wantWork[idx])
+		// run, its waits spinning first and then parking at once: whichever
+		// worker claimed an instruction, its results and every instruction's
+		// Work are the machine run's.
+		for _, fp := range forcedPools {
+			useHelpers(t, fp.pool)
+			before := eng.RunStats().Helped
+			eng.mach = nil
+			for run := 0; run < helpedRuns; run++ {
+				j, err := eng.newJob(p, JobOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if err := j.evaluateAll(); err != nil {
+					t.Fatalf("%s: helped run %d: %v", fp.name, run, err)
+				}
+				for idx := range p.Instrs {
+					if w := j.arena.work[idx]; w != wantWork[idx] {
+						t.Errorf("%s: helped run %d: instr %d (%s): Work %+v, through the machine %+v", fp.name, run, idx, p.Instrs[idx].Op, w, wantWork[idx])
+					}
+				}
+				if got := j.Results(); len(got) == 0 || !ResultsEqual(got, want) {
+					t.Fatalf("%s: helped run %d: results %v, through the machine %v", fp.name, run, got, want)
+				}
+				j.arena.release(j.sched)
 			}
-			if got := j.Results(); len(got) == 0 || !ResultsEqual(got, want) {
-				t.Fatalf("helped run %d: results %v, through the machine %v", run, got, want)
-			}
-			j.arena.release(j.sched)
+			eng.mach = mach
+			helped[fp.name] += eng.RunStats().Helped - before
 		}
-		eng.mach = mach
-		helped += eng.RunStats().Helped - before
 	})
-	if helped == 0 {
-		t.Error("the helper evaluated no instruction of any suite plan: the helped half is vacuous")
+	for _, fp := range forcedPools {
+		if helped[fp.name] == 0 {
+			t.Errorf("%s: the helper evaluated no instruction of any suite plan: the helped half is vacuous", fp.name)
+		}
+	}
+	// With one P a worker runs until it blocks, so the one that got the P
+	// may finish the run without waiting at all.
+	if parkingHelpers.parks.Load() == parks && runtime.GOMAXPROCS(0) >= 2 {
+		t.Error("no wait parked under parkingHelpers: the park half is vacuous")
 	}
 }
 
