@@ -81,6 +81,9 @@ func BenchmarkFetchInto(b *testing.B) {
 	upper := col.View(col.Len()/2, col.Len())
 	// Head-dropped: the whole list against the view's upper half, so the
 	// list's lower half lies below the view (a lower-boundary drop).
+	// Shuffled-clipped: the shuffled list against the view's lower half, so
+	// the list changes sides of the view every few oids (a join side read
+	// by partition clones).
 	// Descent-last: ascending but for its last oid, so the prefix ends one
 	// oid before the list does.
 	descent := append([]int64(nil), ascending...)
@@ -95,6 +98,7 @@ func BenchmarkFetchInto(b *testing.B) {
 		{"ascending-outside", lower, upper},
 		{"ascending-head-dropped", ascending, upper},
 		{"shuffled", shuffled, col},
+		{"shuffled-clipped", shuffled, clipped},
 		{"descent-last", descent, col},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

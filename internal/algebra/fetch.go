@@ -26,25 +26,25 @@ import "repro/internal/storage"
 // in-view, non-descending prefix — all of a selection vector. The rest, if
 // any, is walked once: out-of-view oids are skipped, and descents among the
 // kept ones are counted, for Work's serial-vs-random access distinction
-// (§4.1). An in-view oid that follows a skipped one and does not descend
-// starts a run that goes back to gatherPrefix, so an ascending list whose head
-// lies below the view (a lower-boundary drop) is gathered out of line too.
+// (§4.1). A list whose head lies outside the view (a lower-boundary drop)
+// has that head skipped first, so the rest of an ascending list is still
+// gathered out of line.
 func FetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, int) {
 	vals, seq := target.Values(), target.Seq()
-	n, k, descents, prev := 0, 0, 0, seq
-	for k < len(oids) {
-		if m := gatherPrefix(dst[n:], oids[k:], vals, seq, prev); m > 0 {
-			n, k = n+m, k+m
-			prev = oids[k-1]
-		}
-		for ; k < len(oids) && uint64(oids[k]-seq) < uint64(len(vals)); k++ {
-			o := oids[k]
+	h := 0
+	if len(oids) > 0 && uint64(oids[0]-seq) >= uint64(len(vals)) {
+		h = outsidePrefix(oids, seq, len(vals))
+	}
+	n := gatherPrefix(dst, oids[h:], vals, seq)
+	descents, prev := 0, seq
+	if n > 0 {
+		prev = oids[h+n-1]
+	}
+	for _, o := range oids[h+n:] {
+		if uint64(o-seq) < uint64(len(vals)) {
 			descents += b2i(o < prev)
 			dst[n], prev = vals[o-seq], o
 			n++
-		}
-		if k < len(oids) {
-			k += outsidePrefix(oids[k:], seq, len(vals))
 		}
 	}
 	// The oid list is scanned once sequentially. For ascending row ids (the
@@ -67,15 +67,16 @@ func FetchInto(dst []int64, oids []int64, target *storage.Column) (int, Work, in
 	return n, w, len(oids) - n
 }
 
-// gatherPrefix writes the value at every oid of the list's in-view prefix
-// that does not descend, from prev on, into dst and returns the prefix's
-// length. The prefix also ends at len(dst), so that a short dst is written no
-// further. It is kept out of line: inlined into FetchInto, the loop's
-// registers were spilled (see the compact* loops in select.go).
+// gatherPrefix writes the value at every oid of the list's in-view,
+// non-descending prefix into dst and returns the prefix's length. The prefix
+// also ends at len(dst), so that a short dst is written no further. It is
+// kept out of line: inlined into FetchInto, the loop's registers were
+// spilled (see the compact* loops in select.go).
 //
 //go:noinline
-func gatherPrefix(dst, oids, vals []int64, seq, prev int64) int {
+func gatherPrefix(dst, oids, vals []int64, seq int64) int {
 	oids = oids[:min(len(oids), len(dst))]
+	prev := seq
 	for i, o := range oids {
 		if uint64(o-seq) >= uint64(len(vals)) || o < prev {
 			return i

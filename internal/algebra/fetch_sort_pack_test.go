@@ -92,7 +92,7 @@ func TestOidPrefixExits(t *testing.T) {
 	target := storage.NewIntColumn("rt", vals).View(10, 20)
 	lo, span, _ := AtLeast(0).closed()
 	for _, s := range FetchShapes(10, 20) {
-		if n := gatherPrefix(make([]int64, len(s.Oids)), s.Oids, target.Values(), target.Seq(), target.Seq()); n != s.Prefix {
+		if n := gatherPrefix(make([]int64, len(s.Oids)), s.Oids, target.Values(), target.Seq()); n != s.Prefix {
 			t.Errorf("%s %v: gather prefix %d, want %d", s.Name, s.Oids, n, s.Prefix)
 		}
 		if _, n := compactCands(make([]int64, len(s.Oids)), s.Oids, target.Values(), target.Seq(), target.Seq(), lo, span); n != s.Prefix {
@@ -112,7 +112,7 @@ func TestOidPrefixExits(t *testing.T) {
 	// the tail; dst's length, not its capacity, bounds the writes, because
 	// past a partition clone's window lies a sibling clone's output.
 	buf := []int64{-7, -7, -7, -7, -7, -7, -7, -7}
-	if n := gatherPrefix(buf[:3], []int64{10, 11, 15, 19}, target.Values(), target.Seq(), target.Seq()); n != 3 {
+	if n := gatherPrefix(buf[:3], []int64{10, 11, 15, 19}, target.Values(), target.Seq()); n != 3 {
 		t.Fatalf("a 4-oid prefix into a 3-slot window: prefix %d, want 3", n)
 	}
 	func() {

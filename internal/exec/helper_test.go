@@ -87,9 +87,11 @@ func TestHelperGates(t *testing.T) {
 }
 
 // TestHelpedRunAllocatesNothingMore: a converged plan's run with a helper
-// joined allocates no more than the same run alone. The helper's scratch and
-// the done flags live in the arena and the producer lists in the schedule,
-// all built on the first shared run.
+// joined allocates no more than the same run alone, on every P the host has.
+// The helper's scratch and the done flags live in the arena and the producer
+// lists in the schedule, all built on the first shared run. Each window of
+// runs starts with the runtime's wait records stocked (stockWaitRecords), as
+// in a process whose goroutines have parked before.
 func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 	skipIfPoolsAreLossy(t)
 	cat := tpch.Generate(tpch.Config{SF: 0.05, Seed: 7})
@@ -97,12 +99,6 @@ func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One P: the forced helper still joins every run, and its goroutines
-	// cannot change Ps. A worker that parks on one P and wakes on another
-	// moves the runtime's wait record (sudog) from the first P's cache to
-	// the second's, and a P whose cache has run dry allocates one: the
-	// runtime's cost of blocking, not the helper's path.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	perRun := func(pool *helperPool) (float64, RunStats) {
 		useHelpers(t, pool)
 		eng := NewEngine(cat, testMachine(), cost.Default())
@@ -111,6 +107,7 @@ func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		stockWaitRecords(1024)
 		const runs = 50
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
@@ -136,6 +133,32 @@ func TestHelpedRunAllocatesNothingMore(t *testing.T) {
 	if helped-alone >= 0.5 {
 		t.Fatalf("a helped run allocates %.2f objects, the same run alone %.2f", helped, alone)
 	}
+}
+
+// stockWaitRecords parks n goroutines at once and wakes them, so that the
+// runtime's caches of wait records (sudogs) hold about n. A goroutine that
+// blocks takes a record from its P's cache, which holds 128 and refills from a
+// central list that every GC empties; it returns the record to the cache of
+// the P it wakes on. So in a process whose caches are cold, a worker that
+// parks on one P and wakes on another allocates a record — up to one per park
+// of a window, which is the runtime filling its caches, not an allocation of
+// the helper's path.
+func stockWaitRecords(n int) {
+	ch := make(chan struct{})
+	var parked, woken sync.WaitGroup
+	parked.Add(n)
+	woken.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			parked.Done()
+			<-ch
+			woken.Done()
+		}()
+	}
+	parked.Wait()
+	runtime.Gosched()
+	close(ch)
+	woken.Wait()
 }
 
 // TestStopWakesAParkedWorker: a worker parked on a producer that no worker
